@@ -88,7 +88,6 @@ def convex_mix(w: float) -> Distortion:
 
     return dist_mod.validate(
         fn, label=f"{w:.6g}*p + {c:.6g}*p^2",
-        provenance=dist_mod.PROVENANCE_BUILTIN,
         inverse_fn=inv, co_inverse_fn=lambda p: 1.0 - inv(1.0 - p))
 
 
@@ -107,7 +106,6 @@ def concave_mix(w: float) -> Distortion:
 
     return dist_mod.validate(
         fn, label=f"{w:.6g}*p + {c:.6g}*(2*p - p^2)",
-        provenance=dist_mod.PROVENANCE_BUILTIN,
         inverse_fn=inv, co_inverse_fn=lambda p: 1.0 - inv(1.0 - p))
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Dict, List, Optional, Sequence
@@ -56,10 +55,6 @@ _INPUT_ERRORS = (
     ValueError,
 )
 
-REPRO_TARGETS = ("ce02", "ce01", "ex_durante_1", "ex_durante_2",
-                 "ex_diag_5comp", "ex_3of4", "ex_qmit")
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -85,8 +80,11 @@ def _write_json(path: Optional[str], doc: dict) -> None:
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            doc = json.load(fp)
+    except OSError as ex:
+        raise ValueError(f"cannot read config {path!r}: {ex.strerror or ex}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"config {path!r} must hold a JSON object")
     return doc
@@ -164,18 +162,14 @@ def cmd_check_order(args) -> int:
     outputs = config.get("outputs", {}) if isinstance(config.get("outputs", {}), dict) else {}
     json_path = _pick(args.out_json, outputs, "verdict_json")
     csv_path = _pick(args.out_csv, outputs, "curve_csv")
-    try:
-        if json_path or not csv_path:
-            _write_json(json_path, doc)
-        if csv_path:
-            multiple = len(verdicts) > 1
-            for v in verdicts:
-                path = _csv_path_for_order(csv_path, v.kind, multiple)
-                with open(path, "w", encoding="utf-8", newline="") as fp:
-                    orders_mod.write_curve_csv(v, fp)
-    except OSError as ex:
-        print(f"output error: {ex}", file=sys.stderr)
-        return EXIT_IO
+    if json_path or not csv_path:
+        _write_json(json_path, doc)
+    if csv_path:
+        multiple = len(verdicts) > 1
+        for v in verdicts:
+            path = _csv_path_for_order(csv_path, v.kind, multiple)
+            with open(path, "w", encoding="utf-8", newline="") as fp:
+                orders_mod.write_curve_csv(v, fp)
     return EXIT_OK if doc["holds"] else EXIT_VIOLATED
 
 
@@ -260,11 +254,7 @@ def cmd_classify(args) -> int:
         doc = _classification_doc(built.h, sig, handle, built.closed_form)
     else:
         raise ValueError("classify needs --h or --signature/--copula")
-    try:
-        _write_json(args.out_json, doc)
-    except OSError as ex:
-        print(f"output error: {ex}", file=sys.stderr)
-        return EXIT_IO
+    _write_json(args.out_json, doc)
     return EXIT_OK
 
 
@@ -275,12 +265,8 @@ def cmd_distort(args) -> int:
     grid = _grid_from({}, args.grid_count, args.grid_lo, args.grid_hi,
                       args.grid_margin)
     rows = [(p, xh.quantile(p)) for p in grid.points]
-    try:
-        _write_csv(args.out_csv, ("p", "value"), rows,
-                   comment=f"distorted quantile of {x.label} under h={h.label}")
-    except OSError as ex:
-        print(f"output error: {ex}", file=sys.stderr)
-        return EXIT_IO
+    _write_csv(args.out_csv, ("p", "value"), rows,
+               comment=f"distorted quantile of {x.label} under h={h.label}")
     return EXIT_OK
 
 
@@ -290,15 +276,11 @@ def cmd_system(args) -> int:
     count = args.grid_count if args.grid_count is not None else 257
     pts = [i / (count - 1) for i in range(int(count))]
     rows = [(p, built.h.fn(p)) for p in pts]
-    try:
-        if args.out_csv:
-            _write_csv(args.out_csv, ("p", "value"), rows,
-                       comment=f"system distortion h_T for a=({sig.label()}) "
-                               f"with {handle.label}")
-        _write_json(args.out_json, doc)
-    except OSError as ex:
-        print(f"output error: {ex}", file=sys.stderr)
-        return EXIT_IO
+    if args.out_csv:
+        _write_csv(args.out_csv, ("p", "value"), rows,
+                   comment=f"system distortion h_T for a=({sig.label()}) "
+                           f"with {handle.label}")
+    _write_json(args.out_json, doc)
     return EXIT_OK
 
 
@@ -371,7 +353,8 @@ def _repro_ce01(out_dir: str) -> List[str]:
 
 def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
     sig = catalog.signatures()[sig_name]
-    gen = cop_mod.validate_generator(catalog.DEFAULT_GENERATOR_TEXT, sig.n)
+    handle = cop_mod.durante(catalog.DEFAULT_GENERATOR_TEXT, sig.n)
+    gen = handle.generator
     built = sys_mod.durante_system_distortion(sig, gen)
     files = []
     pts = _interior_points(0.0, 1.0, 257)
@@ -386,9 +369,6 @@ def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
                comment="shape condition S(p); >= 0 everywhere means "
                        "starshaped, <= 0 antistarshaped")
     files.append(path)
-    handle = cop_mod.CopulaHandle(kind="durante", n=sig.n,
-                                  label=f"durante:f={gen.label},n={sig.n}",
-                                  generator=gen)
     doc = _classification_doc(built.h, sig, handle, built.closed_form)
     path = os.path.join(out_dir, "classification.json")
     _write_json(path, doc)
@@ -402,7 +382,8 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
     diag_text, n = catalog.diagonals()[diag_name]
     if n != sig.n:
         raise ValueError(f"diagonal {diag_name} has n={n}, signature needs {sig.n}")
-    d = cop_mod.validate_diagonal(diag_text, n)
+    handle = cop_mod.jaworski(diag_text, n)
+    d = handle.diagonal
     built = sys_mod.diag_system_distortion(sig, d)
     files = []
     pts = _interior_points(0.0, 1.0, 257)
@@ -411,9 +392,6 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
                comment=f"system distortion h_T = {built.closed_form}, "
                        f"a=({sig.label()}), d(p)={d.label}")
     files.append(path)
-    handle = cop_mod.CopulaHandle(kind="jaworski", n=n,
-                                  label=f"diagonal:d={d.label},n={n}",
-                                  diagonal=d)
     doc = _classification_doc(built.h, sig, handle, built.closed_form)
     path = os.path.join(out_dir, "classification.json")
     _write_json(path, doc)
@@ -434,32 +412,23 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
     return files
 
 
+REPRO_BUILDERS = {
+    "ce02": _repro_ce02,
+    "ce01": _repro_ce01,
+    "ex_durante_1": lambda out: _repro_durante("two_parallel_pairs", out),
+    "ex_durante_2": lambda out: _repro_durante("one_of_two_pairs", out),
+    "ex_diag_5comp": lambda out: _repro_diag("five_comp_bridge", "cubic_bend_5", out),
+    "ex_3of4": lambda out: _repro_diag("three_of_four", "mixed_bend_4", out),
+    "ex_qmit": lambda out: _repro_diag("series_with_parallel_pair", "reflected_cubic_4",
+                                       out, extra_qmit=True),
+}
+REPRO_TARGETS = tuple(REPRO_BUILDERS)
+
+
 def cmd_reproduce(args) -> int:
-    target = args.target
-    out_dir = args.out_dir or f"repro_{target}"
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        if target == "ce02":
-            files = _repro_ce02(out_dir)
-        elif target == "ce01":
-            files = _repro_ce01(out_dir)
-        elif target == "ex_durante_1":
-            files = _repro_durante("two_parallel_pairs", out_dir)
-        elif target == "ex_durante_2":
-            files = _repro_durante("one_of_two_pairs", out_dir)
-        elif target == "ex_diag_5comp":
-            files = _repro_diag("five_comp_bridge", "cubic_bend_5", out_dir)
-        elif target == "ex_3of4":
-            files = _repro_diag("three_of_four", "mixed_bend_4", out_dir)
-        elif target == "ex_qmit":
-            files = _repro_diag("series_with_parallel_pair", "reflected_cubic_4",
-                                out_dir, extra_qmit=True)
-        else:
-            raise ValueError(f"unknown reproduce target {target!r}")
-    except OSError as ex:
-        print(f"output error: {ex}", file=sys.stderr)
-        return EXIT_IO
-    for path in files:
+    out_dir = args.out_dir or f"repro_{args.target}"
+    os.makedirs(out_dir, exist_ok=True)
+    for path in REPRO_BUILDERS[args.target](out_dir):
         print(path)
     return EXIT_OK
 
@@ -483,11 +452,7 @@ def cmd_sweep(args) -> int:
     if config.trials < 0:
         raise ValueError("trials must be >= 0")
     summary = sweeps_mod.run_all(config)
-    try:
-        _write_json(args.out, summary.to_json())
-    except OSError as ex:
-        print(f"output error: {ex}", file=sys.stderr)
-        return EXIT_IO
+    _write_json(args.out, summary.to_json())
     return EXIT_OK if summary.ok else EXIT_SWEEP_FAIL
 
 
@@ -565,9 +530,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _INPUT_ERRORS as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT
-    except json.JSONDecodeError as ex:
-        print(f"error: bad JSON config: {ex}", file=sys.stderr)
-        return EXIT_INPUT
+    except OSError as ex:
+        print(f"output error: {ex}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -18,36 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from . import funcalc
+from .funcalc import FunctionLike
+from .numerics import first, sample, validation_points
 
 _POINT_TOL = 1e-9
-_VALIDATION_COUNT = 513
 MAX_DIAGONAL_DIMENSION = 12  # config sanity cap for the cyclic-average form
 
 
 class CopulaValidationError(ValueError):
     """Generator/diagonal/handle parameters violate a construction condition."""
-
-
-FunctionLike = Union[Callable[[float], float], funcalc.Expr, str]
-
-
-def _coerce_fn(fn: FunctionLike, what: str):
-    expr = None
-    label = None
-    if isinstance(fn, str):
-        expr = funcalc.parse(fn)
-        label = fn
-        fn = funcalc.compile_fn(expr)
-    elif isinstance(fn, funcalc.Expr):
-        expr = fn
-        label = funcalc.render(expr)
-        fn = funcalc.compile_fn(expr)
-    else:
-        label = getattr(fn, "__name__", what)
-    return fn, expr, label
 
 
 @dataclass(frozen=True)
@@ -57,7 +41,6 @@ class DuranteGenerator:
     fn: Callable[[float], float]
     n: int
     label: str
-    expr: Optional[funcalc.Expr] = None
 
 
 @dataclass(frozen=True)
@@ -67,7 +50,6 @@ class Diagonal:
     fn: Callable[[float], float]
     n: int
     label: str
-    expr: Optional[funcalc.Expr] = None
 
 
 @dataclass(frozen=True)
@@ -84,9 +66,12 @@ class CopulaHandle:
     gamma: Optional[float] = None
 
 
-def _sample_points(count: int = _VALIDATION_COUNT) -> list:
-    # include both endpoints: the conditions constrain f(1) and d(0), d(1)
-    return [i / (count - 1) for i in range(count)]
+def _sample(fn: Callable[[float], float], label: str):
+    """(validation points, finite values of fn on them); both endpoints are
+    included because the conditions constrain f(1), d(0) and d(1)."""
+    pts = validation_points()
+    return pts, sample(fn, pts, CopulaValidationError,
+                       lambda p, v: f"{label}: non-finite value {v!r} at p={p}")
 
 
 def validate_generator(f: FunctionLike, n: int) -> DuranteGenerator:
@@ -97,33 +82,23 @@ def validate_generator(f: FunctionLike, n: int) -> DuranteGenerator:
     """
     if not (isinstance(n, int) and n >= 2):
         raise CopulaValidationError(f"dimension must be an integer >= 2, got {n!r}")
-    fn, expr, label = _coerce_fn(f, "generator")
-    pts = _sample_points()
-    vals = []
-    for p in pts:
-        v = float(fn(p))
-        if not math.isfinite(v):
-            raise CopulaValidationError(f"{label}: non-finite value {v!r} at p={p}")
-        vals.append(v)
+    fn, label = funcalc.coerce_fn(f, "generator")
+    pts, vals = _sample(fn, label)
     if abs(vals[-1] - 1.0) > _POINT_TOL:
-        raise CopulaValidationError(f"{label}: f(1) = {vals[-1]!r}, expected 1")
-    for p, q, a, b in zip(pts, pts[1:], vals, vals[1:]):
-        if b < a - _POINT_TOL:
-            raise CopulaValidationError(
-                f"{label}: decreasing on [{p}, {q}] (f drops {a!r} -> {b!r})")
-    prev_ratio = None
-    prev_p = None
-    for p, v in zip(pts, vals):
-        if p == 0.0:
-            continue
-        r = v / p
-        if prev_ratio is not None and r > prev_ratio + _POINT_TOL:
-            raise CopulaValidationError(
-                f"{label}: f(p)/p increases on [{prev_p}, {p}] "
-                f"({prev_ratio!r} -> {r!r}); not antistarshaped")
-        prev_ratio = r
-        prev_p = p
-    return DuranteGenerator(fn=fn, n=n, label=label, expr=expr)
+        raise CopulaValidationError(f"{label}: f(1) = {float(vals[-1])!r}, expected 1")
+    i = first(vals[1:] < vals[:-1] - _POINT_TOL)
+    if i is not None:
+        raise CopulaValidationError(
+            f"{label}: decreasing on [{pts[i]}, {pts[i + 1]}] "
+            f"(f drops {float(vals[i])!r} -> {float(vals[i + 1])!r})")
+    # f(p)/p on the points above 0
+    ratios = vals[1:] / np.asarray(pts[1:])
+    i = first(ratios[1:] > ratios[:-1] + _POINT_TOL)
+    if i is not None:
+        raise CopulaValidationError(
+            f"{label}: f(p)/p increases on [{pts[i + 1]}, {pts[i + 2]}] "
+            f"({float(ratios[i])!r} -> {float(ratios[i + 1])!r}); not antistarshaped")
+    return DuranteGenerator(fn=fn, n=n, label=label)
 
 
 def durante_eval(gen: DuranteGenerator, point: Sequence[float]) -> float:
@@ -144,33 +119,30 @@ def validate_diagonal(d: FunctionLike, n: int) -> Diagonal:
     if n > MAX_DIAGONAL_DIMENSION:
         raise CopulaValidationError(
             f"dimension {n} exceeds cap {MAX_DIAGONAL_DIMENSION}")
-    fn, expr, label = _coerce_fn(d, "diagonal")
-    pts = _sample_points()
-    vals = []
-    for p in pts:
-        v = float(fn(p))
-        if not math.isfinite(v):
-            raise CopulaValidationError(f"{label}: non-finite value {v!r} at p={p}")
-        vals.append(v)
+    fn, label = funcalc.coerce_fn(d, "diagonal")
+    pts, vals = _sample(fn, label)
     if abs(vals[0]) > _POINT_TOL:
-        raise CopulaValidationError(f"{label}: d(0) = {vals[0]!r}, expected 0")
+        raise CopulaValidationError(f"{label}: d(0) = {float(vals[0])!r}, expected 0")
     if abs(vals[-1] - 1.0) > _POINT_TOL:
-        raise CopulaValidationError(f"{label}: d(1) = {vals[-1]!r}, expected 1")
+        raise CopulaValidationError(f"{label}: d(1) = {float(vals[-1])!r}, expected 1")
+    x = np.asarray(pts)
+    i = first(vals > x + _POINT_TOL)
+    if i is not None:
+        raise CopulaValidationError(
+            f"{label}: d({pts[i]}) = {float(vals[i])!r} exceeds p")
     slack = 1e-9 * n
-    for p, v in zip(pts, vals):
-        if v > p + _POINT_TOL:
-            raise CopulaValidationError(
-                f"{label}: d({p}) = {v!r} exceeds p")
-    for p1, p2, a, b in zip(pts, pts[1:], vals, vals[1:]):
-        inc = b - a
-        if inc < -slack:
-            raise CopulaValidationError(
-                f"{label}: decreasing on [{p1}, {p2}] ({a!r} -> {b!r})")
-        if inc > n * (p2 - p1) + slack:
-            raise CopulaValidationError(
-                f"{label}: increment {inc!r} on [{p1}, {p2}] exceeds "
-                f"Lipschitz bound {n}*(p2-p1)")
-    return Diagonal(fn=fn, n=n, label=label, expr=expr)
+    inc = np.diff(vals)
+    drops = inc < -slack
+    i = first(drops | (inc > n * np.diff(x) + slack))
+    if i is not None and drops[i]:
+        raise CopulaValidationError(
+            f"{label}: decreasing on [{pts[i]}, {pts[i + 1]}] "
+            f"({float(vals[i])!r} -> {float(vals[i + 1])!r})")
+    if i is not None:
+        raise CopulaValidationError(
+            f"{label}: increment {float(inc[i])!r} on [{pts[i]}, {pts[i + 1]}] exceeds "
+            f"Lipschitz bound {n}*(p2-p1)")
+    return Diagonal(fn=fn, n=n, label=label)
 
 
 def jaworski_f(d: Diagonal, u: float) -> float:
@@ -366,24 +338,6 @@ def copula_spotcheck(handle: CopulaHandle, count: int = 17) -> dict:
             "label": handle.label}
 
 
-def _split_top_level(text: str, sep: str) -> list:
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
-
-
 def parse_copula_spec(text: str) -> CopulaHandle:
     """Textual forms: `durante:f=<expr>,n=<int>`, `diagonal:d=<expr>,n=<int>`,
     `product:<n>`, `comonotone:<n>`, `cuadras-auge:theta=<v>`, `frechet:gamma=<v>`.
@@ -412,7 +366,7 @@ def parse_copula_spec(text: str) -> CopulaHandle:
                                      ("diagonal:", "d", jaworski)):
             if text.startswith(prefix):
                 body = text[len(prefix):]
-                parts = [s.strip() for s in _split_top_level(body, ",")]
+                parts = [s.strip() for s in funcalc.split_top_level(body, ",")]
                 expr_text = None
                 n = None
                 for part in parts:

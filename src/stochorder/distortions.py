@@ -10,9 +10,10 @@ tolerance, nothing more.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
+
+import numpy as np
 
 from . import funcalc
 from .numerics import (
@@ -20,18 +21,14 @@ from .numerics import (
     SCAN_TIE_TOL,
     Tolerance,
     DEFAULT_QUAD_TOL,
+    first,
     monotone_inverse,
     monotone_scan,
-    sign_scan,
+    sample,
+    validation_points,
 )
 
-# validation samples [0,1] endpoints included; independent of scan grids
-_VALIDATION_COUNT = 513
 _ENDPOINT_TOL = 1e-9
-
-PROVENANCE_EXPRESSION = "expression"
-PROVENANCE_SYSTEM = "system-derived"
-PROVENANCE_BUILTIN = "built-in family"
 
 
 class DistortionValidationError(ValueError):
@@ -47,18 +44,14 @@ class Distortion:
     an optional closed form of p -> 1 - inverse(1-p), the map distorted
     quantiles ride on; carrying it avoids the 1-(1-p) roundtrip, whose
     ~1e-16 quantization gets amplified into visible jumps wherever the
-    co-inverse has unbounded slope (e.g. p^(1/k) near 0).  ``expr`` is
-    retained when the function came from parsed text so reports can echo
-    the source.
+    co-inverse has unbounded slope (e.g. p^(1/k) near 0).
     """
 
     fn: Callable[[float], float]
     label: str
     strictly_increasing: bool
-    provenance: str
     inverse_fn: Optional[Callable[[float], float]] = None
     co_inverse_fn: Optional[Callable[[float], float]] = None
-    expr: Optional[funcalc.Expr] = None
 
     def __call__(self, p: float) -> float:
         return self.fn(p)
@@ -92,13 +85,8 @@ class ShapeReport:
         }
 
 
-def _validation_points(count: int = _VALIDATION_COUNT) -> list:
-    return [i / (count - 1) for i in range(count)]
-
-
-def validate(fn: Union[Callable[[float], float], funcalc.Expr, str],
+def validate(fn: funcalc.FunctionLike,
              label: Optional[str] = None,
-             provenance: str = PROVENANCE_EXPRESSION,
              inverse_fn: Optional[Callable[[float], float]] = None,
              co_inverse_fn: Optional[Callable[[float], float]] = None) -> Distortion:
     """Check distortion axioms on a dense [0,1] sample and wrap the function.
@@ -108,41 +96,23 @@ def validate(fn: Union[Callable[[float], float], funcalc.Expr, str],
     pair, each with the witness point in the message.  Strictness is set by
     grid behavior: no adjacent tie larger than the tolerance allows.
     """
-    expr = None
-    if isinstance(fn, str):
-        expr = funcalc.parse(fn)
-        if label is None:
-            label = fn
-        fn = funcalc.compile_fn(expr)
-    elif isinstance(fn, funcalc.Expr):
-        expr = fn
-        if label is None:
-            label = funcalc.render(expr)
-        fn = funcalc.compile_fn(expr)
-    if label is None:
-        label = getattr(fn, "__name__", "distortion")
-
-    pts = _validation_points()
-    vals = []
-    for p in pts:
-        v = float(fn(p))
-        if not math.isfinite(v):
-            raise DistortionValidationError(f"{label}: non-finite value {v!r} at p={p}")
-        vals.append(v)
+    fn, own_label = funcalc.coerce_fn(fn, "distortion")
+    label = own_label if label is None else label
+    pts = validation_points()
+    vals = sample(fn, pts, DistortionValidationError,
+                  lambda p, v: f"{label}: non-finite value {v!r} at p={p}")
     if abs(vals[0]) > _ENDPOINT_TOL:
-        raise DistortionValidationError(f"{label}: h(0) = {vals[0]!r}, expected 0")
+        raise DistortionValidationError(f"{label}: h(0) = {float(vals[0])!r}, expected 0")
     if abs(vals[-1] - 1.0) > _ENDPOINT_TOL:
-        raise DistortionValidationError(f"{label}: h(1) = {vals[-1]!r}, expected 1")
-    strictly = True
-    for p, q, a, b in zip(pts, pts[1:], vals, vals[1:]):
-        if b < a - _ENDPOINT_TOL:
-            raise DistortionValidationError(
-                f"{label}: decreasing on [{p}, {q}] (h drops from {a!r} to {b!r})")
-        if b - a <= SCAN_TIE_TOL:
-            strictly = False
+        raise DistortionValidationError(f"{label}: h(1) = {float(vals[-1])!r}, expected 1")
+    i = first(vals[1:] < vals[:-1] - _ENDPOINT_TOL)
+    if i is not None:
+        raise DistortionValidationError(
+            f"{label}: decreasing on [{pts[i]}, {pts[i + 1]}] "
+            f"(h drops from {float(vals[i])!r} to {float(vals[i + 1])!r})")
+    strictly = not np.any(np.diff(vals) <= SCAN_TIE_TOL)
     return Distortion(fn=fn, label=label, strictly_increasing=strictly,
-                      provenance=provenance, inverse_fn=inverse_fn,
-                      co_inverse_fn=co_inverse_fn, expr=expr)
+                      inverse_fn=inverse_fn, co_inverse_fn=co_inverse_fn)
 
 
 def dual(h: Distortion) -> Distortion:
@@ -155,8 +125,7 @@ def dual(h: Distortion) -> Distortion:
         inv = lambda y: 1.0 - base_inv(1.0 - y)
     # 1 - dual(h)^-1(1-p) = h^-1(p), so the dual's co-inverse is h's inverse
     return Distortion(fn=dual_fn, label=f"dual({h.label})",
-                      strictly_increasing=h.strictly_increasing,
-                      provenance=h.provenance, inverse_fn=inv,
+                      strictly_increasing=h.strictly_increasing, inverse_fn=inv,
                       co_inverse_fn=h.inverse_fn)
 
 
@@ -202,13 +171,8 @@ def compose_on_survival(h1: Distortion, h2: Distortion) -> Distortion:
         coinv = lambda p: c1(c2(p))
     return validate(lambda p: f2(f1(p)),
                     label=f"({h2.label}) o ({h1.label})",
-                    provenance=h1.provenance,
                     inverse_fn=inv,
                     co_inverse_fn=coinv)
-
-
-def _ratio_to_seed(fn: Callable[[float], float], pts: list) -> list:
-    return [fn(p) / p for p in pts]
 
 
 def classify(h: Distortion, grid: Optional[Grid] = None,
@@ -225,7 +189,7 @@ def classify(h: Distortion, grid: Optional[Grid] = None,
         pts = list(grid.points)
     else:
         # (0,1] sample: ratios need p > 0, endpoint p=1 anchors h(1)/1 = 1
-        pts = [i / (_VALIDATION_COUNT - 1) for i in range(1, _VALIDATION_COUNT)]
+        pts = validation_points()[1:]
     vals = [h.fn(p) for p in pts]
     ratios = [v / p for v, p in zip(vals, pts)]
     star_scan = monotone_scan(ratios, abs_tol=tie_tol)
@@ -280,7 +244,7 @@ def classify(h: Distortion, grid: Optional[Grid] = None,
 
 def identity() -> Distortion:
     return Distortion(fn=lambda p: p, label="identity", strictly_increasing=True,
-                      provenance=PROVENANCE_BUILTIN, inverse_fn=lambda y: y,
+                      inverse_fn=lambda y: y,
                       co_inverse_fn=lambda p: p)
 
 
@@ -289,7 +253,7 @@ def power(k: float) -> Distortion:
     if not k > 0:
         raise DistortionValidationError(f"power exponent must be positive, got {k!r}")
     return Distortion(fn=lambda p: p ** k, label=f"power:{k:g}",
-                      strictly_increasing=True, provenance=PROVENANCE_BUILTIN,
+                      strictly_increasing=True,
                       inverse_fn=lambda y: y ** (1.0 / k),
                       co_inverse_fn=lambda p: 1.0 - (1.0 - p) ** (1.0 / k))
 
@@ -299,13 +263,13 @@ def dualpower(k: float) -> Distortion:
     if not k > 0:
         raise DistortionValidationError(f"dualpower exponent must be positive, got {k!r}")
     return Distortion(fn=lambda p: 1.0 - (1.0 - p) ** k, label=f"dualpower:{k:g}",
-                      strictly_increasing=True, provenance=PROVENANCE_BUILTIN,
+                      strictly_increasing=True,
                       inverse_fn=lambda y: 1.0 - (1.0 - y) ** (1.0 / k),
                       co_inverse_fn=lambda p: p ** (1.0 / k))
 
 
 def from_expression(text: str) -> Distortion:
-    return validate(text, provenance=PROVENANCE_EXPRESSION)
+    return validate(text)
 
 
 def parse_distortion_spec(text: str) -> Distortion:

@@ -16,15 +16,19 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from . import distortions as dist_mod
 from . import funcalc
 from .numerics import (
+    VALIDATION_COUNT,
     Tolerance,
-    DEFAULT_QUAD_TOL,
     BracketError,
     derivative,
     edge_ladder_integral,
+    first,
     monotone_inverse,
+    sample,
 )
 
 # truncation of the open interval (0,1) for quantile evaluation/integration;
@@ -52,8 +56,7 @@ class Distribution:
 
     ``finite_mean`` is a claim, verified lazily by mean()'s divergence
     heuristic.  ``cdf_fn`` is an optional closed-form fast path; cdf() falls
-    back to inverting the quantile.  ``quantile_expr`` is kept when the
-    quantile came from parsed text.
+    back to inverting the quantile.
     """
 
     quantile: Callable[[float], float]
@@ -61,7 +64,6 @@ class Distribution:
     finite_mean: bool
     label: str
     cdf_fn: Optional[Callable[[float], float]] = None
-    quantile_expr: Optional[funcalc.Expr] = None
 
 
 @dataclass(frozen=True)
@@ -86,25 +88,6 @@ class DistributionSpec:
         raise SpecError(f"unknown spec kind {self.kind!r}")
 
 
-def _split_top_level(text: str, sep: str) -> list:
-    """Split on sep outside parentheses (specs may nest exprs with commas)."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
-
-
 def parse_spec(text: str) -> DistributionSpec:
     """Textual forms: `exp:1.0`, `q:<expr in p>`, `hazard:<expr in x>`,
     `distort(<spec>, h=<distortion spec>)`."""
@@ -121,7 +104,7 @@ def parse_spec(text: str) -> DistributionSpec:
         return DistributionSpec(kind="hazard", expr_text=text[len("hazard:"):].strip())
     if text.startswith("distort(") and text.endswith(")"):
         inner = text[len("distort("):-1]
-        parts = _split_top_level(inner, ",")
+        parts = funcalc.split_top_level(inner, ",")
         if len(parts) != 2:
             raise SpecError(f"distort(...) needs exactly base spec and h=..., got {text!r}")
         base = parse_spec(parts[0])
@@ -133,28 +116,23 @@ def parse_spec(text: str) -> DistributionSpec:
 
 
 def _validate_quantile(fn: Callable[[float], float], label: str,
-                       count: int = 513) -> None:
+                       count: int = VALIDATION_COUNT) -> None:
     # open-interval sample; q must be finite, non-decreasing, and >= 0
     lo, hi = 1e-9, 1.0 - 1e-9
     pts = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    prev = None
-    for p in pts:
-        v = float(fn(p))
-        if not math.isfinite(v):
-            raise SpecError(f"{label}: quantile not finite at p={p!r}")
-        if prev is not None and v < prev - 1e-9:
-            raise SpecError(f"{label}: quantile decreasing near p={p!r} "
-                            f"({prev!r} -> {v!r})")
-        prev = v
-    first = float(fn(lo))
-    if first < -1e-9:
-        raise SpecError(f"{label}: negative support (q near 0 is {first!r})")
+    vals = sample(fn, pts, SpecError,
+                  lambda p, v: f"{label}: quantile not finite at p={p!r}")
+    i = first(vals[1:] < vals[:-1] - 1e-9)
+    if i is not None:
+        raise SpecError(f"{label}: quantile decreasing near p={pts[i + 1]!r} "
+                        f"({float(vals[i])!r} -> {float(vals[i + 1])!r})")
+    if vals[0] < -1e-9:
+        raise SpecError(f"{label}: negative support (q near 0 is {float(vals[0])!r})")
 
 
 def from_quantile(fn: Callable[[float], float], label: str,
                   cdf_fn: Optional[Callable[[float], float]] = None,
                   finite_mean: bool = True,
-                  quantile_expr: Optional[funcalc.Expr] = None,
                   validate: bool = True) -> Distribution:
     """Wrap a quantile callable as a Distribution (catalog entry point)."""
     if validate:
@@ -162,7 +140,7 @@ def from_quantile(fn: Callable[[float], float], label: str,
     support_low = max(0.0, float(fn(_SUPPORT_EPS)))
     return Distribution(quantile=fn, support_low=support_low,
                         finite_mean=finite_mean, label=label,
-                        cdf_fn=cdf_fn, quantile_expr=quantile_expr)
+                        cdf_fn=cdf_fn)
 
 
 def build(spec: Union[DistributionSpec, str]) -> Distribution:
@@ -181,8 +159,7 @@ def build(spec: Union[DistributionSpec, str]) -> Distribution:
             expr = funcalc.parse(spec.expr_text)
         except funcalc.ExprError as ex:
             raise SpecError(f"bad quantile expression: {ex}") from None
-        fn = funcalc.compile_fn(expr)
-        return from_quantile(fn, label=spec.render(), quantile_expr=expr)
+        return from_quantile(funcalc.compile_fn(expr), label=spec.render())
     if spec.kind == "hazard":
         return _build_hazard(spec)
     if spec.kind == "distorted":
@@ -209,16 +186,13 @@ def _build_hazard(spec: DistributionSpec) -> Distribution:
             raise SpecError(f"{spec.render()}: hazard does not reach "
                             f"{_HAZARD_TARGET} (not unbounded?)")
     # monotonicity on [0, hi]
-    prev = v0
     steps = 512
-    for i in range(1, steps + 1):
-        x = hi * i / steps
-        v = float(psi(x))
-        if not math.isfinite(v):
-            raise SpecError(f"{spec.render()}: hazard not finite at x={x!r}")
-        if v < prev - 1e-9:
-            raise SpecError(f"{spec.render()}: hazard decreasing near x={x!r}")
-        prev = v
+    xs = [hi * i / steps for i in range(1, steps + 1)]
+    vals = sample(psi, xs, SpecError,
+                  lambda x, v: f"{spec.render()}: hazard not finite at x={x!r}")
+    i = first(vals < np.r_[v0, vals[:-1]] - 1e-9)
+    if i is not None:
+        raise SpecError(f"{spec.render()}: hazard decreasing near x={xs[i]!r}")
 
     def quantile(p: float, _psi=psi, _hi=hi) -> float:
         target = -math.log(1.0 - p)
@@ -237,7 +211,7 @@ def _build_hazard(spec: DistributionSpec) -> Distribution:
         return 1.0 - math.exp(-max(0.0, float(_psi(x))))
 
     return from_quantile(quantile, label=spec.render(), cdf_fn=cdf_fn,
-                         quantile_expr=expr, validate=False)
+                         validate=False)
 
 
 def cdf(X: Distribution, x: float) -> float:

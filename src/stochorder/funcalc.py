@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 
 FUNCTIONS = ("exp", "ln", "sqrt", "min", "max")
@@ -458,8 +458,39 @@ def compile_fn(node: Expr) -> Callable[[float], float]:
     return lambda value: eval_expr(node, value)
 
 
-def parse_fn(source: str, variables: Sequence[str] = DEFAULT_VARIABLES) -> Callable[[float], float]:
-    return compile_fn(parse(source, variables))
+FunctionLike = Union[Callable[[float], float], Expr, str]
+
+
+def coerce_fn(fn: FunctionLike, fallback_label: str) -> Tuple[Callable[[float], float], str]:
+    """(callable, label) for expression text, a parsed expression or a callable.
+
+    Text labels itself, an expression its rendering, a callable its
+    ``__name__`` (``fallback_label`` when it has none).
+    """
+    if isinstance(fn, str):
+        return compile_fn(parse(fn)), fn
+    if isinstance(fn, Expr):
+        return compile_fn(fn), render(fn)
+    return fn, getattr(fn, "__name__", fallback_label)
+
+
+def split_top_level(text: str, sep: str) -> list:
+    """Split on sep outside parentheses (specs may nest exprs with commas)."""
+    parts = []
+    depth = 0
+    current = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return parts
 
 
 def render(node: Expr) -> str:

@@ -120,6 +120,39 @@ def default_grid() -> Grid:
     return uniform_grid()
 
 
+# validators sample [0,1] endpoints included; independent of scan grids
+VALIDATION_COUNT = 513
+
+
+def validation_points(count: int = VALIDATION_COUNT) -> list:
+    """count equally spaced points on [0, 1], both endpoints included."""
+    return [i / (count - 1) for i in range(count)]
+
+
+def sample(fn: Callable[[float], float],
+           points: Sequence[float],
+           error: type,
+           message: Callable[[float, float], str]) -> np.ndarray:
+    """Evaluate fn at points in order, as a float array.
+
+    Stops at the first non-finite value x -> v and raises
+    ``error(message(x, v))``; later points are not evaluated.
+    """
+    out = np.empty(len(points))
+    for i, x in enumerate(points):
+        v = float(fn(x))
+        if not math.isfinite(v):
+            raise error(message(x, v))
+        out[i] = v
+    return out
+
+
+def first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first true entry of mask, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
 def _eval_checked(fn: Callable[[float], float], x: float) -> float:
     v = float(fn(x))
     if not math.isfinite(v):
@@ -245,9 +278,6 @@ def monotone_inverse(fn: Callable[[float], float],
         raise BracketError(f"target {y!r} outside [{flo!r}, {fhi!r}]")
     if y <= flo:
         return lo
-    if y >= fhi:
-        # inf-form: walk back if a flat stretch at level y touches hi
-        pass
     a, b = lo, hi
     for _ in range(max_iter):
         mid = 0.5 * (a + b)

@@ -27,10 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from . import copulas as cop_mod
 from . import distortions as dist_mod
 from .distortions import Distortion, ShapeReport
-from .numerics import Grid, default_grid, sign_scan
+from .numerics import Grid, default_grid, first, sample, sign_scan, validation_points
 from .orders import OrderKind
 
 _CROSSCHECK_TOL = 1e-12
@@ -191,19 +193,20 @@ def system_distortion(sig: MinimalSignature,
         return total
 
     label = f"system(a={sig.label()}; {copula.label})"
-    h = dist_mod.validate(h_fn, label=label,
-                          provenance=dist_mod.PROVENANCE_SYSTEM)
+    h = dist_mod.validate(h_fn, label=label)
     return SystemDistortion(h=h, sig=sig, copula_label=copula.label)
 
 
 def _crosscheck(closed_fn, generic: SystemDistortion, what: str) -> None:
-    for i in range(_CROSSCHECK_COUNT):
-        p = i / (_CROSSCHECK_COUNT - 1)
-        a = closed_fn(p)
-        b = generic.h.fn(p)
-        if abs(a - b) > _CROSSCHECK_TOL:
-            raise SignatureError(
-                f"{what}: closed form {a!r} != generic {b!r} at p={p}")
+    pts = validation_points(_CROSSCHECK_COUNT)
+    a = sample(closed_fn, pts, SignatureError,
+               lambda p, v: f"{what}: closed form is {v!r} at p={p}")
+    b = sample(generic.h.fn, pts, SignatureError,
+               lambda p, v: f"{what}: generic form is {v!r} at p={p}")
+    i = first(np.abs(a - b) > _CROSSCHECK_TOL)
+    if i is not None:
+        raise SignatureError(
+            f"{what}: closed form {float(a[i])!r} != generic {float(b[i])!r} at p={pts[i]}")
 
 
 def _signed_terms(terms) -> str:
@@ -251,8 +254,7 @@ def durante_system_distortion(sig: MinimalSignature,
                                   generator=gen)
     generic = system_distortion(sig, handle)
     _crosscheck(h_fn, generic, "generator-form system")
-    h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; f={gen.label})",
-                          provenance=dist_mod.PROVENANCE_SYSTEM)
+    h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; f={gen.label})")
     return SystemDistortion(h=h, sig=sig, copula_label=handle.label,
                             closed_form=closed_text)
 
@@ -292,8 +294,7 @@ def diag_system_distortion(sig: MinimalSignature,
     generic = system_distortion(sig, handle)
     _crosscheck(h_fn, generic, "diagonal-form system")
     closed_text = _signed_terms([(params.alpha, "p"), (params.beta, "d(p)")])
-    h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; d={d.label})",
-                          provenance=dist_mod.PROVENANCE_SYSTEM)
+    h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; d={d.label})")
     return SystemDistortion(h=h, sig=sig, copula_label=handle.label,
                             closed_form=closed_text)
 
@@ -466,8 +467,7 @@ def classify_diag(sig: MinimalSignature,
         return ShapeClassification(
             verdict="identity", parameters=base,
             notes="beta=0: h_T(p)=p (both starshaped and antistarshaped)")
-    d_dist = dist_mod.validate(d.fn, label=f"diagonal {d.label}",
-                               provenance=dist_mod.PROVENANCE_SYSTEM)
+    d_dist = dist_mod.validate(d.fn, label=f"diagonal {d.label}")
     d_shape = dist_mod.classify(d_dist, grid)
     if d_shape.starshaped:
         if params.beta > 0:
@@ -507,7 +507,6 @@ def parallel_distortion(dist_copula: cop_mod.CopulaHandle) -> Distortion:
         return 1.0 - cop_mod.cop_eval(handle, [1.0 - p] * n)
 
     return dist_mod.validate(h_fn, label=f"parallel({handle.label})",
-                             provenance=dist_mod.PROVENANCE_SYSTEM,
                              inverse_fn=inverse_fn,
                              co_inverse_fn=co_inverse_fn)
 
@@ -530,7 +529,6 @@ def series_distortion(surv_copula: cop_mod.CopulaHandle) -> Distortion:
         return cop_mod.cop_eval(handle, [p] * n)
 
     return dist_mod.validate(h_fn, label=f"series({handle.label})",
-                             provenance=dist_mod.PROVENANCE_SYSTEM,
                              inverse_fn=inverse_fn,
                              co_inverse_fn=co_inverse_fn)
 

@@ -110,6 +110,13 @@ class TestCheckOrder:
         assert cli.main(["check-order", "--config", str(config),
                          "--order", "ttt"]) == 2
 
+    def test_missing_config_is_an_input_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["check-order", "--config", str(missing),
+                         "--order", "ttt"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config {str(missing)!r}: No such file or directory\n")
+
 
 class TestClassify:
     def test_distortion_expression(self, tmp_path):
@@ -229,6 +236,11 @@ class TestSweepCommand:
         config.write_text(json.dumps({"trials": 0}))
         assert cli.main(["sweep", "--config", str(config),
                          "--out", str(tmp_path / "s.json")]) == 0
+
+    def test_unreadable_config_is_an_input_error(self, tmp_path, capsys):
+        assert cli.main(["sweep", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read config {str(tmp_path)!r}: ")
 
     def test_unknown_suite_exits_two(self, tmp_path):
         config = tmp_path / "sweep.json"
