@@ -148,22 +148,16 @@ def diagonals() -> Dict[str, Tuple[str, int]]:
 def system_distortions() -> Dict[str, Distortion]:
     """The five worked system distortions, built from their signatures."""
     sigs = signatures()
-    gen4 = cop_mod.validate_generator(DEFAULT_GENERATOR_TEXT, 4)
-    d5 = cop_mod.validate_diagonal(FN_DIAG_TEXT, 5)
-    d34 = cop_mod.validate_diagonal(MIX_DIAG_TEXT, 4)
-    dqm = cop_mod.validate_diagonal(QMIT_DIAG_TEXT, 4)
-    return {
-        "sys_two_parallel_pairs":
-            sys_mod.durante_system_distortion(sigs["two_parallel_pairs"], gen4).h,
-        "sys_one_of_two_pairs":
-            sys_mod.durante_system_distortion(sigs["one_of_two_pairs"], gen4).h,
-        "sys_five_comp_bridge":
-            sys_mod.diag_system_distortion(sigs["five_comp_bridge"], d5).h,
-        "sys_three_of_four":
-            sys_mod.diag_system_distortion(sigs["three_of_four"], d34).h,
-        "sys_series_with_parallel_pair":
-            sys_mod.diag_system_distortion(sigs["series_with_parallel_pair"], dqm).h,
+    gen4 = cop_mod.durante(DEFAULT_GENERATOR_TEXT, 4)
+    copulas = {
+        "two_parallel_pairs": gen4,
+        "one_of_two_pairs": gen4,
+        "five_comp_bridge": cop_mod.jaworski(FN_DIAG_TEXT, 5),
+        "three_of_four": cop_mod.jaworski(MIX_DIAG_TEXT, 4),
+        "series_with_parallel_pair": cop_mod.jaworski(QMIT_DIAG_TEXT, 4),
     }
+    return {f"sys_{name}": sys_mod.system_distortion(sigs[name], copula).h
+            for name, copula in copulas.items()}
 
 
 @lru_cache(maxsize=1)

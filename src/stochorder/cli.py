@@ -43,17 +43,7 @@ EXIT_INPUT = 2
 EXIT_SWEEP_FAIL = 3
 EXIT_IO = 4
 
-_INPUT_ERRORS = (
-    distrib_mod.SpecError,
-    distrib_mod.InfiniteMeanError,
-    distrib_mod.DegenerateDensityError,
-    dist_mod.DistortionValidationError,
-    cop_mod.CopulaValidationError,
-    sys_mod.SignatureError,
-    funcalc.ExprError,
-    NumericsError,
-    ValueError,
-)
+_INPUT_ERRORS = (ValueError, funcalc.ExprError, NumericsError)
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
@@ -195,50 +185,31 @@ def _advice_block(report) -> Dict[str, dict]:
     return out
 
 
-def _classification_doc(h: dist_mod.Distortion,
-                        sig: Optional[sys_mod.MinimalSignature] = None,
-                        handle: Optional[cop_mod.CopulaHandle] = None,
-                        closed_form: Optional[str] = None) -> dict:
+def _classification_doc(h: dist_mod.Distortion) -> dict:
     report = dist_mod.classify(h)
-    doc = {
+    return {
         "label": h.label,
         "flags": report.flags(),
         "verdict": _summary_verdict(report.flags()),
         "advice": _advice_block(report),
     }
-    if closed_form:
-        doc["closed_form"] = closed_form
-    if sig is None:
-        return doc
-    doc["signature"] = sig.label()
-    if handle is not None:
-        doc["copula"] = handle.label
-        if handle.kind == "durante":
-            if sig.n == 3:
-                doc["corollary"] = sys_mod.classify_3component(sig).to_json()
-            elif sig.n == 4:
-                doc["corollary"] = sys_mod.classify_4component(sig).to_json()
-            doc["shape_condition"] = sys_mod.durante_shape_condition(
-                sig, handle.generator).to_json()
-        elif handle.kind == "jaworski":
-            params = sys_mod.diag_system_params(sig)
-            doc["diag_params"] = {"alpha": sys_mod.rational_str(params.alpha),
-                                  "beta": sys_mod.rational_str(params.beta)}
-            doc["diag_classification"] = sys_mod.classify_diag(
-                sig, handle.diagonal).to_json()
+
+
+def _system_doc(built: sys_mod.SystemDistortion,
+                handle: cop_mod.CopulaHandle) -> dict:
+    doc = _classification_doc(built.h)
+    if built.closed_form:
+        doc["closed_form"] = built.closed_form
+    doc["signature"] = built.sig.label()
+    doc["copula"] = handle.label
+    doc.update(sys_mod.shape_theorems(built.sig, handle))
     return doc
 
 
 def _build_system(signature_text: str, copula_text: str):
     sig = sys_mod.parse_signature(signature_text)
     handle = cop_mod.parse_copula_spec(copula_text)
-    if handle.kind == "durante":
-        built = sys_mod.durante_system_distortion(sig, handle.generator)
-    elif handle.kind == "jaworski":
-        built = sys_mod.diag_system_distortion(sig, handle.diagonal)
-    else:
-        built = sys_mod.system_distortion(sig, handle)
-    return sig, handle, built
+    return handle, sys_mod.system_distortion(sig, handle)
 
 
 def cmd_classify(args) -> int:
@@ -250,8 +221,8 @@ def cmd_classify(args) -> int:
     elif args.signature:
         if not args.copula:
             raise ValueError("--signature needs --copula")
-        sig, handle, built = _build_system(args.signature, args.copula)
-        doc = _classification_doc(built.h, sig, handle, built.closed_form)
+        handle, built = _build_system(args.signature, args.copula)
+        doc = _system_doc(built, handle)
     else:
         raise ValueError("classify needs --h or --signature/--copula")
     _write_json(args.out_json, doc)
@@ -271,14 +242,16 @@ def cmd_distort(args) -> int:
 
 
 def cmd_system(args) -> int:
-    sig, handle, built = _build_system(args.signature, args.copula)
-    doc = _classification_doc(built.h, sig, handle, built.closed_form)
     count = args.grid_count if args.grid_count is not None else 257
-    pts = [i / (count - 1) for i in range(int(count))]
+    if count < 2:
+        raise ValueError(f"--grid-count must be at least 2, got {count}")
+    handle, built = _build_system(args.signature, args.copula)
+    doc = _system_doc(built, handle)
+    pts = [i / (count - 1) for i in range(count)]
     rows = [(p, built.h.fn(p)) for p in pts]
     if args.out_csv:
         _write_csv(args.out_csv, ("p", "value"), rows,
-                   comment=f"system distortion h_T for a=({sig.label()}) "
+                   comment=f"system distortion h_T for a=({built.sig.label()}) "
                            f"with {handle.label}")
     _write_json(args.out_json, doc)
     return EXIT_OK
@@ -355,7 +328,7 @@ def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
     sig = catalog.signatures()[sig_name]
     handle = cop_mod.durante(catalog.DEFAULT_GENERATOR_TEXT, sig.n)
     gen = handle.generator
-    built = sys_mod.durante_system_distortion(sig, gen)
+    built = sys_mod.system_distortion(sig, handle)
     files = []
     pts = _interior_points(0.0, 1.0, 257)
     path = os.path.join(out_dir, "distortion.csv")
@@ -369,7 +342,7 @@ def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
                comment="shape condition S(p); >= 0 everywhere means "
                        "starshaped, <= 0 antistarshaped")
     files.append(path)
-    doc = _classification_doc(built.h, sig, handle, built.closed_form)
+    doc = _system_doc(built, handle)
     path = os.path.join(out_dir, "classification.json")
     _write_json(path, doc)
     files.append(path)
@@ -379,12 +352,9 @@ def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
 def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
                 extra_qmit: bool = False) -> List[str]:
     sig = catalog.signatures()[sig_name]
-    diag_text, n = catalog.diagonals()[diag_name]
-    if n != sig.n:
-        raise ValueError(f"diagonal {diag_name} has n={n}, signature needs {sig.n}")
-    handle = cop_mod.jaworski(diag_text, n)
+    handle = cop_mod.jaworski(*catalog.diagonals()[diag_name])
     d = handle.diagonal
-    built = sys_mod.diag_system_distortion(sig, d)
+    built = sys_mod.system_distortion(sig, handle)
     files = []
     pts = _interior_points(0.0, 1.0, 257)
     path = os.path.join(out_dir, "distortion.csv")
@@ -392,7 +362,7 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
                comment=f"system distortion h_T = {built.closed_form}, "
                        f"a=({sig.label()}), d(p)={d.label}")
     files.append(path)
-    doc = _classification_doc(built.h, sig, handle, built.closed_form)
+    doc = _system_doc(built, handle)
     path = os.path.join(out_dir, "classification.json")
     _write_json(path, doc)
     files.append(path)

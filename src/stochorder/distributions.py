@@ -14,7 +14,7 @@ import functools
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -254,6 +254,26 @@ _DIVERGENCE_RATIO = 0.9
 _DIVERGENCE_RUNGS = 12
 
 
+def check_tail_decay(label: str, hi_pieces: Sequence[float]) -> None:
+    """Raise InfiniteMeanError when the rungs of an edge-ladder integral of q
+    toward p=1 (ordered from the singular end outward) refuse to decay.
+
+    Tail decay is judged on the rungs at scales 2^-2 .. 2^-14 of the ladder
+    width from the endpoint: far enough out that the EPS_Q truncation does
+    not clip them, close enough in that the tail exponent dominates.  That
+    band sits near the end of the list.
+    """
+    band = [abs(v) for v in hi_pieces[-(_DIVERGENCE_RUNGS + 2):-2]]
+    ratios = []
+    for closer, farther in zip(band, band[1:]):
+        if farther > 1e-300:
+            ratios.append(closer / farther)
+    if ratios and statistics.median(ratios) >= _DIVERGENCE_RATIO:
+        raise InfiniteMeanError(
+            f"{label}: infinite mean, tail contributions not decaying "
+            f"(rung ratios {[round(r, 3) for r in ratios]})")
+
+
 def mean(X: Distribution, tol: Tolerance = Tolerance(1e-12, 1e-12)) -> float:
     """∫₀¹ q(p) dp on [EPS_Q, 1-EPS_Q] with endpoint rectangle corrections.
 
@@ -268,19 +288,7 @@ def mean(X: Distribution, tol: Tolerance = Tolerance(1e-12, 1e-12)) -> float:
     half = Tolerance(abs_tol=tol.abs_tol / 2.0, rel_tol=tol.rel_tol)
     lo_val, _ = edge_ladder_integral(q, lo, 0.5, side="lo", tol=half)
     hi_val, hi_pieces = edge_ladder_integral(q, 0.5, hi, side="hi", tol=half)
-    # Judge tail decay on rungs at scales 2^-2 .. 2^-14 from the endpoint:
-    # far enough out that the EPS_Q truncation does not clip them, close
-    # enough in that the tail exponent dominates.  pieces are ordered from
-    # the singular end outward, so that band sits near the end of the list.
-    band = [abs(v) for v in hi_pieces[-(_DIVERGENCE_RUNGS + 2):-2]]
-    ratios = []
-    for closer, farther in zip(band, band[1:]):
-        if farther > 1e-300:
-            ratios.append(closer / farther)
-    if ratios and statistics.median(ratios) >= _DIVERGENCE_RATIO:
-        raise InfiniteMeanError(
-            f"{X.label}: tail contributions not decaying "
-            f"(rung ratios {[round(r, 3) for r in ratios]})")
+    check_tail_decay(X.label, hi_pieces)
     return lo * q(lo) + lo_val + hi_val + lo * q(hi)
 
 

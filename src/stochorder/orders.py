@@ -32,6 +32,7 @@ from .distributions import (
     DegenerateDensityError,
     Distribution,
     InfiniteMeanError,
+    check_tail_decay,
     density_at_quantile,
 )
 from .numerics import (
@@ -136,12 +137,15 @@ def excess_wealth(X: Distribution, p: float,
 
 
 def transform_curves(X: Distribution, grid: Optional[Grid] = None,
-                     tol: Tolerance = _SEGMENT_TOL) -> Dict[str, Tuple[float, ...]]:
+                     tol: Tolerance = _SEGMENT_TOL,
+                     require_finite_mean: bool = False) -> Dict[str, Tuple[float, ...]]:
     """ttt/ew/mit sampled over a grid in one cumulative pass.
 
     Integrates q once per grid segment and assembles all three transforms
     from prefix/suffix sums, so a 512-point curve costs ~513 small
-    quadratures instead of 1536 full ones.
+    quadratures instead of 1536 full ones.  The ew curve is infinite when
+    the mean is: require_finite_mean raises InfiniteMeanError when the
+    upper-tail rungs refuse to decay (ttt and mit stay defined).
     """
     grid = grid if grid is not None else default_grid()
     q = X.quantile
@@ -153,7 +157,10 @@ def transform_curves(X: Distribution, grid: Optional[Grid] = None,
 
     head = integrate(q, eps, pts[0], tol)
     segments = [integrate(q, a, b, tol) for a, b in zip(pts, pts[1:])]
-    tail_last, _ = edge_ladder_integral(q, pts[-1], 1.0 - eps, side="hi", tol=tol)
+    tail_last, tail_rungs = edge_ladder_integral(q, pts[-1], 1.0 - eps,
+                                                 side="hi", tol=tol)
+    if require_finite_mean:
+        check_tail_decay(X.label, tail_rungs)
 
     prefix = []
     acc = head
@@ -199,8 +206,9 @@ def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
 
     if kind in (OrderKind.DMRL, OrderKind.QMIT):
         key = "ew" if kind == OrderKind.DMRL else "mit"
-        cx = transform_curves(X, grid)[key]
-        cy = transform_curves(Y, grid)[key]
+        need_mean = key == "ew"
+        cx = transform_curves(X, grid, require_finite_mean=need_mean)[key]
+        cy = transform_curves(Y, grid, require_finite_mean=need_mean)[key]
         for p, vx, vy in zip(pts, cx, cy):
             den = vx if kind == OrderKind.DMRL else vy
             num = vy if kind == OrderKind.DMRL else vx
@@ -253,8 +261,9 @@ def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
 
     if kind in (OrderKind.TTT, OrderKind.EW):
         key = kind.value
-        cx = transform_curves(X, grid)[key]
-        cy = transform_curves(Y, grid)[key]
+        need_mean = key == "ew"
+        cx = transform_curves(X, grid, require_finite_mean=need_mean)[key]
+        cy = transform_curves(Y, grid, require_finite_mean=need_mean)[key]
         margins = []
         for p, vx, vy in zip(grid.points, cx, cy):
             m = vy - vx
@@ -309,8 +318,8 @@ def dmrl_integral_curve(X: Distribution, Y: Distribution,
                         grid: Optional[Grid] = None) -> Dict[str, Tuple[float, ...]]:
     """Sampled I(p) over a grid (one excess-wealth pass per distribution)."""
     grid = grid if grid is not None else default_grid()
-    ew_x = transform_curves(X, grid)["ew"]
-    ew_y = transform_curves(Y, grid)["ew"]
+    ew_x = transform_curves(X, grid, require_finite_mean=True)["ew"]
+    ew_y = transform_curves(Y, grid, require_finite_mean=True)["ew"]
     values = []
     for p, ex, ey in zip(grid.points, ew_x, ew_y):
         s = density_at_quantile(X, p) / density_at_quantile(Y, p)

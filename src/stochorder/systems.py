@@ -23,7 +23,7 @@ integration-heavy paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -150,10 +150,8 @@ class ShapeClassification:
     direct: Optional[ShapeReport] = None
 
     def describe(self) -> str:
-        if self.verdict == "starshaped_if":
-            return f"starshaped if f(0) >= {rational_str(self.threshold)}"
-        if self.verdict == "antistarshaped_if":
-            return f"antistarshaped if f(0) >= {rational_str(self.threshold)}"
+        if self.verdict.endswith("_if"):
+            return f"{self.verdict[:-3]} if f(0) >= {rational_str(self.threshold)}"
         return self.verdict
 
     def to_json(self) -> dict:
@@ -170,38 +168,43 @@ class ShapeClassification:
         return out
 
 
+def _require_dimension(sig: MinimalSignature, n: int, what: str) -> None:
+    if n != sig.n:
+        raise SignatureError(
+            f"signature has {sig.n} entries but {what} dimension is {n}")
+
+
+def _boundary_sum(sig: MinimalSignature, copula: cop_mod.CopulaHandle):
+    """p -> sum_i a_i * C(p,..(i)..,p,1,..,1), unvalidated."""
+    n = sig.n
+    terms = [(i, a) for i, a in enumerate(sig.floats(), start=1) if a != 0.0]
+    return lambda p: sum(a * cop_mod.cop_eval(copula, [p] * i + [1.0] * (n - i))
+                         for i, a in terms)
+
+
 def system_distortion(sig: MinimalSignature,
                       copula: cop_mod.CopulaHandle) -> SystemDistortion:
-    """h_T(p) = sum_i a_i * C(p,..(i)..,p,1,..,1), evaluated generically.
+    """h_T(p) = sum_i a_i * C(p,..(i)..,p,1,..,1) for any copula handle.
 
-    Validation as a distortion is mandatory: a real vector summing to 1 need
-    not give a monotone h_T for every copula.
+    Generator- and diagonal-form copulas get their closed forms; the other
+    kinds get the boundary sum.  Validation as a distortion is mandatory: a
+    real vector summing to 1 need not give a monotone h_T for every copula.
     """
-    n = sig.n
-    if copula.n != n:
-        raise SignatureError(
-            f"signature has {n} entries but copula dimension is {copula.n}")
-    weights = sig.floats()
-
-    def h_fn(p: float) -> float:
-        total = 0.0
-        for i, a in enumerate(weights, start=1):
-            if a == 0.0:
-                continue
-            point = [p] * i + [1.0] * (n - i)
-            total += a * cop_mod.cop_eval(copula, point)
-        return total
-
-    label = f"system(a={sig.label()}; {copula.label})"
-    h = dist_mod.validate(h_fn, label=label)
+    if copula.kind == "durante":
+        return durante_system_distortion(sig, copula.generator)
+    if copula.kind == "jaworski":
+        return diag_system_distortion(sig, copula.diagonal)
+    _require_dimension(sig, copula.n, "copula")
+    h = dist_mod.validate(_boundary_sum(sig, copula),
+                          label=f"system(a={sig.label()}; {copula.label})")
     return SystemDistortion(h=h, sig=sig, copula_label=copula.label)
 
 
-def _crosscheck(closed_fn, generic: SystemDistortion, what: str) -> None:
+def _crosscheck(closed_fn, generic_fn, what: str) -> None:
     pts = validation_points(_CROSSCHECK_COUNT)
     a = sample(closed_fn, pts, SignatureError,
                lambda p, v: f"{what}: closed form is {v!r} at p={p}")
-    b = sample(generic.h.fn, pts, SignatureError,
+    b = sample(generic_fn, pts, SignatureError,
                lambda p, v: f"{what}: generic form is {v!r} at p={p}")
     i = first(np.abs(a - b) > _CROSSCHECK_TOL)
     if i is not None:
@@ -225,12 +228,9 @@ def _signed_terms(terms) -> str:
 
 def durante_system_distortion(sig: MinimalSignature,
                               gen: cop_mod.DuranteGenerator) -> SystemDistortion:
-    """Closed form sum_k a_k * p * f(p)^(k-1), cross-validated against the
-    generic boundary-section sum."""
-    n = sig.n
-    if gen.n != n:
-        raise SignatureError(
-            f"signature has {n} entries but generator dimension is {gen.n}")
+    """Closed form sum_k a_k * p * f(p)^(k-1), cross-checked against the
+    copula boundary sum on 65 points before it is validated."""
+    _require_dimension(sig, gen.n, "generator")
     weights = sig.floats()
     fn = gen.fn
 
@@ -243,17 +243,13 @@ def durante_system_distortion(sig: MinimalSignature,
             power *= fp
         return total
 
-    terms = []
-    for k, a in enumerate(sig.a, start=1):
-        body = "p" if k == 1 else ("p*f(p)" if k == 2 else f"p*f(p)^{k - 1}")
-        terms.append((a, body))
-    closed_text = _signed_terms(terms)
+    bodies = ["p", "p*f(p)"] + [f"p*f(p)^{k}" for k in range(2, sig.n)]
+    closed_text = _signed_terms(zip(sig.a, bodies))
 
-    handle = cop_mod.CopulaHandle(kind="durante", n=n,
-                                  label=f"durante:f={gen.label},n={n}",
+    handle = cop_mod.CopulaHandle(kind="durante", n=gen.n,
+                                  label=f"durante:f={gen.label},n={gen.n}",
                                   generator=gen)
-    generic = system_distortion(sig, handle)
-    _crosscheck(h_fn, generic, "generator-form system")
+    _crosscheck(h_fn, _boundary_sum(sig, handle), "generator-form system")
     h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; f={gen.label})")
     return SystemDistortion(h=h, sig=sig, copula_label=handle.label,
                             closed_form=closed_text)
@@ -274,12 +270,9 @@ def diag_system_params(sig: MinimalSignature) -> DiagParams:
 
 def diag_system_distortion(sig: MinimalSignature,
                            d: cop_mod.Diagonal) -> SystemDistortion:
-    """Closed form alpha*p + beta*d(p), cross-validated against the generic
-    cyclic-average boundary sum."""
-    n = sig.n
-    if d.n != n:
-        raise SignatureError(
-            f"signature has {n} entries but diagonal dimension is {d.n}")
+    """Closed form alpha*p + beta*d(p), cross-checked against the
+    cyclic-average boundary sum on 65 points before it is validated."""
+    _require_dimension(sig, d.n, "diagonal")
     params = diag_system_params(sig)
     alpha = float(params.alpha)
     beta = float(params.beta)
@@ -288,11 +281,10 @@ def diag_system_distortion(sig: MinimalSignature,
     def h_fn(p: float) -> float:
         return alpha * p + beta * float(dfn(p))
 
-    handle = cop_mod.CopulaHandle(kind="jaworski", n=n,
-                                  label=f"diagonal:d={d.label},n={n}",
+    handle = cop_mod.CopulaHandle(kind="jaworski", n=d.n,
+                                  label=f"diagonal:d={d.label},n={d.n}",
                                   diagonal=d)
-    generic = system_distortion(sig, handle)
-    _crosscheck(h_fn, generic, "diagonal-form system")
+    _crosscheck(h_fn, _boundary_sum(sig, handle), "diagonal-form system")
     closed_text = _signed_terms([(params.alpha, "p"), (params.beta, "d(p)")])
     h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; d={d.label})")
     return SystemDistortion(h=h, sig=sig, copula_label=handle.label,
@@ -304,10 +296,8 @@ def durante_condition_values(sig: MinimalSignature,
                              points: Sequence[float]) -> list:
     """Sample S(p) = sum_{k=1}^{n-1} k a_{k+1} f(p)^(k-1); its sign decides
     whether h_T is starshaped (>= 0) or antistarshaped (<= 0)."""
+    _require_dimension(sig, gen.n, "generator")
     n = sig.n
-    if gen.n != n:
-        raise SignatureError(
-            f"signature has {n} entries but generator dimension is {gen.n}")
     weights = sig.floats()
     fn = gen.fn
     values = []
@@ -327,10 +317,6 @@ def durante_shape_condition(sig: MinimalSignature,
                             grid: Optional[Grid] = None) -> ShapeClassification:
     """h_T is starshaped [antistarshaped] iff
     S(p) = sum_{k=1}^{n-1} k a_{k+1} f(p)^(k-1) is >= 0 [<= 0]; scan S on the grid."""
-    n = sig.n
-    if gen.n != n:
-        raise SignatureError(
-            f"signature has {n} entries but generator dimension is {gen.n}")
     if grid is None:
         grid = default_grid()
     values = durante_condition_values(sig, gen, grid.points)
@@ -359,6 +345,14 @@ def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _shapes(lead: Fraction) -> Tuple[str, str]:
+    """(shape of h_T where S >= 0 past the largest root of S in f, the other
+    shape), read off the sign of the leading coefficient of S."""
+    if lead > 0:
+        return "starshaped", "antistarshaped"
+    return "antistarshaped", "starshaped"
+
+
 def classify_3component(sig: MinimalSignature) -> ShapeClassification:
     """Closed-form shape of h_T for n=3 and any valid generator f.
 
@@ -383,19 +377,13 @@ def classify_3component(sig: MinimalSignature) -> ShapeClassification:
             notes="a2=a3=0: h_T(p)=p (both starshaped and antistarshaped)")
     omega = -a2 / (2 * a3)
     params = {"omega": omega}
-    if a3 > 0:
-        if omega >= 1:
-            return ShapeClassification("antistarshaped_any_f", parameters=params)
-        if omega > 0:
-            return ShapeClassification("starshaped_if", threshold=omega,
-                                       parameters=params)
-        return ShapeClassification("starshaped_any_f", parameters=params)
+    star, anti = _shapes(a3)
     if omega >= 1:
-        return ShapeClassification("starshaped_any_f", parameters=params)
+        return ShapeClassification(f"{anti}_any_f", parameters=params)
     if omega > 0:
-        return ShapeClassification("antistarshaped_if", threshold=omega,
+        return ShapeClassification(f"{star}_if", threshold=omega,
                                    parameters=params)
-    return ShapeClassification("antistarshaped_any_f", parameters=params)
+    return ShapeClassification(f"{star}_any_f", parameters=params)
 
 
 def classify_4component(sig: MinimalSignature) -> ShapeClassification:
@@ -415,18 +403,12 @@ def classify_4component(sig: MinimalSignature) -> ShapeClassification:
         notes = "a4=0: reduced to the 3-component scheme"
         if result.notes:
             notes += "; " + result.notes
-        return ShapeClassification(verdict=result.verdict,
-                                   threshold=result.threshold,
-                                   parameters=result.parameters,
-                                   notes=notes)
+        return replace(result, notes=notes)
     delta = a3 * a3 - 3 * a2 * a4
     params = {"delta": delta}
-    star_any = "starshaped_any_f" if a4 > 0 else "antistarshaped_any_f"
-    anti_any = "antistarshaped_any_f" if a4 > 0 else "starshaped_any_f"
-    star_if = "starshaped_if" if a4 > 0 else "antistarshaped_if"
-    anti_if = "antistarshaped_if" if a4 > 0 else "starshaped_if"
+    star, anti = _shapes(a4)
     if delta <= 0:
-        return ShapeClassification(star_any, parameters=params)
+        return ShapeClassification(f"{star}_any_f", parameters=params)
     root = _sqrt_fraction(delta)
     if root is not None:
         x1 = (-a3 - root) / (3 * a4)
@@ -438,15 +420,15 @@ def classify_4component(sig: MinimalSignature) -> ShapeClassification:
     lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
     params = {"delta": delta, "x1": lo, "x2": hi}
     if hi <= 0:
-        return ShapeClassification(star_any, parameters=params)
+        return ShapeClassification(f"{star}_any_f", parameters=params)
     if hi < 1:
-        return ShapeClassification(star_if, threshold=hi, parameters=params)
+        return ShapeClassification(f"{star}_if", threshold=hi, parameters=params)
     # hi >= 1 from here
     if lo <= 0:
-        return ShapeClassification(anti_any, parameters=params)
+        return ShapeClassification(f"{anti}_any_f", parameters=params)
     if lo < 1:
-        return ShapeClassification(anti_if, threshold=lo, parameters=params)
-    return ShapeClassification(star_any, parameters=params)
+        return ShapeClassification(f"{anti}_if", threshold=lo, parameters=params)
+    return ShapeClassification(f"{star}_any_f", parameters=params)
 
 
 def classify_diag(sig: MinimalSignature,
@@ -455,10 +437,7 @@ def classify_diag(sig: MinimalSignature,
     """h_T = alpha*p + beta*d(p) is starshaped [antistarshaped] iff d is
     starshaped and beta > 0 [< 0]; outside the theorem's reach the direct
     numerical classification of h_T is attached instead."""
-    n = sig.n
-    if d.n != n:
-        raise SignatureError(
-            f"signature has {n} entries but diagonal dimension is {d.n}")
+    _require_dimension(sig, d.n, "diagonal")
     if grid is None:
         grid = default_grid()
     params = diag_system_params(sig)
@@ -477,12 +456,32 @@ def classify_diag(sig: MinimalSignature,
         return ShapeClassification(
             verdict="antistarshaped", parameters=base,
             notes="diagonal is starshaped and beta < 0")
-    built = diag_system_distortion(sig, d)
-    direct = dist_mod.classify(built.h, grid)
+    direct = dist_mod.classify(diag_system_distortion(sig, d).h, grid)
     return ShapeClassification(
         verdict="inconclusive", parameters=base,
         notes="diagonal is not starshaped; direct grid classification attached",
         direct=direct)
+
+
+def shape_theorems(sig: MinimalSignature,
+                   copula: cop_mod.CopulaHandle) -> dict:
+    """Report fields from the shape results that apply to this copula kind:
+    the n=3/n=4 corollary and the shape condition for the generator form,
+    alpha, beta and the diagonal theorem for the diagonal form; none for
+    the other kinds."""
+    if copula.kind == "durante":
+        out = {"shape_condition": durante_shape_condition(
+            sig, copula.generator).to_json()}
+        if sig.n == 3:
+            out["corollary"] = classify_3component(sig).to_json()
+        elif sig.n == 4:
+            out["corollary"] = classify_4component(sig).to_json()
+        return out
+    if copula.kind == "jaworski":
+        report = classify_diag(sig, copula.diagonal).to_json()
+        return {"diag_params": report["parameters"],
+                "diag_classification": report}
+    return {}
 
 
 def parallel_distortion(dist_copula: cop_mod.CopulaHandle) -> Distortion:

@@ -117,6 +117,18 @@ class TestCheckOrder:
         assert capsys.readouterr().err == (
             f"error: cannot read config {str(missing)!r}: No such file or directory\n")
 
+    @pytest.mark.parametrize("order, code", [("ew", 2), ("dmrl", 2),
+                                             ("ttt", 0), ("qmit", 0)])
+    def test_infinite_mean_is_refused_only_where_ew_is_needed(self, order, code,
+                                                              capsys):
+        # q = 1/(1-p) - 1 has a log-divergent mean: ew is infinite, ttt and
+        # mit stay finite
+        assert cli.main(["check-order", "--x", "q: 1/(1-p) - 1",
+                         "--y", "q: 2/(1-p) - 2", "--order", order,
+                         "--grid-count", "64"]) == code
+        if code == 2:
+            assert "infinite mean" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_distortion_expression(self, tmp_path):
@@ -188,6 +200,16 @@ class TestDistortAndSystem:
         assert len(lines) == 2 + 257  # comment + header + default grid
         doc = read_json(str(json_out))
         assert doc["closed_form"] == "p*f(p) + p*f(p)^2 - p*f(p)^3"
+
+    @pytest.mark.parametrize("count", ["1", "0", "-3"])
+    def test_system_grid_count_below_two_is_an_input_error(self, count,
+                                                           tmp_path, capsys):
+        csv_out = tmp_path / "h.csv"
+        assert cli.main(["system", "--signature", "0,1", "--copula", "product:2",
+                         "--grid-count", count, "--out-csv", str(csv_out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --grid-count must be at least 2, got {count}\n")
+        assert not csv_out.exists()
 
     def test_system_rejects_invalid_generator(self):
         assert cli.main(["system", "--signature", "0,1,1,-1",

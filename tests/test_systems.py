@@ -173,24 +173,62 @@ class TestClosedForms:
         gen = cop.validate_generator("p^0.5", 4)
         sig = parse_signature("2, 0, -2, 1")
         closed = durante_system_distortion(sig, gen)
-        handle = cop.durante("p^0.5", 4)
-        generic = system_distortion(sig, handle)
-        assert max_abs_diff(closed.h.fn, generic.h.fn,
+        generic = sys_mod._boundary_sum(sig, cop.durante("p^0.5", 4))
+        assert max_abs_diff(closed.h.fn, generic,
                             interior_points(0.0, 1.0, 33)) < 1e-12
 
     def test_diag_closed_matches_generic_copula_sum(self):
         d = cop.validate_diagonal(catalog.FN_DIAG_TEXT, 5)
         sig = parse_signature("0, 0, 0, 3, -2")
         closed = diag_system_distortion(sig, d)
-        handle = cop.jaworski(catalog.FN_DIAG_TEXT, 5)
-        generic = system_distortion(sig, handle)
-        assert max_abs_diff(closed.h.fn, generic.h.fn,
+        generic = sys_mod._boundary_sum(sig, cop.jaworski(catalog.FN_DIAG_TEXT, 5))
+        assert max_abs_diff(closed.h.fn, generic,
                             interior_points(0.0, 1.0, 33)) < 1e-12
 
     def test_diag_closed_form_text(self):
         d = cop.validate_diagonal(catalog.FN_DIAG_TEXT, 5)
         built = diag_system_distortion(parse_signature("0, 0, 0, 3, -2"), d)
         assert built.closed_form == "3/4*p + 1/4*d(p)"
+
+    @pytest.mark.parametrize("build, validates, cop_evals", [
+        # 65 cross-check points x 3 non-zero entries; one validation, of h_T
+        (lambda: durante_system_distortion(parse_signature("2,0,-2,1"),
+                                           cop.validate_generator("p^0.5", 4)),
+         1, 195),
+        # 65 cross-check points x 2 non-zero entries
+        (lambda: diag_system_distortion(parse_signature("0,0,0,3,-2"),
+                                        cop.validate_diagonal("2*p^2 - p^3", 5)),
+         1, 130),
+    ], ids=["generator", "diagonal"])
+    def test_closed_form_is_validated_once(self, monkeypatch, build,
+                                           validates, cop_evals):
+        counts = {"validate": 0, "cop_eval": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(dist_mod, "validate",
+                            counting("validate", dist_mod.validate))
+        monkeypatch.setattr(cop, "cop_eval", counting("cop_eval", cop.cop_eval))
+        build()
+        assert counts == {"validate": validates, "cop_eval": cop_evals}
+
+    def test_system_distortion_hands_off_to_the_closed_forms(self):
+        sig = parse_signature("2, 0, -2, 1")
+        built = system_distortion(sig, cop.durante("p^0.5", 4))
+        assert built.h.label == "system(a=2,0,-2,1; f=p^0.5)"
+        assert built.copula_label == "durante:f=p^0.5,n=4"
+        assert built.closed_form == "2*p - 2*p*f(p)^2 + p*f(p)^3"
+        built = system_distortion(parse_signature("0, 0, 0, 3, -2"),
+                                  cop.jaworski(catalog.FN_DIAG_TEXT, 5))
+        assert built.h.label == f"system(a=0,0,0,3,-2; d={catalog.FN_DIAG_TEXT})"
+        assert built.closed_form == "3/4*p + 1/4*d(p)"
+        built = system_distortion(parse_signature("0, 1"), cop.product(2))
+        assert built.h.label == "system(a=0,1; product:2)"
+        assert built.closed_form is None
 
     def test_inexact_signature_rejected_by_closed_forms(self):
         gen = cop.validate_generator("p", 3)

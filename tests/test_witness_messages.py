@@ -18,9 +18,14 @@ def spike(p):
 
 
 def _series_crosscheck():
-    generic = systems.system_distortion(systems.parse_signature("0,1"),
-                                        copulas.product(2))
+    generic = systems._boundary_sum(systems.parse_signature("0,1"),
+                                    copulas.product(2))
     systems._crosscheck(lambda p: p * p + 1e-9, generic, "series")
+
+
+def _system(sig, copula):
+    return lambda: systems.system_distortion(systems.parse_signature(sig),
+                                             copulas.parse_copula_spec(copula))
 
 
 CASES = [
@@ -95,6 +100,20 @@ CASES = [
      "hazard decreasing near x=1.015625"),
     ("system-crosscheck", _series_crosscheck, systems.SignatureError,
      "series: closed form 1e-09 != generic 0.0 at p=0.0"),
+    # the closed form is what gets validated, so the label names f or d
+    ("system-generator-decreasing", _system("3,-2", "durante:f=p,n=2"),
+     distortions.DistortionValidationError,
+     "system(a=3,-2; f=p): decreasing on [0.75, 0.751953125] "
+     "(h drops from 1.125 to 1.1249923706054688)"),
+    ("system-diagonal-decreasing", _system("3,-2", "diagonal:d=p^2,n=2"),
+     distortions.DistortionValidationError,
+     "system(a=3,-2; d=p^2): decreasing on [0.75, 0.751953125] "
+     "(h drops from 1.125 to 1.1249923706054688)"),
+    ("system-dimension", _system("2,0,-2,1", "product:3"), systems.SignatureError,
+     "signature has 4 entries but copula dimension is 3"),
+    ("system-generator-dimension", _system("2,0,-2,1", "durante:f=p,n=3"),
+     systems.SignatureError,
+     "signature has 4 entries but generator dimension is 3"),
 ]
 
 
