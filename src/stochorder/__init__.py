@@ -11,8 +11,6 @@ explicit tolerance, not symbolic proofs.
 from .numerics import (
     Grid,
     Tolerance,
-    MonotoneScan,
-    SignScan,
     NumericsError,
     QuadratureFailure,
     BracketError,
@@ -21,15 +19,11 @@ from .numerics import (
     integrate,
     monotone_inverse,
     derivative,
-    monotone_scan,
-    sign_scan,
 )
 
 __all__ = [
     "Grid",
     "Tolerance",
-    "MonotoneScan",
-    "SignScan",
     "NumericsError",
     "QuadratureFailure",
     "BracketError",
@@ -38,8 +32,6 @@ __all__ = [
     "integrate",
     "monotone_inverse",
     "derivative",
-    "monotone_scan",
-    "sign_scan",
 ]
 
 __version__ = "0.1.0"

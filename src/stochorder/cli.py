@@ -34,7 +34,8 @@ from . import funcalc
 from . import orders as orders_mod
 from . import systems as sys_mod
 from . import sweeps as sweeps_mod
-from .numerics import Grid, NumericsError, Tolerance, uniform_grid
+from .numerics import (DEFAULT_EDGE_MARGIN, DEFAULT_GRID_COUNT, Grid,
+                       NumericsError, Tolerance, uniform_grid)
 from .orders import OrderKind
 
 EXIT_OK = 0
@@ -88,10 +89,11 @@ def _pick(args_value, config: dict, key: str, default=None):
 
 def _grid_from(config: dict, count=None, lo=None, hi=None, margin=None) -> Grid:
     grid_cfg = config.get("grid", {}) if isinstance(config.get("grid", {}), dict) else {}
-    count = count if count is not None else grid_cfg.get("count", 512)
+    count = count if count is not None else grid_cfg.get("count", DEFAULT_GRID_COUNT)
     lo = lo if lo is not None else grid_cfg.get("lo", 0.0)
     hi = hi if hi is not None else grid_cfg.get("hi", 1.0)
-    margin = margin if margin is not None else grid_cfg.get("edge_margin", 1e-3)
+    margin = margin if margin is not None else grid_cfg.get("edge_margin",
+                                                            DEFAULT_EDGE_MARGIN)
     return uniform_grid(int(count), lo=float(lo), hi=float(hi),
                         edge_margin=float(margin))
 
@@ -202,7 +204,7 @@ def _system_doc(built: sys_mod.SystemDistortion,
         doc["closed_form"] = built.closed_form
     doc["signature"] = built.sig.label()
     doc["copula"] = handle.label
-    doc.update(sys_mod.shape_theorems(built.sig, handle))
+    doc.update(sys_mod.shape_theorems(built, handle))
     return doc
 
 
@@ -405,17 +407,18 @@ def cmd_reproduce(args) -> int:
 
 def cmd_sweep(args) -> int:
     raw = _load_config(args.config)
-    tol = Tolerance(abs_tol=float(raw.get("abs_tol", 1e-8)),
-                    rel_tol=float(raw.get("rel_tol", 1e-8)))
-    suites = tuple(raw.get("suites", sweeps_mod.SUITE_NAMES))
+    default = sweeps_mod.SweepConfig()
+    tol = Tolerance(abs_tol=float(raw.get("abs_tol", default.tolerance.abs_tol)),
+                    rel_tol=float(raw.get("rel_tol", default.tolerance.rel_tol)))
+    suites = tuple(raw.get("suites", default.suites))
     for name in suites:
         if name not in sweeps_mod.SUITE_NAMES:
             raise ValueError(f"unknown sweep suite {name!r}")
     config = sweeps_mod.SweepConfig(
-        seed=int(raw.get("seed", sweeps_mod.DEFAULT_SEED)),
-        trials=int(raw.get("trials", sweeps_mod.DEFAULT_TRIALS)),
-        grid_count=int(raw.get("grid_count", 48)),
-        edge_margin=float(raw.get("edge_margin", 0.01)),
+        seed=int(raw.get("seed", default.seed)),
+        trials=int(raw.get("trials", default.trials)),
+        grid_count=int(raw.get("grid_count", default.grid_count)),
+        edge_margin=float(raw.get("edge_margin", default.edge_margin)),
         tolerance=tol,
         suites=suites,
     )

@@ -23,7 +23,6 @@ from .numerics import (
     DEFAULT_QUAD_TOL,
     first,
     monotone_inverse,
-    monotone_scan,
     sample,
     validation_points,
 )
@@ -175,68 +174,44 @@ def compose_on_survival(h1: Distortion, h2: Distortion) -> Distortion:
                     co_inverse_fn=coinv)
 
 
-def classify(h: Distortion, grid: Optional[Grid] = None,
-             tie_tol: float = SCAN_TIE_TOL) -> ShapeReport:
+def classify(h: Distortion, grid: Optional[Grid] = None) -> ShapeReport:
     """Shape classification on a dense uniform sample of (0,1].
 
-    star/antistar via monotone_scan of h(p)/p; convex/concave via sign_scan of
-    divided second differences; the dual's antistarshapedness via the same
-    ratio scan on h*.  "increasing" is non-decreasing throughout, so the
-    identity is all four shapes at once.  Witnesses record the first grid
-    point violating each failed property.
+    star/antistar read the steps of h(p)/p, convex/concave the divided
+    second differences, and the dual's antistarshapedness the steps of
+    h*(p)/p.  A step within SCAN_TIE_TOL is a tie and counts both ways, so
+    the identity is all four shapes at once.  Each failed flag's witness is
+    the first grid point that contradicts it: the left end of the first
+    offending step, or the centre of the first offending second difference.
     """
     if grid is not None:
         pts = list(grid.points)
     else:
         # (0,1] sample: ratios need p > 0, endpoint p=1 anchors h(1)/1 = 1
         pts = validation_points()[1:]
-    vals = [h.fn(p) for p in pts]
-    ratios = [v / p for v, p in zip(vals, pts)]
-    star_scan = monotone_scan(ratios, abs_tol=tie_tol)
-    starshaped = star_scan.verdict in ("increasing", "constant")
-    antistarshaped = star_scan.verdict in ("decreasing", "constant")
-
+    p = np.array(pts)
+    vals = np.array([h.fn(x) for x in pts], dtype=float)
+    step = np.diff(vals / p)
+    dual_vals = 1.0 - np.array([h.fn(1.0 - x) for x in pts], dtype=float)
+    dual_step = np.diff(dual_vals / p)
     # divided second differences approximate h'' up to O(spacing^2)
-    d2 = []
-    for i in range(1, len(pts) - 1):
-        s_right = (vals[i + 1] - vals[i]) / (pts[i + 1] - pts[i])
-        s_left = (vals[i] - vals[i - 1]) / (pts[i] - pts[i - 1])
-        d2.append(2.0 * (s_right - s_left) / (pts[i + 1] - pts[i - 1]))
-    # sign_scan semantics: convex iff no significant negative curvature,
-    # concave iff no significant positive; an all-flat profile is both
-    has_neg_curv = any(v < -tie_tol for v in d2)
-    has_pos_curv = any(v > tie_tol for v in d2)
-    convex = not has_neg_curv
-    concave = not has_pos_curv
-
-    dual_ratios = [(1.0 - h.fn(1.0 - p)) / p for p in pts]
-    dual_scan = monotone_scan(dual_ratios, abs_tol=tie_tol)
-    dual_antistar = dual_scan.verdict in ("decreasing", "constant")
-
+    slopes = np.diff(vals) / np.diff(p)
+    curvature = 2.0 * np.diff(slopes) / (p[2:] - p[:-2])
+    # flag -> (mask of contradicting entries, offset from entry to grid point)
+    contradictions = {
+        "convex": (curvature < -SCAN_TIE_TOL, 1),
+        "concave": (curvature > SCAN_TIE_TOL, 1),
+        "starshaped": (step < -SCAN_TIE_TOL, 0),
+        "antistarshaped": (step > SCAN_TIE_TOL, 0),
+        "dual_antistarshaped": (dual_step > SCAN_TIE_TOL, 0),
+    }
     witnesses: dict = {}
-    if not starshaped and star_scan.witness_index is not None:
-        witnesses["starshaped"] = pts[star_scan.witness_index]
-    if not antistarshaped and star_scan.witness_index is not None:
-        witnesses["antistarshaped"] = pts[star_scan.witness_index]
-    if star_scan.verdict == "increasing":
-        witnesses.setdefault("antistarshaped", pts[0])
-    if star_scan.verdict == "decreasing":
-        witnesses.setdefault("starshaped", pts[0])
-    if not convex:
-        idx = next((i for i, v in enumerate(d2) if v < -tie_tol), 0)
-        witnesses["convex"] = pts[idx + 1]
-    if not concave:
-        idx = next((i for i, v in enumerate(d2) if v > tie_tol), 0)
-        witnesses["concave"] = pts[idx + 1]
-    if not dual_antistar and dual_scan.witness_index is not None:
-        witnesses["dual_antistarshaped"] = pts[dual_scan.witness_index]
-    if dual_scan.verdict == "increasing":
-        witnesses.setdefault("dual_antistarshaped", pts[0])
-
-    return ShapeReport(convex=convex, concave=concave,
-                       starshaped=starshaped, antistarshaped=antistarshaped,
+    for flag, (mask, offset) in contradictions.items():
+        i = first(mask)
+        if i is not None:
+            witnesses[flag] = pts[i + offset]
+    return ShapeReport(**{flag: flag not in witnesses for flag in contradictions},
                        strictly_increasing=h.strictly_increasing,
-                       dual_antistarshaped=dual_antistar,
                        witnesses=witnesses)
 
 

@@ -54,14 +54,13 @@ class SpecError(ValueError):
 class Distribution:
     """Immutable distribution handle.
 
-    ``finite_mean`` is a claim, verified lazily by mean()'s divergence
-    heuristic.  ``cdf_fn`` is an optional closed-form fast path; cdf() falls
-    back to inverting the quantile.
+    ``cdf_fn`` is an optional closed-form fast path; cdf() falls back to
+    inverting the quantile.  Whether the mean is finite is judged from the
+    tail of q wherever a mean-dependent quantity is integrated.
     """
 
     quantile: Callable[[float], float]
     support_low: float
-    finite_mean: bool
     label: str
     cdf_fn: Optional[Callable[[float], float]] = None
 
@@ -132,14 +131,12 @@ def _validate_quantile(fn: Callable[[float], float], label: str,
 
 def from_quantile(fn: Callable[[float], float], label: str,
                   cdf_fn: Optional[Callable[[float], float]] = None,
-                  finite_mean: bool = True,
                   validate: bool = True) -> Distribution:
     """Wrap a quantile callable as a Distribution (catalog entry point)."""
     if validate:
         _validate_quantile(fn, label)
     support_low = max(0.0, float(fn(_SUPPORT_EPS)))
-    return Distribution(quantile=fn, support_low=support_low,
-                        finite_mean=finite_mean, label=label,
+    return Distribution(quantile=fn, support_low=support_low, label=label,
                         cdf_fn=cdf_fn)
 
 
@@ -278,11 +275,8 @@ def mean(X: Distribution, tol: Tolerance = Tolerance(1e-12, 1e-12)) -> float:
     """∫₀¹ q(p) dp on [EPS_Q, 1-EPS_Q] with endpoint rectangle corrections.
 
     The corrections make ttt + ew = mean hold to ~1e-10 instead of ~1e-5.
-    Raises InfiniteMeanError when finite_mean is false or the geometric tail
-    rungs refuse to decay.
+    Raises InfiniteMeanError when the geometric tail rungs refuse to decay.
     """
-    if not X.finite_mean:
-        raise InfiniteMeanError(f"{X.label}: declared infinite mean")
     q = X.quantile
     lo, hi = EPS_Q, 1.0 - EPS_Q
     half = Tolerance(abs_tol=tol.abs_tol / 2.0, rel_tol=tol.rel_tol)
@@ -311,5 +305,4 @@ def distort(X: Distribution, h: dist_mod.Distortion) -> Distribution:
         # F_h = 1 - h(F̄) = h*(F)
         cdf_h = lambda x: 1.0 - hfn(max(0.0, min(1.0, 1.0 - float(base_cdf(x)))))
     return from_quantile(q_h, label=f"distort({X.label}, h={h.label})",
-                         cdf_fn=cdf_h, finite_mean=X.finite_mean,
-                         validate=False)
+                         cdf_fn=cdf_h, validate=False)

@@ -1,4 +1,4 @@
-"""Shared numeric kernel: grids, tolerances, quadrature, bisection, scans.
+"""Shared numeric kernel: grids, tolerances, sampling, quadrature, bisection.
 
 Conventions used throughout the package:
 
@@ -60,7 +60,6 @@ class Tolerance:
 
 
 DEFAULT_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10)
-DEFAULT_SCAN_TOL = Tolerance(abs_tol=SCAN_TIE_TOL, rel_tol=SCAN_TIE_TOL)
 
 
 @dataclass(frozen=True)
@@ -322,67 +321,3 @@ def derivative(fn: Callable[[float], float],
             raise ValueError("no room to differentiate at the lower edge")
         return (3.0 * fn(x) - 4.0 * fn(x - h) + fn(x - 2.0 * h)) / (2.0 * h)
     raise ValueError("interval too small for the requested step")
-
-
-MonotoneVerdict = Literal["increasing", "decreasing", "constant", "neither"]
-SignVerdict = Literal["nonnegative", "nonpositive", "mixed"]
-
-
-@dataclass(frozen=True)
-class MonotoneScan:
-    verdict: MonotoneVerdict
-    witness_index: Optional[int]  # first violating adjacent pair when neither
-
-
-@dataclass(frozen=True)
-class SignScan:
-    verdict: SignVerdict
-    witness_index: Optional[int]  # first entry below -abs_tol when mixed
-
-
-def monotone_scan(values: Sequence[float], abs_tol: float = SCAN_TIE_TOL) -> MonotoneScan:
-    """Classify a sampled sequence, tolerating |step| <= abs_tol as a tie.
-
-    Ties count as increasing and as decreasing, so a constant sequence is
-    "constant" and [1, 1, 2, 3] is "increasing".  When a genuine rise and a
-    genuine drop both occur, the verdict is "neither" with witness_index
-    pointing at the start of the first pair contradicting the established
-    direction.
-    """
-    vals = [float(v) for v in values]
-    if len(vals) < 2:
-        return MonotoneScan("constant", None)
-    direction = 0
-    for i in range(len(vals) - 1):
-        d = vals[i + 1] - vals[i]
-        if abs(d) <= abs_tol:
-            continue
-        s = 1 if d > 0 else -1
-        if direction == 0:
-            direction = s
-        elif s != direction:
-            return MonotoneScan("neither", i)
-    if direction > 0:
-        return MonotoneScan("increasing", None)
-    if direction < 0:
-        return MonotoneScan("decreasing", None)
-    return MonotoneScan("constant", None)
-
-
-def sign_scan(values: Sequence[float], abs_tol: float = SCAN_TIE_TOL) -> SignScan:
-    """Classify a sampled sequence by sign, with abs_tol slack around zero.
-
-    "nonnegative" when all entries are >= -abs_tol, "nonpositive" when all are
-    <= abs_tol (both can hold for an all-zero sequence; nonnegative wins), else
-    "mixed" with witness_index at the first entry violating the nonnegative
-    reading -- the consumers of this scan test claims of the form "curve >= 0".
-    """
-    vals = [float(v) for v in values]
-    has_neg = any(v < -abs_tol for v in vals)
-    has_pos = any(v > abs_tol for v in vals)
-    if not has_neg:
-        return SignScan("nonnegative", None)
-    if not has_pos:
-        return SignScan("nonpositive", None)
-    witness = next(i for i, v in enumerate(vals) if v < -abs_tol)
-    return SignScan("mixed", witness)

@@ -22,16 +22,16 @@ Order semantics (margins oriented so "holds" means margin >= -tol):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .distributions import (
     EPS_Q,
     DegenerateDensityError,
     Distribution,
-    InfiniteMeanError,
     check_tail_decay,
     density_at_quantile,
 )
@@ -125,14 +125,17 @@ def mit_transform(X: Distribution, p: float,
 
 def excess_wealth(X: Distribution, p: float,
                   tol: Tolerance = _QUAD_TOL) -> float:
-    """Upper-tail wealth beyond the p-quantile; decreasing in p, 0 at p=1."""
+    """Upper-tail wealth beyond the p-quantile; decreasing in p, 0 at p=1.
+
+    Raises InfiniteMeanError when the tail rungs of the integral refuse to
+    decay, as mean() does.
+    """
     _require_interior(p)
-    if not X.finite_mean:
-        raise InfiniteMeanError(f"{X.label}: excess wealth needs a finite mean")
     q = X.quantile
     eps = EPS_Q
     hi = 1.0 - eps
-    tail, _ = edge_ladder_integral(q, p, hi, side="hi", tol=tol)
+    tail, rungs = edge_ladder_integral(q, p, hi, side="hi", tol=tol)
+    check_tail_decay(X.label, rungs)
     return tail + eps * q(hi) - (1.0 - p) * q(p)
 
 
@@ -151,7 +154,8 @@ def transform_curves(X: Distribution, grid: Optional[Grid] = None,
     q = X.quantile
     eps = EPS_Q
     pts = grid.points
-    qvals = [q(p) for p in pts]
+    p = np.array(pts)
+    qv = np.array([q(x) for x in pts], dtype=float)
     q_eps = q(eps)
     q_hi = q(1.0 - eps)
 
@@ -162,86 +166,66 @@ def transform_curves(X: Distribution, grid: Optional[Grid] = None,
     if require_finite_mean:
         check_tail_decay(X.label, tail_rungs)
 
-    prefix = []
-    acc = head
-    for seg in [0.0] + segments:
-        acc += seg
-        prefix.append(acc)
-    suffix = [0.0] * len(pts)
-    acc = tail_last
-    for i in range(len(pts) - 1, -1, -1):
-        suffix[i] = acc
-        if i > 0:
-            acc += segments[i - 1]
-
-    ttt = tuple((1.0 - p) * qv + eps * q_eps + pre
-                for p, qv, pre in zip(pts, qvals, prefix))
-    mit = tuple(p * qv - (eps * q_eps + pre)
-                for p, qv, pre in zip(pts, qvals, prefix))
-    ew = tuple(suf + eps * q_hi - (1.0 - p) * qv
-               for p, qv, suf in zip(pts, qvals, suffix))
-    return {"p": pts, "ttt": ttt, "ew": ew, "mit": mit,
-            "quantile": tuple(qvals)}
+    # sequential sums: prefix runs from the head out, suffix from the tail in
+    prefix = np.cumsum([head] + segments)
+    suffix = np.cumsum([tail_last] + segments[::-1])[::-1]
+    ttt = (1.0 - p) * qv + eps * q_eps + prefix
+    mit = p * qv - (eps * q_eps + prefix)
+    ew = suffix + eps * q_hi - (1.0 - p) * qv
+    return {"p": pts, "ttt": tuple(ttt.tolist()), "ew": tuple(ew.tolist()),
+            "mit": tuple(mit.tolist()), "quantile": tuple(qv.tolist())}
 
 
-def _threshold(tol: Tolerance, *values: float) -> float:
-    scale = max((abs(v) for v in values), default=0.0)
-    return tol.abs_tol + tol.rel_tol * scale
+def _threshold(tol: Tolerance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return tol.abs_tol + tol.rel_tol * np.maximum(np.abs(a), np.abs(b))
+
+
+def _density_ratios(X: Distribution, Y: Distribution,
+                    points: Sequence[float]) -> np.ndarray:
+    """s(p) = density_X(q_X(p)) / density_Y(q_Y(p)) at each point."""
+    return np.array([density_at_quantile(X, p) / density_at_quantile(Y, p)
+                     for p in points])
 
 
 def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
-                   grid: Grid) -> Tuple[List[float], List[float], List[float],
-                                        List[float], List[str]]:
-    """Per-point numerator/denominator samples for the ratio kinds.
+                   grid: Grid) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                        np.ndarray, List[str]]:
+    """Numerator/denominator samples for the ratio kinds.
 
-    Returns kept (p, value_x, value_y, ratio) lists plus exclusion notes;
-    points with degenerate denominators or densities are dropped.
+    Returns the kept (p, value_x, value_y, ratio) arrays plus exclusion
+    notes; points with degenerate denominators or densities are dropped.
+    The ratio is value_y/value_x for dmrl and star, value_x/value_y for
+    qmit and convex_transform.
     """
     pts = grid.points
-    notes: List[str] = []
-    kept_p: List[float] = []
-    vx_list: List[float] = []
-    vy_list: List[float] = []
-    ratio: List[float] = []
-
-    if kind in (OrderKind.DMRL, OrderKind.QMIT):
-        key = "ew" if kind == OrderKind.DMRL else "mit"
-        need_mean = key == "ew"
-        cx = transform_curves(X, grid, require_finite_mean=need_mean)[key]
-        cy = transform_curves(Y, grid, require_finite_mean=need_mean)[key]
-        for p, vx, vy in zip(pts, cx, cy):
-            den = vx if kind == OrderKind.DMRL else vy
-            num = vy if kind == OrderKind.DMRL else vx
-            if abs(den) <= _DENOM_EPS:
-                notes.append(f"excluded p={p:.6g}: {key} denominator ~0")
-                continue
-            kept_p.append(p)
-            vx_list.append(vx)
-            vy_list.append(vy)
-            ratio.append(num / den)
-        return kept_p, vx_list, vy_list, ratio, notes
-
-    for p in pts:
-        if kind == OrderKind.STAR:
-            vx = X.quantile(p)
-            vy = Y.quantile(p)
-            if abs(vx) <= 1e-9:
-                notes.append(f"excluded p={p:.6g}: quantile of X ~0")
-                continue
-            r = vy / vx
-        else:  # convex_transform
+    if kind == OrderKind.CONVEX_TRANSFORM:
+        notes = []
+        kept = []
+        for p in pts:
             try:
-                vx = density_at_quantile(X, p)
-                vy = density_at_quantile(Y, p)
+                kept.append((p, density_at_quantile(X, p),
+                             density_at_quantile(Y, p)))
             except DegenerateDensityError as ex:
                 notes.append(f"excluded p={p:.6g}: {ex}")
-                continue
-            r = vx / vy
-        kept_p.append(p)
-        vx_list.append(vx)
-        vy_list.append(vy)
-        ratio.append(r)
-    return kept_p, vx_list, vy_list, ratio, notes
+        p, vx, vy = np.array(kept, dtype=float).reshape(-1, 3).T
+        return p, vx, vy, vx / vy, notes
+    if kind == OrderKind.STAR:
+        vx, vy = np.array([(X.quantile(p), Y.quantile(p)) for p in pts],
+                          dtype=float).T
+        den, eps, why = vx, 1e-9, "quantile of X ~0"
+    else:
+        key = "ew" if kind == OrderKind.DMRL else "mit"
+        need_mean = key == "ew"
+        vx = np.array(transform_curves(X, grid, require_finite_mean=need_mean)[key])
+        vy = np.array(transform_curves(Y, grid, require_finite_mean=need_mean)[key])
+        den = vx if kind == OrderKind.DMRL else vy
+        eps, why = _DENOM_EPS, f"{key} denominator ~0"
+    p = np.array(pts)
+    keep = np.abs(den) > eps
+    notes = [f"excluded p={x:.6g}: {why}" for x in p[~keep].tolist()]
+    p, vx, vy = p[keep], vx[keep], vy[keep]
+    ratio = vx / vy if kind == OrderKind.QMIT else vy / vx
+    return p, vx, vy, ratio, notes
 
 
 def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
@@ -251,54 +235,44 @@ def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
 
     Pointwise kinds (ttt, ew) witness every grid point whose margin
     value_y - value_x drops below -tol; ratio kinds witness every adjacent
-    grid pair where the ratio steps the wrong way beyond tol.  The verdict
-    is relative to the grid: "holds" certifies the sampled points only.
+    grid pair where the ratio steps the wrong way beyond tol.  Both are one
+    scan of upper - lower against abs_tol + rel_tol * max(|lower|, |upper|).
+    The verdict is relative to the grid: "holds" certifies the sampled
+    points only.
     """
     kind = OrderKind(kind)
     grid = grid if grid is not None else default_grid()
-    witnesses: List[Tuple[float, float]] = []
-    notes: List[str] = []
 
     if kind in (OrderKind.TTT, OrderKind.EW):
         key = kind.value
         need_mean = key == "ew"
-        cx = transform_curves(X, grid, require_finite_mean=need_mean)[key]
-        cy = transform_curves(Y, grid, require_finite_mean=need_mean)[key]
-        margins = []
-        for p, vx, vy in zip(grid.points, cx, cy):
-            m = vy - vx
-            margins.append(m)
-            if m < -_threshold(tol, vx, vy):
-                witnesses.append((p, m))
-        curve = {"p": grid.points, "value_x": cx, "value_y": cy,
-                 "functional": tuple(margins)}
-        notes.append(f"functional is the pointwise margin {key}_y - {key}_x")
-        return OrderVerdict(kind=kind, holds=not witnesses,
-                            witnesses=tuple(witnesses), curve=curve,
-                            grid=grid, tolerance=tol, notes=tuple(notes))
-
-    kept_p, vx_list, vy_list, ratio, excl = _ratio_samples(X, Y, kind, grid)
-    notes.extend(excl)
-    if len(kept_p) < 2:
-        raise ValueError(f"{kind.value}: fewer than two usable grid points")
-    decreasing = kind == OrderKind.QMIT
-    for i in range(len(ratio) - 1):
-        step = ratio[i + 1] - ratio[i]
+        p = np.array(grid.points)
+        vx = np.array(transform_curves(X, grid, require_finite_mean=need_mean)[key])
+        vy = np.array(transform_curves(Y, grid, require_finite_mean=need_mean)[key])
+        functional = vy - vx
+        at, lower, upper = p, vx, vy
+        notes = [f"functional is the pointwise margin {key}_y - {key}_x"]
+    else:
+        p, vx, vy, functional, notes = _ratio_samples(X, Y, kind, grid)
+        if p.size < 2:
+            raise ValueError(f"{kind.value}: fewer than two usable grid points")
+        decreasing = kind == OrderKind.QMIT
+        at, lower, upper = p[:-1], functional[:-1], functional[1:]
         if decreasing:
-            step = -step
-        if step < -_threshold(tol, ratio[i], ratio[i + 1]):
-            witnesses.append((kept_p[i], step))
-    direction = "decreasing" if decreasing else "increasing"
-    names = {OrderKind.DMRL: "excess-wealth ratio ew_y/ew_x",
-             OrderKind.QMIT: "mean-inactivity ratio mit_x/mit_y",
-             OrderKind.CONVEX_TRANSFORM: "density ratio at matched quantiles",
-             OrderKind.STAR: "quantile ratio q_y/q_x"}
-    notes.append(f"functional is the {names[kind]}; must be {direction}")
-    curve = {"p": tuple(kept_p), "value_x": tuple(vx_list),
-             "value_y": tuple(vy_list), "functional": tuple(ratio)}
-    return OrderVerdict(kind=kind, holds=not witnesses,
-                        witnesses=tuple(witnesses), curve=curve,
-                        grid=grid, tolerance=tol, notes=tuple(notes))
+            lower, upper = upper, lower
+        direction = "decreasing" if decreasing else "increasing"
+        names = {OrderKind.DMRL: "excess-wealth ratio ew_y/ew_x",
+                 OrderKind.QMIT: "mean-inactivity ratio mit_x/mit_y",
+                 OrderKind.CONVEX_TRANSFORM: "density ratio at matched quantiles",
+                 OrderKind.STAR: "quantile ratio q_y/q_x"}
+        notes.append(f"functional is the {names[kind]}; must be {direction}")
+    margin = upper - lower
+    bad = np.flatnonzero(margin < -_threshold(tol, lower, upper))
+    witnesses = tuple(zip(at[bad].tolist(), margin[bad].tolist()))
+    curve = {"p": tuple(p.tolist()), "value_x": tuple(vx.tolist()),
+             "value_y": tuple(vy.tolist()), "functional": tuple(functional.tolist())}
+    return OrderVerdict(kind=kind, holds=not witnesses, witnesses=witnesses,
+                        curve=curve, grid=grid, tolerance=tol, notes=tuple(notes))
 
 
 def dmrl_integral(X: Distribution, Y: Distribution, p: float,
@@ -318,13 +292,10 @@ def dmrl_integral_curve(X: Distribution, Y: Distribution,
                         grid: Optional[Grid] = None) -> Dict[str, Tuple[float, ...]]:
     """Sampled I(p) over a grid (one excess-wealth pass per distribution)."""
     grid = grid if grid is not None else default_grid()
-    ew_x = transform_curves(X, grid, require_finite_mean=True)["ew"]
-    ew_y = transform_curves(Y, grid, require_finite_mean=True)["ew"]
-    values = []
-    for p, ex, ey in zip(grid.points, ew_x, ew_y):
-        s = density_at_quantile(X, p) / density_at_quantile(Y, p)
-        values.append(ey - s * ex)
-    return {"p": grid.points, "value": tuple(values)}
+    ew_x = np.array(transform_curves(X, grid, require_finite_mean=True)["ew"])
+    ew_y = np.array(transform_curves(Y, grid, require_finite_mean=True)["ew"])
+    s = _density_ratios(X, Y, grid.points)
+    return {"p": grid.points, "value": tuple((ew_y - s * ew_x).tolist())}
 
 
 def dmrl_two_point_table(X: Distribution, Y: Distribution, count: int = 32,
@@ -335,25 +306,18 @@ def dmrl_two_point_table(X: Distribution, Y: Distribution, count: int = 32,
     triangular grid as a numerical cross-check, not a verdict.
     """
     grid = uniform_grid(count=max(16, count))
-    ew_x = transform_curves(X, grid)["ew"]
-    ew_y = transform_curves(Y, grid)["ew"]
-    slopes = [density_at_quantile(X, p) / density_at_quantile(Y, p)
-              for p in grid.points]
-    worst = math.inf
-    worst_at = (grid.points[0], grid.points[0])
-    negatives = 0
-    checked = 0
-    for i, s in enumerate(slopes):
-        for j in range(i, grid.count):
-            value = ew_y[j] - s * ew_x[j]
-            checked += 1
-            if value < worst:
-                worst = value
-                worst_at = (grid.points[i], grid.points[j])
-            if value < -_threshold(tol, ew_x[j], ew_y[j]):
-                negatives += 1
-    return {"min_value": worst, "argmin": worst_at,
-            "negative_count": negatives, "checked": checked}
+    ew_x = np.array(transform_curves(X, grid, require_finite_mean=True)["ew"])
+    ew_y = np.array(transform_curves(Y, grid, require_finite_mean=True)["ew"])
+    s = _density_ratios(X, Y, grid.points)
+    # row i is p = points[i], column j is q = points[j]; keep j >= i
+    table = ew_y - s[:, None] * ew_x
+    upper = np.triu(np.ones(table.shape, dtype=bool))
+    i, j = np.unravel_index(np.argmin(np.where(upper, table, np.inf)), table.shape)
+    negative = upper & (table < -_threshold(tol, ew_x, ew_y))
+    return {"min_value": float(table[i, j]),
+            "argmin": (grid.points[i], grid.points[j]),
+            "negative_count": int(np.count_nonzero(negative)),
+            "checked": int(np.count_nonzero(upper))}
 
 
 _XSPACE_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-8)

@@ -30,6 +30,7 @@ from . import distributions as distrib_mod
 from .distortions import Distortion
 from .numerics import Grid, Tolerance, uniform_grid
 from .orders import DEFAULT_CHECK_TOL, OrderKind, check_order
+from .systems import preservation_advice
 
 DEFAULT_SEED = 20240917
 DEFAULT_TRIALS = 200
@@ -97,13 +98,10 @@ def _suite_rng(config: SweepConfig, suite: str) -> random.Random:
     return random.Random(f"{config.seed}:{suite}")
 
 
-def _qualifying(flag_predicate: Callable) -> List[Tuple[str, Distortion]]:
-    out = []
-    for name, h in catalog.distortions().items():
-        report = dist_mod.classify(h)
-        if flag_predicate(report):
-            out.append((name, h))
-    return out
+def _qualifying(order: OrderKind) -> List[Tuple[str, Distortion]]:
+    """Catalog distortions under which the preservation theorem keeps order."""
+    return [(name, h) for name, h in catalog.distortions().items()
+            if preservation_advice(order, dist_mod.classify(h)).verdict == "preserved"]
 
 
 _SHAPE_SAMPLERS: Dict[str, Callable] = {
@@ -111,14 +109,6 @@ _SHAPE_SAMPLERS: Dict[str, Callable] = {
     "ew_antistarshaped": catalog.sample_antistarshaped,
     "dmrl_antistarshaped": catalog.sample_antistarshaped,
     "qmit_dual_antistarshaped": catalog.sample_dual_antistarshaped,
-}
-
-_SHAPE_PREDICATES: Dict[str, Callable] = {
-    "ttt_starshaped": lambda r: r.starshaped,
-    "ew_antistarshaped": lambda r: r.antistarshaped and r.strictly_increasing,
-    "dmrl_antistarshaped": lambda r: r.antistarshaped and r.strictly_increasing,
-    "qmit_dual_antistarshaped":
-        lambda r: r.dual_antistarshaped and r.strictly_increasing,
 }
 
 _SUITE_ORDER: Dict[str, OrderKind] = {
@@ -148,7 +138,7 @@ def _run_preservation_suite(name: str, config: SweepConfig) -> SuiteResult:
     sampler = _SHAPE_SAMPLERS[name]
     rng = _suite_rng(config, name)
     grid = config.grid()
-    catalog_hs = _qualifying(_SHAPE_PREDICATES[name])
+    catalog_hs = _qualifying(order)
     failures = []
     passes = 0
     for trial in range(config.trials):

@@ -32,7 +32,8 @@ import numpy as np
 from . import copulas as cop_mod
 from . import distortions as dist_mod
 from .distortions import Distortion, ShapeReport
-from .numerics import Grid, default_grid, first, sample, sign_scan, validation_points
+from .numerics import (Grid, SCAN_TIE_TOL, default_grid, first, sample,
+                       validation_points)
 from .orders import OrderKind
 
 _CROSSCHECK_TOL = 1e-12
@@ -121,7 +122,6 @@ class SystemDistortion:
 
     h: Distortion
     sig: MinimalSignature
-    copula_label: str
     closed_form: Optional[str] = None
 
 
@@ -197,7 +197,7 @@ def system_distortion(sig: MinimalSignature,
     _require_dimension(sig, copula.n, "copula")
     h = dist_mod.validate(_boundary_sum(sig, copula),
                           label=f"system(a={sig.label()}; {copula.label})")
-    return SystemDistortion(h=h, sig=sig, copula_label=copula.label)
+    return SystemDistortion(h=h, sig=sig)
 
 
 def _crosscheck(closed_fn, generic_fn, what: str) -> None:
@@ -251,8 +251,7 @@ def durante_system_distortion(sig: MinimalSignature,
                                   generator=gen)
     _crosscheck(h_fn, _boundary_sum(sig, handle), "generator-form system")
     h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; f={gen.label})")
-    return SystemDistortion(h=h, sig=sig, copula_label=handle.label,
-                            closed_form=closed_text)
+    return SystemDistortion(h=h, sig=sig, closed_form=closed_text)
 
 
 def diag_system_params(sig: MinimalSignature) -> DiagParams:
@@ -287,29 +286,23 @@ def diag_system_distortion(sig: MinimalSignature,
     _crosscheck(h_fn, _boundary_sum(sig, handle), "diagonal-form system")
     closed_text = _signed_terms([(params.alpha, "p"), (params.beta, "d(p)")])
     h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; d={d.label})")
-    return SystemDistortion(h=h, sig=sig, copula_label=handle.label,
-                            closed_form=closed_text)
+    return SystemDistortion(h=h, sig=sig, closed_form=closed_text)
 
 
 def durante_condition_values(sig: MinimalSignature,
                              gen: cop_mod.DuranteGenerator,
-                             points: Sequence[float]) -> list:
+                             points: Sequence[float]) -> np.ndarray:
     """Sample S(p) = sum_{k=1}^{n-1} k a_{k+1} f(p)^(k-1); its sign decides
     whether h_T is starshaped (>= 0) or antistarshaped (<= 0)."""
     _require_dimension(sig, gen.n, "generator")
-    n = sig.n
     weights = sig.floats()
-    fn = gen.fn
-    values = []
-    for p in points:
-        fp = float(fn(p))
-        total = 0.0
-        power = 1.0
-        for k in range(1, n):
-            total += k * weights[k] * power
-            power *= fp
-        values.append(total)
-    return values
+    fvals = np.array([float(gen.fn(p)) for p in points])
+    total = np.zeros_like(fvals)
+    power = np.ones_like(fvals)  # f(p)^(k-1)
+    for k in range(1, sig.n):
+        total += k * weights[k] * power
+        power *= fvals
+    return total
 
 
 def durante_shape_condition(sig: MinimalSignature,
@@ -320,15 +313,17 @@ def durante_shape_condition(sig: MinimalSignature,
     if grid is None:
         grid = default_grid()
     values = durante_condition_values(sig, gen, grid.points)
-    scan = sign_scan(values)
-    params = {"condition_min": min(values), "condition_max": max(values)}
-    if scan.verdict == "nonnegative":
+    params = {"condition_min": float(values.min()),
+              "condition_max": float(values.max())}
+    # an all-zero S (within SCAN_TIE_TOL) reads starshaped
+    i = first(values < -SCAN_TIE_TOL)
+    if i is None:
         return ShapeClassification(verdict="starshaped", parameters=params,
                                    notes="h_T(p)/p increasing on the grid")
-    if scan.verdict == "nonpositive":
+    if not np.any(values > SCAN_TIE_TOL):
         return ShapeClassification(verdict="antistarshaped", parameters=params,
                                    notes="h_T(p)/p decreasing on the grid")
-    witness_p = grid.points[scan.witness_index]
+    witness_p = grid.points[i]
     return ShapeClassification(
         verdict="inconclusive", parameters=params,
         notes=f"shape condition changes sign (witness p={witness_p:.6g})")
@@ -431,12 +426,13 @@ def classify_4component(sig: MinimalSignature) -> ShapeClassification:
     return ShapeClassification(f"{star}_any_f", parameters=params)
 
 
-def classify_diag(sig: MinimalSignature,
+def classify_diag(built: SystemDistortion,
                   d: cop_mod.Diagonal,
                   grid: Optional[Grid] = None) -> ShapeClassification:
     """h_T = alpha*p + beta*d(p) is starshaped [antistarshaped] iff d is
     starshaped and beta > 0 [< 0]; outside the theorem's reach the direct
-    numerical classification of h_T is attached instead."""
+    numerical classification of the built h_T is attached instead."""
+    sig = built.sig
     _require_dimension(sig, d.n, "diagonal")
     if grid is None:
         grid = default_grid()
@@ -456,19 +452,20 @@ def classify_diag(sig: MinimalSignature,
         return ShapeClassification(
             verdict="antistarshaped", parameters=base,
             notes="diagonal is starshaped and beta < 0")
-    direct = dist_mod.classify(diag_system_distortion(sig, d).h, grid)
+    direct = dist_mod.classify(built.h, grid)
     return ShapeClassification(
         verdict="inconclusive", parameters=base,
         notes="diagonal is not starshaped; direct grid classification attached",
         direct=direct)
 
 
-def shape_theorems(sig: MinimalSignature,
+def shape_theorems(built: SystemDistortion,
                    copula: cop_mod.CopulaHandle) -> dict:
-    """Report fields from the shape results that apply to this copula kind:
-    the n=3/n=4 corollary and the shape condition for the generator form,
-    alpha, beta and the diagonal theorem for the diagonal form; none for
-    the other kinds."""
+    """Report fields from the shape results that apply to the copula kind
+    of a built system: the n=3/n=4 corollary and the shape condition for
+    the generator form, alpha, beta and the diagonal theorem for the
+    diagonal form; none for the other kinds."""
+    sig = built.sig
     if copula.kind == "durante":
         out = {"shape_condition": durante_shape_condition(
             sig, copula.generator).to_json()}
@@ -478,7 +475,7 @@ def shape_theorems(sig: MinimalSignature,
             out["corollary"] = classify_4component(sig).to_json()
         return out
     if copula.kind == "jaworski":
-        report = classify_diag(sig, copula.diagonal).to_json()
+        report = classify_diag(built, copula.diagonal).to_json()
         return {"diag_params": report["parameters"],
                 "diag_classification": report}
     return {}

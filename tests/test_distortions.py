@@ -22,6 +22,7 @@ from stochorder.distortions import (
     power,
     validate,
 )
+from stochorder.numerics import SCAN_TIE_TOL, uniform_grid, validation_points
 
 from helpers import GRID63, GRID65, max_abs_diff
 
@@ -172,6 +173,72 @@ class TestClassify:
         series = classify(named_distortions["sys_series_with_parallel_pair"])
         assert not series.starshaped and not series.antistarshaped
         assert series.dual_antistarshaped and series.strictly_increasing
+
+
+def _ratio_distortion(ratios, grid):
+    """A raw distortion whose h(p)/p takes the given values on the grid."""
+    table = dict(zip(grid.points, ratios))
+    return Distortion(fn=lambda p: p * table.get(p, 1.0), label="ratio-table",
+                      strictly_increasing=True)
+
+
+class TestShapeScans:
+    """classify reads adjacent steps of h(p)/p: a step within SCAN_TIE_TOL is
+    a tie, and each failed flag names the first grid point contradicting it."""
+
+    GRID = uniform_grid(16, edge_margin=0.01)
+
+    def test_rising_ratio_is_starshaped_only(self):
+        report = classify(power(2.0))
+        assert report.starshaped and not report.antistarshaped
+        assert "starshaped" not in report.witnesses
+        assert report.witnesses["antistarshaped"] == validation_points()[1]
+
+    def test_falling_ratio_is_antistarshaped_only(self):
+        report = classify(dualpower(2.0))
+        assert report.antistarshaped and not report.starshaped
+        assert report.witnesses["starshaped"] == validation_points()[1]
+
+    def test_identity_is_all_four_shapes_without_witnesses(self):
+        report = classify(identity())
+        assert report.convex and report.concave
+        assert report.starshaped and report.antistarshaped
+        assert report.witnesses == {}
+
+    def test_wiggle_within_the_tie_tolerance_is_a_tie(self):
+        wiggle = 0.5 * SCAN_TIE_TOL
+        ratios = [1.0, 1.0 + wiggle, 1.0] + [1.0] * 5 + [float(k) for k in range(2, 10)]
+        report = classify(_ratio_distortion(ratios, self.GRID), self.GRID)
+        assert report.starshaped and not report.antistarshaped
+        assert report.witnesses["antistarshaped"] == self.GRID.points[7]
+
+    def test_wiggle_beyond_the_tie_tolerance_counts(self):
+        wiggle = 5.0 * SCAN_TIE_TOL
+        ratios = [1.0, 1.0 + wiggle, 1.0] + [1.0] * 5 + [float(k) for k in range(2, 10)]
+        report = classify(_ratio_distortion(ratios, self.GRID), self.GRID)
+        assert not report.starshaped and not report.antistarshaped
+        assert report.witnesses["starshaped"] == self.GRID.points[1]
+        assert report.witnesses["antistarshaped"] == self.GRID.points[0]
+
+    def test_rise_then_drop_names_the_left_end_of_each_first_offence(self):
+        ratios = [1.0, 2.0, 1.5] + [float(k) for k in range(3, 16)]
+        report = classify(_ratio_distortion(ratios, self.GRID), self.GRID)
+        assert not report.starshaped and not report.antistarshaped
+        assert report.witnesses["starshaped"] == self.GRID.points[1]
+        assert report.witnesses["antistarshaped"] == self.GRID.points[0]
+
+    @pytest.mark.parametrize("name, flag, witness", [
+        ("star_kink", "antistarshaped", 0.5),
+        ("star_kink", "dual_antistarshaped", 0.25),
+        ("star_kink", "convex", 0.75),
+        ("power_5", "antistarshaped", 3 / 512),  # first step beyond the tie
+        ("power_5", "concave", 2 / 512),         # centre of a second difference
+        ("antistar_kink", "starshaped", 0.25),
+    ])
+    def test_catalog_witnesses(self, named_distortions, name, flag, witness):
+        report = classify(named_distortions[name])
+        assert not report.flags()[flag]
+        assert report.witnesses[flag] == witness
 
 
 class TestSpecs:

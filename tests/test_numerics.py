@@ -1,4 +1,4 @@
-"""Quadrature, bisection, differentiation, grids, and scan verdicts."""
+"""Quadrature, bisection, differentiation, and grids."""
 
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from stochorder.numerics import (
     edge_ladder_integral,
     integrate,
     monotone_inverse,
-    monotone_scan,
-    sign_scan,
     uniform_grid,
 )
 
@@ -145,47 +143,3 @@ class TestGrids:
         with pytest.raises(ValueError):
             Grid(points=bad, lo=0.0, hi=1.0, edge_margin=1e-3)
 
-
-class TestScans:
-    def test_increasing(self):
-        scan = monotone_scan([1.0, 2.0, 3.0])
-        assert scan.verdict == "increasing" and scan.witness_index is None
-
-    def test_decreasing(self):
-        assert monotone_scan([3.0, 2.0, 1.0]).verdict == "decreasing"
-
-    def test_constant(self):
-        assert monotone_scan([1.0, 1.0, 1.0]).verdict == "constant"
-
-    def test_tiny_wiggle_is_a_tie(self):
-        scan = monotone_scan([1.0, 1.0 + 5e-10, 1.0, 2.0])
-        assert scan.verdict == "increasing"
-
-    def test_neither_with_witness(self):
-        scan = monotone_scan([1.0, 2.0, 1.5, 3.0])
-        assert scan.verdict == "neither"
-        assert scan.witness_index == 1
-
-    @given(st.lists(st.integers(-100, 100), min_size=2, max_size=20,
-                    unique=True))
-    def test_reversal_swaps_direction(self, values):
-        vals = [float(v) for v in values]
-        fwd = monotone_scan(vals)
-        rev = monotone_scan(list(reversed(vals)))
-        swap = {"increasing": "decreasing", "decreasing": "increasing",
-                "constant": "constant", "neither": "neither"}
-        assert rev.verdict == swap[fwd.verdict]
-
-    def test_sign_nonnegative(self):
-        scan = sign_scan([0.0, 1e-12, 2.0])
-        assert scan.verdict == "nonnegative" and scan.witness_index is None
-
-    def test_sign_nonpositive(self):
-        assert sign_scan([-1.0, 0.0, -5e-10]).verdict == "nonpositive"
-
-    def test_sign_mixed_with_witness(self):
-        scan = sign_scan([1.0, -2.0, 3.0])
-        assert scan.verdict == "mixed" and scan.witness_index == 1
-
-    def test_all_zero_reads_nonnegative(self):
-        assert sign_scan([0.0, 0.0]).verdict == "nonnegative"

@@ -6,6 +6,8 @@ import io
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stochorder import distortions as dist_mod
 from stochorder import distributions as db
@@ -137,6 +139,53 @@ class TestCheckOrder:
         assert doc["grid"].startswith("64:")
 
 
+def _table_distribution(values, grid):
+    """A raw distribution whose quantile takes the given values on the grid."""
+    table = dict(zip(grid.points, (float(v) for v in values)))
+    return db.from_quantile(lambda p: table.get(p, 1.0), "table", validate=False)
+
+
+class TestRatioScan:
+    """Against a unit X, the star ratio q_y/q_x is q_y itself, so the ratio
+    scan can be read against a loop over adjacent steps."""
+
+    UNIT = db.from_quantile(lambda p: 1.0, "unit", validate=False)
+
+    @given(st.lists(st.integers(-100, 100), min_size=16, max_size=24,
+                    unique=True))
+    def test_every_backward_step_is_a_witness(self, values):
+        grid = uniform_grid(len(values), edge_margin=0.01)
+        # reversing the sequence swaps which steps go backward
+        for vals in (values, values[::-1]):
+            verdict = check_order(self.UNIT, _table_distribution(vals, grid),
+                                  OrderKind.STAR, grid)
+            expected = [(p, float(b - a))
+                        for p, a, b in zip(grid.points, vals, vals[1:]) if b < a]
+            assert list(verdict.witnesses) == expected
+            assert verdict.holds == (not expected)
+
+    @pytest.mark.parametrize("drop, holds", [(5e-3, True), (5e-2, False)])
+    def test_relative_tolerance_scales_with_the_ratio(self, drop, holds):
+        # 1e-8 + 1e-8 * 1e6 ~= 1e-2 of slack at ratios near 1e6
+        grid = uniform_grid(16, edge_margin=0.01)
+        values = [1e6 + k for k in range(16)]
+        values[5] = values[4] - drop
+        verdict = check_order(self.UNIT, _table_distribution(values, grid),
+                              OrderKind.STAR, grid)
+        assert verdict.holds == holds
+        if not holds:
+            assert [p for p, _ in verdict.witnesses] == [grid.points[4]]
+
+    def test_excluded_denominators_leave_the_curve(self):
+        grid = uniform_grid(16, edge_margin=0.01)
+        X = _table_distribution([0.0] * 3 + [1.0] * 13, grid)
+        verdict = check_order(X, X, OrderKind.STAR, grid)
+        assert verdict.holds
+        assert verdict.curve["p"] == grid.points[3:]
+        assert verdict.notes[:3] == tuple(f"excluded p={p:.6g}: quantile of X ~0"
+                                          for p in grid.points[:3])
+
+
 class TestDmrlRoutes:
     def test_monotone_ratio_and_integral_routes_agree(self,
                                                       named_distributions):
@@ -163,6 +212,16 @@ class TestDmrlRoutes:
         i = 17
         assert dmrl_integral(X, Y, COARSE.points[i]) == pytest.approx(
             gap["value"][i], abs=1e-12)
+
+    def test_infinite_excess_wealth_is_refused(self):
+        X = db.build("q: 1/(1-p) - 1")
+        Y = db.build("q: 2/(1-p) - 2")
+        with pytest.raises(db.InfiniteMeanError):
+            excess_wealth(X, 0.5)
+        with pytest.raises(db.InfiniteMeanError):
+            dmrl_integral(X, Y, 0.5)
+        with pytest.raises(db.InfiniteMeanError):
+            dmrl_two_point_table(X, Y, count=16)
 
     def test_two_point_table_summary(self, named_distributions):
         table = dmrl_two_point_table(named_distributions["ce02_x"],

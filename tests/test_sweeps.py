@@ -6,6 +6,7 @@ import pytest
 
 from stochorder import catalog, sweeps
 from stochorder.numerics import Tolerance
+from stochorder.orders import OrderKind
 from stochorder.sweeps import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -36,6 +37,31 @@ class TestConfig:
         doc = SweepConfig().to_json()
         assert {"seed", "trials", "grid_count", "edge_margin",
                 "suites"} <= set(doc)
+
+
+class TestQualifying:
+    CATALOG_WALK = {
+        OrderKind.TTT: [
+            "identity", "power_15", "power_2", "power_3", "power_5",
+            "convex_mix_half", "mix_cubic", "mix_quartic", "star_kink",
+            "cubic_bend", "series_product_3", "sys_one_of_two_pairs",
+            "sys_five_comp_bridge"],
+        OrderKind.EW: [
+            "identity", "dualpower_15", "dualpower_2", "dualpower_3",
+            "dualpower_5", "concave_mix_half", "mix_dual_cubic",
+            "mix_dual_quartic", "antistar_kink", "parallel_ca_half",
+            "sys_two_parallel_pairs", "sys_three_of_four"],
+        OrderKind.QMIT: [
+            "identity", "power_15", "power_2", "power_3", "power_5",
+            "convex_mix_half", "mix_cubic", "mix_quartic", "series_product_3",
+            "sys_series_with_parallel_pair"],
+    }
+    CATALOG_WALK[OrderKind.DMRL] = CATALOG_WALK[OrderKind.EW]
+
+    @pytest.mark.parametrize("order", sorted(CATALOG_WALK, key=lambda k: k.value))
+    def test_catalog_walk_follows_the_preservation_advice(self, order):
+        names = [name for name, _ in sweeps._qualifying(order)]
+        assert names == self.CATALOG_WALK[order]
 
 
 class TestSuites:

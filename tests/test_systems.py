@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from stochorder import catalog
+from stochorder import catalog, cli
 from stochorder import copulas as cop
 from stochorder import distortions as dist_mod
 from stochorder import systems as sys_mod
 from stochorder.distortions import classify
+from stochorder.numerics import default_grid
 from stochorder.orders import OrderKind
 from stochorder.systems import (
     DiagParams,
@@ -220,7 +222,6 @@ class TestClosedForms:
         sig = parse_signature("2, 0, -2, 1")
         built = system_distortion(sig, cop.durante("p^0.5", 4))
         assert built.h.label == "system(a=2,0,-2,1; f=p^0.5)"
-        assert built.copula_label == "durante:f=p^0.5,n=4"
         assert built.closed_form == "2*p - 2*p*f(p)^2 + p*f(p)^3"
         built = system_distortion(parse_signature("0, 0, 0, 3, -2"),
                                   cop.jaworski(catalog.FN_DIAG_TEXT, 5))
@@ -257,6 +258,30 @@ class TestShapeCondition:
         gen = cop.validate_generator("0.45*p + 0.55", 4)
         assert durante_shape_condition(sig, gen).verdict == "antistarshaped"
 
+    @pytest.mark.parametrize("entries, verdict", [
+        (["1", "0", "0"], "starshaped"),              # S = 0: nonnegative wins
+        (["1", "-1/2000000000", "1/2000000000"],      # S = -5e-10 + f(p)/1e9,
+         "starshaped"),                               # within the tie tolerance
+        (["2", "-1", "0"], "antistarshaped"),         # S = -1
+        (["3/2", "-1", "1/2"], "antistarshaped"),     # S = -1 + f(p) <= 0
+    ])
+    def test_sign_of_the_condition(self, entries, verdict):
+        sig = signature(entries)
+        gen = cop.validate_generator("p^0.5", 3)
+        assert durante_shape_condition(sig, gen).verdict == verdict
+
+    def test_sign_change_names_the_first_negative_point(self):
+        # S = 1 - 2 f(p) with f(p) = p^0.5 turns negative past p = 1/4
+        sig = parse_signature("1, 1, -1")
+        gen = cop.validate_generator("p^0.5", 3)
+        result = durante_shape_condition(sig, gen)
+        witness = next(p for p in default_grid().points if p > 0.25)
+        assert result.verdict == "inconclusive"
+        assert result.notes == (f"shape condition changes sign "
+                                f"(witness p={witness:.6g})")
+        assert result.parameters["condition_min"] < 0.0
+        assert result.parameters["condition_max"] > 0.0
+
     def test_condition_values_have_the_advertised_sign(self):
         sig = parse_signature("0, 1, 1, -1")
         gen = cop.validate_generator("p^0.5", 4)
@@ -269,27 +294,45 @@ class TestDiagClassification:
     def test_positive_diagonal_weight_with_starshaped_diagonal(self):
         sig = parse_signature("0, 0, 0, 3, -2")
         d = cop.validate_diagonal(catalog.FN_DIAG_TEXT, 5)
-        assert classify_diag(sig, d).verdict == "starshaped"
+        assert classify_diag(diag_system_distortion(sig, d), d).verdict == "starshaped"
 
     def test_negative_diagonal_weight_flips_verdict(self):
         sig = parse_signature("0, 6, -8, 3")
         d = cop.validate_diagonal(catalog.MIX_DIAG_TEXT, 4)
-        assert classify_diag(sig, d).verdict == "antistarshaped"
+        assert classify_diag(diag_system_distortion(sig, d), d).verdict == "antistarshaped"
 
     def test_non_starshaped_diagonal_is_inconclusive_with_direct_flags(self):
         sig = parse_signature("0, 0, 2, -1")
         d = cop.validate_diagonal(catalog.QMIT_DIAG_TEXT, 4)
-        result = classify_diag(sig, d)
+        result = classify_diag(diag_system_distortion(sig, d), d)
         assert result.verdict == "inconclusive"
         assert result.direct is not None
         assert result.direct.dual_antistarshaped
         assert not result.direct.starshaped
         assert not result.direct.antistarshaped
 
+    def test_classify_validates_the_system_and_its_diagonal_once_each(
+            self, monkeypatch, capsys):
+        calls = []
+        validate = dist_mod.validate
+
+        def counting(fn, label=None, **kwargs):
+            calls.append(label)
+            return validate(fn, label=label, **kwargs)
+
+        monkeypatch.setattr(dist_mod, "validate", counting)
+        code = cli.main(["classify", "--signature", "0,0,2,-1", "--copula",
+                         f"diagonal:d={catalog.QMIT_DIAG_TEXT},n=4"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["diag_classification"][
+            "verdict"] == "inconclusive"
+        assert calls == [f"system(a=0,0,2,-1; d={catalog.QMIT_DIAG_TEXT})",
+                         f"diagonal {catalog.QMIT_DIAG_TEXT}"]
+
     def test_zero_diagonal_weight_reads_identity(self):
         sig = parse_signature("1, 0")
         d = cop.validate_diagonal("p^2", 2)
-        assert classify_diag(sig, d).verdict == "identity"
+        assert classify_diag(diag_system_distortion(sig, d), d).verdict == "identity"
 
 
 class TestSeriesParallel:
