@@ -35,7 +35,8 @@ from . import orders as orders_mod
 from . import systems as sys_mod
 from . import sweeps as sweeps_mod
 from .numerics import (DEFAULT_EDGE_MARGIN, DEFAULT_GRID_COUNT, Grid,
-                       NumericsError, Tolerance, uniform_grid)
+                       NumericsError, Tolerance, uniform_grid,
+                       validation_points)
 from .orders import OrderKind
 
 EXIT_OK = 0
@@ -187,8 +188,8 @@ def _advice_block(report) -> Dict[str, dict]:
     return out
 
 
-def _classification_doc(h: dist_mod.Distortion) -> dict:
-    report = dist_mod.classify(h)
+def _classification_doc(h: dist_mod.Distortion,
+                        report: dist_mod.ShapeReport) -> dict:
     return {
         "label": h.label,
         "flags": report.flags(),
@@ -199,12 +200,13 @@ def _classification_doc(h: dist_mod.Distortion) -> dict:
 
 def _system_doc(built: sys_mod.SystemDistortion,
                 handle: cop_mod.CopulaHandle) -> dict:
-    doc = _classification_doc(built.h)
+    report = dist_mod.classify(built.h)
+    doc = _classification_doc(built.h, report)
     if built.closed_form:
         doc["closed_form"] = built.closed_form
     doc["signature"] = built.sig.label()
     doc["copula"] = handle.label
-    doc.update(sys_mod.shape_theorems(built, handle))
+    doc.update(sys_mod.shape_theorems(built, handle, report))
     return doc
 
 
@@ -219,7 +221,7 @@ def cmd_classify(args) -> int:
         raise ValueError("give either --h or --signature/--copula, not both")
     if args.h:
         h = dist_mod.parse_distortion_spec(args.h)
-        doc = _classification_doc(h)
+        doc = _classification_doc(h, dist_mod.classify(h))
     elif args.signature:
         if not args.copula:
             raise ValueError("--signature needs --copula")
@@ -249,8 +251,7 @@ def cmd_system(args) -> int:
         raise ValueError(f"--grid-count must be at least 2, got {count}")
     handle, built = _build_system(args.signature, args.copula)
     doc = _system_doc(built, handle)
-    pts = [i / (count - 1) for i in range(count)]
-    rows = [(p, built.h.fn(p)) for p in pts]
+    rows = [(p, built.h.fn(p)) for p in validation_points(count)]
     if args.out_csv:
         _write_csv(args.out_csv, ("p", "value"), rows,
                    comment=f"system distortion h_T for a=({built.sig.label()}) "
@@ -277,13 +278,9 @@ def _repro_ce02(out_dir: str) -> List[str]:
     files = []
 
     grid = uniform_grid(512, edge_margin=0.01)
-    s_rows = []
-    for p in grid.points:
-        s = (distrib_mod.density_at_quantile(x, p)
-             / distrib_mod.density_at_quantile(y, p))
-        s_rows.append((p, s))
+    s = orders_mod.density_ratios(x, y, grid.points)
     path = os.path.join(out_dir, "s_curve.csv")
-    _write_csv(path, ("p", "value"), s_rows,
+    _write_csv(path, ("p", "value"), zip(grid.points, s),
                comment="density ratio s(p) for the baseline pair; "
                        "decreasing then increasing with turning point 1/8")
     files.append(path)
@@ -332,7 +329,7 @@ def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
     gen = handle.generator
     built = sys_mod.system_distortion(sig, handle)
     files = []
-    pts = _interior_points(0.0, 1.0, 257)
+    pts = validation_points(257)
     path = os.path.join(out_dir, "distortion.csv")
     _write_csv(path, ("p", "value"), [(p, built.h.fn(p)) for p in pts],
                comment=f"system distortion h_T, a=({sig.label()}), "
@@ -358,7 +355,7 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
     d = handle.diagonal
     built = sys_mod.system_distortion(sig, handle)
     files = []
-    pts = _interior_points(0.0, 1.0, 257)
+    pts = validation_points(257)
     path = os.path.join(out_dir, "distortion.csv")
     _write_csv(path, ("p", "value"), [(p, built.h.fn(p)) for p in pts],
                comment=f"system distortion h_T = {built.closed_form}, "
@@ -370,7 +367,7 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
     files.append(path)
     if extra_qmit:
         dual = dist_mod.dual(built.h)
-        ratio_pts = _interior_points(1.0 / 512.0, 1.0, 512)
+        ratio_pts = validation_points(513)[1:]
         path = os.path.join(out_dir, "dual_ratio.csv")
         _write_csv(path, ("p", "value"),
                    [(p, dual.fn(p) / p) for p in ratio_pts],

@@ -279,15 +279,15 @@ def boundary_section(handle: CopulaHandle, p: float, i: int) -> float:
     raise ValueError(f"unknown copula kind {handle.kind!r}")
 
 
-def copula_spotcheck(handle: CopulaHandle, count: int = 17) -> dict:
-    """Numerical sanity for copula axioms on a coarse grid.
+def copula_spotcheck(handle: CopulaHandle) -> dict:
+    """Numerical sanity for copula axioms on a coarse 17-point grid.
 
     Checks uniform margins, coordinate monotonicity, exchangeability under
     a few permutations, and (n=2) nonnegative rectangle volumes.  Returns a
     report dict; failures are listed, not raised.
     """
     n = handle.n
-    pts = [i / (count - 1) for i in range(count)]
+    pts = validation_points(17)
     failures = []
     checks = 0
 
@@ -324,10 +324,8 @@ def copula_spotcheck(handle: CopulaHandle, count: int = 17) -> dict:
             failures.append(f"not exchangeable under rotation {shift}")
 
     if n == 2:
-        for i in range(count - 1):
-            for j in range(count - 1):
-                a1, b1 = pts[i], pts[i + 1]
-                a2, b2 = pts[j], pts[j + 1]
+        for a1, b1 in zip(pts, pts[1:]):
+            for a2, b2 in zip(pts, pts[1:]):
                 vol = (cop_eval(handle, (b1, b2)) - cop_eval(handle, (a1, b2))
                        - cop_eval(handle, (b1, a2)) + cop_eval(handle, (a1, a2)))
                 checks += 1

@@ -19,8 +19,6 @@ from . import funcalc
 from .numerics import (
     Grid,
     SCAN_TIE_TOL,
-    Tolerance,
-    DEFAULT_QUAD_TOL,
     first,
     monotone_inverse,
     sample,
@@ -128,7 +126,7 @@ def dual(h: Distortion) -> Distortion:
                       co_inverse_fn=h.inverse_fn)
 
 
-def inverse(h: Distortion, y: float, tol: Tolerance = DEFAULT_QUAD_TOL) -> float:
+def inverse(h: Distortion, y: float) -> float:
     """Generalized (left-continuous) inverse of h at y in [0,1].
 
     Uses the closed-form inverse when the distortion carries one; otherwise
@@ -140,10 +138,10 @@ def inverse(h: Distortion, y: float, tol: Tolerance = DEFAULT_QUAD_TOL) -> float
         return 1.0
     if h.inverse_fn is not None:
         return min(1.0, max(0.0, h.inverse_fn(y)))
-    return monotone_inverse(h.fn, y, 0.0, 1.0, tol=tol)
+    return monotone_inverse(h.fn, y, 0.0, 1.0)
 
 
-def co_inverse(h: Distortion, p: float, tol: Tolerance = DEFAULT_QUAD_TOL) -> float:
+def co_inverse(h: Distortion, p: float) -> float:
     """1 - inverse(h, 1-p), computed without the complement roundtrip when
     the distortion carries a closed co-inverse (distorted quantiles are
     q(co_inverse(h, p)), and the roundtrip's 1e-16 quantization matters
@@ -154,7 +152,7 @@ def co_inverse(h: Distortion, p: float, tol: Tolerance = DEFAULT_QUAD_TOL) -> fl
         return 1.0
     if h.co_inverse_fn is not None:
         return min(1.0, max(0.0, h.co_inverse_fn(p)))
-    return 1.0 - inverse(h, 1.0 - p, tol=tol)
+    return 1.0 - inverse(h, 1.0 - p)
 
 
 def compose_on_survival(h1: Distortion, h2: Distortion) -> Distortion:

@@ -34,7 +34,6 @@ from .numerics import (
 # truncation of the open interval (0,1) for quantile evaluation/integration;
 # tight enough that rectangle-corrected integrals meet 1e-8 acceptance bands
 EPS_Q = 1e-12
-_SUPPORT_EPS = 1e-9
 _HAZARD_TARGET = 30.0  # -ln(1 - p) at p = 1 - 1e-13; hazards must reach it
 
 
@@ -60,7 +59,6 @@ class Distribution:
     """
 
     quantile: Callable[[float], float]
-    support_low: float
     label: str
     cdf_fn: Optional[Callable[[float], float]] = None
 
@@ -114,10 +112,10 @@ def parse_spec(text: str) -> DistributionSpec:
     raise SpecError(f"unrecognized distribution spec {text!r}")
 
 
-def _validate_quantile(fn: Callable[[float], float], label: str,
-                       count: int = VALIDATION_COUNT) -> None:
+def _validate_quantile(fn: Callable[[float], float], label: str) -> None:
     # open-interval sample; q must be finite, non-decreasing, and >= 0
     lo, hi = 1e-9, 1.0 - 1e-9
+    count = VALIDATION_COUNT
     pts = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     vals = sample(fn, pts, SpecError,
                   lambda p, v: f"{label}: quantile not finite at p={p!r}")
@@ -132,12 +130,12 @@ def _validate_quantile(fn: Callable[[float], float], label: str,
 def from_quantile(fn: Callable[[float], float], label: str,
                   cdf_fn: Optional[Callable[[float], float]] = None,
                   validate: bool = True) -> Distribution:
-    """Wrap a quantile callable as a Distribution (catalog entry point)."""
+    """Wrap a quantile callable as a Distribution (catalog entry point).
+
+    Only validation evaluates fn; an unvalidated build evaluates nothing."""
     if validate:
         _validate_quantile(fn, label)
-    support_low = max(0.0, float(fn(_SUPPORT_EPS)))
-    return Distribution(quantile=fn, support_low=support_low, label=label,
-                        cdf_fn=cdf_fn)
+    return Distribution(quantile=fn, label=label, cdf_fn=cdf_fn)
 
 
 def build(spec: Union[DistributionSpec, str]) -> Distribution:
@@ -228,15 +226,15 @@ def survival(X: Distribution, x: float) -> float:
     return 1.0 - cdf(X, x)
 
 
-def density_at_quantile(X: Distribution, p: float, step: float = 1e-5) -> float:
+def density_at_quantile(X: Distribution, p: float) -> float:
     """f(F^-1(p)) computed as 1/q'(p); density-ratio diagnostics ride on this.
 
-    The step shrinks near the endpoints so the central difference stays inside
-    (0,1).  Zero or non-finite q' raises DegenerateDensityError.
+    The 1e-5 step shrinks near the endpoints so the central difference stays
+    inside (0,1).  Zero or non-finite q' raises DegenerateDensityError.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be interior, got {p!r}")
-    h = min(step, p / 4.0, (1.0 - p) / 4.0)
+    h = min(1e-5, p / 4.0, (1.0 - p) / 4.0)
     qp = derivative(X.quantile, p, step=h)
     if not math.isfinite(qp) or qp <= 0.0:
         raise DegenerateDensityError(
@@ -271,7 +269,11 @@ def check_tail_decay(label: str, hi_pieces: Sequence[float]) -> None:
             f"(rung ratios {[round(r, 3) for r in ratios]})")
 
 
-def mean(X: Distribution, tol: Tolerance = Tolerance(1e-12, 1e-12)) -> float:
+# a 1e-12 budget for the mean, split between the halves below and above 0.5
+_HALF_MEAN_TOL = Tolerance(abs_tol=5e-13, rel_tol=1e-12)
+
+
+def mean(X: Distribution) -> float:
     """∫₀¹ q(p) dp on [EPS_Q, 1-EPS_Q] with endpoint rectangle corrections.
 
     The corrections make ttt + ew = mean hold to ~1e-10 instead of ~1e-5.
@@ -279,9 +281,9 @@ def mean(X: Distribution, tol: Tolerance = Tolerance(1e-12, 1e-12)) -> float:
     """
     q = X.quantile
     lo, hi = EPS_Q, 1.0 - EPS_Q
-    half = Tolerance(abs_tol=tol.abs_tol / 2.0, rel_tol=tol.rel_tol)
-    lo_val, _ = edge_ladder_integral(q, lo, 0.5, side="lo", tol=half)
-    hi_val, hi_pieces = edge_ladder_integral(q, 0.5, hi, side="hi", tol=half)
+    lo_val, _ = edge_ladder_integral(q, lo, 0.5, side="lo", tol=_HALF_MEAN_TOL)
+    hi_val, hi_pieces = edge_ladder_integral(q, 0.5, hi, side="hi",
+                                             tol=_HALF_MEAN_TOL)
     check_tail_decay(X.label, hi_pieces)
     return lo * q(lo) + lo_val + hi_val + lo * q(hi)
 

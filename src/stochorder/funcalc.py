@@ -32,7 +32,6 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 
 FUNCTIONS = ("exp", "ln", "sqrt", "min", "max")
-KEYWORDS = ("piece", "else")
 DEFAULT_VARIABLES = ("p", "x")
 
 
@@ -295,7 +294,7 @@ class _Parser:
                 raise ExprSyntaxError("piece guards must test the same variable", var_node.span)
             self.expect("le")
             bound_expr = self.parse_expr()
-            if _uses_variable(bound_expr):
+            if free_variable(bound_expr) is not None:
                 raise ExprSyntaxError("piece guard bound must be constant", bound_expr.span)
             bound_value = eval_expr(bound_expr, 0.0)
             self.expect("op", ":")
@@ -322,20 +321,6 @@ def _respan(node: Expr, span: SourceSpan) -> Expr:
     # parenthesized atoms report the span including the parens
     object.__setattr__(node, "span", span)
     return node
-
-
-def _uses_variable(node: Expr) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Unary):
-        return _uses_variable(node.operand)
-    if isinstance(node, Binary):
-        return _uses_variable(node.left) or _uses_variable(node.right)
-    if isinstance(node, Call):
-        return any(_uses_variable(a) for a in node.args)
-    if isinstance(node, Piecewise):
-        return True
-    return False
 
 
 def free_variable(node: Expr) -> Optional[str]:

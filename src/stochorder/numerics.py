@@ -22,6 +22,7 @@ _MACHEPS = 2.220446049250313e-16
 
 MAX_BISECTION_ITER = 200
 MAX_SIMPSON_DEPTH = 40
+LADDER_RUNGS = 44
 SCAN_TIE_TOL = 1e-9
 
 
@@ -95,9 +96,6 @@ class Grid:
     def count(self) -> int:
         return len(self.points)
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
-
     def describe(self) -> str:
         return f"{self.count}:{self.points[0]:.6g}:{self.points[-1]:.6g}"
 
@@ -162,11 +160,10 @@ def _eval_checked(fn: Callable[[float], float], x: float) -> float:
 def integrate(fn: Callable[[float], float],
               a: float,
               b: float,
-              tol: Tolerance = DEFAULT_QUAD_TOL,
-              max_depth: int = MAX_SIMPSON_DEPTH) -> float:
+              tol: Tolerance = DEFAULT_QUAD_TOL) -> float:
     """Adaptive Simpson quadrature of fn over [a, b].
 
-    Raises QuadratureFailure when the refinement hits ``max_depth`` without
+    Raises QuadratureFailure when the refinement hits MAX_SIMPSON_DEPTH without
     meeting the tolerance; the exception carries the last estimate.  A small
     rounding-noise floor keeps integrable endpoint blowups from failing
     spuriously once the interval-local error is at machine level.
@@ -183,7 +180,7 @@ def integrate(fn: Callable[[float], float],
     fm = _eval_checked(fn, m)
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
     eps = max(tol.abs_tol, tol.rel_tol * abs(whole))
-    return _adapt(fn, a, b, fa, fm, fb, whole, eps, max_depth)
+    return _adapt(fn, a, b, fa, fm, fb, whole, eps, MAX_SIMPSON_DEPTH)
 
 
 def _adapt(fn, a, b, fa, fm, fb, s_whole, eps, depth):
@@ -216,12 +213,11 @@ def edge_ladder_integral(fn: Callable[[float], float],
                          a: float,
                          b: float,
                          side: Literal["lo", "hi"],
-                         tol: Tolerance = DEFAULT_QUAD_TOL,
-                         max_depth: int = MAX_SIMPSON_DEPTH,
-                         rungs: int = 44) -> tuple[float, list]:
+                         tol: Tolerance = DEFAULT_QUAD_TOL) -> tuple[float, list]:
     """Integrate over [a, b] with geometric refinement toward one endpoint.
 
-    Splits the interval into rungs whose widths halve toward ``side``; each
+    Splits the interval into LADDER_RUNGS rungs whose widths halve toward
+    ``side`` (fewer where the cuts collapse at machine precision); each
     rung is integrated adaptively.  This keeps the recursion shallow for
     integrable endpoint singularities (log-type quantiles near p=1).  Returns
     (value, per-rung contributions ordered from the singular end outward);
@@ -232,7 +228,7 @@ def edge_ladder_integral(fn: Callable[[float], float],
     if a > b:
         raise ValueError("reversed integration interval")
     width = b - a
-    cuts = [0.5 ** j for j in range(1, rungs)]
+    cuts = [0.5 ** j for j in range(1, LADDER_RUNGS)]
     if side == "hi":
         pts = [a] + [b - width * c for c in cuts] + [b]
     else:
@@ -247,7 +243,7 @@ def edge_ladder_integral(fn: Callable[[float], float],
                           rel_tol=tol.rel_tol)
     pieces = []
     for lo_, hi_ in zip(clean, clean[1:]):
-        pieces.append(integrate(fn, lo_, hi_, piece_tol, max_depth))
+        pieces.append(integrate(fn, lo_, hi_, piece_tol))
     total = math.fsum(pieces)
     if side == "hi":
         pieces = pieces[::-1]  # report toward the singular end
@@ -257,15 +253,14 @@ def edge_ladder_integral(fn: Callable[[float], float],
 def monotone_inverse(fn: Callable[[float], float],
                      y: float,
                      lo: float,
-                     hi: float,
-                     tol: Tolerance = DEFAULT_QUAD_TOL,
-                     max_iter: int = MAX_BISECTION_ITER) -> float:
+                     hi: float) -> float:
     """Left-continuous generalized inverse of a non-decreasing fn by bisection.
 
     Returns (up to bracketing width) inf{x in [lo, hi] : fn(x) >= y}.  For a
     continuous strictly increasing fn this is the ordinary inverse and the
     result satisfies |fn(x) - y| <= local slope * bracket width.  Values of y
-    outside [fn(lo), fn(hi)] (beyond abs_tol slack) raise BracketError.
+    outside [fn(lo), fn(hi)] (beyond DEFAULT_QUAD_TOL.abs_tol slack) raise
+    BracketError.
     """
     if not lo < hi:
         raise ValueError("empty bracket")
@@ -273,12 +268,13 @@ def monotone_inverse(fn: Callable[[float], float],
     fhi = fn(hi)
     if not (math.isfinite(flo) and math.isfinite(fhi)):
         raise BracketError("bracket endpoints evaluate to non-finite values")
-    if y < flo - tol.abs_tol or y > fhi + tol.abs_tol:
+    slack = DEFAULT_QUAD_TOL.abs_tol
+    if y < flo - slack or y > fhi + slack:
         raise BracketError(f"target {y!r} outside [{flo!r}, {fhi!r}]")
     if y <= flo:
         return lo
     a, b = lo, hi
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTION_ITER):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
@@ -294,30 +290,12 @@ def monotone_inverse(fn: Callable[[float], float],
 def derivative(fn: Callable[[float], float],
                x: float,
                step: float = 1e-6,
-               lo: Optional[float] = None,
-               hi: Optional[float] = None) -> float:
-    """Finite-difference derivative: central inside, one-sided at edges.
-
-    The one-sided branches use the three-point second-order formulas so edge
-    accuracy stays O(step^2) for smooth fn.
-    """
+               lo: Optional[float] = None) -> float:
+    """Finite-difference derivative: central, or the three-point forward
+    formula (second order, like the central one) where x - step < lo."""
     if not (step > 0 and math.isfinite(step)):
         raise ValueError("step must be positive and finite")
     h = step
-    can_left = lo is None or x - h >= lo
-    can_right = hi is None or x + h <= hi
-    if can_left and can_right:
+    if lo is None or x - h >= lo:
         return (fn(x + h) - fn(x - h)) / (2.0 * h)
-    if can_right:
-        if hi is not None and x + 2 * h > hi:
-            h = (hi - x) / 2.0
-        if h <= 0:
-            raise ValueError("no room to differentiate at the upper edge")
-        return (-3.0 * fn(x) + 4.0 * fn(x + h) - fn(x + 2.0 * h)) / (2.0 * h)
-    if can_left:
-        if lo is not None and x - 2 * h < lo:
-            h = (x - lo) / 2.0
-        if h <= 0:
-            raise ValueError("no room to differentiate at the lower edge")
-        return (3.0 * fn(x) - 4.0 * fn(x - h) + fn(x - 2.0 * h)) / (2.0 * h)
-    raise ValueError("interval too small for the requested step")
+    return (-3.0 * fn(x) + 4.0 * fn(x + h) - fn(x + 2.0 * h)) / (2.0 * h)

@@ -55,10 +55,6 @@ class OrderKind(str, Enum):
     STAR = "star"
 
 
-# orders whose verdict is a monotone-ratio scan rather than pointwise margins
-_RATIO_KINDS = {OrderKind.DMRL, OrderKind.QMIT,
-                OrderKind.CONVEX_TRANSFORM, OrderKind.STAR}
-
 DEFAULT_CHECK_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-8)
 _QUAD_TOL = Tolerance(abs_tol=1e-11, rel_tol=1e-11)
 _SEGMENT_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-12)
@@ -103,28 +99,25 @@ def _require_interior(p: float) -> None:
         raise ValueError(f"p must lie in (0,1), got {p!r}")
 
 
-def ttt_transform(X: Distribution, p: float,
-                  tol: Tolerance = _QUAD_TOL) -> float:
+def ttt_transform(X: Distribution, p: float) -> float:
     """Area under the survival function up to the p-quantile; increasing in p."""
     _require_interior(p)
     q = X.quantile
     eps = EPS_Q
-    body = integrate(q, eps, p, tol) if p > eps else 0.0
+    body = integrate(q, eps, p, _QUAD_TOL) if p > eps else 0.0
     return (1.0 - p) * q(p) + eps * q(eps) + body
 
 
-def mit_transform(X: Distribution, p: float,
-                  tol: Tolerance = _QUAD_TOL) -> float:
+def mit_transform(X: Distribution, p: float) -> float:
     """Area under the cdf up to the p-quantile; increasing in p, 0 at p=0."""
     _require_interior(p)
     q = X.quantile
     eps = EPS_Q
-    body = integrate(q, eps, p, tol) if p > eps else 0.0
+    body = integrate(q, eps, p, _QUAD_TOL) if p > eps else 0.0
     return p * q(p) - (eps * q(eps) + body)
 
 
-def excess_wealth(X: Distribution, p: float,
-                  tol: Tolerance = _QUAD_TOL) -> float:
+def excess_wealth(X: Distribution, p: float) -> float:
     """Upper-tail wealth beyond the p-quantile; decreasing in p, 0 at p=1.
 
     Raises InfiniteMeanError when the tail rungs of the integral refuse to
@@ -134,13 +127,12 @@ def excess_wealth(X: Distribution, p: float,
     q = X.quantile
     eps = EPS_Q
     hi = 1.0 - eps
-    tail, rungs = edge_ladder_integral(q, p, hi, side="hi", tol=tol)
+    tail, rungs = edge_ladder_integral(q, p, hi, side="hi", tol=_QUAD_TOL)
     check_tail_decay(X.label, rungs)
     return tail + eps * q(hi) - (1.0 - p) * q(p)
 
 
 def transform_curves(X: Distribution, grid: Optional[Grid] = None,
-                     tol: Tolerance = _SEGMENT_TOL,
                      require_finite_mean: bool = False) -> Dict[str, Tuple[float, ...]]:
     """ttt/ew/mit sampled over a grid in one cumulative pass.
 
@@ -159,10 +151,10 @@ def transform_curves(X: Distribution, grid: Optional[Grid] = None,
     q_eps = q(eps)
     q_hi = q(1.0 - eps)
 
-    head = integrate(q, eps, pts[0], tol)
-    segments = [integrate(q, a, b, tol) for a, b in zip(pts, pts[1:])]
+    head = integrate(q, eps, pts[0], _SEGMENT_TOL)
+    segments = [integrate(q, a, b, _SEGMENT_TOL) for a, b in zip(pts, pts[1:])]
     tail_last, tail_rungs = edge_ladder_integral(q, pts[-1], 1.0 - eps,
-                                                 side="hi", tol=tol)
+                                                 side="hi", tol=_SEGMENT_TOL)
     if require_finite_mean:
         check_tail_decay(X.label, tail_rungs)
 
@@ -180,7 +172,7 @@ def _threshold(tol: Tolerance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return tol.abs_tol + tol.rel_tol * np.maximum(np.abs(a), np.abs(b))
 
 
-def _density_ratios(X: Distribution, Y: Distribution,
+def density_ratios(X: Distribution, Y: Distribution,
                     points: Sequence[float]) -> np.ndarray:
     """s(p) = density_X(q_X(p)) / density_Y(q_Y(p)) at each point."""
     return np.array([density_at_quantile(X, p) / density_at_quantile(Y, p)
@@ -275,8 +267,7 @@ def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
                         curve=curve, grid=grid, tolerance=tol, notes=tuple(notes))
 
 
-def dmrl_integral(X: Distribution, Y: Distribution, p: float,
-                  tol: Tolerance = _QUAD_TOL) -> float:
+def dmrl_integral(X: Distribution, Y: Distribution, p: float) -> float:
     """One-parameter integral form of the dmrl comparison at p.
 
     I(p) = ew_Y(p) - s(p) ew_X(p) with s the density ratio
@@ -285,7 +276,7 @@ def dmrl_integral(X: Distribution, Y: Distribution, p: float,
     """
     _require_interior(p)
     s = density_at_quantile(X, p) / density_at_quantile(Y, p)
-    return excess_wealth(Y, p, tol) - s * excess_wealth(X, p, tol)
+    return excess_wealth(Y, p) - s * excess_wealth(X, p)
 
 
 def dmrl_integral_curve(X: Distribution, Y: Distribution,
@@ -294,12 +285,11 @@ def dmrl_integral_curve(X: Distribution, Y: Distribution,
     grid = grid if grid is not None else default_grid()
     ew_x = np.array(transform_curves(X, grid, require_finite_mean=True)["ew"])
     ew_y = np.array(transform_curves(Y, grid, require_finite_mean=True)["ew"])
-    s = _density_ratios(X, Y, grid.points)
+    s = density_ratios(X, Y, grid.points)
     return {"p": grid.points, "value": tuple((ew_y - s * ew_x).tolist())}
 
 
-def dmrl_two_point_table(X: Distribution, Y: Distribution, count: int = 32,
-                         tol: Tolerance = DEFAULT_CHECK_TOL) -> dict:
+def dmrl_two_point_table(X: Distribution, Y: Distribution, count: int = 32) -> dict:
     """Two-parameter diagnostic I(p, q) = ew_Y(q) - s(p) ew_X(q) on p <= q.
 
     Equivalent in the limit to the one-parameter form; sampled on a coarse
@@ -308,12 +298,12 @@ def dmrl_two_point_table(X: Distribution, Y: Distribution, count: int = 32,
     grid = uniform_grid(count=max(16, count))
     ew_x = np.array(transform_curves(X, grid, require_finite_mean=True)["ew"])
     ew_y = np.array(transform_curves(Y, grid, require_finite_mean=True)["ew"])
-    s = _density_ratios(X, Y, grid.points)
+    s = density_ratios(X, Y, grid.points)
     # row i is p = points[i], column j is q = points[j]; keep j >= i
     table = ew_y - s[:, None] * ew_x
     upper = np.triu(np.ones(table.shape, dtype=bool))
     i, j = np.unravel_index(np.argmin(np.where(upper, table, np.inf)), table.shape)
-    negative = upper & (table < -_threshold(tol, ew_x, ew_y))
+    negative = upper & (table < -_threshold(DEFAULT_CHECK_TOL, ew_x, ew_y))
     return {"min_value": float(table[i, j]),
             "argmin": (grid.points[i], grid.points[j]),
             "negative_count": int(np.count_nonzero(negative)),
@@ -323,9 +313,7 @@ def dmrl_two_point_table(X: Distribution, Y: Distribution, count: int = 32,
 _XSPACE_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-8)
 
 
-def qmit_xspace_integral(X: Distribution, Y: Distribution, t: float,
-                         tol: Tolerance = _XSPACE_TOL,
-                         step: Optional[float] = None) -> float:
+def qmit_xspace_integral(X: Distribution, Y: Distribution, t: float) -> float:
     """x-space form of the qmit comparison at threshold t.
 
     With alpha(x) = q_Y(F_X(x)), computes
@@ -336,8 +324,8 @@ def qmit_xspace_integral(X: Distribution, Y: Distribution, t: float,
     alpha' uses a five-point stencil with a wide step: alpha rides a
     cdf/quantile roundtrip whose cancellation noise near F ~ 1 would swamp
     a narrow central difference, while the fourth-order truncation keeps
-    the wide step accurate.  The default tolerance is matched to that noise
-    floor (~1e-8); the counterexample signals are >= 1e-4.
+    the wide step accurate.  The quadrature tolerance is matched to that
+    noise floor (~1e-8); the counterexample signals are >= 1e-4.
     """
     from .distributions import cdf  # local import avoids cycle at module load
 
@@ -353,7 +341,7 @@ def qmit_xspace_integral(X: Distribution, Y: Distribution, t: float,
         return q_y(min(hi_clamp, max(lo_clamp, F(x))))
 
     def alpha_prime(z: float) -> float:
-        h = step if step is not None else 1e-3 * max(1.0, abs(z))
+        h = 1e-3 * max(1.0, abs(z))
         if z - 2.0 * h < 0.0:
             return derivative(alpha, z, step=min(h, max(z / 2.0, 1e-7)), lo=0.0)
         return (-alpha(z + 2.0 * h) + 8.0 * alpha(z + h)
@@ -371,7 +359,7 @@ def qmit_xspace_integral(X: Distribution, Y: Distribution, t: float,
             return 0.0
         return (a_t - alpha_prime(x)) * fx
 
-    return integrate(integrand, 0.0, t, tol)
+    return integrate(integrand, 0.0, t, _XSPACE_TOL)
 
 
 @dataclass(frozen=True)
@@ -401,11 +389,10 @@ _CHAINS = (
 
 
 def order_implication_check(X: Distribution, Y: Distribution,
-                            grid: Optional[Grid] = None,
-                            tol: Tolerance = DEFAULT_CHECK_TOL) -> ImplicationReport:
+                            grid: Optional[Grid] = None) -> ImplicationReport:
     """Evaluate all six orders and flag violations of the implication chains."""
     grid = grid if grid is not None else default_grid()
-    verdicts = {kind.value: check_order(X, Y, kind, grid, tol).holds
+    verdicts = {kind.value: check_order(X, Y, kind, grid).holds
                 for kind in OrderKind}
     violations = []
     for stronger, weaker in _CHAINS:

@@ -32,8 +32,7 @@ import numpy as np
 from . import copulas as cop_mod
 from . import distortions as dist_mod
 from .distortions import Distortion, ShapeReport
-from .numerics import (Grid, SCAN_TIE_TOL, default_grid, first, sample,
-                       validation_points)
+from .numerics import SCAN_TIE_TOL, default_grid, first, sample, validation_points
 from .orders import OrderKind
 
 _CROSSCHECK_TOL = 1e-12
@@ -306,13 +305,12 @@ def durante_condition_values(sig: MinimalSignature,
 
 
 def durante_shape_condition(sig: MinimalSignature,
-                            gen: cop_mod.DuranteGenerator,
-                            grid: Optional[Grid] = None) -> ShapeClassification:
+                            gen: cop_mod.DuranteGenerator) -> ShapeClassification:
     """h_T is starshaped [antistarshaped] iff
-    S(p) = sum_{k=1}^{n-1} k a_{k+1} f(p)^(k-1) is >= 0 [<= 0]; scan S on the grid."""
-    if grid is None:
-        grid = default_grid()
-    values = durante_condition_values(sig, gen, grid.points)
+    S(p) = sum_{k=1}^{n-1} k a_{k+1} f(p)^(k-1) is >= 0 [<= 0]; scan S on the
+    default grid."""
+    points = default_grid().points
+    values = durante_condition_values(sig, gen, points)
     params = {"condition_min": float(values.min()),
               "condition_max": float(values.max())}
     # an all-zero S (within SCAN_TIE_TOL) reads starshaped
@@ -323,7 +321,7 @@ def durante_shape_condition(sig: MinimalSignature,
     if not np.any(values > SCAN_TIE_TOL):
         return ShapeClassification(verdict="antistarshaped", parameters=params,
                                    notes="h_T(p)/p decreasing on the grid")
-    witness_p = grid.points[i]
+    witness_p = points[i]
     return ShapeClassification(
         verdict="inconclusive", parameters=params,
         notes=f"shape condition changes sign (witness p={witness_p:.6g})")
@@ -428,14 +426,12 @@ def classify_4component(sig: MinimalSignature) -> ShapeClassification:
 
 def classify_diag(built: SystemDistortion,
                   d: cop_mod.Diagonal,
-                  grid: Optional[Grid] = None) -> ShapeClassification:
+                  shape: ShapeReport) -> ShapeClassification:
     """h_T = alpha*p + beta*d(p) is starshaped [antistarshaped] iff d is
-    starshaped and beta > 0 [< 0]; outside the theorem's reach the direct
-    numerical classification of the built h_T is attached instead."""
+    starshaped and beta > 0 [< 0]; outside the theorem's reach ``shape``,
+    the caller's classification of the built h_T, is attached instead."""
     sig = built.sig
     _require_dimension(sig, d.n, "diagonal")
-    if grid is None:
-        grid = default_grid()
     params = diag_system_params(sig)
     base = {"alpha": params.alpha, "beta": params.beta}
     if params.beta == 0:
@@ -443,7 +439,7 @@ def classify_diag(built: SystemDistortion,
             verdict="identity", parameters=base,
             notes="beta=0: h_T(p)=p (both starshaped and antistarshaped)")
     d_dist = dist_mod.validate(d.fn, label=f"diagonal {d.label}")
-    d_shape = dist_mod.classify(d_dist, grid)
+    d_shape = dist_mod.classify(d_dist)
     if d_shape.starshaped:
         if params.beta > 0:
             return ShapeClassification(
@@ -452,19 +448,20 @@ def classify_diag(built: SystemDistortion,
         return ShapeClassification(
             verdict="antistarshaped", parameters=base,
             notes="diagonal is starshaped and beta < 0")
-    direct = dist_mod.classify(built.h, grid)
     return ShapeClassification(
         verdict="inconclusive", parameters=base,
         notes="diagonal is not starshaped; direct grid classification attached",
-        direct=direct)
+        direct=shape)
 
 
 def shape_theorems(built: SystemDistortion,
-                   copula: cop_mod.CopulaHandle) -> dict:
+                   copula: cop_mod.CopulaHandle,
+                   shape: ShapeReport) -> dict:
     """Report fields from the shape results that apply to the copula kind
     of a built system: the n=3/n=4 corollary and the shape condition for
     the generator form, alpha, beta and the diagonal theorem for the
-    diagonal form; none for the other kinds."""
+    diagonal form; none for the other kinds.  ``shape`` is the caller's
+    classification of built.h."""
     sig = built.sig
     if copula.kind == "durante":
         out = {"shape_condition": durante_shape_condition(
@@ -475,7 +472,7 @@ def shape_theorems(built: SystemDistortion,
             out["corollary"] = classify_4component(sig).to_json()
         return out
     if copula.kind == "jaworski":
-        report = classify_diag(built, copula.diagonal).to_json()
+        report = classify_diag(built, copula.diagonal, shape).to_json()
         return {"diag_params": report["parameters"],
                 "diag_classification": report}
     return {}

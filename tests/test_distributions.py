@@ -95,6 +95,20 @@ class TestBuild:
         X = from_quantile(lambda p: 1.0 - p, "decreasing", validate=False)
         assert X.quantile(0.25) == 0.75
 
+    def test_unvalidated_build_evaluates_nothing(self):
+        calls = []
+        from_quantile(lambda p: calls.append(p) or p, "counted", validate=False)
+        assert calls == []
+
+    def test_distort_evaluates_neither_quantile_nor_distortion(self):
+        calls = []
+        X = from_quantile(lambda p: calls.append(("q", p)) or p, "counted",
+                          validate=False)
+        h = dist_mod.Distortion(fn=lambda p: calls.append(("h", p)) or p,
+                                label="counted", strictly_increasing=True)
+        distort(X, h)
+        assert calls == []
+
 
 class TestCdfAndDensity:
     def test_cdf_inverts_quantile(self, named_distributions):

@@ -112,10 +112,6 @@ class TestDerivative:
         assert derivative(lambda x: x * x, 0.0, lo=0.0) == pytest.approx(
             0.0, abs=1e-6)
 
-    def test_one_sided_at_upper_edge(self):
-        assert derivative(lambda x: x ** 3, 1.0, hi=1.0) == pytest.approx(
-            3.0, abs=1e-5)
-
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             derivative(math.exp, 0.5, step=0.0)

@@ -290,21 +290,26 @@ class TestShapeCondition:
         assert all(v >= -1e-12 for v in values)
 
 
+def _classify_diag(sig, d):
+    built = diag_system_distortion(sig, d)
+    return classify_diag(built, d, classify(built.h))
+
+
 class TestDiagClassification:
     def test_positive_diagonal_weight_with_starshaped_diagonal(self):
         sig = parse_signature("0, 0, 0, 3, -2")
         d = cop.validate_diagonal(catalog.FN_DIAG_TEXT, 5)
-        assert classify_diag(diag_system_distortion(sig, d), d).verdict == "starshaped"
+        assert _classify_diag(sig, d).verdict == "starshaped"
 
     def test_negative_diagonal_weight_flips_verdict(self):
         sig = parse_signature("0, 6, -8, 3")
         d = cop.validate_diagonal(catalog.MIX_DIAG_TEXT, 4)
-        assert classify_diag(diag_system_distortion(sig, d), d).verdict == "antistarshaped"
+        assert _classify_diag(sig, d).verdict == "antistarshaped"
 
     def test_non_starshaped_diagonal_is_inconclusive_with_direct_flags(self):
         sig = parse_signature("0, 0, 2, -1")
         d = cop.validate_diagonal(catalog.QMIT_DIAG_TEXT, 4)
-        result = classify_diag(diag_system_distortion(sig, d), d)
+        result = _classify_diag(sig, d)
         assert result.verdict == "inconclusive"
         assert result.direct is not None
         assert result.direct.dual_antistarshaped
@@ -329,10 +334,29 @@ class TestDiagClassification:
         assert calls == [f"system(a=0,0,2,-1; d={catalog.QMIT_DIAG_TEXT})",
                          f"diagonal {catalog.QMIT_DIAG_TEXT}"]
 
+    def test_classify_classifies_the_system_and_its_diagonal_once_each(
+            self, monkeypatch, capsys):
+        # the direct flags reuse the report the classification doc was made from
+        calls = []
+        original = dist_mod.classify
+
+        def counting(h, *args, **kwargs):
+            calls.append(h.label)
+            return original(h, *args, **kwargs)
+
+        monkeypatch.setattr(dist_mod, "classify", counting)
+        code = cli.main(["classify", "--signature", "0,0,2,-1", "--copula",
+                         f"diagonal:d={catalog.QMIT_DIAG_TEXT},n=4"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diag_classification"]["direct_flags"] == doc["flags"]
+        assert calls == [f"system(a=0,0,2,-1; d={catalog.QMIT_DIAG_TEXT})",
+                         f"diagonal {catalog.QMIT_DIAG_TEXT}"]
+
     def test_zero_diagonal_weight_reads_identity(self):
         sig = parse_signature("1, 0")
         d = cop.validate_diagonal("p^2", 2)
-        assert classify_diag(diag_system_distortion(sig, d), d).verdict == "identity"
+        assert _classify_diag(sig, d).verdict == "identity"
 
 
 class TestSeriesParallel:
