@@ -14,7 +14,7 @@ from .numerics import (
     NumericsError,
     QuadratureFailure,
     BracketError,
-    default_grid,
+    DEFAULT_GRID,
     uniform_grid,
     integrate,
     monotone_inverse,
@@ -27,7 +27,7 @@ __all__ = [
     "NumericsError",
     "QuadratureFailure",
     "BracketError",
-    "default_grid",
+    "DEFAULT_GRID",
     "uniform_grid",
     "integrate",
     "monotone_inverse",

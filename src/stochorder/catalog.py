@@ -164,7 +164,7 @@ def system_distortions() -> Dict[str, Distortion]:
 def distortions() -> Dict[str, Distortion]:
     """Named distortion catalog: builtin families, mixtures, kinked shapes,
     the five system distortions, and reference parallel/series forms."""
-    from_expr = dist_mod.from_expression
+    from_expr = dist_mod.validate
     out = {
         "identity": dist_mod.identity(),
         "power_15": dist_mod.power(1.5),

@@ -159,10 +159,10 @@ def cmd_check_order(args) -> int:
         _write_json(json_path, doc)
     if csv_path:
         multiple = len(verdicts) > 1
+        columns = ("p", "value_x", "value_y", "functional")
         for v in verdicts:
-            path = _csv_path_for_order(csv_path, v.kind, multiple)
-            with open(path, "w", encoding="utf-8", newline="") as fp:
-                orders_mod.write_curve_csv(v, fp)
+            _write_csv(_csv_path_for_order(csv_path, v.kind, multiple), columns,
+                       zip(*(v.curve[key] for key in columns)))
     return EXIT_OK if doc["holds"] else EXIT_VIOLATED
 
 
@@ -264,11 +264,6 @@ def cmd_system(args) -> int:
 # reproduce targets
 
 
-def _interior_points(lo: float, hi: float, count: int) -> List[float]:
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
-
-
 def _repro_ce02(out_dir: str) -> List[str]:
     """Density-ratio turning point, baseline dmrl gap, and the distorted gap
     that dips negative for small p (order not preserved by a convex h)."""
@@ -293,9 +288,8 @@ def _repro_ce02(out_dir: str) -> List[str]:
 
     xh = distrib_mod.distort(x, h)
     yh = distrib_mod.distort(y, h)
-    pts = tuple(_interior_points(0.002, 0.2, 199))
-    dist_grid = Grid(points=pts, lo=0.0, hi=1.0, edge_margin=1e-3)
-    gap_h = orders_mod.dmrl_integral_curve(xh, yh, dist_grid)
+    gap_h = orders_mod.dmrl_integral_curve(
+        xh, yh, uniform_grid(199, lo=0.002, hi=0.2, edge_margin=0.0))
     path = os.path.join(out_dir, "dmrl_gap_distorted.csv")
     _write_csv(path, ("p", "value"), zip(gap_h["p"], gap_h["value"]),
                comment="dmrl gap I_h(p) after distorting both sides by p^5; "

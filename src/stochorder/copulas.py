@@ -153,26 +153,17 @@ def jaworski_f(d: Diagonal, u: float) -> float:
 def jaworski_eval(d: Diagonal, point: Sequence[float]) -> float:
     """Cyclic-permutation average of mins; diagonal section equals d exactly.
 
-    For rotation i, component k sits in slot tau^i(k) = k+i mod n (1-based,
-    0 mapped to n); the first n-1 slots go through f, the last through d, so
-    each component takes the d-role in exactly one rotation.
+    Each of the n rotations gives one component the d-slot and the other
+    n-1 components f-slots, so rotation i contributes
+    min(f over the components other than i, d(p_i)).
     """
     n = d.n
     _check_point(point, n)
     fvals = [jaworski_f(d, p) for p in point]
     dvals = [float(d.fn(p)) for p in point]
     total = 0.0
-    for i in range(1, n + 1):
-        # slot tau^i(k): k = 1..n-1 are f-slots, k = n is the d-slot
-        term = math.inf
-        for k in range(1, n):
-            idx = (k + i) % n
-            idx = n if idx == 0 else idx
-            term = min(term, fvals[idx - 1])
-        idx = (n + i) % n
-        idx = n if idx == 0 else idx
-        term = min(term, dvals[idx - 1])
-        total += term
+    for i, dv in enumerate(dvals):
+        total += min(min(fvals[:i] + fvals[i + 1:]), dv)
     return total / n
 
 
@@ -277,63 +268,6 @@ def boundary_section(handle: CopulaHandle, p: float, i: int) -> float:
     if handle.kind == "frechet":
         return handle.gamma * p + (1.0 - handle.gamma) * p * p
     raise ValueError(f"unknown copula kind {handle.kind!r}")
-
-
-def copula_spotcheck(handle: CopulaHandle) -> dict:
-    """Numerical sanity for copula axioms on a coarse 17-point grid.
-
-    Checks uniform margins, coordinate monotonicity, exchangeability under
-    a few permutations, and (n=2) nonnegative rectangle volumes.  Returns a
-    report dict; failures are listed, not raised.
-    """
-    n = handle.n
-    pts = validation_points(17)
-    failures = []
-    checks = 0
-
-    for slot in range(n):
-        for p in pts:
-            point = [1.0] * n
-            point[slot] = p
-            checks += 1
-            v = cop_eval(handle, point)
-            if abs(v - p) > _POINT_TOL:
-                failures.append(f"margin slot {slot}: C={v!r} at p={p}")
-
-    levels = [0.25, 0.75, 1.0]
-    for slot in range(n):
-        for level in levels:
-            prev = None
-            for p in pts:
-                point = [level] * n
-                point[slot] = p
-                v = cop_eval(handle, point)
-                checks += 1
-                if prev is not None and v < prev - _POINT_TOL:
-                    failures.append(
-                        f"coordinate {slot} decreasing at p={p} (level {level})")
-                prev = v
-
-    sample = [pts[1], pts[len(pts) // 2], pts[-2]]
-    base_point = (sample * ((n // 3) + 1))[:n]
-    base_val = cop_eval(handle, base_point)
-    for shift in range(1, n):
-        rotated = base_point[shift:] + base_point[:shift]
-        checks += 1
-        if abs(cop_eval(handle, rotated) - base_val) > _POINT_TOL:
-            failures.append(f"not exchangeable under rotation {shift}")
-
-    if n == 2:
-        for a1, b1 in zip(pts, pts[1:]):
-            for a2, b2 in zip(pts, pts[1:]):
-                vol = (cop_eval(handle, (b1, b2)) - cop_eval(handle, (a1, b2))
-                       - cop_eval(handle, (b1, a2)) + cop_eval(handle, (a1, a2)))
-                checks += 1
-                if vol < -_POINT_TOL:
-                    failures.append(
-                        f"negative rectangle volume {vol!r} at [{a1},{b1}]x[{a2},{b2}]")
-    return {"ok": not failures, "failures": failures, "checks": checks,
-            "label": handle.label}
 
 
 def parse_copula_spec(text: str) -> CopulaHandle:

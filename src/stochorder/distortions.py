@@ -1,4 +1,4 @@
-"""Distortion functions: validation, dual, inverse, composition, shape reports.
+"""Distortion functions: validation, dual, inverse, shape reports.
 
 A distortion is an increasing h:[0,1] -> [0,1] with h(0)=0 and h(1)=1,
 applied to a survival function.  Shape matters for order preservation:
@@ -88,10 +88,10 @@ def validate(fn: funcalc.FunctionLike,
              co_inverse_fn: Optional[Callable[[float], float]] = None) -> Distortion:
     """Check distortion axioms on a dense [0,1] sample and wrap the function.
 
-    Accepts a callable, a parsed expression, or expression text.  Rejects
-    endpoint violations (h(0) != 0, h(1) != 1) and any decreasing adjacent
-    pair, each with the witness point in the message.  Strictness is set by
-    grid behavior: no adjacent tie larger than the tolerance allows.
+    Accepts a callable or expression text.  Rejects endpoint violations
+    (h(0) != 0, h(1) != 1) and any decreasing adjacent pair, each with the
+    witness point in the message.  Strictness is set by grid behavior: no
+    adjacent tie larger than the tolerance allows.
     """
     fn, own_label = funcalc.coerce_fn(fn, "distortion")
     label = own_label if label is None else label
@@ -153,23 +153,6 @@ def co_inverse(h: Distortion, p: float) -> float:
     if h.co_inverse_fn is not None:
         return min(1.0, max(0.0, h.co_inverse_fn(p)))
     return 1.0 - inverse(h, 1.0 - p)
-
-
-def compose_on_survival(h1: Distortion, h2: Distortion) -> Distortion:
-    """Pointwise h2(h1(p)): the distortion of applying h1 then h2 to a survival."""
-    f1, f2 = h1.fn, h2.fn
-    inv = None
-    if h1.inverse_fn is not None and h2.inverse_fn is not None:
-        i1, i2 = h1.inverse_fn, h2.inverse_fn
-        inv = lambda y: i1(i2(y))
-    coinv = None
-    if h1.co_inverse_fn is not None and h2.co_inverse_fn is not None:
-        c1, c2 = h1.co_inverse_fn, h2.co_inverse_fn
-        coinv = lambda p: c1(c2(p))
-    return validate(lambda p: f2(f1(p)),
-                    label=f"({h2.label}) o ({h1.label})",
-                    inverse_fn=inv,
-                    co_inverse_fn=coinv)
 
 
 def classify(h: Distortion, grid: Optional[Grid] = None) -> ShapeReport:
@@ -241,10 +224,6 @@ def dualpower(k: float) -> Distortion:
                       co_inverse_fn=lambda p: p ** (1.0 / k))
 
 
-def from_expression(text: str) -> Distortion:
-    return validate(text)
-
-
 def parse_distortion_spec(text: str) -> Distortion:
     """CLI/config distortion forms: `identity`, `power:k`, `dualpower:k`,
     `h:<expr in p>`, or a bare expression."""
@@ -256,5 +235,5 @@ def parse_distortion_spec(text: str) -> Distortion:
     if text.startswith("dualpower:"):
         return dualpower(funcalc.parse_constant(text[len("dualpower:"):]))
     if text.startswith("h:"):
-        return from_expression(text[len("h:"):])
-    return from_expression(text)
+        return validate(text[len("h:"):])
+    return validate(text)

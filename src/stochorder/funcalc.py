@@ -443,19 +443,17 @@ def compile_fn(node: Expr) -> Callable[[float], float]:
     return lambda value: eval_expr(node, value)
 
 
-FunctionLike = Union[Callable[[float], float], Expr, str]
+FunctionLike = Union[Callable[[float], float], str]
 
 
 def coerce_fn(fn: FunctionLike, fallback_label: str) -> Tuple[Callable[[float], float], str]:
-    """(callable, label) for expression text, a parsed expression or a callable.
+    """(callable, label) for expression text or a callable.
 
-    Text labels itself, an expression its rendering, a callable its
-    ``__name__`` (``fallback_label`` when it has none).
+    Text labels itself, a callable its ``__name__`` (``fallback_label`` when
+    it has none).
     """
     if isinstance(fn, str):
         return compile_fn(parse(fn)), fn
-    if isinstance(fn, Expr):
-        return compile_fn(fn), render(fn)
     return fn, getattr(fn, "__name__", fallback_label)
 
 
@@ -477,26 +475,3 @@ def split_top_level(text: str, sep: str) -> list:
     parts.append("".join(current))
     return parts
 
-
-def render(node: Expr) -> str:
-    """Canonical fully parenthesized rendering; parse(render(x)) == x up to spans."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Unary):
-        return f"(-{render(node.operand)})"
-    if isinstance(node, Binary):
-        return f"({render(node.left)} {node.op} {render(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(render(a) for a in node.args)})"
-    if isinstance(node, Piecewise):
-        parts = [
-            f"{node.var} <= {render(b.bound_expr)} : {render(b.body)}"
-            for b in node.branches
-        ]
-        parts.append(f"else : {render(node.otherwise)}")
-        return f"piece({' ; '.join(parts)})"
-    raise TypeError(f"not an expression node: {node!r}")

@@ -3,8 +3,8 @@
 Conventions used throughout the package:
 
 * "increasing" always means non-decreasing; adjacent ties count both ways.
-* Quantile-space functionals live on the open interval (0, 1), so grids keep
-  an explicit edge margin and integrals are truncated near the endpoints.
+* Quantile-space functionals live on the open interval (0, 1), so grid points
+  stay inside it and integrals are truncated near the endpoints.
 * Quadrature is adaptive Simpson with an explicit failure mode instead of a
   silent fallback; the depth cap is generous because near-endpoint integrands
   of the form -log(1-t) need ~30 bisection levels to resolve.
@@ -65,32 +65,26 @@ DEFAULT_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10)
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing evaluation points inside an open interval.
+    """At least 16 strictly increasing evaluation points inside (0, 1).
 
-    ``edge_margin`` keeps the points away from the interval ends, where the
-    quantile-space functionals are allowed to blow up.  At least 16 points are
-    required; scans on fewer points are too coarse to certify anything.
+    The quantile-space functionals are allowed to blow up at 0 and 1, so no
+    point may sit on either end; scans on fewer points are too coarse to
+    certify anything.
     """
 
     points: tuple
-    lo: float = 0.0
-    hi: float = 1.0
-    edge_margin: float = 1e-3
 
     def __post_init__(self) -> None:
         pts = tuple(float(p) for p in self.points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 16:
             raise ValueError(f"grid needs at least 16 points, got {len(pts)}")
-        if not (self.edge_margin > 0):
-            raise ValueError("edge_margin must be positive")
-        if not self.lo < self.hi:
-            raise ValueError("empty interval")
         for a, b in zip(pts, pts[1:]):
             if not a < b:
                 raise ValueError(f"grid points not strictly increasing at {a}")
-        if pts[0] < self.lo + self.edge_margin - 1e-15 or pts[-1] > self.hi - self.edge_margin + 1e-15:
-            raise ValueError("grid points leak into the edge margin")
+        if not (0.0 < pts[0] and pts[-1] < 1.0):
+            raise ValueError(f"grid points must lie in (0, 1), got "
+                             f"[{pts[0]!r}, {pts[-1]!r}]")
 
     @property
     def count(self) -> int:
@@ -109,12 +103,10 @@ def uniform_grid(count: int = DEFAULT_GRID_COUNT,
                  hi: float = 1.0,
                  edge_margin: float = DEFAULT_EDGE_MARGIN) -> Grid:
     """Equally spaced grid on [lo+edge_margin, hi-edge_margin]."""
-    pts = np.linspace(lo + edge_margin, hi - edge_margin, count)
-    return Grid(points=tuple(pts), lo=lo, hi=hi, edge_margin=edge_margin)
+    return Grid(points=tuple(np.linspace(lo + edge_margin, hi - edge_margin, count)))
 
 
-def default_grid() -> Grid:
-    return uniform_grid()
+DEFAULT_GRID = uniform_grid()
 
 
 # validators sample [0,1] endpoints included; independent of scan grids

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +36,9 @@ from .distributions import (
     density_at_quantile,
 )
 from .numerics import (
+    DEFAULT_GRID,
     Grid,
     Tolerance,
-    default_grid,
     derivative,
     edge_ladder_integral,
     integrate,
@@ -132,7 +132,7 @@ def excess_wealth(X: Distribution, p: float) -> float:
     return tail + eps * q(hi) - (1.0 - p) * q(p)
 
 
-def transform_curves(X: Distribution, grid: Optional[Grid] = None,
+def transform_curves(X: Distribution, grid: Grid = DEFAULT_GRID,
                      require_finite_mean: bool = False) -> Dict[str, Tuple[float, ...]]:
     """ttt/ew/mit sampled over a grid in one cumulative pass.
 
@@ -142,7 +142,6 @@ def transform_curves(X: Distribution, grid: Optional[Grid] = None,
     the mean is: require_finite_mean raises InfiniteMeanError when the
     upper-tail rungs refuse to decay (ttt and mit stay defined).
     """
-    grid = grid if grid is not None else default_grid()
     q = X.quantile
     eps = EPS_Q
     pts = grid.points
@@ -221,7 +220,7 @@ def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
 
 
 def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
-                grid: Optional[Grid] = None,
+                grid: Grid = DEFAULT_GRID,
                 tol: Tolerance = DEFAULT_CHECK_TOL) -> OrderVerdict:
     """Grid-certified verdict for one order between X and Y.
 
@@ -233,7 +232,6 @@ def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
     points only.
     """
     kind = OrderKind(kind)
-    grid = grid if grid is not None else default_grid()
 
     if kind in (OrderKind.TTT, OrderKind.EW):
         key = kind.value
@@ -280,9 +278,8 @@ def dmrl_integral(X: Distribution, Y: Distribution, p: float) -> float:
 
 
 def dmrl_integral_curve(X: Distribution, Y: Distribution,
-                        grid: Optional[Grid] = None) -> Dict[str, Tuple[float, ...]]:
+                        grid: Grid = DEFAULT_GRID) -> Dict[str, Tuple[float, ...]]:
     """Sampled I(p) over a grid (one excess-wealth pass per distribution)."""
-    grid = grid if grid is not None else default_grid()
     ew_x = np.array(transform_curves(X, grid, require_finite_mean=True)["ew"])
     ew_y = np.array(transform_curves(Y, grid, require_finite_mean=True)["ew"])
     s = density_ratios(X, Y, grid.points)
@@ -389,9 +386,8 @@ _CHAINS = (
 
 
 def order_implication_check(X: Distribution, Y: Distribution,
-                            grid: Optional[Grid] = None) -> ImplicationReport:
+                            grid: Grid = DEFAULT_GRID) -> ImplicationReport:
     """Evaluate all six orders and flag violations of the implication chains."""
-    grid = grid if grid is not None else default_grid()
     verdicts = {kind.value: check_order(X, Y, kind, grid).holds
                 for kind in OrderKind}
     violations = []
@@ -401,11 +397,3 @@ def order_implication_check(X: Distribution, Y: Distribution,
     return ImplicationReport(verdicts=verdicts, violations=tuple(violations),
                              consistent=not violations)
 
-
-def write_curve_csv(verdict: OrderVerdict, fp) -> None:
-    """Stream a verdict's sampled curve as CSV: p,value_x,value_y,functional."""
-    fp.write("p,value_x,value_y,functional\n")
-    curve = verdict.curve
-    for p, vx, vy, fv in zip(curve["p"], curve["value_x"],
-                             curve["value_y"], curve["functional"]):
-        fp.write(f"{p:.17g},{vx:.17g},{vy:.17g},{fv:.17g}\n")

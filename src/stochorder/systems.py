@@ -32,7 +32,7 @@ import numpy as np
 from . import copulas as cop_mod
 from . import distortions as dist_mod
 from .distortions import Distortion, ShapeReport
-from .numerics import SCAN_TIE_TOL, default_grid, first, sample, validation_points
+from .numerics import DEFAULT_GRID, SCAN_TIE_TOL, first, sample, validation_points
 from .orders import OrderKind
 
 _CROSSCHECK_TOL = 1e-12
@@ -190,9 +190,9 @@ def system_distortion(sig: MinimalSignature,
     real vector summing to 1 need not give a monotone h_T for every copula.
     """
     if copula.kind == "durante":
-        return durante_system_distortion(sig, copula.generator)
+        return durante_system_distortion(sig, copula)
     if copula.kind == "jaworski":
-        return diag_system_distortion(sig, copula.diagonal)
+        return diag_system_distortion(sig, copula)
     _require_dimension(sig, copula.n, "copula")
     h = dist_mod.validate(_boundary_sum(sig, copula),
                           label=f"system(a={sig.label()}; {copula.label})")
@@ -226,9 +226,11 @@ def _signed_terms(terms) -> str:
 
 
 def durante_system_distortion(sig: MinimalSignature,
-                              gen: cop_mod.DuranteGenerator) -> SystemDistortion:
-    """Closed form sum_k a_k * p * f(p)^(k-1), cross-checked against the
-    copula boundary sum on 65 points before it is validated."""
+                              copula: cop_mod.CopulaHandle) -> SystemDistortion:
+    """Closed form sum_k a_k * p * f(p)^(k-1) for a generator-form copula,
+    cross-checked against its boundary sum on 65 points before it is
+    validated."""
+    gen = copula.generator
     _require_dimension(sig, gen.n, "generator")
     weights = sig.floats()
     fn = gen.fn
@@ -245,10 +247,7 @@ def durante_system_distortion(sig: MinimalSignature,
     bodies = ["p", "p*f(p)"] + [f"p*f(p)^{k}" for k in range(2, sig.n)]
     closed_text = _signed_terms(zip(sig.a, bodies))
 
-    handle = cop_mod.CopulaHandle(kind="durante", n=gen.n,
-                                  label=f"durante:f={gen.label},n={gen.n}",
-                                  generator=gen)
-    _crosscheck(h_fn, _boundary_sum(sig, handle), "generator-form system")
+    _crosscheck(h_fn, _boundary_sum(sig, copula), "generator-form system")
     h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; f={gen.label})")
     return SystemDistortion(h=h, sig=sig, closed_form=closed_text)
 
@@ -267,9 +266,11 @@ def diag_system_params(sig: MinimalSignature) -> DiagParams:
 
 
 def diag_system_distortion(sig: MinimalSignature,
-                           d: cop_mod.Diagonal) -> SystemDistortion:
-    """Closed form alpha*p + beta*d(p), cross-checked against the
-    cyclic-average boundary sum on 65 points before it is validated."""
+                           copula: cop_mod.CopulaHandle) -> SystemDistortion:
+    """Closed form alpha*p + beta*d(p) for a diagonal-form copula,
+    cross-checked against its cyclic-average boundary sum on 65 points
+    before it is validated."""
+    d = copula.diagonal
     _require_dimension(sig, d.n, "diagonal")
     params = diag_system_params(sig)
     alpha = float(params.alpha)
@@ -279,10 +280,7 @@ def diag_system_distortion(sig: MinimalSignature,
     def h_fn(p: float) -> float:
         return alpha * p + beta * float(dfn(p))
 
-    handle = cop_mod.CopulaHandle(kind="jaworski", n=d.n,
-                                  label=f"diagonal:d={d.label},n={d.n}",
-                                  diagonal=d)
-    _crosscheck(h_fn, _boundary_sum(sig, handle), "diagonal-form system")
+    _crosscheck(h_fn, _boundary_sum(sig, copula), "diagonal-form system")
     closed_text = _signed_terms([(params.alpha, "p"), (params.beta, "d(p)")])
     h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; d={d.label})")
     return SystemDistortion(h=h, sig=sig, closed_form=closed_text)
@@ -309,7 +307,7 @@ def durante_shape_condition(sig: MinimalSignature,
     """h_T is starshaped [antistarshaped] iff
     S(p) = sum_{k=1}^{n-1} k a_{k+1} f(p)^(k-1) is >= 0 [<= 0]; scan S on the
     default grid."""
-    points = default_grid().points
+    points = DEFAULT_GRID.points
     values = durante_condition_values(sig, gen, points)
     params = {"condition_min": float(values.min()),
               "condition_max": float(values.max())}

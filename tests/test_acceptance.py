@@ -65,7 +65,7 @@ def test_a1_mean_residual_counterexample():
 
     pts = tuple(interior_points(0.002, 0.2, 199))
     curve = orders_mod.dmrl_integral_curve(
-        xh, yh, Grid(points=pts, lo=0.0, hi=1.0, edge_margin=1e-3))
+        xh, yh, Grid(points=pts))
     crossing = None
     vals = curve["value"]
     for i in range(len(pts) - 1):

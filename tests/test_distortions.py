@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stochorder import distributions as db
 from stochorder import funcalc
 from stochorder.distortions import (
     Distortion,
     DistortionValidationError,
     classify,
     co_inverse,
-    compose_on_survival,
     dual,
     dualpower,
-    from_expression,
     identity,
     inverse,
     parse_distortion_spec,
@@ -103,24 +102,29 @@ class TestDual:
 
 class TestInverse:
     def test_bisection_inverse_on_expression(self):
-        h = from_expression("p^2")
+        h = validate("p^2")
         assert inverse(h, 0.49) == pytest.approx(0.7, abs=1e-9)
 
     def test_co_inverse_is_complement_of_inverse(self):
-        h = from_expression("p^2")
+        h = validate("p^2")
         for p in (0.2, 0.5, 0.8):
             assert co_inverse(h, p) == pytest.approx(
                 1.0 - inverse(h, 1.0 - p), abs=1e-9)
 
 
 class TestCompose:
+    # distorting by h1 and then by h2 is distorting by h2(h1(p))
+    X = db.build(db.parse_spec("exp:1"))
+
     def test_powers_compose_to_power_of_product(self):
-        h = compose_on_survival(power(2.0), power(3.0))
-        assert max_abs_diff(h.fn, power(6.0).fn, GRID65) < 1e-13
+        twice = db.distort(db.distort(self.X, power(2.0)), power(3.0))
+        once = db.distort(self.X, power(6.0))
+        assert max_abs_diff(twice.quantile, once.quantile, GRID63) < 1e-13
 
     def test_identity_is_neutral(self):
-        h = compose_on_survival(identity(), power(2.0))
-        assert max_abs_diff(h.fn, power(2.0).fn, GRID65) < 1e-15
+        twice = db.distort(db.distort(self.X, identity()), power(2.0))
+        once = db.distort(self.X, power(2.0))
+        assert max_abs_diff(twice.quantile, once.quantile, GRID63) < 1e-15
 
 
 class TestClassify:

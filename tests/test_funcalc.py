@@ -1,12 +1,10 @@
-"""Expression language: parsing, precedence, evaluation, rendering, errors."""
+"""Expression language: parsing, precedence, evaluation, errors."""
 
 from __future__ import annotations
 
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from stochorder import catalog, funcalc
 from stochorder.funcalc import (
@@ -19,10 +17,7 @@ from stochorder.funcalc import (
     free_variable,
     parse,
     parse_constant,
-    render,
 )
-
-from helpers import GRID65
 
 
 class TestPrecedence:
@@ -116,39 +111,6 @@ class TestPiecewise:
     def test_piecewise_requires_else(self):
         with pytest.raises(ExprError):
             parse("piece(x <= 1 : x)", variables=("x",))
-
-
-class TestRender:
-    SOURCES = (
-        "p^2 + 1",
-        "2*p - 1/2*p^2",
-        "ln(15/8 + p)",
-        "1 - (1-p)^3",
-        "min(p, 1 - p)",
-        "exp(p^2) - e",
-    )
-
-    @pytest.mark.parametrize("source", SOURCES)
-    def test_render_reparses_to_same_values(self, source):
-        node = parse(source)
-        again = parse(render(node))
-        f, g = compile_fn(node), compile_fn(again)
-        for p in GRID65:
-            assert f(p) == pytest.approx(g(p), abs=1e-15)
-
-    @pytest.mark.parametrize("source", SOURCES)
-    def test_render_is_idempotent(self, source):
-        once = render(parse(source))
-        assert render(parse(once)) == once
-
-    @given(a=st.floats(-4, 4), b=st.floats(-4, 4), c=st.floats(0.1, 4))
-    def test_render_round_trip_on_random_quadratics(self, a, b, c):
-        source = f"{a!r}*p^2 + {b!r}*p + {c!r}"
-        node = parse(source)
-        again = compile_fn(parse(render(node)))
-        fn = compile_fn(node)
-        for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert fn(p) == pytest.approx(again(p), abs=1e-15)
 
 
 class TestErrors:

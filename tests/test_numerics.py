@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from stochorder.numerics import (
     BracketError,
+    DEFAULT_GRID,
     Grid,
     Tolerance,
-    default_grid,
     derivative,
     edge_ladder_integral,
     integrate,
@@ -125,9 +125,8 @@ class TestGrids:
         assert grid.points[-1] == pytest.approx(1.0 - 1e-3, abs=1e-15)
 
     def test_default_grid_shape(self):
-        grid = default_grid()
-        assert len(grid.points) == 512
-        assert grid.describe().startswith("512:")
+        assert len(DEFAULT_GRID.points) == 512
+        assert DEFAULT_GRID.describe().startswith("512:")
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -137,5 +136,17 @@ class TestGrids:
         pts = tuple(interior_points(0.0, 1.0, 32))
         bad = pts[:16] + (pts[15],) + pts[16:]
         with pytest.raises(ValueError):
-            Grid(points=bad, lo=0.0, hi=1.0, edge_margin=1e-3)
+            Grid(points=bad)
+
+    @pytest.mark.parametrize("lo, hi, margin", [
+        (-1.0, 1.0, 1e-3), (0.0, 2.0, 1e-3),   # beyond an end
+        (0.0, 0.5, 0.0), (0.5, 1.0, 0.0),      # on an end
+    ])
+    def test_points_outside_the_open_unit_interval_rejected(self, lo, hi, margin):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            uniform_grid(32, lo=lo, hi=hi, edge_margin=margin)
+
+    def test_zero_margin_inside_the_interval_is_a_grid(self):
+        grid = uniform_grid(199, lo=0.002, hi=0.2, edge_margin=0.0)
+        assert grid.describe() == "199:0.002:0.2"
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stochorder import cli
 from stochorder import distortions as dist_mod
 from stochorder import distributions as db
 from stochorder.numerics import Grid, Tolerance, uniform_grid
@@ -25,7 +25,6 @@ from stochorder.orders import (
     qmit_xspace_integral,
     transform_curves,
     ttt_transform,
-    write_curve_csv,
 )
 
 from helpers import interior_points
@@ -200,7 +199,7 @@ class TestDmrlRoutes:
         Xh = db.distort(named_distributions["ce02_x"], h)
         Yh = db.distort(named_distributions["ce02_y"], h)
         pts = tuple(interior_points(0.002, 0.2, 99))
-        grid = Grid(points=pts, lo=0.0, hi=1.0, edge_margin=1e-3)
+        grid = Grid(points=pts)
         assert not check_order(Xh, Yh, OrderKind.DMRL, grid).holds
         gap = dmrl_integral_curve(Xh, Yh, grid)
         assert min(gap["value"]) < -1e-10
@@ -275,15 +274,18 @@ class TestImplications:
 
 
 class TestCurveCsv:
-    def test_stream_format(self, named_distributions):
+    def test_stream_format(self, named_distributions, tmp_path):
         verdict = check_order(named_distributions["uniform"],
                               named_distributions["exp_1"],
                               OrderKind.TTT, COARSE)
-        buf = io.StringIO()
-        write_curve_csv(verdict, buf)
-        lines = buf.getvalue().splitlines()
+        out = tmp_path / "curve.csv"
+        assert cli.main(["check-order", "--x", "q:p", "--y", "exp:1",
+                         "--order", "ttt", "--grid-count", "64",
+                         "--grid-margin", "0.01", "--out-csv", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "p,value_x,value_y,functional"
         assert len(lines) == 1 + len(verdict.curve["p"])
-        first = [float(tok) for tok in lines[1].split(",")]
-        assert len(first) == 4
-        assert first[0] == verdict.curve["p"][0]
+        # .17g fields read back to the exact curve values
+        rows = [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
+        columns = ("p", "value_x", "value_y", "functional")
+        assert rows == list(zip(*(verdict.curve[key] for key in columns)))

@@ -12,7 +12,7 @@ from stochorder import copulas as cop
 from stochorder import distortions as dist_mod
 from stochorder import systems as sys_mod
 from stochorder.distortions import classify
-from stochorder.numerics import default_grid
+from stochorder.numerics import DEFAULT_GRID
 from stochorder.orders import OrderKind
 from stochorder.systems import (
     DiagParams,
@@ -157,49 +157,49 @@ class TestDiagonalParameters:
 
 class TestClosedForms:
     def test_durante_polynomial_values(self):
-        gen = cop.validate_generator("p", 4)
+        copula = cop.durante("p", 4)
         sig = parse_signature("2, 0, -2, 1")
-        built = durante_system_distortion(sig, gen)
+        built = durante_system_distortion(sig, copula)
         # h(p) = 2p - 2p^3 + p^4 under the identity generator
         assert built.h(0.5) == pytest.approx(0.8125, abs=1e-12)
         sig2 = parse_signature("0, 1, 1, -1")
-        built2 = durante_system_distortion(sig2, gen)
+        built2 = durante_system_distortion(sig2, copula)
         assert built2.h(0.5) == pytest.approx(0.3125, abs=1e-12)
 
     def test_closed_form_text(self):
-        gen = cop.validate_generator(catalog.DEFAULT_GENERATOR_TEXT, 4)
-        built = durante_system_distortion(parse_signature("0, 1, 1, -1"), gen)
+        copula = cop.durante(catalog.DEFAULT_GENERATOR_TEXT, 4)
+        built = durante_system_distortion(parse_signature("0, 1, 1, -1"), copula)
         assert built.closed_form == "p*f(p) + p*f(p)^2 - p*f(p)^3"
 
     def test_durante_closed_matches_generic_copula_sum(self):
-        gen = cop.validate_generator("p^0.5", 4)
+        copula = cop.durante("p^0.5", 4)
         sig = parse_signature("2, 0, -2, 1")
-        closed = durante_system_distortion(sig, gen)
-        generic = sys_mod._boundary_sum(sig, cop.durante("p^0.5", 4))
+        closed = durante_system_distortion(sig, copula)
+        generic = sys_mod._boundary_sum(sig, copula)
         assert max_abs_diff(closed.h.fn, generic,
                             interior_points(0.0, 1.0, 33)) < 1e-12
 
     def test_diag_closed_matches_generic_copula_sum(self):
-        d = cop.validate_diagonal(catalog.FN_DIAG_TEXT, 5)
+        copula = cop.jaworski(catalog.FN_DIAG_TEXT, 5)
         sig = parse_signature("0, 0, 0, 3, -2")
-        closed = diag_system_distortion(sig, d)
-        generic = sys_mod._boundary_sum(sig, cop.jaworski(catalog.FN_DIAG_TEXT, 5))
+        closed = diag_system_distortion(sig, copula)
+        generic = sys_mod._boundary_sum(sig, copula)
         assert max_abs_diff(closed.h.fn, generic,
                             interior_points(0.0, 1.0, 33)) < 1e-12
 
     def test_diag_closed_form_text(self):
-        d = cop.validate_diagonal(catalog.FN_DIAG_TEXT, 5)
-        built = diag_system_distortion(parse_signature("0, 0, 0, 3, -2"), d)
+        copula = cop.jaworski(catalog.FN_DIAG_TEXT, 5)
+        built = diag_system_distortion(parse_signature("0, 0, 0, 3, -2"), copula)
         assert built.closed_form == "3/4*p + 1/4*d(p)"
 
     @pytest.mark.parametrize("build, validates, cop_evals", [
         # 65 cross-check points x 3 non-zero entries; one validation, of h_T
         (lambda: durante_system_distortion(parse_signature("2,0,-2,1"),
-                                           cop.validate_generator("p^0.5", 4)),
+                                           cop.durante("p^0.5", 4)),
          1, 195),
         # 65 cross-check points x 2 non-zero entries
         (lambda: diag_system_distortion(parse_signature("0,0,0,3,-2"),
-                                        cop.validate_diagonal("2*p^2 - p^3", 5)),
+                                        cop.jaworski("2*p^2 - p^3", 5)),
          1, 130),
     ], ids=["generator", "diagonal"])
     def test_closed_form_is_validated_once(self, monkeypatch, build,
@@ -232,9 +232,9 @@ class TestClosedForms:
         assert built.closed_form is None
 
     def test_inexact_signature_rejected_by_closed_forms(self):
-        gen = cop.validate_generator("p", 3)
+        copula = cop.durante("p", 3)
         sig = signature([0.2, 0.5, 0.3])
-        built = durante_system_distortion(sig, gen)
+        built = durante_system_distortion(sig, copula)
         assert built.h(0.5) > 0.0  # float route still builds and validates
 
 
@@ -275,7 +275,7 @@ class TestShapeCondition:
         sig = parse_signature("1, 1, -1")
         gen = cop.validate_generator("p^0.5", 3)
         result = durante_shape_condition(sig, gen)
-        witness = next(p for p in default_grid().points if p > 0.25)
+        witness = next(p for p in DEFAULT_GRID.points if p > 0.25)
         assert result.verdict == "inconclusive"
         assert result.notes == (f"shape condition changes sign "
                                 f"(witness p={witness:.6g})")
@@ -290,26 +290,26 @@ class TestShapeCondition:
         assert all(v >= -1e-12 for v in values)
 
 
-def _classify_diag(sig, d):
-    built = diag_system_distortion(sig, d)
-    return classify_diag(built, d, classify(built.h))
+def _classify_diag(sig, copula):
+    built = diag_system_distortion(sig, copula)
+    return classify_diag(built, copula.diagonal, classify(built.h))
 
 
 class TestDiagClassification:
     def test_positive_diagonal_weight_with_starshaped_diagonal(self):
         sig = parse_signature("0, 0, 0, 3, -2")
-        d = cop.validate_diagonal(catalog.FN_DIAG_TEXT, 5)
-        assert _classify_diag(sig, d).verdict == "starshaped"
+        copula = cop.jaworski(catalog.FN_DIAG_TEXT, 5)
+        assert _classify_diag(sig, copula).verdict == "starshaped"
 
     def test_negative_diagonal_weight_flips_verdict(self):
         sig = parse_signature("0, 6, -8, 3")
-        d = cop.validate_diagonal(catalog.MIX_DIAG_TEXT, 4)
-        assert _classify_diag(sig, d).verdict == "antistarshaped"
+        copula = cop.jaworski(catalog.MIX_DIAG_TEXT, 4)
+        assert _classify_diag(sig, copula).verdict == "antistarshaped"
 
     def test_non_starshaped_diagonal_is_inconclusive_with_direct_flags(self):
         sig = parse_signature("0, 0, 2, -1")
-        d = cop.validate_diagonal(catalog.QMIT_DIAG_TEXT, 4)
-        result = _classify_diag(sig, d)
+        copula = cop.jaworski(catalog.QMIT_DIAG_TEXT, 4)
+        result = _classify_diag(sig, copula)
         assert result.verdict == "inconclusive"
         assert result.direct is not None
         assert result.direct.dual_antistarshaped
@@ -355,8 +355,8 @@ class TestDiagClassification:
 
     def test_zero_diagonal_weight_reads_identity(self):
         sig = parse_signature("1, 0")
-        d = cop.validate_diagonal("p^2", 2)
-        assert _classify_diag(sig, d).verdict == "identity"
+        copula = cop.jaworski("p^2", 2)
+        assert _classify_diag(sig, copula).verdict == "identity"
 
 
 class TestSeriesParallel:
