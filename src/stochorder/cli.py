@@ -47,17 +47,15 @@ EXIT_IO = 4
 
 _INPUT_ERRORS = (ValueError, funcalc.ExprError, NumericsError)
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
 
 def _write_csv(path: str, header: Sequence[str], rows, comment: Optional[str] = None) -> None:
+    """One row per line, each value as repr-exact "%.17g" (the same bytes as
+    format(float(v), ".17g")); the whole file is written in one call."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    head = f"# {comment}\n" if comment else ""
+    text = head + ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        if comment:
-            fp.write(f"# {comment}\n")
-        fp.write(",".join(header) + "\n")
-        for row in rows:
-            fp.write(",".join(_fmt(v) for v in row) + "\n")
+        fp.write(text)
 
 
 def _write_json(path: Optional[str], doc: dict) -> None:
@@ -88,8 +86,31 @@ def _pick(args_value, config: dict, key: str, default=None):
     return config.get(key, default)
 
 
+def _config_object(config: dict, key: str, fields: Sequence[str]) -> dict:
+    """config[key] as an object whose keys are all among fields ({} if absent)."""
+    value = config.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"config {key!r} must be an object with keys "
+                         f"{', '.join(fields)}; got {value!r}")
+    unknown = sorted(set(value) - set(fields))
+    if unknown:
+        raise ValueError(f"config {key!r} has unknown key(s) {', '.join(unknown)}; "
+                         f"expected {', '.join(fields)}")
+    return value
+
+
+def _config_orders(config: dict) -> List[str]:
+    """config "orders", checked to be a list of order names ([] if absent)."""
+    names = config.get("orders", [])
+    valid = [k.value for k in OrderKind]
+    if not isinstance(names, list) or not all(n in valid for n in names):
+        raise ValueError(f"config 'orders' must be a list of order names from "
+                         f"{', '.join(valid)}; got {names!r}")
+    return names
+
+
 def _grid_from(config: dict, count=None, lo=None, hi=None, margin=None) -> Grid:
-    grid_cfg = config.get("grid", {}) if isinstance(config.get("grid", {}), dict) else {}
+    grid_cfg = _config_object(config, "grid", ("count", "lo", "hi", "edge_margin"))
     count = count if count is not None else grid_cfg.get("count", DEFAULT_GRID_COUNT)
     lo = lo if lo is not None else grid_cfg.get("lo", 0.0)
     hi = hi if hi is not None else grid_cfg.get("hi", 1.0)
@@ -125,14 +146,15 @@ def cmd_check_order(args) -> int:
     y_spec = _pick(args.y, config, "y")
     if not x_spec or not y_spec:
         raise ValueError("check-order needs --x and --y distribution specs")
-    order_names = args.order or config.get("orders")
-    if not order_names:
+    config_orders = _config_orders(config)
+    kinds = args.order or config_orders
+    if not kinds:
         raise ValueError("check-order needs at least one --order")
-    kinds = [OrderKind(name) for name in order_names]
     distortion_spec = _pick(args.distort, config, "distortion")
     scenario = _pick(args.scenario, config, "name", default="cli")
     grid = _grid_from(config, args.grid_count, args.grid_lo, args.grid_hi,
                       args.grid_margin)
+    outputs = _config_object(config, "outputs", ("verdict_json", "curve_csv"))
 
     x = distrib_mod.build(distrib_mod.parse_spec(x_spec))
     y = distrib_mod.build(distrib_mod.parse_spec(y_spec))
@@ -142,7 +164,7 @@ def cmd_check_order(args) -> int:
         x = distrib_mod.distort(x, h)
         y = distrib_mod.distort(y, h)
 
-    verdicts = [orders_mod.check_order(x, y, kind, grid) for kind in kinds]
+    verdicts = orders_mod.check_orders(x, y, kinds, grid)
 
     doc = {
         "scenario": scenario,
@@ -152,7 +174,6 @@ def cmd_check_order(args) -> int:
         "holds": all(v.holds for v in verdicts),
         "results": [_verdict_record(scenario, v) for v in verdicts],
     }
-    outputs = config.get("outputs", {}) if isinstance(config.get("outputs", {}), dict) else {}
     json_path = _pick(args.out_json, outputs, "verdict_json")
     csv_path = _pick(args.out_csv, outputs, "curve_csv")
     if json_path or not csv_path:

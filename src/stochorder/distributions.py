@@ -291,8 +291,12 @@ def mean(X: Distribution) -> float:
 def distort(X: Distribution, h: dist_mod.Distortion) -> Distribution:
     """Distorted distribution: survival h(F̄), i.e. q_h(p) = q(1 - h⁻¹(1-p)).
 
-    The quantile is memoized because adaptive quadrature revisits nodes across
-    the ttt/ew/mean passes and generic h inverses cost a bisection each.
+    The quantile is memoized because a generic h inverse costs a bisection,
+    and a request still meets some points twice: neighbouring quadrature
+    segments share their ends, and the grid points are sampled again for
+    the curves and for star.  With one transform pass per side (see
+    orders.check_orders) most lookups miss; the memo stays while
+    bench/tracer.py reads its cache_info() for the hit ratio.
     """
     q = X.quantile
 

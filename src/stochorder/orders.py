@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -178,15 +178,21 @@ def density_ratios(X: Distribution, Y: Distribution,
                      for p in points])
 
 
+# key -> (curve of X, curve of Y) from the transform passes of one request
+_Curves = Callable[[str], Tuple[np.ndarray, np.ndarray]]
+
+
 def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
-                   grid: Grid) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray, List[str]]:
+                   grid: Grid, curves: _Curves) -> Tuple[np.ndarray, np.ndarray,
+                                                         np.ndarray, np.ndarray,
+                                                         List[str]]:
     """Numerator/denominator samples for the ratio kinds.
 
     Returns the kept (p, value_x, value_y, ratio) arrays plus exclusion
     notes; points with degenerate denominators or densities are dropped.
     The ratio is value_y/value_x for dmrl and star, value_x/value_y for
-    qmit and convex_transform.
+    qmit and convex_transform.  dmrl and qmit read their ew/mit samples
+    from curves.
     """
     pts = grid.points
     if kind == OrderKind.CONVEX_TRANSFORM:
@@ -206,9 +212,7 @@ def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
         den, eps, why = vx, 1e-9, "quantile of X ~0"
     else:
         key = "ew" if kind == OrderKind.DMRL else "mit"
-        need_mean = key == "ew"
-        vx = np.array(transform_curves(X, grid, require_finite_mean=need_mean)[key])
-        vy = np.array(transform_curves(Y, grid, require_finite_mean=need_mean)[key])
+        vx, vy = curves(key)
         den = vx if kind == OrderKind.DMRL else vy
         eps, why = _DENOM_EPS, f"{key} denominator ~0"
     p = np.array(pts)
@@ -219,10 +223,21 @@ def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
     return p, vx, vy, ratio, notes
 
 
-def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
-                grid: Grid = DEFAULT_GRID,
-                tol: Tolerance = DEFAULT_CHECK_TOL) -> OrderVerdict:
-    """Grid-certified verdict for one order between X and Y.
+_RATIO_NAMES = {OrderKind.DMRL: "excess-wealth ratio ew_y/ew_x",
+                OrderKind.QMIT: "mean-inactivity ratio mit_x/mit_y",
+                OrderKind.CONVEX_TRANSFORM: "density ratio at matched quantiles",
+                OrderKind.STAR: "quantile ratio q_y/q_x"}
+
+
+def check_orders(X: Distribution, Y: Distribution, kinds: Sequence[OrderKind],
+                 grid: Grid = DEFAULT_GRID,
+                 tol: Tolerance = DEFAULT_CHECK_TOL) -> List[OrderVerdict]:
+    """Grid-certified verdicts for several orders between X and Y, in order.
+
+    ttt, ew, dmrl and qmit all read the transform curves of X and Y, so
+    each side's transform_curves pass runs at most once per call, when the
+    first kind needing it is checked; the pass refuses an infinite mean
+    when ew or dmrl is among the kinds.
 
     Pointwise kinds (ttt, ew) witness every grid point whose margin
     value_y - value_x drops below -tol; ratio kinds witness every adjacent
@@ -231,19 +246,29 @@ def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
     The verdict is relative to the grid: "holds" certifies the sampled
     points only.
     """
-    kind = OrderKind(kind)
+    kinds = [OrderKind(kind) for kind in kinds]
+    need_mean = OrderKind.EW in kinds or OrderKind.DMRL in kinds
+    passes: List[Dict[str, Tuple[float, ...]]] = []
 
+    def curves(key: str) -> Tuple[np.ndarray, np.ndarray]:
+        for side in (X, Y)[len(passes):]:
+            passes.append(transform_curves(side, grid, require_finite_mean=need_mean))
+        return np.array(passes[0][key]), np.array(passes[1][key])
+
+    return [_verdict(X, Y, kind, grid, tol, curves) for kind in kinds]
+
+
+def _verdict(X: Distribution, Y: Distribution, kind: OrderKind, grid: Grid,
+             tol: Tolerance, curves: _Curves) -> OrderVerdict:
     if kind in (OrderKind.TTT, OrderKind.EW):
         key = kind.value
-        need_mean = key == "ew"
         p = np.array(grid.points)
-        vx = np.array(transform_curves(X, grid, require_finite_mean=need_mean)[key])
-        vy = np.array(transform_curves(Y, grid, require_finite_mean=need_mean)[key])
+        vx, vy = curves(key)
         functional = vy - vx
         at, lower, upper = p, vx, vy
         notes = [f"functional is the pointwise margin {key}_y - {key}_x"]
     else:
-        p, vx, vy, functional, notes = _ratio_samples(X, Y, kind, grid)
+        p, vx, vy, functional, notes = _ratio_samples(X, Y, kind, grid, curves)
         if p.size < 2:
             raise ValueError(f"{kind.value}: fewer than two usable grid points")
         decreasing = kind == OrderKind.QMIT
@@ -251,11 +276,7 @@ def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
         if decreasing:
             lower, upper = upper, lower
         direction = "decreasing" if decreasing else "increasing"
-        names = {OrderKind.DMRL: "excess-wealth ratio ew_y/ew_x",
-                 OrderKind.QMIT: "mean-inactivity ratio mit_x/mit_y",
-                 OrderKind.CONVEX_TRANSFORM: "density ratio at matched quantiles",
-                 OrderKind.STAR: "quantile ratio q_y/q_x"}
-        notes.append(f"functional is the {names[kind]}; must be {direction}")
+        notes.append(f"functional is the {_RATIO_NAMES[kind]}; must be {direction}")
     margin = upper - lower
     bad = np.flatnonzero(margin < -_threshold(tol, lower, upper))
     witnesses = tuple(zip(at[bad].tolist(), margin[bad].tolist()))
@@ -263,6 +284,13 @@ def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
              "value_y": tuple(vy.tolist()), "functional": tuple(functional.tolist())}
     return OrderVerdict(kind=kind, holds=not witnesses, witnesses=witnesses,
                         curve=curve, grid=grid, tolerance=tol, notes=tuple(notes))
+
+
+def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
+                grid: Grid = DEFAULT_GRID,
+                tol: Tolerance = DEFAULT_CHECK_TOL) -> OrderVerdict:
+    """Grid-certified verdict for one order between X and Y (see check_orders)."""
+    return check_orders(X, Y, (kind,), grid, tol)[0]
 
 
 def dmrl_integral(X: Distribution, Y: Distribution, p: float) -> float:
@@ -388,8 +416,8 @@ _CHAINS = (
 def order_implication_check(X: Distribution, Y: Distribution,
                             grid: Grid = DEFAULT_GRID) -> ImplicationReport:
     """Evaluate all six orders and flag violations of the implication chains."""
-    verdicts = {kind.value: check_order(X, Y, kind, grid).holds
-                for kind in OrderKind}
+    verdicts = {v.kind.value: v.holds
+                for v in check_orders(X, Y, tuple(OrderKind), grid)}
     violations = []
     for stronger, weaker in _CHAINS:
         if verdicts[stronger.value] and not verdicts[weaker.value]:

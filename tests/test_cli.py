@@ -5,7 +5,9 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stochorder import cli
@@ -137,6 +139,66 @@ class TestCheckOrder:
                          "--grid-count", "64"]) == code
         if code == 2:
             assert "infinite mean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("orders, code", [(("ttt", "qmit"), 0),
+                                              (("ttt", "ew"), 2),
+                                              (("dmrl", "star"), 2)])
+    def test_infinite_mean_with_several_orders(self, orders, code, capsys):
+        # one shared transform pass per side refuses the infinite mean exactly
+        # when ew or dmrl is asked for, with the message of a one-order check
+        argv = ["check-order", "--x", "q: 1/(1-p) - 1", "--y", "q: 2/(1-p) - 2",
+                "--grid-count", "64"]
+        for order in orders:
+            argv += ["--order", order]
+        assert cli.main(argv) == code
+        if code == 2:
+            assert capsys.readouterr().err == (
+                "error: q:1/(1-p) - 1: infinite mean, tail contributions not "
+                "decaying (rung ratios [" + ", ".join(["1.0"] * 11) + "])\n")
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"grid": 64}, "'grid'"),
+        ({"grid": {"cnt": 64}}, "cnt"),
+        ({"grid": {"count": 64, "margin": 0.01}}, "margin"),
+        ({"outputs": 5}, "'outputs'"),
+        ({"outputs": {"csv": "out.csv"}}, "csv"),
+    ])
+    def test_malformed_config_values_exit_two(self, extra, named, tmp_path,
+                                              capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"], **extra}))
+        assert cli.main(["check-order", "--config", str(config)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("orders", ["ttt", ["ttt", "stars"], [1], {"ttt": 1}])
+    def test_config_orders_must_be_a_list_of_names(self, orders, tmp_path,
+                                                   capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:0.5", "orders": orders}))
+        assert cli.main(["check-order", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "'orders'" in err
+        assert "ttt, ew, dmrl, qmit, convex_transform, star" in err
+
+
+class TestWriteCsv:
+    VALUES = (-0.0, 5e-324, 1e300, float("inf"), 7, np.float64(0.1),
+              Fraction(1, 3))
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_bytes_match_per_field_format(self, width, tmp_path):
+        values = self.VALUES
+        rows = [tuple(values[(i + j) % len(values)] for j in range(width))
+                for i in range(len(values))]
+        header = tuple(f"c{j}" for j in range(width))
+        out = tmp_path / "table.csv"
+        cli._write_csv(str(out), header, iter(rows), comment="values")
+        expected = "# values\n" + ",".join(header) + "\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in row) + "\n"
+            for row in rows)
+        assert out.read_bytes() == expected.encode("utf-8")
 
 
 class TestClassify:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stochorder import cli
 from stochorder import distortions as dist_mod
+from stochorder import orders as orders_mod
 from stochorder import distributions as db
 from stochorder.numerics import Grid, Tolerance, uniform_grid
 from stochorder.orders import (
@@ -136,6 +137,43 @@ class TestCheckOrder:
                             "tolerance", "curve", "notes"}
         assert doc["kind"] == "ttt"
         assert doc["grid"].startswith("64:")
+
+
+class TestSharedTransformPass:
+    @pytest.mark.parametrize("kinds, passes", [
+        (tuple(OrderKind), 2),
+        ((OrderKind.STAR,), 0),
+        ((OrderKind.CONVEX_TRANSFORM,), 0),
+        ((OrderKind.TTT,), 2),
+        ((OrderKind.DMRL, OrderKind.QMIT), 2),
+    ])
+    def test_each_side_is_integrated_at_most_once(self, kinds, passes,
+                                                  named_distributions,
+                                                  monkeypatch):
+        calls = []
+        original = orders_mod.transform_curves
+
+        def counted(X, *args, **kwargs):
+            calls.append(X.label)
+            return original(X, *args, **kwargs)
+
+        monkeypatch.setattr(orders_mod, "transform_curves", counted)
+        X, Y = named_distributions["uniform"], named_distributions["exp_1"]
+        verdicts = orders_mod.check_orders(X, Y, kinds, COARSE)
+        assert [v.kind for v in verdicts] == list(kinds)
+        assert len(calls) == passes
+        assert calls == [X.label, Y.label][:passes]
+
+    @pytest.mark.parametrize("x_name, y_name", [("uniform", "exp_1"),
+                                                ("exp_half", "exp_1"),
+                                                ("ce02_x", "ce02_y")])
+    def test_same_verdicts_as_one_order_at_a_time(self, x_name, y_name,
+                                                  named_distributions):
+        X, Y = named_distributions[x_name], named_distributions[y_name]
+        kinds = tuple(OrderKind)
+        many = orders_mod.check_orders(X, Y, kinds, COARSE)
+        assert [v.to_json() for v in many] == \
+            [check_order(X, Y, kind, COARSE).to_json() for kind in kinds]
 
 
 def _table_distribution(values, grid):
