@@ -31,6 +31,7 @@ from . import distributions as distrib_mod
 from . import systems as sys_mod
 from .distortions import Distortion
 from .distributions import Distribution
+from .numerics import each, elementwise
 
 # the hazard function of the first counterexample's baseline: C^1 but not
 # C^2 at x=1 (exponential, then square-root, then Gaussian-tail growth)
@@ -80,15 +81,17 @@ def convex_mix(w: float) -> Distortion:
         raise ValueError(f"weight must lie in [0,1), got {w!r}")
     c = 1.0 - w
 
-    def fn(p: float) -> float:
+    @elementwise
+    def fn(p):
         return w * p + c * p * p
 
-    def inv(y: float) -> float:
-        return (-w + math.sqrt(w * w + 4.0 * c * y)) / (2.0 * c)
+    @elementwise
+    def inv(y):
+        return (-w + each(math.sqrt, w * w + 4.0 * c * y)) / (2.0 * c)
 
     return dist_mod.validate(
         fn, label=f"{w:.6g}*p + {c:.6g}*p^2",
-        inverse_fn=inv, co_inverse_fn=lambda p: 1.0 - inv(1.0 - p))
+        inverse_fn=inv, co_inverse_fn=elementwise(lambda p: 1.0 - inv(1.0 - p)))
 
 
 def concave_mix(w: float) -> Distortion:
@@ -98,15 +101,17 @@ def concave_mix(w: float) -> Distortion:
     c = 1.0 - w
     b = 2.0 - w  # h(p) = b*p - c*p^2
 
-    def fn(p: float) -> float:
+    @elementwise
+    def fn(p):
         return b * p - c * p * p
 
-    def inv(y: float) -> float:
-        return (b - math.sqrt(b * b - 4.0 * c * y)) / (2.0 * c)
+    @elementwise
+    def inv(y):
+        return (b - each(math.sqrt, b * b - 4.0 * c * y)) / (2.0 * c)
 
     return dist_mod.validate(
         fn, label=f"{w:.6g}*p + {c:.6g}*(2*p - p^2)",
-        inverse_fn=inv, co_inverse_fn=lambda p: 1.0 - inv(1.0 - p))
+        inverse_fn=inv, co_inverse_fn=elementwise(lambda p: 1.0 - inv(1.0 - p)))
 
 
 @lru_cache(maxsize=1)
@@ -215,7 +220,7 @@ def sample_ordered_pair(rng) -> Tuple[Distribution, Distribution, str]:
         base = distributions()[base_name]
         c = 1.05 + 1.5 * rng.random()
         y = distrib_mod.from_quantile(
-            lambda p, _b=base, _c=c: _c * _b.quantile(p),
+            elementwise(lambda p, _b=base, _c=c: _c * _b.quantile(p)),
             label=f"scale({base_name}, {c:.6g})",
             validate=False)
         return base, y, f"{base_name} scaled by {c:.6g}"

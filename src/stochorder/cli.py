@@ -15,7 +15,7 @@ Subcommands:
 
 Exit codes: 0 success/orders hold; 1 at least one checked order is violated;
 2 input or validation error; 3 a preservation sweep recorded a failure;
-4 output I/O error.
+4 output I/O error; 5 numeric failure (quadrature or bisection bracket).
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import json
 import os
 import sys
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from . import catalog
 from . import copulas as cop_mod
@@ -44,8 +46,14 @@ EXIT_VIOLATED = 1
 EXIT_INPUT = 2
 EXIT_SWEEP_FAIL = 3
 EXIT_IO = 4
+EXIT_NUMERIC = 5
 
-_INPUT_ERRORS = (ValueError, funcalc.ExprError, NumericsError)
+_INPUT_ERRORS = (ValueError, funcalc.ExprError)
+
+# the top-level keys each command reads from its --config file
+_CHECK_ORDER_KEYS = ("x", "y", "orders", "distortion", "name", "grid", "outputs")
+_SWEEP_KEYS = ("seed", "trials", "grid_count", "edge_margin", "abs_tol",
+               "rel_tol", "suites")
 
 
 def _write_csv(path: str, header: Sequence[str], rows, comment: Optional[str] = None) -> None:
@@ -67,7 +75,8 @@ def _write_json(path: Optional[str], doc: dict) -> None:
             fp.write(text)
 
 
-def _load_config(path: Optional[str]) -> dict:
+def _load_config(path: Optional[str], keys: Sequence[str]) -> dict:
+    """The JSON object in path ({} without one); every key must be in keys."""
     if not path:
         return {}
     try:
@@ -77,6 +86,10 @@ def _load_config(path: Optional[str]) -> dict:
         raise ValueError(f"cannot read config {path!r}: {ex.strerror or ex}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"config {path!r} must hold a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"config {path!r} has unknown key(s) {', '.join(unknown)}; "
+                         f"expected {', '.join(keys)}")
     return doc
 
 
@@ -120,6 +133,11 @@ def _grid_from(config: dict, count=None, lo=None, hi=None, margin=None) -> Grid:
                         edge_margin=float(margin))
 
 
+def _table(fn, points: Sequence[float]):
+    """Rows (p, fn(p)), fn called once on all the points."""
+    return zip(points, fn(np.array(points, dtype=float)))
+
+
 def _verdict_record(scenario: str, verdict) -> dict:
     return {
         "scenario": scenario,
@@ -141,7 +159,7 @@ def _csv_path_for_order(base: str, order: OrderKind, multiple: bool) -> str:
 
 
 def cmd_check_order(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, _CHECK_ORDER_KEYS)
     x_spec = _pick(args.x, config, "x")
     y_spec = _pick(args.y, config, "y")
     if not x_spec or not y_spec:
@@ -260,7 +278,7 @@ def cmd_distort(args) -> int:
     xh = distrib_mod.distort(x, h)
     grid = _grid_from({}, args.grid_count, args.grid_lo, args.grid_hi,
                       args.grid_margin)
-    rows = [(p, xh.quantile(p)) for p in grid.points]
+    rows = _table(xh.quantile, grid.points)
     _write_csv(args.out_csv, ("p", "value"), rows,
                comment=f"distorted quantile of {x.label} under h={h.label}")
     return EXIT_OK
@@ -272,7 +290,7 @@ def cmd_system(args) -> int:
         raise ValueError(f"--grid-count must be at least 2, got {count}")
     handle, built = _build_system(args.signature, args.copula)
     doc = _system_doc(built, handle)
-    rows = [(p, built.h.fn(p)) for p in validation_points(count)]
+    rows = _table(built.h.fn, validation_points(count))
     if args.out_csv:
         _write_csv(args.out_csv, ("p", "value"), rows,
                    comment=f"system distortion h_T for a=({built.sig.label()}) "
@@ -346,7 +364,7 @@ def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
     files = []
     pts = validation_points(257)
     path = os.path.join(out_dir, "distortion.csv")
-    _write_csv(path, ("p", "value"), [(p, built.h.fn(p)) for p in pts],
+    _write_csv(path, ("p", "value"), _table(built.h.fn, pts),
                comment=f"system distortion h_T, a=({sig.label()}), "
                        f"f(p)={gen.label}")
     files.append(path)
@@ -372,7 +390,7 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
     files = []
     pts = validation_points(257)
     path = os.path.join(out_dir, "distortion.csv")
-    _write_csv(path, ("p", "value"), [(p, built.h.fn(p)) for p in pts],
+    _write_csv(path, ("p", "value"), _table(built.h.fn, pts),
                comment=f"system distortion h_T = {built.closed_form}, "
                        f"a=({sig.label()}), d(p)={d.label}")
     files.append(path)
@@ -384,13 +402,13 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
         dual = dist_mod.dual(built.h)
         ratio_pts = validation_points(513)[1:]
         path = os.path.join(out_dir, "dual_ratio.csv")
-        _write_csv(path, ("p", "value"),
-                   [(p, dual.fn(p) / p) for p in ratio_pts],
+        ratio = dual.fn(np.array(ratio_pts)) / np.array(ratio_pts)
+        _write_csv(path, ("p", "value"), zip(ratio_pts, ratio),
                    comment="dual distortion ratio h*(p)/p; decreasing means "
                            "the dual is antistarshaped")
         files.append(path)
         path = os.path.join(out_dir, "diagonal.csv")
-        _write_csv(path, ("p", "value"), [(p, d.fn(p)) for p in pts],
+        _write_csv(path, ("p", "value"), _table(d.fn, pts),
                    comment=f"diagonal d(p)={d.label} against the identity")
         files.append(path)
     return files
@@ -418,7 +436,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = _load_config(args.config)
+    raw = _load_config(args.config, _SWEEP_KEYS)
     default = sweeps_mod.SweepConfig()
     tol = Tolerance(abs_tol=float(raw.get("abs_tol", default.tolerance.abs_tol)),
                     rel_tol=float(raw.get("rel_tol", default.tolerance.rel_tol)))
@@ -512,6 +530,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except NumericsError as ex:
+        print(f"numeric failure: {ex}", file=sys.stderr)
+        return EXIT_NUMERIC
     except _INPUT_ERRORS as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT

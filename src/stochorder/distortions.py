@@ -10,7 +10,7 @@ tolerance, nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,7 +19,10 @@ from . import funcalc
 from .numerics import (
     Grid,
     SCAN_TIE_TOL,
+    each,
+    elementwise,
     first,
+    lift,
     monotone_inverse,
     sample,
     validation_points,
@@ -36,6 +39,8 @@ class DistortionValidationError(ValueError):
 class Distortion:
     """Validated distortion function.
 
+    ``fn`` and the optional maps below are elementwise (callables from
+    outside are lifted here), so h takes a float array of probabilities.
     ``inverse_fn`` is an optional closed-form inverse used as a fast path;
     the generalized bisection inverse is the fallback.  ``co_inverse_fn`` is
     an optional closed form of p -> 1 - inverse(1-p), the map distorted
@@ -49,6 +54,13 @@ class Distortion:
     strictly_increasing: bool
     inverse_fn: Optional[Callable[[float], float]] = None
     co_inverse_fn: Optional[Callable[[float], float]] = None
+
+    def __post_init__(self) -> None:
+        self.fn = lift(self.fn)
+        if self.inverse_fn is not None:
+            self.inverse_fn = lift(self.inverse_fn)
+        if self.co_inverse_fn is not None:
+            self.co_inverse_fn = lift(self.co_inverse_fn)
 
     def __call__(self, p: float) -> float:
         return self.fn(p)
@@ -115,44 +127,61 @@ def validate(fn: funcalc.FunctionLike,
 def dual(h: Distortion) -> Distortion:
     """Dual distortion h*(p) = 1 - h(1-p); distorts the cdf as h does the survival."""
     fn = h.fn
-    dual_fn = lambda p: 1.0 - fn(1.0 - p)
+    dual_fn = elementwise(lambda p: 1.0 - fn(1.0 - p))
     inv = None
     if h.inverse_fn is not None:
         base_inv = h.inverse_fn
-        inv = lambda y: 1.0 - base_inv(1.0 - y)
+        inv = elementwise(lambda y: 1.0 - base_inv(1.0 - y))
     # 1 - dual(h)^-1(1-p) = h^-1(p), so the dual's co-inverse is h's inverse
     return Distortion(fn=dual_fn, label=f"dual({h.label})",
                       strictly_increasing=h.strictly_increasing, inverse_fn=inv,
                       co_inverse_fn=h.inverse_fn)
 
 
-def inverse(h: Distortion, y: float) -> float:
-    """Generalized (left-continuous) inverse of h at y in [0,1].
+def _clamp(v):
+    # min(1.0, max(0.0, v)), entry by entry for arrays
+    if isinstance(v, np.ndarray):
+        v = np.where(v > 0.0, v, 0.0)
+        return np.where(v < 1.0, v, 1.0)
+    return min(1.0, max(0.0, v))
+
+
+def _interior(x, inner: Callable):
+    """inner(x) for x in (0, 1); 0 at or below 0, 1 at or above 1.  For an
+    array x, inner is called once, on the interior entries."""
+    if not isinstance(x, np.ndarray):
+        if x <= 0.0:
+            return 0.0
+        if x >= 1.0:
+            return 1.0
+        return inner(x)
+    out = np.where(x <= 0.0, 0.0, 1.0)
+    mid = np.flatnonzero(~((x <= 0.0) | (x >= 1.0)))
+    if mid.size:
+        out[mid] = inner(x[mid])
+    return out
+
+
+def inverse(h: Distortion, y):
+    """Generalized (left-continuous) inverse of h at y in [0,1], or at each
+    entry of an array y.
 
     Uses the closed-form inverse when the distortion carries one; otherwise
     bisection.  Values at the endpoints map to 0/1 exactly.
     """
-    if y <= 0.0:
-        return 0.0
-    if y >= 1.0:
-        return 1.0
     if h.inverse_fn is not None:
-        return min(1.0, max(0.0, h.inverse_fn(y)))
-    return monotone_inverse(h.fn, y, 0.0, 1.0)
+        return _interior(y, lambda v: _clamp(h.inverse_fn(v)))
+    return _interior(y, lambda v: monotone_inverse(h.fn, v, 0.0, 1.0))
 
 
-def co_inverse(h: Distortion, p: float) -> float:
+def co_inverse(h: Distortion, p):
     """1 - inverse(h, 1-p), computed without the complement roundtrip when
     the distortion carries a closed co-inverse (distorted quantiles are
     q(co_inverse(h, p)), and the roundtrip's 1e-16 quantization matters
-    wherever this map has steep slope)."""
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
+    wherever this map has steep slope).  Takes a float or an array."""
     if h.co_inverse_fn is not None:
-        return min(1.0, max(0.0, h.co_inverse_fn(p)))
-    return 1.0 - inverse(h, 1.0 - p)
+        return _interior(p, lambda v: _clamp(h.co_inverse_fn(v)))
+    return _interior(p, lambda v: 1.0 - inverse(h, 1.0 - v))
 
 
 def classify(h: Distortion, grid: Optional[Grid] = None) -> ShapeReport:
@@ -171,9 +200,10 @@ def classify(h: Distortion, grid: Optional[Grid] = None) -> ShapeReport:
         # (0,1] sample: ratios need p > 0, endpoint p=1 anchors h(1)/1 = 1
         pts = validation_points()[1:]
     p = np.array(pts)
-    vals = np.array([h.fn(x) for x in pts], dtype=float)
+    vals, flipped = np.split(np.asarray(h.fn(np.concatenate((p, 1.0 - p))),
+                                        dtype=float), 2)
     step = np.diff(vals / p)
-    dual_vals = 1.0 - np.array([h.fn(1.0 - x) for x in pts], dtype=float)
+    dual_vals = 1.0 - flipped
     dual_step = np.diff(dual_vals / p)
     # divided second differences approximate h'' up to O(spacing^2)
     slopes = np.diff(vals) / np.diff(p)
@@ -199,29 +229,33 @@ def classify(h: Distortion, grid: Optional[Grid] = None) -> ShapeReport:
 # --- built-in families ---
 
 def identity() -> Distortion:
-    return Distortion(fn=lambda p: p, label="identity", strictly_increasing=True,
-                      inverse_fn=lambda y: y,
-                      co_inverse_fn=lambda p: p)
+    same = elementwise(lambda p: p)
+    return Distortion(fn=same, label="identity", strictly_increasing=True,
+                      inverse_fn=same, co_inverse_fn=same)
+
+
+def _pow(k: float) -> Callable:
+    """p -> p ** k, elementwise."""
+    return elementwise(lambda p: each(pow, p, k))
 
 
 def power(k: float) -> Distortion:
     """h(p) = p^k, k > 0; convex and starshaped for k >= 1."""
     if not k > 0:
         raise DistortionValidationError(f"power exponent must be positive, got {k!r}")
-    return Distortion(fn=lambda p: p ** k, label=f"power:{k:g}",
+    fn, root = _pow(k), _pow(1.0 / k)
+    return Distortion(fn=fn, label=f"power:{k:g}",
                       strictly_increasing=True,
-                      inverse_fn=lambda y: y ** (1.0 / k),
-                      co_inverse_fn=lambda p: 1.0 - (1.0 - p) ** (1.0 / k))
+                      inverse_fn=root,
+                      co_inverse_fn=elementwise(lambda p: 1.0 - root(1.0 - p)))
 
 
 def dualpower(k: float) -> Distortion:
     """h(p) = 1-(1-p)^k, k > 0; concave and antistarshaped for k >= 1."""
     if not k > 0:
         raise DistortionValidationError(f"dualpower exponent must be positive, got {k!r}")
-    return Distortion(fn=lambda p: 1.0 - (1.0 - p) ** k, label=f"dualpower:{k:g}",
-                      strictly_increasing=True,
-                      inverse_fn=lambda y: 1.0 - (1.0 - y) ** (1.0 / k),
-                      co_inverse_fn=lambda p: p ** (1.0 / k))
+    # the dual of p^k: 1-(1-p)^k, with inverse 1-(1-y)^(1/k) and co-inverse p^(1/k)
+    return replace(dual(power(k)), label=f"dualpower:{k:g}")
 
 
 def parse_distortion_spec(text: str) -> Distortion:

@@ -25,8 +25,11 @@ from .numerics import (
     Tolerance,
     BracketError,
     derivative,
+    each,
     edge_ladder_integral,
+    elementwise,
     first,
+    lift,
     monotone_inverse,
     sample,
 )
@@ -53,14 +56,20 @@ class SpecError(ValueError):
 class Distribution:
     """Immutable distribution handle.
 
-    ``cdf_fn`` is an optional closed-form fast path; cdf() falls back to
-    inverting the quantile.  Whether the mean is finite is judged from the
-    tail of q wherever a mean-dependent quantity is integrated.
+    ``quantile`` is elementwise (a quantile callable from outside is lifted
+    here): a float array of probabilities gives the array of quantiles.
+    ``cdf_fn`` is an optional closed-form fast path, taking floats; cdf()
+    falls back to inverting the quantile.  Whether the mean is finite is
+    judged from the tail of q wherever a mean-dependent quantity is
+    integrated.
     """
 
     quantile: Callable[[float], float]
     label: str
     cdf_fn: Optional[Callable[[float], float]] = None
+
+    def __post_init__(self) -> None:
+        self.quantile = lift(self.quantile)
 
 
 @dataclass(frozen=True)
@@ -116,12 +125,12 @@ def _validate_quantile(fn: Callable[[float], float], label: str) -> None:
     # open-interval sample; q must be finite, non-decreasing, and >= 0
     lo, hi = 1e-9, 1.0 - 1e-9
     count = VALIDATION_COUNT
-    pts = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    pts = np.array([lo + (hi - lo) * i / (count - 1) for i in range(count)])
     vals = sample(fn, pts, SpecError,
                   lambda p, v: f"{label}: quantile not finite at p={p!r}")
     i = first(vals[1:] < vals[:-1] - 1e-9)
     if i is not None:
-        raise SpecError(f"{label}: quantile decreasing near p={pts[i + 1]!r} "
+        raise SpecError(f"{label}: quantile decreasing near p={float(pts[i + 1])!r} "
                         f"({float(vals[i])!r} -> {float(vals[i + 1])!r})")
     if vals[0] < -1e-9:
         raise SpecError(f"{label}: negative support (q near 0 is {float(vals[0])!r})")
@@ -146,7 +155,7 @@ def build(spec: Union[DistributionSpec, str]) -> Distribution:
         rate = spec.rate
         if rate is None or not (math.isfinite(rate) and rate > 0):
             raise SpecError(f"exponential rate must be positive, got {rate!r}")
-        q = lambda p: -math.log(1.0 - p) / rate
+        q = elementwise(lambda p: -each(math.log, 1.0 - p) / rate)
         cdf_fn = lambda x: 1.0 - math.exp(-rate * x) if x > 0.0 else 0.0
         return from_quantile(q, label=spec.render(), cdf_fn=cdf_fn, validate=False)
     if spec.kind == "quantile_expr":
@@ -182,23 +191,34 @@ def _build_hazard(spec: DistributionSpec) -> Distribution:
                             f"{_HAZARD_TARGET} (not unbounded?)")
     # monotonicity on [0, hi]
     steps = 512
-    xs = [hi * i / steps for i in range(1, steps + 1)]
+    xs = np.array([hi * i / steps for i in range(1, steps + 1)])
     vals = sample(psi, xs, SpecError,
                   lambda x, v: f"{spec.render()}: hazard not finite at x={x!r}")
     i = first(vals < np.r_[v0, vals[:-1]] - 1e-9)
     if i is not None:
-        raise SpecError(f"{spec.render()}: hazard decreasing near x={xs[i]!r}")
+        raise SpecError(f"{spec.render()}: hazard decreasing near x={float(xs[i])!r}")
 
-    def quantile(p: float, _psi=psi, _hi=hi) -> float:
-        target = -math.log(1.0 - p)
-        if target <= float(_psi(0.0)):
-            return 0.0
-        h = _hi
-        while float(_psi(h)) < target:
-            h *= 2.0
-            if h > 2.0 ** 64:
-                raise BracketError("hazard bracket growth exhausted")
-        return monotone_inverse(_psi, target, 0.0, h)
+    @elementwise
+    def quantile(p):
+        # psi(x) = -ln(1 - p), bracketed by doubling from hi
+        target = -each(math.log, 1.0 - p)
+        if not isinstance(p, np.ndarray):
+            if target <= v0:
+                return 0.0
+            h = hi
+            while float(psi(h)) < target:
+                h = _double(h)
+            return monotone_inverse(psi, target, 0.0, h)
+        out = np.zeros(p.shape)
+        live = np.flatnonzero(target > v0)
+        target = target[live]
+        h = np.full(target.shape, hi)
+        short = np.flatnonzero(psi(h) < target)
+        while short.size:
+            h[short] = _double(h[short])
+            short = short[psi(h[short]) < target[short]]
+        out[live] = monotone_inverse(psi, target, 0.0, h)
+        return out
 
     def cdf_fn(x: float, _psi=psi) -> float:
         if x <= 0.0:
@@ -207,6 +227,13 @@ def _build_hazard(spec: DistributionSpec) -> Distribution:
 
     return from_quantile(quantile, label=spec.render(), cdf_fn=cdf_fn,
                          validate=False)
+
+
+def _double(h):
+    h = h * 2.0
+    if np.any(h > 2.0 ** 64):
+        raise BracketError("hazard bracket growth exhausted")
+    return h
 
 
 def cdf(X: Distribution, x: float) -> float:
@@ -226,19 +253,34 @@ def survival(X: Distribution, x: float) -> float:
     return 1.0 - cdf(X, x)
 
 
-def density_at_quantile(X: Distribution, p: float) -> float:
-    """f(F^-1(p)) computed as 1/q'(p); density-ratio diagnostics ride on this.
+def quantile_slopes(X: Distribution, p: np.ndarray) -> np.ndarray:
+    """q'(p) by central differences at each point of p, all in (0, 1).
 
-    The 1e-5 step shrinks near the endpoints so the central difference stays
-    inside (0,1).  Zero or non-finite q' raises DegenerateDensityError.
+    The 1e-5 step shrinks near the endpoints so the difference stays
+    inside (0,1); the quantile is called once, on both stencil sides.
+    """
+    h = np.minimum(np.minimum(1e-5, p / 4.0), (1.0 - p) / 4.0)
+    return derivative(X.quantile, p, step=h)
+
+
+def slope_fault(X: Distribution, qp: float, p: float) -> Optional[str]:
+    """Why q'(p) = qp yields no density (zero or non-finite), or None."""
+    if math.isfinite(qp) and qp > 0.0:
+        return None
+    return f"{X.label}: quantile derivative {qp!r} at p={p!r}"
+
+
+def density_at_quantile(X: Distribution, p: float) -> float:
+    """f(F^-1(p)) computed as 1/q'(p) (see quantile_slopes).
+
+    Zero or non-finite q' raises DegenerateDensityError.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be interior, got {p!r}")
-    h = min(1e-5, p / 4.0, (1.0 - p) / 4.0)
-    qp = derivative(X.quantile, p, step=h)
-    if not math.isfinite(qp) or qp <= 0.0:
-        raise DegenerateDensityError(
-            f"{X.label}: quantile derivative {qp!r} at p={p!r}")
+    qp = float(quantile_slopes(X, np.array([p]))[0])
+    fault = slope_fault(X, qp, p)
+    if fault is not None:
+        raise DegenerateDensityError(fault)
     return 1.0 / qp
 
 
@@ -291,18 +333,24 @@ def mean(X: Distribution) -> float:
 def distort(X: Distribution, h: dist_mod.Distortion) -> Distribution:
     """Distorted distribution: survival h(F̄), i.e. q_h(p) = q(1 - h⁻¹(1-p)).
 
-    The quantile is memoized because a generic h inverse costs a bisection,
-    and a request still meets some points twice: neighbouring quadrature
-    segments share their ends, and the grid points are sampled again for
-    the curves and for star.  With one transform pass per side (see
-    orders.check_orders) most lookups miss; the memo stays while
-    bench/tracer.py reads its cache_info() for the hit ratio.
+    An array of probabilities is inverted through h in one co_inverse call.
+    Float calls go through a memo, which serves the remaining pointwise
+    callers (cdf inversion, derivatives at a point) and exposes
+    cache_info() to profilers; grid passes do not use it.
     """
     q = X.quantile
 
     @functools.lru_cache(maxsize=65536)
-    def q_h(p: float) -> float:
+    def at_point(p: float) -> float:
         return q(dist_mod.co_inverse(h, p))
+
+    @elementwise
+    def q_h(p):
+        if isinstance(p, np.ndarray):
+            return q(dist_mod.co_inverse(h, p))
+        return at_point(p)
+
+    q_h.cache_info = at_point.cache_info
 
     cdf_h = None
     if X.cdf_fn is not None:

@@ -30,6 +30,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from .numerics import each, elementwise, lift
 
 FUNCTIONS = ("exp", "ln", "sqrt", "min", "max")
 DEFAULT_VARIABLES = ("p", "x")
@@ -360,101 +363,286 @@ def eval_expr(node: Expr, value: float) -> float:
     ln of a non-positive number, sqrt of a negative, division by zero,
     0^negative, a negative base with a non-integer exponent, and overflow.
     """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return node.value
+    return _compile(node)[0](float(value))
+
+
+# --- compilation -----------------------------------------------------------
+#
+# Each node compiles to a float closure, which follows the order of
+# evaluation and the domain checks of eval_expr's definition exactly, and to
+# an array closure, which computes every entry with the same floating-point
+# operations (numpy arithmetic, and math functions applied entry by entry)
+# and flags the entries where a check might fail.  Flagged entries are
+# recomputed by the float closure, which raises there or gives the value.
+# A constant subtree folds to its value when it evaluates without error.
+#
+# An array closure maps the float array v to (values, flags): values a float
+# or an array of v's shape, flags None or a bool array of entries to recheck.
+
+
+def _compile(node: Expr) -> tuple:
+    """(float closure, array closure, whether node is constant)."""
+    if isinstance(node, (Num, Const)):
+        value = node.value
+        return (lambda v: value), (lambda v: (value, None)), True
     if isinstance(node, Var):
-        return float(value)
+        return (lambda v: v), (lambda v: (v, None)), False
     if isinstance(node, Unary):
-        return -eval_expr(node.operand, value)
-    if isinstance(node, Binary):
-        lhs = eval_expr(node.left, value)
-        rhs = eval_expr(node.right, value)
-        return _apply_binary(node, lhs, rhs)
-    if isinstance(node, Call):
-        args = [eval_expr(a, value) for a in node.args]
-        return _apply_call(node, args)
-    if isinstance(node, Piecewise):
-        v = float(value)
-        for branch in node.branches:
-            if v <= branch.bound_value:
-                return eval_expr(branch.body, value)
-        return eval_expr(node.otherwise, value)
-    raise TypeError(f"not an expression node: {node!r}")
+        operand, operand_array, constant = _compile(node.operand)
+        scalar = lambda v: -operand(v)
+
+        def array(v):
+            x, bad = operand_array(v)
+            return -x, bad
+    elif isinstance(node, Binary):
+        ls, la, lc = _compile(node.left)
+        rs, ra, rc = _compile(node.right)
+        scalar = _scalar_binary(node, ls, rs)
+        array = _array_binary(node.op, la, ra)
+        constant = lc and rc
+    elif isinstance(node, Call):
+        parts = [_compile(a) for a in node.args]
+        scalar = _scalar_call(node, [p[0] for p in parts])
+        array = _array_call(node.name, [p[1] for p in parts])
+        constant = all(p[2] for p in parts)
+    elif isinstance(node, Piecewise):
+        return _piecewise(node) + (False,)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    if constant:
+        try:
+            value = scalar(0.0)
+        except ExprDomainError:
+            # fails wherever it is evaluated: every entry takes the float path
+            return scalar, (lambda v: (0.0, np.ones(v.shape, dtype=bool))), True
+        return (lambda v: value), (lambda v: (value, None)), True
+    return scalar, array, False
 
 
-def _apply_binary(node: Binary, lhs: float, rhs: float) -> float:
+def _piecewise(node: Piecewise) -> tuple:
+    parts = [_compile(b.body) for b in node.branches] + [_compile(node.otherwise)]
+    bounds = [b.bound_value for b in node.branches]
+    guarded = list(zip(bounds, (p[0] for p in parts)))
+    otherwise = parts[-1][0]
+
+    def scalar(v):
+        for bound, body in guarded:
+            if v <= bound:
+                return body(v)
+        return otherwise(v)
+
+    bound_array = np.array(bounds)
+    bodies = [p[1] for p in parts]
+
+    def array(v):
+        # index of the first branch whose bound the value does not exceed
+        which = np.searchsorted(bound_array, v, side="left")
+        out = np.empty(v.shape)
+        bad = np.zeros(v.shape, dtype=bool)
+        for k, body in enumerate(bodies):
+            idx = np.flatnonzero(which == k)
+            if idx.size:
+                x, b = body(v[idx])
+                out[idx] = x
+                if b is not None:
+                    bad[idx] = b
+        return out, bad
+
+    return scalar, array
+
+
+def _scalar_binary(node: Binary, left, right) -> Callable[[float], float]:
+    span = node.span
+    isfinite = math.isfinite
     op = node.op
     if op == "+":
-        out = lhs + rhs
+        def apply(v):
+            out = left(v) + right(v)
+            if not isfinite(out):
+                raise ExprDomainError("overflow", span)
+            return out
     elif op == "-":
-        out = lhs - rhs
+        def apply(v):
+            out = left(v) - right(v)
+            if not isfinite(out):
+                raise ExprDomainError("overflow", span)
+            return out
     elif op == "*":
-        out = lhs * rhs
+        def apply(v):
+            out = left(v) * right(v)
+            if not isfinite(out):
+                raise ExprDomainError("overflow", span)
+            return out
     elif op == "/":
-        if rhs == 0.0:
-            raise ExprDomainError("division by zero", node.span)
-        out = lhs / rhs
+        def apply(v):
+            lhs = left(v)
+            rhs = right(v)
+            if rhs == 0.0:
+                raise ExprDomainError("division by zero", span)
+            out = lhs / rhs
+            if not isfinite(out):
+                raise ExprDomainError("overflow", span)
+            return out
     elif op == "^":
-        out = _power(node, lhs, rhs)
+        def apply(v):
+            out = _power(span, left(v), right(v))
+            if not isfinite(out):
+                raise ExprDomainError("overflow", span)
+            return out
     else:  # pragma: no cover - parser only emits the above
         raise TypeError(f"unknown operator {op!r}")
-    if not math.isfinite(out):
-        raise ExprDomainError("overflow", node.span)
-    return out
+    return apply
 
 
-def _power(node: Binary, base: float, exponent: float) -> float:
+def _power(span: SourceSpan, base: float, exponent: float) -> float:
     if base == 0.0 and exponent < 0.0:
-        raise ExprDomainError("zero raised to a negative power", node.span)
+        raise ExprDomainError("zero raised to a negative power", span)
     if base < 0.0 and exponent != math.floor(exponent):
-        raise ExprDomainError("negative base with non-integer exponent", node.span)
+        raise ExprDomainError("negative base with non-integer exponent", span)
     try:
         return math.pow(base, exponent)
     except (OverflowError, ValueError):
-        raise ExprDomainError("overflow in power", node.span) from None
+        raise ExprDomainError("overflow in power", span) from None
 
 
-def _apply_call(node: Call, args: list) -> float:
+def _scalar_call(node: Call, args: list) -> Callable[[float], float]:
+    span = node.span
     name = node.name
     if name == "exp":
-        try:
-            return math.exp(args[0])
-        except OverflowError:
-            raise ExprDomainError("overflow in exp", node.span) from None
-    if name == "ln":
-        if args[0] <= 0.0:
-            raise ExprDomainError("ln of a non-positive number", node.span)
-        return math.log(args[0])
-    if name == "sqrt":
-        if args[0] < 0.0:
-            raise ExprDomainError("sqrt of a negative number", node.span)
-        return math.sqrt(args[0])
-    if name == "min":
-        return min(args)
-    if name == "max":
-        return max(args)
-    raise TypeError(f"unknown function {name!r}")  # pragma: no cover
+        (arg,) = args
+
+        def apply(v):
+            try:
+                return math.exp(arg(v))
+            except OverflowError:
+                raise ExprDomainError("overflow in exp", span) from None
+    elif name == "ln":
+        (arg,) = args
+
+        def apply(v):
+            x = arg(v)
+            if x <= 0.0:
+                raise ExprDomainError("ln of a non-positive number", span)
+            return math.log(x)
+    elif name == "sqrt":
+        (arg,) = args
+
+        def apply(v):
+            x = arg(v)
+            if x < 0.0:
+                raise ExprDomainError("sqrt of a negative number", span)
+            return math.sqrt(x)
+    elif name in ("min", "max"):
+        pick = min if name == "min" else max
+
+        def apply(v):
+            return pick([a(v) for a in args])
+    else:  # pragma: no cover
+        raise TypeError(f"unknown function {name!r}")
+    return apply
+
+
+def _flags(*masks):
+    out = None
+    for mask in masks:
+        if mask is not None:
+            out = mask if out is None else out | mask
+    return out
+
+
+def _array_binary(op: str, left, right):
+    def apply(v):
+        x, bad_x = left(v)
+        y, bad_y = right(v)
+        check = None
+        if op == "+":
+            out = x + y
+        elif op == "-":
+            out = x - y
+        elif op == "*":
+            out = x * y
+        elif op == "/":
+            check = np.asarray(y == 0.0)
+            out = x / np.where(check, 1.0, y)
+        else:
+            # overflow as numpy's power sees it, and the domain faults
+            check = ~(np.abs(np.power(x, y)) < 1e300)
+            if isinstance(y, float):  # a constant exponent
+                if y < 0.0:
+                    check |= x == 0.0
+                if y != np.floor(y):
+                    check |= x < 0.0
+            else:
+                check |= ((x == 0.0) & (y < 0.0)) | ((x < 0.0) & (y != np.floor(y)))
+            safe = ~check
+            out = each(math.pow, np.where(safe, x, 1.0), np.where(safe, y, 1.0))
+        return out, _flags(bad_x, bad_y, check, ~np.isfinite(out))
+    return apply
+
+
+def _array_call(name: str, args: list):
+    def apply(v):
+        results = [a(v) for a in args]
+        bad = _flags(*(b for _, b in results))
+        xs = [x for x, _ in results]
+        if name in ("min", "max"):
+            # the builtin's rule: a later argument replaces the current
+            # pick only when strictly smaller (larger)
+            out = xs[0]
+            for x in xs[1:]:
+                out = np.where(x < out if name == "min" else x > out, x, out)
+            return out, bad
+        (x,) = xs
+        if name == "exp":
+            check = x > 709.0  # math.exp overflows above ~709.78
+            out = each(math.exp, np.where(check, 0.0, x))
+        elif name == "ln":
+            check = x <= 0.0
+            out = each(math.log, np.where(check, 1.0, x))
+        else:
+            check = x < 0.0
+            out = np.sqrt(np.where(check, 0.0, x))
+        return out, _flags(bad, check)
+    return apply
 
 
 def compile_fn(node: Expr) -> Callable[[float], float]:
-    """Bind the AST into a float -> float callable."""
-    return lambda value: eval_expr(node, value)
+    """Bind the AST into an elementwise callable.
+
+    A float runs the compiled float closures; a float array runs the array
+    closures under np.errstate, and an entry that breaks a domain rule
+    raises the same ExprDomainError, at the first such entry in array order,
+    as that float would.
+    """
+    scalar, array, _ = _compile(node)
+
+    def fn(value):
+        if not isinstance(value, np.ndarray):
+            return scalar(float(value))
+        v = value.astype(float)
+        with np.errstate(all="ignore"):
+            x, bad = array(v)
+        out = np.array(x, dtype=float) if isinstance(x, np.ndarray) else np.full(v.shape, x)
+        if bad is not None and bad.any():
+            for i in np.flatnonzero(bad).tolist():
+                out.flat[i] = scalar(float(v.flat[i]))
+        return out
+
+    return elementwise(fn)
 
 
 FunctionLike = Union[Callable[[float], float], str]
 
 
 def coerce_fn(fn: FunctionLike, fallback_label: str) -> Tuple[Callable[[float], float], str]:
-    """(callable, label) for expression text or a callable.
+    """(elementwise callable, label) for expression text or a callable.
 
-    Text labels itself, a callable its ``__name__`` (``fallback_label`` when
-    it has none).
+    Text compiles and labels itself; a callable is lifted (numerics.lift)
+    and labelled by its ``__name__`` (``fallback_label`` when it has none).
     """
     if isinstance(fn, str):
         return compile_fn(parse(fn)), fn
-    return fn, getattr(fn, "__name__", fallback_label)
+    return lift(fn), getattr(fn, "__name__", fallback_label)
 
 
 def split_top_level(text: str, sep: str) -> list:

@@ -8,13 +8,18 @@ Conventions used throughout the package:
 * Quadrature is adaptive Simpson with an explicit failure mode instead of a
   silent fallback; the depth cap is generous because near-endpoint integrands
   of the form -log(1-t) need ~30 bisection levels to resolve.
+* Functions of one point are elementwise: given a float array they return
+  the array of their values, each computed exactly as for that float alone,
+  so a grid costs one call instead of one per point.  A callable from
+  outside the library is lifted to that form where it enters (``lift``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,22 +123,72 @@ def validation_points(count: int = VALIDATION_COUNT) -> list:
     return [i / (count - 1) for i in range(count)]
 
 
+def elementwise(fn: Callable) -> Callable:
+    """Mark fn as elementwise: on a float array it returns the array of its
+    values at each entry, on a float its value there."""
+    fn.elementwise = True
+    return fn
+
+
+def _is_elementwise(fn: Callable) -> bool:
+    # a wrapper that names what it wraps (functools.wraps) is what it wraps
+    while fn is not None:
+        if getattr(fn, "elementwise", False):
+            return True
+        fn = getattr(fn, "__wrapped__", None)
+    return False
+
+
+def lift(fn: Callable) -> Callable:
+    """fn as an elementwise callable.
+
+    Marked callables pass through; any other is called once per entry of
+    an array, in order, so a point that raises does so exactly as before.
+    """
+    if _is_elementwise(fn):
+        return fn
+
+    def lifted(x):
+        if isinstance(x, np.ndarray):
+            values = [float(fn(v)) for v in x.ravel().tolist()]
+            return np.array(values, dtype=float).reshape(x.shape)
+        return fn(x)
+
+    return elementwise(lifted)
+
+
+def each(fn: Callable, *args):
+    """fn(*args) on floats; with arrays (all of one shape) among the
+    arguments, the array of fn at each entry, floats held fixed.
+
+    The math functions (log, exp, pow) on arrays go through here rather
+    than numpy's ufuncs, whose vectorised kernels may round the last bit
+    differently: an array entry must equal the float computation bit for
+    bit, or finite differences of quantiles would drift between the two.
+    """
+    like = next((a for a in args if isinstance(a, np.ndarray)), None)
+    if like is None:
+        return fn(*args)
+    n = like.size
+    columns = [a.ravel().tolist() if isinstance(a, np.ndarray) else repeat(a, n)
+               for a in args]
+    return np.fromiter(map(fn, *columns), dtype=float, count=n).reshape(like.shape)
+
+
 def sample(fn: Callable[[float], float],
            points: Sequence[float],
            error: type,
            message: Callable[[float, float], str]) -> np.ndarray:
-    """Evaluate fn at points in order, as a float array.
+    """fn at points, in one elementwise call, as a float array.
 
-    Stops at the first non-finite value x -> v and raises
-    ``error(message(x, v))``; later points are not evaluated.
+    Raises ``error(message(x, v))`` at the first point x whose value v is
+    not finite.
     """
-    out = np.empty(len(points))
-    for i, x in enumerate(points):
-        v = float(fn(x))
-        if not math.isfinite(v):
-            raise error(message(x, v))
-        out[i] = v
-    return out
+    vals = np.asarray(lift(fn)(np.asarray(points, dtype=float)), dtype=float)
+    i = first(~np.isfinite(vals))
+    if i is not None:
+        raise error(message(float(points[i]), float(vals[i])))
+    return vals
 
 
 def first(mask: np.ndarray) -> Optional[int]:
@@ -142,18 +197,108 @@ def first(mask: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _eval_checked(fn: Callable[[float], float], x: float) -> float:
-    v = float(fn(x))
-    if not math.isfinite(v):
-        raise NumericsError(f"integrand evaluated to {v!r} at x={x!r}")
+def _eval_checked(fn: Callable, x: np.ndarray) -> np.ndarray:
+    v = fn(x)
+    i = first(~np.isfinite(v))
+    if i is not None:
+        raise NumericsError(f"integrand evaluated to {float(v[i])!r} "
+                            f"at x={float(x[i])!r}")
     return v
+
+
+def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left[0], right[0], left[1], right[1], ...: children in panel order."""
+    out = np.empty(2 * left.size)
+    out[0::2] = left
+    out[1::2] = right
+    return out
+
+
+# live panels per level beyond which a refinement is declared failed: an
+# integrand that is rough everywhere would otherwise double them up to the
+# depth cap
+MAX_LIVE_PANELS = 1 << 18
+
+
+def integrate_many(fn: Callable,
+                   a: np.ndarray,
+                   b: np.ndarray,
+                   abs_tol,
+                   rel_tol: float) -> np.ndarray:
+    """Adaptive Simpson quadrature of an elementwise fn over each [a_i, b_i].
+
+    All intervals are refined together, breadth first: each level evaluates
+    fn once, on the midpoints of every panel still open.  A panel follows
+    the rule of the recursive method panel by panel: the tolerance
+    max(abs_tol_i, rel_tol * |first estimate|) of its interval, halved per
+    split; acceptance when the two-halves estimate moves by at most 15x
+    that or by rounding noise; the Richardson step on acceptance; and
+    QuadratureFailure, carrying the estimate, for a panel still open at
+    depth MAX_SIMPSON_DEPTH.  Accepted panels are summed back up the tree
+    as left + right, so each interval's value is the recursive one.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a > b):
+        raise ValueError("reversed integration interval")
+    total = np.zeros(a.shape)
+    live = np.flatnonzero(a < b)
+    if live.size == 0:
+        return total
+    a, b = a[live], b[live]
+    n = a.size
+    m = 0.5 * (a + b)
+    f = _eval_checked(fn, np.concatenate((a, b, m)))
+    fa, fb, fm = f[:n], f[n:2 * n], f[2 * n:]
+    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    eps = np.maximum(np.broadcast_to(abs_tol, total.shape)[live],
+                     rel_tol * np.abs(whole))
+    levels = []
+    depth = MAX_SIMPSON_DEPTH
+    while a.size:
+        m = 0.5 * (a + b)
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        f = _eval_checked(fn, np.concatenate((lm, rm)))
+        flm, frm = f[:a.size], f[a.size:]
+        s_left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
+        s_right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
+        s2 = s_left + s_right
+        delta = s2 - whole
+        # Richardson correction on acceptance; the noise floor stops
+        # refinement from chasing rounding error on very thin panels.
+        noise = 50.0 * _MACHEPS * (np.abs(s_left) + np.abs(s_right) + np.abs(whole))
+        value = s2 + delta / 15.0
+        split = np.flatnonzero((np.abs(delta) > 15.0 * eps) & (np.abs(delta) > noise))
+        if split.size and (depth <= 0 or 2 * split.size > MAX_LIVE_PANELS):
+            i = split[0]
+            raise QuadratureFailure(
+                f"adaptive Simpson did not converge on "
+                f"[{float(a[i])!r}, {float(b[i])!r}]",
+                last_estimate=float(value[i]))
+        levels.append((value, split))
+        a, m, b = a[split], m[split], b[split]
+        fa, fm, fb = fa[split], fm[split], fb[split]
+        flm, frm = flm[split], frm[split]
+        a, b = _pairs(a, m), _pairs(m, b)
+        fa, fm, fb = _pairs(fa, fm), _pairs(flm, frm), _pairs(fm, fb)
+        whole = _pairs(s_left[split], s_right[split])
+        eps = np.repeat(0.5 * eps[split], 2)
+        depth -= 1
+    below = None
+    for value, split in reversed(levels):
+        if below is not None:
+            value[split] = below[0::2] + below[1::2]
+        below = value
+    total[live] = below
+    return total
 
 
 def integrate(fn: Callable[[float], float],
               a: float,
               b: float,
               tol: Tolerance = DEFAULT_QUAD_TOL) -> float:
-    """Adaptive Simpson quadrature of fn over [a, b].
+    """Adaptive Simpson quadrature of fn over [a, b] (see integrate_many).
 
     Raises QuadratureFailure when the refinement hits MAX_SIMPSON_DEPTH without
     meeting the tolerance; the exception carries the last estimate.  A small
@@ -162,61 +307,14 @@ def integrate(fn: Callable[[float], float],
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
-    if a == b:
-        return 0.0
-    if a > b:
-        raise ValueError("reversed integration interval")
-    fa = _eval_checked(fn, a)
-    fb = _eval_checked(fn, b)
-    m = 0.5 * (a + b)
-    fm = _eval_checked(fn, m)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    eps = max(tol.abs_tol, tol.rel_tol * abs(whole))
-    return _adapt(fn, a, b, fa, fm, fb, whole, eps, MAX_SIMPSON_DEPTH)
+    return float(integrate_many(lift(fn), np.array([a]), np.array([b]),
+                                tol.abs_tol, tol.rel_tol)[0])
 
 
-def _adapt(fn, a, b, fa, fm, fb, s_whole, eps, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = _eval_checked(fn, lm)
-    frm = _eval_checked(fn, rm)
-    s_left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-    s_right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-    s2 = s_left + s_right
-    delta = s2 - s_whole
-    # Richardson correction on acceptance; the noise floor stops refinement
-    # from chasing rounding error on very thin panels.
-    noise = 50.0 * _MACHEPS * (abs(s_left) + abs(s_right) + abs(s_whole))
-    if abs(delta) <= 15.0 * eps or abs(delta) <= noise:
-        return s2 + delta / 15.0
-    if depth <= 0:
-        raise QuadratureFailure(
-            f"adaptive Simpson did not converge on [{a!r}, {b!r}]",
-            last_estimate=s2 + delta / 15.0,
-        )
-    half_eps = 0.5 * eps
-    left = _adapt(fn, a, m, fa, flm, fm, s_left, half_eps, depth - 1)
-    right = _adapt(fn, m, b, fm, frm, fb, s_right, half_eps, depth - 1)
-    return left + right
-
-
-def edge_ladder_integral(fn: Callable[[float], float],
-                         a: float,
-                         b: float,
-                         side: Literal["lo", "hi"],
-                         tol: Tolerance = DEFAULT_QUAD_TOL) -> tuple[float, list]:
-    """Integrate over [a, b] with geometric refinement toward one endpoint.
-
-    Splits the interval into LADDER_RUNGS rungs whose widths halve toward
-    ``side`` (fewer where the cuts collapse at machine precision); each
-    rung is integrated adaptively.  This keeps the recursion shallow for
-    integrable endpoint singularities (log-type quantiles near p=1).  Returns
-    (value, per-rung contributions ordered from the singular end outward);
-    the rung list lets callers run divergence heuristics.
-    """
-    if a == b:
-        return 0.0, []
+def ladder(a: float, b: float,
+           side: Literal["lo", "hi"]) -> np.ndarray:
+    """Cut points of [a, b] into LADDER_RUNGS rungs whose widths halve
+    toward ``side``, fewer where the cuts collapse at machine precision."""
     if a > b:
         raise ValueError("reversed integration interval")
     width = b - a
@@ -231,21 +329,52 @@ def edge_ladder_integral(fn: Callable[[float], float],
     for x in pts[1:]:
         if x > clean[-1]:
             clean.append(x)
-    piece_tol = Tolerance(abs_tol=max(tol.abs_tol / len(clean), 1e-16),
-                          rel_tol=tol.rel_tol)
-    pieces = []
-    for lo_, hi_ in zip(clean, clean[1:]):
-        pieces.append(integrate(fn, lo_, hi_, piece_tol))
+    return np.array(clean)
+
+
+def rung_tolerance(cuts: np.ndarray, tol: Tolerance) -> Tolerance:
+    """The share of tol each rung between the cut points gets."""
+    return Tolerance(abs_tol=max(tol.abs_tol / len(cuts), 1e-16),
+                     rel_tol=tol.rel_tol)
+
+
+def edge_ladder_integral(fn: Callable[[float], float],
+                         a: float,
+                         b: float,
+                         side: Literal["lo", "hi"],
+                         tol: Tolerance = DEFAULT_QUAD_TOL) -> Tuple[float, list]:
+    """Integrate over [a, b] with geometric refinement toward one endpoint.
+
+    Splits the interval at the ``ladder`` cuts; each rung is integrated
+    adaptively, all in one integrate_many pass.  This keeps the refinement
+    shallow for integrable endpoint singularities (log-type quantiles near
+    p=1).  Returns (value, per-rung contributions ordered from the singular
+    end outward); the rung list lets callers run divergence heuristics.
+    """
+    if a == b:
+        return 0.0, []
+    cuts = ladder(a, b, side)
+    piece_tol = rung_tolerance(cuts, tol)
+    pieces = integrate_many(lift(fn), cuts[:-1], cuts[1:], piece_tol.abs_tol,
+                            piece_tol.rel_tol).tolist()
     total = math.fsum(pieces)
     if side == "hi":
         pieces = pieces[::-1]  # report toward the singular end
     return total, pieces
 
 
-def monotone_inverse(fn: Callable[[float], float],
-                     y: float,
-                     lo: float,
-                     hi: float) -> float:
+def _bracket(flo, fhi, y) -> None:
+    slack = DEFAULT_QUAD_TOL.abs_tol
+    i = first(~(np.isfinite(flo) & np.isfinite(fhi)))
+    if i is not None:
+        raise BracketError("bracket endpoints evaluate to non-finite values")
+    i = first((y < flo - slack) | (y > fhi + slack))
+    if i is not None:
+        raise BracketError(f"target {float(np.ravel(y)[i])!r} outside "
+                           f"[{float(np.ravel(flo)[i])!r}, {float(np.ravel(fhi)[i])!r}]")
+
+
+def monotone_inverse(fn: Callable[[float], float], y, lo, hi):
     """Left-continuous generalized inverse of a non-decreasing fn by bisection.
 
     Returns (up to bracketing width) inf{x in [lo, hi] : fn(x) >= y}.  For a
@@ -253,16 +382,18 @@ def monotone_inverse(fn: Callable[[float], float],
     result satisfies |fn(x) - y| <= local slope * bracket width.  Values of y
     outside [fn(lo), fn(hi)] (beyond DEFAULT_QUAD_TOL.abs_tol slack) raise
     BracketError.
+
+    For an array of targets y (lo and hi floats or arrays of its shape) every
+    target is bisected at once, with one elementwise call of fn per step on
+    the targets still open, and each gets the value a float y would.
     """
+    if isinstance(y, np.ndarray):
+        return _monotone_inverse_many(lift(fn), y, lo, hi)
     if not lo < hi:
         raise ValueError("empty bracket")
     flo = fn(lo)
     fhi = fn(hi)
-    if not (math.isfinite(flo) and math.isfinite(fhi)):
-        raise BracketError("bracket endpoints evaluate to non-finite values")
-    slack = DEFAULT_QUAD_TOL.abs_tol
-    if y < flo - slack or y > fhi + slack:
-        raise BracketError(f"target {y!r} outside [{flo!r}, {fhi!r}]")
+    _bracket(flo, fhi, y)
     if y <= flo:
         return lo
     a, b = lo, hi
@@ -279,15 +410,56 @@ def monotone_inverse(fn: Callable[[float], float],
     return b
 
 
+def _monotone_inverse_many(fn, y: np.ndarray, lo, hi) -> np.ndarray:
+    a = np.array(np.broadcast_to(lo, y.shape), dtype=float)
+    b = np.array(np.broadcast_to(hi, y.shape), dtype=float)
+    if not np.all(a < b):
+        raise ValueError("empty bracket")
+    flo = fn(a)
+    _bracket(flo, fn(b), y)
+    out = b.copy()
+    at_lo = y <= flo
+    out[at_lo] = a[at_lo]
+    todo = np.flatnonzero(~at_lo)
+    a, b, t = a[todo], b[todo], y[todo]
+    for _ in range(MAX_BISECTION_ITER):
+        mid = 0.5 * (a + b)
+        go = (mid > a) & (mid < b)
+        if not go.all():
+            out[todo[~go]] = b[~go]
+            todo, a, b, t, mid = todo[go], a[go], b[go], t[go], mid[go]
+        if not todo.size:
+            break
+        up = fn(mid) >= t
+        b = np.where(up, mid, b)
+        a = np.where(up, a, mid)
+        done = b - a <= 4.0 * _MACHEPS * (1.0 + np.abs(a) + np.abs(b))
+        if done.any():
+            out[todo[done]] = b[done]
+            keep = ~done
+            todo, a, b, t = todo[keep], a[keep], b[keep], t[keep]
+            if not todo.size:
+                break
+    out[todo] = b
+    return out
+
+
 def derivative(fn: Callable[[float], float],
-               x: float,
-               step: float = 1e-6,
-               lo: Optional[float] = None) -> float:
+               x,
+               step=1e-6,
+               lo: Optional[float] = None):
     """Finite-difference derivative: central, or the three-point forward
-    formula (second order, like the central one) where x - step < lo."""
-    if not (step > 0 and math.isfinite(step)):
+    formula (second order, like the central one) where x - step < lo.
+
+    For an array x (step a float or an array of its shape; no lo) fn is
+    called once, on both stencil sides.
+    """
+    if not np.all((np.asarray(step) > 0) & np.isfinite(step)):
         raise ValueError("step must be positive and finite")
     h = step
+    if isinstance(x, np.ndarray):
+        up, down = np.split(fn(np.concatenate((x + h, x - h))), 2)
+        return (up - down) / (2.0 * h)
     if lo is None or x - h >= lo:
         return (fn(x + h) - fn(x - h)) / (2.0 * h)
     return (-3.0 * fn(x) + 4.0 * fn(x + h) - fn(x + 2.0 * h)) / (2.0 * h)

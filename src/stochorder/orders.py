@@ -22,6 +22,7 @@ Order semantics (margins oriented so "holds" means margin >= -tol):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -34,6 +35,8 @@ from .distributions import (
     Distribution,
     check_tail_decay,
     density_at_quantile,
+    quantile_slopes,
+    slope_fault,
 )
 from .numerics import (
     DEFAULT_GRID,
@@ -42,6 +45,9 @@ from .numerics import (
     derivative,
     edge_ladder_integral,
     integrate,
+    integrate_many,
+    ladder,
+    rung_tolerance,
     uniform_grid,
 )
 
@@ -138,28 +144,35 @@ def transform_curves(X: Distribution, grid: Grid = DEFAULT_GRID,
 
     Integrates q once per grid segment and assembles all three transforms
     from prefix/suffix sums, so a 512-point curve costs ~513 small
-    quadratures instead of 1536 full ones.  The ew curve is infinite when
-    the mean is: require_finite_mean raises InfiniteMeanError when the
-    upper-tail rungs refuse to decay (ttt and mit stay defined).
+    quadratures instead of 1536 full ones.  The head [EPS_Q, first point],
+    the grid segments and the rungs of the upper-tail ladder are refined
+    together in one integrate_many pass, at the tolerances the pointwise
+    integrals use.  The ew curve is infinite when the mean is:
+    require_finite_mean raises InfiniteMeanError when the upper-tail rungs
+    refuse to decay (ttt and mit stay defined).
     """
     q = X.quantile
     eps = EPS_Q
     pts = grid.points
     p = np.array(pts)
-    qv = np.array([q(x) for x in pts], dtype=float)
-    q_eps = q(eps)
-    q_hi = q(1.0 - eps)
+    qv = q(p)
+    q_eps, q_hi = q(np.array([eps, 1.0 - eps])).tolist()
 
-    head = integrate(q, eps, pts[0], _SEGMENT_TOL)
-    segments = [integrate(q, a, b, _SEGMENT_TOL) for a, b in zip(pts, pts[1:])]
-    tail_last, tail_rungs = edge_ladder_integral(q, pts[-1], 1.0 - eps,
-                                                 side="hi", tol=_SEGMENT_TOL)
+    cuts = ladder(pts[-1], 1.0 - eps, side="hi")
+    lo = np.concatenate(([eps], p[:-1], cuts[:-1]))
+    hi = np.concatenate((p, cuts[1:]))
+    abs_tol = np.full(lo.shape, _SEGMENT_TOL.abs_tol)
+    abs_tol[p.size:] = rung_tolerance(cuts, _SEGMENT_TOL).abs_tol
+    values = integrate_many(q, lo, hi, abs_tol, _SEGMENT_TOL.rel_tol)
+    head, segments = values[0], values[1:p.size]
+    tail_rungs = values[p.size:].tolist()
+    tail_last = math.fsum(tail_rungs)
     if require_finite_mean:
-        check_tail_decay(X.label, tail_rungs)
+        check_tail_decay(X.label, tail_rungs[::-1])
 
     # sequential sums: prefix runs from the head out, suffix from the tail in
-    prefix = np.cumsum([head] + segments)
-    suffix = np.cumsum([tail_last] + segments[::-1])[::-1]
+    prefix = np.cumsum(np.concatenate(([head], segments)))
+    suffix = np.cumsum(np.concatenate(([tail_last], segments[::-1])))[::-1]
     ttt = (1.0 - p) * qv + eps * q_eps + prefix
     mit = p * qv - (eps * q_eps + prefix)
     ew = suffix + eps * q_hi - (1.0 - p) * qv
@@ -171,11 +184,25 @@ def _threshold(tol: Tolerance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return tol.abs_tol + tol.rel_tol * np.maximum(np.abs(a), np.abs(b))
 
 
+def _densities(X: Distribution, Y: Distribution, p: np.ndarray):
+    """Densities of X and Y at matched quantiles, and one fault message per
+    point where either has none (X's fault first), None where both do."""
+    with np.errstate(all="ignore"):
+        sx, sy = quantile_slopes(X, p), quantile_slopes(Y, p)
+        faults = [slope_fault(X, a, x) or slope_fault(Y, b, x)
+                  for x, a, b in zip(p.tolist(), sx.tolist(), sy.tolist())]
+        return 1.0 / sx, 1.0 / sy, faults
+
+
 def density_ratios(X: Distribution, Y: Distribution,
-                    points: Sequence[float]) -> np.ndarray:
-    """s(p) = density_X(q_X(p)) / density_Y(q_Y(p)) at each point."""
-    return np.array([density_at_quantile(X, p) / density_at_quantile(Y, p)
-                     for p in points])
+                   points: Sequence[float]) -> np.ndarray:
+    """s(p) = density_X(q_X(p)) / density_Y(q_Y(p)) at each point; raises
+    DegenerateDensityError at the first point where either has none."""
+    fx, fy, faults = _densities(X, Y, np.array(points, dtype=float))
+    fault = next((f for f in faults if f is not None), None)
+    if fault is not None:
+        raise DegenerateDensityError(fault)
+    return fx / fy
 
 
 # key -> (curve of X, curve of Y) from the transform passes of one request
@@ -194,28 +221,22 @@ def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
     qmit and convex_transform.  dmrl and qmit read their ew/mit samples
     from curves.
     """
-    pts = grid.points
+    p = np.array(grid.points)
     if kind == OrderKind.CONVEX_TRANSFORM:
-        notes = []
-        kept = []
-        for p in pts:
-            try:
-                kept.append((p, density_at_quantile(X, p),
-                             density_at_quantile(Y, p)))
-            except DegenerateDensityError as ex:
-                notes.append(f"excluded p={p:.6g}: {ex}")
-        p, vx, vy = np.array(kept, dtype=float).reshape(-1, 3).T
+        vx, vy, faults = _densities(X, Y, p)
+        notes = [f"excluded p={x:.6g}: {fault}"
+                 for x, fault in zip(p.tolist(), faults) if fault is not None]
+        keep = np.array([fault is None for fault in faults], dtype=bool)
+        p, vx, vy = p[keep], vx[keep], vy[keep]
         return p, vx, vy, vx / vy, notes
     if kind == OrderKind.STAR:
-        vx, vy = np.array([(X.quantile(p), Y.quantile(p)) for p in pts],
-                          dtype=float).T
+        vx, vy = X.quantile(p), Y.quantile(p)
         den, eps, why = vx, 1e-9, "quantile of X ~0"
     else:
         key = "ew" if kind == OrderKind.DMRL else "mit"
         vx, vy = curves(key)
         den = vx if kind == OrderKind.DMRL else vy
         eps, why = _DENOM_EPS, f"{key} denominator ~0"
-    p = np.array(pts)
     keep = np.abs(den) > eps
     notes = [f"excluded p={x:.6g}: {why}" for x in p[~keep].tolist()]
     p, vx, vy = p[keep], vx[keep], vy[keep]

@@ -32,7 +32,8 @@ import numpy as np
 from . import copulas as cop_mod
 from . import distortions as dist_mod
 from .distortions import Distortion, ShapeReport
-from .numerics import DEFAULT_GRID, SCAN_TIE_TOL, first, sample, validation_points
+from .numerics import (DEFAULT_GRID, SCAN_TIE_TOL, each, elementwise, first,
+                       sample, validation_points)
 from .orders import OrderKind
 
 _CROSSCHECK_TOL = 1e-12
@@ -235,8 +236,9 @@ def durante_system_distortion(sig: MinimalSignature,
     weights = sig.floats()
     fn = gen.fn
 
-    def h_fn(p: float) -> float:
-        fp = float(fn(p))
+    @elementwise
+    def h_fn(p):
+        fp = fn(p)
         total = 0.0
         power = 1.0  # f(p)^(k-1)
         for a in weights:
@@ -277,8 +279,9 @@ def diag_system_distortion(sig: MinimalSignature,
     beta = float(params.beta)
     dfn = d.fn
 
-    def h_fn(p: float) -> float:
-        return alpha * p + beta * float(dfn(p))
+    @elementwise
+    def h_fn(p):
+        return alpha * p + beta * dfn(p)
 
     _crosscheck(h_fn, _boundary_sum(sig, copula), "diagonal-form system")
     closed_text = _signed_terms([(params.alpha, "p"), (params.beta, "d(p)")])
@@ -293,7 +296,7 @@ def durante_condition_values(sig: MinimalSignature,
     whether h_T is starshaped (>= 0) or antistarshaped (<= 0)."""
     _require_dimension(sig, gen.n, "generator")
     weights = sig.floats()
-    fvals = np.array([float(gen.fn(p)) for p in points])
+    fvals = np.asarray(gen.fn(np.asarray(points, dtype=float)), dtype=float)
     total = np.zeros_like(fvals)
     power = np.ones_like(fvals)  # f(p)^(k-1)
     for k in range(1, sig.n):
@@ -483,16 +486,13 @@ def parallel_distortion(dist_copula: cop_mod.CopulaHandle) -> Distortion:
     n = handle.n
     inverse_fn = None
     co_inverse_fn = None
-    if handle.kind == "product":
-        inverse_fn = lambda y: 1.0 - (1.0 - y) ** (1.0 / n)
-        co_inverse_fn = lambda p: p ** (1.0 / n)
-    elif handle.kind == "cuadras_auge":
-        k = 2.0 - handle.theta
-        inverse_fn = lambda y: 1.0 - (1.0 - y) ** (1.0 / k)
-        co_inverse_fn = lambda p: p ** (1.0 / k)
+    if handle.kind in ("product", "cuadras_auge"):
+        # h = 1 - (1-p)^k: the diagonal section of C is p^k
+        k = n if handle.kind == "product" else 2.0 - handle.theta
+        inverse_fn = elementwise(lambda y: 1.0 - each(pow, 1.0 - y, 1.0 / k))
+        co_inverse_fn = elementwise(lambda p: each(pow, p, 1.0 / k))
     elif handle.kind == "comonotone":
-        inverse_fn = lambda y: y
-        co_inverse_fn = lambda p: p
+        inverse_fn = co_inverse_fn = elementwise(lambda p: p)
 
     def h_fn(p: float) -> float:
         return 1.0 - cop_mod.cop_eval(handle, [1.0 - p] * n)
@@ -510,11 +510,10 @@ def series_distortion(surv_copula: cop_mod.CopulaHandle) -> Distortion:
     inverse_fn = None
     co_inverse_fn = None
     if handle.kind == "product":
-        inverse_fn = lambda y: y ** (1.0 / n)
-        co_inverse_fn = lambda p: 1.0 - (1.0 - p) ** (1.0 / n)
+        inverse_fn = elementwise(lambda y: each(pow, y, 1.0 / n))
+        co_inverse_fn = elementwise(lambda p: 1.0 - each(pow, 1.0 - p, 1.0 / n))
     elif handle.kind == "comonotone":
-        inverse_fn = lambda y: y
-        co_inverse_fn = lambda p: p
+        inverse_fn = co_inverse_fn = elementwise(lambda p: p)
 
     def h_fn(p: float) -> float:
         return cop_mod.cop_eval(handle, [p] * n)

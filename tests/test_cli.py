@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from stochorder import cli
+from stochorder.numerics import BracketError
 from stochorder.sweeps import SuiteResult, SweepConfig, SweepSummary
 
 CE02_X = "q: 17/8*p - 1/2*p^2"
@@ -182,6 +183,45 @@ class TestCheckOrder:
         assert "'orders'" in err
         assert "ttt, ew, dmrl, qmit, convex_transform, star" in err
 
+    def test_unknown_top_level_key_exits_two_and_names_it(self, tmp_path,
+                                                          capsys):
+        # a misspelt "distortion" must not run the pair undistorted
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"],
+             "distorton": "power:5"}))
+        assert cli.main(["check-order", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key(s) distorton" in err
+        assert "distortion" in err
+
+
+class TestNumericFailure:
+    # a jump in q at p = 1/2, inside a grid segment: adaptive Simpson
+    # refines the panel holding the jump to the depth cap and gives up
+    JUMP = "q: piece(p <= 0.5 : p ; else : p + 1)"
+
+    def test_quadrature_failure_exits_five(self, capsys):
+        assert cli.main(["check-order", "--x", self.JUMP, "--y", "exp:1",
+                         "--order", "ttt"]) == cli.EXIT_NUMERIC == 5
+        assert capsys.readouterr().err == (
+            "numeric failure: adaptive Simpson did not converge on "
+            "[0.5, 0.5000000000000018]\n")
+
+    def test_bracket_error_exits_five(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise BracketError("bracket endpoints evaluate to non-finite values")
+
+        monkeypatch.setattr(cli.orders_mod, "check_orders", fail)
+        assert cli.main(["check-order", "--x", "exp:1", "--y", "exp:0.5",
+                         "--order", "ttt"]) == 5
+        assert capsys.readouterr().err.startswith("numeric failure: bracket")
+
+    def test_spec_errors_keep_exit_two(self, capsys):
+        assert cli.main(["check-order", "--x", "hazard: -x", "--y", "exp:1",
+                         "--order", "ttt"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestWriteCsv:
     VALUES = (-0.0, 5e-324, 1e300, float("inf"), 7, np.float64(0.1),
@@ -334,6 +374,13 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: cannot read config {str(tmp_path)!r}: ")
+
+    def test_unknown_key_exits_two_and_names_it(self, tmp_path, capsys):
+        # a misspelt "trials" must not run the default 200 trials
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"trails": 5}))
+        assert cli.main(["sweep", "--config", str(config)]) == 2
+        assert "unknown key(s) trails" in capsys.readouterr().err
 
     def test_unknown_suite_exits_two(self, tmp_path):
         config = tmp_path / "sweep.json"
