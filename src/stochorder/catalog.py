@@ -16,7 +16,7 @@ construction:
 The shape samplers used inside integral-heavy sweeps return distortions with
 closed-form inverses and co-inverses (power/dual-power families and
 quadratic-seed mixtures), keeping distorted-quantile evaluation cheap and
-free of bisection-roundtrip noise.
+free of root-solve roundtrip noise.
 """
 
 from __future__ import annotations

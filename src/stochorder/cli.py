@@ -15,7 +15,7 @@ Subcommands:
 
 Exit codes: 0 success/orders hold; 1 at least one checked order is violated;
 2 input or validation error; 3 a preservation sweep recorded a failure;
-4 output I/O error; 5 numeric failure (quadrature or bisection bracket).
+4 output I/O error; 5 numeric failure (quadrature, or a root solve's bracket).
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ class Distortion:
     ``fn`` and the optional maps below are elementwise (callables from
     outside are lifted here), so h takes a float array of probabilities.
     ``inverse_fn`` is an optional closed-form inverse used as a fast path;
-    the generalized bisection inverse is the fallback.  ``co_inverse_fn`` is
+    the generalized inverse by root solve is the fallback.  ``co_inverse_fn`` is
     an optional closed form of p -> 1 - inverse(1-p), the map distorted
     quantiles ride on; carrying it avoids the 1-(1-p) roundtrip, whose
     ~1e-16 quantization gets amplified into visible jumps wherever the
@@ -167,7 +167,8 @@ def inverse(h: Distortion, y):
     entry of an array y.
 
     Uses the closed-form inverse when the distortion carries one; otherwise
-    bisection.  Values at the endpoints map to 0/1 exactly.
+    a root solve of h (numerics.monotone_inverse).  Values at the endpoints
+    map to 0/1 exactly.
     """
     if h.inverse_fn is not None:
         return _interior(y, lambda v: _clamp(h.inverse_fn(v)))

@@ -1,4 +1,4 @@
-"""Shared numeric kernel: grids, tolerances, sampling, quadrature, bisection.
+"""Shared numeric kernel: grids, tolerances, sampling, quadrature, root solve.
 
 Conventions used throughout the package:
 
@@ -7,7 +7,9 @@ Conventions used throughout the package:
   stay inside it and integrals are truncated near the endpoints.
 * Quadrature is adaptive Simpson with an explicit failure mode instead of a
   silent fallback; the depth cap is generous because near-endpoint integrands
-  of the form -log(1-t) need ~30 bisection levels to resolve.
+  of the form -log(1-t) need ~30 levels of panel halving to resolve.
+* Inverses of monotone maps are one bracketed root solve (Chandrupatla's
+  method), to machine width, for one target or a whole array of them.
 * Functions of one point are elementwise: given a float array they return
   the array of their values, each computed exactly as for that float alone,
   so a grid costs one call instead of one per point.  A callable from
@@ -25,7 +27,7 @@ import numpy as np
 
 _MACHEPS = 2.220446049250313e-16
 
-MAX_BISECTION_ITER = 200
+MAX_ROOT_STEPS = 200
 MAX_SIMPSON_DEPTH = 40
 LADDER_RUNGS = 44
 SCAN_TIE_TOL = 1e-9
@@ -48,7 +50,8 @@ class QuadratureFailure(NumericsError):
 
 
 class BracketError(NumericsError):
-    """Target value lies outside the bracketing interval."""
+    """A bracketed root solve failed: the target lies outside the bracket,
+    the function is not finite inside it, or the solve did not close."""
 
 
 @dataclass(frozen=True)
@@ -368,23 +371,34 @@ def _bracket(flo, fhi, y) -> None:
     i = first(~(np.isfinite(flo) & np.isfinite(fhi)))
     if i is not None:
         raise BracketError("bracket endpoints evaluate to non-finite values")
-    i = first((y < flo - slack) | (y > fhi + slack))
+    # a nan target is not inside either
+    i = first(np.logical_not((y >= flo - slack) & (y <= fhi + slack)))
     if i is not None:
         raise BracketError(f"target {float(np.ravel(y)[i])!r} outside "
                            f"[{float(np.ravel(flo)[i])!r}, {float(np.ravel(fhi)[i])!r}]")
 
 
 def monotone_inverse(fn: Callable[[float], float], y, lo, hi):
-    """Left-continuous generalized inverse of a non-decreasing fn by bisection.
+    """Left-continuous generalized inverse of a non-decreasing fn by a
+    bracketed root solve (Chandrupatla's method).
 
-    Returns (up to bracketing width) inf{x in [lo, hi] : fn(x) >= y}.  For a
-    continuous strictly increasing fn this is the ordinary inverse and the
-    result satisfies |fn(x) - y| <= local slope * bracket width.  Values of y
+    Returns (up to bracketing width) inf{x in [lo, hi] : fn(x) >= y}: the
+    bracket [a, b] keeps fn(a) < y <= fn(b) and shrinks until
+    b - a <= 4 eps (1 + |a| + |b|), and b is returned.  For a continuous
+    strictly increasing fn this is the ordinary inverse and the result
+    satisfies |fn(x) - y| <= local slope * bracket width.  Values of y
     outside [fn(lo), fn(hi)] (beyond DEFAULT_QUAD_TOL.abs_tol slack) raise
-    BracketError.
+    BracketError, as do a non-finite value of fn inside the bracket and a
+    solve still open after MAX_ROOT_STEPS steps.
+
+    Each step tries inverse quadratic interpolation through the two ends
+    and the end last replaced, where Chandrupatla's test says it is safe,
+    else takes the midpoint; two steps in a row that fail to halve the
+    bracket force a midpoint, so the bracket halves at least every third
+    step whatever fn does (Chandrupatla, Adv. Eng. Software 1997).
 
     For an array of targets y (lo and hi floats or arrays of its shape) every
-    target is bisected at once, with one elementwise call of fn per step on
+    target is solved at once, with one elementwise call of fn per step on
     the targets still open, and each gets the value a float y would.
     """
     if isinstance(y, np.ndarray):
@@ -396,18 +410,61 @@ def monotone_inverse(fn: Callable[[float], float], y, lo, hi):
     _bracket(flo, fhi, y)
     if y <= flo:
         return lo
-    a, b = lo, hi
-    for _ in range(MAX_BISECTION_ITER):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if fn(mid) >= y:
-            b = mid
+    if y > fhi:
+        return hi
+    # x1 is the newest end of the bracket, x2 the other end and x3 the end
+    # x1 replaced; f* is fn - y there, negative below the target
+    x1, f1, x2, f2 = lo, flo - y, hi, fhi - y
+    width, t, slow = hi - lo, 0.5, 0
+    for _ in range(MAX_ROOT_STEPS):
+        x = x1 + t * (x2 - x1)
+        v = fn(x)
+        if not math.isfinite(v):
+            raise BracketError(_not_finite(v, x))
+        ft = v - y
+        if (ft >= 0.0) == (f1 >= 0.0):
+            x3, f3 = x1, f1
         else:
-            a = mid
-        if b - a <= 4.0 * _MACHEPS * (1.0 + abs(a) + abs(b)):
-            break
-    return b
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, ft
+        new, stop = abs(x2 - x1), _stop_width(x1, x2)
+        if new <= stop:
+            return x1 if f1 >= 0.0 else x2
+        slow = 0 if t == 0.5 or new <= 0.5 * width else slow + 1
+        width, t = new, 0.5
+        if slow < 2 and _interpolates(x1, f1, x2, f2, x3, f3):
+            t = _iqi(x1, f1, x2, f2, x3, f3)
+        tl = 0.5 * stop / width
+        t = min(1.0 - tl, max(tl, t))
+    raise BracketError(_no_convergence(x1, x2))
+
+
+def _stop_width(x1, x2):
+    return 4.0 * _MACHEPS * (1.0 + abs(x1) + abs(x2))
+
+
+def _interpolates(x1, f1, x2, f2, x3, f3):
+    """Chandrupatla's test: the inverse quadratic through the three points
+    is monotone between x1 and x2.  x3 and x1 lie on one side of the target
+    and x2 on the other, so no denominator is zero."""
+    xi = (x1 - x2) / (x3 - x2)
+    phi = (f1 - f2) / (f3 - f2)
+    return (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+
+
+def _iqi(x1, f1, x2, f2, x3, f3):
+    """Zero of the inverse quadratic, as a fraction of x2 - x1 from x1."""
+    return (f1 / (f2 - f1) * f3 / (f2 - f3)
+            + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+
+
+def _not_finite(v, x) -> str:
+    return f"function evaluated to {float(v)!r} at x={float(x)!r} inside the bracket"
+
+
+def _no_convergence(x1, x2) -> str:
+    a, b = sorted((float(x1), float(x2)))
+    return f"root solve still open after {MAX_ROOT_STEPS} steps on [{a!r}, {b!r}]"
 
 
 def _monotone_inverse_many(fn, y: np.ndarray, lo, hi) -> np.ndarray:
@@ -415,33 +472,49 @@ def _monotone_inverse_many(fn, y: np.ndarray, lo, hi) -> np.ndarray:
     b = np.array(np.broadcast_to(hi, y.shape), dtype=float)
     if not np.all(a < b):
         raise ValueError("empty bracket")
-    flo = fn(a)
-    _bracket(flo, fn(b), y)
+    flo, fhi = np.split(fn(np.concatenate((a, b))), 2)
+    _bracket(flo, fhi, y)
     out = b.copy()
     at_lo = y <= flo
     out[at_lo] = a[at_lo]
-    todo = np.flatnonzero(~at_lo)
-    a, b, t = a[todo], b[todo], y[todo]
-    for _ in range(MAX_BISECTION_ITER):
-        mid = 0.5 * (a + b)
-        go = (mid > a) & (mid < b)
-        if not go.all():
-            out[todo[~go]] = b[~go]
-            todo, a, b, t, mid = todo[go], a[go], b[go], t[go], mid[go]
-        if not todo.size:
-            break
-        up = fn(mid) >= t
-        b = np.where(up, mid, b)
-        a = np.where(up, a, mid)
-        done = b - a <= 4.0 * _MACHEPS * (1.0 + np.abs(a) + np.abs(b))
+    todo = np.flatnonzero(~at_lo & ~(y > fhi))
+    if not todo.size:
+        return out
+    t_y = y[todo]
+    x1, f1, x2, f2 = a[todo], flo[todo] - t_y, b[todo], fhi[todo] - t_y
+    width = x2 - x1
+    t = np.full(todo.size, 0.5)
+    slow = np.zeros(todo.size, dtype=int)
+    for _ in range(MAX_ROOT_STEPS):
+        x = x1 + t * (x2 - x1)
+        v = fn(x)
+        if not np.isfinite(v).all():
+            i = first(~np.isfinite(v))
+            raise BracketError(_not_finite(v[i], x[i]))
+        ft = v - t_y
+        same = (ft >= 0.0) == (f1 >= 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, ft
+        new, stop = np.abs(x2 - x1), _stop_width(x1, x2)
+        slow = np.where((t == 0.5) | (new <= 0.5 * width), 0, slow + 1)
+        done = new <= stop
         if done.any():
-            out[todo[done]] = b[done]
+            out[todo[done]] = np.where(f1 >= 0.0, x1, x2)[done]
             keep = ~done
-            todo, a, b, t = todo[keep], a[keep], b[keep], t[keep]
+            todo, t_y, slow, new, stop, x1, f1, x2, f2, x3, f3 = (
+                z[keep] for z in (todo, t_y, slow, new, stop, x1, f1, x2, f2, x3, f3))
             if not todo.size:
-                break
-    out[todo] = b
-    return out
+                return out
+        width = new
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # exact where the test passes; entries it rejects may divide by
+            # zero and are discarded
+            iqi = (slow < 2) & _interpolates(x1, f1, x2, f2, x3, f3)
+            t = np.where(iqi, _iqi(x1, f1, x2, f2, x3, f3), 0.5)
+        tl = 0.5 * stop / width
+        t = np.minimum(1.0 - tl, np.maximum(tl, t))
+    raise BracketError(_no_convergence(x1[0], x2[0]))
 
 
 def derivative(fn: Callable[[float], float],

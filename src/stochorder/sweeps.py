@@ -12,7 +12,7 @@ the corresponding theorem says must survive:
 
 Every trial is replayable from its recorded labels.  The first trials of
 each suite walk the shape-qualifying catalog distortions deterministically
-(so the slow, bisection-inverted system distortions are each exercised
+(so the slow system distortions, inverted by root solve, are each exercised
 exactly once); the remainder draw from closed-inverse samplers.  A failure
 is a bug in the numerics or the tolerances, never new mathematics: the
 theorems guarantee preservation.

@@ -16,7 +16,7 @@ come out exact.
 Caution: parallel distortions of copulas whose diagonal is flat at 1 (e.g.
 product, n >= 2) have a co-inverse with unbounded slope at 0; closed-form
 co-inverses are attached for the reference families, but generator/diagonal
-parallels with f(0) = 0 fall back to bisection and are best kept out of
+parallels with f(0) = 0 fall back to a root solve and are best kept out of
 integration-heavy paths.
 """
 

@@ -1,9 +1,11 @@
 """The array path against the float path it replaces, value by value.
 
 Every layer that takes a grid evaluates it in one elementwise call: compiled
-expressions, the bisection inverse, and the breadth-first quadrature of
+expressions, the monotone root solve, and the breadth-first quadrature of
 the transform pass.  Each must give, entry by entry, what the float path
 gives at that point, and fail where and how the float path fails first.
+The root solve and the quadrature are also held to the methods they
+replaced (bisection, recursive adaptive Simpson), kept here as references.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize.elementwise import find_root
 
 from stochorder import catalog, distortions, distributions, funcalc, orders
 from stochorder.numerics import (
+    DEFAULT_GRID,
     MAX_LIVE_PANELS,
     MAX_SIMPSON_DEPTH,
     BracketError,
@@ -182,6 +186,15 @@ class TestVectorBisection:
         with pytest.raises(BracketError, match=r"target 2\.0 outside \[0\.0, 1\.0\]"):
             monotone_inverse(lambda x: x, np.array([0.5, 2.0, 3.0]), 0.0, 1.0)
 
+    def test_non_finite_value_inside_the_bracket_is_named(self):
+        fn = lambda x: math.nan if 0.3 < x < 0.6 else x
+        with pytest.raises(BracketError, match=r"nan at x=0\.5 inside the bracket"):
+            monotone_inverse(fn, np.array([0.1, 0.35]), 0.0, 1.0)
+
+    def test_nan_target_is_named(self):
+        with pytest.raises(BracketError, match=r"target nan outside \[0\.0, 1\.0\]"):
+            monotone_inverse(lambda x: x, np.array([0.5, math.nan]), 0.0, 1.0)
+
     @pytest.mark.parametrize("name", ["ce01_x", "rayleigh"])
     def test_hazard_quantiles(self, name, named_distributions):
         X = named_distributions[name]
@@ -209,6 +222,129 @@ class TestVectorBisection:
         assert Xh.quantile.cache_info().currsize == 0
         assert [Xh.quantile(x) for x in p.tolist()] == values.tolist()
         assert Xh.quantile.cache_info().currsize == 3
+
+
+# --- root solve: the bisection Chandrupatla's method replaced ---
+
+def _bisect(fn, y, lo, hi):
+    """(value, calls of fn) of the bisection monotone_inverse ran before,
+    for a target inside [fn(lo), fn(hi)]: same invariant fn(a) < y <= fn(b),
+    same stopping rule, b returned."""
+    calls = [0]
+    fn = _counted(fn, calls)
+    if y <= fn(lo):
+        return lo, calls[0]
+    fn(hi)
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if fn(mid) >= y:
+            b = mid
+        else:
+            a = mid
+        if b - a <= 4.0 * _MACHEPS * (1.0 + abs(a) + abs(b)):
+            break
+    return b, calls[0]
+
+
+def _counted(fn, calls):
+    def counted(x):
+        calls[0] += 1
+        return fn(x)
+    return counted
+
+
+def _solve(fn, y, lo, hi):
+    """(value, calls of fn) of monotone_inverse on a float target."""
+    calls = [0]
+    return monotone_inverse(_counted(fn, calls), y, lo, hi), calls[0]
+
+
+def _within_stop_width(got, want):
+    # both brackets hold the crossing and end no wider than this
+    return abs(got - want) <= 4.0 * _MACHEPS * (1.0 + 2.0 * max(abs(got), abs(want)))
+
+
+class TestAgainstBisection:
+    @given(k=st.floats(0.3, 4.0),
+           targets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+    def test_powers(self, k, targets):
+        fn = lambda x: x ** k
+        got = monotone_inverse(fn, np.array(targets), 0.0, 1.0).tolist()
+        for value, y in zip(got, targets):
+            assert _within_stop_width(value, _bisect(fn, y, 0.0, 1.0)[0]), y
+
+    @given(targets=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=30),
+           his=st.lists(st.floats(32.0, 200.0), min_size=30, max_size=30))
+    def test_per_target_hazard_brackets(self, targets, his):
+        psi = _compiled("x", "(x/0.8)^1.7 + x/10")
+        got = monotone_inverse(psi, np.array(targets), 0.0, np.array(his[:len(targets)]))
+        for value, y, h in zip(got.tolist(), targets, his):
+            assert _within_stop_width(value, _bisect(psi, y, 0.0, h)[0]), y
+
+    def test_flat_part_gives_its_left_end(self):
+        fn = lambda x: min(x, 0.5)
+        assert _bisect(fn, 0.5, 0.0, 1.0)[0] == 0.5
+        assert monotone_inverse(fn, 0.5, 0.0, 1.0) == 0.5
+        assert monotone_inverse(fn, np.array([0.5, 0.25]), 0.0, 1.0).tolist() == [0.5, 0.25]
+
+    @given(at=st.floats(0.05, 0.95), rise=st.floats(1e-3, 2.0),
+           slope=st.floats(0.0, 2.0), share=st.floats(0.0, 1.0))
+    def test_a_jump_costs_at_most_twice_bisection(self, at, rise, slope, share):
+        # slope 0 is a step: flat on both sides of the jump
+        fn = lambda x: slope * x + (rise if x > at else 0.0)
+        y = share * (slope + rise)
+        got, calls = _solve(fn, y, 0.0, 1.0)
+        want, bisect_calls = _bisect(fn, y, 0.0, 1.0)
+        assert _within_stop_width(got, want)
+        assert calls <= 2 * bisect_calls
+        # forced midpoints take the same turns on the array path
+        assert monotone_inverse(fn, np.array([y]), 0.0, 1.0).tolist() == [got]
+
+    @pytest.mark.parametrize("y", [1e-300, 1e-12, 0.3, 0.999])
+    def test_steep_map(self, y):
+        fn = lambda x: x ** 40
+        got, calls = _solve(fn, y, 0.0, 1.0)
+        want, bisect_calls = _bisect(fn, y, 0.0, 1.0)
+        assert _within_stop_width(got, want)
+        assert calls < bisect_calls
+
+
+class TestRootSolveSteps:
+    # the co-inverse targets of one default grid: a distorted quantile's solve
+    TARGETS = 1.0 - np.array(DEFAULT_GRID.points)
+
+    def test_catalog_distortions_without_a_closed_inverse(self, named_distortions):
+        hs = {name: h for name, h in named_distortions.items() if h.inverse_fn is None}
+        assert len(hs) == 12
+        array_calls, mean_calls = {}, {}
+        for name, h in hs.items():
+            calls = [0]
+            got = monotone_inverse(elementwise(_counted(h.fn, calls)), self.TARGETS,
+                                   0.0, 1.0)
+            array_calls[name] = calls[0]
+            values, counts = zip(*(_solve(h.fn, y, 0.0, 1.0)
+                                   for y in self.TARGETS.tolist()))
+            assert got.tolist() == list(values), name
+            mean_calls[name] = np.mean(counts)
+        # bisection takes 54 calls per target (two ends, 52 steps)
+        assert max(array_calls.values()) <= 20, array_calls
+        assert max(mean_calls.values()) <= 11, mean_calls
+
+    @pytest.mark.parametrize("name", [
+        "mix_cubic", "mix_quartic", "mix_dual_cubic", "mix_dual_quartic",
+        "cubic_bend", "sys_two_parallel_pairs", "sys_one_of_two_pairs",
+        "sys_five_comp_bridge", "sys_three_of_four",
+        "sys_series_with_parallel_pair"])
+    def test_smooth_catalog_distortions_match_scipy(self, name, named_distortions):
+        h = named_distortions[name]
+        got = monotone_inverse(h.fn, self.TARGETS, 0.0, 1.0)
+        res = find_root(lambda x, y: h.fn(x) - y, (0.0, 1.0), args=(self.TARGETS,))
+        assert res.success.all()
+        # scipy stops within 4 eps |x| of the root, this solve within its width
+        assert np.all(np.abs(got - res.x) <= 8.0 * _MACHEPS * (1.0 + 2.0 * np.abs(res.x)))
 
 
 # --- quadrature: the recursive adaptive Simpson the batched pass replaced ---

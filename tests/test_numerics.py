@@ -1,4 +1,4 @@
-"""Quadrature, bisection, differentiation, and grids."""
+"""Quadrature, the monotone root solve, differentiation, and grids."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stochorder import numerics
 from stochorder.numerics import (
     BracketError,
     DEFAULT_GRID,
@@ -93,6 +94,10 @@ class TestMonotoneInverse:
         with pytest.raises(BracketError):
             monotone_inverse(lambda x: x, 2.0, 0.0, 1.0)
 
+    def test_nan_target_raises(self):
+        with pytest.raises(BracketError, match=r"target nan outside"):
+            monotone_inverse(lambda x: x, math.nan, 0.0, 1.0)
+
     def test_empty_bracket_rejected(self):
         with pytest.raises(ValueError):
             monotone_inverse(lambda x: x, 0.5, 1.0, 1.0)
@@ -101,6 +106,19 @@ class TestMonotoneInverse:
     def test_power_round_trip(self, k, p):
         got = monotone_inverse(lambda x: x ** k, p, 0.0, 1.0)
         assert got == pytest.approx(p ** (1.0 / k), abs=1e-9)
+
+    def test_non_finite_value_inside_the_bracket_raises(self):
+        # the ends are finite, so only a value inside the bracket can show it
+        fn = lambda x: math.nan if 0.3 < x < 0.6 else x
+        with pytest.raises(BracketError, match=r"nan at x=0\.5 inside the bracket"):
+            monotone_inverse(fn, 0.35, 0.0, 1.0)
+
+    def test_step_cap_raises_instead_of_returning_an_open_end(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_ROOT_STEPS", 3)
+        step = lambda x: 0.0 if x < 0.3 else 1.0
+        with pytest.raises(BracketError,
+                           match=r"still open after 3 steps on \[0\.25, 0\.375\]"):
+            monotone_inverse(step, 0.5, 0.0, 1.0)
 
 
 class TestDerivative:
