@@ -21,6 +21,7 @@ Exit codes: 0 success/orders hold; 1 at least one checked order is violated;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -525,9 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call and reused: each parse_args starts a fresh
+# namespace, so one call's flags never reach the next
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except NumericsError as ex:

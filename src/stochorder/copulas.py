@@ -11,7 +11,11 @@ Two constructive families plus reference handles:
   to the min{p1, p2, (d(p1)+d(p2))/2} copula.
 
 Handles are evaluated on demand only — the downstream use is boundary
-sections and diagonal identities, not densities or sampling.
+sections and diagonal identities, not densities or sampling.  ``cop_eval``
+is elementwise (``numerics.elementwise``): the components of a point may be
+floats or float arrays of one shape, and each array entry is, bit for bit,
+the value at the point of floats taken from that entry.  A system
+distortion thus samples a grid in one call per signature term.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import funcalc
 from .funcalc import FunctionLike
-from .numerics import first, sample, validation_points
+from .numerics import each, first, sample, validation_points
 
 _POINT_TOL = 1e-9
 MAX_DIAGONAL_DIMENSION = 12  # config sanity cap for the cyclic-average form
@@ -219,8 +223,29 @@ def _check_point(point: Sequence[float], n: int) -> None:
             raise ValueError(f"component {p!r} outside [0,1]")
 
 
+def _check_components(u: Sequence[np.ndarray], n: int) -> None:
+    """_check_point on array components: the error the float loop meets
+    first, at the first offending entry and its first offending component."""
+    if len(u) != n:
+        raise ValueError(f"point has {len(u)} components, copula needs {n}")
+    rows = np.stack(u).reshape(n, -1)
+    # nan fails both comparisons and an infinity one of them
+    ok = (rows >= -1e-12) & (rows <= 1.0 + 1e-12)
+    if not ok.all():
+        j = first(~ok.all(axis=0))
+        k = first(~ok[:, j])
+        raise ValueError(f"component {float(rows[k, j])!r} outside [0,1]")
+
+
 def cop_eval(handle: CopulaHandle, point: Sequence[float]) -> float:
-    """Evaluate the copula at a point in [0,1]^n."""
+    """Evaluate the copula at a point in [0,1]^n.
+
+    With float arrays among the components (floats held fixed), the array
+    of its values at each entry, each equal bit for bit to what the float
+    path below, the reference, gives at that entry.
+    """
+    if any(isinstance(p, np.ndarray) for p in point):
+        return _cop_eval_many(handle, point)
     _check_point(point, handle.n)
     if handle.kind == "product":
         return math.prod(point)
@@ -238,6 +263,58 @@ def cop_eval(handle: CopulaHandle, point: Sequence[float]) -> float:
     if handle.kind == "frechet":
         u, v = point
         return handle.gamma * min(u, v) + (1.0 - handle.gamma) * u * v
+    raise ValueError(f"unknown copula kind {handle.kind!r}")
+
+
+def _min(values):
+    # min(values) entry by entry: a later value replaces the current one
+    # only if strictly smaller, as the builtin does
+    low = values[0]
+    for v in values[1:]:
+        low = np.where(v < low, v, low)
+    return low
+
+
+def _cop_eval_many(handle: CopulaHandle, point: Sequence) -> np.ndarray:
+    """cop_eval on components that are floats or float arrays of one shape,
+    each operation in the float path's order."""
+    shape = next(p for p in point if isinstance(p, np.ndarray)).shape
+    u = [np.asarray(p, dtype=float) if isinstance(p, np.ndarray)
+         else np.full(shape, p, dtype=float) for p in point]
+    _check_components(u, handle.n)
+    if handle.kind == "product":
+        value = u[0]
+        for p in u[1:]:
+            value = value * p
+        return value
+    if handle.kind == "comonotone":
+        return _min(u)
+    if handle.kind == "durante":
+        ordered = np.sort(np.stack(u), axis=0, kind="stable")
+        value = ordered[0]
+        for p in ordered[1:]:
+            value = value * handle.generator.fn(p)
+        return value
+    if handle.kind == "jaworski":
+        d = handle.diagonal
+        n = d.n
+        fvals = [(n * p - d.fn(p)) / (n - 1) for p in u]
+        dvals = [d.fn(p) for p in u]
+        total = 0.0
+        for i, dv in enumerate(dvals):
+            total = total + _min([_min(fvals[:i] + fvals[i + 1:]), dv])
+        return total / n
+    if handle.kind == "cuadras_auge":
+        a, b = u
+        out = np.zeros(shape)
+        pos = (a > 0.0) & (b > 0.0)
+        a, b = a[pos], b[pos]
+        out[pos] = (each(pow, _min([a, b]), handle.theta)
+                    * each(pow, a * b, 1.0 - handle.theta))
+        return out
+    if handle.kind == "frechet":
+        a, b = u
+        return handle.gamma * _min([a, b]) + (1.0 - handle.gamma) * a * b
     raise ValueError(f"unknown copula kind {handle.kind!r}")
 
 

@@ -185,13 +185,17 @@ def _threshold(tol: Tolerance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _densities(X: Distribution, Y: Distribution, p: np.ndarray):
-    """Densities of X and Y at matched quantiles, and one fault message per
-    point where either has none (X's fault first), None where both do."""
+    """Densities of X and Y at matched quantiles, and {index: fault message}
+    for the points where either has none (X's fault first), in order."""
     with np.errstate(all="ignore"):
         sx, sy = quantile_slopes(X, p), quantile_slopes(Y, p)
-        faults = [slope_fault(X, a, x) or slope_fault(Y, b, x)
-                  for x, a, b in zip(p.tolist(), sx.tolist(), sy.tolist())]
-        return 1.0 / sx, 1.0 / sy, faults
+        fx, fy = 1.0 / sx, 1.0 / sy
+    # slope_fault's own test, q' finite and positive, as one mask
+    bad = ~(np.isfinite(sx) & (sx > 0.0) & np.isfinite(sy) & (sy > 0.0))
+    faults = {i: (slope_fault(X, float(sx[i]), float(p[i]))
+                  or slope_fault(Y, float(sy[i]), float(p[i])))
+              for i in np.flatnonzero(bad).tolist()}
+    return fx, fy, faults
 
 
 def density_ratios(X: Distribution, Y: Distribution,
@@ -199,9 +203,8 @@ def density_ratios(X: Distribution, Y: Distribution,
     """s(p) = density_X(q_X(p)) / density_Y(q_Y(p)) at each point; raises
     DegenerateDensityError at the first point where either has none."""
     fx, fy, faults = _densities(X, Y, np.array(points, dtype=float))
-    fault = next((f for f in faults if f is not None), None)
-    if fault is not None:
-        raise DegenerateDensityError(fault)
+    if faults:
+        raise DegenerateDensityError(next(iter(faults.values())))
     return fx / fy
 
 
@@ -224,9 +227,10 @@ def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
     p = np.array(grid.points)
     if kind == OrderKind.CONVEX_TRANSFORM:
         vx, vy, faults = _densities(X, Y, p)
-        notes = [f"excluded p={x:.6g}: {fault}"
-                 for x, fault in zip(p.tolist(), faults) if fault is not None]
-        keep = np.array([fault is None for fault in faults], dtype=bool)
+        notes = [f"excluded p={float(p[i]):.6g}: {fault}"
+                 for i, fault in faults.items()]
+        keep = np.ones(p.size, dtype=bool)
+        keep[list(faults)] = False
         p, vx, vy = p[keep], vx[keep], vy[keep]
         return p, vx, vy, vx / vy, notes
     if kind == OrderKind.STAR:

@@ -7,7 +7,9 @@ the generator-form copula this collapses to sum_k a_k * p * f(p)^(k-1); for
 the diagonal-form copula to alpha*p + beta*d(p) with signature-only
 coefficients.  Shape classification of h_T (starshaped / antistarshaped)
 feeds the preservation advisor, which says which stochastic orders survive
-the system construction.
+the system construction.  Every h_T built here is elementwise: the generic
+boundary sum and the series and parallel distortions sample a grid in one
+``copulas.cop_eval`` call per non-zero signature term.
 
 Signature entries are kept as exact rationals whenever the inputs allow, so
 the closed-form classification constants (omega, Delta, roots, alpha, beta)
@@ -175,11 +177,13 @@ def _require_dimension(sig: MinimalSignature, n: int, what: str) -> None:
 
 
 def _boundary_sum(sig: MinimalSignature, copula: cop_mod.CopulaHandle):
-    """p -> sum_i a_i * C(p,..(i)..,p,1,..,1), unvalidated."""
+    """p -> sum_i a_i * C(p,..(i)..,p,1,..,1), unvalidated; elementwise, so
+    a grid costs one cop_eval per non-zero a_i."""
     n = sig.n
     terms = [(i, a) for i, a in enumerate(sig.floats(), start=1) if a != 0.0]
-    return lambda p: sum(a * cop_mod.cop_eval(copula, [p] * i + [1.0] * (n - i))
-                         for i, a in terms)
+    return elementwise(
+        lambda p: sum(a * cop_mod.cop_eval(copula, [p] * i + [1.0] * (n - i))
+                      for i, a in terms))
 
 
 def system_distortion(sig: MinimalSignature,
@@ -494,7 +498,8 @@ def parallel_distortion(dist_copula: cop_mod.CopulaHandle) -> Distortion:
     elif handle.kind == "comonotone":
         inverse_fn = co_inverse_fn = elementwise(lambda p: p)
 
-    def h_fn(p: float) -> float:
+    @elementwise
+    def h_fn(p):
         return 1.0 - cop_mod.cop_eval(handle, [1.0 - p] * n)
 
     return dist_mod.validate(h_fn, label=f"parallel({handle.label})",
@@ -515,7 +520,8 @@ def series_distortion(surv_copula: cop_mod.CopulaHandle) -> Distortion:
     elif handle.kind == "comonotone":
         inverse_fn = co_inverse_fn = elementwise(lambda p: p)
 
-    def h_fn(p: float) -> float:
+    @elementwise
+    def h_fn(p):
         return cop_mod.cop_eval(handle, [p] * n)
 
     return dist_mod.validate(h_fn, label=f"series({handle.label})",

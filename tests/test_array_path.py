@@ -1,8 +1,8 @@
 """The array path against the float path it replaces, value by value.
 
 Every layer that takes a grid evaluates it in one elementwise call: compiled
-expressions, the monotone root solve, and the breadth-first quadrature of
-the transform pass.  Each must give, entry by entry, what the float path
+expressions, copulas and the system distortions built from them, the
+monotone root solve, and the breadth-first quadrature of the transform pass.  Each must give, entry by entry, what the float path
 gives at that point, and fail where and how the float path fails first.
 The root solve and the quadrature are also held to the methods they
 replaced (bisection, recursive adaptive Simpson), kept here as references.
@@ -18,7 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize.elementwise import find_root
 
-from stochorder import catalog, distortions, distributions, funcalc, orders
+from stochorder import (catalog, cli, copulas, distortions, distributions,
+                        funcalc, orders, systems)
 from stochorder.numerics import (
     DEFAULT_GRID,
     MAX_LIVE_PANELS,
@@ -463,3 +464,137 @@ class TestBatchedQuadrature:
             _recursive_integrate(jump, 0.499, 0.501, tol)
         assert str(batched.value) == str(recursive.value)
         assert batched.value.last_estimate == recursive.value.last_estimate
+
+
+# one handle of each kind; n up to 5 so the sort and the rotations matter
+COPULAS = {
+    "product": lambda: copulas.product(5),
+    "comonotone": lambda: copulas.comonotone(3),
+    "durante": lambda: copulas.durante(catalog.DEFAULT_GENERATOR_TEXT, 4),
+    "jaworski": lambda: copulas.jaworski(catalog.FN_DIAG_TEXT, 5),
+    "cuadras_auge": lambda: copulas.cuadras_auge(0.4),
+    "frechet": lambda: copulas.frechet(0.3),
+}
+
+unit_points = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30).map(
+    lambda xs: [0.0, 1.0] + xs)
+
+
+def _bits(values) -> list:
+    # the float64 bit patterns, so that 0.0 and -0.0 differ
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _float_loop(handle, rows):
+    """cop_eval entry by entry: (values, message of the first error)."""
+    values = []
+    for point in rows:
+        try:
+            values.append(copulas.cop_eval(handle, list(point)))
+        except ValueError as ex:
+            return values, str(ex)
+    return values, None
+
+
+class TestCopulaArrays:
+    @pytest.mark.parametrize("kind", list(COPULAS))
+    @given(ps=unit_points)
+    def test_sections_equal_the_float_path(self, kind, ps):
+        # boundary points (p,..(i)..,p,1,..,1) for every i, which include the
+        # diagonal, and the diagonal at 1 - p that parallel systems read
+        handle = COPULAS[kind]()
+        n = handle.n
+        p = np.array(ps)
+        for i in range(1, n + 1):
+            got = copulas.cop_eval(handle, [p] * i + [1.0] * (n - i))
+            want = [copulas.cop_eval(handle, [x] * i + [1.0] * (n - i))
+                    for x in ps]
+            assert np.array_equal(got, want)
+            assert _bits(got) == _bits(want)
+        got = copulas.cop_eval(handle, [1.0 - p] * n)
+        want = [copulas.cop_eval(handle, [1.0 - x] * n) for x in ps]
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("kind", list(COPULAS))
+    @given(rows=st.lists(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                  min_size=5, max_size=5),
+                         min_size=1, max_size=20))
+    def test_general_points_equal_the_float_path(self, kind, rows):
+        # components in any order, ties included: the sort (durante) and
+        # the rotations (jaworski) see every arrangement
+        handle = COPULAS[kind]()
+        rows = [row[:handle.n] for row in rows]
+        got = copulas.cop_eval(handle, list(np.array(rows).T))
+        want, error = _float_loop(handle, rows)
+        assert error is None
+        assert _bits(got) == _bits(want)
+
+    def test_floats_among_the_components_are_held_fixed(self):
+        handle = copulas.jaworski(catalog.FN_DIAG_TEXT, 5)
+        p = np.linspace(0.0, 1.0, 9)
+        point = [0.25, p, 1.0, p, 0.5]
+        got = copulas.cop_eval(handle, point)
+        want = [copulas.cop_eval(handle, [0.25, x, 1.0, x, 0.5])
+                for x in p.tolist()]
+        assert got.shape == p.shape
+        assert _bits(got) == _bits(want)
+        grid = p.reshape(3, 3)
+        assert copulas.cop_eval(handle, [grid] * 5).shape == (3, 3)
+
+    @pytest.mark.parametrize("kind", list(COPULAS))
+    @given(rows=st.lists(st.lists(st.floats(-0.5, 1.5) | st.just(math.nan),
+                                  min_size=5, max_size=5),
+                         min_size=1, max_size=12))
+    def test_bad_component_raises_the_float_loops_first_error(self, kind, rows):
+        handle = COPULAS[kind]()
+        rows = [row[:handle.n] for row in rows]
+        _, error = _float_loop(handle, rows)
+        if error is None:
+            return
+        with pytest.raises(ValueError) as info:
+            copulas.cop_eval(handle, list(np.array(rows).T))
+        assert str(info.value) == error
+
+    def test_first_offending_entry_then_first_component(self):
+        handle = copulas.product(3)
+        u = np.array([0.5, 0.5, 2.0])
+        v = np.array([0.5, -1.0, 3.0])
+        with pytest.raises(ValueError, match=r"^component -1\.0 outside"):
+            copulas.cop_eval(handle, [u, v, 0.5])
+        w = np.array([0.5, 0.5, 3.0])
+        with pytest.raises(ValueError, match=r"^component 3\.0 outside"):
+            copulas.cop_eval(handle, [w, u, 0.5])
+        with pytest.raises(ValueError, match="point has 2 components"):
+            copulas.cop_eval(handle, [u, v])
+
+    @pytest.mark.parametrize("kind", list(COPULAS))
+    def test_system_distortions_take_arrays(self, kind):
+        handle = COPULAS[kind]()
+        sig = systems.parse_signature({2: "2,-1", 3: "3,-3,1", 4: "2,0,-2,1",
+                                       5: "5,-10,10,-5,1"}[handle.n])
+        pts = np.linspace(0.0, 1.0, 65)
+        fns = [systems._boundary_sum(sig, handle)]
+        if kind not in ("durante", "jaworski"):
+            fns += [systems.parallel_distortion(handle).fn,
+                    systems.series_distortion(handle).fn]
+        for fn in fns:
+            assert _bits(fn(pts)) == _bits([fn(x) for x in pts.tolist()])
+
+    def test_a_system_request_makes_one_cop_eval_per_term_and_sampling(
+            self, monkeypatch, tmp_path):
+        # 1-of-5 under product:5 has five non-zero signature terms, sampled
+        # three times: validation, classification and the h_T table
+        calls = []
+        real = copulas.cop_eval
+
+        def counted(handle, point):
+            calls.append(len(point))
+            return real(handle, point)
+
+        monkeypatch.setattr(copulas, "cop_eval", counted)
+        code = cli.main(["system", "--signature", "5,-10,10,-5,1",
+                         "--copula", "product:5",
+                         "--out-csv", str(tmp_path / "h.csv"),
+                         "--out-json", str(tmp_path / "h.json")])
+        assert code == 0
+        assert 0 < len(calls) <= 15

@@ -406,3 +406,28 @@ class TestDeterminism:
             cli.main(["classify", "--h", "power:2", "--out-json", str(out)])
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().endswith(b"\n")
+
+
+class TestParserReuse:
+    def test_second_call_sees_only_its_own_flags_and_config(self, tmp_path):
+        # one parser serves every main call in the process: the first call's
+        # --order flags, grid flag and config must not reach the second
+        first_cfg, second_cfg = tmp_path / "first.json", tmp_path / "second.json"
+        first_cfg.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:0.5", "orders": ["ew"],
+             "grid": {"count": 32}}))
+        second_cfg.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:0.5", "grid": {"count": 48}}))
+        first_out, second_out = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.main(["check-order", "--config", str(first_cfg),
+                         "--order", "ttt", "--order", "ew",
+                         "--grid-count", "64", "--out-json", str(first_out)]) == 0
+        assert cli.main(["check-order", "--config", str(second_cfg),
+                         "--order", "star", "--out-json", str(second_out)]) == 0
+        first = read_json(str(first_out))["results"]
+        second = read_json(str(second_out))["results"]
+        assert [rec["order"] for rec in first] == ["ttt", "ew"]
+        assert first[0]["grid"].startswith("64:")
+        assert [rec["order"] for rec in second] == ["star"]
+        assert second[0]["grid"].startswith("48:")
+        assert cli._parser() is cli._parser()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -221,6 +222,36 @@ class TestRatioScan:
         assert verdict.curve["p"] == grid.points[3:]
         assert verdict.notes[:3] == tuple(f"excluded p={p:.6g}: quantile of X ~0"
                                           for p in grid.points[:3])
+
+
+class TestDensityExclusions:
+    """A flat quantile has no density past its flat start: those points
+    leave the convex-transform ratio, each named as slope_fault names it."""
+
+    GRID = uniform_grid(32, edge_margin=0.01)
+
+    def _reference(self, X, Y):
+        # slope_fault point by point, X's fault first
+        p = self.GRID.points
+        sx = db.quantile_slopes(X, np.array(p)).tolist()
+        sy = db.quantile_slopes(Y, np.array(p)).tolist()
+        return [(x, db.slope_fault(X, a, x) or db.slope_fault(Y, b, x))
+                for x, a, b in zip(p, sx, sy)]
+
+    @pytest.mark.parametrize("flat_side", ["x", "y"])
+    def test_notes_and_error_name_every_fault_point(self, flat_side):
+        flat, smooth = db.build("q: min(p, 0.5)"), db.build("exp:1")
+        X, Y = (flat, smooth) if flat_side == "x" else (smooth, flat)
+        faults = [(x, f) for x, f in self._reference(X, Y) if f is not None]
+        assert len(faults) == 16
+        verdict = check_order(X, Y, OrderKind.CONVEX_TRANSFORM, self.GRID)
+        assert verdict.notes[:-1] == tuple(f"excluded p={x:.6g}: {f}"
+                                           for x, f in faults)
+        assert list(verdict.curve["p"]) == [x for x in self.GRID.points
+                                            if x not in dict(faults)]
+        with pytest.raises(db.DegenerateDensityError) as info:
+            orders_mod.density_ratios(X, Y, self.GRID.points)
+        assert str(info.value) == faults[0][1]
 
 
 class TestDmrlRoutes:
