@@ -13,14 +13,15 @@ Two constructive families plus reference handles:
 Handles are evaluated on demand only — the downstream use is boundary
 sections and diagonal identities, not densities or sampling.  ``cop_eval``
 is elementwise (``numerics.elementwise``): the components of a point may be
-floats or float arrays of one shape, and each array entry is, bit for bit,
-the value at the point of floats taken from that entry.  A system
-distortion thus samples a grid in one call per signature term.
+floats or float arrays of one shape, and each array entry is the value at
+the point of floats taken from that entry.  There is one evaluation, on
+arrays; a point of floats enters it as one-entry arrays
+(``numerics.on_arrays``).  A system distortion samples a grid in one call
+per signature term.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import funcalc
 from .funcalc import FunctionLike
-from .numerics import each, first, sample, validation_points
+from .numerics import each, first, on_arrays, sample, validation_points
 
 _POINT_TOL = 1e-9
 MAX_DIAGONAL_DIMENSION = 12  # config sanity cap for the cyclic-average form
@@ -105,16 +106,6 @@ def validate_generator(f: FunctionLike, n: int) -> DuranteGenerator:
     return DuranteGenerator(fn=fn, n=n, label=label)
 
 
-def durante_eval(gen: DuranteGenerator, point: Sequence[float]) -> float:
-    """C_f at a point: smallest component times f of each larger one."""
-    _check_point(point, gen.n)
-    ordered = sorted(point)
-    value = ordered[0]
-    for p in ordered[1:]:
-        value *= float(gen.fn(p))
-    return value
-
-
 def validate_diagonal(d: FunctionLike, n: int) -> Diagonal:
     """Accept d iff d(0)=0, d(1)=1, d(p) <= p, and adjacent increments lie
     in [0, n*(p2-p1)] on a dense grid (discrete slack 1e-9*n)."""
@@ -152,23 +143,6 @@ def validate_diagonal(d: FunctionLike, n: int) -> Diagonal:
 def jaworski_f(d: Diagonal, u: float) -> float:
     """The companion function f(u) = (n u - d(u))/(n-1); satisfies d <= f <= 1."""
     return (d.n * u - float(d.fn(u))) / (d.n - 1)
-
-
-def jaworski_eval(d: Diagonal, point: Sequence[float]) -> float:
-    """Cyclic-permutation average of mins; diagonal section equals d exactly.
-
-    Each of the n rotations gives one component the d-slot and the other
-    n-1 components f-slots, so rotation i contributes
-    min(f over the components other than i, d(p_i)).
-    """
-    n = d.n
-    _check_point(point, n)
-    fvals = [jaworski_f(d, p) for p in point]
-    dvals = [float(d.fn(p)) for p in point]
-    total = 0.0
-    for i, dv in enumerate(dvals):
-        total += min(min(fvals[:i] + fvals[i + 1:]), dv)
-    return total / n
 
 
 def product(n: int) -> CopulaHandle:
@@ -215,20 +189,10 @@ def _check_dimension(n: int) -> None:
             f"dimension must be an integer in [2, {MAX_DIAGONAL_DIMENSION}], got {n!r}")
 
 
-def _check_point(point: Sequence[float], n: int) -> None:
-    if len(point) != n:
-        raise ValueError(f"point has {len(point)} components, copula needs {n}")
-    for p in point:
-        if not (math.isfinite(p) and -1e-12 <= p <= 1.0 + 1e-12):
-            raise ValueError(f"component {p!r} outside [0,1]")
-
-
-def _check_components(u: Sequence[np.ndarray], n: int) -> None:
-    """_check_point on array components: the error the float loop meets
-    first, at the first offending entry and its first offending component."""
-    if len(u) != n:
-        raise ValueError(f"point has {len(u)} components, copula needs {n}")
-    rows = np.stack(u).reshape(n, -1)
+def _check_components(u: Sequence[np.ndarray]) -> None:
+    """Reject the first entry with a component outside [0, 1] (up to
+    1e-12), naming its first such component."""
+    rows = np.stack(u).reshape(len(u), -1)
     # nan fails both comparisons and an infinity one of them
     ok = (rows >= -1e-12) & (rows <= 1.0 + 1e-12)
     if not ok.all():
@@ -241,29 +205,9 @@ def cop_eval(handle: CopulaHandle, point: Sequence[float]) -> float:
     """Evaluate the copula at a point in [0,1]^n.
 
     With float arrays among the components (floats held fixed), the array
-    of its values at each entry, each equal bit for bit to what the float
-    path below, the reference, gives at that entry.
+    of its values at each entry; a point of floats gives a float.
     """
-    if any(isinstance(p, np.ndarray) for p in point):
-        return _cop_eval_many(handle, point)
-    _check_point(point, handle.n)
-    if handle.kind == "product":
-        return math.prod(point)
-    if handle.kind == "comonotone":
-        return min(point)
-    if handle.kind == "durante":
-        return durante_eval(handle.generator, point)
-    if handle.kind == "jaworski":
-        return jaworski_eval(handle.diagonal, point)
-    if handle.kind == "cuadras_auge":
-        u, v = point
-        if u <= 0.0 or v <= 0.0:
-            return 0.0
-        return min(u, v) ** handle.theta * (u * v) ** (1.0 - handle.theta)
-    if handle.kind == "frechet":
-        u, v = point
-        return handle.gamma * min(u, v) + (1.0 - handle.gamma) * u * v
-    raise ValueError(f"unknown copula kind {handle.kind!r}")
+    return on_arrays(lambda *u: _cop_eval_many(handle, u), *point)
 
 
 def _min(values):
@@ -277,11 +221,13 @@ def _min(values):
 
 def _cop_eval_many(handle: CopulaHandle, point: Sequence) -> np.ndarray:
     """cop_eval on components that are floats or float arrays of one shape,
-    each operation in the float path's order."""
+    at least one an array."""
+    if len(point) != handle.n:
+        raise ValueError(f"point has {len(point)} components, copula needs {handle.n}")
     shape = next(p for p in point if isinstance(p, np.ndarray)).shape
     u = [np.asarray(p, dtype=float) if isinstance(p, np.ndarray)
          else np.full(shape, p, dtype=float) for p in point]
-    _check_components(u, handle.n)
+    _check_components(u)
     if handle.kind == "product":
         value = u[0]
         for p in u[1:]:

@@ -19,11 +19,14 @@ from . import funcalc
 from .numerics import (
     Grid,
     SCAN_TIE_TOL,
+    clamp,
     each,
     elementwise,
     first,
+    inside,
     lift,
     monotone_inverse,
+    on_arrays,
     sample,
     validation_points,
 )
@@ -138,30 +141,6 @@ def dual(h: Distortion) -> Distortion:
                       co_inverse_fn=h.inverse_fn)
 
 
-def _clamp(v):
-    # min(1.0, max(0.0, v)), entry by entry for arrays
-    if isinstance(v, np.ndarray):
-        v = np.where(v > 0.0, v, 0.0)
-        return np.where(v < 1.0, v, 1.0)
-    return min(1.0, max(0.0, v))
-
-
-def _interior(x, inner: Callable):
-    """inner(x) for x in (0, 1); 0 at or below 0, 1 at or above 1.  For an
-    array x, inner is called once, on the interior entries."""
-    if not isinstance(x, np.ndarray):
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        return inner(x)
-    out = np.where(x <= 0.0, 0.0, 1.0)
-    mid = np.flatnonzero(~((x <= 0.0) | (x >= 1.0)))
-    if mid.size:
-        out[mid] = inner(x[mid])
-    return out
-
-
 def inverse(h: Distortion, y):
     """Generalized (left-continuous) inverse of h at y in [0,1], or at each
     entry of an array y.
@@ -171,8 +150,10 @@ def inverse(h: Distortion, y):
     map to 0/1 exactly.
     """
     if h.inverse_fn is not None:
-        return _interior(y, lambda v: _clamp(h.inverse_fn(v)))
-    return _interior(y, lambda v: monotone_inverse(h.fn, v, 0.0, 1.0))
+        inner = lambda v: clamp(h.inverse_fn(v))
+    else:
+        inner = lambda v: monotone_inverse(h.fn, v, 0.0, 1.0)
+    return on_arrays(lambda y: inside(y, inner), y)
 
 
 def co_inverse(h: Distortion, p):
@@ -181,8 +162,10 @@ def co_inverse(h: Distortion, p):
     q(co_inverse(h, p)), and the roundtrip's 1e-16 quantization matters
     wherever this map has steep slope).  Takes a float or an array."""
     if h.co_inverse_fn is not None:
-        return _interior(p, lambda v: _clamp(h.co_inverse_fn(v)))
-    return _interior(p, lambda v: 1.0 - inverse(h, 1.0 - v))
+        inner = lambda v: clamp(h.co_inverse_fn(v))
+    else:
+        inner = lambda v: 1.0 - inverse(h, 1.0 - v)
+    return on_arrays(lambda p: inside(p, inner), p)
 
 
 def classify(h: Distortion, grid: Optional[Grid] = None) -> ShapeReport:

@@ -24,13 +24,16 @@ from .numerics import (
     VALIDATION_COUNT,
     Tolerance,
     BracketError,
+    clamp,
     derivative,
     each,
     edge_ladder_integral,
     elementwise,
     first,
+    inside,
     lift,
     monotone_inverse,
+    on_arrays,
     sample,
 )
 
@@ -58,9 +61,9 @@ class Distribution:
 
     ``quantile`` is elementwise (a quantile callable from outside is lifted
     here): a float array of probabilities gives the array of quantiles.
-    ``cdf_fn`` is an optional closed-form fast path, taking floats; cdf()
-    falls back to inverting the quantile.  Whether the mean is finite is
-    judged from the tail of q wherever a mean-dependent quantity is
+    ``cdf_fn`` is an optional closed-form fast path, elementwise likewise;
+    cdf() falls back to inverting the quantile.  Whether the mean is finite
+    is judged from the tail of q wherever a mean-dependent quantity is
     integrated.
     """
 
@@ -70,6 +73,8 @@ class Distribution:
 
     def __post_init__(self) -> None:
         self.quantile = lift(self.quantile)
+        if self.cdf_fn is not None:
+            self.cdf_fn = lift(self.cdf_fn)
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,9 @@ def build(spec: Union[DistributionSpec, str]) -> Distribution:
         if rate is None or not (math.isfinite(rate) and rate > 0):
             raise SpecError(f"exponential rate must be positive, got {rate!r}")
         q = elementwise(lambda p: -each(math.log, 1.0 - p) / rate)
-        cdf_fn = lambda x: 1.0 - math.exp(-rate * x) if x > 0.0 else 0.0
+        # the clipped exponent of an entry x <= 0, which reads 0, cannot overflow
+        cdf_fn = elementwise(lambda x: np.where(
+            x > 0.0, 1.0 - each(math.exp, -rate * np.maximum(x, 0.0)), 0.0))
         return from_quantile(q, label=spec.render(), cdf_fn=cdf_fn, validate=False)
     if spec.kind == "quantile_expr":
         try:
@@ -198,17 +205,9 @@ def _build_hazard(spec: DistributionSpec) -> Distribution:
     if i is not None:
         raise SpecError(f"{spec.render()}: hazard decreasing near x={float(xs[i])!r}")
 
-    @elementwise
-    def quantile(p):
+    def quantile(p: np.ndarray) -> np.ndarray:
         # psi(x) = -ln(1 - p), bracketed by doubling from hi
         target = -each(math.log, 1.0 - p)
-        if not isinstance(p, np.ndarray):
-            if target <= v0:
-                return 0.0
-            h = hi
-            while float(psi(h)) < target:
-                h = _double(h)
-            return monotone_inverse(psi, target, 0.0, h)
         out = np.zeros(p.shape)
         live = np.flatnonzero(target > v0)
         target = target[live]
@@ -220,13 +219,15 @@ def _build_hazard(spec: DistributionSpec) -> Distribution:
         out[live] = monotone_inverse(psi, target, 0.0, h)
         return out
 
-    def cdf_fn(x: float, _psi=psi) -> float:
-        if x <= 0.0:
-            return 0.0
-        return 1.0 - math.exp(-max(0.0, float(_psi(x))))
+    @elementwise
+    def cdf_fn(x):
+        # an entry x <= 0 reads 0; psi is taken at 0 there, finite as checked
+        v = psi(np.maximum(x, 0.0))
+        return np.where(x <= 0.0, 0.0,
+                        1.0 - each(math.exp, -np.where(v > 0.0, v, 0.0)))
 
-    return from_quantile(quantile, label=spec.render(), cdf_fn=cdf_fn,
-                         validate=False)
+    return from_quantile(elementwise(lambda p: on_arrays(quantile, p)),
+                         label=spec.render(), cdf_fn=cdf_fn, validate=False)
 
 
 def _double(h):
@@ -236,17 +237,19 @@ def _double(h):
     return h
 
 
-def cdf(X: Distribution, x: float) -> float:
-    """F(x), clamped to [0,1]; closed form when available, else inversion of q."""
+def cdf(X: Distribution, x):
+    """F(x) at x or at each entry of an array x, clamped to [0,1]; closed
+    form when available, else inversion of q."""
+    return on_arrays(lambda x: _cdf(X, x), x)
+
+
+def _cdf(X: Distribution, x: np.ndarray) -> np.ndarray:
     if X.cdf_fn is not None:
-        return min(1.0, max(0.0, float(X.cdf_fn(x))))
+        return clamp(X.cdf_fn(x))
     lo, hi = EPS_Q, 1.0 - EPS_Q
     q = X.quantile
-    if x <= q(lo):
-        return 0.0
-    if x >= q(hi):
-        return 1.0
-    return monotone_inverse(q, x, lo, hi)
+    q_lo, q_hi = q(np.array([lo, hi])).tolist()
+    return inside(x, lambda v: monotone_inverse(q, v, lo, hi), q_lo, q_hi)
 
 
 def survival(X: Distribution, x: float) -> float:
@@ -334,9 +337,9 @@ def distort(X: Distribution, h: dist_mod.Distortion) -> Distribution:
     """Distorted distribution: survival h(F̄), i.e. q_h(p) = q(1 - h⁻¹(1-p)).
 
     An array of probabilities is inverted through h in one co_inverse call.
-    Float calls go through a memo, which serves the remaining pointwise
-    callers (cdf inversion, derivatives at a point) and exposes
-    cache_info() to profilers; grid passes do not use it.
+    Float calls (mean's endpoint terms, the pointwise transforms) go
+    through a memo, which exposes cache_info() to profilers; grid passes
+    do not use it.
     """
     q = X.quantile
 
@@ -357,6 +360,6 @@ def distort(X: Distribution, h: dist_mod.Distortion) -> Distribution:
         base_cdf = X.cdf_fn
         hfn = h.fn
         # F_h = 1 - h(F̄) = h*(F)
-        cdf_h = lambda x: 1.0 - hfn(max(0.0, min(1.0, 1.0 - float(base_cdf(x)))))
+        cdf_h = elementwise(lambda x: 1.0 - hfn(1.0 - clamp(base_cdf(x))))
     return from_quantile(q_h, label=f"distort({X.label}, h={h.label})",
                          cdf_fn=cdf_h, validate=False)

@@ -14,10 +14,13 @@ Conventions used throughout the package:
   the array of their values, each computed exactly as for that float alone,
   so a grid costs one call instead of one per point.  A callable from
   outside the library is lifted to that form where it enters (``lift``).
+* Each such function has one implementation, on arrays.  A float reaches it
+  as a one-entry array and leaves as a Python float (``on_arrays``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -121,9 +124,11 @@ DEFAULT_GRID = uniform_grid()
 VALIDATION_COUNT = 513
 
 
-def validation_points(count: int = VALIDATION_COUNT) -> list:
-    """count equally spaced points on [0, 1], both endpoints included."""
-    return [i / (count - 1) for i in range(count)]
+@functools.cache
+def validation_points(count: int = VALIDATION_COUNT) -> tuple:
+    """count equally spaced points on [0, 1], both endpoints included; built
+    once per count."""
+    return tuple(i / (count - 1) for i in range(count))
 
 
 def elementwise(fn: Callable) -> Callable:
@@ -176,6 +181,36 @@ def each(fn: Callable, *args):
     columns = [a.ravel().tolist() if isinstance(a, np.ndarray) else repeat(a, n)
                for a in args]
     return np.fromiter(map(fn, *columns), dtype=float, count=n).reshape(like.shape)
+
+
+def on_arrays(core: Callable, *args):
+    """core(*args), where core maps float arrays of one shape to an array.
+
+    With an array among args they go straight in.  Otherwise each float
+    enters as a one-entry array and the one entry of the result comes back
+    as a Python float: the one way a float reaches the array implementation
+    of a public function, so both meet the same code and the same errors.
+    """
+    if any(isinstance(a, np.ndarray) for a in args):
+        return core(*args)
+    return float(core(*(np.array([a], dtype=float) for a in args))[0])
+
+
+def clamp(v: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """min(hi, max(lo, v)) entry by entry, nan going to lo as with the builtins."""
+    v = np.where(v > lo, v, lo)
+    return np.where(v < hi, v, hi)
+
+
+def inside(x: np.ndarray, inner: Callable, lo: float = 0.0,
+           hi: float = 1.0) -> np.ndarray:
+    """inner at the entries of x strictly between lo and hi, called once on
+    them; 0 at or below lo and 1 at or above hi."""
+    out = np.where(x <= lo, 0.0, 1.0)
+    mid = np.flatnonzero(~((x <= lo) | (x >= hi)))
+    if mid.size:
+        out[mid] = inner(x[mid])
+    return out
 
 
 def sample(fn: Callable[[float], float],
@@ -393,54 +428,13 @@ def monotone_inverse(fn: Callable[[float], float], y, lo, hi):
 
     Each step tries inverse quadratic interpolation through the two ends
     and the end last replaced, where Chandrupatla's test says it is safe,
-    else takes the midpoint; two steps in a row that fail to halve the
-    bracket force a midpoint, so the bracket halves at least every third
-    step whatever fn does (Chandrupatla, Adv. Eng. Software 1997).
+    else takes the midpoint (Chandrupatla, Adv. Eng. Software 1997).
 
-    For an array of targets y (lo and hi floats or arrays of its shape) every
-    target is solved at once, with one elementwise call of fn per step on
-    the targets still open, and each gets the value a float y would.
+    y is a float or an array of targets (lo and hi floats or arrays of its
+    shape); every target is solved at once, with one elementwise call of fn
+    per step on the targets still open.
     """
-    if isinstance(y, np.ndarray):
-        return _monotone_inverse_many(lift(fn), y, lo, hi)
-    if not lo < hi:
-        raise ValueError("empty bracket")
-    flo = fn(lo)
-    fhi = fn(hi)
-    _bracket(flo, fhi, y)
-    if y <= flo:
-        return lo
-    if y > fhi:
-        return hi
-    # x1 is the newest end of the bracket, x2 the other end and x3 the end
-    # x1 replaced; f* is fn - y there, negative below the target
-    x1, f1, x2, f2 = lo, flo - y, hi, fhi - y
-    width, t, slow = hi - lo, 0.5, 0
-    for _ in range(MAX_ROOT_STEPS):
-        x = x1 + t * (x2 - x1)
-        v = fn(x)
-        if not math.isfinite(v):
-            raise BracketError(_not_finite(v, x))
-        ft = v - y
-        if (ft >= 0.0) == (f1 >= 0.0):
-            x3, f3 = x1, f1
-        else:
-            x3, f3, x2, f2 = x2, f2, x1, f1
-        x1, f1 = x, ft
-        new, stop = abs(x2 - x1), _stop_width(x1, x2)
-        if new <= stop:
-            return x1 if f1 >= 0.0 else x2
-        slow = 0 if t == 0.5 or new <= 0.5 * width else slow + 1
-        width, t = new, 0.5
-        if slow < 2 and _interpolates(x1, f1, x2, f2, x3, f3):
-            t = _iqi(x1, f1, x2, f2, x3, f3)
-        tl = 0.5 * stop / width
-        t = min(1.0 - tl, max(tl, t))
-    raise BracketError(_no_convergence(x1, x2))
-
-
-def _stop_width(x1, x2):
-    return 4.0 * _MACHEPS * (1.0 + abs(x1) + abs(x2))
+    return on_arrays(lambda y: _solve(lift(fn), y, lo, hi), y)
 
 
 def _interpolates(x1, f1, x2, f2, x3, f3):
@@ -458,16 +452,7 @@ def _iqi(x1, f1, x2, f2, x3, f3):
             + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
 
 
-def _not_finite(v, x) -> str:
-    return f"function evaluated to {float(v)!r} at x={float(x)!r} inside the bracket"
-
-
-def _no_convergence(x1, x2) -> str:
-    a, b = sorted((float(x1), float(x2)))
-    return f"root solve still open after {MAX_ROOT_STEPS} steps on [{a!r}, {b!r}]"
-
-
-def _monotone_inverse_many(fn, y: np.ndarray, lo, hi) -> np.ndarray:
+def _solve(fn, y: np.ndarray, lo, hi) -> np.ndarray:
     a = np.array(np.broadcast_to(lo, y.shape), dtype=float)
     b = np.array(np.broadcast_to(hi, y.shape), dtype=float)
     if not np.all(a < b):
@@ -482,57 +467,66 @@ def _monotone_inverse_many(fn, y: np.ndarray, lo, hi) -> np.ndarray:
         return out
     t_y = y[todo]
     x1, f1, x2, f2 = a[todo], flo[todo] - t_y, b[todo], fhi[todo] - t_y
-    width = x2 - x1
     t = np.full(todo.size, 0.5)
-    slow = np.zeros(todo.size, dtype=int)
     for _ in range(MAX_ROOT_STEPS):
         x = x1 + t * (x2 - x1)
         v = fn(x)
-        if not np.isfinite(v).all():
-            i = first(~np.isfinite(v))
-            raise BracketError(_not_finite(v[i], x[i]))
+        i = first(~np.isfinite(v))
+        if i is not None:
+            raise BracketError(f"function evaluated to {float(v[i])!r} at "
+                               f"x={float(x[i])!r} inside the bracket")
         ft = v - t_y
         same = (ft >= 0.0) == (f1 >= 0.0)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, ft
-        new, stop = np.abs(x2 - x1), _stop_width(x1, x2)
-        slow = np.where((t == 0.5) | (new <= 0.5 * width), 0, slow + 1)
+        new = np.abs(x2 - x1)
+        stop = 4.0 * _MACHEPS * (1.0 + np.abs(x1) + np.abs(x2))
         done = new <= stop
         if done.any():
             out[todo[done]] = np.where(f1 >= 0.0, x1, x2)[done]
             keep = ~done
-            todo, t_y, slow, new, stop, x1, f1, x2, f2, x3, f3 = (
-                z[keep] for z in (todo, t_y, slow, new, stop, x1, f1, x2, f2, x3, f3))
+            todo, t_y, new, stop, x1, f1, x2, f2, x3, f3 = (
+                z[keep] for z in (todo, t_y, new, stop, x1, f1, x2, f2, x3, f3))
             if not todo.size:
                 return out
-        width = new
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # exact where the test passes; entries it rejects may divide by
             # zero and are discarded
-            iqi = (slow < 2) & _interpolates(x1, f1, x2, f2, x3, f3)
+            iqi = _interpolates(x1, f1, x2, f2, x3, f3)
             t = np.where(iqi, _iqi(x1, f1, x2, f2, x3, f3), 0.5)
-        tl = 0.5 * stop / width
+        tl = 0.5 * stop / new
         t = np.minimum(1.0 - tl, np.maximum(tl, t))
-    raise BracketError(_no_convergence(x1[0], x2[0]))
+    a, b = sorted((float(x1[0]), float(x2[0])))
+    raise BracketError(f"root solve still open after {MAX_ROOT_STEPS} steps "
+                       f"on [{a!r}, {b!r}]")
 
 
 def derivative(fn: Callable[[float], float],
                x,
                step=1e-6,
                lo: Optional[float] = None):
-    """Finite-difference derivative: central, or the three-point forward
-    formula (second order, like the central one) where x - step < lo.
+    """Finite-difference derivative at x, a float or an array: central, or
+    the three-point forward formula (second order, like the central one)
+    at the entries where x - step < lo.
 
-    For an array x (step a float or an array of its shape; no lo) fn is
-    called once, on both stencil sides.
+    step is a float or an array of x's shape; fn is called once, on the
+    stencil points of every entry.
     """
     if not np.all((np.asarray(step) > 0) & np.isfinite(step)):
         raise ValueError("step must be positive and finite")
-    h = step
-    if isinstance(x, np.ndarray):
-        up, down = np.split(fn(np.concatenate((x + h, x - h))), 2)
-        return (up - down) / (2.0 * h)
-    if lo is None or x - h >= lo:
-        return (fn(x + h) - fn(x - h)) / (2.0 * h)
-    return (-3.0 * fn(x) + 4.0 * fn(x + h) - fn(x + 2.0 * h)) / (2.0 * h)
+    return on_arrays(lambda x: _differences(lift(fn), x, step, lo), x)
+
+
+def _differences(fn, x: np.ndarray, step, lo) -> np.ndarray:
+    h = np.broadcast_to(step, x.shape)
+    fwd = np.zeros(x.shape, dtype=bool) if lo is None else ~(x - h >= lo)
+    mid = ~fwd
+    xc, hc, xf, hf = x[mid], h[mid], x[fwd], h[fwd]
+    values = fn(np.concatenate((xc + hc, xc - hc, xf, xf + hf, xf + 2.0 * hf)))
+    up, down, f0, f1, f2 = np.split(values, np.cumsum([xc.size, xc.size,
+                                                        xf.size, xf.size]))
+    out = np.empty(x.shape)
+    out[mid] = (up - down) / (2.0 * hc)
+    out[fwd] = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * hf)
+    return out

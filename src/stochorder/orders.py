@@ -33,6 +33,7 @@ from .distributions import (
     EPS_Q,
     DegenerateDensityError,
     Distribution,
+    cdf,
     check_tail_decay,
     density_at_quantile,
     quantile_slopes,
@@ -42,8 +43,10 @@ from .numerics import (
     DEFAULT_GRID,
     Grid,
     Tolerance,
+    clamp,
     derivative,
     edge_ladder_integral,
+    elementwise,
     integrate,
     integrate_many,
     ladder,
@@ -375,27 +378,32 @@ def qmit_xspace_integral(X: Distribution, Y: Distribution, t: float) -> float:
     cdf/quantile roundtrip whose cancellation noise near F ~ 1 would swamp
     a narrow central difference, while the fourth-order truncation keeps
     the wide step accurate.  The quadrature tolerance is matched to that
-    noise floor (~1e-8); the counterexample signals are >= 1e-4.
+    noise floor (~1e-8); the counterexample signals are >= 1e-4.  The
+    integrand takes the points of a quadrature level as one array, so F_X
+    and q_Y are called a few times per level, not per point.
     """
-    from .distributions import cdf  # local import avoids cycle at module load
-
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
     q_y = Y.quantile
-    lo_clamp, hi_clamp = EPS_Q, 1.0 - EPS_Q
 
-    def F(x: float) -> float:
-        return min(1.0, max(0.0, cdf(X, x)))
+    # alpha and the integrand are only ever given arrays; the mark lets
+    # derivative and integrate pass them through unlifted
+    @elementwise
+    def alpha(x: np.ndarray) -> np.ndarray:
+        return q_y(clamp(cdf(X, x), EPS_Q, 1.0 - EPS_Q))
 
-    def alpha(x: float) -> float:
-        return q_y(min(hi_clamp, max(lo_clamp, F(x))))
-
-    def alpha_prime(z: float) -> float:
-        h = 1e-3 * max(1.0, abs(z))
-        if z - 2.0 * h < 0.0:
-            return derivative(alpha, z, step=min(h, max(z / 2.0, 1e-7)), lo=0.0)
-        return (-alpha(z + 2.0 * h) + 8.0 * alpha(z + h)
-                - 8.0 * alpha(z - h) + alpha(z - 2.0 * h)) / (12.0 * h)
+    def alpha_prime(z: np.ndarray) -> np.ndarray:
+        h = 1e-3 * np.maximum(1.0, np.abs(z))
+        near = z - 2.0 * h < 0.0
+        out = np.empty(z.shape)
+        zn, hn = z[near], h[near]
+        step = np.minimum(hn, np.maximum(zn / 2.0, 1e-7))
+        out[near] = derivative(alpha, zn, step=step, lo=0.0)
+        zf, hf = z[~near], h[~near]
+        up2, up1, down1, down2 = np.split(
+            alpha(np.concatenate((zf + 2.0 * hf, zf + hf, zf - hf, zf - 2.0 * hf))), 4)
+        out[~near] = (-up2 + 8.0 * up1 - 8.0 * down1 + down2) / (12.0 * hf)
+        return out
 
     # the single outer slope alpha'(t) multiplies the whole integral, so it
     # uses a narrow central difference: the wide stencil's O(h * curvature
@@ -403,11 +411,13 @@ def qmit_xspace_integral(X: Distribution, Y: Distribution, t: float) -> float:
     # the roundtrip noise on one narrow difference only costs ~1e-6 here
     a_t = derivative(alpha, t, step=5e-6 * max(1.0, abs(t)), lo=0.0)
 
-    def integrand(x: float) -> float:
-        fx = F(x)
-        if fx <= 0.0:
-            return 0.0
-        return (a_t - alpha_prime(x)) * fx
+    @elementwise
+    def integrand(x: np.ndarray) -> np.ndarray:
+        fx = cdf(X, x)
+        out = np.zeros(x.shape)
+        live = fx > 0.0
+        out[live] = (a_t - alpha_prime(x[live])) * fx[live]
+        return out
 
     return integrate(integrand, 0.0, t, _XSPACE_TOL)
 

@@ -1,11 +1,15 @@
-"""The array path against the float path it replaces, value by value.
+"""The array path against the float path it replaced, value by value.
 
 Every layer that takes a grid evaluates it in one elementwise call: compiled
 expressions, copulas and the system distortions built from them, the
-monotone root solve, and the breadth-first quadrature of the transform pass.  Each must give, entry by entry, what the float path
-gives at that point, and fail where and how the float path fails first.
-The root solve and the quadrature are also held to the methods they
-replaced (bisection, recursive adaptive Simpson), kept here as references.
+monotone root solve, quantiles, cdfs, inverses and finite differences, and
+the breadth-first quadrature of the transform pass.  Each has a single
+implementation, on arrays, which a float enters as a one-entry array.  The
+float paths they replaced are kept here as references: the float root
+solve, the float copula evaluation, the float hazard quantile, cdfs,
+inverses and derivative, bisection and recursive adaptive Simpson.  Each
+array entry must equal what the reference gives at that point, and fail
+where and how the reference fails first.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ from stochorder import (catalog, cli, copulas, distortions, distributions,
 from stochorder.numerics import (
     DEFAULT_GRID,
     MAX_LIVE_PANELS,
+    MAX_ROOT_STEPS,
     MAX_SIMPSON_DEPTH,
     BracketError,
     QuadratureFailure,
     Tolerance,
+    derivative,
     elementwise,
     integrate_many,
     lift,
@@ -166,13 +172,179 @@ class TestLift:
         assert X.quantile(np.array([0.25, 0.75])).tolist() == [0.25, 0.5]
 
 
+# --- the float paths the single array path replaced, kept as references ---
+
+def _chandrupatla(fn, y, lo, hi):
+    """(value, calls of fn) of the float loop monotone_inverse ran on a
+    float target before floats entered the array solve, less its old rule
+    forcing a midpoint after two steps that did not halve the bracket:
+    the same steps, stopping rule and errors as the array solve."""
+    calls = [0]
+    fn = _counted(fn, calls)
+    if not lo < hi:
+        raise ValueError("empty bracket")
+    flo, fhi = fn(lo), fn(hi)
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
+        raise BracketError("bracket endpoints evaluate to non-finite values")
+    slack = 1e-10
+    if not (flo - slack <= y <= fhi + slack):
+        raise BracketError(f"target {y!r} outside [{flo!r}, {fhi!r}]")
+    if y <= flo:
+        return lo, calls[0]
+    if y > fhi:
+        return hi, calls[0]
+    # x1 is the newest end of the bracket, x2 the other end and x3 the end
+    # x1 replaced; f* is fn - y there, negative below the target
+    x1, f1, x2, f2 = lo, flo - y, hi, fhi - y
+    t = 0.5
+    for _ in range(MAX_ROOT_STEPS):
+        x = x1 + t * (x2 - x1)
+        v = fn(x)
+        if not math.isfinite(v):
+            raise BracketError(f"function evaluated to {v!r} at x={x!r} inside the bracket")
+        ft = v - y
+        if (ft >= 0.0) == (f1 >= 0.0):
+            x3, f3 = x1, f1
+        else:
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, ft
+        width = abs(x2 - x1)
+        stop = 4.0 * _MACHEPS * (1.0 + abs(x1) + abs(x2))
+        if width <= stop:
+            return (x1 if f1 >= 0.0 else x2), calls[0]
+        t = 0.5
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        tl = 0.5 * stop / width
+        t = min(1.0 - tl, max(tl, t))
+    a, b = sorted((x1, x2))
+    raise BracketError(f"root solve still open after {MAX_ROOT_STEPS} steps on [{a!r}, {b!r}]")
+
+
+def _float_hazard_quantile(text):
+    """The float branch of the quantile of hazard:<text>."""
+    psi = funcalc.compile_fn(funcalc.parse(text))
+    v0 = psi(0.0)
+    hi = 1.0
+    while psi(hi) < distributions._HAZARD_TARGET:
+        hi *= 2.0
+
+    def quantile(p):
+        target = -math.log(1.0 - p)
+        if target <= v0:
+            return 0.0
+        h = hi
+        while psi(h) < target:
+            h *= 2.0
+        return _chandrupatla(psi, target, 0.0, h)[0]
+
+    return quantile
+
+
+def _float_clamp(v):
+    return min(1.0, max(0.0, v))
+
+
+def _float_interior(x, inner):
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    return inner(x)
+
+
+def _float_inverse(h, y):
+    if h.inverse_fn is not None:
+        return _float_interior(y, lambda v: _float_clamp(h.inverse_fn(v)))
+    return _float_interior(y, lambda v: _chandrupatla(h.fn, v, 0.0, 1.0)[0])
+
+
+def _float_co_inverse(h, p):
+    if h.co_inverse_fn is not None:
+        return _float_interior(p, lambda v: _float_clamp(h.co_inverse_fn(v)))
+    return _float_interior(p, lambda v: 1.0 - _float_inverse(h, 1.0 - v))
+
+
+def _float_distorted_quantile(q, h):
+    return lambda p: q(_float_co_inverse(h, p))
+
+
+# the closed-form cdfs as they were written for floats
+def _float_exponential_cdf(rate):
+    return lambda x: 1.0 - math.exp(-rate * x) if x > 0.0 else 0.0
+
+
+def _float_hazard_cdf(text):
+    psi = funcalc.compile_fn(funcalc.parse(text))
+    return lambda x: 0.0 if x <= 0.0 else 1.0 - math.exp(-max(0.0, float(psi(x))))
+
+
+def _float_distorted_cdf(base_cdf, h):
+    return lambda x: 1.0 - h.fn(max(0.0, min(1.0, 1.0 - float(base_cdf(x)))))
+
+
+def _float_cdf(closed, q, x):
+    """cdf(X, x) for a float x: the closed form clamped to [0, 1], or the
+    inversion of q when there is none."""
+    if closed is not None:
+        return _float_clamp(float(closed(x)))
+    lo, hi = distributions.EPS_Q, 1.0 - distributions.EPS_Q
+    if x <= q(lo):
+        return 0.0
+    if x >= q(hi):
+        return 1.0
+    return _chandrupatla(q, x, lo, hi)[0]
+
+
+def _float_derivative(fn, x, step=1e-6, lo=None):
+    if lo is None or x - step >= lo:
+        return (fn(x + step) - fn(x - step)) / (2.0 * step)
+    return (-3.0 * fn(x) + 4.0 * fn(x + step) - fn(x + 2.0 * step)) / (2.0 * step)
+
+
+def _float_xspace_gap(F, q_y, t):
+    """qmit_xspace_integral as it ran point by point, on float cdf and
+    quantile references, integrated by the recursive Simpson reference."""
+    eps = distributions.EPS_Q
+
+    def alpha(x):
+        return q_y(min(1.0 - eps, max(eps, F(x))))
+
+    def alpha_prime(z):
+        h = 1e-3 * max(1.0, abs(z))
+        if z - 2.0 * h < 0.0:
+            return _float_derivative(alpha, z, step=min(h, max(z / 2.0, 1e-7)), lo=0.0)
+        return (-alpha(z + 2.0 * h) + 8.0 * alpha(z + h)
+                - 8.0 * alpha(z - h) + alpha(z - 2.0 * h)) / (12.0 * h)
+
+    a_t = _float_derivative(alpha, t, step=5e-6 * max(1.0, abs(t)), lo=0.0)
+
+    def integrand(x):
+        fx = F(x)
+        return 0.0 if fx <= 0.0 else (a_t - alpha_prime(x)) * fx
+
+    return _recursive_integrate(integrand, 0.0, t, orders._XSPACE_TOL)
+
+
+def _is_float_of(value, one_entry) -> bool:
+    """value is a Python float with the bits of the one-entry array's entry."""
+    return (type(value) is float and one_entry.shape == (1,)
+            and _bits([value]) == _bits(one_entry))
+
+
 class TestVectorBisection:
     @given(k=st.floats(0.3, 4.0),
            targets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
     def test_each_target_as_alone(self, k, targets):
         fn = lambda x: x ** k
         got = monotone_inverse(fn, np.array(targets), 0.0, 1.0)
-        assert got.tolist() == [monotone_inverse(fn, y, 0.0, 1.0) for y in targets]
+        assert got.tolist() == [_chandrupatla(fn, y, 0.0, 1.0)[0] for y in targets]
+        y = targets[0]
+        assert _is_float_of(monotone_inverse(fn, y, 0.0, 1.0),
+                            monotone_inverse(fn, np.array([y]), 0.0, 1.0))
 
     @given(targets=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=30),
            his=st.lists(st.floats(32.0, 200.0), min_size=30, max_size=30))
@@ -180,7 +352,7 @@ class TestVectorBisection:
         psi = _compiled("x", "(x/0.8)^1.7 + x/10")
         hi = np.array(his[:len(targets)])
         got = monotone_inverse(psi, np.array(targets), 0.0, hi)
-        assert got.tolist() == [monotone_inverse(psi, y, 0.0, h)
+        assert got.tolist() == [_chandrupatla(psi, y, 0.0, h)[0]
                                 for y, h in zip(targets, hi.tolist())]
 
     def test_first_target_outside_the_bracket_is_named(self):
@@ -189,18 +361,39 @@ class TestVectorBisection:
 
     def test_non_finite_value_inside_the_bracket_is_named(self):
         fn = lambda x: math.nan if 0.3 < x < 0.6 else x
-        with pytest.raises(BracketError, match=r"nan at x=0\.5 inside the bracket"):
+        message = r"^function evaluated to nan at x=0\.5 inside the bracket$"
+        with pytest.raises(BracketError, match=message):
             monotone_inverse(fn, np.array([0.1, 0.35]), 0.0, 1.0)
+        with pytest.raises(BracketError, match=message):
+            monotone_inverse(fn, 0.35, 0.0, 1.0)
+        with pytest.raises(BracketError, match=message):
+            _chandrupatla(fn, 0.35, 0.0, 1.0)
+        with pytest.raises(BracketError,
+                           match=r"^bracket endpoints evaluate to non-finite values$"):
+            monotone_inverse(lambda x: x if x < 1.0 else math.inf, 0.5, 0.0, 1.0)
 
-    def test_nan_target_is_named(self):
-        with pytest.raises(BracketError, match=r"target nan outside \[0\.0, 1\.0\]"):
+    def test_nan_target_is_named(self, named_distributions, named_distortions):
+        message = r"^target nan outside \[0\.0, 1\.0\]$"
+        with pytest.raises(BracketError, match=message):
             monotone_inverse(lambda x: x, np.array([0.5, math.nan]), 0.0, 1.0)
+        with pytest.raises(BracketError, match=message):
+            monotone_inverse(lambda x: x, math.nan, 0.0, 1.0)
+        with pytest.raises(BracketError, match=message):
+            _chandrupatla(lambda x: x, math.nan, 0.0, 1.0)
+        h = named_distortions["mix_cubic"]
+        for form in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(BracketError, match=message):
+                distortions.inverse(h, form)
+        with pytest.raises(BracketError, match=r"^target nan outside "):
+            distributions.cdf(named_distributions["ce02_x"], math.nan)
 
     @pytest.mark.parametrize("name", ["ce01_x", "rayleigh"])
     def test_hazard_quantiles(self, name, named_distributions):
         X = named_distributions[name]
+        reference = _float_hazard_quantile(X.label[len("hazard:"):])
         p = np.array(uniform_grid(64).points)
-        assert X.quantile(p).tolist() == [X.quantile(x) for x in p.tolist()]
+        assert X.quantile(p).tolist() == [reference(x) for x in p.tolist()]
+        assert _is_float_of(X.quantile(0.3), X.quantile(np.array([0.3])))
 
     @pytest.mark.parametrize("name", ["sys_two_parallel_pairs",
                                       "sys_series_with_parallel_pair",
@@ -210,19 +403,59 @@ class TestVectorBisection:
         h = named_distortions[name]
         y = np.concatenate(([0.0, -0.5, 1.0, 2.0], np.linspace(0.001, 0.999, 50)))
         assert distortions.inverse(h, y).tolist() == \
-            [distortions.inverse(h, v) for v in y.tolist()]
+            [_float_inverse(h, v) for v in y.tolist()]
         assert distortions.co_inverse(h, y).tolist() == \
-            [distortions.co_inverse(h, v) for v in y.tolist()]
+            [_float_co_inverse(h, v) for v in y.tolist()]
+        for v in (0.0, 0.3, 1.0):
+            assert _is_float_of(distortions.inverse(h, v),
+                                distortions.inverse(h, np.array([v])))
+            assert _is_float_of(distortions.co_inverse(h, v),
+                                distortions.co_inverse(h, np.array([v])))
 
     def test_distorted_quantile_memo_serves_floats_only(self, named_distributions,
                                                         named_distortions):
-        Xh = distributions.distort(named_distributions["exp_1"],
-                                   named_distortions["sys_one_of_two_pairs"])
+        X = named_distributions["exp_1"]
+        h = named_distortions["sys_one_of_two_pairs"]
+        Xh = distributions.distort(X, h)
         p = np.array([0.1, 0.5, 0.9])
         values = Xh.quantile(p)
         assert Xh.quantile.cache_info().currsize == 0
-        assert [Xh.quantile(x) for x in p.tolist()] == values.tolist()
+        reference = _float_distorted_quantile(X.quantile, h)
+        assert values.tolist() == [reference(x) for x in p.tolist()]
+        for x in p.tolist():
+            assert _is_float_of(Xh.quantile(x), Xh.quantile(np.array([x])))
         assert Xh.quantile.cache_info().currsize == 3
+
+    @pytest.mark.parametrize("name", ["exp_1", "ce01_x", "exp_1 under dualpower:5",
+                                      "ce01_x under dualpower:5", "ce02_x"])
+    def test_cdf_equals_the_float_forms(self, name, named_distributions):
+        base_name, _, h_text = name.partition(" under ")
+        X = named_distributions[base_name]
+        closed = {"exp_1": _float_exponential_cdf(1.0),
+                  "ce01_x": _float_hazard_cdf(catalog.PSI_TEXT)}.get(base_name)
+        if h_text:
+            h = distortions.parse_distortion_spec(h_text)
+            X = distributions.distort(X, h)
+            closed = _float_distorted_cdf(closed, h)
+        x = np.concatenate(([-1.0, 0.0, 1e-300, 6.0],
+                            np.linspace(0.01, 3.0, 60)))
+        assert _bits(distributions.cdf(X, x)) == \
+            _bits([_float_cdf(closed, X.quantile, v) for v in x.tolist()])
+        for v in (0.0, 0.7):
+            assert _is_float_of(distributions.cdf(X, v),
+                                distributions.cdf(X, np.array([v])))
+
+    @given(xs=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=20),
+           step=st.floats(1e-6, 0.5), lo=st.none() | st.floats(0.0, 1.0))
+    def test_derivative_per_entry(self, xs, step, lo):
+        # the forward formula where x - step < lo, the central one elsewhere
+        fn = _compiled("x", catalog.PSI_TEXT)
+        got = derivative(fn, np.array(xs), step=step, lo=lo)
+        assert _bits(got) == _bits([_float_derivative(fn, x, step, lo) for x in xs])
+        steps = np.full(len(xs), step)
+        assert _bits(derivative(fn, np.array(xs), step=steps, lo=lo)) == _bits(got)
+        assert _is_float_of(derivative(fn, xs[0], step=step, lo=lo),
+                            derivative(fn, np.array(xs[:1]), step=step, lo=lo))
 
 
 # --- root solve: the bisection Chandrupatla's method replaced ---
@@ -301,8 +534,7 @@ class TestAgainstBisection:
         want, bisect_calls = _bisect(fn, y, 0.0, 1.0)
         assert _within_stop_width(got, want)
         assert calls <= 2 * bisect_calls
-        # forced midpoints take the same turns on the array path
-        assert monotone_inverse(fn, np.array([y]), 0.0, 1.0).tolist() == [got]
+        assert _chandrupatla(fn, y, 0.0, 1.0) == (got, calls)
 
     @pytest.mark.parametrize("y", [1e-300, 1e-12, 0.3, 0.999])
     def test_steep_map(self, y):
@@ -326,12 +558,12 @@ class TestRootSolveSteps:
             got = monotone_inverse(elementwise(_counted(h.fn, calls)), self.TARGETS,
                                    0.0, 1.0)
             array_calls[name] = calls[0]
-            values, counts = zip(*(_solve(h.fn, y, 0.0, 1.0)
+            values, counts = zip(*(_chandrupatla(h.fn, y, 0.0, 1.0)
                                    for y in self.TARGETS.tolist()))
             assert got.tolist() == list(values), name
             mean_calls[name] = np.mean(counts)
         # bisection takes 54 calls per target (two ends, 52 steps)
-        assert max(array_calls.values()) <= 20, array_calls
+        assert max(array_calls.values()) <= 16, array_calls
         assert max(mean_calls.values()) <= 11, mean_calls
 
     @pytest.mark.parametrize("name", [
@@ -383,9 +615,9 @@ def _adapt(fn, a, b, fa, fm, fb, s_whole, eps, depth):
     return left + right
 
 
-def _reference_curves(X, grid):
-    """transform_curves assembled from per-segment recursive integrals."""
-    q = X.quantile
+def _reference_curves(q, grid):
+    """transform_curves assembled from per-segment recursive integrals of
+    the float quantile q."""
     eps = distributions.EPS_Q
     seg_tol = orders._SEGMENT_TOL
     pts = grid.points
@@ -419,19 +651,69 @@ class TestBatchedQuadrature:
     def test_transform_curves_match_per_segment_integrals(self, name,
                                                           named_distributions):
         X = named_distributions[name]
+        q = X.quantile
+        if X.label.startswith("hazard:"):
+            q = _float_hazard_quantile(X.label[len("hazard:"):])
         grid = uniform_grid(48, edge_margin=0.01)
         got = orders.transform_curves(X, grid)
-        want = _reference_curves(X, grid)
+        want = _reference_curves(q, grid)
         for key, values in want.items():
             np.testing.assert_allclose(got[key], values, rtol=1e-14, atol=0.0)
 
     def test_distorted_curves_match(self, named_distributions, named_distortions):
-        X = distributions.distort(named_distributions["ce02_y"],
-                                  named_distortions["sys_five_comp_bridge"])
+        base = named_distributions["ce02_y"]
+        h = named_distortions["sys_five_comp_bridge"]
+        X = distributions.distort(base, h)
         grid = uniform_grid(24, edge_margin=0.01)
         got = orders.transform_curves(X, grid)
-        for key, values in _reference_curves(X, grid).items():
+        q = _float_distorted_quantile(base.quantile, h)
+        for key, values in _reference_curves(q, grid).items():
             np.testing.assert_allclose(got[key], values, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("t", [0.02, 1.3])
+    def test_x_space_gap_equals_the_pointwise_integral(self, t, named_distributions):
+        # the qmit counterexample pair: kinked hazard and unit exponential,
+        # both under 1 - (1 - p)^5
+        h = distortions.dualpower(5.0)
+        X = distributions.distort(named_distributions["ce01_x"], h)
+        Y = distributions.distort(named_distributions["exp_1"], h)
+        F = _float_distorted_cdf(_float_hazard_cdf(catalog.PSI_TEXT), h)
+        q_y = _float_distorted_quantile(named_distributions["exp_1"].quantile, h)
+        want = _float_xspace_gap(lambda x: _float_cdf(F, None, x), q_y, t)
+        assert _bits([orders.qmit_xspace_integral(X, Y, t)]) == _bits([want])
+
+    def test_x_space_gap_calls_once_per_level(self, named_distributions, monkeypatch):
+        # cdf and q_Y take the points of a quadrature level as one array:
+        # per integrand call one cdf for F, and one cdf and one q_Y for
+        # each of the two alpha' stencils; one more of each for alpha'(t)
+        h = distortions.dualpower(5.0)
+        X = distributions.distort(named_distributions["ce01_x"], h)
+        Y = distributions.distort(named_distributions["exp_1"], h)
+        calls = {"cdf": 0, "quantile": 0, "integrand": 0, "points": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            wrapper.__wrapped__ = fn
+            return wrapper
+
+        def integrate(fn, *args):
+            def integrand(x):
+                calls["points"] += x.size
+                return counted("integrand", fn)(x)
+            return real_integrate(elementwise(integrand), *args)
+
+        real_integrate = orders.integrate
+        monkeypatch.setattr(orders, "integrate", integrate)
+        monkeypatch.setattr(orders, "cdf", counted("cdf", orders.cdf))
+        Y.quantile = counted("quantile", Y.quantile)
+        orders.qmit_xspace_integral(X, Y, 1.3)
+        levels = calls["integrand"]
+        assert levels <= MAX_SIMPSON_DEPTH + 2
+        assert calls["cdf"] == 3 * levels + 1
+        assert calls["quantile"] == 2 * levels + 1
+        assert calls == {"cdf": 46, "quantile": 31, "integrand": 15, "points": 185}
 
     @given(a=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
            width=st.floats(0.0, 2.0))
@@ -485,12 +767,50 @@ def _bits(values) -> list:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
+def _float_cop_eval(handle, point):
+    """cop_eval at a point of floats, as it was evaluated before floats
+    entered the array evaluation."""
+    n = handle.n
+    if len(point) != n:
+        raise ValueError(f"point has {len(point)} components, copula needs {n}")
+    for p in point:
+        if not (math.isfinite(p) and -1e-12 <= p <= 1.0 + 1e-12):
+            raise ValueError(f"component {p!r} outside [0,1]")
+    if handle.kind == "product":
+        return math.prod(point)
+    if handle.kind == "comonotone":
+        return min(point)
+    if handle.kind == "durante":
+        # smallest component times f of each larger one
+        ordered = sorted(point)
+        value = ordered[0]
+        for p in ordered[1:]:
+            value *= float(handle.generator.fn(p))
+        return value
+    if handle.kind == "jaworski":
+        # rotation i: min(f over the components other than i, d(p_i))
+        d = handle.diagonal
+        fvals = [(n * p - float(d.fn(p))) / (n - 1) for p in point]
+        dvals = [float(d.fn(p)) for p in point]
+        total = 0.0
+        for i, dv in enumerate(dvals):
+            total += min(min(fvals[:i] + fvals[i + 1:]), dv)
+        return total / n
+    u, v = point
+    if handle.kind == "cuadras_auge":
+        if u <= 0.0 or v <= 0.0:
+            return 0.0
+        return min(u, v) ** handle.theta * (u * v) ** (1.0 - handle.theta)
+    return handle.gamma * min(u, v) + (1.0 - handle.gamma) * u * v
+
+
 def _float_loop(handle, rows):
-    """cop_eval entry by entry: (values, message of the first error)."""
+    """The float reference entry by entry: (values, message of the first
+    error)."""
     values = []
     for point in rows:
         try:
-            values.append(copulas.cop_eval(handle, list(point)))
+            values.append(_float_cop_eval(handle, list(point)))
         except ValueError as ex:
             return values, str(ex)
     return values, None
@@ -507,13 +827,16 @@ class TestCopulaArrays:
         p = np.array(ps)
         for i in range(1, n + 1):
             got = copulas.cop_eval(handle, [p] * i + [1.0] * (n - i))
-            want = [copulas.cop_eval(handle, [x] * i + [1.0] * (n - i))
+            want = [_float_cop_eval(handle, [x] * i + [1.0] * (n - i))
                     for x in ps]
             assert np.array_equal(got, want)
             assert _bits(got) == _bits(want)
         got = copulas.cop_eval(handle, [1.0 - p] * n)
-        want = [copulas.cop_eval(handle, [1.0 - x] * n) for x in ps]
+        want = [_float_cop_eval(handle, [1.0 - x] * n) for x in ps]
         assert _bits(got) == _bits(want)
+        point = [ps[-1]] + [0.5] * (n - 1)
+        assert _is_float_of(copulas.cop_eval(handle, point),
+                            copulas.cop_eval(handle, [np.array([x]) for x in point]))
 
     @pytest.mark.parametrize("kind", list(COPULAS))
     @given(rows=st.lists(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
@@ -534,7 +857,7 @@ class TestCopulaArrays:
         p = np.linspace(0.0, 1.0, 9)
         point = [0.25, p, 1.0, p, 0.5]
         got = copulas.cop_eval(handle, point)
-        want = [copulas.cop_eval(handle, [0.25, x, 1.0, x, 0.5])
+        want = [_float_cop_eval(handle, [0.25, x, 1.0, x, 0.5])
                 for x in p.tolist()]
         assert got.shape == p.shape
         assert _bits(got) == _bits(want)
@@ -566,9 +889,17 @@ class TestCopulaArrays:
             copulas.cop_eval(handle, [w, u, 0.5])
         with pytest.raises(ValueError, match="point has 2 components"):
             copulas.cop_eval(handle, [u, v])
+        # a point of floats meets the array path's checks and messages
+        for point, message in (([0.5, math.nan, 2.0], r"^component nan outside \[0,1\]$"),
+                               ([0.5, 0.5, -1.0], r"^component -1\.0 outside \[0,1\]$"),
+                               ([0.5, 0.5], r"^point has 2 components, copula needs 3$")):
+            with pytest.raises(ValueError, match=message):
+                copulas.cop_eval(handle, point)
+            with pytest.raises(ValueError, match=message):
+                _float_cop_eval(handle, point)
 
     @pytest.mark.parametrize("kind", list(COPULAS))
-    def test_system_distortions_take_arrays(self, kind):
+    def test_system_distortions_take_arrays(self, kind, monkeypatch):
         handle = COPULAS[kind]()
         sig = systems.parse_signature({2: "2,-1", 3: "3,-3,1", 4: "2,0,-2,1",
                                        5: "5,-10,10,-5,1"}[handle.n])
@@ -577,8 +908,11 @@ class TestCopulaArrays:
         if kind not in ("durante", "jaworski"):
             fns += [systems.parallel_distortion(handle).fn,
                     systems.series_distortion(handle).fn]
-        for fn in fns:
-            assert _bits(fn(pts)) == _bits([fn(x) for x in pts.tolist()])
+        got = [fn(pts) for fn in fns]
+        # the same system formulas on floats, over the float reference
+        monkeypatch.setattr(copulas, "cop_eval", _float_cop_eval)
+        for fn, values in zip(fns, got):
+            assert _bits(values) == _bits([fn(x) for x in pts.tolist()])
 
     def test_a_system_request_makes_one_cop_eval_per_term_and_sampling(
             self, monkeypatch, tmp_path):

@@ -17,7 +17,6 @@ from stochorder.copulas import (
     cop_eval,
     cuadras_auge,
     durante,
-    durante_eval,
     frechet,
     jaworski,
     jaworski_f,
@@ -111,12 +110,6 @@ class TestDuranteForm:
         for pt in ((0.2, 0.5, 0.8), (0.9, 0.9, 0.1)):
             assert cop_eval(handle, pt) == pytest.approx(
                 pt[0] * pt[1] * pt[2], abs=1e-15)
-
-    def test_durante_eval_matches_cop_eval(self):
-        gen = validate_generator("p^0.25", 3)
-        handle = durante("p^0.25", 3)
-        for pt in ((0.3, 0.6, 0.9), (0.5, 0.5, 0.5)):
-            assert durante_eval(gen, pt) == cop_eval(handle, pt)
 
 
 class TestJaworskiForm:

@@ -20,6 +20,7 @@ from stochorder.numerics import (
     integrate,
     monotone_inverse,
     uniform_grid,
+    validation_points,
 )
 
 from helpers import interior_points
@@ -141,6 +142,13 @@ class TestGrids:
         assert len(grid.points) == 512
         assert grid.points[0] == pytest.approx(1e-3, abs=1e-15)
         assert grid.points[-1] == pytest.approx(1.0 - 1e-3, abs=1e-15)
+
+    def test_validation_points_are_built_once_per_count(self):
+        pts = validation_points()
+        assert pts is validation_points()
+        assert isinstance(pts, tuple) and len(pts) == 513
+        assert pts[0] == 0.0 and pts[256] == 0.5 and pts[-1] == 1.0
+        assert validation_points(17) is validation_points(17) != pts
 
     def test_default_grid_shape(self):
         assert len(DEFAULT_GRID.points) == 512

@@ -10,7 +10,11 @@ Two checks over ``src/stochorder`` with the standard-library ``ast`` only:
   constants count, because the benchmark tracer patches library names by
   string.  The pointwise reference functions in ``ORACLES`` are exempt: the
   library computes the same quantities on grids, and the tests use these as
-  independent references.
+  independent references;
+* ``isinstance(..., np.ndarray)``, the test a float branch beside an array
+  path starts with, occurs only in the definitions of ``ARRAY_TESTS``: a
+  function of one point has one implementation, on arrays, and floats
+  reach it through ``numerics.on_arrays``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,15 @@ ORACLES = (
     "orders.dmrl_integral",
     "orders.dmrl_two_point_table",
     "copulas.boundary_section",
+)
+
+ARRAY_TESTS = (
+    "numerics.lift",           # an outside callable meets floats or arrays
+    "numerics.each",           # math functions entry by entry
+    "numerics.on_arrays",      # the one way in for a float
+    "funcalc.compile_fn",      # the float closures, the array evaluator's reference
+    "distributions.distort",   # the float memo, read by profilers
+    "copulas._cop_eval_many",  # float components held fixed beside arrays
 )
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -114,3 +127,23 @@ def test_oracles_exist():
     for qualified in ORACLES:
         module, name = qualified.split(".")
         assert name in _public_definitions(PACKAGE / f"{module}.py"), qualified
+
+
+def _array_tests(path: Path) -> set:
+    """Qualified names of the top-level definitions in path that test
+    whether a value is an np.ndarray."""
+    found = set()
+    for top in _tree(path).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(n, ast.Attribute) and n.attr == "ndarray"
+                            for n in ast.walk(node.args[1]))):
+                found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_float_branches_only_where_allowed():
+    found = set().union(*(_array_tests(path) for path in MODULES))
+    # a definition that no longer tests must leave the list too
+    assert found == set(ARRAY_TESTS)
