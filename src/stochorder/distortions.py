@@ -11,7 +11,7 @@ tolerance, nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .numerics import (
 )
 
 _ENDPOINT_TOL = 1e-9
+# root-solved points a distortion remembers: two float64 arrays of at most
+# this many entries (512 KB); past it the memo starts again from the newest
+SOLVED_LIMIT = 1 << 15
 
 
 class DistortionValidationError(ValueError):
@@ -50,6 +53,12 @@ class Distortion:
     quantiles ride on; carrying it avoids the 1-(1-p) roundtrip, whose
     ~1e-16 quantization gets amplified into visible jumps wherever the
     co-inverse has unbounded slope (e.g. p^(1/k) near 0).
+
+    Without ``inverse_fn``, each distortion remembers its root solves:
+    ``solved`` holds the targets solved so far, sorted, and their
+    inverses, at most SOLVED_LIMIT of them, looked up by exact key.  It is
+    not an init argument, so ``dataclasses.replace`` and ``dual`` start
+    with an empty memo.
     """
 
     fn: Callable[[float], float]
@@ -57,6 +66,9 @@ class Distortion:
     strictly_increasing: bool
     inverse_fn: Optional[Callable[[float], float]] = None
     co_inverse_fn: Optional[Callable[[float], float]] = None
+    solved: Tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.empty(0), np.empty(0)),
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.fn = lift(self.fn)
@@ -146,21 +158,58 @@ def inverse(h: Distortion, y):
     entry of an array y.
 
     Uses the closed-form inverse when the distortion carries one; otherwise
-    a root solve of h (numerics.monotone_inverse).  Values at the endpoints
-    map to 0/1 exactly.
+    a root solve of h (numerics.monotone_inverse), remembered per
+    distortion (see _root_solved).  Values at the endpoints map to 0/1
+    exactly.
     """
     if h.inverse_fn is not None:
         inner = lambda v: clamp(h.inverse_fn(v))
     else:
-        inner = lambda v: monotone_inverse(h.fn, v, 0.0, 1.0)
+        inner = lambda v: _root_solved(h, v)
     return on_arrays(lambda y: inside(y, inner), y)
+
+
+def _root_solved(h: Distortion, y: np.ndarray) -> np.ndarray:
+    """monotone_inverse(h.fn, y, 0, 1), served from h.solved where a target
+    was solved before.
+
+    Each target's solve is independent of the others in its array, so a
+    remembered value is bit for bit the fresh solve.  The misses are solved
+    in their order by one call, so its errors are the ones a solve of all
+    of y would raise, and they are stored only after it returns.
+    """
+    keys, values = h.solved
+    at = np.searchsorted(keys, y)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == y[hit]
+    out = np.empty(y.shape)
+    out[hit] = values[at[hit]]
+    miss = np.flatnonzero(~hit)
+    if miss.size:
+        out[miss] = monotone_inverse(h.fn, y[miss], 0.0, 1.0)
+        h.solved = _remember(keys, values, y[miss], out[miss])
+    return out
+
+
+def _remember(keys: np.ndarray, values: np.ndarray, new_keys: np.ndarray,
+              new_values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted memo (keys, values) with new entries merged in; when they
+    would pass SOLVED_LIMIT, the new entries alone, cut to the limit."""
+    new_keys, first_at = np.unique(new_keys, return_index=True)
+    new_values = new_values[first_at]
+    if keys.size + new_keys.size > SOLVED_LIMIT:
+        return new_keys[:SOLVED_LIMIT], new_values[:SOLVED_LIMIT]
+    at = np.searchsorted(keys, new_keys)
+    return np.insert(keys, at, new_keys), np.insert(values, at, new_values)
 
 
 def co_inverse(h: Distortion, p):
     """1 - inverse(h, 1-p), computed without the complement roundtrip when
     the distortion carries a closed co-inverse (distorted quantiles are
     q(co_inverse(h, p)), and the roundtrip's 1e-16 quantization matters
-    wherever this map has steep slope).  Takes a float or an array."""
+    wherever this map has steep slope).  Takes a float or an array.
+    Without a closed form it goes through inverse, so its root solves
+    share the distortion's memo with inverse's."""
     if h.co_inverse_fn is not None:
         inner = lambda v: clamp(h.co_inverse_fn(v))
     else:

@@ -336,10 +336,12 @@ def mean(X: Distribution) -> float:
 def distort(X: Distribution, h: dist_mod.Distortion) -> Distribution:
     """Distorted distribution: survival h(F̄), i.e. q_h(p) = q(1 - h⁻¹(1-p)).
 
-    An array of probabilities is inverted through h in one co_inverse call.
-    Float calls (mean's endpoint terms, the pointwise transforms) go
-    through a memo, which exposes cache_info() to profilers; grid passes
-    do not use it.
+    An array of probabilities is inverted through h in one co_inverse call;
+    where h has no closed inverse, its root solves are remembered by h
+    itself (exact targets, bounded size), so every distribution distorted
+    by the same h shares them.  Float calls (mean's endpoint terms, the
+    pointwise transforms) also go through a memo of quantile values here,
+    which exposes cache_info() to profilers; grid passes do not use it.
     """
     q = X.quantile
 

@@ -20,6 +20,7 @@ theorems guarantee preservation.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -27,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import catalog
 from . import distortions as dist_mod
 from . import distributions as distrib_mod
-from .distortions import Distortion
+from .distortions import Distortion, ShapeReport
 from .numerics import Grid, Tolerance, uniform_grid
 from .orders import DEFAULT_CHECK_TOL, OrderKind, check_order
 from .systems import preservation_advice
@@ -98,10 +99,18 @@ def _suite_rng(config: SweepConfig, suite: str) -> random.Random:
     return random.Random(f"{config.seed}:{suite}")
 
 
+@functools.cache
+def _catalog_shapes() -> Tuple[Tuple[str, Distortion, ShapeReport], ...]:
+    """(name, h, classify(h)) for each catalog distortion: the catalog is
+    built once per process, so it is classified once too."""
+    return tuple((name, h, dist_mod.classify(h))
+                 for name, h in catalog.distortions().items())
+
+
 def _qualifying(order: OrderKind) -> List[Tuple[str, Distortion]]:
     """Catalog distortions under which the preservation theorem keeps order."""
-    return [(name, h) for name, h in catalog.distortions().items()
-            if preservation_advice(order, dist_mod.classify(h)).verdict == "preserved"]
+    return [(name, h) for name, h, shape in _catalog_shapes()
+            if preservation_advice(order, shape).verdict == "preserved"]
 
 
 _SHAPE_SAMPLERS: Dict[str, Callable] = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -26,7 +27,16 @@ def named_distributions():
 
 @pytest.fixture(scope="session")
 def named_distortions():
+    """The catalog distortions, shared by the whole session: the root solves
+    of earlier tests stay in their memos (Distortion.solved), so a test that
+    means to exercise the solve takes fresh_distortions instead."""
     return catalog.distortions()
+
+
+@pytest.fixture
+def fresh_distortions(named_distortions):
+    """Copies of the catalog distortions with empty solve memos."""
+    return {name: replace(h) for name, h in named_distortions.items()}
 
 
 @pytest.fixture(scope="session")

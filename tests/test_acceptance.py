@@ -13,8 +13,6 @@ import json
 import math
 import os
 
-import pytest
-
 from stochorder import catalog, cli
 from stochorder import copulas as cop
 from stochorder import distortions as dist_mod
@@ -24,7 +22,6 @@ from stochorder import sweeps
 from stochorder import systems as sys_mod
 from stochorder.funcalc import Piecewise, eval_expr, parse, parse_constant
 from stochorder.numerics import Grid, uniform_grid
-from stochorder.orders import OrderKind
 
 from helpers import GRID65, interior_points
 

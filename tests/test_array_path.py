@@ -15,6 +15,7 @@ where and how the reference fails first.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,7 +373,7 @@ class TestVectorBisection:
                            match=r"^bracket endpoints evaluate to non-finite values$"):
             monotone_inverse(lambda x: x if x < 1.0 else math.inf, 0.5, 0.0, 1.0)
 
-    def test_nan_target_is_named(self, named_distributions, named_distortions):
+    def test_nan_target_is_named(self, named_distributions, fresh_distortions):
         message = r"^target nan outside \[0\.0, 1\.0\]$"
         with pytest.raises(BracketError, match=message):
             monotone_inverse(lambda x: x, np.array([0.5, math.nan]), 0.0, 1.0)
@@ -380,7 +381,7 @@ class TestVectorBisection:
             monotone_inverse(lambda x: x, math.nan, 0.0, 1.0)
         with pytest.raises(BracketError, match=message):
             _chandrupatla(lambda x: x, math.nan, 0.0, 1.0)
-        h = named_distortions["mix_cubic"]
+        h = fresh_distortions["mix_cubic"]
         for form in (math.nan, np.array([0.5, math.nan])):
             with pytest.raises(BracketError, match=message):
                 distortions.inverse(h, form)
@@ -399,8 +400,8 @@ class TestVectorBisection:
                                       "sys_series_with_parallel_pair",
                                       "series_product_3", "mix_cubic",
                                       "power_3", "dualpower_15"])
-    def test_inverse_and_co_inverse(self, name, named_distortions):
-        h = named_distortions[name]
+    def test_inverse_and_co_inverse(self, name, fresh_distortions):
+        h = fresh_distortions[name]
         y = np.concatenate(([0.0, -0.5, 1.0, 2.0], np.linspace(0.001, 0.999, 50)))
         assert distortions.inverse(h, y).tolist() == \
             [_float_inverse(h, v) for v in y.tolist()]
@@ -413,9 +414,9 @@ class TestVectorBisection:
                                 distortions.co_inverse(h, np.array([v])))
 
     def test_distorted_quantile_memo_serves_floats_only(self, named_distributions,
-                                                        named_distortions):
+                                                        fresh_distortions):
         X = named_distributions["exp_1"]
-        h = named_distortions["sys_one_of_two_pairs"]
+        h = fresh_distortions["sys_one_of_two_pairs"]
         Xh = distributions.distort(X, h)
         p = np.array([0.1, 0.5, 0.9])
         values = Xh.quantile(p)
@@ -580,6 +581,96 @@ class TestRootSolveSteps:
         assert np.all(np.abs(got - res.x) <= 8.0 * _MACHEPS * (1.0 + 2.0 * np.abs(res.x)))
 
 
+
+class TestSolveMemo:
+    """A distortion remembers its root solves; a remembered point is the
+    fresh solve bit for bit, and errors are the ones a memo-less solve
+    raises."""
+
+    def test_hits_equal_fresh_solves(self, fresh_distortions):
+        hs = {name: h for name, h in fresh_distortions.items() if h.inverse_fn is None}
+        assert len(hs) == 12
+        rng = np.random.default_rng(7)
+        first = rng.random(24)
+        repeated = np.concatenate((first[::-1], first[:6], rng.random(4)))
+        overlapping = np.concatenate((rng.random(5), first[3:9], repeated[-4:]))
+        arrays = (first, repeated, overlapping, 1.0 - overlapping)
+        # inverse solves at y, co_inverse at 1 - y
+        targets = np.unique(np.concatenate([t for y in arrays for t in (y, 1.0 - y)]))
+        for name, h in hs.items():
+            for y in arrays:
+                for fn, reference in ((distortions.inverse, _float_inverse),
+                                      (distortions.co_inverse, _float_co_inverse)):
+                    got = _bits(fn(h, y))
+                    assert got == _bits(fn(replace(h), y)), name
+                    assert got == _bits([reference(h, v) for v in y.tolist()]), name
+            assert np.array_equal(h.solved[0], targets), name
+
+    def test_no_target_is_solved_twice_across_a_pair(self, named_distributions,
+                                                     fresh_distortions,
+                                                     monkeypatch):
+        # a scale pair shares every co-inverse target: X_h and Y_h read the
+        # base quantile at the same levels and refine the same segments
+        h = fresh_distortions["sys_one_of_two_pairs"]
+        base = named_distributions["ce02_x"]
+        scaled = distributions.from_quantile(
+            elementwise(lambda p: 1.7 * base.quantile(p)), label="scaled",
+            validate=False)
+        Xh, Yh = distributions.distort(base, h), distributions.distort(scaled, h)
+        solved = []
+        real = distortions.monotone_inverse
+
+        def counted(fn, y, lo, hi):
+            solved.append(np.array(y))
+            return real(fn, y, lo, hi)
+
+        monkeypatch.setattr(distortions, "monotone_inverse", counted)
+        grid = uniform_grid(48, edge_margin=0.01)
+        Xh.quantile(np.array(grid.points))
+        x_calls = len(solved)
+        assert orders.check_order(Xh, Yh, orders.OrderKind.STAR, grid).holds
+        assert len(solved) == x_calls  # the Y side's grid was all hits
+        orders.transform_curves(Xh, grid)
+        orders.transform_curves(Yh, grid)
+        assert len(solved) > x_calls  # the quadrature nodes were solved
+        for i, y in enumerate(solved):
+            for other in solved[:i]:
+                assert np.intersect1d(y, other).size == 0
+
+    @pytest.mark.parametrize("fn, bad, message", [
+        (lambda p: p * p, math.nan, r"^target nan outside \[0\.0, 1\.0\]$"),
+        (lambda p: 0.9 * p, 0.95, r"^target 0\.95 outside \[0\.0, 0\.9\]$"),
+    ])
+    def test_a_bad_target_among_hits_raises_as_without_a_memo(self, fn, bad,
+                                                              message):
+        h = distortions.Distortion(fn=elementwise(fn), label="h",
+                                   strictly_increasing=True)
+        warm = np.linspace(0.05, 0.85, 17)
+        distortions.inverse(h, warm)
+        memo = h.solved
+        # under 0.9 p, 0.97 is outside too: the first bad target is named
+        y = np.concatenate((warm[:5], [0.3, bad, 0.97], warm[5:]))
+        with pytest.raises(BracketError, match=message) as with_memo:
+            distortions.inverse(h, y)
+        with pytest.raises(BracketError) as without:
+            distortions.inverse(replace(h), y)
+        assert str(with_memo.value) == str(without.value)
+        assert h.solved is memo  # nothing stored from the failed solve
+
+    def test_the_memo_stays_within_its_limit(self):
+        h = distortions.Distortion(fn=elementwise(lambda p: p * p), label="square",
+                                   strictly_increasing=True)
+        limit = distortions.SOLVED_LIMIT
+        rng = np.random.default_rng(11)
+        older, newer = rng.random(limit // 2 + 7), rng.random(limit // 2 + 7)
+        for y in (older, newer, rng.random(limit + 100)):
+            distortions.inverse(h, y)
+            assert 0 < h.solved[0].size <= limit
+        # on overflow the memo starts again from the newest solve
+        distortions.inverse(h, older)
+        keys = h.solved[0]
+        assert keys.size == older.size and np.array_equal(keys, np.sort(older))
+
 # --- quadrature: the recursive adaptive Simpson the batched pass replaced ---
 
 def _recursive_integrate(fn, a, b, tol):
@@ -660,9 +751,9 @@ class TestBatchedQuadrature:
         for key, values in want.items():
             np.testing.assert_allclose(got[key], values, rtol=1e-14, atol=0.0)
 
-    def test_distorted_curves_match(self, named_distributions, named_distortions):
+    def test_distorted_curves_match(self, named_distributions, fresh_distortions):
         base = named_distributions["ce02_y"]
-        h = named_distortions["sys_five_comp_bridge"]
+        h = fresh_distortions["sys_five_comp_bridge"]
         X = distributions.distort(base, h)
         grid = uniform_grid(24, edge_margin=0.01)
         got = orders.transform_curves(X, grid)

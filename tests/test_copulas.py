@@ -8,7 +8,6 @@ import math
 import pytest
 
 from stochorder import catalog
-from stochorder import copulas as cop
 from stochorder.copulas import (
     MAX_DIAGONAL_DIMENSION,
     CopulaValidationError,

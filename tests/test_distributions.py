@@ -7,9 +7,7 @@ import math
 import pytest
 import scipy.stats
 
-from stochorder import catalog
 from stochorder import distortions as dist_mod
-from stochorder import distributions as db
 from stochorder.distributions import (
     DegenerateDensityError,
     InfiniteMeanError,

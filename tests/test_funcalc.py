@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from stochorder import catalog, funcalc
+from stochorder import catalog
 from stochorder.funcalc import (
     ExprDomainError,
     ExprError,

@@ -14,7 +14,6 @@ from stochorder.numerics import (
     BracketError,
     DEFAULT_GRID,
     Grid,
-    Tolerance,
     derivative,
     edge_ladder_integral,
     integrate,

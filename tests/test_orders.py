@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +13,6 @@ from stochorder import orders as orders_mod
 from stochorder import distributions as db
 from stochorder.numerics import Grid, Tolerance, uniform_grid
 from stochorder.orders import (
-    DEFAULT_CHECK_TOL,
     OrderKind,
     check_order,
     dmrl_integral,

@@ -1,9 +1,9 @@
 """The package surface carries nothing unused.
 
-Two checks over ``src/stochorder`` with the standard-library ``ast`` only:
+Checks over ``src/stochorder`` with the standard-library ``ast`` only:
 
 * every import binds a name the module uses (the package root's re-exports
-  count through ``__all__``);
+  count through ``__all__``), and so does every import in ``tests/``;
 * every public module-level name (function, class or assignment not
   starting with ``_``) is referenced somewhere besides its own definition,
   in ``src/``, ``bench/`` or ``README.md``.  Names appearing in string
@@ -28,6 +28,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stochorder"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 ORACLES = (
     "orders.ttt_transform",
@@ -109,7 +110,8 @@ def _references() -> set:
     return refs
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.stem for p in MODULES + TEST_MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 

@@ -15,8 +15,6 @@ from stochorder.distortions import classify
 from stochorder.numerics import DEFAULT_GRID
 from stochorder.orders import OrderKind
 from stochorder.systems import (
-    DiagParams,
-    MinimalSignature,
     SignatureError,
     classify_3component,
     classify_4component,
