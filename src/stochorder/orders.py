@@ -9,7 +9,11 @@ is integrated:
     mit(p) = p q(p) - integral_0^p q(t) dt            (area under cdf)
 
 with the open interval truncated at EPS_Q and rectangle corrections at both
-ends; this keeps ttt + ew = mean at ~1e-12 rather than ~1e-6.
+ends; this keeps ttt + ew = mean at ~1e-12 rather than ~1e-6.  Both ends of
+the integral are laddered (numerics.ladder): rungs halving toward EPS_Q
+resolve a root cusp of q at 0, as in a Weibull quantile or any quantile
+under the parallel-system distortion 1 - (1-p)^k, and rungs halving toward
+1 - EPS_Q resolve the blowup of an unbounded quantile.
 
 Order semantics (margins oriented so "holds" means margin >= -tol):
     ttt:  ttt_X(p) <= ttt_Y(p) pointwise
@@ -108,13 +112,21 @@ def _require_interior(p: float) -> None:
         raise ValueError(f"p must lie in (0,1), got {p!r}")
 
 
+def _head_integral(q: Callable, p: float) -> float:
+    """integral of q over [EPS_Q, p], laddered toward EPS_Q: a root cusp of
+    q at 0, as in q_X(p^(1/k)) or a Weibull quantile, would otherwise run
+    one interval out of depth."""
+    if p <= EPS_Q:
+        return 0.0
+    return edge_ladder_integral(q, EPS_Q, p, side="lo", tol=_QUAD_TOL)[0]
+
+
 def ttt_transform(X: Distribution, p: float) -> float:
     """Area under the survival function up to the p-quantile; increasing in p."""
     _require_interior(p)
     q = X.quantile
     eps = EPS_Q
-    body = integrate(q, eps, p, _QUAD_TOL) if p > eps else 0.0
-    return (1.0 - p) * q(p) + eps * q(eps) + body
+    return (1.0 - p) * q(p) + eps * q(eps) + _head_integral(q, p)
 
 
 def mit_transform(X: Distribution, p: float) -> float:
@@ -122,8 +134,7 @@ def mit_transform(X: Distribution, p: float) -> float:
     _require_interior(p)
     q = X.quantile
     eps = EPS_Q
-    body = integrate(q, eps, p, _QUAD_TOL) if p > eps else 0.0
-    return p * q(p) - (eps * q(eps) + body)
+    return p * q(p) - (eps * q(eps) + _head_integral(q, p))
 
 
 def excess_wealth(X: Distribution, p: float) -> float:
@@ -147,10 +158,11 @@ def transform_curves(X: Distribution, grid: Grid = DEFAULT_GRID,
 
     Integrates q once per grid segment and assembles all three transforms
     from prefix/suffix sums, so a 512-point curve costs ~513 small
-    quadratures instead of 1536 full ones.  The head [EPS_Q, first point],
-    the grid segments and the rungs of the upper-tail ladder are refined
-    together in one integrate_many pass, at the tolerances the pointwise
-    integrals use.  The ew curve is infinite when the mean is:
+    quadratures instead of 1536 full ones.  The head [EPS_Q, first point]
+    is laddered toward EPS_Q as the upper tail is toward 1 - EPS_Q; the
+    head rungs, the grid segments and the tail rungs are refined together
+    in one integrate_many pass, each ladder's rungs at rung_tolerance and
+    summed with fsum.  The ew curve is infinite when the mean is:
     require_finite_mean raises InfiniteMeanError when the upper-tail rungs
     refuse to decay (ttt and mit stay defined).
     """
@@ -161,14 +173,19 @@ def transform_curves(X: Distribution, grid: Grid = DEFAULT_GRID,
     qv = q(p)
     q_eps, q_hi = q(np.array([eps, 1.0 - eps])).tolist()
 
-    cuts = ladder(pts[-1], 1.0 - eps, side="hi")
-    lo = np.concatenate(([eps], p[:-1], cuts[:-1]))
-    hi = np.concatenate((p, cuts[1:]))
+    head_cuts = ladder(eps, pts[0], side="lo")
+    tail_cuts = ladder(pts[-1], 1.0 - eps, side="hi")
+    lo = np.concatenate((head_cuts[:-1], p[:-1], tail_cuts[:-1]))
+    hi = np.concatenate((head_cuts[1:], p[1:], tail_cuts[1:]))
+    n_head = head_cuts.size - 1
+    n_body = n_head + p.size - 1  # head rungs, then grid segments, then tail rungs
     abs_tol = np.full(lo.shape, _SEGMENT_TOL.abs_tol)
-    abs_tol[p.size:] = rung_tolerance(cuts, _SEGMENT_TOL).abs_tol
+    abs_tol[:n_head] = rung_tolerance(head_cuts, _SEGMENT_TOL).abs_tol
+    abs_tol[n_body:] = rung_tolerance(tail_cuts, _SEGMENT_TOL).abs_tol
     values = integrate_many(q, lo, hi, abs_tol, _SEGMENT_TOL.rel_tol)
-    head, segments = values[0], values[1:p.size]
-    tail_rungs = values[p.size:].tolist()
+    head = math.fsum(values[:n_head].tolist())
+    segments = values[n_head:n_body]
+    tail_rungs = values[n_body:].tolist()
     tail_last = math.fsum(tail_rungs)
     if require_finite_mean:
         check_tail_decay(X.label, tail_rungs[::-1])

@@ -708,25 +708,31 @@ def _adapt(fn, a, b, fa, fm, fb, s_whole, eps, depth):
 
 def _reference_curves(q, grid):
     """transform_curves assembled from per-segment recursive integrals of
-    the float quantile q."""
+    the float quantile q, the head and the upper tail each over its ladder."""
     eps = distributions.EPS_Q
     seg_tol = orders._SEGMENT_TOL
     pts = grid.points
     p = np.array(pts)
     qv = np.array([q(x) for x in pts])
-    head = _recursive_integrate(q, eps, pts[0], seg_tol)
+
+    def laddered(a, b, toward_b):
+        # rungs whose widths halve toward one end, each integrated alone
+        # at its share of the tolerance, summed exactly
+        halves = [(b - a) * 0.5 ** j for j in range(1, 44)]
+        cuts = ([a] + [b - w for w in halves] + [b] if toward_b
+                else [a] + [a + w for w in reversed(halves)] + [b])
+        clean = [cuts[0]]
+        for x in cuts[1:]:
+            if x > clean[-1]:
+                clean.append(x)
+        rung_tol = Tolerance(abs_tol=max(seg_tol.abs_tol / len(clean), 1e-16),
+                             rel_tol=seg_tol.rel_tol)
+        return math.fsum(_recursive_integrate(q, lo, hi, rung_tol)
+                         for lo, hi in zip(clean, clean[1:]))
+
+    head = laddered(eps, pts[0], toward_b=False)
     segments = [_recursive_integrate(q, a, b, seg_tol) for a, b in zip(pts, pts[1:])]
-    # the upper-tail ladder: widths halving toward 1 - eps
-    a, b = pts[-1], 1.0 - eps
-    cuts = [a] + [b - (b - a) * 0.5 ** j for j in range(1, 44)] + [b]
-    clean = [cuts[0]]
-    for x in cuts[1:]:
-        if x > clean[-1]:
-            clean.append(x)
-    rung_tol = Tolerance(abs_tol=max(seg_tol.abs_tol / len(clean), 1e-16),
-                         rel_tol=seg_tol.rel_tol)
-    tail = math.fsum(_recursive_integrate(q, lo, hi, rung_tol)
-                     for lo, hi in zip(clean, clean[1:]))
+    tail = laddered(pts[-1], 1.0 - eps, toward_b=True)
     prefix = np.cumsum([head] + segments)
     suffix = np.cumsum([tail] + segments[::-1])[::-1]
     q_eps, q_hi = q(eps), q(1.0 - eps)
