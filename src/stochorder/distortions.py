@@ -273,9 +273,10 @@ def _pow(k: float) -> Callable:
 
 
 def power(k: float) -> Distortion:
-    """h(p) = p^k, k > 0; convex and starshaped for k >= 1."""
-    if not k > 0:
-        raise DistortionValidationError(f"power exponent must be positive, got {k!r}")
+    """h(p) = p^k, k > 0 and finite; convex and starshaped for k >= 1."""
+    if not (k > 0 and np.isfinite(k)):
+        raise DistortionValidationError(
+            f"power exponent must be positive and finite, got {k!r}")
     fn, root = _pow(k), _pow(1.0 / k)
     return Distortion(fn=fn, label=f"power:{k:g}",
                       strictly_increasing=True,
@@ -284,9 +285,10 @@ def power(k: float) -> Distortion:
 
 
 def dualpower(k: float) -> Distortion:
-    """h(p) = 1-(1-p)^k, k > 0; concave and antistarshaped for k >= 1."""
-    if not k > 0:
-        raise DistortionValidationError(f"dualpower exponent must be positive, got {k!r}")
+    """h(p) = 1-(1-p)^k, k > 0 and finite; concave and antistarshaped for k >= 1."""
+    if not (k > 0 and np.isfinite(k)):
+        raise DistortionValidationError(
+            f"dualpower exponent must be positive and finite, got {k!r}")
     # the dual of p^k: 1-(1-p)^k, with inverse 1-(1-y)^(1/k) and co-inverse p^(1/k)
     return replace(dual(power(k)), label=f"dualpower:{k:g}")
 

@@ -228,7 +228,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return Num(self.span_of(tok), float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError("number out of range", self.span_of(tok))
+            return Num(self.span_of(tok), value)
         if tok.kind == "op" and tok.text == "(":
             self.next()
             node = self.parse_expr()

@@ -252,6 +252,16 @@ def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
+def _at_midpoints(fn: Callable, lo, hi, flo, fhi) -> np.ndarray:
+    """fn at the midpoint of each panel [lo, hi], called once on those strictly
+    inside; that of a panel with no float inside is an end and takes its value."""
+    x = 0.5 * (lo + hi)
+    inner = np.flatnonzero((lo < x) & (x < hi))
+    f = np.where(x == lo, flo, fhi)
+    f[inner] = _eval_checked(fn, x[inner])
+    return f
+
+
 # live panels per level beyond which a refinement is declared failed: an
 # integrand that is rough everywhere would otherwise double them up to the
 # depth cap
@@ -259,48 +269,50 @@ MAX_LIVE_PANELS = 1 << 18
 
 
 def integrate_many(fn: Callable,
-                   a: np.ndarray,
-                   b: np.ndarray,
+                   cuts: np.ndarray,
                    abs_tol,
-                   rel_tol: float) -> np.ndarray:
-    """Adaptive Simpson quadrature of an elementwise fn over each [a_i, b_i].
+                   rel_tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Adaptive Simpson quadrature of an elementwise fn over each piece
+    [cuts[i], cuts[i+1]] of a partition; returns the piece integrals and fn
+    at the cuts.
 
-    All intervals are refined together, breadth first: each level evaluates
-    fn once, on the midpoints of every panel still open.  A panel follows
-    the rule of the recursive method panel by panel: the tolerance
-    max(abs_tol_i, rel_tol * |first estimate|) of its interval, halved per
+    cuts is non-decreasing (a repeated cut makes an empty piece, worth 0),
+    abs_tol a float or one per piece.  Each level calls fn once: the first
+    at the cuts and the pieces' midpoints, the others at the midpoints of
+    the halves of each open panel, so no point is evaluated twice.  Panel
+    by panel this is the recursive method: the tolerance
+    max(abs_tol_i, rel_tol * |first estimate|) of its piece, halved per
     split; acceptance when the two-halves estimate moves by at most 15x
     that or by rounding noise; the Richardson step on acceptance; and
     QuadratureFailure, carrying the estimate, for a panel still open at
     depth MAX_SIMPSON_DEPTH.  Accepted panels are summed back up the tree
-    as left + right, so each interval's value is the recursive one.
+    as left + right, so each piece's value is the recursive one.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a > b):
+    cuts = np.asarray(cuts, dtype=float)
+    if not np.all(cuts[:-1] <= cuts[1:]):
         raise ValueError("reversed integration interval")
-    total = np.zeros(a.shape)
-    live = np.flatnonzero(a < b)
-    if live.size == 0:
-        return total
-    a, b = a[live], b[live]
-    n = a.size
+    total = np.zeros(cuts.size - 1)
+    live = np.flatnonzero(cuts[:-1] < cuts[1:])
+    a, b = cuts[live], cuts[live + 1]
     m = 0.5 * (a + b)
-    f = _eval_checked(fn, np.concatenate((a, b, m)))
-    fa, fb, fm = f[:n], f[n:2 * n], f[2 * n:]
+    inner = np.flatnonzero((a < m) & (m < b))  # as in _at_midpoints
+    f = _eval_checked(fn, np.concatenate((cuts, m[inner])))
+    at_cuts = f[:cuts.size]
+    fa, fb = at_cuts[live], at_cuts[live + 1]
+    fm = np.where(m == a, fa, fb)
+    fm[inner] = f[cuts.size:]
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
     eps = np.maximum(np.broadcast_to(abs_tol, total.shape)[live],
                      rel_tol * np.abs(whole))
     levels = []
     depth = MAX_SIMPSON_DEPTH
     while a.size:
+        # the halves of every panel, in panel order
         m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        f = _eval_checked(fn, np.concatenate((lm, rm)))
-        flm, frm = f[:a.size], f[a.size:]
-        s_left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-        s_right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
+        lo, hi, flo, fhi = _pairs(a, m), _pairs(m, b), _pairs(fa, fm), _pairs(fm, fb)
+        fx = _at_midpoints(fn, lo, hi, flo, fhi)
+        halves = (hi - lo) * (flo + 4.0 * fx + fhi) / 6.0
+        s_left, s_right = halves[0::2], halves[1::2]
         s2 = s_left + s_right
         delta = s2 - whole
         # Richardson correction on acceptance; the noise floor stops
@@ -315,38 +327,29 @@ def integrate_many(fn: Callable,
                 f"[{float(a[i])!r}, {float(b[i])!r}]",
                 last_estimate=float(value[i]))
         levels.append((value, split))
-        a, m, b = a[split], m[split], b[split]
-        fa, fm, fb = fa[split], fm[split], fb[split]
-        flm, frm = flm[split], frm[split]
-        a, b = _pairs(a, m), _pairs(m, b)
-        fa, fm, fb = _pairs(fa, fm), _pairs(flm, frm), _pairs(fm, fb)
-        whole = _pairs(s_left[split], s_right[split])
+        kids = (2 * split[:, None] + [0, 1]).ravel()
+        a, b, fa, fm, fb = lo[kids], hi[kids], flo[kids], fx[kids], fhi[kids]
+        whole = halves[kids]
         eps = np.repeat(0.5 * eps[split], 2)
         depth -= 1
-    below = None
+    below = np.zeros(0)
     for value, split in reversed(levels):
-        if below is not None:
-            value[split] = below[0::2] + below[1::2]
+        value[split] = below[0::2] + below[1::2]
         below = value
     total[live] = below
-    return total
+    return total, at_cuts
 
 
 def integrate(fn: Callable[[float], float],
               a: float,
               b: float,
               tol: Tolerance = DEFAULT_QUAD_TOL) -> float:
-    """Adaptive Simpson quadrature of fn over [a, b] (see integrate_many).
-
-    Raises QuadratureFailure when the refinement hits MAX_SIMPSON_DEPTH without
-    meeting the tolerance; the exception carries the last estimate.  A small
-    rounding-noise floor keeps integrable endpoint blowups from failing
-    spuriously once the interval-local error is at machine level.
-    """
+    """Adaptive Simpson quadrature of fn over [a, b], the one piece of an
+    integrate_many partition; QuadratureFailure carries the last estimate."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
-    return float(integrate_many(lift(fn), np.array([a]), np.array([b]),
-                                tol.abs_tol, tol.rel_tol)[0])
+    return float(integrate_many(lift(fn), np.array([a, b]),
+                                tol.abs_tol, tol.rel_tol)[0][0])
 
 
 def ladder(a: float, b: float,
@@ -355,19 +358,11 @@ def ladder(a: float, b: float,
     toward ``side``, fewer where the cuts collapse at machine precision."""
     if a > b:
         raise ValueError("reversed integration interval")
-    width = b - a
-    cuts = [0.5 ** j for j in range(1, LADDER_RUNGS)]
-    if side == "hi":
-        pts = [a] + [b - width * c for c in cuts] + [b]
-    else:
-        pts = [b] + [a + width * c for c in cuts] + [a]
-        pts.reverse()
-    # dedupe collapsed cuts at machine precision
-    clean = [pts[0]]
-    for x in pts[1:]:
-        if x > clean[-1]:
-            clean.append(x)
-    return np.array(clean)
+    halves = [(b - a) * 0.5 ** j for j in range(1, LADDER_RUNGS)]
+    inner = [b - h for h in halves] if side == "hi" else [a + h for h in halves[::-1]]
+    pts = np.array([a] + inner + [b])
+    # a cut that collapses onto the one below it at machine precision goes
+    return pts[np.diff(pts, prepend=-np.inf) > 0]
 
 
 def rung_tolerance(cuts: np.ndarray, tol: Tolerance) -> Tolerance:
@@ -393,8 +388,8 @@ def edge_ladder_integral(fn: Callable[[float], float],
         return 0.0, []
     cuts = ladder(a, b, side)
     piece_tol = rung_tolerance(cuts, tol)
-    pieces = integrate_many(lift(fn), cuts[:-1], cuts[1:], piece_tol.abs_tol,
-                            piece_tol.rel_tol).tolist()
+    pieces = integrate_many(lift(fn), cuts, piece_tol.abs_tol,
+                            piece_tol.rel_tol)[0].tolist()
     total = math.fsum(pieces)
     if side == "hi":
         pieces = pieces[::-1]  # report toward the singular end

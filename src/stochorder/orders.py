@@ -159,10 +159,12 @@ def transform_curves(X: Distribution, grid: Grid = DEFAULT_GRID,
     Integrates q once per grid segment and assembles all three transforms
     from prefix/suffix sums, so a 512-point curve costs ~513 small
     quadratures instead of 1536 full ones.  The head [EPS_Q, first point]
-    is laddered toward EPS_Q as the upper tail is toward 1 - EPS_Q; the
-    head rungs, the grid segments and the tail rungs are refined together
+    is laddered toward EPS_Q as the upper tail is toward 1 - EPS_Q; one
+    partition, head rungs then grid segments then tail rungs, is refined
     in one integrate_many pass, each ladder's rungs at rung_tolerance and
-    summed with fsum.  The ew curve is infinite when the mean is:
+    summed with fsum.  q at the grid points, EPS_Q and 1 - EPS_Q is read
+    from the values that pass returns at its cuts, so no point of q is
+    evaluated twice.  The ew curve is infinite when the mean is:
     require_finite_mean raises InfiniteMeanError when the upper-tail rungs
     refuse to decay (ttt and mit stay defined).
     """
@@ -170,19 +172,17 @@ def transform_curves(X: Distribution, grid: Grid = DEFAULT_GRID,
     eps = EPS_Q
     pts = grid.points
     p = np.array(pts)
-    qv = q(p)
-    q_eps, q_hi = q(np.array([eps, 1.0 - eps])).tolist()
-
     head_cuts = ladder(eps, pts[0], side="lo")
     tail_cuts = ladder(pts[-1], 1.0 - eps, side="hi")
-    lo = np.concatenate((head_cuts[:-1], p[:-1], tail_cuts[:-1]))
-    hi = np.concatenate((head_cuts[1:], p[1:], tail_cuts[1:]))
+    cuts = np.concatenate((head_cuts[:-1], p, tail_cuts[1:]))
     n_head = head_cuts.size - 1
     n_body = n_head + p.size - 1  # head rungs, then grid segments, then tail rungs
-    abs_tol = np.full(lo.shape, _SEGMENT_TOL.abs_tol)
+    abs_tol = np.full(cuts.size - 1, _SEGMENT_TOL.abs_tol)
     abs_tol[:n_head] = rung_tolerance(head_cuts, _SEGMENT_TOL).abs_tol
     abs_tol[n_body:] = rung_tolerance(tail_cuts, _SEGMENT_TOL).abs_tol
-    values = integrate_many(q, lo, hi, abs_tol, _SEGMENT_TOL.rel_tol)
+    values, at_cuts = integrate_many(q, cuts, abs_tol, _SEGMENT_TOL.rel_tol)
+    qv = at_cuts[n_head:n_body + 1]
+    q_eps, q_hi = at_cuts[[0, -1]].tolist()
     head = math.fsum(values[:n_head].tolist())
     segments = values[n_head:n_body]
     tail_rungs = values[n_body:].tolist()

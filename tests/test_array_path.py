@@ -812,16 +812,34 @@ class TestBatchedQuadrature:
         assert calls["quantile"] == 2 * levels + 1
         assert calls == {"cdf": 46, "quantile": 31, "integrand": 15, "points": 185}
 
-    @given(a=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
-           width=st.floats(0.0, 2.0))
-    def test_each_interval_as_alone(self, a, width):
+    @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+           repeats=st.integers(0, 3), ulps=st.integers(0, 3))
+    def test_each_piece_as_alone(self, xs, repeats, ulps):
+        # repeated cuts make empty pieces; cuts one float apart make pieces
+        # whose midpoints round onto an end
         fn = _compiled("x", "exp(x) * sqrt(x*x + 1)")
-        lo = np.array(a)
-        hi = lo + width
+        cuts = [xs[0]]
+        for _ in range(ulps):
+            cuts.append(math.nextafter(cuts[-1], math.inf))
+        cuts = np.array(sorted(xs + xs[:repeats] + cuts[1:]))
         tol = Tolerance(abs_tol=1e-11, rel_tol=1e-11)
-        got = integrate_many(fn, lo, hi, tol.abs_tol, tol.rel_tol)
+        got = integrate_many(fn, cuts, tol.abs_tol, tol.rel_tol)[0]
         assert got.tolist() == [_recursive_integrate(fn, x, y, tol)
-                                for x, y in zip(lo.tolist(), hi.tolist())]
+                                for x, y in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+
+    @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=12),
+           repeats=st.integers(0, 3))
+    def test_values_at_the_cuts_are_fn_at_the_cuts(self, xs, repeats):
+        # bit for bit, so the transform pass can read q at the grid from them
+        fn = _compiled("x", "exp(x) * sqrt(x*x + 1)")
+        cuts = np.array(sorted(xs + xs[:repeats]))
+        at_cuts = integrate_many(fn, cuts, 1e-11, 1e-11)[1]
+        assert _bits(at_cuts) == _bits(fn(cuts))
+        assert _bits(at_cuts) == _bits([fn(x) for x in cuts.tolist()])
+
+    def test_unsorted_cuts_are_refused(self):
+        with pytest.raises(ValueError, match="reversed integration interval"):
+            integrate_many(np.exp, np.array([0.0, 1.0, 0.5]), 1e-11, 1e-11)
 
     def test_rough_everywhere_fails_before_the_panels_pile_up(self):
         # noise keeps every panel open, doubling them each level; the pass
@@ -831,18 +849,48 @@ class TestBatchedQuadrature:
         assert MAX_LIVE_PANELS == 1 << 18
         with pytest.raises(QuadratureFailure,
                            match=rf"on \[0\.0, {2.0 ** -18!r}\]"):
-            integrate_many(noise, np.array([0.0]), np.array([1.0]), 1e-13, 1e-12)
+            integrate_many(noise, np.array([0.0, 1.0]), 1e-13, 1e-12)
 
     def test_failure_names_the_panel_the_recursion_would(self):
+        # the smooth pieces before the jump close; the failure is the jump's
         jump = _compiled("p", "piece(p <= 0.5 : p ; else : p + 1)")
         tol = Tolerance(abs_tol=1e-13, rel_tol=1e-12)
         with pytest.raises(QuadratureFailure) as batched:
-            integrate_many(jump, np.array([0.1, 0.499]), np.array([0.2, 0.501]),
+            integrate_many(jump, np.array([0.1, 0.2, 0.499, 0.501]),
                            tol.abs_tol, tol.rel_tol)
         with pytest.raises(QuadratureFailure) as recursive:
             _recursive_integrate(jump, 0.499, 0.501, tol)
         assert str(batched.value) == str(recursive.value)
         assert batched.value.last_estimate == recursive.value.last_estimate
+
+    @pytest.mark.parametrize("spec, h, grid", [
+        ("q: 17/8*p - 1/2*p^2", None, DEFAULT_GRID),
+        ("exp:1", "dualpower_5", DEFAULT_GRID),
+        ("q: " + catalog.CE02_X_TEXT, "sys_one_of_two_pairs",
+         uniform_grid(48, edge_margin=0.01)),
+    ], ids=["polynomial", "exp_under_dualpower5", "ce02_x_under_system"])
+    def test_transform_pass_evaluates_each_point_once(self, spec, h, grid,
+                                                      fresh_distortions):
+        # the first quadrature level takes the grid, the ladder cuts and
+        # both end points with the midpoints; the tail ladder's last rungs
+        # are a float or two wide, so their midpoints round onto cuts
+        X = distributions.build(spec)
+        if h is not None:
+            X = distributions.distort(X, fresh_distortions[h])
+        seen = []
+        q = X.quantile
+
+        @elementwise
+        def recorded(p):
+            seen.append(p.copy())
+            return q(p)
+
+        orders.transform_curves(replace(X, quantile=recorded), grid)
+        points = np.concatenate(seen)
+        assert np.unique(points).size == points.size
+        if h is None:
+            # one level for the cuts and midpoints, one that closes them all
+            assert len(seen) == 2
 
 
 # one handle of each kind; n up to 5 so the sort and the rotations matter

@@ -116,6 +116,20 @@ class TestCheckOrder:
                          flag, value]) == 2
         assert "(0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x, distort, message", [
+        ("exp:1", "power:1e400", "number out of range (at 0..5 '1e400')"),
+        ("q: p + (0-2)^1e400", "identity",
+         "bad quantile expression: number out of range (at 10..15 '1e400')"),
+        ("exp:1", "dualpower:1e309", "number out of range (at 0..5 '1e309')"),
+        ("exp:1", "h: p^1e400", "number out of range (at 3..8 '1e400')"),
+    ], ids=["power", "quantile", "dualpower", "expression"])
+    def test_literal_that_overflows_exits_two(self, x, distort, message, capsys):
+        # each literal overflows to inf: an input error that names it, not
+        # an infinite exponent, an evaluator crash or a bare math error
+        assert cli.main(["check-order", "--x", x, "--y", "exp:2",
+                         "--distort", distort, "--order", "ew"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_malformed_config_exits_two(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,6 +76,14 @@ class TestBuiltins:
     def test_power_requires_positive_exponent(self):
         with pytest.raises((DistortionValidationError, ValueError)):
             power(-1.0)
+
+    @pytest.mark.parametrize("build", [power, dualpower])
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 0.0])
+    def test_exponent_must_be_positive_and_finite(self, build, k):
+        with pytest.raises(DistortionValidationError,
+                           match=rf"^{build.__name__} exponent must be positive "
+                                 rf"and finite, got {k!r}$"):
+            build(k)
 
     def test_builtin_closed_inverses_match_bisection(self):
         h = power(2.5)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -135,6 +136,21 @@ class TestErrors:
     def test_division_by_zero(self):
         with pytest.raises(ExprDomainError):
             parse_constant("1/0")
+
+    @pytest.mark.parametrize("source, excerpt", [("1e400", "1e400"),
+                                                 ("p + (0-2)^1e400", "1e400"),
+                                                 ("p^1e309", "1e309"),
+                                                 ("2 * 99999e999", "99999e999")])
+    def test_literal_that_overflows_is_a_located_syntax_error(self, source,
+                                                             excerpt):
+        start = source.index(excerpt)
+        span = f"{start}..{start + len(excerpt)} {excerpt!r}"
+        with pytest.raises(ExprSyntaxError,
+                           match=rf"^number out of range \(at {re.escape(span)}\)$"):
+            parse(source)
+
+    def test_largest_finite_literal_is_kept(self):
+        assert parse_constant("1.7976931348623157e308") == 1.7976931348623157e308
 
     def test_error_carries_source_span(self):
         try:
