@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,23 +59,118 @@ _SWEEP_KEYS = ("seed", "trials", "grid_count", "edge_margin", "abs_tol",
                "rel_tol", "suites")
 
 
-def _write_csv(path: str, header: Sequence[str], rows, comment: Optional[str] = None) -> None:
-    """One row per line, each value as repr-exact "%.17g" (the same bytes as
-    format(float(v), ".17g")); the whole file is written in one call."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+# float64 bytes of a column -> its values as "%.17g" lines
+_ColumnTexts = Dict[bytes, Tuple[str, ...]]
+
+
+def _column_text(values, texts: _ColumnTexts) -> Tuple[str, ...]:
+    """values as "%.17g" lines (the same bytes as format(float(v), ".17g")),
+    formatted by one call the first time texts sees their float64 bytes;
+    the bytes tell 0.0 from -0.0, so the two never share text."""
+    arr = np.asarray(values, dtype=float)
+    key = arr.tobytes()
+    lines = texts.get(key)
+    if lines is None:
+        lines = texts[key] = tuple(("%.17g\n" * arr.size % tuple(arr.tolist())).splitlines())
+    return lines
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_text(grid: Grid) -> _ColumnTexts:
+    """The grid's own points as "%.17g" lines, keyed as _column_text keys them:
+    the p column of every verdict that excluded no point."""
+    texts: _ColumnTexts = {}
+    _column_text(grid.points, texts)
+    return texts
+
+
+def _write_csv(path: str, header: Sequence[str], columns: Sequence,
+               comment: Optional[str] = None,
+               texts: Optional[_ColumnTexts] = None) -> None:
+    """One line per row of the equal-length columns, each value as "%.17g".
+
+    Columns are formatted through texts, so a caller writing several files
+    formats a column they share once; the file is assembled by one template
+    call and written in one call.
+    """
+    texts = {} if texts is None else texts
+    lines = [_column_text(col, texts) for col in columns]
+    width, rows = len(lines), len(lines[0])
+    cells = [""] * (width * rows)
+    for j, col in enumerate(lines):
+        cells[j::width] = col
+    row = ",".join(["%s"] * width) + "\n"
     head = f"# {comment}\n" if comment else ""
-    text = head + ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
+    text = head + ",".join(header) + "\n" + row * rows % tuple(cells)
     with open(path, "w", encoding="utf-8", newline="") as fp:
         fp.write(text)
 
 
-def _write_json(path: Optional[str], doc: dict) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _json_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def _nested(text: str) -> str:
+    """JSON text one level deeper: no string in JSON text holds a raw
+    newline, so every newline starts a line."""
+    return text.replace("\n", "\n  ")
+
+
+def _object_text(texts: Dict[str, str]) -> str:
+    """The object _json_text lays out, from each key's value text."""
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {_nested(text)}"
+                              for key, text in sorted(texts.items())) + "\n}"
+
+
+_WITNESS_TEXT = '  {\n    "margin": %r,\n    "p": %r\n  },\n'
+
+
+def _witnesses_text(witnesses: List[dict]) -> str:
+    """_json_text(witnesses) for a non-empty list of {"p", "margin"} dicts:
+    one template call where every value is a finite float, whose repr is
+    what json writes."""
+    values = list(itertools.chain.from_iterable(
+        map(operator.itemgetter("margin", "p"), witnesses)))
+    if set(map(type, values)) != {float} or not np.isfinite(values).all():
+        return _json_text(witnesses)
+    return "[\n" + (_WITNESS_TEXT * len(witnesses))[:-2] % tuple(values) + "\n]"
+
+
+def _verdicts_text(doc: dict) -> str:
+    """_json_text(doc) and a newline for a check-order doc, byte for byte.
+
+    With an indent the json module encodes in Python, one node at a time;
+    the witness lists are the bulk of a violated verdict, so the objects
+    holding them are laid out key by key here, each witness list by
+    _witnesses_text, and everything else by json itself.
+    """
+    def record_text(record: dict) -> str:
+        if not record["witnesses"]:
+            return _json_text(record)
+        texts = {key: _json_text(value) for key, value in record.items()
+                 if key != "witnesses"}
+        texts["witnesses"] = _witnesses_text(record["witnesses"])
+        return _object_text(texts)
+
+    if not any(record["witnesses"] for record in doc["results"]):
+        return _json_text(doc) + "\n"
+    texts = {key: _json_text(value) for key, value in doc.items() if key != "results"}
+    texts["results"] = "[\n" + ",\n".join("  " + _nested(record_text(record))
+                                          for record in doc["results"]) + "\n]"
+    return _object_text(texts) + "\n"
+
+
+def _write_text(path: Optional[str], text: str) -> None:
+    """text to path, or to stdout without one (or with "-")."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fp:
             fp.write(text)
+
+
+def _write_json(path: Optional[str], doc: dict) -> None:
+    _write_text(path, _json_text(doc) + "\n")
 
 
 def _load_config(path: Optional[str], keys: Sequence[str]) -> dict:
@@ -135,8 +232,16 @@ def _grid_from(config: dict, count=None, lo=None, hi=None, margin=None) -> Grid:
 
 
 def _table(fn, points: Sequence[float]):
-    """Rows (p, fn(p)), fn called once on all the points."""
-    return zip(points, fn(np.array(points, dtype=float)))
+    """Columns (p, fn(p)), fn called once on all the points."""
+    return points, fn(np.array(points, dtype=float))
+
+
+def _csv_out(path: Optional[str]) -> Optional[str]:
+    """path, refused when it is "-": CSV goes to a file, never to stdout."""
+    if path == "-":
+        raise ValueError("--out-csv needs a file path; '-' (stdout) is "
+                         "only for --out-json")
+    return path
 
 
 def _verdict_record(scenario: str, verdict) -> dict:
@@ -174,6 +279,8 @@ def cmd_check_order(args) -> int:
     grid = _grid_from(config, args.grid_count, args.grid_lo, args.grid_hi,
                       args.grid_margin)
     outputs = _config_object(config, "outputs", ("verdict_json", "curve_csv"))
+    json_path = _pick(args.out_json, outputs, "verdict_json")
+    csv_path = _csv_out(_pick(args.out_csv, outputs, "curve_csv"))
 
     x = distrib_mod.build(distrib_mod.parse_spec(x_spec))
     y = distrib_mod.build(distrib_mod.parse_spec(y_spec))
@@ -193,16 +300,16 @@ def cmd_check_order(args) -> int:
         "holds": all(v.holds for v in verdicts),
         "results": [_verdict_record(scenario, v) for v in verdicts],
     }
-    json_path = _pick(args.out_json, outputs, "verdict_json")
-    csv_path = _pick(args.out_csv, outputs, "curve_csv")
     if json_path or not csv_path:
-        _write_json(json_path, doc)
+        _write_text(json_path, _verdicts_text(doc))
     if csv_path:
         multiple = len(verdicts) > 1
-        columns = ("p", "value_x", "value_y", "functional")
+        header = ("p", "value_x", "value_y", "functional")
+        # the files share columns: p, and dmrl's values are ew's
+        texts = dict(_grid_text(grid))
         for v in verdicts:
-            _write_csv(_csv_path_for_order(csv_path, v.kind, multiple), columns,
-                       zip(*(v.curve[key] for key in columns)))
+            _write_csv(_csv_path_for_order(csv_path, v.kind, multiple), header,
+                       [v.curve[key] for key in header], texts=texts)
     return EXIT_OK if doc["holds"] else EXIT_VIOLATED
 
 
@@ -274,13 +381,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_distort(args) -> int:
+    _csv_out(args.out_csv)
     x = distrib_mod.build(distrib_mod.parse_spec(args.x))
     h = dist_mod.parse_distortion_spec(args.h)
     xh = distrib_mod.distort(x, h)
     grid = _grid_from({}, args.grid_count, args.grid_lo, args.grid_hi,
                       args.grid_margin)
-    rows = _table(xh.quantile, grid.points)
-    _write_csv(args.out_csv, ("p", "value"), rows,
+    _write_csv(args.out_csv, ("p", "value"), _table(xh.quantile, grid.points),
                comment=f"distorted quantile of {x.label} under h={h.label}")
     return EXIT_OK
 
@@ -289,11 +396,12 @@ def cmd_system(args) -> int:
     count = args.grid_count if args.grid_count is not None else 257
     if count < 2:
         raise ValueError(f"--grid-count must be at least 2, got {count}")
+    _csv_out(args.out_csv)
     handle, built = _build_system(args.signature, args.copula)
     doc = _system_doc(built, handle)
-    rows = _table(built.h.fn, validation_points(count))
     if args.out_csv:
-        _write_csv(args.out_csv, ("p", "value"), rows,
+        _write_csv(args.out_csv, ("p", "value"),
+                   _table(built.h.fn, validation_points(count)),
                    comment=f"system distortion h_T for a=({built.sig.label()}) "
                            f"with {handle.label}")
     _write_json(args.out_json, doc)
@@ -315,14 +423,14 @@ def _repro_ce02(out_dir: str) -> List[str]:
     grid = uniform_grid(512, edge_margin=0.01)
     s = orders_mod.density_ratios(x, y, grid.points)
     path = os.path.join(out_dir, "s_curve.csv")
-    _write_csv(path, ("p", "value"), zip(grid.points, s),
+    _write_csv(path, ("p", "value"), (grid.points, s),
                comment="density ratio s(p) for the baseline pair; "
                        "decreasing then increasing with turning point 1/8")
     files.append(path)
 
     gap = orders_mod.dmrl_integral_curve(x, y, grid)
     path = os.path.join(out_dir, "dmrl_gap.csv")
-    _write_csv(path, ("p", "value"), zip(gap["p"], gap["value"]),
+    _write_csv(path, ("p", "value"), (gap["p"], gap["value"]),
                comment="baseline dmrl gap I(p) (nonnegative: the order holds)")
     files.append(path)
 
@@ -331,7 +439,7 @@ def _repro_ce02(out_dir: str) -> List[str]:
     gap_h = orders_mod.dmrl_integral_curve(
         xh, yh, uniform_grid(199, lo=0.002, hi=0.2, edge_margin=0.0))
     path = os.path.join(out_dir, "dmrl_gap_distorted.csv")
-    _write_csv(path, ("p", "value"), zip(gap_h["p"], gap_h["value"]),
+    _write_csv(path, ("p", "value"), (gap_h["p"], gap_h["value"]),
                comment="dmrl gap I_h(p) after distorting both sides by p^5; "
                        "negative for small p, sign change near 0.0263")
     files.append(path)
@@ -346,12 +454,10 @@ def _repro_ce01(out_dir: str) -> List[str]:
     h = dist_mod.dualpower(5.0)
     xh = distrib_mod.distort(x, h)
     yh = distrib_mod.distort(y, h)
-    rows = []
-    for i in range(1, 201):
-        t = i / 100.0
-        rows.append((t, orders_mod.qmit_xspace_integral(xh, yh, t)))
+    ts = [i / 100.0 for i in range(1, 201)]
+    gap = [orders_mod.qmit_xspace_integral(xh, yh, t) for t in ts]
     path = os.path.join(out_dir, "qmit_gap_xspace.csv")
-    _write_csv(path, ("t", "value"), rows,
+    _write_csv(path, ("t", "value"), (ts, gap),
                comment="distorted quantile-mit gap in x-space; sign dips "
                        "negative near t=1.3")
     return [path]
@@ -371,7 +477,7 @@ def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
     files.append(path)
     cond = sys_mod.durante_condition_values(sig, gen, pts)
     path = os.path.join(out_dir, "shape_condition.csv")
-    _write_csv(path, ("p", "value"), zip(pts, cond),
+    _write_csv(path, ("p", "value"), (pts, cond),
                comment="shape condition S(p); >= 0 everywhere means "
                        "starshaped, <= 0 antistarshaped")
     files.append(path)
@@ -404,7 +510,7 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
         ratio_pts = validation_points(513)[1:]
         path = os.path.join(out_dir, "dual_ratio.csv")
         ratio = dual.fn(np.array(ratio_pts)) / np.array(ratio_pts)
-        _write_csv(path, ("p", "value"), zip(ratio_pts, ratio),
+        _write_csv(path, ("p", "value"), (ratio_pts, ratio),
                    comment="dual distortion ratio h*(p)/p; decreasing means "
                            "the dual is antistarshaped")
         files.append(path)
@@ -485,8 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distort", help="distortion spec applied to both sides")
     p.add_argument("--config", help="scenario JSON (flags override)")
     p.add_argument("--scenario", help="scenario name for reports")
-    p.add_argument("--out-json", help="verdict JSON path (default stdout)")
-    p.add_argument("--out-csv", help="curve CSV path (per order)")
+    p.add_argument("--out-json",
+                   help="verdict JSON path, '-' for stdout (default stdout, "
+                        "but no JSON at all when only --out-csv is given)")
+    p.add_argument("--out-csv",
+                   help="curve CSV path; with several orders, <stem>_<order><ext> "
+                        "per order")
     _add_grid_flags(p)
     p.set_defaults(fn=cmd_check_order)
 

@@ -14,6 +14,8 @@ from stochorder import cli
 from stochorder.numerics import BracketError
 from stochorder.sweeps import SuiteResult, SweepConfig, SweepSummary
 
+from helpers import reference_csv_text
+
 CE02_X = "q: 17/8*p - 1/2*p^2"
 CE02_Y = "q: ln(15/8 + p)"
 
@@ -51,6 +53,24 @@ class TestCheckOrder:
         missing = tmp_path / "no_such_dir" / "out.csv"
         assert cli.main(["check-order", "--x", CE02_X, "--y", CE02_Y,
                          "--order", "ttt", "--out-csv", str(missing)]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["check-order", "--x", "exp:1", "--y", "exp:0.5", "--order", "ttt"],
+        ["check-order", "--x", "exp:1", "--y", "exp:0.5", "--order", "ttt",
+         "--order", "ew"],
+        ["distort", "--x", "exp:1", "--h", "power:2"],
+        ["system", "--signature", "0,1", "--copula", "product:2"],
+    ], ids=["check-order", "check-order-several", "distort", "system"])
+    def test_csv_to_stdout_exits_two_and_writes_nothing(self, argv, tmp_path,
+                                                        monkeypatch, capsys):
+        # "-" is stdout for --out-json only; as a CSV path it used to create
+        # a file named "-" (or "-_ttt.csv", ...) in the working directory
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv + ["--grid-count", "32", "--out-csv", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out-csv ")
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
 
     def test_json_verdict_document(self, tmp_path):
         out = tmp_path / "verdict.json"
@@ -248,8 +268,9 @@ class TestWriteCsv:
                 for i in range(len(values))]
         header = tuple(f"c{j}" for j in range(width))
         out = tmp_path / "table.csv"
-        cli._write_csv(str(out), header, iter(rows), comment="values")
-        expected = "# values\n" + ",".join(header) + "\n" + "".join(
+        cli._write_csv(str(out), header, list(zip(*rows)), comment="values")
+        expected = reference_csv_text(header, rows, comment="values")
+        assert expected == "# values\n" + ",".join(header) + "\n" + "".join(
             ",".join(format(float(v), ".17g") for v in row) + "\n"
             for row in rows)
         assert out.read_bytes() == expected.encode("utf-8")
