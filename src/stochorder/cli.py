@@ -364,7 +364,7 @@ def _build_system(signature_text: str, copula_text: str):
 
 
 def cmd_classify(args) -> int:
-    if args.h and args.signature:
+    if args.h and (args.signature or args.copula):
         raise ValueError("give either --h or --signature/--copula, not both")
     if args.h:
         h = dist_mod.parse_distortion_spec(args.h)
@@ -401,7 +401,7 @@ def cmd_system(args) -> int:
     doc = _system_doc(built, handle)
     if args.out_csv:
         _write_csv(args.out_csv, ("p", "value"),
-                   _table(built.h.fn, validation_points(count)),
+                   (validation_points(count), dist_mod.values_at(built.h, count)),
                    comment=f"system distortion h_T for a=({built.sig.label()}) "
                            f"with {handle.label}")
     _write_json(args.out_json, doc)
@@ -471,7 +471,7 @@ def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
     files = []
     pts = validation_points(257)
     path = os.path.join(out_dir, "distortion.csv")
-    _write_csv(path, ("p", "value"), _table(built.h.fn, pts),
+    _write_csv(path, ("p", "value"), (pts, dist_mod.values_at(built.h, 257)),
                comment=f"system distortion h_T, a=({sig.label()}), "
                        f"f(p)={gen.label}")
     files.append(path)
@@ -497,7 +497,7 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
     files = []
     pts = validation_points(257)
     path = os.path.join(out_dir, "distortion.csv")
-    _write_csv(path, ("p", "value"), _table(built.h.fn, pts),
+    _write_csv(path, ("p", "value"), (pts, dist_mod.values_at(built.h, 257)),
                comment=f"system distortion h_T = {built.closed_form}, "
                        f"a=({sig.label()}), d(p)={d.label}")
     files.append(path)

@@ -19,6 +19,7 @@ from . import funcalc
 from .numerics import (
     Grid,
     SCAN_TIE_TOL,
+    VALIDATION_COUNT,
     clamp,
     each,
     elementwise,
@@ -56,9 +57,15 @@ class Distortion:
 
     Without ``inverse_fn``, each distortion remembers its root solves:
     ``solved`` holds the targets solved so far, sorted, and their
-    inverses, at most SOLVED_LIMIT of them, looked up by exact key.  It is
-    not an init argument, so ``dataclasses.replace`` and ``dual`` start
-    with an empty memo.
+    inverses, at most SOLVED_LIMIT of them, looked up by exact key.
+
+    ``sampled`` is h at the 513 points i/512 of ``validation_points()``,
+    read-only: ``validate`` keeps the sample it checked, any other
+    distortion takes it on first use (see values_at).  ``classify`` and the
+    system tables read it instead of evaluating h again.
+
+    Neither is an init argument, so ``dataclasses.replace`` and ``dual``
+    start with an empty memo and no sample.
     """
 
     fn: Callable[[float], float]
@@ -69,6 +76,8 @@ class Distortion:
     solved: Tuple[np.ndarray, np.ndarray] = field(
         default_factory=lambda: (np.empty(0), np.empty(0)),
         init=False, compare=False, repr=False)
+    sampled: Optional[np.ndarray] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.fn = lift(self.fn)
@@ -135,8 +144,33 @@ def validate(fn: funcalc.FunctionLike,
             f"{label}: decreasing on [{pts[i]}, {pts[i + 1]}] "
             f"(h drops from {float(vals[i])!r} to {float(vals[i + 1])!r})")
     strictly = not np.any(np.diff(vals) <= SCAN_TIE_TOL)
-    return Distortion(fn=fn, label=label, strictly_increasing=strictly,
-                      inverse_fn=inverse_fn, co_inverse_fn=co_inverse_fn)
+    h = Distortion(fn=fn, label=label, strictly_increasing=strictly,
+                   inverse_fn=inverse_fn, co_inverse_fn=co_inverse_fn)
+    vals.setflags(write=False)
+    h.sampled = vals
+    return h
+
+
+def _evaluated(h: Distortion, count: int) -> np.ndarray:
+    vals = np.asarray(h.fn(np.array(validation_points(count))), dtype=float)
+    vals.setflags(write=False)
+    return vals
+
+
+def values_at(h: Distortion, count: int = VALIDATION_COUNT) -> np.ndarray:
+    """h at validation_points(count), read-only.
+
+    When count - 1 divides 512 these points are every (512/(count - 1))-th
+    point i/512 of h's sample, the same floats, so they are read from
+    ``h.sampled`` (taken here on first use if validate did not keep one);
+    any other count is evaluated.
+    """
+    step, rest = divmod(VALIDATION_COUNT - 1, count - 1)
+    if rest:
+        return _evaluated(h, count)
+    if h.sampled is None:
+        h.sampled = _evaluated(h, VALIDATION_COUNT)
+    return h.sampled[::step]
 
 
 def dual(h: Distortion) -> Distortion:
@@ -220,6 +254,11 @@ def co_inverse(h: Distortion, p):
 def classify(h: Distortion, grid: Optional[Grid] = None) -> ShapeReport:
     """Shape classification on a dense uniform sample of (0,1].
 
+    Without a grid the sample is the points i/512, i = 1..512, and h and
+    its dual are read from h's sample (values_at): p and 1 - p are both
+    among its points, so nothing is evaluated past the one sample of h.
+    An explicit grid is evaluated at p and 1 - p.
+
     star/antistar read the steps of h(p)/p, convex/concave the divided
     second differences, and the dual's antistarshapedness the steps of
     h*(p)/p.  A step within SCAN_TIE_TOL is a tie and counts both ways, so
@@ -227,14 +266,16 @@ def classify(h: Distortion, grid: Optional[Grid] = None) -> ShapeReport:
     the first grid point that contradicts it: the left end of the first
     offending step, or the centre of the first offending second difference.
     """
-    if grid is not None:
-        pts = list(grid.points)
-    else:
-        # (0,1] sample: ratios need p > 0, endpoint p=1 anchors h(1)/1 = 1
-        pts = validation_points()[1:]
+    # (0,1] sample: ratios need p > 0, endpoint p=1 anchors h(1)/1 = 1
+    pts = list(grid.points) if grid is not None else validation_points()[1:]
     p = np.array(pts)
-    vals, flipped = np.split(np.asarray(h.fn(np.concatenate((p, 1.0 - p))),
-                                        dtype=float), 2)
+    if grid is not None:
+        vals, flipped = np.split(np.asarray(h.fn(np.concatenate((p, 1.0 - p))),
+                                            dtype=float), 2)
+    else:
+        # h(1 - i/512) is the sample's entry 512 - i
+        whole = values_at(h)
+        vals, flipped = whole[1:], whole[-2::-1]
     step = np.diff(vals / p)
     dual_vals = 1.0 - flipped
     dual_step = np.diff(dual_vals / p)

@@ -126,11 +126,17 @@ def parse_spec(text: str) -> DistributionSpec:
     raise SpecError(f"unrecognized distribution spec {text!r}")
 
 
+# the open-interval sample of _validate_quantile, built once: VALIDATION_COUNT
+# points lo + (hi - lo) * i / (count - 1) on [lo, hi]
+_CHECK_LO, _CHECK_HI = 1e-9, 1.0 - 1e-9
+_QUANTILE_CHECK_POINTS = (_CHECK_LO + (_CHECK_HI - _CHECK_LO)
+                          * np.arange(VALIDATION_COUNT) / (VALIDATION_COUNT - 1))
+_QUANTILE_CHECK_POINTS.setflags(write=False)
+
+
 def _validate_quantile(fn: Callable[[float], float], label: str) -> None:
     # open-interval sample; q must be finite, non-decreasing, and >= 0
-    lo, hi = 1e-9, 1.0 - 1e-9
-    count = VALIDATION_COUNT
-    pts = np.array([lo + (hi - lo) * i / (count - 1) for i in range(count)])
+    pts = _QUANTILE_CHECK_POINTS
     vals = sample(fn, pts, SpecError,
                   lambda p, v: f"{label}: quantile not finite at p={p!r}")
     i = first(vals[1:] < vals[:-1] - 1e-9)
@@ -198,7 +204,7 @@ def _build_hazard(spec: DistributionSpec) -> Distribution:
                             f"{_HAZARD_TARGET} (not unbounded?)")
     # monotonicity on [0, hi]
     steps = 512
-    xs = np.array([hi * i / steps for i in range(1, steps + 1)])
+    xs = hi * np.arange(1, steps + 1) / steps
     vals = sample(psi, xs, SpecError,
                   lambda x, v: f"{spec.render()}: hazard not finite at x={x!r}")
     i = first(vals < np.r_[v0, vals[:-1]] - 1e-9)

@@ -434,7 +434,8 @@ def classify_diag(built: SystemDistortion,
                   shape: ShapeReport) -> ShapeClassification:
     """h_T = alpha*p + beta*d(p) is starshaped [antistarshaped] iff d is
     starshaped and beta > 0 [< 0]; outside the theorem's reach ``shape``,
-    the caller's classification of the built h_T, is attached instead."""
+    the caller's classification of the built h_T, is attached instead.
+    The diagonal's flags are read from the sample its validation took."""
     sig = built.sig
     _require_dimension(sig, d.n, "diagonal")
     params = diag_system_params(sig)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from stochorder import cli
+from stochorder import copulas as cop_mod
 from stochorder.numerics import BracketError
 from stochorder.sweeps import SuiteResult, SweepConfig, SweepSummary
 
@@ -323,6 +324,15 @@ class TestClassify:
         assert cli.main(["classify", "--signature", "1,1",
                          "--copula", "product:2"]) == 2
 
+    def test_h_with_copula_alone_exits_two(self, tmp_path, capsys):
+        # --copula is part of the system form, never silently dropped
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", "--h", "p^2", "--copula", "product:2",
+                         "--out-json", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: give either --h or --signature/--copula, not both\n")
+        assert not out.exists()
+
 
 class TestDistortAndSystem:
     def test_distort_table(self, tmp_path):
@@ -356,6 +366,43 @@ class TestDistortAndSystem:
         assert capsys.readouterr().err == (
             f"error: --grid-count must be at least 2, got {count}\n")
         assert not csv_out.exists()
+
+    @pytest.mark.parametrize("argv, points", [
+        # the validation sample serves classify and a table whose
+        # count - 1 divides 512; any other count is evaluated on its own
+        (["system", "--grid-count", "257"], 513),
+        (["system", "--grid-count", "100"], 513 + 100),
+        (["system", "--grid-count", "2"], 513),
+        (["classify"], 513),
+    ])
+    def test_system_distortion_is_sampled_once(self, argv, points, tmp_path,
+                                               monkeypatch, capsys):
+        seen = []
+        cop_eval = cop_mod.cop_eval
+
+        def counting(handle, point):
+            seen.append(np.size(point[0]))
+            return cop_eval(handle, point)
+
+        monkeypatch.setattr(cop_mod, "cop_eval", counting)
+        extra = ["--out-csv", str(tmp_path / "h.csv")] if argv[0] == "system" else []
+        assert cli.main(argv + ["--signature", "0,0,2,-1", "--copula", "product:4",
+                                "--out-json", str(tmp_path / "h.json")] + extra) == 0
+        # h_T under product:4 makes one cop_eval call per non-zero entry
+        # (a_3 and a_4), each on every point h_T is evaluated at
+        assert sum(seen) == 2 * points
+
+    @pytest.mark.parametrize("count", [257, 100, 65])
+    def test_system_table_is_the_closed_form(self, count, tmp_path):
+        # h_T = 2 p^3 - p^4 for a = (0, 0, 2, -1) under independence
+        csv_out = tmp_path / "h.csv"
+        assert cli.main(["system", "--signature", "0,0,2,-1", "--copula",
+                         "product:4", "--grid-count", str(count),
+                         "--out-csv", str(csv_out),
+                         "--out-json", str(tmp_path / "h.json")]) == 0
+        p, value = np.loadtxt(str(csv_out), delimiter=",", skiprows=2).T
+        assert np.array_equal(p, np.arange(count) / (count - 1))
+        assert np.max(np.abs(value - (2 * p ** 3 - p ** 4))) <= 1e-12
 
     def test_system_rejects_invalid_generator(self):
         assert cli.main(["system", "--signature", "0,1,1,-1",

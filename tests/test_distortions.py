@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,8 +24,10 @@ from stochorder.distortions import (
     parse_distortion_spec,
     power,
     validate,
+    values_at,
 )
-from stochorder.numerics import SCAN_TIE_TOL, uniform_grid, validation_points
+from stochorder.numerics import (SCAN_TIE_TOL, elementwise, uniform_grid,
+                                 validation_points)
 
 from helpers import GRID63, GRID65, max_abs_diff
 
@@ -253,6 +257,111 @@ class TestShapeScans:
         report = classify(named_distortions[name])
         assert not report.flags()[flag]
         assert report.witnesses[flag] == witness
+
+
+def _classify_by_evaluation(h):
+    """(flags, witnesses) of h on the points i/512, i = 1..512, from h
+    evaluated afresh at p and 1 - p: the reference for classify's read of
+    h's sample."""
+    pts = validation_points()[1:]
+    p = np.array(pts)
+    vals, flipped = np.split(np.asarray(h.fn(np.concatenate((p, 1.0 - p))),
+                                        dtype=float), 2)
+    step = np.diff(vals / p)
+    dual_step = np.diff((1.0 - flipped) / p)
+    slopes = np.diff(vals) / np.diff(p)
+    curvature = 2.0 * np.diff(slopes) / (p[2:] - p[:-2])
+    contradictions = {
+        "convex": (curvature < -SCAN_TIE_TOL, 1),
+        "concave": (curvature > SCAN_TIE_TOL, 1),
+        "starshaped": (step < -SCAN_TIE_TOL, 0),
+        "antistarshaped": (step > SCAN_TIE_TOL, 0),
+        "dual_antistarshaped": (dual_step > SCAN_TIE_TOL, 0),
+    }
+    witnesses = {flag: pts[int(np.flatnonzero(mask)[0]) + offset]
+                 for flag, (mask, offset) in contradictions.items() if mask.any()}
+    flags = {flag: flag not in witnesses for flag in contradictions}
+    flags["strictly_increasing"] = h.strictly_increasing
+    return flags, witnesses
+
+
+def _assert_classify_reads_h(h):
+    report = classify(h)
+    flags, witnesses = _classify_by_evaluation(h)
+    assert report.flags() == flags, h.label
+    assert report.witnesses == witnesses, h.label
+    # and the sample is h at i/512, bit for bit
+    sampled = values_at(h)
+    fresh = np.asarray(h.fn(np.array(validation_points())), dtype=float)
+    assert sampled.tobytes() == fresh.tobytes(), h.label
+
+
+_MIXTURE = st.tuples(st.floats(0.05, 0.95), st.floats(1.1, 6.0))
+
+
+class TestSample:
+    """A distortion keeps h at the 513 points i/512; classify and the
+    system tables read it instead of evaluating h again."""
+
+    def test_catalog_classify_matches_evaluation(self, named_distortions,
+                                                 fresh_distortions):
+        # the catalog's own samples (validate's), and ones taken on first use
+        for h in (*named_distortions.values(), *fresh_distortions.values()):
+            _assert_classify_reads_h(h)
+
+    @pytest.mark.parametrize("make", [
+        lambda: power(2.5), lambda: dualpower(3.0), identity,
+        lambda: dual(power(3.0)), lambda: power(0.5)])
+    def test_builtins_classify_matches_evaluation(self, make):
+        h = make()
+        assert h.sampled is None  # taken on first use
+        _assert_classify_reads_h(h)
+
+    @given(mix=_MIXTURE)
+    def test_mixtures_and_duals_classify_matches_evaluation(self, mix):
+        w, m = mix
+        h = validate(f"{w!r}*p + {1.0 - w!r}*p^{m!r}")
+        _assert_classify_reads_h(h)
+        _assert_classify_reads_h(dual(h))
+
+    def test_validate_keeps_the_sample_it_checked(self):
+        calls = []
+        h = validate(lambda p: calls.append(p) or p * p, label="counted")
+        assert len(calls) == 513
+        assert h.sampled.tobytes() == (np.array(validation_points()) ** 2).tobytes()
+        assert not h.sampled.flags.writeable
+        classify(h)
+        values_at(h, 257)
+        values_at(h, 2)
+        assert len(calls) == 513
+
+    def test_unvalidated_distortion_is_sampled_once(self):
+        sizes = []
+
+        def fn(p):
+            sizes.append(np.size(p))
+            return p * p
+
+        h = Distortion(fn=elementwise(fn), label="counted",
+                       strictly_increasing=True)
+        classify(h)
+        classify(h)
+        values_at(h, 129)
+        assert sizes == [513]
+
+    @pytest.mark.parametrize("count", [2, 3, 17, 257, 513, 100, 256, 1025])
+    def test_values_at_is_h_at_validation_points(self, count):
+        h = validate("0.3*p + 0.7*p^2.5")
+        want = np.asarray(h.fn(np.array(validation_points(count))), dtype=float)
+        assert values_at(h, count).tobytes() == want.tobytes()
+
+    def test_replace_drops_the_sample(self):
+        h = validate("p^2")
+        assert h.sampled is not None
+        cube = replace(h, fn=lambda p: p ** 3)
+        assert cube.sampled is None
+        assert values_at(cube, 3).tolist() == [0.0, 0.125, 1.0]
+        assert replace(h).sampled is None
 
 
 class TestSpecs:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
 
 from stochorder import distortions as dist_mod
+from stochorder import distributions as distributions_mod
 from stochorder.distributions import (
     DegenerateDensityError,
     InfiniteMeanError,
@@ -48,6 +50,19 @@ class TestSpecParsing:
     def test_bad_specs_rejected(self, text):
         with pytest.raises(SpecError):
             parse_spec(text)
+
+
+def _record_samples(monkeypatch):
+    """The point arrays build passes to numerics.sample, recorded as it goes."""
+    seen = []
+    original = distributions_mod.sample
+
+    def recording(fn, points, *args):
+        seen.append(np.asarray(points, dtype=float).copy())
+        return original(fn, points, *args)
+
+    monkeypatch.setattr(distributions_mod, "sample", recording)
+    return seen
 
 
 class TestBuild:
@@ -92,6 +107,23 @@ class TestBuild:
     def test_from_quantile_without_validation_accepts_anything(self):
         X = from_quantile(lambda p: 1.0 - p, "decreasing", validate=False)
         assert X.quantile(0.25) == 0.75
+
+    def test_quantile_check_points_are_the_comprehension(self, monkeypatch):
+        # the points a q: build checks, bit for bit the per-point expression
+        seen = _record_samples(monkeypatch)
+        build("q: 2*p")
+        lo, hi, count = 1e-9, 1.0 - 1e-9, 513
+        want = np.array([lo + (hi - lo) * i / (count - 1) for i in range(count)])
+        assert [pts.tobytes() for pts in seen] == [want.tobytes()]
+
+    @pytest.mark.parametrize("text", ["hazard: x", "hazard: x^2", "hazard: 1e-3*x"])
+    def test_hazard_check_points_are_the_comprehension(self, text, monkeypatch):
+        seen = _record_samples(monkeypatch)
+        build(text)
+        (xs,) = seen
+        hi, steps = float(xs[-1]), 512
+        want = np.array([hi * i / steps for i in range(1, steps + 1)])
+        assert xs.tobytes() == want.tobytes()
 
     def test_unvalidated_build_evaluates_nothing(self):
         calls = []
