@@ -210,14 +210,22 @@ def _config_object(config: dict, key: str, fields: Sequence[str]) -> dict:
     return value
 
 
-def _config_orders(config: dict) -> List[str]:
-    """config "orders", checked to be a list of order names ([] if absent)."""
-    names = config.get("orders", [])
-    valid = [k.value for k in OrderKind]
+def _config_names(config: dict, key: str, valid: Sequence[str],
+                  default: Sequence[str] = ()) -> List[str]:
+    """config[key], checked to be a list of names from valid (default if absent)."""
+    names = config.get(key, list(default))
     if not isinstance(names, list) or not all(n in valid for n in names):
-        raise ValueError(f"config 'orders' must be a list of order names from "
+        raise ValueError(f"config {key!r} must be a list of names from "
                          f"{', '.join(valid)}; got {names!r}")
     return names
+
+
+def _config_int(config: dict, key: str, default: int) -> int:
+    """config[key], checked to be an integer (default if absent)."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config {key!r} must be an integer; got {value!r}")
+    return value
 
 
 def _grid_from(config: dict, count=None, lo=None, hi=None, margin=None) -> Grid:
@@ -244,19 +252,6 @@ def _csv_out(path: Optional[str]) -> Optional[str]:
     return path
 
 
-def _verdict_record(scenario: str, verdict) -> dict:
-    return {
-        "scenario": scenario,
-        "order": verdict.kind.value,
-        "holds": verdict.holds,
-        "witnesses": [{"p": p, "margin": m} for p, m in verdict.witnesses],
-        "grid": verdict.grid.describe(),
-        "tolerances": {"abs_tol": verdict.tolerance.abs_tol,
-                       "rel_tol": verdict.tolerance.rel_tol},
-        "notes": list(verdict.notes),
-    }
-
-
 def _csv_path_for_order(base: str, order: OrderKind, multiple: bool) -> str:
     if not multiple:
         return base
@@ -270,7 +265,7 @@ def cmd_check_order(args) -> int:
     y_spec = _pick(args.y, config, "y")
     if not x_spec or not y_spec:
         raise ValueError("check-order needs --x and --y distribution specs")
-    config_orders = _config_orders(config)
+    config_orders = _config_names(config, "orders", [k.value for k in OrderKind])
     kinds = args.order or config_orders
     if not kinds:
         raise ValueError("check-order needs at least one --order")
@@ -298,7 +293,7 @@ def cmd_check_order(args) -> int:
         "y": y.label,
         "distortion": h.label if h is not None else None,
         "holds": all(v.holds for v in verdicts),
-        "results": [_verdict_record(scenario, v) for v in verdicts],
+        "results": [{"scenario": scenario, **v.to_json()} for v in verdicts],
     }
     if json_path or not csv_path:
         _write_text(json_path, _verdicts_text(doc))
@@ -547,17 +542,14 @@ def cmd_sweep(args) -> int:
     default = sweeps_mod.SweepConfig()
     tol = Tolerance(abs_tol=float(raw.get("abs_tol", default.tolerance.abs_tol)),
                     rel_tol=float(raw.get("rel_tol", default.tolerance.rel_tol)))
-    suites = tuple(raw.get("suites", default.suites))
-    for name in suites:
-        if name not in sweeps_mod.SUITE_NAMES:
-            raise ValueError(f"unknown sweep suite {name!r}")
     config = sweeps_mod.SweepConfig(
-        seed=int(raw.get("seed", default.seed)),
-        trials=int(raw.get("trials", default.trials)),
-        grid_count=int(raw.get("grid_count", default.grid_count)),
+        seed=_config_int(raw, "seed", default.seed),
+        trials=_config_int(raw, "trials", default.trials),
+        grid_count=_config_int(raw, "grid_count", default.grid_count),
         edge_margin=float(raw.get("edge_margin", default.edge_margin)),
         tolerance=tol,
-        suites=suites,
+        suites=tuple(_config_names(raw, "suites", sweeps_mod.SUITE_NAMES,
+                                   default.suites)),
     )
     if config.trials < 0:
         raise ValueError("trials must be >= 0")

@@ -345,5 +345,5 @@ def parse_distortion_spec(text: str) -> Distortion:
     if text.startswith("dualpower:"):
         return dualpower(funcalc.parse_constant(text[len("dualpower:"):]))
     if text.startswith("h:"):
-        return validate(text[len("h:"):])
+        return validate(text[len("h:"):].strip())
     return validate(text)

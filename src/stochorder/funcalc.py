@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numerics import each, elementwise, lift
+from .numerics import each, elementwise, lift, on_arrays
 
 FUNCTIONS = ("exp", "ln", "sqrt", "min", "max")
 DEFAULT_VARIABLES = ("p", "x")
@@ -355,8 +355,7 @@ def parse(source: str, variables: Sequence[str] = DEFAULT_VARIABLES) -> Expr:
 
 def parse_constant(source: str) -> float:
     """Parse and evaluate a variable-free expression (CLI parameters)."""
-    node = parse(source, variables=())
-    return eval_expr(node, 0.0)
+    return eval_expr(parse(source, variables=()), 0.0)
 
 
 def eval_expr(node: Expr, value: float) -> float:
@@ -366,272 +365,239 @@ def eval_expr(node: Expr, value: float) -> float:
     ln of a non-positive number, sqrt of a negative, division by zero,
     0^negative, a negative base with a non-integer exponent, and overflow.
     """
-    return _compile(node)[0](float(value))
+    return on_arrays(_evaluator(node), float(value))
 
 
-# --- compilation -----------------------------------------------------------
+# --- evaluation ------------------------------------------------------------
 #
-# Each node compiles to a float closure, which follows the order of
-# evaluation and the domain checks of eval_expr's definition exactly, and to
-# an array closure, which computes every entry with the same floating-point
-# operations (numpy arithmetic, and math functions applied entry by entry)
-# and flags the entries where a check might fail.  Flagged entries are
-# recomputed by the float closure, which raises there or gives the value.
-# A constant subtree folds to its value when it evaluates without error.
-#
-# An array closure maps the float array v to (values, flags): values a float
-# or an array of v's shape, flags None or a bool array of entries to recheck.
+# Each node compiles once, to a closure run(v, checks) -> values: v is the
+# float array of the variable's values, values an array of v's shape (a
+# float for a constant), computed with the floating-point operations of an
+# evaluation one float at a time (numpy arithmetic, the math functions
+# entry by entry), so each entry equals that float's value bit for bit.
+# Domain rules are numbered at compile time in the order such an evaluation
+# checks them: operands left to right, then the node's own checks.  Each
+# check appends (rule, mask, at) to checks: mask (or a bool for all of
+# them) marks the entries of v that break the rule, and at maps them to
+# entries of the whole array (None: v is the whole array).  An entry raises
+# the error of the smallest rule it breaks.  The entries where math.pow or
+# math.exp might raise are settled one at a time.  A constant subtree folds
+# to its value, or to 0.0 and the rule it always breaks.
+
+_CLEAR = np.iinfo(np.intp).max  # the code of an entry that breaks no rule
 
 
-def _compile(node: Expr) -> tuple:
-    """(float closure, array closure, whether node is constant)."""
+def _rule(rules: list, message: str, span: SourceSpan) -> int:
+    rules.append((message, span))
+    return len(rules) - 1
+
+
+def _codes(checks: list, n: int) -> np.ndarray:
+    """The smallest rule each of n entries breaks (_CLEAR if none)."""
+    codes = np.full(n, _CLEAR)
+    for rule, mask, at in checks:
+        at = np.arange(n) if at is None else at
+        hit = at[np.broadcast_to(mask, at.shape)]
+        codes[hit] = np.minimum(codes[hit], rule)
+    return codes
+
+
+def _compile(node: Expr, rules: list) -> tuple:
+    """(closure, value): value is the folded value of a constant node, None
+    for any other."""
     if isinstance(node, (Num, Const)):
         value = node.value
-        return (lambda v: value), (lambda v: (value, None)), True
+        return (lambda v, checks: value), value
     if isinstance(node, Var):
-        return (lambda v: v), (lambda v: (v, None)), False
+        return (lambda v, checks: v), None
+    if isinstance(node, Piecewise):
+        return _piecewise(node, rules), None
     if isinstance(node, Unary):
-        operand, operand_array, constant = _compile(node.operand)
-        scalar = lambda v: -operand(v)
-
-        def array(v):
-            x, bad = operand_array(v)
-            return -x, bad
+        parts = [_compile(node.operand, rules)]
+        operand = parts[0][0]
+        run = lambda v, checks: -operand(v, checks)
     elif isinstance(node, Binary):
-        ls, la, lc = _compile(node.left)
-        rs, ra, rc = _compile(node.right)
-        scalar = _scalar_binary(node, ls, rs)
-        array = _array_binary(node.op, la, ra)
-        constant = lc and rc
+        parts = [_compile(node.left, rules), _compile(node.right, rules)]
+        run = (_power if node.op == "^" else _arithmetic)(node, rules, *parts)
     elif isinstance(node, Call):
-        parts = [_compile(a) for a in node.args]
-        scalar = _scalar_call(node, [p[0] for p in parts])
-        array = _array_call(node.name, [p[1] for p in parts])
-        constant = all(p[2] for p in parts)
-    elif isinstance(node, Piecewise):
-        return _piecewise(node) + (False,)
+        parts = [_compile(a, rules) for a in node.args]
+        run = _call(node, rules, [part[0] for part in parts])
     else:
         raise TypeError(f"not an expression node: {node!r}")
-    if constant:
-        try:
-            value = scalar(0.0)
-        except ExprDomainError:
-            # fails wherever it is evaluated: every entry takes the float path
-            return scalar, (lambda v: (0.0, np.ones(v.shape, dtype=bool))), True
-        return (lambda v: value), (lambda v: (value, None)), True
-    return scalar, array, False
+    if any(value is None for _, value in parts):
+        return run, None
+    checks = []
+    with np.errstate(all="ignore"):
+        value = np.asarray(run(np.zeros(1), checks), dtype=float).item()
+    rule = int(_codes(checks, 1)[0])
+    if rule == _CLEAR:
+        return (lambda v, checks: value), value
+
+    def broken(v, checks):
+        checks.append((rule, True, None))
+        return 0.0
+
+    return broken, 0.0
 
 
-def _piecewise(node: Piecewise) -> tuple:
-    parts = [_compile(b.body) for b in node.branches] + [_compile(node.otherwise)]
-    bounds = [b.bound_value for b in node.branches]
-    guarded = list(zip(bounds, (p[0] for p in parts)))
-    otherwise = parts[-1][0]
+def _piecewise(node: Piecewise, rules: list):
+    bodies = [_compile(b.body, rules)[0] for b in node.branches]
+    bodies.append(_compile(node.otherwise, rules)[0])
+    bounds = np.array([b.bound_value for b in node.branches])
 
-    def scalar(v):
-        for bound, body in guarded:
-            if v <= bound:
-                return body(v)
-        return otherwise(v)
-
-    bound_array = np.array(bounds)
-    bodies = [p[1] for p in parts]
-
-    def array(v):
+    def run(v, checks):
         # index of the first branch whose bound the value does not exceed
-        which = np.searchsorted(bound_array, v, side="left")
+        which = np.searchsorted(bounds, v, side="left")
         out = np.empty(v.shape)
-        bad = np.zeros(v.shape, dtype=bool)
         for k, body in enumerate(bodies):
             idx = np.flatnonzero(which == k)
             if idx.size:
-                x, b = body(v[idx])
-                out[idx] = x
-                if b is not None:
-                    bad[idx] = b
-        return out, bad
+                branch = []
+                out[idx] = body(v[idx], branch)
+                checks += [(rule, mask, idx if at is None else idx[at])
+                           for rule, mask, at in branch]
+        return out
 
-    return scalar, array
-
-
-def _scalar_binary(node: Binary, left, right) -> Callable[[float], float]:
-    span = node.span
-    isfinite = math.isfinite
-    op = node.op
-    if op == "+":
-        def apply(v):
-            out = left(v) + right(v)
-            if not isfinite(out):
-                raise ExprDomainError("overflow", span)
-            return out
-    elif op == "-":
-        def apply(v):
-            out = left(v) - right(v)
-            if not isfinite(out):
-                raise ExprDomainError("overflow", span)
-            return out
-    elif op == "*":
-        def apply(v):
-            out = left(v) * right(v)
-            if not isfinite(out):
-                raise ExprDomainError("overflow", span)
-            return out
-    elif op == "/":
-        def apply(v):
-            lhs = left(v)
-            rhs = right(v)
-            if rhs == 0.0:
-                raise ExprDomainError("division by zero", span)
-            out = lhs / rhs
-            if not isfinite(out):
-                raise ExprDomainError("overflow", span)
-            return out
-    elif op == "^":
-        def apply(v):
-            out = _power(span, left(v), right(v))
-            if not isfinite(out):
-                raise ExprDomainError("overflow", span)
-            return out
-    else:  # pragma: no cover - parser only emits the above
-        raise TypeError(f"unknown operator {op!r}")
-    return apply
+    return run
 
 
-def _power(span: SourceSpan, base: float, exponent: float) -> float:
-    if base == 0.0 and exponent < 0.0:
-        raise ExprDomainError("zero raised to a negative power", span)
-    if base < 0.0 and exponent != math.floor(exponent):
-        raise ExprDomainError("negative base with non-integer exponent", span)
-    try:
-        return math.pow(base, exponent)
-    except (OverflowError, ValueError):
-        raise ExprDomainError("overflow in power", span) from None
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _scalar_call(node: Call, args: list) -> Callable[[float], float]:
-    span = node.span
-    name = node.name
-    if name == "exp":
-        (arg,) = args
+def _arithmetic(node: Binary, rules: list, left_part, right_part):
+    (left, _), (right, divisor) = left_part, right_part
+    apply = _OPERATORS[node.op]
+    # a divisor that is a constant other than 0 needs no check
+    zero = (_rule(rules, "division by zero", node.span)
+            if node.op == "/" and not divisor else None)
+    overflow = _rule(rules, "overflow", node.span)
 
-        def apply(v):
+    def run(v, checks):
+        x, y = left(v, checks), right(v, checks)
+        if zero is not None:
+            by_zero = y == 0.0
+            checks.append((zero, by_zero, None))
+            y = np.where(by_zero, 1.0, y)
+        out = apply(x, y)
+        checks.append((overflow, ~np.isfinite(out), None))
+        return out
+
+    return run
+
+
+def _settle(out, unsure, fn, args, rule, checks) -> None:
+    """The unsure entries of out computed by fn one at a time; fn raising
+    there breaks rule."""
+    idx = np.flatnonzero(unsure)
+    if idx.size:
+        columns = np.broadcast_arrays(*args)
+        for i in idx.tolist():
             try:
-                return math.exp(arg(v))
-            except OverflowError:
-                raise ExprDomainError("overflow in exp", span) from None
-    elif name == "ln":
-        (arg,) = args
-
-        def apply(v):
-            x = arg(v)
-            if x <= 0.0:
-                raise ExprDomainError("ln of a non-positive number", span)
-            return math.log(x)
-    elif name == "sqrt":
-        (arg,) = args
-
-        def apply(v):
-            x = arg(v)
-            if x < 0.0:
-                raise ExprDomainError("sqrt of a negative number", span)
-            return math.sqrt(x)
-    elif name in ("min", "max"):
-        pick = min if name == "min" else max
-
-        def apply(v):
-            return pick([a(v) for a in args])
-    else:  # pragma: no cover
-        raise TypeError(f"unknown function {name!r}")
-    return apply
+                out.flat[i] = fn(*(float(c.flat[i]) for c in columns))
+            except (OverflowError, ValueError):
+                checks.append((rule, True, np.array([i])))
 
 
-def _flags(*masks):
-    out = None
-    for mask in masks:
-        if mask is not None:
-            out = mask if out is None else out | mask
-    return out
+def _power(node: Binary, rules: list, left_part, right_part):
+    (left, _), (right, exponent) = left_part, right_part
+    span = node.span
+    zero = _rule(rules, "zero raised to a negative power", span)
+    negative = _rule(rules, "negative base with non-integer exponent", span)
+    raises = _rule(rules, "overflow in power", span)
+    overflow = _rule(rules, "overflow", span)
+
+    def run(v, checks):
+        x, y = left(v, checks), right(v, checks)
+        if exponent is None:
+            checks.append((zero, (x == 0.0) & (y < 0.0), None))
+            checks.append((negative, (x < 0.0) & (y != np.floor(y)), None))
+        else:  # a constant exponent leaves a test of the base, or none
+            if exponent < 0.0:
+                checks.append((zero, x == 0.0, None))
+            if exponent != math.floor(exponent):
+                checks.append((negative, x < 0.0, None))
+        # math.pow can only raise where numpy's power is huge or not a number
+        unsure = ~(np.abs(np.power(x, y)) < 1e300)
+        out = each(math.pow, np.where(unsure, 1.0, x), y)
+        _settle(out, unsure, math.pow, (x, y), raises, checks)
+        checks.append((overflow, ~np.isfinite(out), None))
+        return out
+
+    return run
 
 
-def _array_binary(op: str, left, right):
-    def apply(v):
-        x, bad_x = left(v)
-        y, bad_y = right(v)
-        check = None
-        if op == "+":
-            out = x + y
-        elif op == "-":
-            out = x - y
-        elif op == "*":
-            out = x * y
-        elif op == "/":
-            check = np.asarray(y == 0.0)
-            out = x / np.where(check, 1.0, y)
-        else:
-            # overflow as numpy's power sees it, and the domain faults
-            check = ~(np.abs(np.power(x, y)) < 1e300)
-            if isinstance(y, float):  # a constant exponent
-                if y < 0.0:
-                    check |= x == 0.0
-                if y != np.floor(y):
-                    check |= x < 0.0
-            else:
-                check |= ((x == 0.0) & (y < 0.0)) | ((x < 0.0) & (y != np.floor(y)))
-            safe = ~check
-            out = each(math.pow, np.where(safe, x, 1.0), np.where(safe, y, 1.0))
-        return out, _flags(bad_x, bad_y, check, ~np.isfinite(out))
-    return apply
-
-
-def _array_call(name: str, args: list):
-    def apply(v):
-        results = [a(v) for a in args]
-        bad = _flags(*(b for _, b in results))
-        xs = [x for x, _ in results]
-        if name in ("min", "max"):
+def _call(node: Call, rules: list, args: list):
+    name = node.name
+    if name in ("min", "max"):
+        def run(v, checks):
             # the builtin's rule: a later argument replaces the current
             # pick only when strictly smaller (larger)
+            xs = [a(v, checks) for a in args]
             out = xs[0]
             for x in xs[1:]:
                 out = np.where(x < out if name == "min" else x > out, x, out)
-            return out, bad
-        (x,) = xs
-        if name == "exp":
-            check = x > 709.0  # math.exp overflows above ~709.78
-            out = each(math.exp, np.where(check, 0.0, x))
-        elif name == "ln":
-            check = x <= 0.0
-            out = each(math.log, np.where(check, 1.0, x))
-        else:
-            check = x < 0.0
-            out = np.sqrt(np.where(check, 0.0, x))
-        return out, _flags(bad, check)
-    return apply
+            return out
+        return run
+    (arg,) = args
+    if name == "exp":
+        raises = _rule(rules, "overflow in exp", node.span)
+
+        def run(v, checks):
+            x = arg(v, checks)
+            unsure = x > 709.0  # math.exp overflows above ~709.78
+            out = each(math.exp, np.where(unsure, 0.0, x))
+            _settle(out, unsure, math.exp, (x,), raises, checks)
+            return out
+        return run
+    if name == "ln":
+        rule = _rule(rules, "ln of a non-positive number", node.span)
+
+        def run(v, checks):
+            x = arg(v, checks)
+            bad = x <= 0.0
+            checks.append((rule, bad, None))
+            return each(math.log, np.where(bad, 1.0, x))
+        return run
+    rule = _rule(rules, "sqrt of a negative number", node.span)
+
+    def run(v, checks):
+        x = arg(v, checks)
+        bad = x < 0.0
+        checks.append((rule, bad, None))
+        return np.sqrt(np.where(bad, 0.0, x))
+    return run
+
+
+def _evaluator(node: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """The expression on a float array: the array of its values, or the
+    ExprDomainError of its first entry that breaks a rule."""
+    rules: list = []
+    run, value = _compile(node, rules)
+
+    def evaluate(values: np.ndarray) -> np.ndarray:
+        v = values.astype(float).ravel()
+        checks: list = []
+        with np.errstate(all="ignore"):
+            out = run(v, checks) if value is None else np.full(v.shape, run(v, checks))
+        if any(np.count_nonzero(check[1]) for check in checks):
+            codes = _codes(checks, v.size)
+            first = int(np.flatnonzero(codes != _CLEAR)[0])
+            raise ExprDomainError(*rules[codes[first]])
+        return out.reshape(values.shape)
+
+    return evaluate
 
 
 def compile_fn(node: Expr) -> Callable[[float], float]:
     """Bind the AST into an elementwise callable.
 
-    A float runs the compiled float closures; a float array runs the array
-    closures under np.errstate, and an entry that breaks a domain rule
-    raises the same ExprDomainError, at the first such entry in array order,
-    as that float would.
+    A float array in gives the array of values; a float goes through the
+    same evaluator as a one-entry array and comes out a float.  An entry
+    that breaks a domain rule raises its ExprDomainError, at the first such
+    entry in array order.
     """
-    scalar, array, _ = _compile(node)
-
-    def fn(value):
-        if not isinstance(value, np.ndarray):
-            return scalar(float(value))
-        v = value.astype(float)
-        with np.errstate(all="ignore"):
-            x, bad = array(v)
-        out = np.array(x, dtype=float) if isinstance(x, np.ndarray) else np.full(v.shape, x)
-        if bad is not None and bad.any():
-            for i in np.flatnonzero(bad).tolist():
-                out.flat[i] = scalar(float(v.flat[i]))
-        return out
-
-    return elementwise(fn)
+    evaluate = _evaluator(node)
+    return elementwise(lambda value: on_arrays(evaluate, value))
 
 
 FunctionLike = Union[Callable[[float], float], str]

@@ -95,14 +95,15 @@ class OrderVerdict:
     notes: Tuple[str, ...] = ()
 
     def to_json(self) -> dict:
+        """The verdict record check-order writes (without its scenario);
+        the curve goes to the curve CSV instead."""
         return {
-            "kind": self.kind.value,
+            "order": self.kind.value,
             "holds": self.holds,
             "witnesses": [{"p": p, "margin": m} for p, m in self.witnesses],
             "grid": self.grid.describe(),
-            "tolerance": {"abs_tol": self.tolerance.abs_tol,
-                          "rel_tol": self.tolerance.rel_tol},
-            "curve": {key: list(vals) for key, vals in self.curve.items()},
+            "tolerances": {"abs_tol": self.tolerance.abs_tol,
+                           "rel_tol": self.tolerance.rel_tol},
             "notes": list(self.notes),
         }
 

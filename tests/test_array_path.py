@@ -15,6 +15,7 @@ where and how the reference fails first.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -70,15 +71,130 @@ def _compiled(var, text):
     return funcalc.compile_fn(funcalc.parse(text, variables=(var,)))
 
 
-def _scalar_outcome(fn, xs):
-    """(values, first error text) of fn point by point, in order."""
+# --- the float evaluation the single expression evaluator replaced ---
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+
+
+def _reference(node, v: float) -> float:
+    """node at the float v, one operation after another, raising at the
+    first domain rule it breaks: the float closures funcalc compiled beside
+    its array closures, as one recursive function."""
+    if isinstance(node, (funcalc.Num, funcalc.Const)):
+        return node.value
+    if isinstance(node, funcalc.Var):
+        return v
+    if isinstance(node, funcalc.Unary):
+        return -_reference(node.operand, v)
+    if isinstance(node, funcalc.Piecewise):
+        for branch in node.branches:
+            if v <= branch.bound_value:
+                return _reference(branch.body, v)
+        return _reference(node.otherwise, v)
+
+    def fail(message):
+        return funcalc.ExprDomainError(message, node.span)
+
+    if isinstance(node, funcalc.Call):
+        args = [_reference(a, v) for a in node.args]
+        if node.name in ("min", "max"):
+            return (min if node.name == "min" else max)(args)
+        (x,) = args
+        if node.name == "exp":
+            try:
+                return math.exp(x)
+            except OverflowError:
+                raise fail("overflow in exp") from None
+        if node.name == "ln":
+            if x <= 0.0:
+                raise fail("ln of a non-positive number")
+            return math.log(x)
+        if x < 0.0:
+            raise fail("sqrt of a negative number")
+        return math.sqrt(x)
+    x, y = _reference(node.left, v), _reference(node.right, v)
+    if node.op == "^":
+        if x == 0.0 and y < 0.0:
+            raise fail("zero raised to a negative power")
+        if x < 0.0 and y != math.floor(y):
+            raise fail("negative base with non-integer exponent")
+        try:
+            out = math.pow(x, y)
+        except (OverflowError, ValueError):
+            raise fail("overflow in power") from None
+    else:
+        if node.op == "/" and y == 0.0:
+            raise fail("division by zero")
+        out = _ARITHMETIC[node.op](x, y)
+    if not math.isfinite(out):
+        raise fail("overflow")
+    return out
+
+
+def _reference_outcome(node, xs):
+    """(values, (message, span) of the first error) of the reference point
+    by point, in order."""
     values = []
     for x in xs:
         try:
-            values.append(fn(x))
+            values.append(_reference(node, x))
         except funcalc.ExprDomainError as ex:
             return values, (str(ex), ex.span)
     return values, None
+
+
+def _agrees_with_reference(node, xs):
+    """compile_fn(node) on the array xs, on each float and on each 0-d
+    array gives the reference's values bit for bit, or its first error."""
+    fn = funcalc.compile_fn(node)
+    values, error = _reference_outcome(node, xs)
+    if error is None:
+        assert _bits(fn(np.array(xs))) == _bits(values)
+    else:
+        with pytest.raises(funcalc.ExprDomainError) as info:
+            fn(np.array(xs))
+        assert (str(info.value), info.value.span) == error
+    for x, value in zip(xs, values):
+        assert _bits([fn(x)]) == _bits([value]) and type(fn(x)) is float
+        zero_d = fn(np.array(x))
+        assert zero_d.shape == () and _bits([zero_d]) == _bits([value])
+    if error is not None:
+        bad = xs[len(values)]
+        for arg in (bad, np.array(bad)):
+            with pytest.raises(funcalc.ExprDomainError) as info:
+                fn(arg)
+            assert (str(info.value), info.value.span) == error
+
+
+# expressions from a grammar over the literals and inputs where the domain
+# rules and the folding of constants are decided
+_LITERALS = ("0", "1", "-1", "2", "0.5", "710", "1e200", "1e-300", "e")
+_BOUNDS = ("-1", "0", "1/2", "1", "2", "700")  # increasing, as guards must be
+_INPUTS = (0.0, 1.0, 1e-300, 700.0, 2.0, 0.3, -1.0, -0.5, -2.0, -700.0)
+
+
+def _expression_text(children):
+    binary = st.builds(lambda a, op, b: f"({a}) {op} ({b})",
+                       children, st.sampled_from("+-*/^"), children)
+    unary = st.builds(lambda name, a: f"{name}({a})",
+                      st.sampled_from(("exp", "ln", "sqrt", "-")), children)
+    extreme = st.builds(lambda name, args: f"{name}({', '.join(args)})",
+                        st.sampled_from(("min", "max")),
+                        st.lists(children, min_size=2, max_size=3))
+    piece = st.builds(
+        lambda picks, bodies, otherwise: "piece(" + "".join(
+            f"p <= {_BOUNDS[k]} : {body} ; " for k, body in zip(sorted(picks), bodies))
+        + f"else : {otherwise})",
+        st.sets(st.integers(0, len(_BOUNDS) - 1), min_size=1, max_size=3),
+        st.lists(children, min_size=3, max_size=3), children)
+    return st.one_of(binary, unary, extreme, piece)
+
+
+expressions = st.recursive(st.sampled_from(_LITERALS + ("p",) * 4),
+                           _expression_text, max_leaves=8)
+inputs = st.lists(st.one_of(st.sampled_from(_INPUTS), st.floats(-3.0, 3.0)),
+                  min_size=1, max_size=12)
 
 
 class TestCompiledExpressions:
@@ -86,16 +202,9 @@ class TestCompiledExpressions:
     @given(xs=points)
     def test_array_equals_float_path(self, var, text, xs):
         # numpy arithmetic is IEEE like Python's, and the math functions run
-        # entry by entry, so the two paths agree to the last bit
-        fn = _compiled(var, text)
-        values, error = _scalar_outcome(fn, xs)
-        if error is None:
-            got = fn(np.array(xs))
-            assert got.tolist() == values
-        else:
-            with pytest.raises(funcalc.ExprDomainError) as info:
-                fn(np.array(xs))
-            assert (str(info.value), info.value.span) == error
+        # entry by entry, so the evaluator and the reference agree to the
+        # last bit
+        _agrees_with_reference(funcalc.parse(text, variables=(var,)), xs)
 
     @pytest.mark.parametrize("text", [
         "ln(p - 1/2)",
@@ -104,17 +213,42 @@ class TestCompiledExpressions:
         "piece(p <= 0.5 : 1/(p - 0.4) ; else : (p - 0.6)^0.5)",
         "exp(800*p) - 1",
         "(1 - 2*p)^1.5 + 1/0",
+        "p/0 + ln(p - 1)",
+        "(2 - 4*p)^-0.5",
+        "10^(400*p) - exp(710*p)",
+        "0^(p - 1)",
+        "(-2)^p",
     ])
     @given(xs=points)
     def test_domain_error_at_the_first_offending_point(self, text, xs):
-        fn = _compiled("p", text)
-        values, error = _scalar_outcome(fn, xs)
-        if error is None:
-            assert fn(np.array(xs)).tolist() == values
+        _agrees_with_reference(funcalc.parse(text), xs)
+
+    @given(text=expressions, xs=inputs)
+    def test_random_expressions_equal_the_reference(self, text, xs):
+        # literals at the edges of every rule, including constant subtrees
+        # that fold to a value or to the rule they always break
+        _agrees_with_reference(funcalc.parse(text), xs)
+
+    @pytest.mark.parametrize("text, message, where", [
+        ("exp(1) + p", None, None),
+        ("(1e200)^2 + p", "overflow in power", "0..9"),
+        ("(1e200) * 1e200 + p", "overflow", "0..15"),
+        ("p + ln(1 - 1)", "ln of a non-positive number", "4..13"),
+        ("ln(p - 1) / 0", "ln of a non-positive number", "0..9"),
+        ("exp(710) * p", "overflow in exp", "0..8"),
+        ("p^(1/0)", "division by zero", "2..7"),
+    ])
+    @pytest.mark.parametrize("arg", [0.0, np.array(0.0), np.array([0.5, 0.0])])
+    def test_folded_constants(self, text, message, where, arg):
+        # a constant subtree folds once, to its value or its first rule;
+        # either reaches floats, 0-d arrays and arrays alike
+        fn = funcalc.compile_fn(funcalc.parse(text))
+        if message is None:
+            assert np.array_equal(fn(arg), math.exp(1) + np.asarray(arg))
             return
         with pytest.raises(funcalc.ExprDomainError) as info:
-            fn(np.array(xs))
-        assert (str(info.value), info.value.span) == error
+            fn(arg)
+        assert str(info.value).startswith(f"{message} (at {where} ")
 
     def test_first_offending_point_in_array_order(self):
         # p = 0.1 breaks the ln branch, p = 0.7 the sqrt branch; array order
@@ -125,6 +259,27 @@ class TestCompiledExpressions:
         with pytest.raises(funcalc.ExprDomainError, match="ln"):
             fn(np.array([0.25, 0.1, 0.7]))
 
+    def test_the_first_rule_an_entry_breaks_is_reported(self):
+        # at p = 0 the ln to the left breaks before the division
+        fn = _compiled("p", "ln(p) + 1/p")
+        with pytest.raises(funcalc.ExprDomainError, match="ln"):
+            fn(np.array([0.5, 0.0]))
+
+    def test_nested_pieces_map_their_entries_back(self):
+        # the inner ln breaks at 0.6 (entry 1), the outer sqrt at 0.1 (entry
+        # 0): entry 0 comes first, so the sqrt is reported
+        node = funcalc.parse("piece(p <= 1 : piece(p <= 1/2 : p ; else : ln(p - 3/4))"
+                             " ; else : p) + sqrt(p - 1/2)")
+        _agrees_with_reference(node, [0.1, 0.6, 0.9])
+        with pytest.raises(funcalc.ExprDomainError, match="sqrt"):
+            funcalc.compile_fn(node)(np.array([0.1, 0.6, 0.9]))
+
+    def test_grids_of_any_shape(self):
+        fn = _compiled("p", "piece(p <= 1/2 : p/2 ; else : sqrt(p))")
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert _bits(fn(grid).ravel()) == _bits(fn(grid.ravel()))
+        assert fn(grid).shape == (3, 4)
+
     def test_float_in_float_out(self):
         fn = _compiled("p", catalog.CE02_X_TEXT)
         assert type(fn(0.5)) is float
@@ -134,7 +289,7 @@ class TestCompiledExpressions:
         node = funcalc.parse(catalog.QMIT_DIAG_TEXT)
         fn = funcalc.compile_fn(node)
         for x in np.linspace(0.0, 1.0, 33).tolist():
-            assert funcalc.eval_expr(node, x) == fn(x)
+            assert funcalc.eval_expr(node, x) == fn(x) == _reference(node, x)
 
 
 class TestLift:
@@ -227,7 +382,11 @@ def _chandrupatla(fn, y, lo, hi):
 
 def _float_hazard_quantile(text):
     """The float branch of the quantile of hazard:<text>."""
-    psi = funcalc.compile_fn(funcalc.parse(text))
+    node = funcalc.parse(text)
+
+    def psi(x):
+        return _reference(node, x)
+
     v0 = psi(0.0)
     hi = 1.0
     while psi(hi) < distributions._HAZARD_TARGET:
@@ -279,8 +438,8 @@ def _float_exponential_cdf(rate):
 
 
 def _float_hazard_cdf(text):
-    psi = funcalc.compile_fn(funcalc.parse(text))
-    return lambda x: 0.0 if x <= 0.0 else 1.0 - math.exp(-max(0.0, float(psi(x))))
+    node = funcalc.parse(text)
+    return lambda x: 0.0 if x <= 0.0 else 1.0 - math.exp(-max(0.0, _reference(node, x)))
 
 
 def _float_distorted_cdf(base_cdf, h):

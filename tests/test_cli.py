@@ -142,7 +142,7 @@ class TestCheckOrder:
         ("q: p + (0-2)^1e400", "identity",
          "bad quantile expression: number out of range (at 10..15 '1e400')"),
         ("exp:1", "dualpower:1e309", "number out of range (at 0..5 '1e309')"),
-        ("exp:1", "h: p^1e400", "number out of range (at 3..8 '1e400')"),
+        ("exp:1", "h: p^1e400", "number out of range (at 2..7 '1e400')"),
     ], ids=["power", "quantile", "dualpower", "expression"])
     def test_literal_that_overflows_exits_two(self, x, distort, message, capsys):
         # each literal overflows to inf: an input error that names it, not
@@ -150,6 +150,15 @@ class TestCheckOrder:
         assert cli.main(["check-order", "--x", x, "--y", "exp:2",
                          "--distort", distort, "--order", "ew"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_h_expression_text_is_stripped(self, capsys):
+        # as q: and hazard: text is: the label and the spans start at the
+        # expression, not at the blank after "h:"
+        assert cli.main(["check-order", "--x", "exp:1", "--y", "exp:2",
+                         "--distort", "h:  p^2 ", "--order", "ew"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["distortion"] == "p^2"
+        assert doc["x"] == "distort(exp:1, h=p^2)"
 
     def test_malformed_config_exits_two(self, tmp_path):
         config = tmp_path / "config.json"
@@ -468,6 +477,34 @@ class TestSweepCommand:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({"suites": ["bogus"]}))
         assert cli.main(["sweep", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("value, key", [
+        ({"suites": "ttt_starshaped"}, "suites"),
+        ({"suites": ["ttt_starshaped", 3]}, "suites"),
+        ({"suites": {"ttt_starshaped": 1}}, "suites"),
+        ({"trials": 2.7}, "trials"),
+        ({"trials": "2"}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"seed": 1.5}, "seed"),
+        ({"grid_count": "48"}, "grid_count"),
+        ({"grid_count": None}, "grid_count"),
+    ])
+    def test_malformed_value_exits_two_and_names_the_key(self, value, key,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+        # a string of suite names is not split into letters, and a
+        # fractional trial count is not truncated: nothing runs
+        def run_all(config):
+            raise AssertionError(f"sweep ran with {config!r}")
+
+        monkeypatch.setattr(cli.sweeps_mod, "run_all", run_all)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(
+            {"trials": 1, "suites": ["convex_star_invariance"], **value}))
+        assert cli.main(["sweep", "--config", str(config),
+                         "--out", str(tmp_path / "s.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config '{key}' must be ")
 
     def test_failing_summary_exits_three(self, tmp_path, monkeypatch):
         config = SweepConfig(trials=1, suites=("ttt_starshaped",))

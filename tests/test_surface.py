@@ -14,7 +14,8 @@ Checks over ``src/stochorder`` with the standard-library ``ast`` only:
 * ``isinstance(..., np.ndarray)``, the test a float branch beside an array
   path starts with, occurs only in the definitions of ``ARRAY_TESTS``: a
   function of one point has one implementation, on arrays, and floats
-  reach it through ``numerics.on_arrays``.
+  reach it through ``numerics.on_arrays``.  Compiled expressions are such
+  functions: one evaluator, no float closures beside it.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ ORACLES = (
     "copulas.boundary_section",
 )
 
+# the only definitions that may branch on floats; every other function of
+# one point, compiled expressions included, runs arrays alone
 ARRAY_TESTS = (
     "numerics.lift",           # an outside callable meets floats or arrays
     "numerics.each",           # math functions entry by entry
     "numerics.on_arrays",      # the one way in for a float
-    "funcalc.compile_fn",      # the float closures, the array evaluator's reference
     "distributions.distort",   # the float memo, read by profilers
     "copulas._cop_eval_many",  # float components held fixed beside arrays
 )
