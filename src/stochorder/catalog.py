@@ -60,19 +60,17 @@ def _power_survival_text(a: float) -> str:
 def distributions() -> Dict[str, Distribution]:
     """Named distribution catalog (all finite-mean)."""
     build = distrib_mod.build
-    parse = distrib_mod.parse_spec
-    out = {
-        "exp_1": build(parse("exp:1")),
-        "exp_half": build(parse("exp:0.5")),
-        "uniform": build(parse("q:p")),
-        "unit_power_030": build(parse("q:" + _power_survival_text(0.3))),
-        "unit_power_070": build(parse("q:" + _power_survival_text(0.7))),
-        "ce02_x": build(parse("q:" + CE02_X_TEXT)),
-        "ce02_y": build(parse("q:" + CE02_Y_TEXT)),
-        "ce01_x": build(parse("hazard:" + PSI_TEXT)),
-        "rayleigh": build(parse("hazard:x^2")),
+    return {
+        "exp_1": build("exp:1"),
+        "exp_half": build("exp:0.5"),
+        "uniform": build("q:p"),
+        "unit_power_030": build("q:" + _power_survival_text(0.3)),
+        "unit_power_070": build("q:" + _power_survival_text(0.7)),
+        "ce02_x": build("q:" + CE02_X_TEXT),
+        "ce02_y": build("q:" + CE02_Y_TEXT),
+        "ce01_x": build("hazard:" + PSI_TEXT),
+        "rayleigh": build("hazard:x^2"),
     }
-    return out
 
 
 def convex_mix(w: float) -> Distortion:
@@ -212,8 +210,8 @@ def sample_ordered_pair(rng) -> Tuple[Distribution, Distribution, str]:
     if family == "exp_rate":
         rate_y = 0.4 + 1.2 * rng.random()
         rate_x = rate_y * (1.05 + 0.9 * rng.random())
-        x = distrib_mod.build(distrib_mod.parse_spec(f"exp:{rate_x:.12g}"))
-        y = distrib_mod.build(distrib_mod.parse_spec(f"exp:{rate_y:.12g}"))
+        x = distrib_mod.build(f"exp:{rate_x:.12g}")
+        y = distrib_mod.build(f"exp:{rate_y:.12g}")
         return x, y, f"exp rates {rate_x:.6g} >= {rate_y:.6g}"
     if family == "scale":
         base_name = rng.choice(_SCALE_BASES)
@@ -226,10 +224,8 @@ def sample_ordered_pair(rng) -> Tuple[Distribution, Distribution, str]:
         return base, y, f"{base_name} scaled by {c:.6g}"
     a_y = 0.15 + 0.45 * rng.random()
     a_x = a_y + 0.08 + (0.89 - a_y) * rng.random()
-    x = distrib_mod.build(distrib_mod.parse_spec(
-        "q:" + _power_survival_text(round(a_x, 12))))
-    y = distrib_mod.build(distrib_mod.parse_spec(
-        "q:" + _power_survival_text(round(a_y, 12))))
+    x = distrib_mod.build("q:" + _power_survival_text(round(a_x, 12)))
+    y = distrib_mod.build("q:" + _power_survival_text(round(a_y, 12)))
     return x, y, f"unit-power exponents {a_x:.6g} > {a_y:.6g}"
 
 

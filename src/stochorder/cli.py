@@ -220,23 +220,29 @@ def _config_names(config: dict, key: str, valid: Sequence[str],
     return names
 
 
-def _config_int(config: dict, key: str, default: int) -> int:
-    """config[key], checked to be an integer (default if absent)."""
+def _config_number(config: dict, key: str, default, kind: type = int,
+                   name: Optional[str] = None):
+    """config[key] (default if absent), checked to be an integer for kind
+    int, an integer or a float for kind float, and returned as kind; bools
+    and strings are refused.  The message calls the key name (key if None)."""
     value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config {key!r} must be an integer; got {value!r}")
-    return value
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config {name or key!r} must be {what}; got {value!r}")
+    return kind(value)
 
 
 def _grid_from(config: dict, count=None, lo=None, hi=None, margin=None) -> Grid:
     grid_cfg = _config_object(config, "grid", ("count", "lo", "hi", "edge_margin"))
-    count = count if count is not None else grid_cfg.get("count", DEFAULT_GRID_COUNT)
-    lo = lo if lo is not None else grid_cfg.get("lo", 0.0)
-    hi = hi if hi is not None else grid_cfg.get("hi", 1.0)
-    margin = margin if margin is not None else grid_cfg.get("edge_margin",
-                                                            DEFAULT_EDGE_MARGIN)
-    return uniform_grid(int(count), lo=float(lo), hi=float(hi),
-                        edge_margin=float(margin))
+
+    def field(flag, key, default, kind=float):
+        # the config value is checked even where a flag overrides it
+        value = _config_number(grid_cfg, key, default, kind, f"grid.{key}")
+        return value if flag is None else flag
+
+    return uniform_grid(field(count, "count", DEFAULT_GRID_COUNT, int),
+                        lo=field(lo, "lo", 0.0), hi=field(hi, "hi", 1.0),
+                        edge_margin=field(margin, "edge_margin", DEFAULT_EDGE_MARGIN))
 
 
 def _table(fn, points: Sequence[float]):
@@ -277,8 +283,8 @@ def cmd_check_order(args) -> int:
     json_path = _pick(args.out_json, outputs, "verdict_json")
     csv_path = _csv_out(_pick(args.out_csv, outputs, "curve_csv"))
 
-    x = distrib_mod.build(distrib_mod.parse_spec(x_spec))
-    y = distrib_mod.build(distrib_mod.parse_spec(y_spec))
+    x = distrib_mod.build(x_spec)
+    y = distrib_mod.build(y_spec)
     h = None
     if distortion_spec:
         h = dist_mod.parse_distortion_spec(distortion_spec)
@@ -377,7 +383,7 @@ def cmd_classify(args) -> int:
 
 def cmd_distort(args) -> int:
     _csv_out(args.out_csv)
-    x = distrib_mod.build(distrib_mod.parse_spec(args.x))
+    x = distrib_mod.build(args.x)
     h = dist_mod.parse_distortion_spec(args.h)
     xh = distrib_mod.distort(x, h)
     grid = _grid_from({}, args.grid_count, args.grid_lo, args.grid_hi,
@@ -540,13 +546,14 @@ def cmd_reproduce(args) -> int:
 def cmd_sweep(args) -> int:
     raw = _load_config(args.config, _SWEEP_KEYS)
     default = sweeps_mod.SweepConfig()
-    tol = Tolerance(abs_tol=float(raw.get("abs_tol", default.tolerance.abs_tol)),
-                    rel_tol=float(raw.get("rel_tol", default.tolerance.rel_tol)))
+    tol = Tolerance(
+        abs_tol=_config_number(raw, "abs_tol", default.tolerance.abs_tol, float),
+        rel_tol=_config_number(raw, "rel_tol", default.tolerance.rel_tol, float))
     config = sweeps_mod.SweepConfig(
-        seed=_config_int(raw, "seed", default.seed),
-        trials=_config_int(raw, "trials", default.trials),
-        grid_count=_config_int(raw, "grid_count", default.grid_count),
-        edge_margin=float(raw.get("edge_margin", default.edge_margin)),
+        seed=_config_number(raw, "seed", default.seed),
+        trials=_config_number(raw, "trials", default.trials),
+        grid_count=_config_number(raw, "grid_count", default.grid_count),
+        edge_margin=_config_number(raw, "edge_margin", default.edge_margin, float),
         tolerance=tol,
         suites=tuple(_config_names(raw, "suites", sweeps_mod.SUITE_NAMES,
                                    default.suites)),

@@ -224,9 +224,8 @@ def _cop_eval_many(handle: CopulaHandle, point: Sequence) -> np.ndarray:
     at least one an array."""
     if len(point) != handle.n:
         raise ValueError(f"point has {len(point)} components, copula needs {handle.n}")
-    shape = next(p for p in point if isinstance(p, np.ndarray)).shape
-    u = [np.asarray(p, dtype=float) if isinstance(p, np.ndarray)
-         else np.full(shape, p, dtype=float) for p in point]
+    shape = np.broadcast(*point).shape
+    u = [np.full(shape, p, dtype=float) for p in point]
     _check_components(u)
     if handle.kind == "product":
         value = u[0]

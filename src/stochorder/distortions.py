@@ -17,7 +17,6 @@ import numpy as np
 
 from . import funcalc
 from .numerics import (
-    Grid,
     SCAN_TIE_TOL,
     VALIDATION_COUNT,
     clamp,
@@ -251,31 +250,25 @@ def co_inverse(h: Distortion, p):
     return on_arrays(lambda p: inside(p, inner), p)
 
 
-def classify(h: Distortion, grid: Optional[Grid] = None) -> ShapeReport:
-    """Shape classification on a dense uniform sample of (0,1].
+def classify(h: Distortion) -> ShapeReport:
+    """Shape classification on the points i/512, i = 1..512, of (0,1].
 
-    Without a grid the sample is the points i/512, i = 1..512, and h and
-    its dual are read from h's sample (values_at): p and 1 - p are both
-    among its points, so nothing is evaluated past the one sample of h.
-    An explicit grid is evaluated at p and 1 - p.
+    h and its dual are read from h's sample (values_at): p and 1 - p are
+    both among its points, so nothing is evaluated past the one sample of h.
 
     star/antistar read the steps of h(p)/p, convex/concave the divided
     second differences, and the dual's antistarshapedness the steps of
     h*(p)/p.  A step within SCAN_TIE_TOL is a tie and counts both ways, so
     the identity is all four shapes at once.  Each failed flag's witness is
-    the first grid point that contradicts it: the left end of the first
+    the first sample point that contradicts it: the left end of the first
     offending step, or the centre of the first offending second difference.
     """
     # (0,1] sample: ratios need p > 0, endpoint p=1 anchors h(1)/1 = 1
-    pts = list(grid.points) if grid is not None else validation_points()[1:]
+    pts = validation_points()[1:]
     p = np.array(pts)
-    if grid is not None:
-        vals, flipped = np.split(np.asarray(h.fn(np.concatenate((p, 1.0 - p))),
-                                            dtype=float), 2)
-    else:
-        # h(1 - i/512) is the sample's entry 512 - i
-        whole = values_at(h)
-        vals, flipped = whole[1:], whole[-2::-1]
+    # h(1 - i/512) is the sample's entry 512 - i
+    whole = values_at(h)
+    vals, flipped = whole[1:], whole[-2::-1]
     step = np.diff(vals / p)
     dual_vals = 1.0 - flipped
     dual_step = np.diff(dual_vals / p)

@@ -14,7 +14,7 @@ import functools
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -77,55 +77,6 @@ class Distribution:
             self.cdf_fn = lift(self.cdf_fn)
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """One of: exponential(rate), quantile_expr, hazard-expr, distorted(base, h)."""
-
-    kind: str  # "exponential" | "quantile_expr" | "hazard" | "distorted"
-    rate: Optional[float] = None
-    expr_text: Optional[str] = None
-    base: Optional["DistributionSpec"] = None
-    h_spec: Optional[str] = None
-
-    def render(self) -> str:
-        if self.kind == "exponential":
-            return f"exp:{self.rate:g}"
-        if self.kind == "quantile_expr":
-            return f"q:{self.expr_text}"
-        if self.kind == "hazard":
-            return f"hazard:{self.expr_text}"
-        if self.kind == "distorted":
-            return f"distort({self.base.render()}, h={self.h_spec})"
-        raise SpecError(f"unknown spec kind {self.kind!r}")
-
-
-def parse_spec(text: str) -> DistributionSpec:
-    """Textual forms: `exp:1.0`, `q:<expr in p>`, `hazard:<expr in x>`,
-    `distort(<spec>, h=<distortion spec>)`."""
-    text = text.strip()
-    if text.startswith("exp:"):
-        try:
-            rate = funcalc.parse_constant(text[len("exp:"):])
-        except funcalc.ExprError as ex:
-            raise SpecError(f"bad exponential rate in {text!r}: {ex}") from None
-        return DistributionSpec(kind="exponential", rate=rate)
-    if text.startswith("q:"):
-        return DistributionSpec(kind="quantile_expr", expr_text=text[len("q:"):].strip())
-    if text.startswith("hazard:"):
-        return DistributionSpec(kind="hazard", expr_text=text[len("hazard:"):].strip())
-    if text.startswith("distort(") and text.endswith(")"):
-        inner = text[len("distort("):-1]
-        parts = funcalc.split_top_level(inner, ",")
-        if len(parts) != 2:
-            raise SpecError(f"distort(...) needs exactly base spec and h=..., got {text!r}")
-        base = parse_spec(parts[0])
-        h_part = parts[1].strip()
-        if not h_part.startswith("h="):
-            raise SpecError(f"second distort(...) argument must be h=..., got {h_part!r}")
-        return DistributionSpec(kind="distorted", base=base, h_spec=h_part[2:].strip())
-    raise SpecError(f"unrecognized distribution spec {text!r}")
-
-
 # the open-interval sample of _validate_quantile, built once: VALIDATION_COUNT
 # points lo + (hi - lo) * i / (count - 1) on [lo, hi]
 _CHECK_LO, _CHECK_HI = 1e-9, 1.0 - 1e-9
@@ -150,7 +101,8 @@ def _validate_quantile(fn: Callable[[float], float], label: str) -> None:
 def from_quantile(fn: Callable[[float], float], label: str,
                   cdf_fn: Optional[Callable[[float], float]] = None,
                   validate: bool = True) -> Distribution:
-    """Wrap a quantile callable as a Distribution (catalog entry point).
+    """Wrap a quantile callable as a Distribution; spec text goes through
+    build instead.
 
     Only validation evaluates fn; an unvalidated build evaluates nothing."""
     if validate:
@@ -158,58 +110,72 @@ def from_quantile(fn: Callable[[float], float], label: str,
     return Distribution(quantile=fn, label=label, cdf_fn=cdf_fn)
 
 
-def build(spec: Union[DistributionSpec, str]) -> Distribution:
-    """Materialize a spec, validating invariants on dense samples."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    if spec.kind == "exponential":
-        rate = spec.rate
-        if rate is None or not (math.isfinite(rate) and rate > 0):
+def build(text: str) -> Distribution:
+    """The distribution that spec text describes, validated on dense samples.
+
+    Textual forms: `exp:<rate>`, `q:<expr in p>`, `hazard:<expr in x>`,
+    `distort(<spec>, h=<distortion spec>)`; each is parsed and built in its
+    own branch, and a distorted spec builds its base text first."""
+    text = text.strip()
+    if text.startswith("exp:"):
+        try:
+            rate = funcalc.parse_constant(text[len("exp:"):])
+        except funcalc.ExprError as ex:
+            raise SpecError(f"bad exponential rate in {text!r}: {ex}") from None
+        if not (math.isfinite(rate) and rate > 0):
             raise SpecError(f"exponential rate must be positive, got {rate!r}")
         q = elementwise(lambda p: -each(math.log, 1.0 - p) / rate)
         # the clipped exponent of an entry x <= 0, which reads 0, cannot overflow
         cdf_fn = elementwise(lambda x: np.where(
             x > 0.0, 1.0 - each(math.exp, -rate * np.maximum(x, 0.0)), 0.0))
-        return from_quantile(q, label=spec.render(), cdf_fn=cdf_fn, validate=False)
-    if spec.kind == "quantile_expr":
+        return from_quantile(q, label=f"exp:{rate:g}", cdf_fn=cdf_fn, validate=False)
+    if text.startswith("q:"):
+        expr_text = text[len("q:"):].strip()
         try:
-            expr = funcalc.parse(spec.expr_text)
+            expr = funcalc.parse(expr_text)
         except funcalc.ExprError as ex:
             raise SpecError(f"bad quantile expression: {ex}") from None
-        return from_quantile(funcalc.compile_fn(expr), label=spec.render())
-    if spec.kind == "hazard":
-        return _build_hazard(spec)
-    if spec.kind == "distorted":
-        base = build(spec.base)
-        h = dist_mod.parse_distortion_spec(spec.h_spec)
-        return distort(base, h)
-    raise SpecError(f"unknown spec kind {spec.kind!r}")
+        return from_quantile(funcalc.compile_fn(expr), label=f"q:{expr_text}")
+    if text.startswith("hazard:"):
+        return _build_hazard(text[len("hazard:"):].strip())
+    if text.startswith("distort(") and text.endswith(")"):
+        parts = funcalc.split_top_level(text[len("distort("):-1], ",")
+        if len(parts) != 2:
+            raise SpecError(f"distort(...) needs exactly base spec and h=..., got {text!r}")
+        h_part = parts[1].strip()
+        if not h_part.startswith("h="):
+            raise SpecError(f"second distort(...) argument must be h=..., got {h_part!r}")
+        return distort(build(parts[0]), dist_mod.parse_distortion_spec(h_part[2:].strip()))
+    raise SpecError(f"unrecognized distribution spec {text!r}")
 
 
-def _build_hazard(spec: DistributionSpec) -> Distribution:
+def _build_hazard(expr_text: str) -> Distribution:
     """F(x) = 1 - e^(-psi(x)) for an increasing unbounded cumulative hazard."""
     try:
-        expr = funcalc.parse(spec.expr_text)
+        expr = funcalc.parse(expr_text)
     except funcalc.ExprError as ex:
         raise SpecError(f"bad hazard expression: {ex}") from None
+    label = f"hazard:{expr_text}"
     psi = funcalc.compile_fn(expr)
     v0 = float(psi(0.0))
     if v0 < -1e-9:
-        raise SpecError(f"{spec.render()}: hazard negative at 0 ({v0!r})")
+        raise SpecError(f"{label}: hazard negative at 0 ({v0!r})")
     hi = 1.0
-    while float(psi(hi)) < _HAZARD_TARGET:
+    psi_hi = float(psi(hi))
+    while psi_hi < _HAZARD_TARGET:
         hi *= 2.0
         if hi > 2.0 ** 64:
-            raise SpecError(f"{spec.render()}: hazard does not reach "
+            raise SpecError(f"{label}: hazard does not reach "
                             f"{_HAZARD_TARGET} (not unbounded?)")
+        psi_hi = float(psi(hi))
     # monotonicity on [0, hi]
     steps = 512
     xs = hi * np.arange(1, steps + 1) / steps
     vals = sample(psi, xs, SpecError,
-                  lambda x, v: f"{spec.render()}: hazard not finite at x={x!r}")
+                  lambda x, v: f"{label}: hazard not finite at x={x!r}")
     i = first(vals < np.r_[v0, vals[:-1]] - 1e-9)
     if i is not None:
-        raise SpecError(f"{spec.render()}: hazard decreasing near x={float(xs[i])!r}")
+        raise SpecError(f"{label}: hazard decreasing near x={float(xs[i])!r}")
 
     def quantile(p: np.ndarray) -> np.ndarray:
         # psi(x) = -ln(1 - p), bracketed by doubling from hi
@@ -218,7 +184,7 @@ def _build_hazard(spec: DistributionSpec) -> Distribution:
         live = np.flatnonzero(target > v0)
         target = target[live]
         h = np.full(target.shape, hi)
-        short = np.flatnonzero(psi(h) < target)
+        short = np.flatnonzero(target > psi_hi)
         while short.size:
             h[short] = _double(h[short])
             short = short[psi(h[short]) < target[short]]
@@ -233,7 +199,7 @@ def _build_hazard(spec: DistributionSpec) -> Distribution:
                         1.0 - each(math.exp, -np.where(v > 0.0, v, 0.0)))
 
     return from_quantile(elementwise(lambda p: on_arrays(quantile, p)),
-                         label=spec.render(), cdf_fn=cdf_fn, validate=False)
+                         label=label, cdf_fn=cdf_fn, validate=False)
 
 
 def _double(h):

@@ -1169,6 +1169,18 @@ class TestCopulaArrays:
         assert copulas.cop_eval(handle, [grid] * 5).shape == (3, 3)
 
     @pytest.mark.parametrize("kind", list(COPULAS))
+    def test_results_are_new_writeable_arrays(self, kind):
+        # a caller may write into the result: it must be a new array, not
+        # a read-only broadcast of a float or a component itself
+        handle = COPULAS[kind]()
+        p = np.linspace(0.0, 1.0, 9)
+        for point in ([p] + [0.5] * (handle.n - 1), [1.0] * (handle.n - 1) + [p],
+                      [p] * handle.n):
+            got = copulas.cop_eval(handle, point)
+            assert got.flags.writeable
+            assert not np.shares_memory(got, p)
+
+    @pytest.mark.parametrize("kind", list(COPULAS))
     @given(rows=st.lists(st.lists(st.floats(-0.5, 1.5) | st.just(math.nan),
                                   min_size=5, max_size=5),
                          min_size=1, max_size=12))

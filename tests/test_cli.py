@@ -216,6 +216,43 @@ class TestCheckOrder:
         assert cli.main(["check-order", "--config", str(config)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"count": 64.9}, "config 'grid.count' must be an integer; got 64.9"),
+        ({"count": "64"}, "config 'grid.count' must be an integer; got '64'"),
+        ({"count": True}, "config 'grid.count' must be an integer; got True"),
+        ({"lo": "0"}, "config 'grid.lo' must be a number; got '0'"),
+        ({"hi": False}, "config 'grid.hi' must be a number; got False"),
+        ({"edge_margin": None}, "config 'grid.edge_margin' must be a number; got None"),
+    ])
+    def test_grid_values_are_type_checked(self, grid, message, tmp_path, capsys):
+        # a fractional or quoted count is not truncated into a grid, and a
+        # bool is not a one-point grid
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"], "grid": grid}))
+        assert cli.main(["check-order", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integer_grid_bounds_are_numbers(self, tmp_path):
+        config = tmp_path / "config.json"
+        out = tmp_path / "v.json"
+        config.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"],
+             "grid": {"count": 32, "lo": 0, "hi": 1, "edge_margin": 0.01}}))
+        assert cli.main(["check-order", "--config", str(config),
+                         "--out-json", str(out)]) == 0
+        assert read_json(str(out))["results"][0]["grid"].startswith("32:")
+
+    def test_grid_value_is_checked_where_a_flag_overrides_it(self, tmp_path,
+                                                             capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"],
+             "grid": {"count": "64"}}))
+        assert cli.main(["check-order", "--config", str(config),
+                         "--grid-count", "64"]) == 2
+        assert "'grid.count'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("orders", ["ttt", ["ttt", "stars"], [1], {"ttt": 1}])
     def test_config_orders_must_be_a_list_of_names(self, orders, tmp_path,
                                                    capsys):
@@ -488,6 +525,10 @@ class TestSweepCommand:
         ({"seed": 1.5}, "seed"),
         ({"grid_count": "48"}, "grid_count"),
         ({"grid_count": None}, "grid_count"),
+        ({"rel_tol": True}, "rel_tol"),
+        ({"abs_tol": "x"}, "abs_tol"),
+        ({"edge_margin": "0.01"}, "edge_margin"),
+        ({"edge_margin": [0.01]}, "edge_margin"),
     ])
     def test_malformed_value_exits_two_and_names_the_key(self, value, key,
                                                          tmp_path, capsys,

@@ -26,8 +26,7 @@ from stochorder.distortions import (
     validate,
     values_at,
 )
-from stochorder.numerics import (SCAN_TIE_TOL, elementwise, uniform_grid,
-                                 validation_points)
+from stochorder.numerics import SCAN_TIE_TOL, elementwise, validation_points
 
 from helpers import GRID63, GRID65, max_abs_diff
 
@@ -128,7 +127,7 @@ class TestInverse:
 
 class TestCompose:
     # distorting by h1 and then by h2 is distorting by h2(h1(p))
-    X = db.build(db.parse_spec("exp:1"))
+    X = db.build("exp:1")
 
     def test_powers_compose_to_power_of_product(self):
         twice = db.distort(db.distort(self.X, power(2.0)), power(3.0))
@@ -193,18 +192,22 @@ class TestClassify:
         assert series.dual_antistarshaped and series.strictly_increasing
 
 
-def _ratio_distortion(ratios, grid):
-    """A raw distortion whose h(p)/p takes the given values on the grid."""
-    table = dict(zip(grid.points, ratios))
+def _ratio_distortion(ratios):
+    """A raw distortion whose h(p)/p takes the given values at the first
+    points i/512, i = 1, 2, ..., of classify's sample, then rises by 1 per
+    point."""
+    tail = [ratios[-1] + k for k in range(1, 513 - len(ratios))]
+    table = dict(zip(validation_points()[1:], ratios + tail))
     return Distortion(fn=lambda p: p * table.get(p, 1.0), label="ratio-table",
                       strictly_increasing=True)
 
 
 class TestShapeScans:
     """classify reads adjacent steps of h(p)/p: a step within SCAN_TIE_TOL is
-    a tie, and each failed flag names the first grid point contradicting it."""
+    a tie, and each failed flag names the first sample point contradicting
+    it."""
 
-    GRID = uniform_grid(16, edge_margin=0.01)
+    SAMPLE = validation_points()[1:]
 
     def test_rising_ratio_is_starshaped_only(self):
         report = classify(power(2.0))
@@ -226,24 +229,24 @@ class TestShapeScans:
     def test_wiggle_within_the_tie_tolerance_is_a_tie(self):
         wiggle = 0.5 * SCAN_TIE_TOL
         ratios = [1.0, 1.0 + wiggle, 1.0] + [1.0] * 5 + [float(k) for k in range(2, 10)]
-        report = classify(_ratio_distortion(ratios, self.GRID), self.GRID)
+        report = classify(_ratio_distortion(ratios))
         assert report.starshaped and not report.antistarshaped
-        assert report.witnesses["antistarshaped"] == self.GRID.points[7]
+        assert report.witnesses["antistarshaped"] == self.SAMPLE[7]
 
     def test_wiggle_beyond_the_tie_tolerance_counts(self):
         wiggle = 5.0 * SCAN_TIE_TOL
         ratios = [1.0, 1.0 + wiggle, 1.0] + [1.0] * 5 + [float(k) for k in range(2, 10)]
-        report = classify(_ratio_distortion(ratios, self.GRID), self.GRID)
+        report = classify(_ratio_distortion(ratios))
         assert not report.starshaped and not report.antistarshaped
-        assert report.witnesses["starshaped"] == self.GRID.points[1]
-        assert report.witnesses["antistarshaped"] == self.GRID.points[0]
+        assert report.witnesses["starshaped"] == self.SAMPLE[1]
+        assert report.witnesses["antistarshaped"] == self.SAMPLE[0]
 
     def test_rise_then_drop_names_the_left_end_of_each_first_offence(self):
         ratios = [1.0, 2.0, 1.5] + [float(k) for k in range(3, 16)]
-        report = classify(_ratio_distortion(ratios, self.GRID), self.GRID)
+        report = classify(_ratio_distortion(ratios))
         assert not report.starshaped and not report.antistarshaped
-        assert report.witnesses["starshaped"] == self.GRID.points[1]
-        assert report.witnesses["antistarshaped"] == self.GRID.points[0]
+        assert report.witnesses["starshaped"] == self.SAMPLE[1]
+        assert report.witnesses["antistarshaped"] == self.SAMPLE[0]
 
     @pytest.mark.parametrize("name, flag, witness", [
         ("star_kink", "antistarshaped", 0.5),

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stochorder import distortions as dist_mod
 from stochorder import distributions as distributions_mod
@@ -20,7 +23,6 @@ from stochorder.distributions import (
     distort,
     from_quantile,
     mean,
-    parse_spec,
     survival,
 )
 
@@ -29,27 +31,78 @@ from helpers import GRID63
 
 class TestSpecParsing:
     def test_exponential_form(self):
-        spec = parse_spec("exp:1.5")
-        assert spec.kind == "exponential" and spec.rate == 1.5
+        assert build("exp:1.5").label == "exp:1.5"
 
     def test_quantile_form(self):
-        assert parse_spec("q: 2*p").kind == "quantile_expr"
+        assert build("q: 2*p").label == "q:2*p"
 
     def test_hazard_form(self):
-        assert parse_spec("hazard: x^2").kind == "hazard"
+        assert build("hazard: x^2").label == "hazard:x^2"
 
     def test_distorted_form(self):
-        spec = parse_spec("distort(exp:1, h=power:2)")
-        assert spec.kind == "distorted"
-        assert spec.base.kind == "exponential"
-        assert spec.h_spec == "power:2"
+        assert build("distort(exp:1, h=power:2)").label == "distort(exp:1, h=power:2)"
 
     @pytest.mark.parametrize("text", [
         "weird:1", "exp:abc", "distort(exp:1)", "distort(exp:1, power:2)",
     ])
     def test_bad_specs_rejected(self, text):
         with pytest.raises(SpecError):
-            parse_spec(text)
+            build(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("exp:abc", "bad exponential rate in 'exp:abc': "),
+        ("exp:-1", "exponential rate must be positive, got -1.0"),
+        ("weird:1", "unrecognized distribution spec 'weird:1'"),
+        ("distort(exp:1)",
+         "distort(...) needs exactly base spec and h=..., got 'distort(exp:1)'"),
+        # the h= form is checked before the base spec is built
+        ("distort(weird:1, power:2)",
+         "second distort(...) argument must be h=..., got 'power:2'"),
+        ("distort(weird:1, h=power:2)", "unrecognized distribution spec 'weird:1'"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(SpecError) as info:
+            build(text)
+        assert str(info.value).startswith(message)
+
+
+_SPACE = st.sampled_from(["", " ", "  "])
+_EXP_RATES = st.one_of(
+    st.sampled_from(["1", "1.0", " 2.50", "0.5", "3"]),
+    st.floats(1e-3, 1e3).map(lambda r: f"{r:.12g}"),
+)
+_Q_EXPRS = st.sampled_from(["p", "2*p", "p^2", "-ln(1 - p)", "17/8*p - 1/2*p^2"])
+_HAZARD_EXPRS = st.sampled_from(["x", "x^2", "2*x + x^3", "x^0.5"])
+_DISTORTIONS = st.one_of(
+    st.sampled_from(["identity", "power:2", "power:2.50", "dualpower:3",
+                     "dualpower:1.5"]),
+    st.sampled_from(["p^2", " p^0.5", "2*p - p^2 "]).map(lambda e: "h:" + e),
+)
+
+
+def _padded(prefix, body):
+    return st.tuples(_SPACE, body, _SPACE).map(
+        lambda t: f"{t[0]}{prefix}{t[0]}{t[1]}{t[2]}")
+
+
+_PLAIN_SPECS = st.one_of(
+    _EXP_RATES.map(lambda r: "exp:" + r),
+    _padded("q:", _Q_EXPRS),
+    _padded("hazard:", _HAZARD_EXPRS),
+)
+_SPECS = st.recursive(
+    _PLAIN_SPECS,
+    lambda base: st.tuples(base, _DISTORTIONS).map(
+        lambda t: f"distort({t[0]}, h={t[1]})"),
+    max_leaves=3,
+)
+
+
+@given(_SPECS)
+def test_labels_are_fixed_points(text):
+    # a label is spec text that builds the distribution it labels
+    label = build(text).label
+    assert build(label).label == label
 
 
 def _record_samples(monkeypatch):
@@ -124,6 +177,34 @@ class TestBuild:
         hi, steps = float(xs[-1]), 512
         want = np.array([hi * i / steps for i in range(1, steps + 1)])
         assert xs.tobytes() == want.tobytes()
+
+    def test_hazard_quantile_does_not_reevaluate_psi_at_hi(self, monkeypatch):
+        # psi(hi) is known from the build's doubling loop; a quantile call
+        # compares its targets with that float instead of evaluating psi on
+        # an array of copies of hi
+        calls = []
+        compile_fn = distributions_mod.funcalc.compile_fn
+
+        def recording(expr):
+            fn = compile_fn(expr)
+
+            @functools.wraps(fn)
+            def psi(x):
+                calls.append(np.array(x, dtype=float).ravel())
+                return fn(x)
+            return psi
+
+        monkeypatch.setattr(distributions_mod.funcalc, "compile_fn", recording)
+        X = build("hazard: x^2")
+        *loop, xs = calls
+        # psi(0), then doubling from 1 until psi reaches 30, then the sample
+        assert [float(v[0]) for v in loop] == [0.0, 1.0, 2.0, 4.0, 8.0]
+        hi = float(xs[-1])
+        assert hi == 8.0
+        calls.clear()
+        X.quantile(np.linspace(0.005, 0.995, 100))
+        assert calls
+        assert not any(v.size and np.all(v == hi) for v in calls)
 
     def test_unvalidated_build_evaluates_nothing(self):
         calls = []

@@ -47,7 +47,6 @@ ARRAY_TESTS = (
     "numerics.each",           # math functions entry by entry
     "numerics.on_arrays",      # the one way in for a float
     "distributions.distort",   # the float memo, read by profilers
-    "copulas._cop_eval_many",  # float components held fixed beside arrays
 )
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
