@@ -1,8 +1,9 @@
-"""Documented reference inputs: named distributions, distortions, signatures,
-generators, and diagonals, plus seeded samplers of order-related pairs.
+"""Documented reference inputs: named distributions, distortions, signatures
+and diagonals, plus seeded samplers of order-related pairs.
 
-Everything the tests and randomized sweeps consume is constructed here by
-name, so a failing trial can always be replayed from its recorded labels.
+Everything the reproduce targets, sweeps and tests consume is constructed
+here by name, and a sampled input's label spells out the numbers it was
+drawn with, so a failing trial can be replayed from its recorded labels.
 
 Sampler notes.  The ordered-pair families satisfy all six orders by
 construction:
@@ -31,6 +32,7 @@ from . import distributions as distrib_mod
 from . import systems as sys_mod
 from .distortions import Distortion
 from .distributions import Distribution
+from .funcalc import format_constant
 from .numerics import each, elementwise
 
 # the hazard function of the first counterexample's baseline: C^1 but not
@@ -88,7 +90,7 @@ def convex_mix(w: float) -> Distortion:
         return (-w + each(math.sqrt, w * w + 4.0 * c * y)) / (2.0 * c)
 
     return dist_mod.validate(
-        fn, label=f"{w:.6g}*p + {c:.6g}*p^2",
+        fn, label=f"{format_constant(w)}*p + {format_constant(c)}*p^2",
         inverse_fn=inv, co_inverse_fn=elementwise(lambda p: 1.0 - inv(1.0 - p)))
 
 
@@ -108,7 +110,7 @@ def concave_mix(w: float) -> Distortion:
         return (b - each(math.sqrt, b * b - 4.0 * c * y)) / (2.0 * c)
 
     return dist_mod.validate(
-        fn, label=f"{w:.6g}*p + {c:.6g}*(2*p - p^2)",
+        fn, label=f"{format_constant(w)}*p + {format_constant(c)}*(2*p - p^2)",
         inverse_fn=inv, co_inverse_fn=elementwise(lambda p: 1.0 - inv(1.0 - p)))
 
 
@@ -121,17 +123,6 @@ def signatures() -> Dict[str, sys_mod.MinimalSignature]:
         "five_comp_bridge": parse("0,0,0,3,-2"),
         "three_of_four": parse("0,6,-8,3"),
         "series_with_parallel_pair": parse("0,0,2,-1"),
-    }
-
-
-@lru_cache(maxsize=1)
-def generators() -> Dict[str, Tuple[str, ...]]:
-    """Generator expressions valid at any dimension (text form)."""
-    return {
-        "independence": ("p",),
-        "sqrt": ("p^0.5",),
-        "frechet_mix": ("0.6*p + 0.4",),
-        "quarter_power": ("p^0.25",),
     }
 
 
@@ -219,7 +210,7 @@ def sample_ordered_pair(rng) -> Tuple[Distribution, Distribution, str]:
         c = 1.05 + 1.5 * rng.random()
         y = distrib_mod.from_quantile(
             elementwise(lambda p, _b=base, _c=c: _c * _b.quantile(p)),
-            label=f"scale({base_name}, {c:.6g})",
+            label=f"scale({base_name}, {c!r})",
             validate=False)
         return base, y, f"{base_name} scaled by {c:.6g}"
     a_y = 0.15 + 0.45 * rng.random()

@@ -191,12 +191,6 @@ def _load_config(path: Optional[str], keys: Sequence[str]) -> dict:
     return doc
 
 
-def _pick(args_value, config: dict, key: str, default=None):
-    if args_value is not None:
-        return args_value
-    return config.get(key, default)
-
-
 def _config_object(config: dict, key: str, fields: Sequence[str]) -> dict:
     """config[key] as an object whose keys are all among fields ({} if absent)."""
     value = config.get(key, {})
@@ -230,6 +224,18 @@ def _config_number(config: dict, key: str, default, kind: type = int,
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"config {name or key!r} must be {what}; got {value!r}")
     return kind(value)
+
+
+def _config_text(config: dict, key: str, flag: Optional[str] = None,
+                 default: Optional[str] = None, name: Optional[str] = None):
+    """flag if given, else config[key] (default if absent or null), checked
+    to be a string even where a flag overrides it; the message calls it name."""
+    value = config.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"config {name or key!r} must be a string; got {value!r}")
+    if flag is not None:
+        return flag
+    return default if value is None else value
 
 
 def _grid_from(config: dict, count=None, lo=None, hi=None, margin=None) -> Grid:
@@ -267,21 +273,23 @@ def _csv_path_for_order(base: str, order: OrderKind, multiple: bool) -> str:
 
 def cmd_check_order(args) -> int:
     config = _load_config(args.config, _CHECK_ORDER_KEYS)
-    x_spec = _pick(args.x, config, "x")
-    y_spec = _pick(args.y, config, "y")
+    x_spec = _config_text(config, "x", args.x)
+    y_spec = _config_text(config, "y", args.y)
     if not x_spec or not y_spec:
         raise ValueError("check-order needs --x and --y distribution specs")
     config_orders = _config_names(config, "orders", [k.value for k in OrderKind])
     kinds = args.order or config_orders
     if not kinds:
         raise ValueError("check-order needs at least one --order")
-    distortion_spec = _pick(args.distort, config, "distortion")
-    scenario = _pick(args.scenario, config, "name", default="cli")
+    distortion_spec = _config_text(config, "distortion", args.distort)
+    scenario = _config_text(config, "name", args.scenario, default="cli")
     grid = _grid_from(config, args.grid_count, args.grid_lo, args.grid_hi,
                       args.grid_margin)
     outputs = _config_object(config, "outputs", ("verdict_json", "curve_csv"))
-    json_path = _pick(args.out_json, outputs, "verdict_json")
-    csv_path = _csv_out(_pick(args.out_csv, outputs, "curve_csv"))
+    json_path = _config_text(outputs, "verdict_json", args.out_json,
+                             name="outputs.verdict_json")
+    csv_path = _csv_out(_config_text(outputs, "curve_csv", args.out_csv,
+                                     name="outputs.curve_csv"))
 
     x = distrib_mod.build(x_spec)
     y = distrib_mod.build(y_spec)

@@ -140,11 +140,6 @@ def validate_diagonal(d: FunctionLike, n: int) -> Diagonal:
     return Diagonal(fn=fn, n=n, label=label)
 
 
-def jaworski_f(d: Diagonal, u: float) -> float:
-    """The companion function f(u) = (n u - d(u))/(n-1); satisfies d <= f <= 1."""
-    return (d.n * u - float(d.fn(u))) / (d.n - 1)
-
-
 def product(n: int) -> CopulaHandle:
     _check_dimension(n)
     return CopulaHandle(kind="product", n=n, label=f"product:{n}")
@@ -260,35 +255,6 @@ def _cop_eval_many(handle: CopulaHandle, point: Sequence) -> np.ndarray:
     if handle.kind == "frechet":
         a, b = u
         return handle.gamma * _min([a, b]) + (1.0 - handle.gamma) * a * b
-    raise ValueError(f"unknown copula kind {handle.kind!r}")
-
-
-def boundary_section(handle: CopulaHandle, p: float, i: int) -> float:
-    """Closed form of C at (p, ...(i times)..., p, 1, ..., 1).
-
-    These sections are the system distortions of k-out-of-n structures; they
-    must agree with generic evaluation (asserted in tests, not here).
-    """
-    n = handle.n
-    if not 1 <= i <= n:
-        raise ValueError(f"i must lie in [1, {n}], got {i!r}")
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"p must lie in [0,1], got {p!r}")
-    if i == 1:
-        return p  # uniform margins
-    if handle.kind == "product":
-        return p ** i
-    if handle.kind == "comonotone":
-        return p
-    if handle.kind == "durante":
-        return p * float(handle.generator.fn(p)) ** (i - 1)
-    if handle.kind == "jaworski":
-        d = handle.diagonal
-        return ((n - i) * jaworski_f(d, p) + i * float(d.fn(p))) / n
-    if handle.kind == "cuadras_auge":
-        return p ** (2.0 - handle.theta)  # i == 2: the diagonal section
-    if handle.kind == "frechet":
-        return handle.gamma * p + (1.0 - handle.gamma) * p * p
     raise ValueError(f"unknown copula kind {handle.kind!r}")
 
 

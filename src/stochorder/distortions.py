@@ -312,7 +312,7 @@ def power(k: float) -> Distortion:
         raise DistortionValidationError(
             f"power exponent must be positive and finite, got {k!r}")
     fn, root = _pow(k), _pow(1.0 / k)
-    return Distortion(fn=fn, label=f"power:{k:g}",
+    return Distortion(fn=fn, label=f"power:{funcalc.format_constant(k)}",
                       strictly_increasing=True,
                       inverse_fn=root,
                       co_inverse_fn=elementwise(lambda p: 1.0 - root(1.0 - p)))
@@ -324,7 +324,7 @@ def dualpower(k: float) -> Distortion:
         raise DistortionValidationError(
             f"dualpower exponent must be positive and finite, got {k!r}")
     # the dual of p^k: 1-(1-p)^k, with inverse 1-(1-y)^(1/k) and co-inverse p^(1/k)
-    return replace(dual(power(k)), label=f"dualpower:{k:g}")
+    return replace(dual(power(k)), label=f"dualpower:{funcalc.format_constant(k)}")
 
 
 def parse_distortion_spec(text: str) -> Distortion:

@@ -128,7 +128,8 @@ def build(text: str) -> Distribution:
         # the clipped exponent of an entry x <= 0, which reads 0, cannot overflow
         cdf_fn = elementwise(lambda x: np.where(
             x > 0.0, 1.0 - each(math.exp, -rate * np.maximum(x, 0.0)), 0.0))
-        return from_quantile(q, label=f"exp:{rate:g}", cdf_fn=cdf_fn, validate=False)
+        label = f"exp:{funcalc.format_constant(rate)}"
+        return from_quantile(q, label=label, cdf_fn=cdf_fn, validate=False)
     if text.startswith("q:"):
         expr_text = text[len("q:"):].strip()
         try:
@@ -224,10 +225,6 @@ def _cdf(X: Distribution, x: np.ndarray) -> np.ndarray:
     return inside(x, lambda v: monotone_inverse(q, v, lo, hi), q_lo, q_hi)
 
 
-def survival(X: Distribution, x: float) -> float:
-    return 1.0 - cdf(X, x)
-
-
 def quantile_slopes(X: Distribution, p: np.ndarray) -> np.ndarray:
     """q'(p) by central differences at each point of p, all in (0, 1).
 
@@ -243,20 +240,6 @@ def slope_fault(X: Distribution, qp: float, p: float) -> Optional[str]:
     if math.isfinite(qp) and qp > 0.0:
         return None
     return f"{X.label}: quantile derivative {qp!r} at p={p!r}"
-
-
-def density_at_quantile(X: Distribution, p: float) -> float:
-    """f(F^-1(p)) computed as 1/q'(p) (see quantile_slopes).
-
-    Zero or non-finite q' raises DegenerateDensityError.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be interior, got {p!r}")
-    qp = float(quantile_slopes(X, np.array([p]))[0])
-    fault = slope_fault(X, qp, p)
-    if fault is not None:
-        raise DegenerateDensityError(fault)
-    return 1.0 / qp
 
 
 # tail rungs whose contributions stop decaying signal a divergent mean;

@@ -358,6 +358,13 @@ def parse_constant(source: str) -> float:
     return eval_expr(parse(source, variables=()), 0.0)
 
 
+def format_constant(x: float) -> str:
+    """x as label text that parse_constant reads back to x exactly: "%g"
+    where that round-trips (1, 0.5, 2.5), else repr (1.23456789012)."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def eval_expr(node: Expr, value: float) -> float:
     """Evaluate with the expression's single variable bound to ``value``.
 

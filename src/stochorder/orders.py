@@ -39,7 +39,6 @@ from .distributions import (
     Distribution,
     cdf,
     check_tail_decay,
-    density_at_quantile,
     quantile_slopes,
     slope_fault,
 )
@@ -55,7 +54,6 @@ from .numerics import (
     integrate_many,
     ladder,
     rung_tolerance,
-    uniform_grid,
 )
 
 
@@ -339,46 +337,15 @@ def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
     return check_orders(X, Y, (kind,), grid, tol)[0]
 
 
-def dmrl_integral(X: Distribution, Y: Distribution, p: float) -> float:
-    """One-parameter integral form of the dmrl comparison at p.
-
-    I(p) = ew_Y(p) - s(p) ew_X(p) with s the density ratio
-    density_X(q_X(p))/density_Y(q_Y(p)); the order holds iff I >= 0 on
-    (0,1).  Cross-checks the ratio-monotonicity verdict.
-    """
-    _require_interior(p)
-    s = density_at_quantile(X, p) / density_at_quantile(Y, p)
-    return excess_wealth(Y, p) - s * excess_wealth(X, p)
-
-
 def dmrl_integral_curve(X: Distribution, Y: Distribution,
                         grid: Grid = DEFAULT_GRID) -> Dict[str, Tuple[float, ...]]:
-    """Sampled I(p) over a grid (one excess-wealth pass per distribution)."""
+    """I(p) = ew_Y(p) - s(p) ew_X(p) on a grid, s the density ratio
+    density_X(q_X(p))/density_Y(q_Y(p)): the integral form of the dmrl
+    comparison, which holds iff I >= 0 on (0,1)."""
     ew_x = np.array(transform_curves(X, grid, require_finite_mean=True)["ew"])
     ew_y = np.array(transform_curves(Y, grid, require_finite_mean=True)["ew"])
     s = density_ratios(X, Y, grid.points)
     return {"p": grid.points, "value": tuple((ew_y - s * ew_x).tolist())}
-
-
-def dmrl_two_point_table(X: Distribution, Y: Distribution, count: int = 32) -> dict:
-    """Two-parameter diagnostic I(p, q) = ew_Y(q) - s(p) ew_X(q) on p <= q.
-
-    Equivalent in the limit to the one-parameter form; sampled on a coarse
-    triangular grid as a numerical cross-check, not a verdict.
-    """
-    grid = uniform_grid(count=max(16, count))
-    ew_x = np.array(transform_curves(X, grid, require_finite_mean=True)["ew"])
-    ew_y = np.array(transform_curves(Y, grid, require_finite_mean=True)["ew"])
-    s = density_ratios(X, Y, grid.points)
-    # row i is p = points[i], column j is q = points[j]; keep j >= i
-    table = ew_y - s[:, None] * ew_x
-    upper = np.triu(np.ones(table.shape, dtype=bool))
-    i, j = np.unravel_index(np.argmin(np.where(upper, table, np.inf)), table.shape)
-    negative = upper & (table < -_threshold(DEFAULT_CHECK_TOL, ew_x, ew_y))
-    return {"min_value": float(table[i, j]),
-            "argmin": (grid.points[i], grid.points[j]),
-            "negative_count": int(np.count_nonzero(negative)),
-            "checked": int(np.count_nonzero(upper))}
 
 
 _XSPACE_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-8)
@@ -438,43 +405,3 @@ def qmit_xspace_integral(X: Distribution, Y: Distribution, t: float) -> float:
         return out
 
     return integrate(integrand, 0.0, t, _XSPACE_TOL)
-
-
-@dataclass(frozen=True)
-class ImplicationReport:
-    """Internal-consistency alarm over the one-directional order chains.
-
-    The chains convex_transform => dmrl, convex_transform => qmit, and
-    qmit => star must never be violated by correct numerics; a violation
-    here is a numerical red flag, not a mathematical finding.
-    """
-
-    verdicts: Dict[str, bool]
-    violations: Tuple[str, ...]
-    consistent: bool
-
-    def to_json(self) -> dict:
-        return {"verdicts": dict(self.verdicts),
-                "violations": list(self.violations),
-                "consistent": self.consistent}
-
-
-_CHAINS = (
-    (OrderKind.CONVEX_TRANSFORM, OrderKind.DMRL),
-    (OrderKind.CONVEX_TRANSFORM, OrderKind.QMIT),
-    (OrderKind.QMIT, OrderKind.STAR),
-)
-
-
-def order_implication_check(X: Distribution, Y: Distribution,
-                            grid: Grid = DEFAULT_GRID) -> ImplicationReport:
-    """Evaluate all six orders and flag violations of the implication chains."""
-    verdicts = {v.kind.value: v.holds
-                for v in check_orders(X, Y, tuple(OrderKind), grid)}
-    violations = []
-    for stronger, weaker in _CHAINS:
-        if verdicts[stronger.value] and not verdicts[weaker.value]:
-            violations.append(f"{stronger.value} holds but {weaker.value} fails")
-    return ImplicationReport(verdicts=verdicts, violations=tuple(violations),
-                             consistent=not violations)
-

@@ -23,7 +23,14 @@ from stochorder import systems as sys_mod
 from stochorder.funcalc import Piecewise, eval_expr, parse, parse_constant
 from stochorder.numerics import Grid, uniform_grid
 
-from helpers import GRID65, interior_points
+from helpers import (
+    GENERATORS,
+    GRID65,
+    boundary_section,
+    density_at_quantile,
+    dmrl_integral,
+    interior_points,
+)
 
 
 ACCEPTANCE_LINES: list = []
@@ -42,7 +49,7 @@ def test_a1_mean_residual_counterexample():
     x, y = dd["ce02_x"], dd["ce02_y"]
     grid = uniform_grid(512, edge_margin=0.01)
 
-    ratio = [db.density_at_quantile(x, p) / db.density_at_quantile(y, p)
+    ratio = [density_at_quantile(x, p) / density_at_quantile(y, p)
              for p in grid.points]
     argmin_p = grid.points[min(range(len(ratio)), key=ratio.__getitem__)]
     report("a1.turning-point", abs(argmin_p - 0.125) <= 0.002,
@@ -55,7 +62,7 @@ def test_a1_mean_residual_counterexample():
 
     h = dist_mod.power(5.0)
     xh, yh = db.distort(x, h), db.distort(y, h)
-    probes = {p: orders_mod.dmrl_integral(xh, yh, p)
+    probes = {p: dmrl_integral(xh, yh, p)
               for p in (0.005, 0.01, 0.02)}
     report("a1.distorted-dip", all(v < -1e-10 for v in probes.values()),
            "I_h at small p: " + ", ".join(f"{v:.3e}" for v in probes.values()))
@@ -83,8 +90,8 @@ def test_a1_mean_residual_counterexample():
     worst = 0.0
     for p in interior_points(0.02, 0.98, 50):
         worst = max(worst,
-                    abs(db.density_at_quantile(xh, p) - fh_closed(p)),
-                    abs(db.density_at_quantile(yh, p) - gh_closed(p)))
+                    abs(density_at_quantile(xh, p) - fh_closed(p)),
+                    abs(density_at_quantile(yh, p) - gh_closed(p)))
     report("a1.distorted-densities", worst < 1e-6,
            f"max closed-form deviation {worst:.3e} at 50 levels")
 
@@ -149,7 +156,7 @@ def test_a4_cross_form_equivalences():
     worst = 0.0
     probes = interior_points(0.0, 1.0, 65)
 
-    for text, in catalog.generators().values():
+    for text in GENERATORS.values():
         for n in (2, 3, 4):
             gen = cop.validate_generator(text, n)
             handle = cop.durante(text, n)
@@ -166,7 +173,7 @@ def test_a4_cross_form_equivalences():
         for i in range(1, n + 1):
             for p in probes[::4]:
                 point = tuple(p if j < i else 1.0 for j in range(n))
-                worst = max(worst, abs(cop.boundary_section(handle, p, i)
+                worst = max(worst, abs(boundary_section(handle, p, i)
                                        - cop.cop_eval(handle, point)))
 
     fn_handle = cop.jaworski(catalog.FN_DIAG_TEXT, 2)

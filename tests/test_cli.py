@@ -253,6 +253,35 @@ class TestCheckOrder:
                          "--grid-count", "64"]) == 2
         assert "'grid.count'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("x", 1), ("y", ["exp:1"]), ("distortion", 5), ("name", 5),
+    ])
+    def test_config_spec_must_be_a_string(self, key, value, tmp_path, capsys):
+        # not an uncaught error with exit 1, the "order violated" code
+        doc = {"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"], key: value}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["check-order", "--config", str(config)]) == 2
+        assert (f"config '{key}' must be a string; got {value!r}"
+                in capsys.readouterr().err)
+
+    def test_config_spec_is_checked_where_a_flag_overrides_it(self, tmp_path,
+                                                              capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"x": 1, "y": "exp:0.5", "orders": ["ttt"]}))
+        assert cli.main(["check-order", "--config", str(config),
+                         "--x", "exp:1"]) == 2
+        assert "config 'x' must be a string" in capsys.readouterr().err
+
+    def test_config_output_path_must_be_a_string(self, tmp_path, capsys):
+        # an integer path would be opened as that file descriptor
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"],
+                                      "outputs": {"verdict_json": 2}}))
+        assert cli.main(["check-order", "--config", str(config)]) == 2
+        assert ("config 'outputs.verdict_json' must be a string; got 2"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("orders", ["ttt", ["ttt", "stars"], [1], {"ttt": 1}])
     def test_config_orders_must_be_a_list_of_names(self, orders, tmp_path,
                                                    capsys):

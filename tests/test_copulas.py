@@ -11,14 +11,12 @@ from stochorder import catalog
 from stochorder.copulas import (
     MAX_DIAGONAL_DIMENSION,
     CopulaValidationError,
-    boundary_section,
     comonotone,
     cop_eval,
     cuadras_auge,
     durante,
     frechet,
     jaworski,
-    jaworski_f,
     parse_copula_spec,
     product,
     validate_diagonal,
@@ -26,7 +24,7 @@ from stochorder.copulas import (
 )
 from stochorder.numerics import validation_points
 
-from helpers import GRID63, GRID65, interior_points
+from helpers import GRID63, GRID65, boundary_section, interior_points, jaworski_f
 
 
 class TestGeneratorValidation:

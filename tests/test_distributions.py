@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stochorder import catalog
 from stochorder import distortions as dist_mod
 from stochorder import distributions as distributions_mod
 from stochorder.distributions import (
@@ -19,14 +22,12 @@ from stochorder.distributions import (
     SpecError,
     build,
     cdf,
-    density_at_quantile,
     distort,
     from_quantile,
     mean,
-    survival,
 )
 
-from helpers import GRID63
+from helpers import GRID63, density_at_quantile
 
 
 class TestSpecParsing:
@@ -41,6 +42,20 @@ class TestSpecParsing:
 
     def test_distorted_form(self):
         assert build("distort(exp:1, h=power:2)").label == "distort(exp:1, h=power:2)"
+
+    @pytest.mark.parametrize("text, label", [
+        ("exp:1", "exp:1"), ("exp:1.0", "exp:1"), ("exp:0.5", "exp:0.5"),
+        ("exp:1e-05", "exp:1e-05"),
+        # "%g" keeps 6 digits: a rate it does not read back to is spelt out
+        ("exp:1.23456789012", "exp:1.23456789012"),
+        ("exp:1/3", "exp:0.3333333333333333"),
+        ("distort(exp:1, h=power:1.23456789012)",
+         "distort(exp:1, h=power:1.23456789012)"),
+        ("distort(exp:1, h=dualpower:1/3)",
+         "distort(exp:1, h=dualpower:0.3333333333333333)"),
+    ])
+    def test_labels_keep_every_digit_of_a_rate(self, text, label):
+        assert build(text).label == label
 
     @pytest.mark.parametrize("text", [
         "weird:1", "exp:abc", "distort(exp:1)", "distort(exp:1, power:2)",
@@ -68,14 +83,16 @@ class TestSpecParsing:
 
 _SPACE = st.sampled_from(["", " ", "  "])
 _EXP_RATES = st.one_of(
-    st.sampled_from(["1", "1.0", " 2.50", "0.5", "3"]),
+    st.sampled_from(["1", "1.0", " 2.50", "0.5", "3", "1.23456789012",
+                     "0.987654321098"]),
     st.floats(1e-3, 1e3).map(lambda r: f"{r:.12g}"),
 )
 _Q_EXPRS = st.sampled_from(["p", "2*p", "p^2", "-ln(1 - p)", "17/8*p - 1/2*p^2"])
 _HAZARD_EXPRS = st.sampled_from(["x", "x^2", "2*x + x^3", "x^0.5"])
 _DISTORTIONS = st.one_of(
     st.sampled_from(["identity", "power:2", "power:2.50", "dualpower:3",
-                     "dualpower:1.5"]),
+                     "dualpower:1.5", "power:1.23456789012",
+                     "dualpower:2.71828182846"]),
     st.sampled_from(["p^2", " p^0.5", "2*p - p^2 "]).map(lambda e: "h:" + e),
 )
 
@@ -98,11 +115,16 @@ _SPECS = st.recursive(
 )
 
 
+_PROBES = np.array([1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9])
+
+
 @given(_SPECS)
 def test_labels_are_fixed_points(text):
-    # a label is spec text that builds the distribution it labels
-    label = build(text).label
-    assert build(label).label == label
+    # a label is spec text that builds the distribution it labels, bit for bit
+    X = build(text)
+    rebuilt = build(X.label)
+    assert rebuilt.label == X.label
+    assert rebuilt.quantile(_PROBES).tobytes() == X.quantile(_PROBES).tobytes()
 
 
 def _record_samples(monkeypatch):
@@ -230,7 +252,7 @@ class TestCdfAndDensity:
     def test_cdf_survival_complement(self, named_distributions):
         X = named_distributions["uniform"]
         assert cdf(X, 0.5) == pytest.approx(0.5, abs=1e-12)
-        assert survival(X, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert 1.0 - cdf(X, 0.25) == pytest.approx(0.75, abs=1e-12)
 
     def test_cdf_below_support(self, named_distributions):
         assert cdf(named_distributions["exp_1"], -1.0) == 0.0
@@ -342,3 +364,19 @@ class TestCatalog:
     def test_expected_members(self, named_distributions):
         assert {"exp_1", "exp_half", "uniform", "ce02_x", "ce02_y",
                 "ce01_x", "rayleigh"} <= set(named_distributions)
+
+    def test_sampled_pairs_rebuild_from_their_labels(self, named_distributions):
+        # a sweep records x.label and y.label for a failing trial
+        rng = random.Random(20240917)
+        families = set()
+        for _ in range(24):
+            for X in catalog.sample_ordered_pair(rng)[:2]:
+                scaled = re.fullmatch(r"scale\((\w+), (.+)\)", X.label)
+                if scaled:
+                    base = named_distributions[scaled.group(1)]
+                    values = float(scaled.group(2)) * base.quantile(_PROBES)
+                else:
+                    values = build(X.label).quantile(_PROBES)
+                assert values.tobytes() == X.quantile(_PROBES).tobytes(), X.label
+                families.add(X.label.split(":")[0].split("(")[0])
+        assert families == {"exp", "q", "scale"}

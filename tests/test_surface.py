@@ -5,12 +5,13 @@ Checks over ``src/stochorder`` with the standard-library ``ast`` only:
 * every import binds a name the module uses (the package root's re-exports
   count through ``__all__``), and so does every import in ``tests/``;
 * every public module-level name (function, class or assignment not
-  starting with ``_``) is referenced somewhere besides its own definition,
-  in ``src/``, ``bench/`` or ``README.md``.  Names appearing in string
-  constants count, because the benchmark tracer patches library names by
-  string.  The pointwise reference functions in ``ORACLES`` are exempt: the
-  library computes the same quantities on grids, and the tests use these as
-  independent references;
+  starting with ``_``) is referred to by live code in ``src/`` or
+  ``bench/``: a loaded name, an attribute or an import, or in ``bench/`` a
+  string constant that is the name itself, because the benchmark tracer
+  patches library names by string.  A definition only dead code refers to
+  is dead too.  Words in docstrings, comments and README prose do not
+  count, and neither do the tests: a reference only the tests use lives in
+  ``tests/``.  ``ORACLES`` lists the exceptions;
 * ``isinstance(..., np.ndarray)``, the test a float branch beside an array
   path starts with, occurs only in the definitions of ``ARRAY_TESTS``: a
   function of one point has one implementation, on arrays, and floats
@@ -21,7 +22,6 @@ Checks over ``src/stochorder`` with the standard-library ``ast`` only:
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -31,13 +31,14 @@ PACKAGE = ROOT / "src" / "stochorder"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
+# pointwise references that only the tests call.  They stay in src/ because
+# they are the only callers of edge_ladder_integral in orders and
+# distributions, which bench/tracer.py patches by name in both modules
 ORACLES = (
+    "distributions.mean",
     "orders.ttt_transform",
     "orders.mit_transform",
     "orders.excess_wealth",
-    "orders.dmrl_integral",
-    "orders.dmrl_two_point_table",
-    "copulas.boundary_section",
 )
 
 # the only definitions that may branch on floats; every other function of
@@ -48,9 +49,6 @@ ARRAY_TESTS = (
     "numerics.on_arrays",      # the one way in for a float
     "distributions.distort",   # the float memo, read by profilers
 )
-
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -94,20 +92,47 @@ def _public_definitions(path: Path) -> list:
     return [n for n in names if not n.startswith("_")]
 
 
-def _references() -> set:
-    """Every identifier used, outside a definition, in src/, bench/ or README."""
+def _refers_to(tree: ast.AST, strings: bool = False) -> set:
+    """The identifiers tree refers to: loaded names, attributes, imported
+    names and, with strings, string constants that are one identifier."""
     refs = set()
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py")):
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-            elif isinstance(node, ast.alias):
-                refs.add(node.name.split(".")[-1])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.update(_IDENTIFIER.findall(node.value))
-    refs.update(_IDENTIFIER.findall((ROOT / "README.md").read_text(encoding="utf-8")))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()):
+            refs.add(node.value)
+    return refs
+
+
+def _references() -> set:
+    """The identifiers that live code refers to.
+
+    Live code is all of bench/, the module-level statements of src/ (its
+    imports only in the package root, whose imports are re-exports), and
+    every top-level definition of src/ that live code refers to, so a
+    function that only a dead function calls is dead too."""
+    refs = set()
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        refs |= _refers_to(_tree(path), strings=True)
+    definitions = {}
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append(node)
+            elif (path.name == "__init__.py"
+                  or not isinstance(node, (ast.Import, ast.ImportFrom))):
+                refs |= _refers_to(node)
+    live = set(definitions) & refs
+    while live:
+        for name in live:
+            for node in definitions.pop(name):
+                refs |= _refers_to(node)
+        live = set(definitions) & refs
     return refs
 
 

@@ -33,7 +33,7 @@ from stochorder.systems import (
     system_distortion,
 )
 
-from helpers import GRID63, interior_points, max_abs_diff
+from helpers import GENERATORS, GRID63, interior_points, max_abs_diff
 
 
 class TestSignature:
@@ -246,7 +246,7 @@ class TestShapeCondition:
         }
         for sig_name, expected in rules.items():
             sig = named_signatures[sig_name]
-            for gen_name, (text,) in catalog.generators().items():
+            for gen_name, text in GENERATORS.items():
                 gen = cop.validate_generator(text, sig.n)
                 got = durante_shape_condition(sig, gen)
                 assert got.verdict == expected, (sig_name, gen_name)
