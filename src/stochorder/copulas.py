@@ -166,16 +166,16 @@ def cuadras_auge(theta: float) -> CopulaHandle:
     """Bivariate family min(u,v)^theta * (uv)^(1-theta), theta in (0,1)."""
     if not 0.0 < theta < 1.0:
         raise CopulaValidationError(f"theta must lie in (0,1), got {theta!r}")
-    return CopulaHandle(kind="cuadras_auge", n=2,
-                        label=f"cuadras-auge:theta={theta:g}", theta=theta)
+    label = f"cuadras-auge:theta={funcalc.format_constant(theta)}"
+    return CopulaHandle(kind="cuadras_auge", n=2, label=label, theta=theta)
 
 
 def frechet(gamma: float) -> CopulaHandle:
     """Bivariate mixture gamma*min(u,v) + (1-gamma)*uv, gamma in (0,1)."""
     if not 0.0 < gamma < 1.0:
         raise CopulaValidationError(f"gamma must lie in (0,1), got {gamma!r}")
-    return CopulaHandle(kind="frechet", n=2,
-                        label=f"frechet:gamma={gamma:g}", gamma=gamma)
+    label = f"frechet:gamma={funcalc.format_constant(gamma)}"
+    return CopulaHandle(kind="frechet", n=2, label=label, gamma=gamma)
 
 
 def _check_dimension(n: int) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Literal, Optional, Sequence, Tuple
 
 import numpy as np
@@ -169,10 +169,18 @@ def each(fn: Callable, *args):
     """fn(*args) on floats; with arrays (all of one shape) among the
     arguments, the array of fn at each entry, floats held fixed.
 
-    The math functions (log, exp, pow) on arrays go through here rather
-    than numpy's ufuncs, whose vectorised kernels may round the last bit
-    differently: an array entry must equal the float computation bit for
-    bit, or finite differences of quantiles would drift between the two.
+    The math functions (log, exp, pow) on arrays go through here, one libm
+    call per entry, rather than through numpy's ufuncs, because the ufuncs'
+    last bit depends on the CPU.  On an AVX-512 Xeon with numpy 2.4, np.log,
+    np.exp and np.power differed from libm in the last bit on 134, 13 984
+    and 15 795 of 300 000 random points; with numpy's AVX-512 dispatch
+    targets disabled (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+    AVX512_SPR") they equalled libm on every point.  Routed through the
+    ufuncs, this function moved the ce01 and ce02 reference bundles by up
+    to 3.7e-12 on that CPU, past their 1e-12 tolerance, and by under 2e-15
+    with those targets disabled: the bundles would hold on one kind of CPU
+    only.  The ufuncs would cut the check_closed benchmark's median latency
+    by about a sixth.
     """
     like = next((a for a in args if isinstance(a, np.ndarray)), None)
     if like is None:
@@ -252,14 +260,11 @@ def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _at_midpoints(fn: Callable, lo, hi, flo, fhi) -> np.ndarray:
-    """fn at the midpoint of each panel [lo, hi], called once on those strictly
-    inside; that of a panel with no float inside is an end and takes its value."""
-    x = 0.5 * (lo + hi)
-    inner = np.flatnonzero((lo < x) & (x < hi))
-    f = np.where(x == lo, flo, fhi)
-    f[inner] = _eval_checked(fn, x[inner])
-    return f
+def _blocks(index: np.ndarray, ends: list) -> list:
+    """(start, stop) of each block's run in a sorted index, for blocks of
+    positions that end at ends."""
+    stops = [index.size] if len(ends) == 1 else np.searchsorted(index, ends).tolist()
+    return list(zip([0] + stops[:-1], stops))
 
 
 # live panels per level beyond which a refinement is declared failed: an
@@ -268,49 +273,88 @@ def _at_midpoints(fn: Callable, lo, hi, flo, fhi) -> np.ndarray:
 MAX_LIVE_PANELS = 1 << 18
 
 
-def integrate_many(fn: Callable,
+def integrate_many(fns: Sequence[Callable],
                    cuts: np.ndarray,
                    abs_tol,
-                   rel_tol: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Adaptive Simpson quadrature of an elementwise fn over each piece
-    [cuts[i], cuts[i+1]] of a partition; returns the piece integrals and fn
-    at the cuts.
+                   rel_tol: float) -> list:
+    """Adaptive Simpson quadrature of several elementwise integrands over
+    each piece [cuts[i], cuts[i+1]] of one partition.  Returns one outcome
+    per integrand, in order: its piece integrals and its values at the
+    cuts, or the error its refinement met (read them with ``settled``).
 
     cuts is non-decreasing (a repeated cut makes an empty piece, worth 0),
-    abs_tol a float or one per piece.  Each level calls fn once: the first
-    at the cuts and the pieces' midpoints, the others at the midpoints of
-    the halves of each open panel, so no point is evaluated twice.  Panel
-    by panel this is the recursive method: the tolerance
-    max(abs_tol_i, rel_tol * |first estimate|) of its piece, halved per
-    split; acceptance when the two-halves estimate moves by at most 15x
-    that or by rounding noise; the Richardson step on acceptance; and
-    QuadratureFailure, carrying the estimate, for a panel still open at
-    depth MAX_SIMPSON_DEPTH.  Accepted panels are summed back up the tree
-    as left + right, so each piece's value is the recursive one.
+    abs_tol a float or one per piece.  The panels of all integrands are
+    refined in one loop, and each level calls every integrand that still
+    has open panels once: the first at the cuts and the pieces' midpoints,
+    the others at the midpoints of the halves of its own open panels, so
+    no point is evaluated twice.  Panel by panel this is the recursive
+    method: the tolerance max(abs_tol_i, rel_tol * |first estimate|) of its
+    piece, halved per split; acceptance when the two-halves estimate moves
+    by at most 15x that or by rounding noise; the Richardson step on
+    acceptance.  Accepted panels are summed back up the tree as
+    left + right, so each piece's value is the recursive one, bit for bit,
+    whatever the other integrands are.
+
+    Each integrand fails alone and drops out while the others go on.  Its
+    outcome is then the error its call raised (NumericsError for a value
+    that is not finite), or QuadratureFailure, carrying the estimate, for
+    its first panel still open at depth MAX_SIMPSON_DEPTH or at a level
+    where it would open more than MAX_LIVE_PANELS of its own.
     """
     cuts = np.asarray(cuts, dtype=float)
     if not np.all(cuts[:-1] <= cuts[1:]):
         raise ValueError("reversed integration interval")
-    total = np.zeros(cuts.size - 1)
+    outcomes: list = [None] * len(fns)
     live = np.flatnonzero(cuts[:-1] < cuts[1:])
     a, b = cuts[live], cuts[live + 1]
     m = 0.5 * (a + b)
-    inner = np.flatnonzero((a < m) & (m < b))  # as in _at_midpoints
-    f = _eval_checked(fn, np.concatenate((cuts, m[inner])))
-    at_cuts = f[:cuts.size]
-    fa, fb = at_cuts[live], at_cuts[live + 1]
-    fm = np.where(m == a, fa, fb)
-    fm[inner] = f[cuts.size:]
+    inner = np.flatnonzero((a < m) & (m < b))  # as at the midpoints below
+    first_level = np.concatenate((cuts, m[inner]))
+    owners, at_cuts, fa, fm, fb = [], [], [], [], []
+    for k, fn in enumerate(fns):
+        try:
+            f = _eval_checked(fn, first_level)
+        except Exception as error:
+            outcomes[k] = error
+            continue
+        owners.append(k)
+        at_cuts.append(f[:cuts.size])
+        fa.append(f[live])
+        fb.append(f[live + 1])
+        fm.append(np.where(m == a, fa[-1], fb[-1]))
+        fm[-1][inner] = f[cuts.size:]
+    if not owners:
+        return outcomes
+    # the loop's panels are those of owners[0], then those of owners[1], ...:
+    # counts[j] of them for owners[j], each block in panel order
+    n = len(owners)
+    counts = [live.size] * n
+    fa, fm, fb = np.concatenate(fa), np.concatenate(fm), np.concatenate(fb)
+    a, b = np.concatenate([a] * n), np.concatenate([b] * n)
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    eps = np.maximum(np.broadcast_to(abs_tol, total.shape)[live],
-                     rel_tol * np.abs(whole))
+    abs_tol = np.broadcast_to(abs_tol, cuts.size - 1)[live]
+    eps = np.maximum(np.concatenate([abs_tol] * n), rel_tol * np.abs(whole))
     levels = []
     depth = MAX_SIMPSON_DEPTH
     while a.size:
         # the halves of every panel, in panel order
         m = 0.5 * (a + b)
         lo, hi, flo, fhi = _pairs(a, m), _pairs(m, b), _pairs(fa, fm), _pairs(fm, fb)
-        fx = _at_midpoints(fn, lo, hi, flo, fhi)
+        # fn at the midpoint of each half, called once on those strictly
+        # inside; that of a half with no float inside is an end's value
+        x = 0.5 * (lo + hi)
+        fx = np.where(x == lo, flo, fhi)
+        inner = np.flatnonzero((lo < x) & (x < hi))
+        ends = list(accumulate(counts))
+        failed = []
+        for j, (start, stop) in enumerate(_blocks(inner, [2 * e for e in ends])):
+            if counts[j]:
+                part = inner[start:stop]
+                try:
+                    fx[part] = _eval_checked(fns[owners[j]], x[part])
+                except Exception as error:
+                    outcomes[owners[j]] = error
+                    failed.append(j)
         halves = (hi - lo) * (flo + 4.0 * fx + fhi) / 6.0
         s_left, s_right = halves[0::2], halves[1::2]
         s2 = s_left + s_right
@@ -319,13 +363,26 @@ def integrate_many(fn: Callable,
         # refinement from chasing rounding error on very thin panels.
         noise = 50.0 * _MACHEPS * (np.abs(s_left) + np.abs(s_right) + np.abs(whole))
         value = s2 + delta / 15.0
-        split = np.flatnonzero((np.abs(delta) > 15.0 * eps) & (np.abs(delta) > noise))
-        if split.size and (depth <= 0 or 2 * split.size > MAX_LIVE_PANELS):
-            i = split[0]
-            raise QuadratureFailure(
-                f"adaptive Simpson did not converge on "
-                f"[{float(a[i])!r}, {float(b[i])!r}]",
-                last_estimate=float(value[i]))
+        moved = np.abs(delta)
+        split = np.flatnonzero((moved > 15.0 * eps) & (moved > noise))
+        blocks = _blocks(split, ends)
+        for j, (start, stop) in enumerate(blocks):
+            if (start < stop and j not in failed
+                    and (depth <= 0 or 2 * (stop - start) > MAX_LIVE_PANELS)):
+                i = split[start]
+                outcomes[owners[j]] = QuadratureFailure(
+                    f"adaptive Simpson did not converge on "
+                    f"[{float(a[i])!r}, {float(b[i])!r}]",
+                    last_estimate=float(value[i]))
+                failed.append(j)
+        if failed:
+            # a failed integrand's panels close here; its sums are not read
+            keep = np.ones(split.size, dtype=bool)
+            for j in failed:
+                keep[slice(*blocks[j])] = False
+                blocks[j] = (0, 0)
+            split = split[keep]
+        counts = [2 * (stop - start) for start, stop in blocks]
         levels.append((value, split))
         kids = (2 * split[:, None] + [0, 1]).ravel()
         a, b, fa, fm, fb = lo[kids], hi[kids], flo[kids], fx[kids], fhi[kids]
@@ -336,8 +393,20 @@ def integrate_many(fn: Callable,
     for value, split in reversed(levels):
         value[split] = below[0::2] + below[1::2]
         below = value
-    total[live] = below
-    return total, at_cuts
+    for k, f, pieces in zip(owners, at_cuts, below.reshape(n, live.size)):
+        if outcomes[k] is None:
+            total = np.zeros(cuts.size - 1)
+            total[live] = pieces
+            outcomes[k] = (total, f)
+    return outcomes
+
+
+def settled(outcome):
+    """An integrate_many outcome's (piece integrals, values at the cuts), or
+    its error, raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def integrate(fn: Callable[[float], float],
@@ -348,8 +417,8 @@ def integrate(fn: Callable[[float], float],
     integrate_many partition; QuadratureFailure carries the last estimate."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
-    return float(integrate_many(lift(fn), np.array([a, b]),
-                                tol.abs_tol, tol.rel_tol)[0][0])
+    [outcome] = integrate_many([lift(fn)], np.array([a, b]), tol.abs_tol, tol.rel_tol)
+    return float(settled(outcome)[0][0])
 
 
 def ladder(a: float, b: float,
@@ -388,8 +457,9 @@ def edge_ladder_integral(fn: Callable[[float], float],
         return 0.0, []
     cuts = ladder(a, b, side)
     piece_tol = rung_tolerance(cuts, tol)
-    pieces = integrate_many(lift(fn), cuts, piece_tol.abs_tol,
-                            piece_tol.rel_tol)[0].tolist()
+    [outcome] = integrate_many([lift(fn)], cuts, piece_tol.abs_tol,
+                               piece_tol.rel_tol)
+    pieces = settled(outcome)[0].tolist()
     total = math.fsum(pieces)
     if side == "hi":
         pieces = pieces[::-1]  # report toward the singular end

@@ -54,6 +54,7 @@ from .numerics import (
     integrate_many,
     ladder,
     rung_tolerance,
+    settled,
 )
 
 
@@ -151,23 +152,28 @@ def excess_wealth(X: Distribution, p: float) -> float:
     return tail + eps * q(hi) - (1.0 - p) * q(p)
 
 
-def transform_curves(X: Distribution, grid: Grid = DEFAULT_GRID,
-                     require_finite_mean: bool = False) -> Dict[str, Tuple[float, ...]]:
-    """ttt/ew/mit sampled over a grid in one cumulative pass.
+def transform_curves(sides: Sequence[Distribution], grid: Grid = DEFAULT_GRID,
+                     require_finite_mean: bool = False
+                     ) -> List[Dict[str, Tuple[float, ...]]]:
+    """ttt/ew/mit of each distribution in sides sampled over a grid, in one
+    cumulative pass for them all.
 
-    Integrates q once per grid segment and assembles all three transforms
-    from prefix/suffix sums, so a 512-point curve costs ~513 small
-    quadratures instead of 1536 full ones.  The head [EPS_Q, first point]
-    is laddered toward EPS_Q as the upper tail is toward 1 - EPS_Q; one
-    partition, head rungs then grid segments then tail rungs, is refined
-    in one integrate_many pass, each ladder's rungs at rung_tolerance and
-    summed with fsum.  q at the grid points, EPS_Q and 1 - EPS_Q is read
-    from the values that pass returns at its cuts, so no point of q is
-    evaluated twice.  The ew curve is infinite when the mean is:
-    require_finite_mean raises InfiniteMeanError when the upper-tail rungs
-    refuse to decay (ttt and mit stay defined).
+    Integrates each q once per grid segment and assembles all three
+    transforms from prefix/suffix sums, so a 512-point curve costs ~513
+    small quadratures instead of 1536 full ones.  The head [EPS_Q, first
+    point] is laddered toward EPS_Q as the upper tail is toward 1 - EPS_Q;
+    one partition, head rungs then grid segments then tail rungs, is
+    refined in one integrate_many pass for every side together, each
+    ladder's rungs at rung_tolerance and summed with fsum.  q at the grid
+    points, EPS_Q and 1 - EPS_Q is read from the values that pass returns
+    at its cuts, so no point of q is evaluated twice.  The ew curve is
+    infinite when the mean is: require_finite_mean raises InfiniteMeanError
+    when the upper-tail rungs refuse to decay (ttt and mit stay defined).
+
+    A side's curves are the ones a pass of that side alone gives, bit for
+    bit, and so is the error raised: the sides are read in order, each
+    raising its quadrature failure, then its InfiniteMeanError.
     """
-    q = X.quantile
     eps = EPS_Q
     pts = grid.points
     p = np.array(pts)
@@ -179,24 +185,29 @@ def transform_curves(X: Distribution, grid: Grid = DEFAULT_GRID,
     abs_tol = np.full(cuts.size - 1, _SEGMENT_TOL.abs_tol)
     abs_tol[:n_head] = rung_tolerance(head_cuts, _SEGMENT_TOL).abs_tol
     abs_tol[n_body:] = rung_tolerance(tail_cuts, _SEGMENT_TOL).abs_tol
-    values, at_cuts = integrate_many(q, cuts, abs_tol, _SEGMENT_TOL.rel_tol)
-    qv = at_cuts[n_head:n_body + 1]
-    q_eps, q_hi = at_cuts[[0, -1]].tolist()
-    head = math.fsum(values[:n_head].tolist())
-    segments = values[n_head:n_body]
-    tail_rungs = values[n_body:].tolist()
-    tail_last = math.fsum(tail_rungs)
-    if require_finite_mean:
-        check_tail_decay(X.label, tail_rungs[::-1])
+    outcomes = integrate_many([X.quantile for X in sides], cuts, abs_tol,
+                              _SEGMENT_TOL.rel_tol)
+    passes = []
+    for X, outcome in zip(sides, outcomes):
+        values, at_cuts = settled(outcome)
+        qv = at_cuts[n_head:n_body + 1]
+        q_eps, q_hi = at_cuts[[0, -1]].tolist()
+        head = math.fsum(values[:n_head].tolist())
+        segments = values[n_head:n_body]
+        tail_rungs = values[n_body:].tolist()
+        tail_last = math.fsum(tail_rungs)
+        if require_finite_mean:
+            check_tail_decay(X.label, tail_rungs[::-1])
 
-    # sequential sums: prefix runs from the head out, suffix from the tail in
-    prefix = np.cumsum(np.concatenate(([head], segments)))
-    suffix = np.cumsum(np.concatenate(([tail_last], segments[::-1])))[::-1]
-    ttt = (1.0 - p) * qv + eps * q_eps + prefix
-    mit = p * qv - (eps * q_eps + prefix)
-    ew = suffix + eps * q_hi - (1.0 - p) * qv
-    return {"p": pts, "ttt": tuple(ttt.tolist()), "ew": tuple(ew.tolist()),
-            "mit": tuple(mit.tolist()), "quantile": tuple(qv.tolist())}
+        # sequential sums: prefix runs from the head out, suffix from the tail in
+        prefix = np.cumsum(np.concatenate(([head], segments)))
+        suffix = np.cumsum(np.concatenate(([tail_last], segments[::-1])))[::-1]
+        ttt = (1.0 - p) * qv + eps * q_eps + prefix
+        mit = p * qv - (eps * q_eps + prefix)
+        ew = suffix + eps * q_hi - (1.0 - p) * qv
+        passes.append({"p": pts, "ttt": tuple(ttt.tolist()), "ew": tuple(ew.tolist()),
+                       "mit": tuple(mit.tolist()), "quantile": tuple(qv.tolist())})
+    return passes
 
 
 def _threshold(tol: Tolerance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,9 +290,9 @@ def check_orders(X: Distribution, Y: Distribution, kinds: Sequence[OrderKind],
     """Grid-certified verdicts for several orders between X and Y, in order.
 
     ttt, ew, dmrl and qmit all read the transform curves of X and Y, so
-    each side's transform_curves pass runs at most once per call, when the
-    first kind needing it is checked; the pass refuses an infinite mean
-    when ew or dmrl is among the kinds.
+    one transform_curves pass of both sides runs at most once per call,
+    when the first kind needing it is checked; the pass refuses an
+    infinite mean when ew or dmrl is among the kinds.
 
     Pointwise kinds (ttt, ew) witness every grid point whose margin
     value_y - value_x drops below -tol; ratio kinds witness every adjacent
@@ -295,8 +306,8 @@ def check_orders(X: Distribution, Y: Distribution, kinds: Sequence[OrderKind],
     passes: List[Dict[str, Tuple[float, ...]]] = []
 
     def curves(key: str) -> Tuple[np.ndarray, np.ndarray]:
-        for side in (X, Y)[len(passes):]:
-            passes.append(transform_curves(side, grid, require_finite_mean=need_mean))
+        if not passes:
+            passes.extend(transform_curves((X, Y), grid, require_finite_mean=need_mean))
         return np.array(passes[0][key]), np.array(passes[1][key])
 
     return [_verdict(X, Y, kind, grid, tol, curves) for kind in kinds]
@@ -342,8 +353,8 @@ def dmrl_integral_curve(X: Distribution, Y: Distribution,
     """I(p) = ew_Y(p) - s(p) ew_X(p) on a grid, s the density ratio
     density_X(q_X(p))/density_Y(q_Y(p)): the integral form of the dmrl
     comparison, which holds iff I >= 0 on (0,1)."""
-    ew_x = np.array(transform_curves(X, grid, require_finite_mean=True)["ew"])
-    ew_y = np.array(transform_curves(Y, grid, require_finite_mean=True)["ew"])
+    ew_x, ew_y = (np.array(c["ew"])
+                  for c in transform_curves((X, Y), grid, require_finite_mean=True))
     s = density_ratios(X, Y, grid.points)
     return {"p": grid.points, "value": tuple((ew_y - s * ew_x).tolist())}
 

@@ -32,6 +32,7 @@ from stochorder.numerics import (
     MAX_ROOT_STEPS,
     MAX_SIMPSON_DEPTH,
     BracketError,
+    NumericsError,
     QuadratureFailure,
     Tolerance,
     derivative,
@@ -39,6 +40,7 @@ from stochorder.numerics import (
     integrate_many,
     lift,
     monotone_inverse,
+    settled,
     uniform_grid,
 )
 
@@ -789,8 +791,7 @@ class TestSolveMemo:
         x_calls = len(solved)
         assert orders.check_order(Xh, Yh, orders.OrderKind.STAR, grid).holds
         assert len(solved) == x_calls  # the Y side's grid was all hits
-        orders.transform_curves(Xh, grid)
-        orders.transform_curves(Yh, grid)
+        orders.transform_curves([Xh, Yh], grid)
         assert len(solved) > x_calls  # the quadrature nodes were solved
         for i, y in enumerate(solved):
             for other in solved[:i]:
@@ -911,7 +912,7 @@ class TestBatchedQuadrature:
         if X.label.startswith("hazard:"):
             q = _float_hazard_quantile(X.label[len("hazard:"):])
         grid = uniform_grid(48, edge_margin=0.01)
-        got = orders.transform_curves(X, grid)
+        got = orders.transform_curves([X], grid)[0]
         want = _reference_curves(q, grid)
         for key, values in want.items():
             np.testing.assert_allclose(got[key], values, rtol=1e-14, atol=0.0)
@@ -921,7 +922,7 @@ class TestBatchedQuadrature:
         h = fresh_distortions["sys_five_comp_bridge"]
         X = distributions.distort(base, h)
         grid = uniform_grid(24, edge_margin=0.01)
-        got = orders.transform_curves(X, grid)
+        got = orders.transform_curves([X], grid)[0]
         q = _float_distorted_quantile(base.quantile, h)
         for key, values in _reference_curves(q, grid).items():
             np.testing.assert_allclose(got[key], values, rtol=1e-14, atol=0.0)
@@ -982,7 +983,7 @@ class TestBatchedQuadrature:
             cuts.append(math.nextafter(cuts[-1], math.inf))
         cuts = np.array(sorted(xs + xs[:repeats] + cuts[1:]))
         tol = Tolerance(abs_tol=1e-11, rel_tol=1e-11)
-        got = integrate_many(fn, cuts, tol.abs_tol, tol.rel_tol)[0]
+        got = settled(integrate_many([fn], cuts, tol.abs_tol, tol.rel_tol)[0])[0]
         assert got.tolist() == [_recursive_integrate(fn, x, y, tol)
                                 for x, y in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
 
@@ -992,13 +993,13 @@ class TestBatchedQuadrature:
         # bit for bit, so the transform pass can read q at the grid from them
         fn = _compiled("x", "exp(x) * sqrt(x*x + 1)")
         cuts = np.array(sorted(xs + xs[:repeats]))
-        at_cuts = integrate_many(fn, cuts, 1e-11, 1e-11)[1]
+        at_cuts = settled(integrate_many([fn], cuts, 1e-11, 1e-11)[0])[1]
         assert _bits(at_cuts) == _bits(fn(cuts))
         assert _bits(at_cuts) == _bits([fn(x) for x in cuts.tolist()])
 
     def test_unsorted_cuts_are_refused(self):
         with pytest.raises(ValueError, match="reversed integration interval"):
-            integrate_many(np.exp, np.array([0.0, 1.0, 0.5]), 1e-11, 1e-11)
+            integrate_many([np.exp], np.array([0.0, 1.0, 0.5]), 1e-11, 1e-11)
 
     def test_rough_everywhere_fails_before_the_panels_pile_up(self):
         # noise keeps every panel open, doubling them each level; the pass
@@ -1008,19 +1009,47 @@ class TestBatchedQuadrature:
         assert MAX_LIVE_PANELS == 1 << 18
         with pytest.raises(QuadratureFailure,
                            match=rf"on \[0\.0, {2.0 ** -18!r}\]"):
-            integrate_many(noise, np.array([0.0, 1.0]), 1e-13, 1e-12)
+            settled(integrate_many([noise], np.array([0.0, 1.0]), 1e-13, 1e-12)[0])
 
     def test_failure_names_the_panel_the_recursion_would(self):
         # the smooth pieces before the jump close; the failure is the jump's
         jump = _compiled("p", "piece(p <= 0.5 : p ; else : p + 1)")
         tol = Tolerance(abs_tol=1e-13, rel_tol=1e-12)
         with pytest.raises(QuadratureFailure) as batched:
-            integrate_many(jump, np.array([0.1, 0.2, 0.499, 0.501]),
-                           tol.abs_tol, tol.rel_tol)
+            settled(integrate_many([jump], np.array([0.1, 0.2, 0.499, 0.501]),
+                                   tol.abs_tol, tol.rel_tol)[0])
         with pytest.raises(QuadratureFailure) as recursive:
             _recursive_integrate(jump, 0.499, 0.501, tol)
         assert str(batched.value) == str(recursive.value)
         assert batched.value.last_estimate == recursive.value.last_estimate
+
+    def test_each_integrand_fails_alone(self):
+        # one rough everywhere runs past MAX_LIVE_PANELS, a jump into the
+        # depth cap, and one goes nan deep inside, while the smooth ones go
+        # on: each outcome is the one the integrand has alone
+        smooth = _compiled("x", "exp(x) * sqrt(x*x + 1)")
+        rough = elementwise(lambda x: (x * 1e13) % 1.0)
+        jump = _compiled("x", "piece(x <= 0.5 : x ; else : x + 1)")
+        late_nan = elementwise(lambda x: np.where((x > 0.5) & (x < 0.5 + 1e-9),
+                                                  np.nan, x + (x > 0.5)))
+        cuts = np.array([0.1, 0.2, 0.499, 0.501, 0.9])
+        fns = [rough, smooth, jump, late_nan, np.exp]
+        joint = integrate_many(fns, cuts, 1e-13, 1e-12)
+        kinds = []
+        for fn, got in zip(fns, joint):
+            [want] = integrate_many([fn], cuts, 1e-13, 1e-12)
+            kinds.append(type(got).__name__)
+            assert type(got) is type(want)
+            if isinstance(want, tuple):
+                assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            else:
+                assert str(got) == str(want)
+                assert getattr(got, "last_estimate", None) == getattr(
+                    want, "last_estimate", None)
+        assert kinds == ["QuadratureFailure", "tuple", "QuadratureFailure",
+                         "NumericsError", "tuple"]
+        with pytest.raises(NumericsError, match=r"^integrand evaluated to nan"):
+            settled(joint[3])
 
     @pytest.mark.parametrize("spec, h, grid", [
         ("q: 17/8*p - 1/2*p^2", None, DEFAULT_GRID),
@@ -1044,7 +1073,7 @@ class TestBatchedQuadrature:
             seen.append(p.copy())
             return q(p)
 
-        orders.transform_curves(replace(X, quantile=recorded), grid)
+        orders.transform_curves([replace(X, quantile=recorded)], grid)
         points = np.concatenate(seen)
         assert np.unique(points).size == points.size
         if h is None:

@@ -307,6 +307,17 @@ class TestSpecParsing:
     def test_frechet(self):
         assert parse_copula_spec("frechet: gamma=0.25").gamma == 0.25
 
+    @pytest.mark.parametrize("build, value", [
+        (cuadras_auge, 0.123456789012), (cuadras_auge, 0.5),
+        (frechet, 0.987654321098), (frechet, 0.25),
+    ])
+    def test_labels_keep_every_digit(self, build, value):
+        # the label is the spec that builds the copula again
+        handle = build(value)
+        again = parse_copula_spec(handle.label)
+        assert again.label == handle.label
+        assert again == handle
+
     def test_expression_commas_are_respected(self):
         handle = parse_copula_spec("diagonal: d=min(p, 2*p^2), n=2")
         assert handle.n == 2

@@ -3,16 +3,18 @@ and the implication chains between the six verdicts."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochorder import cli
+from stochorder import catalog, cli
 from stochorder import distortions as dist_mod
 from stochorder import orders as orders_mod
 from stochorder import distributions as db
-from stochorder.numerics import Grid, Tolerance, uniform_grid
+from stochorder.numerics import Grid, NumericsError, Tolerance, uniform_grid
 from stochorder.orders import (
     OrderKind,
     check_order,
@@ -60,7 +62,7 @@ class TestTransforms:
     def test_curve_keys_and_mean_identity(self, named_distributions):
         for name in ("exp_1", "uniform", "ce02_y"):
             X = named_distributions[name]
-            curves = transform_curves(X, COARSE)
+            curves = transform_curves([X], COARSE)[0]
             assert set(curves) == {"p", "ttt", "ew", "mit", "quantile"}
             m = db.mean(X)
             for t, w in zip(curves["ttt"], curves["ew"]):
@@ -68,7 +70,7 @@ class TestTransforms:
 
     def test_curve_matches_pointwise_transforms(self, named_distributions):
         X = named_distributions["ce02_x"]
-        curves = transform_curves(X, COARSE)
+        curves = transform_curves([X], COARSE)[0]
         for i in (0, 20, 40, 63):
             p = curves["p"][i]
             assert curves["ttt"][i] == pytest.approx(
@@ -137,29 +139,33 @@ class TestCheckOrder:
 
 
 class TestSharedTransformPass:
-    @pytest.mark.parametrize("kinds, passes", [
+    @pytest.mark.parametrize("kinds, sides", [
         (tuple(OrderKind), 2),
         ((OrderKind.STAR,), 0),
         ((OrderKind.CONVEX_TRANSFORM,), 0),
         ((OrderKind.TTT,), 2),
         ((OrderKind.DMRL, OrderKind.QMIT), 2),
     ])
-    def test_each_side_is_integrated_at_most_once(self, kinds, passes,
+    def test_each_side_is_integrated_at_most_once(self, kinds, sides,
                                                   named_distributions,
                                                   monkeypatch):
-        calls = []
-        original = orders_mod.transform_curves
+        # a request that reads curves refines both quantiles in one
+        # quadrature loop; star and convex_transform read none
+        passes = []
+        original = orders_mod.integrate_many
 
-        def counted(X, *args, **kwargs):
-            calls.append(X.label)
-            return original(X, *args, **kwargs)
+        def counted(fns, *args):
+            passes.append(list(fns))
+            return original(fns, *args)
 
-        monkeypatch.setattr(orders_mod, "transform_curves", counted)
+        monkeypatch.setattr(orders_mod, "integrate_many", counted)
         X, Y = named_distributions["uniform"], named_distributions["exp_1"]
         verdicts = orders_mod.check_orders(X, Y, kinds, COARSE)
         assert [v.kind for v in verdicts] == list(kinds)
-        assert len(calls) == passes
-        assert calls == [X.label, Y.label][:passes]
+        if sides:
+            assert passes == [[X.quantile, Y.quantile]]
+        else:
+            assert passes == []
 
     @pytest.mark.parametrize("x_name, y_name", [("uniform", "exp_1"),
                                                 ("exp_half", "exp_1"),
@@ -172,6 +178,72 @@ class TestSharedTransformPass:
         alone = [check_order(X, Y, kind, COARSE) for kind in kinds]
         assert [v.to_json() for v in many] == [v.to_json() for v in alone]
         assert [v.curve for v in many] == [v.curve for v in alone]
+
+
+def _single_passes(sides, grid, require_finite_mean=False):
+    """transform_curves of each side alone, in order: the curves, or the
+    class and message of the first error, as passes one after the other
+    give them."""
+    try:
+        return [transform_curves([S], grid, require_finite_mean)[0] for S in sides]
+    except Exception as error:
+        return type(error), str(error)
+
+
+def _joint_pass(sides, grid, require_finite_mean=False):
+    try:
+        return transform_curves(sides, grid, require_finite_mean)
+    except Exception as error:
+        return type(error), str(error)
+
+
+# a quantile that is not finite inside (0, 1), built without validation
+_INFINITE_INSIDE = db.from_quantile(lambda p: math.inf if p > 0.3 else p,
+                                    "inf_above_0.3", validate=False)
+# a quantile too rough for the quadrature: a jump at 0.5001
+_JUMP = db.from_quantile(lambda p: p + (p > 0.5001), "jump", validate=False)
+
+
+class TestJointTransformPass:
+    """One pass of both sides gives each the curves, bit for bit, and the
+    error that a pass of each side alone, X then Y, gives."""
+
+    @pytest.mark.parametrize("h_name", [None] + sorted(catalog.distortions()))
+    def test_both_sides_equal_their_single_passes(self, h_name, named_distributions,
+                                                  named_distortions):
+        names = sorted(named_distributions)
+        sides = [named_distributions[name] for name in names]
+        if h_name is not None:
+            sides = [db.distort(S, named_distortions[h_name]) for S in sides]
+        alone = [transform_curves([S], COARSE)[0] for S in sides]
+        # each distribution on both sides: the catalog in a cycle
+        for i in range(len(sides)):
+            j = (i + 1) % len(sides)
+            assert transform_curves([sides[i], sides[j]], COARSE) == [alone[i], alone[j]]
+
+    @pytest.mark.parametrize("x, y", [
+        ("q: 1/(1-p) - 1", _INFINITE_INSIDE),
+        (_INFINITE_INSIDE, "q: 1/(1-p) - 1"),
+        (_JUMP, _INFINITE_INSIDE),
+        (_INFINITE_INSIDE, _JUMP),
+        ("exp:1", _JUMP),
+        ("exp:1", "q: 1/(1-p) - 1"),
+        ("q: 2/(1-p) - 2", "q: 1/(1-p) - 1"),
+    ], ids=["infinite_mean_then_inf", "inf_then_infinite_mean", "jump_then_inf",
+            "inf_then_jump", "exp_then_jump", "exp_then_infinite_mean",
+            "infinite_means"])
+    @pytest.mark.parametrize("need_mean", [True, False])
+    def test_errors_are_those_of_single_passes_in_order(self, x, y, need_mean):
+        X, Y = (db.build(S) if isinstance(S, str) else S for S in (x, y))
+        want = _single_passes([X, Y], COARSE, need_mean)
+        assert _joint_pass([X, Y], COARSE, need_mean) == want
+
+    def test_infinite_mean_of_x_beats_a_failure_of_y(self):
+        X = db.build("q: 1/(1-p) - 1")
+        with pytest.raises(db.InfiniteMeanError, match=r"^q:1/\(1-p\) - 1: infinite mean"):
+            check_orders(X, _INFINITE_INSIDE, [OrderKind.EW], COARSE)
+        with pytest.raises(NumericsError, match="^integrand evaluated to inf"):
+            check_orders(X, _INFINITE_INSIDE, [OrderKind.TTT], COARSE)
 
 
 def _table_distribution(values, grid):

@@ -75,7 +75,7 @@ def family():
 @pytest.mark.parametrize("spec", FAMILIES)
 def test_transform_curves_match_scipy(spec, grid_name, family):
     grid = GRIDS[grid_name]
-    ttt = orders.transform_curves(family(spec), grid)["ttt"]
+    ttt = orders.transform_curves([family(spec)], grid)[0]["ttt"]
     for i in (0, grid.count // 2, grid.count - 1):
         p = grid.points[i]
         assert ttt[i] == pytest.approx(_ttt(FAMILIES[spec], p), rel=REL_TOL, abs=0.0), p
@@ -111,5 +111,5 @@ def test_cusp_at_zero_costs_few_levels(build, grid_name):
     # the grid and the end points: the laddered head resolves the cusp in
     # ~10 levels
     X, calls = _counted(build())
-    orders.transform_curves(X, GRIDS[grid_name])
+    orders.transform_curves([X], GRIDS[grid_name])
     assert calls[0] <= 10
