@@ -28,6 +28,7 @@ from .numerics import (
     monotone_inverse,
     on_arrays,
     sample,
+    sample_cells,
     validation_points,
 )
 
@@ -35,6 +36,8 @@ _ENDPOINT_TOL = 1e-9
 # root-solved points a distortion remembers: two float64 arrays of at most
 # this many entries (512 KB); past it the memo starts again from the newest
 SOLVED_LIMIT = 1 << 15
+# the points of h.sampled, as the x ends of the cells a root solve starts in
+_SAMPLE_POINTS = np.array(validation_points())
 
 
 class DistortionValidationError(ValueError):
@@ -61,7 +64,9 @@ class Distortion:
     ``sampled`` is h at the 513 points i/512 of ``validation_points()``,
     read-only: ``validate`` keeps the sample it checked, any other
     distortion takes it on first use (see values_at).  ``classify`` and the
-    system tables read it instead of evaluating h again.
+    system tables read it instead of evaluating h again, and each root
+    solve starts in the cell of it that brackets its target, with h at the
+    cell's ends read from it (see _root_solved).
 
     Neither is an init argument, so ``dataclasses.replace`` and ``dual``
     start with an empty memo and no sample.
@@ -203,8 +208,14 @@ def inverse(h: Distortion, y):
 
 
 def _root_solved(h: Distortion, y: np.ndarray) -> np.ndarray:
-    """monotone_inverse(h.fn, y, 0, 1), served from h.solved where a target
-    was solved before.
+    """The generalized inverse of h at y by root solve, served from h.solved
+    where a target was solved before.
+
+    A miss y is solved by monotone_inverse from the cell [x_(j-1), x_j] of
+    h's sample (values_at) where s_(j-1) < y <= s_j, s the sample's running
+    maximum, with h at the cell's ends read from the sample
+    (numerics.sample_cells); a target outside [h(0), h(1)] raises what a
+    solve on [0, 1] raises.
 
     Each target's solve is independent of the others in its array, so a
     remembered value is bit for bit the fresh solve.  The misses are solved
@@ -219,7 +230,8 @@ def _root_solved(h: Distortion, y: np.ndarray) -> np.ndarray:
     out[hit] = values[at[hit]]
     miss = np.flatnonzero(~hit)
     if miss.size:
-        out[miss] = monotone_inverse(h.fn, y[miss], 0.0, 1.0)
+        lo, hi, ends = sample_cells(_SAMPLE_POINTS, values_at(h), y[miss])
+        out[miss] = monotone_inverse(h.fn, y[miss], lo, hi, values=ends)
         h.solved = _remember(keys, values, y[miss], out[miss])
     return out
 

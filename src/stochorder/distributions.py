@@ -35,6 +35,7 @@ from .numerics import (
     monotone_inverse,
     on_arrays,
     sample,
+    sample_cells,
 )
 
 # truncation of the open interval (0,1) for quantile evaluation/integration;
@@ -151,7 +152,18 @@ def build(text: str) -> Distribution:
 
 
 def _build_hazard(expr_text: str) -> Distribution:
-    """F(x) = 1 - e^(-psi(x)) for an increasing unbounded cumulative hazard."""
+    """F(x) = 1 - e^(-psi(x)) for an increasing unbounded cumulative hazard.
+
+    hi is the first power of 2 (from 1) where psi reaches _HAZARD_TARGET.
+    psi is tabled at 0, at the geometric head hi 2^-k (k = 70..10) and at
+    hi i/512 (i = 1..512), in one call past psi(0); the table must be
+    finite and must not drop by more than 1e-9 from one point to the next.
+    A quantile's root solve starts in the table's cell that brackets its
+    target, with psi at the cell's ends read from the table
+    (numerics.sample_cells).  The head keeps the cells narrow where psi
+    has a root cusp at 0, as x^0.5 does.  A target past psi(hi) is solved
+    on [0, h], h doubled from hi until psi(h) reaches it.
+    """
     try:
         expr = funcalc.parse(expr_text)
     except funcalc.ExprError as ex:
@@ -169,27 +181,35 @@ def _build_hazard(expr_text: str) -> Distribution:
             raise SpecError(f"{label}: hazard does not reach "
                             f"{_HAZARD_TARGET} (not unbounded?)")
         psi_hi = float(psi(hi))
-    # monotonicity on [0, hi]
     steps = 512
-    xs = hi * np.arange(1, steps + 1) / steps
+    xs = hi * np.concatenate((2.0 ** -np.arange(70.0, 9.0, -1.0),
+                              np.arange(1, steps + 1) / steps))
     vals = sample(psi, xs, SpecError,
                   lambda x, v: f"{label}: hazard not finite at x={x!r}")
+    # monotonicity on [0, hi]
     i = first(vals < np.r_[v0, vals[:-1]] - 1e-9)
     if i is not None:
         raise SpecError(f"{label}: hazard decreasing near x={float(xs[i])!r}")
+    xs, vals = np.r_[0.0, xs], np.r_[v0, vals]
 
     def quantile(p: np.ndarray) -> np.ndarray:
-        # psi(x) = -ln(1 - p), bracketed by doubling from hi
+        # psi(x) = -ln(1 - p): from the table's cell up to psi(hi), from
+        # [0, h] past it, h doubled from hi
         target = -each(math.log, 1.0 - p)
         out = np.zeros(p.shape)
         live = np.flatnonzero(target > v0)
         target = target[live]
-        h = np.full(target.shape, hi)
+        lo, h = np.zeros(target.shape), np.full(target.shape, hi)
+        flo, fhi = np.full(target.shape, v0), np.full(target.shape, psi_hi)
+        inner = np.flatnonzero(target <= psi_hi)
+        lo[inner], h[inner], (flo[inner], fhi[inner]) = sample_cells(
+            xs, vals, target[inner])
         short = np.flatnonzero(target > psi_hi)
         while short.size:
             h[short] = _double(h[short])
-            short = short[psi(h[short]) < target[short]]
-        out[live] = monotone_inverse(psi, target, 0.0, h)
+            fhi[short] = psi(h[short])
+            short = short[fhi[short] < target[short]]
+        out[live] = monotone_inverse(psi, target, lo, h, values=(flo, fhi))
         return out
 
     @elementwise

@@ -468,6 +468,7 @@ def edge_ladder_integral(fn: Callable[[float], float],
 
 def _bracket(flo, fhi, y) -> None:
     slack = DEFAULT_QUAD_TOL.abs_tol
+    flo, fhi = np.broadcast_arrays(flo, fhi, y)[:2]
     i = first(~(np.isfinite(flo) & np.isfinite(fhi)))
     if i is not None:
         raise BracketError("bracket endpoints evaluate to non-finite values")
@@ -478,7 +479,28 @@ def _bracket(flo, fhi, y) -> None:
                            f"[{float(np.ravel(flo)[i])!r}, {float(np.ravel(fhi)[i])!r}]")
 
 
-def monotone_inverse(fn: Callable[[float], float], y, lo, hi):
+def sample_cells(xs: np.ndarray, vals: np.ndarray, y: np.ndarray):
+    """The cell of a sample of a non-decreasing fn that brackets each target:
+    (lo, hi, (f_lo, f_hi)), arrays of y's shape, for
+    monotone_inverse(fn, y, lo, hi, values=(f_lo, f_hi)).
+
+    vals is fn at the increasing points xs.  The cell of y is
+    [xs[j-1], xs[j]] with j the first index where the running maximum of
+    vals reaches y, so vals[j-1] < y <= vals[j] even where the sample dips
+    by less than its check let through.  y is screened first against
+    [vals[0], vals[-1]], raising what monotone_inverse(fn, y, xs[0], xs[-1])
+    raises; a target it lets through at or below vals[0] takes the first
+    cell, and one above vals[-1] the last, so the solve returns xs[0] or
+    xs[-1] as the whole-range solve does.
+    """
+    _bracket(vals[0], vals[-1], y)
+    last = vals.size - 1
+    j = np.clip(np.searchsorted(np.maximum.accumulate(vals), y), 1, last)
+    j[y > vals[-1]] = last
+    return xs[j - 1], xs[j], (vals[j - 1], vals[j])
+
+
+def monotone_inverse(fn: Callable[[float], float], y, lo, hi, values=None):
     """Left-continuous generalized inverse of a non-decreasing fn by a
     bracketed root solve (Chandrupatla's method).
 
@@ -497,9 +519,15 @@ def monotone_inverse(fn: Callable[[float], float], y, lo, hi):
 
     y is a float or an array of targets (lo and hi floats or arrays of its
     shape); every target is solved at once, with one elementwise call of fn
-    per step on the targets still open.
+    per step on the targets still open.  ``values=(f_lo, f_hi)`` are fn at
+    lo and at hi, when the caller holds them (floats or arrays of y's
+    shape): fn is then not called at the ends, and the solve is the one it
+    would be had fn given those values there.  A caller that holds a sample
+    of fn starts each target in the sample's cell that brackets it, which
+    saves both end calls and most steps (distortions._root_solved,
+    distributions._build_hazard).
     """
-    return on_arrays(lambda y: _solve(lift(fn), y, lo, hi), y)
+    return on_arrays(lambda y: _solve(lift(fn), y, lo, hi, values), y)
 
 
 def _interpolates(x1, f1, x2, f2, x3, f3):
@@ -517,12 +545,16 @@ def _iqi(x1, f1, x2, f2, x3, f3):
             + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
 
 
-def _solve(fn, y: np.ndarray, lo, hi) -> np.ndarray:
+def _solve(fn, y: np.ndarray, lo, hi, values) -> np.ndarray:
     a = np.array(np.broadcast_to(lo, y.shape), dtype=float)
     b = np.array(np.broadcast_to(hi, y.shape), dtype=float)
     if not np.all(a < b):
         raise ValueError("empty bracket")
-    flo, fhi = np.split(fn(np.concatenate((a, b))), 2)
+    if values is None:
+        flo, fhi = np.split(fn(np.concatenate((a, b))), 2)
+    else:
+        flo, fhi = (np.array(np.broadcast_to(v, y.shape), dtype=float)
+                    for v in values)
     _bracket(flo, fhi, y)
     out = b.copy()
     at_lo = y <= flo

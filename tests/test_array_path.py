@@ -382,8 +382,24 @@ def _chandrupatla(fn, y, lo, hi):
     raise BracketError(f"root solve still open after {MAX_ROOT_STEPS} steps on [{a!r}, {b!r}]")
 
 
+def _float_cell(xs, vals, y):
+    """(lo, hi) of the cell of the sample vals of fn at xs that a root solve
+    of y starts in: [xs[j-1], xs[j]] for the first j where the running
+    maximum of vals reaches y, the first cell at or below vals[0] and the
+    last above vals[-1]."""
+    peak, last = -math.inf, len(vals) - 1
+    for j, v in enumerate(vals):
+        peak = max(peak, v)
+        if peak >= y:
+            break
+    j = last if y > vals[-1] else min(max(j, 1), last)
+    return xs[j - 1], xs[j]
+
+
 def _float_hazard_quantile(text):
-    """The float branch of the quantile of hazard:<text>."""
+    """The float branch of the quantile of hazard:<text>: a root solve from
+    the cell of psi's table that brackets the target, its ends evaluated
+    again, or from [0, h], h doubled from hi, past psi(hi)."""
     node = funcalc.parse(text)
 
     def psi(x):
@@ -393,17 +409,44 @@ def _float_hazard_quantile(text):
     hi = 1.0
     while psi(hi) < distributions._HAZARD_TARGET:
         hi *= 2.0
+    xs = ([0.0] + [hi * 2.0 ** -k for k in range(70, 9, -1)]
+          + [hi * i / 512 for i in range(1, 513)])
+    vals = [psi(x) for x in xs]
 
     def quantile(p):
         target = -math.log(1.0 - p)
         if target <= v0:
             return 0.0
+        if target <= vals[-1]:
+            return _chandrupatla(psi, target, *_float_cell(xs, vals, target))[0]
         h = hi
         while psi(h) < target:
             h *= 2.0
         return _chandrupatla(psi, target, 0.0, h)[0]
 
     return quantile
+
+
+_POINTS = [i / 512 for i in range(513)]
+# h at _POINTS per distortion, one float call each; each entry holds the
+# distortion, so that its id is not reused
+_FLOAT_SAMPLES = {}
+
+
+def _float_sample(h):
+    if _FLOAT_SAMPLES.get(id(h), (None,))[0] is not h:
+        _FLOAT_SAMPLES[id(h)] = (h, [float(h.fn(x)) for x in _POINTS])
+    return _FLOAT_SAMPLES[id(h)][1]
+
+
+def _float_root_solved(h, y):
+    """(value, calls of h) of the root solve of h at y from the cell of h's
+    sample that brackets y, its ends evaluated again, after y is screened
+    against [h(0), h(1)] as a solve on [0, 1] screens it."""
+    vals = _float_sample(h)
+    if not vals[0] - 1e-10 <= y <= vals[-1] + 1e-10:
+        raise BracketError(f"target {y!r} outside [{vals[0]!r}, {vals[-1]!r}]")
+    return _chandrupatla(h.fn, y, *_float_cell(_POINTS, vals, y))
 
 
 def _float_clamp(v):
@@ -421,7 +464,7 @@ def _float_interior(x, inner):
 def _float_inverse(h, y):
     if h.inverse_fn is not None:
         return _float_interior(y, lambda v: _float_clamp(h.inverse_fn(v)))
-    return _float_interior(y, lambda v: _chandrupatla(h.fn, v, 0.0, 1.0)[0])
+    return _float_interior(y, lambda v: _float_root_solved(h, v)[0])
 
 
 def _float_co_inverse(h, p):
@@ -717,16 +760,22 @@ class TestRootSolveSteps:
         array_calls, mean_calls = {}, {}
         for name, h in hs.items():
             calls = [0]
-            got = monotone_inverse(elementwise(_counted(h.fn, calls)), self.TARGETS,
-                                   0.0, 1.0)
+            counted = distortions.Distortion(
+                fn=elementwise(_counted(h.fn, calls)), label=name,
+                strictly_increasing=h.strictly_increasing)
+            counted.sampled = distortions.values_at(h)
+            got = distortions.inverse(counted, self.TARGETS)
             array_calls[name] = calls[0]
-            values, counts = zip(*(_chandrupatla(h.fn, y, 0.0, 1.0)
+            values, counts = zip(*(_float_root_solved(h, y)
                                    for y in self.TARGETS.tolist()))
             assert got.tolist() == list(values), name
             mean_calls[name] = np.mean(counts)
-        # bisection takes 54 calls per target (two ends, 52 steps)
-        assert max(array_calls.values()) <= 16, array_calls
-        assert max(mean_calls.values()) <= 11, mean_calls
+        # bisection takes 54 calls per target (two ends, 52 steps), and a
+        # solve on all of [0, 1] took up to 16 array calls and 9 per target;
+        # from the sample's cells it is at most 5, and ~4 past the two ends
+        # the reference evaluates again
+        assert max(array_calls.values()) <= 5, array_calls
+        assert max(mean_calls.values()) <= 6.5, mean_calls
 
     @pytest.mark.parametrize("name", [
         "mix_cubic", "mix_quartic", "mix_dual_cubic", "mix_dual_quartic",
@@ -735,12 +784,112 @@ class TestRootSolveSteps:
         "sys_series_with_parallel_pair"])
     def test_smooth_catalog_distortions_match_scipy(self, name, named_distortions):
         h = named_distortions[name]
-        got = monotone_inverse(h.fn, self.TARGETS, 0.0, 1.0)
+        got = distortions.inverse(h, self.TARGETS)
         res = find_root(lambda x, y: h.fn(x) - y, (0.0, 1.0), args=(self.TARGETS,))
         assert res.success.all()
         # scipy stops within 4 eps |x| of the root, this solve within its width
         assert np.all(np.abs(got - res.x) <= 8.0 * _MACHEPS * (1.0 + 2.0 * np.abs(res.x)))
 
+    def test_hazard_quantile_starts_in_its_table_cell(self, monkeypatch):
+        # the stencil of quantile_slopes on the default grid, the solve of
+        # each side of a Weibull convex_transform check
+        calls = []
+        compile_fn = funcalc.compile_fn
+
+        def recording(expr):
+            fn = compile_fn(expr)
+            return elementwise(lambda x: calls.append(np.array(x, dtype=float))
+                               or fn(x))
+
+        monkeypatch.setattr(funcalc, "compile_fn", recording)
+        X = distributions.build("hazard: (x/1.40711)^1.93355")
+        hi = float(calls[-1][-1])  # the build's last call is the table
+        table = ([0.0] + [hi * 2.0 ** -k for k in range(70, 9, -1)]
+                 + [hi * i / 512 for i in range(1, 513)])
+        calls.clear()
+        distributions.quantile_slopes(X, np.array(DEFAULT_GRID.points))
+        assert calls
+        # a solve on [0, hi] took 17 calls, the first at both ends
+        assert len(calls) <= 8, len(calls)
+        assert not np.isin(np.concatenate(calls), table).any()
+
+
+def _flat(a, b):
+    """A distortion flat at level a on [a, b]."""
+    return elementwise(lambda p: np.where(
+        p <= a, p, np.where(p <= b, a, a + (p - b) * (1.0 - a) / (1.0 - b))))
+
+
+def _jump(at, rise):
+    """A distortion that jumps by rise just past at."""
+    return elementwise(lambda p: (1.0 - rise) * p + np.where(p > at, rise, 0.0))
+
+
+def _dip(c, d, depth):
+    """The identity up to c, then c - depth up to d: a drop of depth right
+    after the sample point c, then linear up to h(1) = 1."""
+    return elementwise(lambda p: np.where(
+        p <= c, p, np.where(p <= d, c - depth, c + (p - d) * (1.0 - c) / (1.0 - d))))
+
+
+unit_targets = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30)
+
+
+class TestCellStart:
+    """A root solve started in the cell of a held sample against one on the
+    whole range: the ends read from the sample are the ends evaluated, and
+    both solves end within the stopping width of each other."""
+
+    @given(k=st.floats(0.3, 4.0), lo=st.floats(0.0, 0.5), width=st.floats(0.01, 0.5),
+           share=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+    def test_held_ends_are_the_evaluated_ends(self, k, lo, width, share):
+        fn = elementwise(lambda x: x ** k)
+        hi = lo + width
+        y = fn(lo + np.array(share) * width)
+        calls = [0]
+        got = monotone_inverse(elementwise(_counted(fn, calls)), y, lo, hi,
+                               values=(fn(lo), fn(hi)))
+        assert _bits(got) == _bits(monotone_inverse(fn, y, lo, hi))
+        ends = [0]
+        monotone_inverse(elementwise(_counted(fn, ends)), y, lo, hi)
+        assert calls[0] == ends[0] - 1  # the one call at both ends
+
+    @staticmethod
+    def _against_whole_range(h, y):
+        h = distortions.validate(h, label="h")
+        y = np.array(y)
+        cell = distortions.inverse(h, y)
+        whole = monotone_inverse(h.fn, y, 0.0, 1.0)
+        for got, want, v in zip(cell.tolist(), whole.tolist(), y.tolist()):
+            assert _within_stop_width(got, want), v
+        return cell
+
+    @given(a=st.floats(0.05, 0.9), share=st.floats(0.01, 0.9), y=unit_targets)
+    def test_flat_parts(self, a, share, y):
+        b = a + share * (1.0 - a)
+        cell = self._against_whole_range(_flat(a, b), y + [a])
+        assert abs(cell[-1] - a) <= 4.0 * _MACHEPS * (1.0 + 2.0 * a)
+
+    @given(at=st.floats(0.05, 0.95), rise=st.floats(1e-3, 0.9), y=unit_targets)
+    def test_jumps(self, at, rise, y):
+        # a target inside the jump crosses just past at
+        cell = self._against_whole_range(_jump(at, rise),
+                                         y + [(1.0 - rise) * at + rise / 2.0])
+        assert abs(cell[-1] - at) <= 4.0 * _MACHEPS * (1.0 + 2.0 * at)
+
+    @given(i=st.integers(10, 400), span=st.integers(1, 100),
+           depth=st.floats(1e-12, 0.9e-9), y=unit_targets)
+    def test_a_dip_inside_the_tolerance(self, i, span, depth, y):
+        c, d = i / 512, (i + span + 0.5) / 512
+        h = _dip(c, d, depth)
+        sample = h(np.array(_POINTS))
+        assert np.any(np.diff(sample) < 0.0)
+        # off the band [c - depth, c] the crossing is one point
+        self._against_whole_range(h, [v for v in y if not c - depth <= v <= c])
+        # inside it the running maximum still brackets the left crossing
+        band = np.array([c - depth / 2.0, c])
+        got = distortions.inverse(distortions.validate(h, label="h"), band)
+        assert np.all(np.abs(got - band) <= 4.0 * _MACHEPS * (1.0 + 2.0 * band))
 
 
 class TestSolveMemo:
@@ -781,9 +930,9 @@ class TestSolveMemo:
         solved = []
         real = distortions.monotone_inverse
 
-        def counted(fn, y, lo, hi):
+        def counted(fn, y, lo, hi, values=None):
             solved.append(np.array(y))
-            return real(fn, y, lo, hi)
+            return real(fn, y, lo, hi, values=values)
 
         monkeypatch.setattr(distortions, "monotone_inverse", counted)
         grid = uniform_grid(48, edge_margin=0.01)
@@ -816,6 +965,9 @@ class TestSolveMemo:
             distortions.inverse(replace(h), y)
         assert str(with_memo.value) == str(without.value)
         assert h.solved is memo  # nothing stored from the failed solve
+        # co_inverse solves at 1 - p, screened against the same whole range
+        with pytest.raises(BracketError, match=message):
+            distortions.co_inverse(h, 1.0 - y)
 
     def test_the_memo_stays_within_its_limit(self):
         h = distortions.Distortion(fn=elementwise(lambda p: p * p), label="square",

@@ -197,7 +197,9 @@ class TestBuild:
         build(text)
         (xs,) = seen
         hi, steps = float(xs[-1]), 512
-        want = np.array([hi * i / steps for i in range(1, steps + 1)])
+        # the geometric head hi 2^-k, k = 70..10, then hi i/512
+        want = np.array([hi * 2.0 ** -k for k in range(70, 9, -1)]
+                        + [hi * i / steps for i in range(1, steps + 1)])
         assert xs.tobytes() == want.tobytes()
 
     def test_hazard_quantile_does_not_reevaluate_psi_at_hi(self, monkeypatch):
