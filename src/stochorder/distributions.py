@@ -196,7 +196,8 @@ def _build_hazard(expr_text: str) -> Distribution:
         # psi(x) = -ln(1 - p): from the table's cell up to psi(hi), from
         # [0, h] past it, h doubled from hi
         target = -each(math.log, 1.0 - p)
-        out = np.zeros(p.shape)
+        # a nan level has no quantile: it is not the atom at 0
+        out = np.where(np.isnan(target), np.nan, 0.0)
         live = np.flatnonzero(target > v0)
         target = target[live]
         lo, h = np.zeros(target.shape), np.full(target.shape, hi)

@@ -9,11 +9,13 @@ is integrated:
     mit(p) = p q(p) - integral_0^p q(t) dt            (area under cdf)
 
 with the open interval truncated at EPS_Q and rectangle corrections at both
-ends; this keeps ttt + ew = mean at ~1e-12 rather than ~1e-6.  Both ends of
-the integral are laddered (numerics.ladder): rungs halving toward EPS_Q
-resolve a root cusp of q at 0, as in a Weibull quantile or any quantile
-under the parallel-system distortion 1 - (1-p)^k, and rungs halving toward
-1 - EPS_Q resolve the blowup of an unbounded quantile.
+ends; this keeps ttt + ew = mean at ~1e-12 rather than ~1e-6.  Each
+transform reads one end of (0, 1): ttt and mit the head, ew the upper tail,
+and a check integrates only the ends its transforms read.  Each end is
+laddered (numerics.ladder): rungs halving toward EPS_Q resolve a root cusp
+of q at 0, as in a Weibull quantile or any quantile under the
+parallel-system distortion 1 - (1-p)^k, and rungs halving toward 1 - EPS_Q
+resolve the blowup of an unbounded quantile.
 
 Order semantics (margins oriented so "holds" means margin >= -tol):
     ttt:  ttt_X(p) <= ttt_Y(p) pointwise
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -152,23 +154,30 @@ def excess_wealth(X: Distribution, p: float) -> float:
     return tail + eps * q(hi) - (1.0 - p) * q(p)
 
 
-def transform_curves(sides: Sequence[Distribution], grid: Grid = DEFAULT_GRID,
-                     require_finite_mean: bool = False
-                     ) -> List[Dict[str, Tuple[float, ...]]]:
-    """ttt/ew/mit of each distribution in sides sampled over a grid, in one
-    cumulative pass for them all.
+TRANSFORMS = ("ttt", "ew", "mit")
 
-    Integrates each q once per grid segment and assembles all three
-    transforms from prefix/suffix sums, so a 512-point curve costs ~513
-    small quadratures instead of 1536 full ones.  The head [EPS_Q, first
-    point] is laddered toward EPS_Q as the upper tail is toward 1 - EPS_Q;
-    one partition, head rungs then grid segments then tail rungs, is
-    refined in one integrate_many pass for every side together, each
-    ladder's rungs at rung_tolerance and summed with fsum.  q at the grid
-    points, EPS_Q and 1 - EPS_Q is read from the values that pass returns
-    at its cuts, so no point of q is evaluated twice.  The ew curve is
-    infinite when the mean is: require_finite_mean raises InfiniteMeanError
-    when the upper-tail rungs refuse to decay (ttt and mit stay defined).
+
+def transform_curves(sides: Sequence[Distribution], grid: Grid = DEFAULT_GRID,
+                     reads: Collection[str] = TRANSFORMS
+                     ) -> List[Dict[str, Tuple[float, ...]]]:
+    """The transforms in reads (of ttt, ew and mit) of each distribution in
+    sides sampled over a grid, in one cumulative pass for them all.  Each
+    side's dict holds p, quantile (q at the grid) and the transforms read.
+
+    Integrates each q once per grid segment and assembles the transforms
+    from prefix/suffix sums, so a 512-point curve costs ~513 small
+    quadratures instead of 1536 full ones.  ttt and mit read the head
+    [EPS_Q, first point], laddered toward EPS_Q; ew reads the upper tail
+    [last point, 1 - EPS_Q], laddered toward 1 - EPS_Q.  One partition, the
+    head rungs if ttt or mit is read, the grid segments, then the tail
+    rungs if ew is read, is refined in one integrate_many pass for every
+    side together, each ladder's rungs at rung_tolerance and summed with
+    fsum.  q at the grid points and the partition's ends is read from the
+    values that pass returns at its cuts, so no point of q is evaluated
+    twice, and none beyond the ends read.  Each piece is refined against
+    its own tolerance, so a curve is the same, bit for bit, whatever else
+    is read.  The ew curve is infinite when the mean is: reading ew raises
+    InfiniteMeanError when the tail rungs refuse to decay.
 
     A side's curves are the ones a pass of that side alone gives, bit for
     bit, and so is the error raised: the sides are read in order, each
@@ -177,8 +186,10 @@ def transform_curves(sides: Sequence[Distribution], grid: Grid = DEFAULT_GRID,
     eps = EPS_Q
     pts = grid.points
     p = np.array(pts)
-    head_cuts = ladder(eps, pts[0], side="lo")
-    tail_cuts = ladder(pts[-1], 1.0 - eps, side="hi")
+    head = "ttt" in reads or "mit" in reads
+    tail = "ew" in reads
+    head_cuts = ladder(eps, pts[0], side="lo") if head else p[:1]
+    tail_cuts = ladder(pts[-1], 1.0 - eps, side="hi") if tail else p[-1:]
     cuts = np.concatenate((head_cuts[:-1], p, tail_cuts[1:]))
     n_head = head_cuts.size - 1
     n_body = n_head + p.size - 1  # head rungs, then grid segments, then tail rungs
@@ -191,22 +202,26 @@ def transform_curves(sides: Sequence[Distribution], grid: Grid = DEFAULT_GRID,
     for X, outcome in zip(sides, outcomes):
         values, at_cuts = settled(outcome)
         qv = at_cuts[n_head:n_body + 1]
-        q_eps, q_hi = at_cuts[[0, -1]].tolist()
-        head = math.fsum(values[:n_head].tolist())
         segments = values[n_head:n_body]
-        tail_rungs = values[n_body:].tolist()
-        tail_last = math.fsum(tail_rungs)
-        if require_finite_mean:
+        curves: Dict[str, Tuple[float, ...]] = {"p": pts}
+        if head:
+            # sequential sums from the head out
+            q_eps = float(at_cuts[0])
+            prefix = np.cumsum(np.concatenate(([math.fsum(values[:n_head].tolist())],
+                                               segments)))
+            if "ttt" in reads:
+                curves["ttt"] = tuple(((1.0 - p) * qv + eps * q_eps + prefix).tolist())
+            if "mit" in reads:
+                curves["mit"] = tuple((p * qv - (eps * q_eps + prefix)).tolist())
+        if tail:
+            # sequential sums from the tail in
+            tail_rungs = values[n_body:].tolist()
             check_tail_decay(X.label, tail_rungs[::-1])
-
-        # sequential sums: prefix runs from the head out, suffix from the tail in
-        prefix = np.cumsum(np.concatenate(([head], segments)))
-        suffix = np.cumsum(np.concatenate(([tail_last], segments[::-1])))[::-1]
-        ttt = (1.0 - p) * qv + eps * q_eps + prefix
-        mit = p * qv - (eps * q_eps + prefix)
-        ew = suffix + eps * q_hi - (1.0 - p) * qv
-        passes.append({"p": pts, "ttt": tuple(ttt.tolist()), "ew": tuple(ew.tolist()),
-                       "mit": tuple(mit.tolist()), "quantile": tuple(qv.tolist())})
+            suffix = np.cumsum(np.concatenate(([math.fsum(tail_rungs)],
+                                               segments[::-1])))[::-1]
+            curves["ew"] = tuple((suffix + eps * float(at_cuts[-1]) - (1.0 - p) * qv).tolist())
+        curves["quantile"] = tuple(qv.tolist())
+        passes.append(curves)
     return passes
 
 
@@ -251,8 +266,8 @@ def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
     Returns the kept (p, value_x, value_y, ratio) arrays plus exclusion
     notes; points with degenerate denominators or densities are dropped.
     The ratio is value_y/value_x for dmrl and star, value_x/value_y for
-    qmit and convex_transform.  dmrl and qmit read their ew/mit samples
-    from curves.
+    qmit and convex_transform.  dmrl, qmit and star read their ew, mit and
+    quantile samples from curves.
     """
     p = np.array(grid.points)
     if kind == OrderKind.CONVEX_TRANSFORM:
@@ -264,7 +279,7 @@ def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
         p, vx, vy = p[keep], vx[keep], vy[keep]
         return p, vx, vy, vx / vy, notes
     if kind == OrderKind.STAR:
-        vx, vy = X.quantile(p), Y.quantile(p)
+        vx, vy = curves("quantile")
         den, eps, why = vx, 1e-9, "quantile of X ~0"
     else:
         key = "ew" if kind == OrderKind.DMRL else "mit"
@@ -277,6 +292,10 @@ def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
     ratio = vx / vy if kind == OrderKind.QMIT else vy / vx
     return p, vx, vy, ratio, notes
 
+
+# the transform each pass-reading kind reads
+_READS = {OrderKind.TTT: "ttt", OrderKind.EW: "ew", OrderKind.DMRL: "ew",
+          OrderKind.QMIT: "mit"}
 
 _RATIO_NAMES = {OrderKind.DMRL: "excess-wealth ratio ew_y/ew_x",
                 OrderKind.QMIT: "mean-inactivity ratio mit_x/mit_y",
@@ -291,8 +310,11 @@ def check_orders(X: Distribution, Y: Distribution, kinds: Sequence[OrderKind],
 
     ttt, ew, dmrl and qmit all read the transform curves of X and Y, so
     one transform_curves pass of both sides runs at most once per call,
-    when the first kind needing it is checked; the pass refuses an
-    infinite mean when ew or dmrl is among the kinds.
+    when the first kind needing it is checked.  The pass reads what the
+    kinds read: ttt the ttt curve and qmit the mit curve, both integrated
+    from EPS_Q up; ew and dmrl the ew curve, integrated from the grid up to
+    1 - EPS_Q, and with it the refusal of an infinite mean.  star reads q
+    at the grid from the pass when one has run, and evaluates it otherwise.
 
     Pointwise kinds (ttt, ew) witness every grid point whose margin
     value_y - value_x drops below -tol; ratio kinds witness every adjacent
@@ -302,12 +324,16 @@ def check_orders(X: Distribution, Y: Distribution, kinds: Sequence[OrderKind],
     points only.
     """
     kinds = [OrderKind(kind) for kind in kinds]
-    need_mean = OrderKind.EW in kinds or OrderKind.DMRL in kinds
+    reads = {_READS[kind] for kind in kinds if kind in _READS}
     passes: List[Dict[str, Tuple[float, ...]]] = []
 
     def curves(key: str) -> Tuple[np.ndarray, np.ndarray]:
         if not passes:
-            passes.extend(transform_curves((X, Y), grid, require_finite_mean=need_mean))
+            if key == "quantile":
+                # no pass has run: star evaluates q at the grid itself
+                p = np.array(grid.points)
+                return X.quantile(p), Y.quantile(p)
+            passes.extend(transform_curves((X, Y), grid, reads))
         return np.array(passes[0][key]), np.array(passes[1][key])
 
     return [_verdict(X, Y, kind, grid, tol, curves) for kind in kinds]
@@ -353,8 +379,7 @@ def dmrl_integral_curve(X: Distribution, Y: Distribution,
     """I(p) = ew_Y(p) - s(p) ew_X(p) on a grid, s the density ratio
     density_X(q_X(p))/density_Y(q_Y(p)): the integral form of the dmrl
     comparison, which holds iff I >= 0 on (0,1)."""
-    ew_x, ew_y = (np.array(c["ew"])
-                  for c in transform_curves((X, Y), grid, require_finite_mean=True))
+    ew_x, ew_y = (np.array(c["ew"]) for c in transform_curves((X, Y), grid, ("ew",)))
     s = density_ratios(X, Y, grid.points)
     return {"p": grid.points, "value": tuple((ew_y - s * ew_x).tolist())}
 

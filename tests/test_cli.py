@@ -50,6 +50,15 @@ class TestCheckOrder:
         assert cli.main(["check-order", "--x", CE02_X, "--y", CE02_Y,
                          "--order", "ttt", "--distort", "p/2"]) == 2
 
+    @pytest.mark.parametrize("order, code", [("ttt", 0), ("qmit", 0), ("ew", 2)])
+    def test_only_ew_reads_a_tail_that_overflows(self, order, code, capsys):
+        # (1-p)^(-30) overflows on the upper-tail ladder, which only ew
+        # integrates: the head kinds hold, ew names the overflow
+        assert cli.main(["check-order", "--x", "q: (1-p)^(-30) - 1",
+                         "--y", "q: 2*((1-p)^(-30) - 1)", "--order", order]) == code
+        if code == 2:
+            assert "overflow in power" in capsys.readouterr().err
+
     def test_unwritable_csv_exits_four(self, tmp_path):
         missing = tmp_path / "no_such_dir" / "out.csv"
         assert cli.main(["check-order", "--x", CE02_X, "--y", CE02_Y,

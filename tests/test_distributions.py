@@ -172,6 +172,16 @@ class TestBuild:
             assert X.quantile(p) == pytest.approx(
                 math.sqrt(-math.log1p(-p)), abs=1e-9)
 
+    def test_hazard_quantile_at_nan_is_nan(self):
+        # as exp:1 gives it; nan is not a level at or below psi(0), so it is
+        # not the atom at 0
+        X = build("hazard: x^2")
+        assert math.isnan(build("exp:1").quantile(math.nan))
+        assert math.isnan(X.quantile(math.nan))
+        got = X.quantile(np.array([0.5, math.nan, 0.0]))
+        assert got[0] == pytest.approx(math.sqrt(math.log(2.0)), abs=1e-9)
+        assert math.isnan(got[1]) and got[2] == 0.0
+
     def test_distorted_exponential_is_rate_scaled(self):
         # h(p) = p^2 acting on the survival doubles the hazard rate
         X = build("distort(exp:1, h=power:2)")

@@ -4,6 +4,7 @@ and the implication chains between the six verdicts."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from stochorder import catalog, cli
 from stochorder import distortions as dist_mod
 from stochorder import orders as orders_mod
 from stochorder import distributions as db
-from stochorder.numerics import Grid, NumericsError, Tolerance, uniform_grid
+from stochorder.numerics import (
+    Grid,
+    NumericsError,
+    QuadratureFailure,
+    Tolerance,
+    elementwise,
+    uniform_grid,
+)
 from stochorder.orders import (
     OrderKind,
     check_order,
@@ -167,12 +175,21 @@ class TestSharedTransformPass:
         else:
             assert passes == []
 
-    @pytest.mark.parametrize("x_name, y_name", [("uniform", "exp_1"),
-                                                ("exp_half", "exp_1"),
-                                                ("ce02_x", "ce02_y")])
-    def test_same_verdicts_as_one_order_at_a_time(self, x_name, y_name,
-                                                  named_distributions):
+    @pytest.mark.parametrize("x_name, y_name, h_name", [
+        pytest.param("uniform", "exp_1", None, id="uniform-exp_1"),
+        pytest.param("exp_half", "exp_1", None, id="exp_half-exp_1"),
+        pytest.param("ce02_x", "ce02_y", None, id="ce02_x-ce02_y"),
+        pytest.param("ce02_x", "ce02_y", "mix_cubic", id="ce02_x-ce02_y-mix_cubic"),
+        pytest.param("ce01_x", "rayleigh", None, id="ce01_x-rayleigh"),
+    ])
+    def test_same_verdicts_as_one_order_at_a_time(self, x_name, y_name, h_name,
+                                                  named_distributions,
+                                                  fresh_distortions):
+        # star reads q at the grid from the pass of the kinds before it
         X, Y = named_distributions[x_name], named_distributions[y_name]
+        if h_name is not None:
+            h = fresh_distortions[h_name]
+            X, Y = db.distort(X, h), db.distort(Y, h)
         kinds = tuple(OrderKind)
         many = orders_mod.check_orders(X, Y, kinds, COARSE)
         alone = [check_order(X, Y, kind, COARSE) for kind in kinds]
@@ -180,19 +197,19 @@ class TestSharedTransformPass:
         assert [v.curve for v in many] == [v.curve for v in alone]
 
 
-def _single_passes(sides, grid, require_finite_mean=False):
+def _single_passes(sides, grid, reads=orders_mod.TRANSFORMS):
     """transform_curves of each side alone, in order: the curves, or the
     class and message of the first error, as passes one after the other
     give them."""
     try:
-        return [transform_curves([S], grid, require_finite_mean)[0] for S in sides]
+        return [transform_curves([S], grid, reads)[0] for S in sides]
     except Exception as error:
         return type(error), str(error)
 
 
-def _joint_pass(sides, grid, require_finite_mean=False):
+def _joint_pass(sides, grid, reads=orders_mod.TRANSFORMS):
     try:
-        return transform_curves(sides, grid, require_finite_mean)
+        return transform_curves(sides, grid, reads)
     except Exception as error:
         return type(error), str(error)
 
@@ -234,9 +251,13 @@ class TestJointTransformPass:
             "infinite_means"])
     @pytest.mark.parametrize("need_mean", [True, False])
     def test_errors_are_those_of_single_passes_in_order(self, x, y, need_mean):
+        # a pass that reads ew, with or without the head, refuses an
+        # infinite mean; one that reads only ttt and mit never sees the tail
         X, Y = (db.build(S) if isinstance(S, str) else S for S in (x, y))
-        want = _single_passes([X, Y], COARSE, need_mean)
-        assert _joint_pass([X, Y], COARSE, need_mean) == want
+        for reads in ((("ttt", "ew", "mit"), ("ew",)) if need_mean
+                      else (("ttt", "mit"),)):
+            want = _single_passes([X, Y], COARSE, reads)
+            assert _joint_pass([X, Y], COARSE, reads) == want
 
     def test_infinite_mean_of_x_beats_a_failure_of_y(self):
         X = db.build("q: 1/(1-p) - 1")
@@ -244,6 +265,92 @@ class TestJointTransformPass:
             check_orders(X, _INFINITE_INSIDE, [OrderKind.EW], COARSE)
         with pytest.raises(NumericsError, match="^integrand evaluated to inf"):
             check_orders(X, _INFINITE_INSIDE, [OrderKind.TTT], COARSE)
+
+
+def _recording(X):
+    """X with its quantile wrapped to record the points of each call, and
+    the record."""
+    seen = []
+    q = X.quantile
+
+    @elementwise
+    def recorded(p):
+        seen.append(np.array(p, dtype=float).ravel())
+        return q(p)
+
+    return replace(X, quantile=recorded), seen
+
+
+class TestPassReadsItsEnds:
+    """A pass integrates only the ends its kinds' transforms read: ttt and
+    qmit the head below the first grid point, ew and dmrl the upper tail
+    above the last."""
+
+    @staticmethod
+    def _calls(kinds, named_distributions):
+        """The arrays each side's quantile is called on by one check_orders call."""
+        X, xs = _recording(named_distributions["exp_half"])
+        Y, ys = _recording(named_distributions["exp_1"])
+        check_orders(X, Y, kinds, COARSE)
+        return xs, ys
+
+    def _points(self, kinds, named_distributions):
+        return tuple(np.concatenate(calls)
+                     for calls in self._calls(kinds, named_distributions))
+
+    @pytest.mark.parametrize("kind", [OrderKind.TTT, OrderKind.QMIT])
+    def test_head_kinds_evaluate_nothing_above_the_grid(self, kind,
+                                                        named_distributions):
+        for points in self._points((kind,), named_distributions):
+            assert points.max() == COARSE.points[-1]
+            assert points.min() < COARSE.points[0]
+
+    @pytest.mark.parametrize("kind", [OrderKind.EW, OrderKind.DMRL])
+    def test_tail_kinds_evaluate_nothing_below_the_grid(self, kind,
+                                                        named_distributions):
+        for points in self._points((kind,), named_distributions):
+            assert points.min() == COARSE.points[0]
+            assert points.max() > COARSE.points[-1]
+
+    def test_six_orders_evaluate_both_ends(self, named_distributions):
+        # the six kinds read both ends: their points are those of a head
+        # pass, a tail pass and the density stencil
+        six = self._points(tuple(OrderKind), named_distributions)
+        parts = [self._points(kinds, named_distributions)
+                 for kinds in ((OrderKind.TTT,), (OrderKind.EW,),
+                               (OrderKind.CONVEX_TRANSFORM,))]
+        for side, points in enumerate(six):
+            want = np.unique(np.concatenate([part[side] for part in parts]))
+            np.testing.assert_array_equal(np.unique(points), want)
+
+    @pytest.mark.parametrize("kinds", [
+        (OrderKind.STAR,),
+        (OrderKind.STAR, OrderKind.TTT),
+        (OrderKind.TTT, OrderKind.STAR),
+        (OrderKind.DMRL, OrderKind.STAR),
+    ])
+    def test_star_reads_the_pass_before_it(self, kinds, named_distributions):
+        # star first or alone calls each quantile once, at the grid; after a
+        # pass-reading kind it calls neither
+        got = self._calls(kinds, named_distributions)
+        others = [kind for kind in kinds if kind != OrderKind.STAR]
+        without = self._calls(others, named_distributions)
+        for calls, other_calls in zip(got, without):
+            if kinds[0] == OrderKind.STAR:
+                np.testing.assert_array_equal(calls[0], COARSE.points)
+                calls = calls[1:]
+            assert [c.tobytes() for c in calls] == [c.tobytes() for c in other_calls]
+
+    def test_heavy_tail_fails_only_the_tail_kinds(self):
+        # a Lomax (a = 1.5) scale pair under 1 - (1-p)^2: the tail rungs
+        # near p = 1 - 2.4e-6 do not converge, the head and grid do
+        h = dist_mod.dualpower(2.0)
+        X, Y = (db.distort(db.build(spec), h)
+                for spec in ("q: (1-p)^(-1/1.5) - 1", "q: 1.3*((1-p)^(-1/1.5) - 1)"))
+        for kind in (OrderKind.TTT, OrderKind.QMIT):
+            assert check_order(X, Y, kind).holds
+        with pytest.raises(QuadratureFailure):
+            check_order(X, Y, OrderKind.EW)
 
 
 def _table_distribution(values, grid):
