@@ -125,7 +125,7 @@ def build(text: str) -> Distribution:
             raise SpecError(f"bad exponential rate in {text!r}: {ex}") from None
         if not (math.isfinite(rate) and rate > 0):
             raise SpecError(f"exponential rate must be positive, got {rate!r}")
-        q = elementwise(lambda p: -each(math.log, 1.0 - p) / rate)
+        q = elementwise(lambda p: _cumulative_hazard(p) / rate)
         # the clipped exponent of an entry x <= 0, which reads 0, cannot overflow
         cdf_fn = elementwise(lambda x: np.where(
             x > 0.0, 1.0 - each(math.exp, -rate * np.maximum(x, 0.0)), 0.0))
@@ -195,10 +195,11 @@ def _build_hazard(expr_text: str) -> Distribution:
     def quantile(p: np.ndarray) -> np.ndarray:
         # psi(x) = -ln(1 - p): from the table's cell up to psi(hi), from
         # [0, h] past it, h doubled from hi
-        target = -each(math.log, 1.0 - p)
-        # a nan level has no quantile: it is not the atom at 0
-        out = np.where(np.isnan(target), np.nan, 0.0)
-        live = np.flatnonzero(target > v0)
+        target = _cumulative_hazard(p)
+        # a nan level has no quantile: it is not the atom at 0; level 1
+        # has the limit inf
+        out = np.where(target < np.inf, 0.0, target)
+        live = np.flatnonzero((target > v0) & (target < np.inf))
         target = target[live]
         lo, h = np.zeros(target.shape), np.full(target.shape, hi)
         flo, fhi = np.full(target.shape, v0), np.full(target.shape, psi_hi)
@@ -222,6 +223,17 @@ def _build_hazard(expr_text: str) -> Distribution:
 
     return from_quantile(elementwise(lambda p: on_arrays(quantile, p)),
                          label=label, cdf_fn=cdf_fn, validate=False)
+
+
+def _cumulative_hazard(p: np.ndarray) -> np.ndarray:
+    """-ln(1 - p) at each level p: the exponential's quantile times its
+    rate, inf at level 1, its limit there."""
+    c = 1.0 - p
+    try:
+        return -each(math.log, c)
+    except ValueError:  # math.log(0) at level 1
+        top = c == 0.0
+        return np.where(top, np.inf, -each(math.log, np.where(top, 1.0, c)))
 
 
 def _double(h):

@@ -20,7 +20,10 @@ left-closed: the value goes to the first branch whose bound it does not
 exceed.
 
 Every AST node carries a source span; syntax and evaluation-domain errors
-point back at the offending text.
+point back at the offending text.  An evaluation runs the compiled tree
+first without checking any domain rule, with floating-point errors raising;
+only when that run raises or ends not finite does the checked run find the
+first offending entry and its rule (``_evaluator``).
 """
 
 from __future__ import annotations
@@ -390,6 +393,10 @@ def eval_expr(node: Expr, value: float) -> float:
 # the error of the smallest rule it breaks.  The entries where math.pow or
 # math.exp might raise are settled one at a time.  A constant subtree folds
 # to its value, or to 0.0 and the rule it always breaks.
+#
+# With checks=None a closure keeps no records and tests no rule: it is the
+# unchecked run that _evaluator tries first, which raises as soon as any
+# entry breaks a rule (see there).
 
 _CLEAR = np.iinfo(np.intp).max  # the code of an entry that breaks no rule
 
@@ -441,6 +448,8 @@ def _compile(node: Expr, rules: list) -> tuple:
         return (lambda v, checks: value), value
 
     def broken(v, checks):
+        if checks is None:
+            raise ValueError("a constant subtree that breaks a rule")
         checks.append((rule, True, None))
         return 0.0
 
@@ -459,10 +468,11 @@ def _piecewise(node: Piecewise, rules: list):
         for k, body in enumerate(bodies):
             idx = np.flatnonzero(which == k)
             if idx.size:
-                branch = []
+                branch = None if checks is None else []
                 out[idx] = body(v[idx], branch)
-                checks += [(rule, mask, idx if at is None else idx[at])
-                           for rule, mask, at in branch]
+                if checks is not None:
+                    checks += [(rule, mask, idx if at is None else idx[at])
+                               for rule, mask, at in branch]
         return out
 
     return run
@@ -481,6 +491,8 @@ def _arithmetic(node: Binary, rules: list, left_part, right_part):
 
     def run(v, checks):
         x, y = left(v, checks), right(v, checks)
+        if checks is None:
+            return apply(x, y)
         if zero is not None:
             by_zero = y == 0.0
             checks.append((zero, by_zero, None))
@@ -515,6 +527,8 @@ def _power(node: Binary, rules: list, left_part, right_part):
 
     def run(v, checks):
         x, y = left(v, checks), right(v, checks)
+        if checks is None:
+            return each(math.pow, x, y)
         if exponent is None:
             checks.append((zero, (x == 0.0) & (y < 0.0), None))
             checks.append((negative, (x < 0.0) & (y != np.floor(y)), None))
@@ -551,6 +565,8 @@ def _call(node: Call, rules: list, args: list):
 
         def run(v, checks):
             x = arg(v, checks)
+            if checks is None:
+                return each(math.exp, x)
             unsure = x > 709.0  # math.exp overflows above ~709.78
             out = each(math.exp, np.where(unsure, 0.0, x))
             _settle(out, unsure, math.exp, (x,), raises, checks)
@@ -561,6 +577,8 @@ def _call(node: Call, rules: list, args: list):
 
         def run(v, checks):
             x = arg(v, checks)
+            if checks is None:
+                return each(math.log, x)
             bad = x <= 0.0
             checks.append((rule, bad, None))
             return each(math.log, np.where(bad, 1.0, x))
@@ -569,6 +587,8 @@ def _call(node: Call, rules: list, args: list):
 
     def run(v, checks):
         x = arg(v, checks)
+        if checks is None:
+            return np.sqrt(x)
         bad = x < 0.0
         checks.append((rule, bad, None))
         return np.sqrt(np.where(bad, 0.0, x))
@@ -577,12 +597,42 @@ def _call(node: Call, rules: list, args: list):
 
 def _evaluator(node: Expr) -> Callable[[np.ndarray], np.ndarray]:
     """The expression on a float array: the array of its values, or the
-    ExprDomainError of its first entry that breaks a rule."""
+    ExprDomainError of its first entry that breaks a rule.
+
+    A finite input first goes through the tree unchecked (checks=None),
+    with numpy's floating-point flags raising.  From finite operands every
+    rule an entry breaks raises there, so a run that ends finite broke
+    none, and its values are those of the checked run bit for bit:
+
+        rule                                    raised by
+        division by zero                        FloatingPointError (divide; invalid at 0/0)
+        overflow of + - * /                     FloatingPointError (overflow)
+        zero raised to a negative power         ValueError from math.pow
+        negative base with non-integer exponent ValueError from math.pow
+        overflow in power                       OverflowError from math.pow
+        overflow in exp                         OverflowError from math.exp
+        ln of a non-positive number             ValueError from math.log
+        sqrt of a negative number               FloatingPointError (invalid)
+
+    Underflow raises nothing, as it breaks no rule.  The checked run, which
+    names the rule, its span and the first offending entry, runs only when
+    the unchecked one raises, meets a constant subtree that breaks a rule,
+    or ends not finite, and for a constant expression or an input that is
+    not finite.
+    """
     rules: list = []
     run, value = _compile(node, rules)
 
     def evaluate(values: np.ndarray) -> np.ndarray:
         v = values.astype(float).ravel()
+        if value is None and np.isfinite(v).all():
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    out = run(v, None)
+                if np.isfinite(out).all():
+                    return out.reshape(values.shape)
+            except (ArithmeticError, ValueError):
+                pass  # some entry may break a rule: the checked run says which
         checks: list = []
         with np.errstate(all="ignore"):
             out = run(v, checks) if value is None else np.full(v.shape, run(v, checks))

@@ -213,7 +213,11 @@ def clamp(v: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
 def inside(x: np.ndarray, inner: Callable, lo: float = 0.0,
            hi: float = 1.0) -> np.ndarray:
     """inner at the entries of x strictly between lo and hi, called once on
-    them; 0 at or below lo and 1 at or above hi."""
+    them; 0 at or below lo and 1 at or above hi.  A new array, never x."""
+    if ((lo < x) & (x < hi)).all():
+        out = np.empty(x.shape)
+        out[...] = inner(x)
+        return out
     out = np.where(x <= lo, 0.0, 1.0)
     mid = np.flatnonzero(~((x <= lo) | (x >= hi)))
     if mid.size:
@@ -245,11 +249,11 @@ def first(mask: np.ndarray) -> Optional[int]:
 
 def _eval_checked(fn: Callable, x: np.ndarray) -> np.ndarray:
     v = fn(x)
+    if np.isfinite(v).all():
+        return v
     i = first(~np.isfinite(v))
-    if i is not None:
-        raise NumericsError(f"integrand evaluated to {float(v[i])!r} "
-                            f"at x={float(x[i])!r}")
-    return v
+    raise NumericsError(f"integrand evaluated to {float(v[i])!r} "
+                        f"at x={float(x[i])!r}")
 
 
 def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -284,22 +288,26 @@ def integrate_many(fns: Sequence[Callable],
 
     cuts is non-decreasing (a repeated cut makes an empty piece, worth 0),
     abs_tol a float or one per piece.  The panels of all integrands are
-    refined in one loop, and each level calls every integrand that still
-    has open panels once: the first at the cuts and the pieces' midpoints,
-    the others at the midpoints of the halves of its own open panels, so
-    no point is evaluated twice.  Panel by panel this is the recursive
-    method: the tolerance max(abs_tol_i, rel_tol * |first estimate|) of its
-    piece, halved per split; acceptance when the two-halves estimate moves
-    by at most 15x that or by rounding noise; the Richardson step on
-    acceptance.  Accepted panels are summed back up the tree as
-    left + right, so each piece's value is the recursive one, bit for bit,
-    whatever the other integrands are.
+    refined in one loop.  The first call of each integrand covers two
+    levels, which every live piece needs: the cuts, the pieces' midpoints
+    and the midpoints of their halves.  Each later level calls every
+    integrand that still has open panels once, at the midpoints of the
+    halves of its own open panels, so no point is evaluated twice.  Panel
+    by panel this is the recursive method: the tolerance
+    max(abs_tol_i, rel_tol * |first estimate|) of its piece, halved per
+    split; acceptance when the two-halves estimate moves by at most 15x
+    that or by rounding noise; the Richardson step on acceptance.  Accepted
+    panels are summed back up the tree as left + right, so each piece's
+    value is the recursive one, bit for bit, whatever the other integrands
+    are.
 
     Each integrand fails alone and drops out while the others go on.  Its
     outcome is then the error its call raised (NumericsError for a value
-    that is not finite), or QuadratureFailure, carrying the estimate, for
-    its first panel still open at depth MAX_SIMPSON_DEPTH or at a level
-    where it would open more than MAX_LIVE_PANELS of its own.
+    that is not finite, at the call's first such point; the first call
+    takes the first level's points, then the second's), or
+    QuadratureFailure, carrying the estimate, for its first panel still
+    open at depth MAX_SIMPSON_DEPTH or at a level where it would open more
+    than MAX_LIVE_PANELS of its own.
     """
     cuts = np.asarray(cuts, dtype=float)
     if not np.all(cuts[:-1] <= cuts[1:]):
@@ -309,20 +317,27 @@ def integrate_many(fns: Sequence[Callable],
     a, b = cuts[live], cuts[live + 1]
     m = 0.5 * (a + b)
     inner = np.flatnonzero((a < m) & (m < b))  # as at the midpoints below
-    first_level = np.concatenate((cuts, m[inner]))
-    owners, at_cuts, fa, fm, fb = [], [], [], [], []
+    # and the midpoints of the halves, as the loop's first pass takes them
+    lo, hi = _pairs(a, m), _pairs(m, b)
+    x = 0.5 * (lo + hi)
+    inner_x = np.flatnonzero((lo < x) & (x < hi))
+    split_at = [cuts.size, cuts.size + inner.size]
+    first_levels = np.concatenate((cuts, m[inner], x[inner_x]))
+    owners, at_cuts, fa, fm, fb, f_halves = [], [], [], [], [], []
     for k, fn in enumerate(fns):
         try:
-            f = _eval_checked(fn, first_level)
+            f = _eval_checked(fn, first_levels)
         except Exception as error:
             outcomes[k] = error
             continue
+        f, f_mid, f_x = np.split(f, split_at)
         owners.append(k)
-        at_cuts.append(f[:cuts.size])
+        at_cuts.append(f)
         fa.append(f[live])
         fb.append(f[live + 1])
         fm.append(np.where(m == a, fa[-1], fb[-1]))
-        fm[-1][inner] = f[cuts.size:]
+        fm[-1][inner] = f_mid
+        f_halves.append(f_x)
     if not owners:
         return outcomes
     # the loop's panels are those of owners[0], then those of owners[1], ...:
@@ -347,14 +362,19 @@ def integrate_many(fns: Sequence[Callable],
         inner = np.flatnonzero((lo < x) & (x < hi))
         ends = list(accumulate(counts))
         failed = []
-        for j, (start, stop) in enumerate(_blocks(inner, [2 * e for e in ends])):
-            if counts[j]:
-                part = inner[start:stop]
-                try:
-                    fx[part] = _eval_checked(fns[owners[j]], x[part])
-                except Exception as error:
-                    outcomes[owners[j]] = error
-                    failed.append(j)
+        if f_halves:
+            # the first pass: each integrand took these points in its first call
+            fx[inner] = np.concatenate(f_halves)
+            f_halves = []
+        else:
+            for j, (start, stop) in enumerate(_blocks(inner, [2 * e for e in ends])):
+                if counts[j]:
+                    part = inner[start:stop]
+                    try:
+                        fx[part] = _eval_checked(fns[owners[j]], x[part])
+                    except Exception as error:
+                        outcomes[owners[j]] = error
+                        failed.append(j)
         halves = (hi - lo) * (flo + 4.0 * fx + fhi) / 6.0
         s_left, s_right = halves[0::2], halves[1::2]
         s2 = s_left + s_right

@@ -7,13 +7,15 @@ the breadth-first quadrature of the transform pass.  Each has a single
 implementation, on arrays, which a float enters as a one-entry array.  The
 float paths they replaced are kept here as references: the float root
 solve, the float copula evaluation, the float hazard quantile, cdfs,
-inverses and derivative, bisection and recursive adaptive Simpson.  Each
+inverses and derivative, bisection, recursive adaptive Simpson and the
+breadth-first loop whose first two levels took two calls.  Each
 array entry must equal what the reference gives at that point, and fail
 where and how the reference fails first.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import replace
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from scipy.optimize.elementwise import find_root
 
 from stochorder import (catalog, cli, copulas, distortions, distributions,
-                        funcalc, orders, systems)
+                        funcalc, numerics, orders, systems)
 from stochorder.numerics import (
     DEFAULT_GRID,
     MAX_LIVE_PANELS,
@@ -197,6 +199,9 @@ expressions = st.recursive(st.sampled_from(_LITERALS + ("p",) * 4),
                            _expression_text, max_leaves=8)
 inputs = st.lists(st.one_of(st.sampled_from(_INPUTS), st.floats(-3.0, 3.0)),
                   min_size=1, max_size=12)
+# points at which the rules below break, and others
+rule_points = st.lists(st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)),
+                                 st.floats(0.0, 3.0)), min_size=1, max_size=40)
 
 
 class TestCompiledExpressions:
@@ -229,6 +234,26 @@ class TestCompiledExpressions:
     def test_random_expressions_equal_the_reference(self, text, xs):
         # literals at the edges of every rule, including constant subtrees
         # that fold to a value or to the rule they always break
+        _agrees_with_reference(funcalc.parse(text), xs)
+
+    @given(text=expressions, xs=inputs)
+    def test_random_expressions_under_a_finite_root(self, text, xs):
+        # min(1, max(-1, t)) is finite wherever t is a number, inf or nan,
+        # so a rule that t breaks shows in no value at the root
+        _agrees_with_reference(funcalc.parse(f"min(1, max(-1, {text}))"), xs)
+
+    @pytest.mark.parametrize("text", [
+        "p + 1/(1 + exp(800*p))",  # overflow in exp
+        "min(1, 1/(p - 1/2))",  # division by zero
+        "1/(1 + (1e154*p)*(1e154*p))",  # overflow
+        "min(1, (p - 1)^-1)",  # zero raised to a negative power
+        "max(-1, (p - 2)^0.5)",  # negative base with non-integer exponent
+        "1/(1 + 10^(400*p))",  # overflow in power
+        "max(-1, ln(p - 1/2))",  # ln of a non-positive number
+        "min(1, sqrt(p - 1/2))",  # sqrt of a negative number
+    ])
+    @given(xs=rule_points)
+    def test_each_rule_under_a_finite_root(self, text, xs):
         _agrees_with_reference(funcalc.parse(text), xs)
 
     @pytest.mark.parametrize("text, message, where", [
@@ -292,6 +317,33 @@ class TestCompiledExpressions:
         fn = funcalc.compile_fn(node)
         for x in np.linspace(0.0, 1.0, 33).tolist():
             assert funcalc.eval_expr(node, x) == fn(x) == _reference(node, x)
+
+
+def _masked_inside(x, inner, lo, hi):
+    """numerics.inside as a mask and a gather/scatter, whatever x holds."""
+    out = np.where(x <= lo, 0.0, 1.0)
+    mid = np.flatnonzero(~((x <= lo) | (x >= hi)))
+    if mid.size:
+        out[mid] = inner(x[mid])
+    return out
+
+
+class TestInside:
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.25, 0.75)])
+    @given(xs=st.lists(st.floats(0.3, 0.7), min_size=1, max_size=20)
+           | st.lists(st.floats(-0.5, 1.5) | st.sampled_from(
+               [0.0, -0.0, 0.25, 0.75, 1.0, math.nan]), min_size=1, max_size=20))
+    def test_matches_the_masked_form(self, lo, hi, xs):
+        # entries at or beyond the ends read 0 or 1 and nan goes to inner,
+        # which is called once; the result is a new array even when inner
+        # hands back what it was given
+        x = np.array(xs)
+        for inner in (lambda v: v, lambda v: v * v - 0.5):
+            calls = []
+            got = numerics.inside(x, lambda v: calls.append(v) or inner(v), lo, hi)
+            assert got is not x and not np.shares_memory(got, x)
+            assert _bits(got) == _bits(_masked_inside(x, inner, lo, hi))
+            assert len(calls) == (1 if np.any(~((x <= lo) | (x >= hi))) else 0)
 
 
 class TestLift:
@@ -1018,6 +1070,126 @@ def _adapt(fn, a, b, fa, fm, fb, s_whole, eps, depth):
     return left + right
 
 
+def _checked(fn, x):
+    v = fn(x)
+    i = np.flatnonzero(~np.isfinite(v))
+    if i.size:
+        raise NumericsError(f"integrand evaluated to {float(v[i[0]])!r} "
+                            f"at x={float(x[i[0]])!r}")
+    return v
+
+
+def _two_call_integrate_many(fns, cuts, abs_tol, rel_tol):
+    """integrate_many as it was when its first two levels took one call
+    each: the cuts and the pieces' midpoints, then the midpoints of their
+    halves in the loop's first pass."""
+    outcomes = [None] * len(fns)
+    live = np.flatnonzero(cuts[:-1] < cuts[1:])
+    a, b = cuts[live], cuts[live + 1]
+    m = 0.5 * (a + b)
+    inner = np.flatnonzero((a < m) & (m < b))
+    owners, at_cuts, fa, fm, fb = [], [], [], [], []
+    for k, fn in enumerate(fns):
+        try:
+            f = _checked(fn, np.concatenate((cuts, m[inner])))
+        except Exception as error:
+            outcomes[k] = error
+            continue
+        owners.append(k)
+        at_cuts.append(f[:cuts.size])
+        fa.append(f[live])
+        fb.append(f[live + 1])
+        fm.append(np.where(m == a, fa[-1], fb[-1]))
+        fm[-1][inner] = f[cuts.size:]
+    if not owners:
+        return outcomes
+    n = len(owners)
+    counts = [live.size] * n
+    fa, fm, fb = np.concatenate(fa), np.concatenate(fm), np.concatenate(fb)
+    a, b = np.concatenate([a] * n), np.concatenate([b] * n)
+    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    eps = np.maximum(np.concatenate([np.broadcast_to(abs_tol, cuts.size - 1)[live]] * n),
+                     rel_tol * np.abs(whole))
+    levels, depth = [], MAX_SIMPSON_DEPTH
+    while a.size:
+        m = 0.5 * (a + b)
+        lo, hi = numerics._pairs(a, m), numerics._pairs(m, b)
+        flo, fhi = numerics._pairs(fa, fm), numerics._pairs(fm, fb)
+        x = 0.5 * (lo + hi)
+        fx = np.where(x == lo, flo, fhi)
+        inner = np.flatnonzero((lo < x) & (x < hi))
+        ends = list(itertools.accumulate(counts))
+        failed = []
+        for j, (start, stop) in enumerate(numerics._blocks(inner, [2 * e for e in ends])):
+            if counts[j]:
+                part = inner[start:stop]
+                try:
+                    fx[part] = _checked(fns[owners[j]], x[part])
+                except Exception as error:
+                    outcomes[owners[j]] = error
+                    failed.append(j)
+        halves = (hi - lo) * (flo + 4.0 * fx + fhi) / 6.0
+        s_left, s_right = halves[0::2], halves[1::2]
+        delta = s_left + s_right - whole
+        noise = 50.0 * _MACHEPS * (np.abs(s_left) + np.abs(s_right) + np.abs(whole))
+        value = s_left + s_right + delta / 15.0
+        moved = np.abs(delta)
+        split = np.flatnonzero((moved > 15.0 * eps) & (moved > noise))
+        blocks = numerics._blocks(split, ends)
+        for j, (start, stop) in enumerate(blocks):
+            if (start < stop and j not in failed
+                    and (depth <= 0 or 2 * (stop - start) > MAX_LIVE_PANELS)):
+                i = split[start]
+                outcomes[owners[j]] = QuadratureFailure(
+                    f"adaptive Simpson did not converge on "
+                    f"[{float(a[i])!r}, {float(b[i])!r}]",
+                    last_estimate=float(value[i]))
+                failed.append(j)
+        keep = np.ones(split.size, dtype=bool)
+        for j in failed:
+            keep[slice(*blocks[j])] = False
+            blocks[j] = (0, 0)
+        split = split[keep]
+        counts = [2 * (stop - start) for start, stop in blocks]
+        levels.append((value, split))
+        kids = (2 * split[:, None] + [0, 1]).ravel()
+        a, b, fa, fm, fb = lo[kids], hi[kids], flo[kids], fx[kids], fhi[kids]
+        whole = halves[kids]
+        eps = np.repeat(0.5 * eps[split], 2)
+        depth -= 1
+    below = np.zeros(0)
+    for value, split in reversed(levels):
+        value[split] = below[0::2] + below[1::2]
+        below = value
+    for k, f, pieces in zip(owners, at_cuts, below.reshape(n, live.size)):
+        if outcomes[k] is None:
+            total = np.zeros(cuts.size - 1)
+            total[live] = pieces
+            outcomes[k] = (total, f)
+    return outcomes
+
+
+def _partition(xs, repeats, ulps):
+    """Sorted cuts from xs: repeated cuts make empty pieces, and cuts one
+    float apart make pieces whose midpoints round onto an end."""
+    cuts = [xs[0]]
+    for _ in range(ulps):
+        cuts.append(math.nextafter(cuts[-1], math.inf))
+    return np.array(sorted(xs + xs[:repeats] + cuts[1:]))
+
+
+def _assert_same_outcome(got, want):
+    """Two integrate_many outcomes: the same arrays bit for bit, or the same
+    error with the same message and estimate."""
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+    else:
+        assert str(got) == str(want)
+        assert getattr(got, "last_estimate", None) == getattr(
+            want, "last_estimate", None)
+
+
 def _reference_curves(q, grid):
     """transform_curves assembled from per-segment recursive integrals of
     the float quantile q, the head and the upper tail each over its ladder."""
@@ -1092,9 +1264,10 @@ class TestBatchedQuadrature:
         assert _bits([orders.qmit_xspace_integral(X, Y, t)]) == _bits([want])
 
     def test_x_space_gap_calls_once_per_level(self, named_distributions, monkeypatch):
-        # cdf and q_Y take the points of a quadrature level as one array:
-        # per integrand call one cdf for F, and one cdf and one q_Y for
-        # each of the two alpha' stencils; one more of each for alpha'(t)
+        # cdf and q_Y take the points of a quadrature level as one array,
+        # those of the first two levels in the first call: per integrand
+        # call one cdf for F, and one cdf and one q_Y for each of the two
+        # alpha' stencils; one more of each for alpha'(t)
         h = distortions.dualpower(5.0)
         X = distributions.distort(named_distributions["ce01_x"], h)
         Y = distributions.distort(named_distributions["exp_1"], h)
@@ -1118,26 +1291,51 @@ class TestBatchedQuadrature:
         monkeypatch.setattr(orders, "cdf", counted("cdf", orders.cdf))
         Y.quantile = counted("quantile", Y.quantile)
         orders.qmit_xspace_integral(X, Y, 1.3)
-        levels = calls["integrand"]
-        assert levels <= MAX_SIMPSON_DEPTH + 2
-        assert calls["cdf"] == 3 * levels + 1
-        assert calls["quantile"] == 2 * levels + 1
-        assert calls == {"cdf": 46, "quantile": 31, "integrand": 15, "points": 185}
+        integrand_calls = calls["integrand"]
+        assert integrand_calls <= MAX_SIMPSON_DEPTH + 1
+        assert calls["cdf"] == 3 * integrand_calls + 1
+        assert calls["quantile"] == 2 * integrand_calls + 1
+        assert calls == {"cdf": 43, "quantile": 29, "integrand": 14, "points": 185}
 
     @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
            repeats=st.integers(0, 3), ulps=st.integers(0, 3))
     def test_each_piece_as_alone(self, xs, repeats, ulps):
-        # repeated cuts make empty pieces; cuts one float apart make pieces
-        # whose midpoints round onto an end
         fn = _compiled("x", "exp(x) * sqrt(x*x + 1)")
-        cuts = [xs[0]]
-        for _ in range(ulps):
-            cuts.append(math.nextafter(cuts[-1], math.inf))
-        cuts = np.array(sorted(xs + xs[:repeats] + cuts[1:]))
+        cuts = _partition(xs, repeats, ulps)
         tol = Tolerance(abs_tol=1e-11, rel_tol=1e-11)
         got = settled(integrate_many([fn], cuts, tol.abs_tol, tol.rel_tol)[0])[0]
         assert got.tolist() == [_recursive_integrate(fn, x, y, tol)
                                 for x, y in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+
+    @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+           repeats=st.integers(0, 3), ulps=st.integers(0, 3))
+    def test_first_call_covers_two_levels(self, xs, repeats, ulps):
+        # the outcomes of the loop whose first two levels took two calls,
+        # bit for bit, errors included; each integrand that got past its
+        # first level makes one call fewer
+        cuts = _partition(xs, repeats, ulps)
+        fns = [_compiled("x", "exp(x) * sqrt(x*x + 1)"),
+               _compiled("x", "piece(x <= 0.5 : x ; else : x + 1)"),
+               _compiled("x", "ln(x + 2.5)"),
+               elementwise(lambda x: np.where(np.abs(x - 1.1) < 1e-3, np.nan, x))]
+        counts = {}
+
+        def counted(key, fn):
+            counts[key] = 0
+
+            def wrapper(x):
+                counts[key] += 1
+                return fn(x)
+            return elementwise(wrapper)
+
+        got = integrate_many([counted(("got", k), fn) for k, fn in enumerate(fns)],
+                             cuts, 1e-11, 1e-11)
+        want = _two_call_integrate_many(
+            [counted(("want", k), fn) for k, fn in enumerate(fns)], cuts, 1e-11, 1e-11)
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same_outcome(g, w)
+            fewer = 1 if counts["want", k] > 1 else 0
+            assert counts["got", k] == counts["want", k] - fewer
 
     @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=12),
            repeats=st.integers(0, 3))
@@ -1191,13 +1389,7 @@ class TestBatchedQuadrature:
         for fn, got in zip(fns, joint):
             [want] = integrate_many([fn], cuts, 1e-13, 1e-12)
             kinds.append(type(got).__name__)
-            assert type(got) is type(want)
-            if isinstance(want, tuple):
-                assert [_bits(v) for v in got] == [_bits(v) for v in want]
-            else:
-                assert str(got) == str(want)
-                assert getattr(got, "last_estimate", None) == getattr(
-                    want, "last_estimate", None)
+            _assert_same_outcome(got, want)
         assert kinds == ["QuadratureFailure", "tuple", "QuadratureFailure",
                          "NumericsError", "tuple"]
         with pytest.raises(NumericsError, match=r"^integrand evaluated to nan"):
@@ -1211,9 +1403,10 @@ class TestBatchedQuadrature:
     ], ids=["polynomial", "exp_under_dualpower5", "ce02_x_under_system"])
     def test_transform_pass_evaluates_each_point_once(self, spec, h, grid,
                                                       fresh_distortions):
-        # the first quadrature level takes the grid, the ladder cuts and
-        # both end points with the midpoints; the tail ladder's last rungs
-        # are a float or two wide, so their midpoints round onto cuts
+        # the first quadrature call takes the grid, the ladder cuts and
+        # both end points with the midpoints and their halves' midpoints;
+        # the tail ladder's last rungs are a float or two wide, so their
+        # midpoints round onto cuts
         X = distributions.build(spec)
         if h is not None:
             X = distributions.distort(X, fresh_distortions[h])
@@ -1229,8 +1422,9 @@ class TestBatchedQuadrature:
         points = np.concatenate(seen)
         assert np.unique(points).size == points.size
         if h is None:
-            # one level for the cuts and midpoints, one that closes them all
-            assert len(seen) == 2
+            # one call for the cuts, the midpoints and the midpoints of the
+            # halves, whose level closes every panel
+            assert len(seen) == 1
 
 
 # one handle of each kind; n up to 5 so the sort and the rotations matter

@@ -182,6 +182,17 @@ class TestBuild:
         assert got[0] == pytest.approx(math.sqrt(math.log(2.0)), abs=1e-9)
         assert math.isnan(got[1]) and got[2] == 0.0
 
+    @pytest.mark.parametrize("spec", ["exp:1", "exp:2.5", "hazard: x^2",
+                                      "hazard: x^0.5"])
+    def test_quantile_at_level_one_is_inf(self, spec):
+        # the quantile's limit at 1, not math.log(0)'s "math domain error";
+        # the other entries of an array are what they are alone
+        X = build(spec)
+        assert X.quantile(1.0) == math.inf
+        got = X.quantile(np.array([0.5, 1.0, math.nan, 0.0]))
+        assert got[1] == math.inf and math.isnan(got[2])
+        assert [got[0], got[3]] == [X.quantile(0.5), X.quantile(0.0)]
+
     def test_distorted_exponential_is_rate_scaled(self):
         # h(p) = p^2 acting on the survival doubles the hazard rate
         X = build("distort(exp:1, h=power:2)")
