@@ -125,7 +125,7 @@ def build(text: str) -> Distribution:
             raise SpecError(f"bad exponential rate in {text!r}: {ex}") from None
         if not (math.isfinite(rate) and rate > 0):
             raise SpecError(f"exponential rate must be positive, got {rate!r}")
-        q = elementwise(lambda p: _cumulative_hazard(p) / rate)
+        q = elementwise(lambda p: on_arrays(lambda p: _cumulative_hazard(p) / rate, p))
         # the clipped exponent of an entry x <= 0, which reads 0, cannot overflow
         cdf_fn = elementwise(lambda x: np.where(
             x > 0.0, 1.0 - each(math.exp, -rate * np.maximum(x, 0.0)), 0.0))

@@ -20,10 +20,10 @@ left-closed: the value goes to the first branch whose bound it does not
 exceed.
 
 Every AST node carries a source span; syntax and evaluation-domain errors
-point back at the offending text.  An evaluation runs the compiled tree
-first without checking any domain rule, with floating-point errors raising;
-only when that run raises or ends not finite does the checked run find the
-first offending entry and its rule (``_evaluator``).
+point back at the offending text.  An evaluation runs the compiled tree once,
+with floating-point errors raising, and each node names the domain rule its
+own operation broke; when an array raises, halving finds its first offending
+entry (``_evaluator``).
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ class SourceSpan:
 
 
 class ExprError(Exception):
+    """reason: the message without its span; span: where it points."""
+
     def __init__(self, message: str, span: Optional[SourceSpan] = None):
-        self.span = span
+        self.reason, self.span = message, span
         if span is not None:
             message = f"{message} (at {span})"
         super().__init__(message)
@@ -380,100 +382,86 @@ def eval_expr(node: Expr, value: float) -> float:
 
 # --- evaluation ------------------------------------------------------------
 #
-# Each node compiles once, to a closure run(v, checks) -> values: v is the
-# float array of the variable's values, values an array of v's shape (a
-# float for a constant), computed with the floating-point operations of an
-# evaluation one float at a time (numpy arithmetic, the math functions
-# entry by entry), so each entry equals that float's value bit for bit.
-# Domain rules are numbered at compile time in the order such an evaluation
-# checks them: operands left to right, then the node's own checks.  Each
-# check appends (rule, mask, at) to checks: mask (or a bool for all of
-# them) marks the entries of v that break the rule, and at maps them to
-# entries of the whole array (None: v is the whole array).  An entry raises
-# the error of the smallest rule it breaks.  The entries where math.pow or
-# math.exp might raise are settled one at a time.  A constant subtree folds
-# to its value, or to 0.0 and the rule it always breaks.
-#
-# With checks=None a closure keeps no records and tests no rule: it is the
-# unchecked run that _evaluator tries first, which raises as soon as any
-# entry breaks a rule (see there).
+# Each node compiles once, to a closure run(v) -> values: v is the float
+# array of the variable's values, values an array of v's shape (a float for
+# a constant), computed with the floating-point operations of an evaluation
+# one float at a time (numpy arithmetic, the math functions entry by entry),
+# so each entry equals that float's value bit for bit.  A node runs its
+# operands first, then its own operation, and turns what that operation
+# raises into the ExprDomainError of the rule it broke (see _evaluator).
+# A constant subtree folds to its value, or to a closure that raises the
+# error of the rule it always breaks, a fresh one on each call.
 
-_CLEAR = np.iinfo(np.intp).max  # the code of an entry that breaks no rule
+_RAISE = dict(all="raise", under="ignore")  # the np.errstate of every run
 
 
-def _rule(rules: list, message: str, span: SourceSpan) -> int:
-    rules.append((message, span))
-    return len(rules) - 1
-
-
-def _codes(checks: list, n: int) -> np.ndarray:
-    """The smallest rule each of n entries breaks (_CLEAR if none)."""
-    codes = np.full(n, _CLEAR)
-    for rule, mask, at in checks:
-        at = np.arange(n) if at is None else at
-        hit = at[np.broadcast_to(mask, at.shape)]
-        codes[hit] = np.minimum(codes[hit], rule)
-    return codes
-
-
-def _compile(node: Expr, rules: list) -> tuple:
-    """(closure, value): value is the folded value of a constant node, None
-    for any other."""
+def _compile(node: Expr) -> tuple:
+    """(run, value): value is the folded value of a constant node (0.0 for
+    one that breaks a rule), None for any other."""
     if isinstance(node, (Num, Const)):
         value = node.value
-        return (lambda v, checks: value), value
+        return (lambda v: value), value
     if isinstance(node, Var):
-        return (lambda v, checks: v), None
+        return (lambda v: v), None
     if isinstance(node, Piecewise):
-        return _piecewise(node, rules), None
+        return _piecewise(node), None
     if isinstance(node, Unary):
-        parts = [_compile(node.operand, rules)]
+        parts = [_compile(node.operand)]
         operand = parts[0][0]
-        run = lambda v, checks: -operand(v, checks)
+        run = lambda v: -operand(v)
     elif isinstance(node, Binary):
-        parts = [_compile(node.left, rules), _compile(node.right, rules)]
-        run = (_power if node.op == "^" else _arithmetic)(node, rules, *parts)
+        parts = [_compile(node.left), _compile(node.right)]
+        run = _binary(node, parts[0][0], parts[1][0])
     elif isinstance(node, Call):
-        parts = [_compile(a, rules) for a in node.args]
-        run = _call(node, rules, [part[0] for part in parts])
+        parts = [_compile(a) for a in node.args]
+        run = _call(node, [part[0] for part in parts])
     else:
         raise TypeError(f"not an expression node: {node!r}")
     if any(value is None for _, value in parts):
         return run, None
-    checks = []
-    with np.errstate(all="ignore"):
-        value = np.asarray(run(np.zeros(1), checks), dtype=float).item()
-    rule = int(_codes(checks, 1)[0])
-    if rule == _CLEAR:
-        return (lambda v, checks: value), value
+    try:
+        with np.errstate(**_RAISE):
+            value = float(run(np.zeros(1)))
+        return (lambda v: value), value
+    except ExprDomainError as error:
+        reason, span = error.reason, error.span
 
-    def broken(v, checks):
-        if checks is None:
-            raise ValueError("a constant subtree that breaks a rule")
-        checks.append((rule, True, None))
-        return 0.0
+    def broken(v):
+        raise ExprDomainError(reason, span)
 
     return broken, 0.0
 
 
-def _piecewise(node: Piecewise, rules: list):
-    bodies = [_compile(b.body, rules)[0] for b in node.branches]
-    bodies.append(_compile(node.otherwise, rules)[0])
+def _piecewise(node: Piecewise):
+    bodies = [_compile(b.body)[0] for b in node.branches]
+    bodies.append(_compile(node.otherwise)[0])
     bounds = np.array([b.bound_value for b in node.branches])
 
-    def run(v, checks):
+    def run(v):
         # index of the first branch whose bound the value does not exceed
         which = np.searchsorted(bounds, v, side="left")
         out = np.empty(v.shape)
         for k, body in enumerate(bodies):
             idx = np.flatnonzero(which == k)
             if idx.size:
-                branch = None if checks is None else []
-                out[idx] = body(v[idx], branch)
-                if checks is not None:
-                    checks += [(rule, mask, idx if at is None else idx[at])
-                               for rule, mask, at in branch]
+                out[idx] = body(v[idx])
         return out
+
+    return run
+
+
+def _checked(node: Expr, operation: Callable, operands: list, rules: dict):
+    """run(v): operation on the operands' values.  An error of a type that
+    rules maps breaks the rule rules[type](*values) names, at node's span."""
+    errors = tuple(rules)
+
+    def run(v):
+        values = [operand(v) for operand in operands]
+        try:
+            return operation(*values)
+        except errors as error:
+            reason = rules[type(error)](*values)
+        raise ExprDomainError(reason, node.span)
 
     return run
 
@@ -481,165 +469,99 @@ def _piecewise(node: Piecewise, rules: list):
 _OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _arithmetic(node: Binary, rules: list, left_part, right_part):
-    (left, _), (right, divisor) = left_part, right_part
-    apply = _OPERATORS[node.op]
-    # a divisor that is a constant other than 0 needs no check
-    zero = (_rule(rules, "division by zero", node.span)
-            if node.op == "/" and not divisor else None)
-    overflow = _rule(rules, "overflow", node.span)
-
-    def run(v, checks):
-        x, y = left(v, checks), right(v, checks)
-        if checks is None:
-            return apply(x, y)
-        if zero is not None:
-            by_zero = y == 0.0
-            checks.append((zero, by_zero, None))
-            y = np.where(by_zero, 1.0, y)
-        out = apply(x, y)
-        checks.append((overflow, ~np.isfinite(out), None))
-        return out
-
-    return run
+def _binary(node: Binary, left, right):
+    if node.op == "^":
+        return _checked(node, lambda x, y: each(math.pow, x, y), [left, right], {
+            ValueError: lambda x, y: "zero raised to a negative power"
+            if np.any((x == 0.0) & (y < 0.0))
+            else "negative base with non-integer exponent",
+            OverflowError: lambda x, y: "overflow in power"})
+    by_zero = node.op == "/"
+    return _checked(node, _OPERATORS[node.op], [left, right], {
+        FloatingPointError: lambda x, y: "division by zero"
+        if by_zero and np.any(y == 0.0) else "overflow"})
 
 
-def _settle(out, unsure, fn, args, rule, checks) -> None:
-    """The unsure entries of out computed by fn one at a time; fn raising
-    there breaks rule."""
-    idx = np.flatnonzero(unsure)
-    if idx.size:
-        columns = np.broadcast_arrays(*args)
-        for i in idx.tolist():
-            try:
-                out.flat[i] = fn(*(float(c.flat[i]) for c in columns))
-            except (OverflowError, ValueError):
-                checks.append((rule, True, np.array([i])))
-
-
-def _power(node: Binary, rules: list, left_part, right_part):
-    (left, _), (right, exponent) = left_part, right_part
-    span = node.span
-    zero = _rule(rules, "zero raised to a negative power", span)
-    negative = _rule(rules, "negative base with non-integer exponent", span)
-    raises = _rule(rules, "overflow in power", span)
-    overflow = _rule(rules, "overflow", span)
-
-    def run(v, checks):
-        x, y = left(v, checks), right(v, checks)
-        if checks is None:
-            return each(math.pow, x, y)
-        if exponent is None:
-            checks.append((zero, (x == 0.0) & (y < 0.0), None))
-            checks.append((negative, (x < 0.0) & (y != np.floor(y)), None))
-        else:  # a constant exponent leaves a test of the base, or none
-            if exponent < 0.0:
-                checks.append((zero, x == 0.0, None))
-            if exponent != math.floor(exponent):
-                checks.append((negative, x < 0.0, None))
-        # math.pow can only raise where numpy's power is huge or not a number
-        unsure = ~(np.abs(np.power(x, y)) < 1e300)
-        out = each(math.pow, np.where(unsure, 1.0, x), y)
-        _settle(out, unsure, math.pow, (x, y), raises, checks)
-        checks.append((overflow, ~np.isfinite(out), None))
-        return out
-
-    return run
-
-
-def _call(node: Call, rules: list, args: list):
+def _call(node: Call, args: list):
     name = node.name
     if name in ("min", "max"):
-        def run(v, checks):
+        def run(v):
             # the builtin's rule: a later argument replaces the current
             # pick only when strictly smaller (larger)
-            xs = [a(v, checks) for a in args]
+            xs = [a(v) for a in args]
             out = xs[0]
             for x in xs[1:]:
                 out = np.where(x < out if name == "min" else x > out, x, out)
             return out
         return run
-    (arg,) = args
-    if name == "exp":
-        raises = _rule(rules, "overflow in exp", node.span)
+    operation, error, reason = {
+        "exp": (lambda x: each(math.exp, x), OverflowError, "overflow in exp"),
+        "ln": (lambda x: each(math.log, x), ValueError, "ln of a non-positive number"),
+        "sqrt": (np.sqrt, FloatingPointError, "sqrt of a negative number"),
+    }[name]
+    return _checked(node, operation, args, {error: lambda x: reason})
 
-        def run(v, checks):
-            x = arg(v, checks)
-            if checks is None:
-                return each(math.exp, x)
-            unsure = x > 709.0  # math.exp overflows above ~709.78
-            out = each(math.exp, np.where(unsure, 0.0, x))
-            _settle(out, unsure, math.exp, (x,), raises, checks)
-            return out
-        return run
-    if name == "ln":
-        rule = _rule(rules, "ln of a non-positive number", node.span)
 
-        def run(v, checks):
-            x = arg(v, checks)
-            if checks is None:
-                return each(math.log, x)
-            bad = x <= 0.0
-            checks.append((rule, bad, None))
-            return each(math.log, np.where(bad, 1.0, x))
-        return run
-    rule = _rule(rules, "sqrt of a negative number", node.span)
-
-    def run(v, checks):
-        x = arg(v, checks)
-        if checks is None:
-            return np.sqrt(x)
-        bad = x < 0.0
-        checks.append((rule, bad, None))
-        return np.sqrt(np.where(bad, 0.0, x))
-    return run
+def _first_error(run, v: np.ndarray) -> Optional[ExprDomainError]:
+    """The error of v's first entry that breaks a rule, run(v) having
+    raised (None if that entry alone raises nothing).  Entries are
+    independent, so of a window that holds that entry the left half does
+    if it raises, else the right half does."""
+    lo, hi = 0, v.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            run(v[lo:mid])
+            lo = mid
+        except ExprDomainError:
+            hi = mid
+    try:
+        run(v[lo:hi])
+    except ExprDomainError as error:
+        return error
+    return None
 
 
 def _evaluator(node: Expr) -> Callable[[np.ndarray], np.ndarray]:
     """The expression on a float array: the array of its values, or the
     ExprDomainError of its first entry that breaks a rule.
 
-    A finite input first goes through the tree unchecked (checks=None),
-    with numpy's floating-point flags raising.  From finite operands every
-    rule an entry breaks raises there, so a run that ends finite broke
-    none, and its values are those of the checked run bit for bit:
+    The tree runs once, with numpy's floating-point errors raising, and
+    each node maps what its own operation raises to the rule it broke:
 
         rule                                    raised by
-        division by zero                        FloatingPointError (divide; invalid at 0/0)
-        overflow of + - * /                     FloatingPointError (overflow)
-        zero raised to a negative power         ValueError from math.pow
-        negative base with non-integer exponent ValueError from math.pow
+        division by zero                        FloatingPointError, divisor 0
+        overflow of + - * /                     FloatingPointError, otherwise
+        zero raised to a negative power         ValueError from math.pow, base 0
+                                                and exponent < 0
+        negative base with non-integer exponent ValueError from math.pow, otherwise
         overflow in power                       OverflowError from math.pow
         overflow in exp                         OverflowError from math.exp
         ln of a non-positive number             ValueError from math.log
         sqrt of a negative number               FloatingPointError (invalid)
 
-    Underflow raises nothing, as it breaks no rule.  The checked run, which
-    names the rule, its span and the first offending entry, runs only when
-    the unchecked one raises, meets a constant subtree that breaks a rule,
-    or ends not finite, and for a constant expression or an input that is
-    not finite.
+    Underflow raises nothing, as it breaks no rule.  From finite operands
+    every rule an entry breaks raises there, so a one-entry run raises the
+    rule an evaluation one operation at a time breaks first.  When an
+    array's run raises, halving the window that holds its first offending
+    entry finds that entry, and its one-entry error is raised.  A value
+    that is not finite propagates as IEEE arithmetic does (nan gives nan,
+    ln(inf) is inf); an operation that IEEE flags invalid on one (inf - inf)
+    raises its rule.
     """
-    rules: list = []
-    run, value = _compile(node, rules)
+    run, value = _compile(node)
 
     def evaluate(values: np.ndarray) -> np.ndarray:
         v = values.astype(float).ravel()
-        if value is None and np.isfinite(v).all():
+        with np.errstate(**_RAISE):
             try:
-                with np.errstate(all="raise", under="ignore"):
-                    out = run(v, None)
-                if np.isfinite(out).all():
-                    return out.reshape(values.shape)
-            except (ArithmeticError, ValueError):
-                pass  # some entry may break a rule: the checked run says which
-        checks: list = []
-        with np.errstate(all="ignore"):
-            out = run(v, checks) if value is None else np.full(v.shape, run(v, checks))
-        if any(np.count_nonzero(check[1]) for check in checks):
-            codes = _codes(checks, v.size)
-            first = int(np.flatnonzero(codes != _CLEAR)[0])
-            raise ExprDomainError(*rules[codes[first]])
+                out = run(v)
+            except ExprDomainError as error:
+                if v.size < 2:
+                    raise
+                raise _first_error(run, v) or error from None
+        if value is not None:
+            out = np.full(v.shape, out)
         return out.reshape(values.shape)
 
     return evaluate

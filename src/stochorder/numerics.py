@@ -15,7 +15,8 @@ Conventions used throughout the package:
   so a grid costs one call instead of one per point.  A callable from
   outside the library is lifted to that form where it enters (``lift``).
 * Each such function has one implementation, on arrays.  A float reaches it
-  as a one-entry array and leaves as a Python float (``on_arrays``).
+  as a one-entry array and leaves as a Python float, a 0-d array leaves as
+  a 0-d array (``on_arrays``).
 """
 
 from __future__ import annotations
@@ -194,14 +195,17 @@ def each(fn: Callable, *args):
 def on_arrays(core: Callable, *args):
     """core(*args), where core maps float arrays of one shape to an array.
 
-    With an array among args they go straight in.  Otherwise each float
-    enters as a one-entry array and the one entry of the result comes back
-    as a Python float: the one way a float reaches the array implementation
-    of a public function, so both meet the same code and the same errors.
+    With an array of one or more dimensions among args they go straight in.
+    Otherwise each float or 0-d array enters as a one-entry array, and the
+    result comes back as a Python float, or as a 0-d array when a 0-d array
+    went in: the one way a point reaches the array implementation of a
+    public function, so all meet the same code and the same errors.
     """
-    if any(isinstance(a, np.ndarray) for a in args):
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    if any(a.ndim for a in arrays):
         return core(*args)
-    return float(core(*(np.array([a], dtype=float) for a in args))[0])
+    out = core(*(np.array([a], dtype=float) for a in args))
+    return out.reshape(()) if arrays else float(out[0])
 
 
 def clamp(v: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
@@ -219,8 +223,8 @@ def inside(x: np.ndarray, inner: Callable, lo: float = 0.0,
         out[...] = inner(x)
         return out
     out = np.where(x <= lo, 0.0, 1.0)
-    mid = np.flatnonzero(~((x <= lo) | (x >= hi)))
-    if mid.size:
+    mid = ~((x <= lo) | (x >= hi))
+    if mid.any():
         out[mid] = inner(x[mid])
     return out
 

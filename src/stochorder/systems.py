@@ -204,10 +204,11 @@ def system_distortion(sig: MinimalSignature,
     return SystemDistortion(h=h, sig=sig)
 
 
-def _crosscheck(closed_fn, generic_fn, what: str) -> None:
+def _crosscheck(h: Distortion, generic_fn, what: str) -> None:
+    """The validated closed form h against the generic form on the 65
+    points i/64, where h is read from its validation sample."""
     pts = validation_points(_CROSSCHECK_COUNT)
-    a = sample(closed_fn, pts, SignatureError,
-               lambda p, v: f"{what}: closed form is {v!r} at p={p}")
+    a = dist_mod.values_at(h, _CROSSCHECK_COUNT)
     b = sample(generic_fn, pts, SignatureError,
                lambda p, v: f"{what}: generic form is {v!r} at p={p}")
     i = first(np.abs(a - b) > _CROSSCHECK_TOL)
@@ -233,8 +234,7 @@ def _signed_terms(terms) -> str:
 def durante_system_distortion(sig: MinimalSignature,
                               copula: cop_mod.CopulaHandle) -> SystemDistortion:
     """Closed form sum_k a_k * p * f(p)^(k-1) for a generator-form copula,
-    cross-checked against its boundary sum on 65 points before it is
-    validated."""
+    validated, then cross-checked against its boundary sum on 65 points."""
     gen = copula.generator
     _require_dimension(sig, gen.n, "generator")
     weights = sig.floats()
@@ -253,8 +253,8 @@ def durante_system_distortion(sig: MinimalSignature,
     bodies = ["p", "p*f(p)"] + [f"p*f(p)^{k}" for k in range(2, sig.n)]
     closed_text = _signed_terms(zip(sig.a, bodies))
 
-    _crosscheck(h_fn, _boundary_sum(sig, copula), "generator-form system")
     h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; f={gen.label})")
+    _crosscheck(h, _boundary_sum(sig, copula), "generator-form system")
     return SystemDistortion(h=h, sig=sig, closed_form=closed_text)
 
 
@@ -274,8 +274,8 @@ def diag_system_params(sig: MinimalSignature) -> DiagParams:
 def diag_system_distortion(sig: MinimalSignature,
                            copula: cop_mod.CopulaHandle) -> SystemDistortion:
     """Closed form alpha*p + beta*d(p) for a diagonal-form copula,
-    cross-checked against its cyclic-average boundary sum on 65 points
-    before it is validated."""
+    validated, then cross-checked against its cyclic-average boundary sum
+    on 65 points."""
     d = copula.diagonal
     _require_dimension(sig, d.n, "diagonal")
     params = diag_system_params(sig)
@@ -287,9 +287,9 @@ def diag_system_distortion(sig: MinimalSignature,
     def h_fn(p):
         return alpha * p + beta * dfn(p)
 
-    _crosscheck(h_fn, _boundary_sum(sig, copula), "diagonal-form system")
-    closed_text = _signed_terms([(params.alpha, "p"), (params.beta, "d(p)")])
     h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; d={d.label})")
+    _crosscheck(h, _boundary_sum(sig, copula), "diagonal-form system")
+    closed_text = _signed_terms([(params.alpha, "p"), (params.beta, "d(p)")])
     return SystemDistortion(h=h, sig=sig, closed_form=closed_text)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +320,59 @@ class TestCompiledExpressions:
             assert funcalc.eval_expr(node, x) == fn(x) == _reference(node, x)
 
 
+# breaks division by zero at p = 1/2, ln at p <= 1/4 and overflow in power
+# at p > 0.77, and no rule between
+_THREE_RULES = "min(1, 1/(p - 1/2)) + max(-1, ln(p - 1/4)) + 1/(1 + 10^(400*p))"
+
+
+class TestOneRun:
+    @pytest.mark.parametrize("at", [0, 4999, 6789, 9999])
+    @pytest.mark.parametrize("bad, later", [(0.5, 0.1), (0.1, 0.9), (0.9, 0.5)])
+    def test_first_offending_entry_deep_in_a_long_array(self, at, bad, later):
+        # the run of the whole array raises; halving must land on entry at,
+        # not on the entry of another rule after it
+        node = funcalc.parse(_THREE_RULES)
+        xs = np.random.default_rng(at).uniform(0.3, 0.45, 10_000)
+        xs[at] = bad
+        xs[at + 1:] = np.where(np.arange(at + 1, xs.size) % 97 == 0, later, xs[at + 1:])
+        with pytest.raises(funcalc.ExprDomainError) as info:
+            funcalc.compile_fn(node)(xs)
+        assert (str(info.value), info.value.span) == _reference_outcome(node, xs.tolist())[1]
+        with pytest.raises(funcalc.ExprDomainError) as alone:
+            _reference(node, bad)
+        assert str(info.value) == str(alone.value)
+
+    @pytest.mark.parametrize("text", ["p + ln(1 - 1)", "ln(1 - 1)"])
+    def test_folded_broken_constant_raises_afresh(self, text):
+        # the same message on every call, from a new error each time, so no
+        # traceback grows from one call to the next
+        fn = _compiled("p", text)
+        errors = []
+        for arg in (0.5, np.array([0.1, 0.2]), 0.5, 0.5):
+            with pytest.raises(funcalc.ExprDomainError) as info:
+                fn(arg)
+            errors.append(info.value)
+        assert {str(e) for e in errors} == {
+            f"ln of a non-positive number (at {text.index('ln')}..{len(text)} 'ln(1 - 1)')"}
+        assert len({id(e) for e in errors}) == len(errors)
+        depth = [len(traceback.extract_tb(e.__traceback__)) for e in errors]
+        assert depth[0] == depth[2] == depth[3]
+
+    def test_non_finite_input_propagates(self):
+        # nan and inf go through the arithmetic as IEEE has them; an
+        # operation that breaks a rule on them still names it
+        fn = _compiled("p", "ln(p) + exp(-p) + sqrt(p) + 2*p^3")
+        assert _bits(fn(np.array([math.nan, math.inf]))) == _bits([math.nan, math.inf])
+        with pytest.raises(funcalc.ExprDomainError, match="^ln of a non-positive"):
+            fn(-math.inf)
+        for spec in ("exp:1", "q: p^2", "hazard: x^2"):
+            X = distributions.build(spec)
+            assert math.isnan(X.quantile(math.nan))
+            assert np.isnan(X.quantile(np.array([0.5, math.nan]))[1])
+        for spec in ("exp:1", "hazard: x^2"):
+            assert distributions.cdf(distributions.build(spec), math.inf) == 1.0
+
+
 def _masked_inside(x, inner, lo, hi):
     """numerics.inside as a mask and a gather/scatter, whatever x holds."""
     out = np.where(x <= lo, 0.0, 1.0)
@@ -344,6 +398,58 @@ class TestInside:
             assert got is not x and not np.shares_memory(got, x)
             assert _bits(got) == _bits(_masked_inside(x, inner, lo, hi))
             assert len(calls) == (1 if np.any(~((x <= lo) | (x >= hi))) else 0)
+
+
+    @pytest.mark.parametrize("x", [math.nan, 0.0, 0.5, 1.0])
+    def test_zero_dimensional(self, x):
+        # a 0-d array on either path: masked (nan goes to inner) or not
+        got = numerics.inside(np.array(x), lambda v: v * v - 0.5)
+        assert got.shape == ()
+        assert _bits([got]) == _bits(_masked_inside(np.array([x]),
+                                                    lambda v: v * v - 0.5, 0.0, 1.0))
+
+
+def _point_functions(named_distributions, fresh_distortions) -> dict:
+    """Each elementwise public function, as a function of its point."""
+    X = named_distributions
+    solved, closed = fresh_distortions["mix_cubic"], fresh_distortions["power_3"]
+    distorted = distributions.distort(X["exp_1"], fresh_distortions["sys_one_of_two_pairs"])
+    product = copulas.parse_copula_spec("product:2")
+    return {
+        "compile_fn": _compiled("p", catalog.CE02_X_TEXT),
+        "exp quantile": X["exp_1"].quantile,
+        "q: quantile": X["ce02_x"].quantile,
+        "hazard quantile": X["rayleigh"].quantile,
+        "distorted quantile": distorted.quantile,
+        "closed cdf": lambda x: distributions.cdf(X["exp_1"], x),
+        "hazard cdf": lambda x: distributions.cdf(X["rayleigh"], x),
+        "cdf by inversion": lambda x: distributions.cdf(distributions.build("q: p^2"), x),
+        "closed inverse": lambda y: distortions.inverse(closed, y),
+        "root-solved inverse": lambda y: distortions.inverse(solved, y),
+        "root-solved co_inverse": lambda p: distortions.co_inverse(solved, p),
+        "monotone_inverse": lambda y: monotone_inverse(lambda x: x * x, y, 0.0, 1.0),
+        "derivative": lambda x: derivative(_compiled("x", catalog.PSI_TEXT), x, lo=0.0),
+        "cop_eval": lambda u: copulas.cop_eval(product, (u, 0.5)),
+    }
+
+
+class TestZeroDimensional:
+    @pytest.mark.parametrize("name", [
+        "compile_fn", "exp quantile", "q: quantile", "hazard quantile",
+        "distorted quantile", "closed cdf", "hazard cdf", "cdf by inversion",
+        "closed inverse", "root-solved inverse", "root-solved co_inverse",
+        "monotone_inverse", "derivative", "cop_eval"])
+    @pytest.mark.parametrize("x", [0.0, 0.25, 0.5, 0.9])
+    def test_a_point_in_gives_a_point_out(self, name, x, named_distributions,
+                                          fresh_distortions):
+        # a 0-d array gives a 0-d array with the float result's bits; it
+        # goes first, so a root-solved inverse solves it rather than reading
+        # the memo the float call fills
+        fn = _point_functions(named_distributions, fresh_distortions)[name]
+        got = fn(np.array(x))
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        want = fn(x)
+        assert type(want) is float and _bits([got]) == _bits([want])
 
 
 class TestLift:
