@@ -251,11 +251,6 @@ def _grid_from(config: dict, count=None, lo=None, hi=None, margin=None) -> Grid:
                         edge_margin=field(margin, "edge_margin", DEFAULT_EDGE_MARGIN))
 
 
-def _table(fn, points: Sequence[float]):
-    """Columns (p, fn(p)), fn called once on all the points."""
-    return points, fn(np.array(points, dtype=float))
-
-
 def _csv_out(path: Optional[str]) -> Optional[str]:
     """path, refused when it is "-": CSV goes to a file, never to stdout."""
     if path == "-":
@@ -396,7 +391,7 @@ def cmd_distort(args) -> int:
     xh = distrib_mod.distort(x, h)
     grid = _grid_from({}, args.grid_count, args.grid_lo, args.grid_hi,
                       args.grid_margin)
-    _write_csv(args.out_csv, ("p", "value"), _table(xh.quantile, grid.points),
+    _write_csv(args.out_csv, ("p", "value"), (grid.points, xh.quantile(grid.points)),
                comment=f"distorted quantile of {x.label} under h={h.label}")
     return EXIT_OK
 
@@ -524,7 +519,7 @@ def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
                            "the dual is antistarshaped")
         files.append(path)
         path = os.path.join(out_dir, "diagonal.csv")
-        _write_csv(path, ("p", "value"), _table(d.fn, pts),
+        _write_csv(path, ("p", "value"), (pts, d.fn(np.array(pts))),
                    comment=f"diagonal d(p)={d.label} against the identity")
         files.append(path)
     return files

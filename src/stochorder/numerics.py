@@ -75,28 +75,30 @@ class Tolerance:
 DEFAULT_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """At least 16 strictly increasing evaluation points inside (0, 1).
 
     The quantile-space functionals are allowed to blow up at 0 and 1, so no
     point may sit on either end; scans on fewer points are too coarse to
-    certify anything.
+    certify anything.  points is one read-only float64 array, a copy of
+    what was given; grids compare and hash by identity.
     """
 
-    points: tuple
+    points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = tuple(float(p) for p in self.points)
+        pts = np.array(self.points, dtype=float)
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if len(pts) < 16:
             raise ValueError(f"grid needs at least 16 points, got {len(pts)}")
-        for a, b in zip(pts, pts[1:]):
-            if not a < b:
-                raise ValueError(f"grid points not strictly increasing at {a}")
+        bad = np.flatnonzero(~(pts[:-1] < pts[1:]))
+        if bad.size:
+            raise ValueError(f"grid points not strictly increasing at {float(pts[bad[0]])}")
         if not (0.0 < pts[0] and pts[-1] < 1.0):
             raise ValueError(f"grid points must lie in (0, 1), got "
-                             f"[{pts[0]!r}, {pts[-1]!r}]")
+                             f"[{float(pts[0])!r}, {float(pts[-1])!r}]")
 
     @property
     def count(self) -> int:
@@ -114,8 +116,21 @@ def uniform_grid(count: int = DEFAULT_GRID_COUNT,
                  lo: float = 0.0,
                  hi: float = 1.0,
                  edge_margin: float = DEFAULT_EDGE_MARGIN) -> Grid:
-    """Equally spaced grid on [lo+edge_margin, hi-edge_margin]."""
-    return Grid(points=tuple(np.linspace(lo + edge_margin, hi - edge_margin, count)))
+    """Equally spaced grid on [lo+edge_margin, hi-edge_margin], one Grid per
+    argument tuple per process, shared; bad arguments are refused by name."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"grid point count must be an integer, got {count!r}")
+    if count < 16:
+        raise ValueError(f"grid needs at least 16 points, got {count}")
+    for name, value in (("lo", lo), ("hi", hi), ("edge_margin", edge_margin)):
+        if not math.isfinite(value):
+            raise ValueError(f"grid {name} must be finite, got {value!r}")
+    return _uniform_grid(count, lo, hi, edge_margin)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _uniform_grid(count: int, lo: float, hi: float, edge_margin: float) -> Grid:
+    return Grid(points=np.linspace(lo + edge_margin, hi - edge_margin, count))
 
 
 DEFAULT_GRID = uniform_grid()

@@ -75,22 +75,24 @@ _SEGMENT_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-12)
 _DENOM_EPS = 1e-12  # ratio denominators at or below this are excluded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderVerdict:
-    """Outcome of one order check over a grid.
+    """Outcome of one order check over a grid; verdicts compare by identity.
 
     holds is true iff witnesses is empty.  Witnesses are (p, margin) with
     margin negative: for pointwise kinds the margin is value_y - value_x at
     p; for ratio kinds it is the adjacent-pair ratio step in the required
     direction, anchored at the left point of the violating pair.  curve
-    carries the sampled comparison (excluded points removed); notes record
-    exclusions and other caveats.
+    carries the sampled comparison (excluded points removed) as read-only
+    float64 arrays, not copied: p is grid.points when none is excluded, and
+    one check's ew and dmrl share values.  notes record exclusions and other
+    caveats.
     """
 
     kind: OrderKind
     holds: bool
     witnesses: Tuple[Tuple[float, float], ...]
-    curve: Dict[str, Tuple[float, ...]]
+    curve: Dict[str, np.ndarray]
     grid: Grid
     tolerance: Tolerance
     notes: Tuple[str, ...] = ()
@@ -159,10 +161,11 @@ TRANSFORMS = ("ttt", "ew", "mit")
 
 def transform_curves(sides: Sequence[Distribution], grid: Grid = DEFAULT_GRID,
                      reads: Collection[str] = TRANSFORMS
-                     ) -> List[Dict[str, Tuple[float, ...]]]:
+                     ) -> List[Dict[str, np.ndarray]]:
     """The transforms in reads (of ttt, ew and mit) of each distribution in
     sides sampled over a grid, in one cumulative pass for them all.  Each
-    side's dict holds p, quantile (q at the grid) and the transforms read.
+    side's dict holds p (grid.points), quantile (q at the grid) and the
+    transforms read, as read-only float64 arrays.
 
     Integrates each q once per grid segment and assembles the transforms
     from prefix/suffix sums, so a 512-point curve costs ~513 small
@@ -184,12 +187,11 @@ def transform_curves(sides: Sequence[Distribution], grid: Grid = DEFAULT_GRID,
     raising its quadrature failure, then its InfiniteMeanError.
     """
     eps = EPS_Q
-    pts = grid.points
-    p = np.array(pts)
+    p = grid.points
     head = "ttt" in reads or "mit" in reads
     tail = "ew" in reads
-    head_cuts = ladder(eps, pts[0], side="lo") if head else p[:1]
-    tail_cuts = ladder(pts[-1], 1.0 - eps, side="hi") if tail else p[-1:]
+    head_cuts = ladder(eps, float(p[0]), side="lo") if head else p[:1]
+    tail_cuts = ladder(float(p[-1]), 1.0 - eps, side="hi") if tail else p[-1:]
     cuts = np.concatenate((head_cuts[:-1], p, tail_cuts[1:]))
     n_head = head_cuts.size - 1
     n_body = n_head + p.size - 1  # head rungs, then grid segments, then tail rungs
@@ -203,26 +205,31 @@ def transform_curves(sides: Sequence[Distribution], grid: Grid = DEFAULT_GRID,
         values, at_cuts = settled(outcome)
         qv = at_cuts[n_head:n_body + 1]
         segments = values[n_head:n_body]
-        curves: Dict[str, Tuple[float, ...]] = {"p": pts}
+        curves: Dict[str, np.ndarray] = {"p": p, "quantile": qv}
         if head:
             # sequential sums from the head out
             q_eps = float(at_cuts[0])
             prefix = np.cumsum(np.concatenate(([math.fsum(values[:n_head].tolist())],
                                                segments)))
             if "ttt" in reads:
-                curves["ttt"] = tuple(((1.0 - p) * qv + eps * q_eps + prefix).tolist())
+                curves["ttt"] = (1.0 - p) * qv + eps * q_eps + prefix
             if "mit" in reads:
-                curves["mit"] = tuple((p * qv - (eps * q_eps + prefix)).tolist())
+                curves["mit"] = p * qv - (eps * q_eps + prefix)
         if tail:
             # sequential sums from the tail in
             tail_rungs = values[n_body:].tolist()
             check_tail_decay(X.label, tail_rungs[::-1])
             suffix = np.cumsum(np.concatenate(([math.fsum(tail_rungs)],
                                                segments[::-1])))[::-1]
-            curves["ew"] = tuple((suffix + eps * float(at_cuts[-1]) - (1.0 - p) * qv).tolist())
-        curves["quantile"] = tuple(qv.tolist())
-        passes.append(curves)
+            curves["ew"] = suffix + eps * float(at_cuts[-1]) - (1.0 - p) * qv
+        passes.append(_read_only(curves))
     return passes
+
+
+def _read_only(curve: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    for values in curve.values():
+        values.setflags(write=False)
+    return curve
 
 
 def _threshold(tol: Tolerance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -247,7 +254,7 @@ def density_ratios(X: Distribution, Y: Distribution,
                    points: Sequence[float]) -> np.ndarray:
     """s(p) = density_X(q_X(p)) / density_Y(q_Y(p)) at each point; raises
     DegenerateDensityError at the first point where either has none."""
-    fx, fy, faults = _densities(X, Y, np.array(points, dtype=float))
+    fx, fy, faults = _densities(X, Y, np.asarray(points, dtype=float))
     if faults:
         raise DegenerateDensityError(next(iter(faults.values())))
     return fx / fy
@@ -269,27 +276,26 @@ def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
     qmit and convex_transform.  dmrl, qmit and star read their ew, mit and
     quantile samples from curves.
     """
-    p = np.array(grid.points)
+    p = grid.points
     if kind == OrderKind.CONVEX_TRANSFORM:
         vx, vy, faults = _densities(X, Y, p)
+        out = list(faults)
         notes = [f"excluded p={float(p[i]):.6g}: {fault}"
                  for i, fault in faults.items()]
-        keep = np.ones(p.size, dtype=bool)
-        keep[list(faults)] = False
-        p, vx, vy = p[keep], vx[keep], vy[keep]
-        return p, vx, vy, vx / vy, notes
-    if kind == OrderKind.STAR:
-        vx, vy = curves("quantile")
-        den, eps, why = vx, 1e-9, "quantile of X ~0"
     else:
-        key = "ew" if kind == OrderKind.DMRL else "mit"
-        vx, vy = curves(key)
-        den = vx if kind == OrderKind.DMRL else vy
-        eps, why = _DENOM_EPS, f"{key} denominator ~0"
-    keep = np.abs(den) > eps
-    notes = [f"excluded p={x:.6g}: {why}" for x in p[~keep].tolist()]
-    p, vx, vy = p[keep], vx[keep], vy[keep]
-    ratio = vx / vy if kind == OrderKind.QMIT else vy / vx
+        if kind == OrderKind.STAR:
+            vx, vy = curves("quantile")
+            den, eps, why = vx, 1e-9, "quantile of X ~0"
+        else:
+            key = "ew" if kind == OrderKind.DMRL else "mit"
+            vx, vy = curves(key)
+            den = vx if kind == OrderKind.DMRL else vy
+            eps, why = _DENOM_EPS, f"{key} denominator ~0"
+        out = np.flatnonzero(~(np.abs(den) > eps))
+        notes = [f"excluded p={x:.6g}: {why}" for x in p[out].tolist()]
+    if notes:  # the kept points, copied only when some are excluded
+        p, vx, vy = (np.delete(a, out) for a in (p, vx, vy))
+    ratio = vy / vx if kind in (OrderKind.DMRL, OrderKind.STAR) else vx / vy
     return p, vx, vy, ratio, notes
 
 
@@ -325,16 +331,15 @@ def check_orders(X: Distribution, Y: Distribution, kinds: Sequence[OrderKind],
     """
     kinds = [OrderKind(kind) for kind in kinds]
     reads = {_READS[kind] for kind in kinds if kind in _READS}
-    passes: List[Dict[str, Tuple[float, ...]]] = []
+    passes: List[Dict[str, np.ndarray]] = []
 
     def curves(key: str) -> Tuple[np.ndarray, np.ndarray]:
         if not passes:
             if key == "quantile":
                 # no pass has run: star evaluates q at the grid itself
-                p = np.array(grid.points)
-                return X.quantile(p), Y.quantile(p)
+                return X.quantile(grid.points), Y.quantile(grid.points)
             passes.extend(transform_curves((X, Y), grid, reads))
-        return np.array(passes[0][key]), np.array(passes[1][key])
+        return passes[0][key], passes[1][key]
 
     return [_verdict(X, Y, kind, grid, tol, curves) for kind in kinds]
 
@@ -343,7 +348,7 @@ def _verdict(X: Distribution, Y: Distribution, kind: OrderKind, grid: Grid,
              tol: Tolerance, curves: _Curves) -> OrderVerdict:
     if kind in (OrderKind.TTT, OrderKind.EW):
         key = kind.value
-        p = np.array(grid.points)
+        p = grid.points
         vx, vy = curves(key)
         functional = vy - vx
         at, lower, upper = p, vx, vy
@@ -361,8 +366,7 @@ def _verdict(X: Distribution, Y: Distribution, kind: OrderKind, grid: Grid,
     margin = upper - lower
     bad = np.flatnonzero(margin < -_threshold(tol, lower, upper))
     witnesses = tuple(zip(at[bad].tolist(), margin[bad].tolist()))
-    curve = {"p": tuple(p.tolist()), "value_x": tuple(vx.tolist()),
-             "value_y": tuple(vy.tolist()), "functional": tuple(functional.tolist())}
+    curve = _read_only({"p": p, "value_x": vx, "value_y": vy, "functional": functional})
     return OrderVerdict(kind=kind, holds=not witnesses, witnesses=witnesses,
                         curve=curve, grid=grid, tolerance=tol, notes=tuple(notes))
 
@@ -375,13 +379,14 @@ def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
 
 
 def dmrl_integral_curve(X: Distribution, Y: Distribution,
-                        grid: Grid = DEFAULT_GRID) -> Dict[str, Tuple[float, ...]]:
+                        grid: Grid = DEFAULT_GRID) -> Dict[str, np.ndarray]:
     """I(p) = ew_Y(p) - s(p) ew_X(p) on a grid, s the density ratio
     density_X(q_X(p))/density_Y(q_Y(p)): the integral form of the dmrl
-    comparison, which holds iff I >= 0 on (0,1)."""
-    ew_x, ew_y = (np.array(c["ew"]) for c in transform_curves((X, Y), grid, ("ew",)))
+    comparison, which holds iff I >= 0 on (0,1); p (grid.points) and value
+    are read-only float64 arrays."""
+    ew_x, ew_y = (c["ew"] for c in transform_curves((X, Y), grid, ("ew",)))
     s = density_ratios(X, Y, grid.points)
-    return {"p": grid.points, "value": tuple((ew_y - s * ew_x).tolist())}
+    return _read_only({"p": grid.points, "value": ew_y - s * ew_x})
 
 
 _XSPACE_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-8)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,27 @@ class TestCheckOrder:
         config.write_text(json.dumps(
             {"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"], "grid": grid}))
         assert cli.main(["check-order", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["--grid-margin", "inf"], None, "grid edge_margin must be finite, got inf"),
+        (["--grid-margin", "nan"], None, "grid edge_margin must be finite, got nan"),
+        (["--grid-lo=-inf"], None, "grid lo must be finite, got -inf"),
+        (["--grid-count", "-1"], None, "grid needs at least 16 points, got -1"),
+        ([], '{"grid": {"edge_margin": 1e400}}', "grid edge_margin must be finite, got inf"),
+    ], ids=["margin-inf", "margin-nan", "lo-inf", "count-negative", "config-margin-1e400"])
+    def test_grid_parameters_are_refused_by_name(self, argv, config, message,
+                                                 tmp_path, capsys):
+        # before np.linspace sees them: one error line and no numpy warning
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["check-order", "--x", "exp:1", "--y", "exp:2",
+                             "--order", "ttt"] + argv) == 2
+        assert caught == []
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_integer_grid_bounds_are_numbers(self, tmp_path):

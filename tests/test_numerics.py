@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
+import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given
@@ -174,4 +177,45 @@ class TestGrids:
     def test_zero_margin_inside_the_interval_is_a_grid(self):
         grid = uniform_grid(199, lo=0.002, hi=0.2, edge_margin=0.0)
         assert grid.describe() == "199:0.002:0.2"
+
+    def test_one_shared_grid_per_argument_tuple(self):
+        assert uniform_grid(512) is uniform_grid(512)
+        # however the arguments are passed
+        assert uniform_grid() is uniform_grid(count=512, lo=0.0) is DEFAULT_GRID
+        assert uniform_grid(64, edge_margin=0.01) is not uniform_grid(64)
+
+    def test_points_are_one_read_only_float64_array(self):
+        given = np.array(interior_points(0.0, 1.0, 32))
+        grid = Grid(points=given)
+        given[0] = 0.5  # the grid holds a copy
+        assert grid.points.dtype == np.float64 and grid.points[0] < 0.5
+        for points in (grid.points, DEFAULT_GRID.points):
+            with pytest.raises(ValueError, match="read-only"):
+                points[0] = 0.25
+
+    @pytest.mark.parametrize("count", [-1, 0, 15])
+    def test_count_below_sixteen_is_refused_before_the_grid_is_built(self, count):
+        with pytest.raises(ValueError, match=rf"^grid needs at least 16 points, got {count}$"):
+            uniform_grid(count)
+
+    def test_non_integer_count_is_refused_whether_or_not_its_grid_is_cached(self):
+        # 700.0 == 700, True == 1 and 512.0 == 512 (built at import) as keys
+        # of an untyped cache; 700 is built between the two rounds
+        for _ in range(2):
+            for count in (700.0, True, 512.0, np.float64(700.0)):
+                with pytest.raises(ValueError, match="^grid point count must be an "
+                                   f"integer, got {re.escape(repr(count))}$"):
+                    uniform_grid(count)
+            assert uniform_grid(700).count == 700
+
+    @pytest.mark.parametrize("name, value", [
+        ("lo", -math.inf), ("hi", math.nan), ("edge_margin", math.inf),
+        ("edge_margin", math.nan), ("edge_margin", -math.inf),
+    ])
+    def test_non_finite_parameter_is_refused_by_name(self, name, value):
+        # refused before np.linspace, which would warn about the inf or nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^grid {name} must be finite, got {value!r}$"):
+                uniform_grid(32, **{name: value})
 

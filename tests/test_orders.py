@@ -40,6 +40,12 @@ from helpers import dmrl_integral, interior_points
 COARSE = uniform_grid(64, edge_margin=0.01)
 
 
+def _bits(curve):
+    """A curve dict as the dtype and bytes of each array: equal exactly when
+    every value is the same float64, 0.0 told from -0.0."""
+    return {key: (values.dtype, values.tobytes()) for key, values in curve.items()}
+
+
 class TestTransforms:
     def test_unit_exponential_ttt_is_p(self, named_distributions):
         X = named_distributions["exp_1"]
@@ -194,7 +200,44 @@ class TestSharedTransformPass:
         many = orders_mod.check_orders(X, Y, kinds, COARSE)
         alone = [check_order(X, Y, kind, COARSE) for kind in kinds]
         assert [v.to_json() for v in many] == [v.to_json() for v in alone]
-        assert [v.curve for v in many] == [v.curve for v in alone]
+        assert [_bits(v.curve) for v in many] == [_bits(v.curve) for v in alone]
+
+
+class TestReadOnlyCurves:
+    """Curves are read-only float64 arrays passed on without copies: the
+    grid's own points, and one pass's ew curves in both ew and dmrl."""
+
+    @staticmethod
+    def _assert_read_only(curve):
+        for values in curve.values():
+            assert values.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    @pytest.mark.parametrize("kinds", [tuple(OrderKind), (OrderKind.STAR,)],
+                             ids=["six", "star-alone"])
+    def test_verdict_curves(self, kinds, named_distributions):
+        X, Y = named_distributions["exp_half"], named_distributions["exp_1"]
+        verdicts = check_orders(X, Y, kinds, COARSE)
+        for v in verdicts:
+            assert list(v.curve) == ["p", "value_x", "value_y", "functional"]
+            assert v.curve["p"] is COARSE.points  # no point excluded
+            self._assert_read_only(v.curve)
+        by_kind = {v.kind: v.curve for v in verdicts}
+        if OrderKind.DMRL in by_kind:
+            for key in ("value_x", "value_y"):
+                assert by_kind[OrderKind.DMRL][key] is by_kind[OrderKind.EW][key]
+
+    def test_excluded_points_leave_a_read_only_copy(self):
+        grid = uniform_grid(16, edge_margin=0.01)
+        X = _table_distribution([0.0] * 3 + [1.0] * 13, grid)
+        self._assert_read_only(check_order(X, X, OrderKind.STAR, grid).curve)
+
+    def test_transform_and_dmrl_integral_curves(self, named_distributions):
+        X, Y = named_distributions["ce02_x"], named_distributions["ce02_y"]
+        for curves in transform_curves([X, Y], COARSE) + [dmrl_integral_curve(X, Y, COARSE)]:
+            assert curves["p"] is COARSE.points
+            self._assert_read_only(curves)
 
 
 def _single_passes(sides, grid, reads=orders_mod.TRANSFORMS):
@@ -202,14 +245,14 @@ def _single_passes(sides, grid, reads=orders_mod.TRANSFORMS):
     class and message of the first error, as passes one after the other
     give them."""
     try:
-        return [transform_curves([S], grid, reads)[0] for S in sides]
+        return [_bits(transform_curves([S], grid, reads)[0]) for S in sides]
     except Exception as error:
         return type(error), str(error)
 
 
 def _joint_pass(sides, grid, reads=orders_mod.TRANSFORMS):
     try:
-        return transform_curves(sides, grid, reads)
+        return [_bits(curves) for curves in transform_curves(sides, grid, reads)]
     except Exception as error:
         return type(error), str(error)
 
@@ -232,11 +275,11 @@ class TestJointTransformPass:
         sides = [named_distributions[name] for name in names]
         if h_name is not None:
             sides = [db.distort(S, named_distortions[h_name]) for S in sides]
-        alone = [transform_curves([S], COARSE)[0] for S in sides]
+        alone = _single_passes(sides, COARSE)
         # each distribution on both sides: the catalog in a cycle
         for i in range(len(sides)):
             j = (i + 1) % len(sides)
-            assert transform_curves([sides[i], sides[j]], COARSE) == [alone[i], alone[j]]
+            assert _joint_pass([sides[i], sides[j]], COARSE) == [alone[i], alone[j]]
 
     @pytest.mark.parametrize("x, y", [
         ("q: 1/(1-p) - 1", _INFINITE_INSIDE),
@@ -395,7 +438,7 @@ class TestRatioScan:
         X = _table_distribution([0.0] * 3 + [1.0] * 13, grid)
         verdict = check_order(X, X, OrderKind.STAR, grid)
         assert verdict.holds
-        assert verdict.curve["p"] == grid.points[3:]
+        assert np.array_equal(verdict.curve["p"], grid.points[3:])
         assert verdict.notes[:3] == tuple(f"excluded p={p:.6g}: quantile of X ~0"
                                           for p in grid.points[:3])
 
@@ -409,10 +452,10 @@ class TestDensityExclusions:
     def _reference(self, X, Y):
         # slope_fault point by point, X's fault first
         p = self.GRID.points
-        sx = db.quantile_slopes(X, np.array(p)).tolist()
-        sy = db.quantile_slopes(Y, np.array(p)).tolist()
+        sx = db.quantile_slopes(X, p).tolist()
+        sy = db.quantile_slopes(Y, p).tolist()
         return [(x, db.slope_fault(X, a, x) or db.slope_fault(Y, b, x))
-                for x, a, b in zip(p, sx, sy)]
+                for x, a, b in zip(p.tolist(), sx, sy)]
 
     @pytest.mark.parametrize("flat_side", ["x", "y"])
     def test_notes_and_error_name_every_fault_point(self, flat_side):
@@ -423,8 +466,8 @@ class TestDensityExclusions:
         verdict = check_order(X, Y, OrderKind.CONVEX_TRANSFORM, self.GRID)
         assert verdict.notes[:-1] == tuple(f"excluded p={x:.6g}: {f}"
                                            for x, f in faults)
-        assert list(verdict.curve["p"]) == [x for x in self.GRID.points
-                                            if x not in dict(faults)]
+        assert np.array_equal(verdict.curve["p"], [x for x in self.GRID.points
+                                                   if x not in dict(faults)])
         with pytest.raises(db.DegenerateDensityError) as info:
             orders_mod.density_ratios(X, Y, self.GRID.points)
         assert str(info.value) == faults[0][1]
