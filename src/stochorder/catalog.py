@@ -75,43 +75,33 @@ def distributions() -> Dict[str, Distribution]:
     }
 
 
-def convex_mix(w: float) -> Distortion:
-    """h(p) = w*p + (1-w)*p^2 with closed inverse, 0 <= w < 1 (convex)."""
+def _quadratic_mix(w: float, a: float, b: float, shape: str) -> Distortion:
+    """h(p) = w*p + (1-w)*shape = a*p + b*p^2, 0 <= w < 1, with closed
+    inverse (-a + sqrt(a^2 + 4*b*y)) / (2*b)."""
     if not 0.0 <= w < 1.0:
         raise ValueError(f"weight must lie in [0,1), got {w!r}")
-    c = 1.0 - w
 
     @elementwise
     def fn(p):
-        return w * p + c * p * p
+        return a * p + b * p * p
 
     @elementwise
     def inv(y):
-        return (-w + each(math.sqrt, w * w + 4.0 * c * y)) / (2.0 * c)
+        return (-a + each(math.sqrt, a * a + 4.0 * b * y)) / (2.0 * b)
 
     return dist_mod.validate(
-        fn, label=f"{format_constant(w)}*p + {format_constant(c)}*p^2",
-        inverse_fn=inv, co_inverse_fn=elementwise(lambda p: 1.0 - inv(1.0 - p)))
+        fn, label=f"{format_constant(w)}*p + {format_constant(1.0 - w)}*{shape}",
+        inverse_fn=inv)
+
+
+def convex_mix(w: float) -> Distortion:
+    """h(p) = w*p + (1-w)*p^2 with closed inverse, 0 <= w < 1 (convex)."""
+    return _quadratic_mix(w, w, 1.0 - w, "p^2")
 
 
 def concave_mix(w: float) -> Distortion:
     """h(p) = w*p + (1-w)*(2p - p^2) with closed inverse (concave)."""
-    if not 0.0 <= w < 1.0:
-        raise ValueError(f"weight must lie in [0,1), got {w!r}")
-    c = 1.0 - w
-    b = 2.0 - w  # h(p) = b*p - c*p^2
-
-    @elementwise
-    def fn(p):
-        return b * p - c * p * p
-
-    @elementwise
-    def inv(y):
-        return (b - each(math.sqrt, b * b - 4.0 * c * y)) / (2.0 * c)
-
-    return dist_mod.validate(
-        fn, label=f"{format_constant(w)}*p + {format_constant(c)}*(2*p - p^2)",
-        inverse_fn=inv, co_inverse_fn=elementwise(lambda p: 1.0 - inv(1.0 - p)))
+    return _quadratic_mix(w, 2.0 - w, -(1.0 - w), "(2*p - p^2)")
 
 
 @lru_cache(maxsize=1)

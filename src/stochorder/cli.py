@@ -15,7 +15,8 @@ Subcommands:
 
 Exit codes: 0 success/orders hold; 1 at least one checked order is violated;
 2 input or validation error; 3 a preservation sweep recorded a failure;
-4 output I/O error; 5 numeric failure (quadrature, or a root solve's bracket).
+4 output I/O error; 5 numeric failure (quadrature, or a root solve's bracket);
+6 internal error: any other exception, a fault of the program, never 1.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from . import funcalc
 from . import orders as orders_mod
 from . import systems as sys_mod
 from . import sweeps as sweeps_mod
-from .numerics import (DEFAULT_EDGE_MARGIN, DEFAULT_GRID_COUNT, Grid,
-                       NumericsError, Tolerance, uniform_grid,
+from .numerics import (DEFAULT_EDGE_MARGIN, DEFAULT_GRID_COUNT, MAX_GRID_COUNT,
+                       Grid, NumericsError, Tolerance, uniform_grid,
                        validation_points)
 from .orders import OrderKind
 
@@ -50,6 +51,7 @@ EXIT_INPUT = 2
 EXIT_SWEEP_FAIL = 3
 EXIT_IO = 4
 EXIT_NUMERIC = 5
+EXIT_INTERNAL = 6
 
 _INPUT_ERRORS = (ValueError, funcalc.ExprError)
 
@@ -400,6 +402,8 @@ def cmd_system(args) -> int:
     count = args.grid_count if args.grid_count is not None else 257
     if count < 2:
         raise ValueError(f"--grid-count must be at least 2, got {count}")
+    if count > MAX_GRID_COUNT:
+        raise ValueError(f"--grid-count must be at most {MAX_GRID_COUNT}, got {count}")
     _csv_out(args.out_csv)
     handle, built = _build_system(args.signature, args.copula)
     doc = _system_doc(built, handle)
@@ -656,6 +660,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as ex:
         print(f"output error: {ex}", file=sys.stderr)
         return EXIT_IO
+    except Exception as ex:
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

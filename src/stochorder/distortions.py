@@ -51,11 +51,11 @@ class Distortion:
     ``fn`` and the optional maps below are elementwise (callables from
     outside are lifted here), so h takes a float array of probabilities.
     ``inverse_fn`` is an optional closed-form inverse used as a fast path;
-    the generalized inverse by root solve is the fallback.  ``co_inverse_fn`` is
-    an optional closed form of p -> 1 - inverse(1-p), the map distorted
-    quantiles ride on; carrying it avoids the 1-(1-p) roundtrip, whose
-    ~1e-16 quantization gets amplified into visible jumps wherever the
-    co-inverse has unbounded slope (e.g. p^(1/k) near 0).
+    the generalized inverse by root solve is the fallback.  ``co_inverse_fn``,
+    p -> 1 - inverse(1-p), the map distorted quantiles ride on, is derived
+    as that expression when not given; ``dual`` swaps the two, so the dual
+    of p^k has co-inverse p^(1/k), free of the 1-(1-p) roundtrip whose
+    ~1e-16 quantization its unbounded slope near 0 would amplify.
 
     Without ``inverse_fn``, each distortion remembers its root solves:
     ``solved`` holds the targets solved so far, sorted, and their
@@ -86,7 +86,9 @@ class Distortion:
     def __post_init__(self) -> None:
         self.fn = lift(self.fn)
         if self.inverse_fn is not None:
-            self.inverse_fn = lift(self.inverse_fn)
+            inv = self.inverse_fn = lift(self.inverse_fn)
+            if self.co_inverse_fn is None:
+                self.co_inverse_fn = elementwise(lambda p: 1.0 - inv(1.0 - p))
         if self.co_inverse_fn is not None:
             self.co_inverse_fn = lift(self.co_inverse_fn)
 
@@ -178,17 +180,15 @@ def values_at(h: Distortion, count: int = VALIDATION_COUNT) -> np.ndarray:
 
 
 def dual(h: Distortion) -> Distortion:
-    """Dual distortion h*(p) = 1 - h(1-p); distorts the cdf as h does the survival."""
+    """Dual distortion h*(p) = 1 - h(1-p); distorts the cdf as h does the survival.
+
+    The inverse of h* is h's co-inverse and its co-inverse is h's inverse,
+    so the dual swaps the pair and dual(dual(h)) carries h's own."""
     fn = h.fn
-    dual_fn = elementwise(lambda p: 1.0 - fn(1.0 - p))
-    inv = None
-    if h.inverse_fn is not None:
-        base_inv = h.inverse_fn
-        inv = elementwise(lambda y: 1.0 - base_inv(1.0 - y))
-    # 1 - dual(h)^-1(1-p) = h^-1(p), so the dual's co-inverse is h's inverse
-    return Distortion(fn=dual_fn, label=f"dual({h.label})",
-                      strictly_increasing=h.strictly_increasing, inverse_fn=inv,
-                      co_inverse_fn=h.inverse_fn)
+    return Distortion(fn=elementwise(lambda p: 1.0 - fn(1.0 - p)),
+                      label=f"dual({h.label})",
+                      strictly_increasing=h.strictly_increasing,
+                      inverse_fn=h.co_inverse_fn, co_inverse_fn=h.inverse_fn)
 
 
 def inverse(h: Distortion, y):
@@ -323,11 +323,8 @@ def power(k: float) -> Distortion:
     if not (k > 0 and np.isfinite(k)):
         raise DistortionValidationError(
             f"power exponent must be positive and finite, got {k!r}")
-    fn, root = _pow(k), _pow(1.0 / k)
-    return Distortion(fn=fn, label=f"power:{funcalc.format_constant(k)}",
-                      strictly_increasing=True,
-                      inverse_fn=root,
-                      co_inverse_fn=elementwise(lambda p: 1.0 - root(1.0 - p)))
+    return Distortion(fn=_pow(k), label=f"power:{funcalc.format_constant(k)}",
+                      strictly_increasing=True, inverse_fn=_pow(1.0 / k))
 
 
 def dualpower(k: float) -> Distortion:

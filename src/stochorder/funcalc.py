@@ -20,10 +20,11 @@ left-closed: the value goes to the first branch whose bound it does not
 exceed.
 
 Every AST node carries a source span; syntax and evaluation-domain errors
-point back at the offending text.  An evaluation runs the compiled tree once,
-with floating-point errors raising, and each node names the domain rule its
-own operation broke; when an array raises, halving finds its first offending
-entry (``_evaluator``).
+point back at the offending text; input nested past MAX_DEPTH is a syntax
+error.  An evaluation runs the compiled tree once, with floating-point
+errors raising, and each node names the domain rule its own operation broke;
+when an array raises, halving finds its first offending entry
+(``_evaluator``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from .numerics import each, elementwise, lift, on_arrays
 
 FUNCTIONS = ("exp", "ln", "sqrt", "min", "max")
 DEFAULT_VARIABLES = ("p", "x")
+# deepest nesting a parse accepts, of the grammar rules (each nested rule
+# recurses through parse_unary) and of the tree it builds: parsing,
+# compiling and evaluating each recurse once per level
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,7 @@ class ExprDomainError(ExprError):
 @dataclass(frozen=True)
 class Expr:
     span: SourceSpan
+    depth = 1  # tree levels at and under the node; the parser sets it on inner nodes
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,7 @@ class _Parser:
         self.pos = 0
         self.allowed = tuple(variables)
         self.seen_var: Optional[str] = None
+        self.level = 0  # parse_unary calls open
 
     def span_of(self, tok: _Token) -> SourceSpan:
         return SourceSpan(tok.start, tok.end, self.source[tok.start:tok.end])
@@ -189,6 +196,17 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "op" and tok.text in texts
 
+    def built(self, node: Expr, *children: Expr) -> Expr:
+        """node, whose tree depth is one more than its deepest child's."""
+        depth = 1 + max([c.depth for c in children])
+        if depth > MAX_DEPTH:
+            raise _too_deep(node.span)
+        object.__setattr__(node, "depth", depth)
+        return node
+
+    def binary(self, op: str, left: Expr, right: Expr) -> Expr:
+        return self.built(Binary(self.merge(left.span, right.span), op, left, right), left, right)
+
     # --- grammar ---
 
     def parse(self) -> Expr:
@@ -202,31 +220,35 @@ class _Parser:
         node = self.parse_term()
         while self.at_op("+", "-"):
             op = self.next().text
-            right = self.parse_term()
-            node = Binary(self.merge(node.span, right.span), op, node, right)
+            node = self.binary(op, node, self.parse_term())
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_unary()
         while self.at_op("*", "/"):
             op = self.next().text
-            right = self.parse_unary()
-            node = Binary(self.merge(node.span, right.span), op, node, right)
+            node = self.binary(op, node, self.parse_unary())
         return node
 
     def parse_unary(self) -> Expr:
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise _too_deep(self.span_of(self.peek()))
         if self.at_op("-"):
             tok = self.next()
             operand = self.parse_unary()
-            return Unary(self.merge(self.span_of(tok), operand.span), "-", operand)
-        return self.parse_power()
+            node = self.built(Unary(self.merge(self.span_of(tok), operand.span), "-", operand),
+                              operand)
+        else:
+            node = self.parse_power()
+        self.level -= 1
+        return node
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.at_op("^"):
             self.next()
-            exponent = self.parse_unary()
-            return Binary(self.merge(base.span, exponent.span), "^", base, exponent)
+            return self.binary("^", base, self.parse_unary())
         return base
 
     def parse_atom(self) -> Expr:
@@ -284,7 +306,7 @@ class _Parser:
             raise ExprSyntaxError(f"{name} takes one argument", span)
         if name in ("min", "max") and len(args) < 2:
             raise ExprSyntaxError(f"{name} needs at least two arguments", span)
-        return Call(span, name, tuple(args))
+        return self.built(Call(span, name, tuple(args)), *args)
 
     def parse_piece(self) -> Expr:
         head = self.next()  # 'piece'
@@ -325,7 +347,12 @@ class _Parser:
                 )
         span = self.merge(self.span_of(head), self.span_of(close))
         assert piece_var is not None
-        return Piecewise(span, piece_var, tuple(branches), otherwise)
+        return self.built(Piecewise(span, piece_var, tuple(branches), otherwise),
+                          otherwise, *(b.body for b in branches))
+
+
+def _too_deep(span: SourceSpan) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", span)
 
 
 def _respan(node: Expr, span: SourceSpan) -> Expr:

@@ -110,6 +110,8 @@ class Grid:
 
 DEFAULT_GRID_COUNT = 512
 DEFAULT_EDGE_MARGIN = 1e-3
+# most points a grid or a table may have: 2^20 float64s are 8 MiB
+MAX_GRID_COUNT = 1 << 20
 
 
 def uniform_grid(count: int = DEFAULT_GRID_COUNT,
@@ -122,9 +124,18 @@ def uniform_grid(count: int = DEFAULT_GRID_COUNT,
         raise ValueError(f"grid point count must be an integer, got {count!r}")
     if count < 16:
         raise ValueError(f"grid needs at least 16 points, got {count}")
-    for name, value in (("lo", lo), ("hi", hi), ("edge_margin", edge_margin)):
+    if count > MAX_GRID_COUNT:
+        raise ValueError(f"grid needs at most {MAX_GRID_COUNT} points, got {count}")
+    # Python floats: an overflow here gives inf, where numpy would warn
+    first, last = float(lo) + float(edge_margin), float(hi) - float(edge_margin)
+    for name, value in (("lo", lo), ("hi", hi), ("edge_margin", edge_margin),
+                        ("lo + edge_margin", first), ("hi - edge_margin", last),
+                        ("span hi - lo - 2*edge_margin", last - first)):
         if not math.isfinite(value):
             raise ValueError(f"grid {name} must be finite, got {value!r}")
+    if not first < last:
+        raise ValueError(f"grid lo + edge_margin ({first!r}) must be below "
+                         f"hi - edge_margin ({last!r})")
     return _uniform_grid(count, lo, hi, edge_margin)
 
 

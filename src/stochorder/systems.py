@@ -15,11 +15,12 @@ Signature entries are kept as exact rationals whenever the inputs allow, so
 the closed-form classification constants (omega, Delta, roots, alpha, beta)
 come out exact.
 
-Caution: parallel distortions of copulas whose diagonal is flat at 1 (e.g.
-product, n >= 2) have a co-inverse with unbounded slope at 0; closed-form
-co-inverses are attached for the reference families, but generator/diagonal
-parallels with f(0) = 0 fall back to a root solve and are best kept out of
-integration-heavy paths.
+A parallel distortion is the dual of the series one, the diagonal section
+of the copula.  Caution: where that section is flat at 0 (e.g. product,
+n >= 2), the parallel co-inverse has unbounded slope at 0; the product,
+Cuadras-Auge and comonotone sections have closed inverses, but
+generator/diagonal parallels fall back to a root solve and are best kept
+out of integration-heavy paths.
 """
 
 from __future__ import annotations
@@ -484,40 +485,16 @@ def shape_theorems(built: SystemDistortion,
     return {}
 
 
-def parallel_distortion(dist_copula: cop_mod.CopulaHandle) -> Distortion:
-    """h(p) = 1 - C(1-p,...,1-p) for the distributional copula C: the
-    distortion of a parallel system (lifetime = max of components)."""
-    handle = dist_copula
-    n = handle.n
-    inverse_fn = None
-    co_inverse_fn = None
-    if handle.kind in ("product", "cuadras_auge"):
-        # h = 1 - (1-p)^k: the diagonal section of C is p^k
-        k = n if handle.kind == "product" else 2.0 - handle.theta
-        inverse_fn = elementwise(lambda y: 1.0 - each(pow, 1.0 - y, 1.0 / k))
-        co_inverse_fn = elementwise(lambda p: each(pow, p, 1.0 / k))
-    elif handle.kind == "comonotone":
-        inverse_fn = co_inverse_fn = elementwise(lambda p: p)
-
-    @elementwise
-    def h_fn(p):
-        return 1.0 - cop_mod.cop_eval(handle, [1.0 - p] * n)
-
-    return dist_mod.validate(h_fn, label=f"parallel({handle.label})",
-                             inverse_fn=inverse_fn,
-                             co_inverse_fn=co_inverse_fn)
-
-
 def series_distortion(surv_copula: cop_mod.CopulaHandle) -> Distortion:
     """g(p) = C(p,...,p) for the survival copula C: the distortion of a
-    series system (lifetime = min of components)."""
+    series system (lifetime = min of components); closed inverses for the
+    sections p^n (product), p^(2-theta) (Cuadras-Auge) and p (comonotone)."""
     handle = surv_copula
     n = handle.n
-    inverse_fn = None
-    co_inverse_fn = None
-    if handle.kind == "product":
-        inverse_fn = elementwise(lambda y: each(pow, y, 1.0 / n))
-        co_inverse_fn = elementwise(lambda p: 1.0 - each(pow, 1.0 - p, 1.0 / n))
+    inverse_fn = co_inverse_fn = None
+    if handle.kind in ("product", "cuadras_auge"):
+        k = n if handle.kind == "product" else 2.0 - handle.theta
+        inverse_fn = elementwise(lambda y: each(pow, y, 1.0 / k))
     elif handle.kind == "comonotone":
         inverse_fn = co_inverse_fn = elementwise(lambda p: p)
 
@@ -528,6 +505,14 @@ def series_distortion(surv_copula: cop_mod.CopulaHandle) -> Distortion:
     return dist_mod.validate(h_fn, label=f"series({handle.label})",
                              inverse_fn=inverse_fn,
                              co_inverse_fn=co_inverse_fn)
+
+
+def parallel_distortion(dist_copula: cop_mod.CopulaHandle) -> Distortion:
+    """h(p) = 1 - C(1-p,...,1-p) for the distributional copula C: the
+    distortion of a parallel system (lifetime = max of components), the
+    dual of the series distortion of C."""
+    return replace(dist_mod.dual(series_distortion(dist_copula)),
+                   label=f"parallel({dist_copula.label})")
 
 
 @dataclass(frozen=True)

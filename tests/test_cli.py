@@ -13,7 +13,9 @@ import pytest
 
 from stochorder import cli
 from stochorder import copulas as cop_mod
-from stochorder.numerics import BracketError
+from stochorder import orders as orders_mod
+from stochorder.funcalc import MAX_DEPTH
+from stochorder.numerics import MAX_GRID_COUNT, BracketError
 from stochorder.sweeps import SuiteResult, SweepConfig, SweepSummary
 
 from helpers import reference_csv_text
@@ -249,7 +251,14 @@ class TestCheckOrder:
         (["--grid-lo=-inf"], None, "grid lo must be finite, got -inf"),
         (["--grid-count", "-1"], None, "grid needs at least 16 points, got -1"),
         ([], '{"grid": {"edge_margin": 1e400}}', "grid edge_margin must be finite, got inf"),
-    ], ids=["margin-inf", "margin-nan", "lo-inf", "count-negative", "config-margin-1e400"])
+        (["--grid-lo", "1e308", "--grid-margin", "1e308"], None,
+         "grid lo + edge_margin must be finite, got inf"),
+        (["--grid-lo", "0.5", "--grid-hi", "0.4"], None,
+         "grid lo + edge_margin (0.501) must be below hi - edge_margin (0.399)"),
+        (["--grid-count", str(MAX_GRID_COUNT + 1)], None,
+         f"grid needs at most {MAX_GRID_COUNT} points, got {MAX_GRID_COUNT + 1}"),
+    ], ids=["margin-inf", "margin-nan", "lo-inf", "count-negative", "config-margin-1e400",
+            "lo-plus-margin-overflows", "lo-above-hi", "count-above-bound"])
     def test_grid_parameters_are_refused_by_name(self, argv, config, message,
                                                  tmp_path, capsys):
         # before np.linspace sees them: one error line and no numpy warning
@@ -263,6 +272,26 @@ class TestCheckOrder:
                              "--order", "ttt"] + argv) == 2
         assert caught == []
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("x", [
+        "q: " + "(" * 200 + "p" + ")" * 200,
+        "q: " + "+".join(["p"] * 500),
+    ], ids=["nested-parentheses", "flat-sum"])
+    def test_deep_expression_is_an_input_error(self, x, capsys):
+        # refused by the parser, not a RecursionError (exit 1, "violated")
+        assert cli.main(["check-order", "--x", x, "--y", "exp:1", "--order", "ttt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"expression nested deeper than {MAX_DEPTH} levels" in err
+
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setattr(orders_mod, "check_orders", broken)
+        assert cli.main(["check-order", "--x", "exp:1", "--y", "exp:2",
+                         "--order", "ttt"]) == cli.EXIT_INTERNAL == 6
+        assert capsys.readouterr().err == "internal error: RuntimeError: planted fault\n"
 
     def test_integer_grid_bounds_are_numbers(self, tmp_path):
         config = tmp_path / "config.json"
@@ -471,6 +500,15 @@ class TestDistortAndSystem:
                          "--grid-count", count, "--out-csv", str(csv_out)]) == 2
         assert capsys.readouterr().err == (
             f"error: --grid-count must be at least 2, got {count}\n")
+        assert not csv_out.exists()
+
+    def test_system_grid_count_above_the_bound_is_an_input_error(self, tmp_path, capsys):
+        csv_out = tmp_path / "h.csv"
+        count = MAX_GRID_COUNT + 1
+        assert cli.main(["system", "--signature", "0,1", "--copula", "product:2",
+                         "--grid-count", str(count), "--out-csv", str(csv_out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --grid-count must be at most {MAX_GRID_COUNT}, got {count}\n")
         assert not csv_out.exists()
 
     @pytest.mark.parametrize("argv, points", [

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stochorder import catalog
 from stochorder import distributions as db
 from stochorder import funcalc
 from stochorder.distortions import (
@@ -111,6 +112,39 @@ class TestDual:
     def test_dual_swaps_star_and_antistar(self):
         report = classify(dual(power(3.0)))
         assert report.antistarshaped and not report.starshaped
+
+    @pytest.mark.parametrize("build", [
+        lambda: power(2.5), lambda: dualpower(3.7), identity,
+        lambda: catalog.convex_mix(0.3), lambda: catalog.concave_mix(0.6),
+        lambda: validate("p^2", inverse_fn=math.sqrt), lambda: validate("p^2"),
+    ], ids=["power", "dualpower", "identity", "convex_mix", "concave_mix",
+            "given-inverse", "root-solved"])
+    def test_dual_swaps_the_closed_forms(self, build):
+        h = build()
+        hd = dual(h)
+        assert hd.inverse_fn is h.co_inverse_fn and hd.co_inverse_fn is h.inverse_fn
+        # so the dual of the dual carries h's own callables
+        hh = dual(hd)
+        assert hh.inverse_fn is h.inverse_fn and hh.co_inverse_fn is h.co_inverse_fn
+
+    @pytest.mark.parametrize("build", [
+        lambda: power(2.5), lambda: power(0.3), lambda: catalog.convex_mix(0.3),
+        lambda: catalog.concave_mix(0.6), lambda: validate("p^2", inverse_fn=math.sqrt),
+    ], ids=["power", "root-power", "convex_mix", "concave_mix", "given-inverse"])
+    def test_derived_co_inverse_is_the_complement_of_the_inverse_bit_for_bit(self, build):
+        h = build()
+        k = np.arange(1, 17)
+        p = np.concatenate([np.linspace(0.0, 1.0, 4097),
+                            np.random.default_rng(0).random(4000),
+                            10.0 ** -k, 1.0 - 10.0 ** -k])
+        assert h.co_inverse_fn(p).tobytes() == (1.0 - h.inverse_fn(1.0 - p)).tobytes()
+        assert co_inverse(h, p).tobytes() == \
+            np.clip(1.0 - h.inverse_fn(1.0 - p), 0.0, 1.0).tobytes()
+
+    def test_stated_co_inverse_is_kept(self):
+        # identity states p itself, not 1 - (1 - p)
+        h = identity()
+        assert h.co_inverse_fn(0.1) == 0.1 != 1.0 - (1.0 - 0.1)
 
 
 class TestInverse:

@@ -9,6 +9,7 @@ import pytest
 
 from stochorder import catalog
 from stochorder.funcalc import (
+    MAX_DEPTH,
     ExprDomainError,
     ExprError,
     ExprSyntaxError,
@@ -148,6 +149,26 @@ class TestErrors:
         with pytest.raises(ExprSyntaxError,
                            match=rf"^number out of range \(at {re.escape(span)}\)$"):
             parse(source)
+
+    @pytest.mark.parametrize("nest", [
+        lambda n: "(" * (n - 1) + "p" + ")" * (n - 1),   # grammar nesting
+        lambda n: "+".join(["p"] * n),                    # a left-deep sum
+        lambda n: "-" * (n - 1) + "p",                    # nested negations
+        lambda n: "max(" * (n - 1) + "p" + ", 1)" * (n - 1),
+        lambda n: "2^" * (n - 1) + "p",                   # an exponent tower
+    ], ids=["parentheses", "sum", "negation", "calls", "powers"])
+    def test_nesting_deeper_than_the_bound_is_a_syntax_error(self, nest):
+        # MAX_DEPTH levels parse; one more is refused with a span, before
+        # parsing, compiling or evaluating it could pass the recursion limit
+        assert parse(nest(MAX_DEPTH)) is not None
+        with pytest.raises(ExprSyntaxError,
+                           match=rf"^expression nested deeper than {MAX_DEPTH} "
+                                 r"levels \(at \d+\.\.\d+ "):
+            parse(nest(MAX_DEPTH + 1))
+
+    def test_expression_at_the_depth_bound_evaluates(self):
+        assert parse_constant("+".join(["1"] * MAX_DEPTH)) == MAX_DEPTH
+        assert eval_expr(parse("-" * (MAX_DEPTH - 1) + "p"), 0.25) == -0.25
 
     def test_largest_finite_literal_is_kept(self):
         assert parse_constant("1.7976931348623157e308") == 1.7976931348623157e308

@@ -219,3 +219,26 @@ class TestGrids:
             with pytest.raises(ValueError, match=f"^grid {name} must be finite, got {value!r}$"):
                 uniform_grid(32, **{name: value})
 
+    @pytest.mark.parametrize("args, message", [
+        (dict(lo=1e308, edge_margin=1e308), "grid lo + edge_margin must be finite, got inf"),
+        (dict(hi=-1e308, edge_margin=1e308), "grid hi - edge_margin must be finite, got -inf"),
+        (dict(lo=-1e308, hi=1e308, edge_margin=0.0),
+         "grid span hi - lo - 2*edge_margin must be finite, got inf"),
+        (dict(lo=0.5, hi=0.4),
+         "grid lo + edge_margin (0.501) must be below hi - edge_margin (0.399)"),
+        (dict(lo=0.3, hi=0.5, edge_margin=0.1),
+         "grid lo + edge_margin (0.4) must be below hi - edge_margin (0.4)"),
+    ])
+    def test_overflowing_or_reversed_ends_are_refused_by_name(self, args, message):
+        # finite arguments whose grid ends overflow or cross: refused before
+        # np.linspace, which would warn and build nan or decreasing points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                uniform_grid(32, **args)
+
+    def test_count_above_the_bound_is_refused_before_the_grid_is_built(self):
+        count = numerics.MAX_GRID_COUNT + 1
+        with pytest.raises(ValueError, match=f"^grid needs at most {count - 1} points, got {count}$"):
+            uniform_grid(count)
+

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stochorder import catalog, cli
@@ -389,6 +392,53 @@ class TestSeriesParallel:
         h = parallel_distortion(cop.product(4))
         for p in (0.2, 0.6, 0.9):
             assert h.inverse_fn(h(p)) == pytest.approx(p, abs=1e-12)
+
+    CLOSED = ([cop.product(n) for n in (2, 3, 4)] + [cop.comonotone(n) for n in (2, 3, 4)]
+              + [cop.cuadras_auge(theta) for theta in (0.3, 0.5, 0.8)])
+    POINTS = np.concatenate([np.linspace(0.0, 1.0, 4097),
+                             np.random.default_rng(0).random(4000),
+                             10.0 ** -np.arange(1, 17), 1.0 - 10.0 ** -np.arange(1, 17)])
+
+    @pytest.mark.parametrize("handle", CLOSED, ids=lambda h: h.label)
+    def test_parallel_is_the_dual_of_series_bit_for_bit(self, handle):
+        h = parallel_distortion(handle)
+        d = dist_mod.dual(series_distortion(handle))
+        p = self.POINTS
+        assert h.label == f"parallel({handle.label})"
+        assert h.strictly_increasing is d.strictly_increasing
+        assert h.fn(p).tobytes() == d.fn(p).tobytes()
+        assert dist_mod.co_inverse(h, p).tobytes() == dist_mod.co_inverse(d, p).tobytes()
+        # and the closed forms are those of 1 - C(1-p,...,1-p): h is
+        # 1 - (1-p)^k with co-inverse p^(1/k), or the identity
+        assert h.fn(p).tobytes() == (1.0 - cop.cop_eval(handle, [1.0 - p] * handle.n)).tobytes()
+        if handle.kind == "comonotone":
+            assert dist_mod.co_inverse(h, p).tobytes() == p.tobytes()
+        else:
+            k = handle.n if handle.kind == "product" else 2.0 - handle.theta
+            root = np.array([math.pow(v, 1.0 / k) for v in p.tolist()])
+            assert h.co_inverse_fn(p).tobytes() == root.tobytes()
+            assert h.inverse_fn(p).tobytes() == (1.0 - np.array(
+                [math.pow(v, 1.0 / k) for v in (1.0 - p).tolist()])).tobytes()
+
+    @pytest.mark.parametrize("handle", [
+        cop.frechet(0.4), cop.durante(catalog.DEFAULT_GENERATOR_TEXT, 3),
+        cop.jaworski(catalog.MIX_DIAG_TEXT, 4)], ids=lambda h: h.kind)
+    def test_root_solved_parallel_is_the_dual_of_series(self, handle):
+        h = parallel_distortion(handle)
+        d = dist_mod.dual(series_distortion(handle))
+        assert h.inverse_fn is None and h.co_inverse_fn is None
+        assert h.strictly_increasing is d.strictly_increasing
+        p = np.array(GRID63)
+        assert h.fn(p).tobytes() == d.fn(p).tobytes()
+        assert dist_mod.co_inverse(h, p).tobytes() == dist_mod.co_inverse(d, p).tobytes()
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
+    def test_series_cuadras_auge_closed_co_inverse_matches_the_root_solve(self, theta):
+        h = series_distortion(cop.cuadras_auge(theta))
+        solved = replace(h, inverse_fn=None, co_inverse_fn=None)
+        p = np.array(interior_points(0.0, 1.0, 999))
+        assert np.max(np.abs(dist_mod.co_inverse(h, p)
+                             - dist_mod.co_inverse(solved, p))) <= 1e-12
 
 
 class TestPreservationAdvice:
