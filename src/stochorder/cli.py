@@ -57,8 +57,6 @@ _INPUT_ERRORS = (ValueError, funcalc.ExprError)
 
 # the top-level keys each command reads from its --config file
 _CHECK_ORDER_KEYS = ("x", "y", "orders", "distortion", "name", "grid", "outputs")
-_SWEEP_KEYS = ("seed", "trials", "grid_count", "edge_margin", "abs_tol",
-               "rel_tol", "suites")
 
 
 # float64 bytes of a column -> its values as "%.17g" lines
@@ -275,6 +273,11 @@ def cmd_check_order(args) -> int:
     if not x_spec or not y_spec:
         raise ValueError("check-order needs --x and --y distribution specs")
     config_orders = _config_names(config, "orders", [k.value for k in OrderKind])
+    for what, names in (("--order", args.order or []),
+                        ("config 'orders'", config_orders)):
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ValueError(f"{what} names {repeated[0]!r} more than once")
     kinds = args.order or config_orders
     if not kinds:
         raise ValueError("check-order needs at least one --order")
@@ -551,20 +554,16 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = _load_config(args.config, _SWEEP_KEYS)
-    default = sweeps_mod.SweepConfig()
-    tol = Tolerance(
-        abs_tol=_config_number(raw, "abs_tol", default.tolerance.abs_tol, float),
-        rel_tol=_config_number(raw, "rel_tol", default.tolerance.rel_tol, float))
-    config = sweeps_mod.SweepConfig(
-        seed=_config_number(raw, "seed", default.seed),
-        trials=_config_number(raw, "trials", default.trials),
-        grid_count=_config_number(raw, "grid_count", default.grid_count),
-        edge_margin=_config_number(raw, "edge_margin", default.edge_margin, float),
-        tolerance=tol,
-        suites=tuple(_config_names(raw, "suites", sweeps_mod.SUITE_NAMES,
-                                   default.suites)),
-    )
+    # the keys, and the type of each, are those of the default config's JSON
+    defaults = sweeps_mod.SweepConfig().to_json()
+    raw = _load_config(args.config, tuple(defaults))
+    doc = {key: _config_names(raw, key, sweeps_mod.SUITE_NAMES, default)
+           if isinstance(default, list) else
+           _config_number(raw, key, default, type(default))
+           for key, default in defaults.items()}
+    tol = Tolerance(abs_tol=doc.pop("abs_tol"), rel_tol=doc.pop("rel_tol"))
+    config = sweeps_mod.SweepConfig(tolerance=tol, suites=tuple(doc.pop("suites")),
+                                    **doc)
     if config.trials < 0:
         raise ValueError("trials must be >= 0")
     summary = sweeps_mod.run_all(config)

@@ -22,7 +22,7 @@ per signature term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,11 +50,14 @@ class DuranteGenerator:
 
 @dataclass(frozen=True)
 class Diagonal:
-    """Validated n-dimensional diagonal function."""
+    """Validated n-dimensional diagonal function; ``sampled`` is d at the
+    513 points of ``validation_points()``, the read-only sample its
+    validation checked."""
 
     fn: Callable[[float], float]
     n: int
     label: str
+    sampled: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,8 @@ def validate_diagonal(d: FunctionLike, n: int) -> Diagonal:
         raise CopulaValidationError(
             f"{label}: increment {float(inc[i])!r} on [{pts[i]}, {pts[i + 1]}] exceeds "
             f"Lipschitz bound {n}*(p2-p1)")
-    return Diagonal(fn=fn, n=n, label=label)
+    vals.setflags(write=False)
+    return Diagonal(fn=fn, n=n, label=label, sampled=vals)
 
 
 def product(n: int) -> CopulaHandle:
@@ -286,21 +290,20 @@ def parse_copula_spec(text: str) -> CopulaHandle:
                                      ("diagonal:", "d", jaworski)):
             if text.startswith(prefix):
                 body = text[len(prefix):]
-                parts = [s.strip() for s in funcalc.split_top_level(body, ",")]
-                expr_text = None
-                n = None
-                for part in parts:
-                    if part.startswith(key + "="):
-                        expr_text = part[len(key) + 1:]
-                    elif part.startswith("n="):
-                        n = int(part[2:])
-                    else:
+                fields = {}
+                for part in funcalc.split_top_level(body, ","):
+                    name, eq, value = part.strip().partition("=")
+                    if not eq or name not in (key, "n"):
                         raise CopulaValidationError(
-                            f"unexpected field {part!r} in {text!r}")
-                if expr_text is None or n is None:
+                            f"unexpected field {part.strip()!r} in {text!r}")
+                    if name in fields:
+                        raise CopulaValidationError(
+                            f"field {name!r} given more than once in {text!r}")
+                    fields[name] = int(value) if name == "n" else value
+                if len(fields) < 2:
                     raise CopulaValidationError(
                         f"{prefix[:-1]} spec needs {key}=<expr> and n=<int>, got {text!r}")
-                return builder(expr_text, n)
+                return builder(fields[key], fields["n"])
     except (ValueError, funcalc.ExprError) as ex:
         if isinstance(ex, CopulaValidationError):
             raise

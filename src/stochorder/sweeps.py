@@ -10,12 +10,13 @@ the corresponding theorem says must survive:
 * convex_transform and star <- any h (verdict invariance, not preservation:
   base and distorted verdicts must agree)
 
-Every trial is replayable from its recorded labels.  The first trials of
-each suite walk the shape-qualifying catalog distortions deterministically
-(so the slow system distortions, inverted by root solve, are each exercised
-exactly once); the remainder draw from closed-inverse samplers.  A failure
-is a bug in the numerics or the tolerances, never new mathematics: the
-theorems guarantee preservation.
+Each suite is a row of ``_SUITES``, run by the one trial loop ``run_suite``.
+Every trial is replayable from its recorded labels.  A preservation suite
+first walks its shape-qualifying catalog distortions (so the slow system
+distortions, inverted by root solve, each run exactly once), then draws
+from a closed-inverse sampler; the invariance suite cycles the whole
+catalog.  A failure is a bug in the numerics or the tolerances, never new
+mathematics: the theorems guarantee preservation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import catalog
 from . import distortions as dist_mod
@@ -35,8 +36,49 @@ from .systems import preservation_advice
 
 DEFAULT_SEED = 20240917
 DEFAULT_TRIALS = 200
-SUITE_NAMES = ("ttt_starshaped", "ew_antistarshaped", "dmrl_antistarshaped",
-               "qmit_dual_antistarshaped", "convex_star_invariance")
+
+
+@functools.cache
+def _catalog_shapes() -> Tuple[Tuple[str, Distortion, ShapeReport], ...]:
+    """(name, h, classify(h)) for each catalog distortion: the catalog is
+    built once per process, so it is classified once too."""
+    return tuple((name, h, dist_mod.classify(h))
+                 for name, h in catalog.distortions().items())
+
+
+def _qualifying(order: OrderKind) -> List[Tuple[str, Distortion]]:
+    """Catalog distortions under which the preservation theorem keeps order."""
+    return [(name, h) for name, h, shape in _catalog_shapes()
+            if preservation_advice(order, shape).verdict == "preserved"]
+
+
+class _Suite(NamedTuple):
+    """The orders a suite checks, the catalog (name, h) pairs it walks, the
+    sampler it draws h from after the walk (None: the walk is cycled), and
+    whether each distorted verdict must equal the base one."""
+    orders: Tuple[OrderKind, ...]
+    walk: Callable[[], List[Tuple[str, Distortion]]]
+    sampler: Optional[Callable] = None
+    compare: bool = False
+
+
+def _preserves(order: OrderKind, sampler: Callable) -> _Suite:
+    return _Suite((order,), functools.partial(_qualifying, order), sampler)
+
+
+_SUITES: Dict[str, _Suite] = {
+    "ttt_starshaped": _preserves(OrderKind.TTT, catalog.sample_starshaped),
+    "ew_antistarshaped": _preserves(OrderKind.EW, catalog.sample_antistarshaped),
+    "dmrl_antistarshaped": _preserves(OrderKind.DMRL, catalog.sample_antistarshaped),
+    "qmit_dual_antistarshaped": _preserves(OrderKind.QMIT,
+                                           catalog.sample_dual_antistarshaped),
+    # the defining ratios are invariant under a common distortion of the
+    # baseline, so every catalog distortion leaves both verdicts as they were
+    "convex_star_invariance": _Suite(
+        (OrderKind.CONVEX_TRANSFORM, OrderKind.STAR),
+        lambda: list(catalog.distortions().items()), compare=True),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 @dataclass(frozen=True)
@@ -99,118 +141,46 @@ def _suite_rng(config: SweepConfig, suite: str) -> random.Random:
     return random.Random(f"{config.seed}:{suite}")
 
 
-@functools.cache
-def _catalog_shapes() -> Tuple[Tuple[str, Distortion, ShapeReport], ...]:
-    """(name, h, classify(h)) for each catalog distortion: the catalog is
-    built once per process, so it is classified once too."""
-    return tuple((name, h, dist_mod.classify(h))
-                 for name, h in catalog.distortions().items())
-
-
-def _qualifying(order: OrderKind) -> List[Tuple[str, Distortion]]:
-    """Catalog distortions under which the preservation theorem keeps order."""
-    return [(name, h) for name, h, shape in _catalog_shapes()
-            if preservation_advice(order, shape).verdict == "preserved"]
-
-
-_SHAPE_SAMPLERS: Dict[str, Callable] = {
-    "ttt_starshaped": catalog.sample_starshaped,
-    "ew_antistarshaped": catalog.sample_antistarshaped,
-    "dmrl_antistarshaped": catalog.sample_antistarshaped,
-    "qmit_dual_antistarshaped": catalog.sample_dual_antistarshaped,
-}
-
-_SUITE_ORDER: Dict[str, OrderKind] = {
-    "ttt_starshaped": OrderKind.TTT,
-    "ew_antistarshaped": OrderKind.EW,
-    "dmrl_antistarshaped": OrderKind.DMRL,
-    "qmit_dual_antistarshaped": OrderKind.QMIT,
-}
-
-
-def _failure_payload(trial: int, pair_note: str, x_label: str, y_label: str,
-                     h_label: str, order: OrderKind, verdict) -> dict:
-    return {
-        "trial": trial,
-        "pair": pair_note,
-        "x": x_label,
-        "y": y_label,
-        "distortion": h_label,
-        "order": order.value,
-        "witnesses": [list(w) for w in verdict.witnesses[:5]],
-        "notes": verdict.notes,
-    }
-
-
-def _run_preservation_suite(name: str, config: SweepConfig) -> SuiteResult:
-    order = _SUITE_ORDER[name]
-    sampler = _SHAPE_SAMPLERS[name]
-    rng = _suite_rng(config, name)
-    grid = config.grid()
-    catalog_hs = _qualifying(order)
-    failures = []
-    passes = 0
-    for trial in range(config.trials):
-        x, y, note = catalog.sample_ordered_pair(rng)
-        if trial < len(catalog_hs):
-            h_name, h = catalog_hs[trial]
-            h_label = f"catalog:{h_name}"
-        else:
-            h = sampler(rng)
-            h_label = h.label
-        xh = distrib_mod.distort(x, h)
-        yh = distrib_mod.distort(y, h)
-        verdict = check_order(xh, yh, order, grid, tol=config.tolerance)
-        if verdict.holds:
-            passes += 1
-        else:
-            failures.append(_failure_payload(
-                trial, note, x.label, y.label, h_label, order, verdict))
-    return SuiteResult(name=name, trials=config.trials, passes=passes,
-                       failures=failures)
-
-
-def _run_invariance_suite(config: SweepConfig) -> SuiteResult:
-    """Base and distorted convex-transform/star verdicts must agree for
-    every catalog distortion: the defining ratios are invariant under a
-    common distortion of the baseline."""
-    name = "convex_star_invariance"
-    rng = _suite_rng(config, name)
-    grid = config.grid()
-    entries = list(catalog.distortions().items())
-    failures = []
-    passes = 0
-    for trial in range(config.trials):
-        x, y, note = catalog.sample_ordered_pair(rng)
-        h_name, h = entries[trial % len(entries)]
-        xh = distrib_mod.distort(x, h)
-        yh = distrib_mod.distort(y, h)
-        trial_ok = True
-        for order in (OrderKind.CONVEX_TRANSFORM, OrderKind.STAR):
-            base = check_order(x, y, order, grid, tol=config.tolerance)
-            distorted = check_order(xh, yh, order, grid, tol=config.tolerance)
-            if base.holds != distorted.holds:
-                trial_ok = False
-                payload = _failure_payload(
-                    trial, note, x.label, y.label, f"catalog:{h_name}",
-                    order, distorted)
-                payload["base_holds"] = base.holds
-                payload["distorted_holds"] = distorted.holds
-                failures.append(payload)
-        if trial_ok:
-            passes += 1
-    return SuiteResult(name=name, trials=config.trials, passes=passes,
-                       failures=failures)
-
-
 def run_suite(name: str, config: Optional[SweepConfig] = None) -> SuiteResult:
+    """config.trials trials of the suite's row; a trial passes when every
+    order it checks does, and records one failure payload per order that
+    does not."""
     if config is None:
         config = SweepConfig()
-    if name == "convex_star_invariance":
-        return _run_invariance_suite(config)
-    if name not in _SUITE_ORDER:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return _run_preservation_suite(name, config)
+    suite = _SUITES[name]
+    rng = _suite_rng(config, name)
+    grid, tol = config.grid(), config.tolerance
+    walk = suite.walk()
+    failures, passes = [], 0
+    for trial in range(config.trials):
+        x, y, note = catalog.sample_ordered_pair(rng)
+        if suite.sampler is None or trial < len(walk):
+            h_name, h = walk[trial % len(walk)]
+            h_label = f"catalog:{h_name}"
+        else:
+            h = suite.sampler(rng)
+            h_label = h.label
+        xh, yh = distrib_mod.distort(x, h), distrib_mod.distort(y, h)
+        trial_failures = []
+        for order in suite.orders:
+            expected = (check_order(x, y, order, grid, tol=tol).holds
+                        if suite.compare else True)
+            verdict = check_order(xh, yh, order, grid, tol=tol)
+            if verdict.holds == expected:
+                continue
+            payload = {"trial": trial, "pair": note, "x": x.label, "y": y.label,
+                       "distortion": h_label, "order": order.value,
+                       "witnesses": [list(w) for w in verdict.witnesses[:5]],
+                       "notes": verdict.notes}
+            if suite.compare:
+                payload.update(base_holds=expected, distorted_holds=verdict.holds)
+            trial_failures.append(payload)
+        failures += trial_failures
+        passes += not trial_failures
+    return SuiteResult(name=name, trials=config.trials, passes=passes,
+                       failures=failures)
 
 
 def run_all(config: Optional[SweepConfig] = None) -> SweepSummary:

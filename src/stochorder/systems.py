@@ -109,8 +109,12 @@ def signature(entries: Sequence[EntryLike]) -> MinimalSignature:
 
 
 def parse_signature(text: str) -> MinimalSignature:
-    """Parse '2,0,-2,1' (integers or num/den fractions)."""
-    parts = [s.strip() for s in text.split(",") if s.strip()]
+    """Parse '2,0,-2,1' (integers or num/den fractions); an empty entry,
+    a trailing comma's too, is refused rather than dropped."""
+    parts = [s.strip() for s in text.split(",")]
+    if "" in parts:
+        raise SignatureError(
+            f"bad signature {text!r}: entry {parts.index('') + 1} is empty")
     try:
         return signature(parts)
     except (ValueError, ZeroDivisionError) as ex:
@@ -436,7 +440,8 @@ def classify_diag(built: SystemDistortion,
     """h_T = alpha*p + beta*d(p) is starshaped [antistarshaped] iff d is
     starshaped and beta > 0 [< 0]; outside the theorem's reach ``shape``,
     the caller's classification of the built h_T, is attached instead.
-    The diagonal's flags are read from the sample its validation took."""
+    The diagonal's flags are read from the sample ``validate_diagonal``
+    kept, which checked d's distortion axioms (up to its own slack)."""
     sig = built.sig
     _require_dimension(sig, d.n, "diagonal")
     params = diag_system_params(sig)
@@ -445,9 +450,11 @@ def classify_diag(built: SystemDistortion,
         return ShapeClassification(
             verdict="identity", parameters=base,
             notes="beta=0: h_T(p)=p (both starshaped and antistarshaped)")
-    d_dist = dist_mod.validate(d.fn, label=f"diagonal {d.label}")
-    d_shape = dist_mod.classify(d_dist)
-    if d_shape.starshaped:
+    # only the starshaped flag is read, so strictness is left unset
+    d_dist = Distortion(fn=d.fn, label=f"diagonal {d.label}",
+                        strictly_increasing=False)
+    d_dist.sampled = d.sampled
+    if dist_mod.classify(d_dist).starshaped:
         if params.beta > 0:
             return ShapeClassification(
                 verdict="starshaped", parameters=base,

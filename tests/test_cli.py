@@ -353,6 +353,25 @@ class TestCheckOrder:
         assert "'orders'" in err
         assert "ttt, ew, dmrl, qmit, convex_transform, star" in err
 
+    def test_repeated_order_flag_is_refused(self, tmp_path, capsys):
+        # two identical results, and c_ttt.csv written twice, otherwise
+        csv = tmp_path / "c.csv"
+        assert cli.main(["check-order", "--x", "exp:1", "--y", "exp:2",
+                         "--order", "ttt", "--order", "ttt",
+                         "--out-csv", str(csv)]) == 2
+        assert capsys.readouterr().err == "error: --order names 'ttt' more than once\n"
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("flags", [[], ["--order", "ew"]])
+    def test_repeated_config_order_is_refused(self, flags, tmp_path, capsys):
+        # refused even where a flag overrides the config's orders
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:2", "orders": ["ttt", "ew", "ttt"]}))
+        assert cli.main(["check-order", "--config", str(config), *flags]) == 2
+        assert capsys.readouterr().err \
+            == "error: config 'orders' names 'ttt' more than once\n"
+
     def test_unknown_top_level_key_exits_two_and_names_it(self, tmp_path,
                                                           capsys):
         # a misspelt "distortion" must not run the pair undistorted

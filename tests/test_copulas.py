@@ -332,3 +332,14 @@ class TestSpecParsing:
     def test_bad_specs_rejected(self, text):
         with pytest.raises(CopulaValidationError):
             parse_copula_spec(text)
+
+    @pytest.mark.parametrize("text, name", [
+        ("durante:f=p^0.5,n=2,f=p", "f"),
+        ("diagonal: d=p^2, d=p^3, n=2", "d"),
+        ("diagonal: n=2, d=p^2, n=3", "n"),
+    ])
+    def test_repeated_field_is_refused(self, text, name):
+        # the last one would silently win
+        with pytest.raises(CopulaValidationError) as exc:
+            parse_copula_spec(text)
+        assert str(exc.value) == f"field {name!r} given more than once in {text!r}"

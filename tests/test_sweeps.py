@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from stochorder import catalog, sweeps
@@ -108,3 +110,58 @@ class TestSuites:
         assert {"config", "suites", "ok"} <= set(doc)
         suite_doc = doc["suites"][0]
         assert {"name", "trials", "passes", "failures"} <= set(suite_doc)
+
+
+class TestFailingTrials:
+    """The failure payload, reached by turning every distorted verdict into a
+    failure with one witness: the base verdicts stay real."""
+
+    @pytest.fixture
+    def forced(self, monkeypatch):
+        real = sweeps.check_order
+
+        def check_order(x, y, order, grid, tol):
+            verdict = real(x, y, order, grid, tol=tol)
+            if x.label.startswith("distort("):
+                return dataclasses.replace(verdict, holds=False,
+                                           witnesses=((0.5, -1.0),))
+            return verdict
+
+        monkeypatch.setattr(sweeps, "check_order", check_order)
+
+    def test_preservation_payload(self, forced):
+        result = run_suite("ttt_starshaped", SweepConfig(trials=1))
+        assert (result.trials, result.passes) == (1, 0)
+        [payload] = result.failures
+        assert list(payload.items()) == [
+            ("trial", 0),
+            ("pair", "unit-power exponents 0.516305 > 0.329856"),
+            ("x", "q:(1 - (1-p)^0.51630466754799997)/0.51630466754799997"),
+            ("y", "q:(1 - (1-p)^0.32985596664400002)/0.32985596664400002"),
+            ("distortion", "catalog:identity"),
+            ("order", "ttt"),
+            ("witnesses", [[0.5, -1.0]]),
+            ("notes", ("functional is the pointwise margin ttt_y - ttt_x",)),
+        ]
+
+    def test_invariance_payload(self, forced):
+        # one payload per order whose distorted verdict leaves the base one
+        result = run_suite("convex_star_invariance", SweepConfig(trials=1))
+        assert (result.trials, result.passes) == (1, 0)
+        notes = {
+            "convex_transform": "functional is the density ratio at matched "
+                                "quantiles; must be increasing",
+            "star": "functional is the quantile ratio q_y/q_x; must be increasing",
+        }
+        assert [list(payload.items()) for payload in result.failures] == [[
+            ("trial", 0),
+            ("pair", "exp rates 1.15118 >= 0.84287"),
+            ("x", "exp:1.15118197743"),
+            ("y", "exp:0.8428698749"),
+            ("distortion", "catalog:identity"),
+            ("order", order),
+            ("witnesses", [[0.5, -1.0]]),
+            ("notes", (notes[order],)),
+            ("base_holds", True),
+            ("distorted_holds", False),
+        ] for order in ("convex_transform", "star")]

@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stochorder import catalog, cli
+from stochorder import catalog, cli, funcalc
 from stochorder import copulas as cop
 from stochorder import distortions as dist_mod
 from stochorder import systems as sys_mod
 from stochorder.distortions import classify
-from stochorder.numerics import DEFAULT_GRID
+from stochorder.numerics import DEFAULT_GRID, elementwise
 from stochorder.orders import OrderKind
 from stochorder.systems import (
     SignatureError,
@@ -62,6 +63,15 @@ class TestSignature:
         assert signature([0.3, 0.7 + 1e-12]).n == 2
         with pytest.raises(SignatureError):
             signature([0.3, 0.8])
+
+    @pytest.mark.parametrize("text, position", [
+        ("0,,0,1", 2), ("2,0,,-2,1", 3), ("0,0,1,", 4), (",0,1", 1),
+    ])
+    def test_empty_entry_is_refused_by_position(self, text, position):
+        # dropping it would change n without a word
+        with pytest.raises(SignatureError) as exc:
+            parse_signature(text)
+        assert str(exc.value) == f"bad signature {text!r}: entry {position} is empty"
 
     def test_rational_str(self):
         assert rational_str(Fraction(3, 4)) == "3/4"
@@ -327,14 +337,38 @@ class TestDiagClassification:
             calls.append(label)
             return validate(fn, label=label, **kwargs)
 
+        def counting_diagonal(d, n):
+            calls.append(f"diagonal {d}")
+            return validate_diagonal(d, n)
+
+        validate_diagonal = cop.validate_diagonal
         monkeypatch.setattr(dist_mod, "validate", counting)
+        monkeypatch.setattr(cop, "validate_diagonal", counting_diagonal)
         code = cli.main(["classify", "--signature", "0,0,2,-1", "--copula",
                          f"diagonal:d={catalog.QMIT_DIAG_TEXT},n=4"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["diag_classification"][
             "verdict"] == "inconclusive"
-        assert calls == [f"system(a=0,0,2,-1; d={catalog.QMIT_DIAG_TEXT})",
-                         f"diagonal {catalog.QMIT_DIAG_TEXT}"]
+        # the diagonal's shape is read from the sample its copula check took
+        assert calls == [f"diagonal {catalog.QMIT_DIAG_TEXT}",
+                         f"system(a=0,0,2,-1; d={catalog.QMIT_DIAG_TEXT})"]
+
+    def test_classify_samples_the_diagonal_twice(self):
+        # once for the copula's checks, once in alpha*p + beta*d(p); the 16
+        # calls on 65 points are the crosscheck's boundary sum
+        inner, _ = funcalc.coerce_fn("p^1.5", "d")
+        sizes = []
+
+        @elementwise
+        def d(p):
+            sizes.append(np.size(p))
+            return inner(p)
+
+        handle = cop.jaworski(d, 4)
+        built = system_distortion(parse_signature("0,0,2,-1"), handle)
+        doc = cli._system_doc(built, handle)
+        assert doc["diag_classification"]["verdict"] == "starshaped"
+        assert Counter(sizes) == {513: 2, 65: 16}
 
     def test_classify_classifies_the_system_and_its_diagonal_once_each(
             self, monkeypatch, capsys):
