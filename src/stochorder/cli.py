@@ -205,12 +205,18 @@ def _config_object(config: dict, key: str, fields: Sequence[str]) -> dict:
 
 
 def _config_names(config: dict, key: str, valid: Sequence[str],
-                  default: Sequence[str] = ()) -> List[str]:
-    """config[key], checked to be a list of names from valid (default if absent)."""
+                  default: Sequence[str] = (), name: Optional[str] = None) -> List[str]:
+    """config[key] (default if absent), checked to be a list of names from
+    valid, none of them twice; the messages call it name (config 'key' if
+    None)."""
+    name = name or f"config {key!r}"
     names = config.get(key, list(default))
     if not isinstance(names, list) or not all(n in valid for n in names):
-        raise ValueError(f"config {key!r} must be a list of names from "
+        raise ValueError(f"{name} must be a list of names from "
                          f"{', '.join(valid)}; got {names!r}")
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if repeated:
+        raise ValueError(f"{name} names {repeated[0]!r} more than once")
     return names
 
 
@@ -272,13 +278,10 @@ def cmd_check_order(args) -> int:
     y_spec = _config_text(config, "y", args.y)
     if not x_spec or not y_spec:
         raise ValueError("check-order needs --x and --y distribution specs")
-    config_orders = _config_names(config, "orders", [k.value for k in OrderKind])
-    for what, names in (("--order", args.order or []),
-                        ("config 'orders'", config_orders)):
-        repeated = [name for i, name in enumerate(names) if name in names[:i]]
-        if repeated:
-            raise ValueError(f"{what} names {repeated[0]!r} more than once")
-    kinds = args.order or config_orders
+    valid = [k.value for k in OrderKind]
+    config_orders = _config_names(config, "orders", valid)
+    kinds = _config_names({"order": args.order or []}, "order", valid,
+                          name="--order") or config_orders
     if not kinds:
         raise ValueError("check-order needs at least one --order")
     distortion_spec = _config_text(config, "distortion", args.distort)
@@ -566,6 +569,7 @@ def cmd_sweep(args) -> int:
                                     **doc)
     if config.trials < 0:
         raise ValueError("trials must be >= 0")
+    config.grid()  # a bad grid key is refused whatever the suites
     summary = sweeps_mod.run_all(config)
     _write_json(args.out, summary.to_json())
     return EXIT_OK if summary.ok else EXIT_SWEEP_FAIL

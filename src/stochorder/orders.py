@@ -17,13 +17,9 @@ of q at 0, as in a Weibull quantile or any quantile under the
 parallel-system distortion 1 - (1-p)^k, and rungs halving toward 1 - EPS_Q
 resolve the blowup of an unbounded quantile.
 
-Order semantics (margins oriented so "holds" means margin >= -tol):
-    ttt:  ttt_X(p) <= ttt_Y(p) pointwise
-    ew:   ew_X(p) <= ew_Y(p) pointwise
-    dmrl: ew_Y(p)/ew_X(p) increasing in p
-    qmit: mit_X(p)/mit_Y(p) decreasing in p
-    convex_transform: density_X(q_X(p))/density_Y(q_Y(p)) increasing in p
-    star: q_Y(p)/q_X(p) increasing in p
+ORDERS holds one row per order: the curve it reads, the functional it
+compares and the direction a ratio must move, what excludes a point, and
+which distortions preserve it.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Collection, Dict, List, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,10 +65,59 @@ class OrderKind(str, Enum):
     STAR = "star"
 
 
+class OrderRow(NamedTuple):
+    """What one order compares, what excludes a point, and which common
+    distortions h of both sides preserve it.
+
+    reads is the curve both sides are sampled on: "ttt", "ew" or "mit"
+    from the transform pass, "quantile", or "density" at matched quantiles.
+    ratio is None for the pointwise margin value_y - value_x, else "y/x" or
+    "x/y", which must be increasing (decreasing if decreasing).  A ratio
+    point is excluded where its denominator is at or below eps, noted as
+    why; for "density" where either side has no density, noted as the
+    fault.  h preserves the order when its ShapeReport has every flag in
+    needs (because), and not otherwise (requires).
+    """
+
+    reads: str
+    name: str  # the functional, in the verdict note
+    ratio: Optional[str] = None
+    decreasing: bool = False
+    eps: float = 0.0
+    why: str = ""
+    needs: Tuple[str, ...] = ()
+    because: str = "invariant under any common distortion"
+    requires: str = ""
+
+
+_ANTISTAR = dict(needs=("antistarshaped", "strictly_increasing"),
+                 because="h is antistarshaped and strictly increasing",
+                 requires="requires an antistarshaped, strictly increasing h")
+
+ORDERS: Dict[OrderKind, OrderRow] = {
+    OrderKind.TTT: OrderRow(
+        "ttt", "pointwise margin ttt_y - ttt_x", needs=("starshaped",),
+        because="h is starshaped", requires="requires a starshaped h"),
+    OrderKind.EW: OrderRow("ew", "pointwise margin ew_y - ew_x", **_ANTISTAR),
+    OrderKind.DMRL: OrderRow("ew", "excess-wealth ratio ew_y/ew_x", "y/x",
+                             eps=1e-12, why="ew denominator ~0", **_ANTISTAR),
+    OrderKind.QMIT: OrderRow(
+        "mit", "mean-inactivity ratio mit_x/mit_y", "x/y", decreasing=True,
+        eps=1e-12, why="mit denominator ~0",
+        needs=("dual_antistarshaped", "strictly_increasing"),
+        because="h is strictly increasing with antistarshaped dual",
+        requires="requires a strictly increasing h with antistarshaped dual"),
+    # the defining ratios of these two are invariant under a common
+    # distortion of the baseline
+    OrderKind.CONVEX_TRANSFORM: OrderRow(
+        "density", "density ratio at matched quantiles", "x/y"),
+    OrderKind.STAR: OrderRow("quantile", "quantile ratio q_y/q_x", "y/x",
+                             eps=1e-9, why="quantile of X ~0"),
+}
+
 DEFAULT_CHECK_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-8)
 _QUAD_TOL = Tolerance(abs_tol=1e-11, rel_tol=1e-11)
 _SEGMENT_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-12)
-_DENOM_EPS = 1e-12  # ratio denominators at or below this are excluded
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,49 +309,18 @@ def density_ratios(X: Distribution, Y: Distribution,
 _Curves = Callable[[str], Tuple[np.ndarray, np.ndarray]]
 
 
-def _ratio_samples(X: Distribution, Y: Distribution, kind: OrderKind,
-                   grid: Grid, curves: _Curves) -> Tuple[np.ndarray, np.ndarray,
-                                                         np.ndarray, np.ndarray,
-                                                         List[str]]:
-    """Numerator/denominator samples for the ratio kinds.
-
-    Returns the kept (p, value_x, value_y, ratio) arrays plus exclusion
-    notes; points with degenerate denominators or densities are dropped.
-    The ratio is value_y/value_x for dmrl and star, value_x/value_y for
-    qmit and convex_transform.  dmrl, qmit and star read their ew, mit and
-    quantile samples from curves.
-    """
-    p = grid.points
-    if kind == OrderKind.CONVEX_TRANSFORM:
-        vx, vy, faults = _densities(X, Y, p)
-        out = list(faults)
-        notes = [f"excluded p={float(p[i]):.6g}: {fault}"
-                 for i, fault in faults.items()]
-    else:
-        if kind == OrderKind.STAR:
-            vx, vy = curves("quantile")
-            den, eps, why = vx, 1e-9, "quantile of X ~0"
-        else:
-            key = "ew" if kind == OrderKind.DMRL else "mit"
-            vx, vy = curves(key)
-            den = vx if kind == OrderKind.DMRL else vy
-            eps, why = _DENOM_EPS, f"{key} denominator ~0"
-        out = np.flatnonzero(~(np.abs(den) > eps))
-        notes = [f"excluded p={x:.6g}: {why}" for x in p[out].tolist()]
-    if notes:  # the kept points, copied only when some are excluded
-        p, vx, vy = (np.delete(a, out) for a in (p, vx, vy))
-    ratio = vy / vx if kind in (OrderKind.DMRL, OrderKind.STAR) else vx / vy
-    return p, vx, vy, ratio, notes
-
-
-# the transform each pass-reading kind reads
-_READS = {OrderKind.TTT: "ttt", OrderKind.EW: "ew", OrderKind.DMRL: "ew",
-          OrderKind.QMIT: "mit"}
-
-_RATIO_NAMES = {OrderKind.DMRL: "excess-wealth ratio ew_y/ew_x",
-                OrderKind.QMIT: "mean-inactivity ratio mit_x/mit_y",
-                OrderKind.CONVEX_TRANSFORM: "density ratio at matched quantiles",
-                OrderKind.STAR: "quantile ratio q_y/q_x"}
+def _samples(X: Distribution, Y: Distribution, row: OrderRow, grid: Grid,
+             curves: _Curves) -> Tuple[np.ndarray, np.ndarray, Dict[int, str]]:
+    """value_x and value_y at the grid points for the row's curve, and
+    {index: why} for the points it excludes, in order."""
+    if row.reads == "density":
+        return _densities(X, Y, grid.points)
+    vx, vy = curves(row.reads)
+    if row.ratio is None:
+        return vx, vy, {}
+    den = vx if row.ratio == "y/x" else vy
+    out = np.flatnonzero(~(np.abs(den) > row.eps)).tolist()
+    return vx, vy, dict.fromkeys(out, row.why)
 
 
 def check_orders(X: Distribution, Y: Distribution, kinds: Sequence[OrderKind],
@@ -314,23 +328,23 @@ def check_orders(X: Distribution, Y: Distribution, kinds: Sequence[OrderKind],
                  tol: Tolerance = DEFAULT_CHECK_TOL) -> List[OrderVerdict]:
     """Grid-certified verdicts for several orders between X and Y, in order.
 
-    ttt, ew, dmrl and qmit all read the transform curves of X and Y, so
-    one transform_curves pass of both sides runs at most once per call,
-    when the first kind needing it is checked.  The pass reads what the
-    kinds read: ttt the ttt curve and qmit the mit curve, both integrated
-    from EPS_Q up; ew and dmrl the ew curve, integrated from the grid up to
-    1 - EPS_Q, and with it the refusal of an infinite mean.  star reads q
-    at the grid from the pass when one has run, and evaluates it otherwise.
+    Each kind is checked as its row in ORDERS says.  The kinds whose rows
+    read ttt, ew or mit share one transform_curves pass of both sides, run
+    at most once per call, when the first of them is checked; it reads only
+    the curves those rows read: ttt and mit integrated from EPS_Q up, ew
+    from the grid up to 1 - EPS_Q, and with it the refusal of an infinite
+    mean.  A row reading the quantile reads q at the grid from the pass
+    when one has run, and evaluates it otherwise.
 
-    Pointwise kinds (ttt, ew) witness every grid point whose margin
-    value_y - value_x drops below -tol; ratio kinds witness every adjacent
-    grid pair where the ratio steps the wrong way beyond tol.  Both are one
-    scan of upper - lower against abs_tol + rel_tol * max(|lower|, |upper|).
+    A pointwise row witnesses every grid point whose margin value_y -
+    value_x drops below -tol; a ratio row every adjacent grid pair where
+    the ratio steps the wrong way beyond tol.  Both are one scan of
+    upper - lower against abs_tol + rel_tol * max(|lower|, |upper|).
     The verdict is relative to the grid: "holds" certifies the sampled
     points only.
     """
     kinds = [OrderKind(kind) for kind in kinds]
-    reads = {_READS[kind] for kind in kinds if kind in _READS}
+    reads = {ORDERS[kind].reads for kind in kinds}.intersection(TRANSFORMS)
     passes: List[Dict[str, np.ndarray]] = []
 
     def curves(key: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -346,23 +360,25 @@ def check_orders(X: Distribution, Y: Distribution, kinds: Sequence[OrderKind],
 
 def _verdict(X: Distribution, Y: Distribution, kind: OrderKind, grid: Grid,
              tol: Tolerance, curves: _Curves) -> OrderVerdict:
-    if kind in (OrderKind.TTT, OrderKind.EW):
-        key = kind.value
-        p = grid.points
-        vx, vy = curves(key)
+    row = ORDERS[kind]
+    p = grid.points
+    vx, vy, excluded = _samples(X, Y, row, grid, curves)
+    notes = [f"excluded p={float(p[i]):.6g}: {why}" for i, why in excluded.items()]
+    if excluded:  # the kept points, copied only when some are excluded
+        p, vx, vy = (np.delete(a, list(excluded)) for a in (p, vx, vy))
+    if row.ratio is None:
         functional = vy - vx
         at, lower, upper = p, vx, vy
-        notes = [f"functional is the pointwise margin {key}_y - {key}_x"]
+        notes.append(f"functional is the {row.name}")
     else:
-        p, vx, vy, functional, notes = _ratio_samples(X, Y, kind, grid, curves)
         if p.size < 2:
             raise ValueError(f"{kind.value}: fewer than two usable grid points")
-        decreasing = kind == OrderKind.QMIT
+        functional = vy / vx if row.ratio == "y/x" else vx / vy
         at, lower, upper = p[:-1], functional[:-1], functional[1:]
-        if decreasing:
+        if row.decreasing:
             lower, upper = upper, lower
-        direction = "decreasing" if decreasing else "increasing"
-        notes.append(f"functional is the {_RATIO_NAMES[kind]}; must be {direction}")
+        direction = "decreasing" if row.decreasing else "increasing"
+        notes.append(f"functional is the {row.name}; must be {direction}")
     margin = upper - lower
     bad = np.flatnonzero(margin < -_threshold(tol, lower, upper))
     witnesses = tuple(zip(at[bad].tolist(), margin[bad].tolist()))

@@ -37,7 +37,7 @@ from . import distortions as dist_mod
 from .distortions import Distortion, ShapeReport
 from .numerics import (DEFAULT_GRID, SCAN_TIE_TOL, each, elementwise, first,
                        sample, validation_points)
-from .orders import OrderKind
+from .orders import ORDERS, OrderKind
 
 _CROSSCHECK_TOL = 1e-12
 _CROSSCHECK_COUNT = 65
@@ -534,35 +534,12 @@ class PreservationAdvice:
 
 
 def preservation_advice(order: OrderKind, shape: ShapeReport) -> PreservationAdvice:
-    """Does distorting both distributions by an h of this shape keep the order?
-
-    ttt needs h starshaped; ew and dmrl need h antistarshaped and strictly
-    increasing; the mit-ratio order needs a strictly increasing h whose dual is
-    antistarshaped; the convex-transform and star orders hold for every
-    distortion because their defining ratios are invariant under a common
-    distortion of the baseline.
-    """
-    if order in (OrderKind.CONVEX_TRANSFORM, OrderKind.STAR):
-        return PreservationAdvice(order, "preserved",
-                                  "invariant under any common distortion")
-    if order is OrderKind.TTT:
-        if shape.starshaped:
-            return PreservationAdvice(order, "preserved", "h is starshaped")
-        return PreservationAdvice(order, "not_guaranteed",
-                                  "requires a starshaped h")
-    if order in (OrderKind.EW, OrderKind.DMRL):
-        if shape.antistarshaped and shape.strictly_increasing:
-            return PreservationAdvice(
-                order, "preserved", "h is antistarshaped and strictly increasing")
-        return PreservationAdvice(
-            order, "not_guaranteed",
-            "requires an antistarshaped, strictly increasing h")
-    if order is OrderKind.QMIT:
-        if shape.dual_antistarshaped and shape.strictly_increasing:
-            return PreservationAdvice(
-                order, "preserved",
-                "h is strictly increasing with antistarshaped dual")
-        return PreservationAdvice(
-            order, "not_guaranteed",
-            "requires a strictly increasing h with antistarshaped dual")
-    raise ValueError(f"unknown order {order!r}")
+    """Does distorting both distributions by an h of this shape keep the
+    order?  Yes when h has every shape flag the order's row in
+    orders.ORDERS needs (none for an order invariant under any common
+    distortion)."""
+    order = OrderKind(order)
+    row = ORDERS[order]
+    if all(getattr(shape, flag) for flag in row.needs):
+        return PreservationAdvice(order, "preserved", row.because)
+    return PreservationAdvice(order, "not_guaranteed", row.requires)

@@ -664,6 +664,27 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config '{key}' must be ")
 
+    @pytest.mark.parametrize("value, message", [
+        # a repeated suite would run twice and be listed twice
+        ({"trials": 1, "suites": ["ttt_starshaped", "ttt_starshaped"]},
+         "config 'suites' names 'ttt_starshaped' more than once"),
+        # the grid is refused even where no suite would build it
+        ({"suites": [], "edge_margin": 5},
+         "grid lo + edge_margin (5.0) must be below hi - edge_margin (-4.0)"),
+    ])
+    def test_refused_before_any_suite_runs(self, value, message, tmp_path,
+                                           capsys, monkeypatch):
+        def run_all(config):
+            raise AssertionError(f"sweep ran with {config!r}")
+
+        monkeypatch.setattr(cli.sweeps_mod, "run_all", run_all)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(value))
+        assert cli.main(["sweep", "--config", str(config),
+                         "--out", str(tmp_path / "s.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s.json").exists()
+
     def test_failing_summary_exits_three(self, tmp_path, monkeypatch):
         config = SweepConfig(trials=1, suites=("ttt_starshaped",))
         failing = SweepSummary(config=config, suites=(

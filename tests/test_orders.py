@@ -442,6 +442,23 @@ class TestRatioScan:
         assert verdict.notes[:3] == tuple(f"excluded p={p:.6g}: quantile of X ~0"
                                           for p in grid.points[:3])
 
+    # a uniform pair on a grid 1e-7 from each end: ew_X = (1-p)^2/2 and
+    # mit_Y = p^2/2 fall to ~5e-15 at one end point, under the 1e-12 floor
+    EDGE = uniform_grid(16, edge_margin=1e-7)
+
+    @pytest.mark.parametrize("kind, kept, why", [
+        (OrderKind.DMRL, slice(None, -1), "ew denominator ~0"),
+        (OrderKind.QMIT, slice(1, None), "mit denominator ~0"),
+    ])
+    def test_near_zero_transform_denominators_are_excluded(self, kind, kept, why):
+        X, Y = db.build("q: p"), db.build("q: 2*p")
+        verdict = check_order(X, Y, kind, self.EDGE)
+        assert verdict.holds
+        assert np.array_equal(verdict.curve["p"], self.EDGE.points[kept])
+        excluded = np.setdiff1d(self.EDGE.points, self.EDGE.points[kept])
+        assert verdict.notes[0] == f"excluded p={float(excluded[0]):.6g}: {why}"
+        assert len(verdict.notes) == 2
+
 
 class TestDensityExclusions:
     """A flat quantile has no density past its flat start: those points

@@ -502,6 +502,39 @@ class TestPreservationAdvice:
                 assert preservation_advice(kind, report).verdict \
                     == "preserved", name
 
+    # each order's theorem, as (the flags h needs, the reason when it has
+    # them, the reason when it lacks one)
+    THEOREMS = {
+        OrderKind.TTT: (("starshaped",), "h is starshaped",
+                        "requires a starshaped h"),
+        OrderKind.EW: (("antistarshaped", "strictly_increasing"),
+                       "h is antistarshaped and strictly increasing",
+                       "requires an antistarshaped, strictly increasing h"),
+        OrderKind.DMRL: (("antistarshaped", "strictly_increasing"),
+                         "h is antistarshaped and strictly increasing",
+                         "requires an antistarshaped, strictly increasing h"),
+        OrderKind.QMIT: (("dual_antistarshaped", "strictly_increasing"),
+                         "h is strictly increasing with antistarshaped dual",
+                         "requires a strictly increasing h with antistarshaped dual"),
+        OrderKind.CONVEX_TRANSFORM: ((), "invariant under any common distortion", None),
+        OrderKind.STAR: ((), "invariant under any common distortion", None),
+    }
+    FLAGS = ("starshaped", "antistarshaped", "dual_antistarshaped",
+             "strictly_increasing")
+
+    @pytest.mark.parametrize("kind", list(OrderKind))
+    @pytest.mark.parametrize("bits", range(16))
+    def test_advice_for_every_combination_of_the_theorem_flags(self, kind, bits):
+        flags = {name: bool(bits >> i & 1) for i, name in enumerate(self.FLAGS)}
+        report = dist_mod.ShapeReport(convex=False, concave=False, **flags)
+        needs, because, requires = self.THEOREMS[kind]
+        advice = preservation_advice(kind, report)
+        if all(flags[name] for name in needs):
+            assert (advice.verdict, advice.reason) == ("preserved", because)
+        else:
+            assert (advice.verdict, advice.reason) == ("not_guaranteed", requires)
+        assert advice.order is kind
+
     def test_advice_json(self):
         report = classify(dist_mod.identity())
         doc = preservation_advice(OrderKind.TTT, report).to_json()
