@@ -55,10 +55,6 @@ EXIT_INTERNAL = 6
 
 _INPUT_ERRORS = (ValueError, funcalc.ExprError)
 
-# the top-level keys each command reads from its --config file
-_CHECK_ORDER_KEYS = ("x", "y", "orders", "distortion", "name", "grid", "outputs")
-
-
 # float64 bytes of a column -> its values as "%.17g" lines
 _ColumnTexts = Dict[bytes, Tuple[str, ...]]
 
@@ -173,94 +169,94 @@ def _write_json(path: Optional[str], doc: dict) -> None:
     _write_text(path, _json_text(doc) + "\n")
 
 
-def _load_config(path: Optional[str], keys: Sequence[str]) -> dict:
-    """The JSON object in path ({} without one); every key must be in keys."""
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except OSError as ex:
-        raise ValueError(f"cannot read config {path!r}: {ex.strerror or ex}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"config {path!r} must hold a JSON object")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValueError(f"config {path!r} has unknown key(s) {', '.join(unknown)}; "
-                         f"expected {', '.join(keys)}")
-    return doc
+# every key a check-order config may hold, with its default, and the names
+# each list-valued config key may hold (see _read_config)
+_CHECK_ORDER_DEFAULTS = {
+    "x": None, "y": None, "orders": [], "distortion": None, "name": "cli",
+    "grid": {"count": DEFAULT_GRID_COUNT, "lo": 0.0, "hi": 1.0,
+             "edge_margin": DEFAULT_EDGE_MARGIN},
+    "outputs": {"verdict_json": None, "curve_csv": None}}
+_CONFIG_NAMES = {"orders": tuple(k.value for k in OrderKind),
+                 "suites": sweeps_mod.SUITE_NAMES}
 
 
-def _config_object(config: dict, key: str, fields: Sequence[str]) -> dict:
-    """config[key] as an object whose keys are all among fields ({} if absent)."""
-    value = config.get(key, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"config {key!r} must be an object with keys "
-                         f"{', '.join(fields)}; got {value!r}")
-    unknown = sorted(set(value) - set(fields))
-    if unknown:
-        raise ValueError(f"config {key!r} has unknown key(s) {', '.join(unknown)}; "
-                         f"expected {', '.join(fields)}")
-    return value
-
-
-def _config_names(config: dict, key: str, valid: Sequence[str],
-                  default: Sequence[str] = (), name: Optional[str] = None) -> List[str]:
-    """config[key] (default if absent), checked to be a list of names from
-    valid, none of them twice; the messages call it name (config 'key' if
-    None)."""
-    name = name or f"config {key!r}"
-    names = config.get(key, list(default))
-    if not isinstance(names, list) or not all(n in valid for n in names):
-        raise ValueError(f"{name} must be a list of names from "
-                         f"{', '.join(valid)}; got {names!r}")
+def _once(names: List[str], source: str) -> None:
+    """Refuse names that name one thing twice; source is where they came from."""
     repeated = [n for i, n in enumerate(names) if n in names[:i]]
     if repeated:
-        raise ValueError(f"{name} names {repeated[0]!r} more than once")
-    return names
+        raise ValueError(f"{source} names {repeated[0]!r} more than once")
 
 
-def _config_number(config: dict, key: str, default, kind: type = int,
-                   name: Optional[str] = None):
-    """config[key] (default if absent), checked to be an integer for kind
-    int, an integer or a float for kind float, and returned as kind; bools
-    and strings are refused.  The message calls the key name (key if None)."""
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"config {name or key!r} must be {what}; got {value!r}")
-    return kind(value)
+def _read_config(doc: dict, defaults: dict, where: str, prefix: str = "") -> dict:
+    """doc read against defaults: each key must have a default, reads as it
+    when absent and must have its type; the first fault in key order is
+    refused, naming the key by its dotted path.  An object takes an object
+    read the same way, a list a list of _CONFIG_NAMES[key] with none twice,
+    a string or None a string or null (read as the default), an int an
+    integer and a float a number (returned as a float); a bool is neither."""
+    unknown = sorted(set(doc) - set(defaults))
+    if unknown:
+        raise ValueError(f"config {where!r} has unknown key(s) {', '.join(unknown)}; "
+                         f"expected {', '.join(defaults)}")
+    values = {}
+    for key, default in defaults.items():
+        name = prefix + key
+        value = doc.get(key, default)
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config {name!r} must be an object with keys "
+                                 f"{', '.join(default)}; got {value!r}")
+            value = _read_config(value, default, name, name + ".")
+        elif isinstance(default, list):
+            valid = _CONFIG_NAMES[key]
+            if not isinstance(value, list) or not all(n in valid for n in value):
+                raise ValueError(f"config {name!r} must be a list of names from "
+                                 f"{', '.join(valid)}; got {value!r}")
+            _once(value, f"config {name!r}")
+        elif default is None or isinstance(default, str):
+            if value is None:
+                value = default
+            elif not isinstance(value, str):
+                raise ValueError(f"config {name!r} must be a string; got {value!r}")
+        else:
+            kind = type(default)
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                what = "an integer" if kind is int else "a number"
+                raise ValueError(f"config {name!r} must be {what}; got {value!r}")
+            value = kind(value)
+        values[key] = value
+    return values
 
 
-def _config_text(config: dict, key: str, flag: Optional[str] = None,
-                 default: Optional[str] = None, name: Optional[str] = None):
-    """flag if given, else config[key] (default if absent or null), checked
-    to be a string even where a flag overrides it; the message calls it name."""
-    value = config.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ValueError(f"config {name or key!r} must be a string; got {value!r}")
-    if flag is not None:
-        return flag
-    return default if value is None else value
+def _load_config(path: Optional[str], defaults: dict) -> dict:
+    """The JSON object in path (none without a path) read against defaults."""
+    doc = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fp:
+                doc = json.load(fp)
+        except OSError as ex:
+            raise ValueError(f"cannot read config {path!r}: {ex.strerror or ex}") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"config {path!r} must hold a JSON object")
+    return _read_config(doc, defaults, path)
 
 
-def _grid_from(config: dict, count=None, lo=None, hi=None, margin=None) -> Grid:
-    grid_cfg = _config_object(config, "grid", ("count", "lo", "hi", "edge_margin"))
-
-    def field(flag, key, default, kind=float):
-        # the config value is checked even where a flag overrides it
-        value = _config_number(grid_cfg, key, default, kind, f"grid.{key}")
-        return value if flag is None else flag
-
-    return uniform_grid(field(count, "count", DEFAULT_GRID_COUNT, int),
-                        lo=field(lo, "lo", 0.0), hi=field(hi, "hi", 1.0),
-                        edge_margin=field(margin, "edge_margin", DEFAULT_EDGE_MARGIN))
+def _with_flags(values: dict, flags: dict) -> dict:
+    """values with each given flag in place of its key's (checked) value."""
+    return {**values, **{key: flag for key, flag in flags.items() if flag is not None}}
 
 
-def _csv_out(path: Optional[str]) -> Optional[str]:
-    """path, refused when it is "-": CSV goes to a file, never to stdout."""
+def _grid_from(grid: dict, args) -> Grid:
+    return uniform_grid(**_with_flags(grid, {
+        "count": args.grid_count, "lo": args.grid_lo, "hi": args.grid_hi,
+        "edge_margin": args.grid_margin}))
+
+
+def _csv_out(path: Optional[str], source: str = "--out-csv") -> Optional[str]:
+    """path, refused when it is "-" (CSV goes to files only), naming source."""
     if path == "-":
-        raise ValueError("--out-csv needs a file path; '-' (stdout) is "
+        raise ValueError(f"{source} needs a file path; '-' (stdout) is "
                          "only for --out-json")
     return path
 
@@ -273,32 +269,27 @@ def _csv_path_for_order(base: str, order: OrderKind, multiple: bool) -> str:
 
 
 def cmd_check_order(args) -> int:
-    config = _load_config(args.config, _CHECK_ORDER_KEYS)
-    x_spec = _config_text(config, "x", args.x)
-    y_spec = _config_text(config, "y", args.y)
-    if not x_spec or not y_spec:
+    config = _with_flags(_load_config(args.config, _CHECK_ORDER_DEFAULTS), {
+        "x": args.x, "y": args.y, "distortion": args.distort, "name": args.scenario})
+    if not config["x"] or not config["y"]:
         raise ValueError("check-order needs --x and --y distribution specs")
-    valid = [k.value for k in OrderKind]
-    config_orders = _config_names(config, "orders", valid)
-    kinds = _config_names({"order": args.order or []}, "order", valid,
-                          name="--order") or config_orders
+    _once(args.order or [], "--order")
+    kinds = args.order or config["orders"]
     if not kinds:
         raise ValueError("check-order needs at least one --order")
-    distortion_spec = _config_text(config, "distortion", args.distort)
-    scenario = _config_text(config, "name", args.scenario, default="cli")
-    grid = _grid_from(config, args.grid_count, args.grid_lo, args.grid_hi,
-                      args.grid_margin)
-    outputs = _config_object(config, "outputs", ("verdict_json", "curve_csv"))
-    json_path = _config_text(outputs, "verdict_json", args.out_json,
-                             name="outputs.verdict_json")
-    csv_path = _csv_out(_config_text(outputs, "curve_csv", args.out_csv,
-                                     name="outputs.curve_csv"))
+    grid = _grid_from(config["grid"], args)
+    outputs = _with_flags(config["outputs"], {"verdict_json": args.out_json,
+                                              "curve_csv": args.out_csv})
+    json_path = outputs["verdict_json"]
+    csv_path = _csv_out(outputs["curve_csv"], "--out-csv" if args.out_csv is not None
+                        else "config 'outputs.curve_csv'")
+    scenario = config["name"]
 
-    x = distrib_mod.build(x_spec)
-    y = distrib_mod.build(y_spec)
+    x = distrib_mod.build(config["x"])
+    y = distrib_mod.build(config["y"])
     h = None
-    if distortion_spec:
-        h = dist_mod.parse_distortion_spec(distortion_spec)
+    if config["distortion"]:
+        h = dist_mod.parse_distortion_spec(config["distortion"])
         x = distrib_mod.distort(x, h)
         y = distrib_mod.distort(y, h)
 
@@ -397,8 +388,7 @@ def cmd_distort(args) -> int:
     x = distrib_mod.build(args.x)
     h = dist_mod.parse_distortion_spec(args.h)
     xh = distrib_mod.distort(x, h)
-    grid = _grid_from({}, args.grid_count, args.grid_lo, args.grid_hi,
-                      args.grid_margin)
+    grid = _grid_from(_CHECK_ORDER_DEFAULTS["grid"], args)
     _write_csv(args.out_csv, ("p", "value"), (grid.points, xh.quantile(grid.points)),
                comment=f"distorted quantile of {x.label} under h={h.label}")
     return EXIT_OK
@@ -558,19 +548,9 @@ def cmd_reproduce(args) -> int:
 
 def cmd_sweep(args) -> int:
     # the keys, and the type of each, are those of the default config's JSON
-    defaults = sweeps_mod.SweepConfig().to_json()
-    raw = _load_config(args.config, tuple(defaults))
-    doc = {key: _config_names(raw, key, sweeps_mod.SUITE_NAMES, default)
-           if isinstance(default, list) else
-           _config_number(raw, key, default, type(default))
-           for key, default in defaults.items()}
+    doc = _load_config(args.config, sweeps_mod.SweepConfig().to_json())
     tol = Tolerance(abs_tol=doc.pop("abs_tol"), rel_tol=doc.pop("rel_tol"))
-    config = sweeps_mod.SweepConfig(tolerance=tol, suites=tuple(doc.pop("suites")),
-                                    **doc)
-    if config.trials < 0:
-        raise ValueError("trials must be >= 0")
-    config.grid()  # a bad grid key is refused whatever the suites
-    summary = sweeps_mod.run_all(config)
+    summary = sweeps_mod.run_all(sweeps_mod.SweepConfig(tolerance=tol, **doc))
     _write_json(args.out, summary.to_json())
     return EXIT_OK if summary.ok else EXIT_SWEEP_FAIL
 

@@ -90,6 +90,23 @@ class SweepConfig:
     tolerance: Tolerance = DEFAULT_CHECK_TOL
     suites: Tuple[str, ...] = SUITE_NAMES
 
+    def __post_init__(self):
+        """Refuse a seed or count that is no integer (a bool is none), trials
+        < 0, an unknown or repeated suite name and a grid uniform_grid refuses."""
+        for name in ("seed", "trials", "grid_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer; got {value!r}")
+        if self.trials < 0:
+            raise ValueError("trials must be >= 0")
+        object.__setattr__(self, "suites", tuple(self.suites))
+        for i, name in enumerate(self.suites):
+            if name not in _SUITES:
+                raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+            if name in self.suites[:i]:
+                raise ValueError(f"suites names {name!r} more than once")
+        self.grid()
+
     def grid(self) -> Grid:
         return uniform_grid(self.grid_count, edge_margin=self.edge_margin)
 

@@ -384,6 +384,76 @@ class TestCheckOrder:
         assert "unknown key(s) distorton" in err
         assert "distortion" in err
 
+    def test_empty_config_path_is_opened(self, capsys):
+        # not taken for "no config": the path given is the path read
+        assert cli.main(["check-order", "--x", "exp:1", "--y", "exp:0.5",
+                         "--order", "ttt", "--config", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read config '': No such file or directory\n")
+
+    def test_config_that_is_not_an_object_is_refused(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([{"x": "exp:1"}]))
+        assert cli.main(["check-order", "--config", str(config),
+                         "--x", "exp:1", "--y", "exp:0.5", "--order", "ttt"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config {str(config)!r} must hold a JSON object\n")
+
+    def test_unknown_nested_key_is_named_with_the_keys_expected(self, tmp_path,
+                                                                capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"], "grid": {"cnt": 64}}))
+        assert cli.main(["check-order", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config 'grid' has unknown key(s) cnt; "
+            "expected count, lo, hi, edge_margin\n")
+
+    def test_config_faults_are_refused_in_key_order(self, tmp_path, capsys):
+        # the whole config is read before any flag is applied: a bad grid is
+        # refused ahead of the missing x and y
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": 64}))
+        assert cli.main(["check-order", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config 'grid' must be an object with keys "
+            "count, lo, hi, edge_margin; got 64\n")
+
+    def test_null_text_keys_read_as_their_defaults(self, tmp_path):
+        config = tmp_path / "config.json"
+        out = tmp_path / "verdict.json"
+        config.write_text(json.dumps(
+            {"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"], "name": None,
+             "distortion": None,
+             "outputs": {"verdict_json": str(out), "curve_csv": None}}))
+        assert cli.main(["check-order", "--config", str(config)]) == 0
+        doc = read_json(str(out))
+        assert doc["scenario"] == "cli" and doc["distortion"] is None
+        assert doc["x"] == "exp:1"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "verdict.json"]
+
+    @pytest.mark.parametrize("extra, flags, named", [
+        ({"orders": "ttt"}, ["--order", "ew"], "config 'orders' must be a list"),
+        ({"orders": ["ttt"], "outputs": {"verdict_json": 2}}, ["--out-json", "-"],
+         "config 'outputs.verdict_json' must be a string; got 2"),
+    ], ids=["orders", "verdict_json"])
+    def test_config_value_is_checked_where_a_flag_overrides_it(
+            self, extra, flags, named, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"x": "exp:1", "y": "exp:0.5", **extra}))
+        assert cli.main(["check-order", "--config", str(config), *flags]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_csv_to_stdout_names_the_config_key(self, tmp_path, capsys):
+        # the key the "-" came from, not a --out-csv flag that was not given
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"],
+                                      "outputs": {"curve_csv": "-"}}))
+        assert cli.main(["check-order", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config 'outputs.curve_csv' needs a file path; '-' (stdout) "
+            "is only for --out-json\n")
+
 
 class TestNumericFailure:
     # a jump in q at p = 1/2, inside a grid segment: adaptive Simpson
@@ -683,6 +753,18 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(config),
                          "--out", str(tmp_path / "s.json")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s.json").exists()
+
+    def test_empty_config_path_is_opened(self, tmp_path, capsys, monkeypatch):
+        # not the full default sweep run as if no config were given
+        def run_all(config):
+            raise AssertionError(f"sweep ran with {config!r}")
+
+        monkeypatch.setattr(cli.sweeps_mod, "run_all", run_all)
+        assert cli.main(["sweep", "--config", "",
+                         "--out", str(tmp_path / "s.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read config '': No such file or directory\n")
         assert not (tmp_path / "s.json").exists()
 
     def test_failing_summary_exits_three(self, tmp_path, monkeypatch):

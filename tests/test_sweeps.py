@@ -40,6 +40,30 @@ class TestConfig:
         assert {"seed", "trials", "grid_count", "edge_margin",
                 "suites"} <= set(doc)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"trials": -3, "suites": ("ttt_starshaped",)}, "trials must be >= 0"),
+        ({"trials": True}, "trials must be an integer; got True"),
+        ({"seed": 1.5}, "seed must be an integer; got 1.5"),
+        ({"grid_count": "48"}, "grid_count must be an integer; got '48'"),
+        ({"suites": ("ttt_starshaped",) * 2},
+         "suites names 'ttt_starshaped' more than once"),
+        ({"suites": ("bogus",)}, "unknown suite 'bogus'; choose from "),
+        ({"edge_margin": 5, "suites": ()},
+         "grid lo + edge_margin (5.0) must be below hi - edge_margin (-4.0)"),
+    ], ids=["negative-trials", "bool-trials", "float-seed", "string-count",
+            "repeated-suite", "unknown-suite", "bad-grid"])
+    def test_values_no_sweep_runs_are_refused(self, fields, message):
+        # by the config itself, so a library caller gets no summary the
+        # command line would refuse
+        with pytest.raises(ValueError) as caught:
+            SweepConfig(**fields)
+        assert str(caught.value).startswith(message)
+
+    def test_suites_may_be_any_sequence_of_names(self):
+        config = SweepConfig(suites=["ew_antistarshaped", "ttt_starshaped"])
+        assert config.suites == ("ew_antistarshaped", "ttt_starshaped")
+        assert config == SweepConfig(suites=("ew_antistarshaped", "ttt_starshaped"))
+
 
 class TestQualifying:
     CATALOG_WALK = {
