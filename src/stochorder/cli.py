@@ -193,7 +193,8 @@ def _read_config(doc: dict, defaults: dict, where: str, prefix: str = "") -> dic
     refused, naming the key by its dotted path.  An object takes an object
     read the same way, a list a list of _CONFIG_NAMES[key] with none twice,
     a string or None a string or null (read as the default), an int an
-    integer and a float a number (returned as a float); a bool is neither."""
+    integer and a float a number a float can hold (returned as a float); a
+    bool is neither."""
     unknown = sorted(set(doc) - set(defaults))
     if unknown:
         raise ValueError(f"config {where!r} has unknown key(s) {', '.join(unknown)}; "
@@ -223,7 +224,11 @@ def _read_config(doc: dict, defaults: dict, where: str, prefix: str = "") -> dic
             if isinstance(value, bool) or not isinstance(value, (int, kind)):
                 what = "an integer" if kind is int else "a number"
                 raise ValueError(f"config {name!r} must be {what}; got {value!r}")
-            value = kind(value)
+            try:
+                value = kind(value)
+            except OverflowError:
+                raise ValueError(f"config {name!r} must be a number; got an "
+                                 "integer too large for a float") from None
         values[key] = value
     return values
 

@@ -23,7 +23,6 @@ from . import funcalc
 from .numerics import (
     VALIDATION_COUNT,
     Tolerance,
-    BracketError,
     clamp,
     derivative,
     each,
@@ -42,6 +41,7 @@ from .numerics import (
 # tight enough that rectangle-corrected integrals meet 1e-8 acceptance bands
 EPS_Q = 1e-12
 _HAZARD_TARGET = 30.0  # -ln(1 - p) at p = 1 - 1e-13; hazards must reach it
+_TAIL_TARGET = -math.log(2.0 ** -53)  # -ln(1 - p) at the largest float p < 1
 
 
 class InfiniteMeanError(ValueError):
@@ -115,8 +115,11 @@ def build(text: str) -> Distribution:
     """The distribution that spec text describes, validated on dense samples.
 
     Textual forms: `exp:<rate>`, `q:<expr in p>`, `hazard:<expr in x>`,
-    `distort(<spec>, h=<distortion spec>)`; each is parsed and built in its
-    own branch, and a distorted spec builds its base text first."""
+    `distort(<spec>, h=<distortion spec>)`; each is parsed in its own
+    branch.  `exp:r` and `hazard:` are both built by _survival from a
+    cumulative hazard: r x with its closed inverse, or the expression with
+    a root solve from its table (_build_hazard).  A distorted spec builds
+    its base text first."""
     text = text.strip()
     if text.startswith("exp:"):
         try:
@@ -125,12 +128,8 @@ def build(text: str) -> Distribution:
             raise SpecError(f"bad exponential rate in {text!r}: {ex}") from None
         if not (math.isfinite(rate) and rate > 0):
             raise SpecError(f"exponential rate must be positive, got {rate!r}")
-        q = elementwise(lambda p: on_arrays(lambda p: _cumulative_hazard(p) / rate, p))
-        # the clipped exponent of an entry x <= 0, which reads 0, cannot overflow
-        cdf_fn = elementwise(lambda x: np.where(
-            x > 0.0, 1.0 - each(math.exp, -rate * np.maximum(x, 0.0)), 0.0))
-        label = f"exp:{funcalc.format_constant(rate)}"
-        return from_quantile(q, label=label, cdf_fn=cdf_fn, validate=False)
+        return _survival(elementwise(lambda x: rate * x), lambda t: t / rate,
+                         f"exp:{funcalc.format_constant(rate)}")
     if text.startswith("q:"):
         expr_text = text[len("q:"):].strip()
         try:
@@ -152,17 +151,19 @@ def build(text: str) -> Distribution:
 
 
 def _build_hazard(expr_text: str) -> Distribution:
-    """F(x) = 1 - e^(-psi(x)) for an increasing unbounded cumulative hazard.
+    """The distribution with the increasing unbounded cumulative hazard psi
+    in expr_text (see _survival).
 
     hi is the first power of 2 (from 1) where psi reaches _HAZARD_TARGET.
     psi is tabled at 0, at the geometric head hi 2^-k (k = 70..10) and at
     hi i/512 (i = 1..512), in one call past psi(0); the table must be
     finite and must not drop by more than 1e-9 from one point to the next.
-    A quantile's root solve starts in the table's cell that brackets its
+    Past hi it holds psi at 2hi, 4hi, ... (up to 2^64, while finite) until
+    psi reaches _TAIL_TARGET, -ln(1 - p) at the largest level p below 1.
+    A quantile is one root solve from the table's cell that brackets its
     target, with psi at the cell's ends read from the table
     (numerics.sample_cells).  The head keeps the cells narrow where psi
-    has a root cusp at 0, as x^0.5 does.  A target past psi(hi) is solved
-    on [0, h], h doubled from hi until psi(h) reaches it.
+    has a root cusp at 0, as x^0.5 does.
     """
     try:
         expr = funcalc.parse(expr_text)
@@ -173,14 +174,18 @@ def _build_hazard(expr_text: str) -> Distribution:
     v0 = float(psi(0.0))
     if v0 < -1e-9:
         raise SpecError(f"{label}: hazard negative at 0 ({v0!r})")
-    hi = 1.0
-    psi_hi = float(psi(hi))
-    while psi_hi < _HAZARD_TARGET:
-        hi *= 2.0
-        if hi > 2.0 ** 64:
-            raise SpecError(f"{label}: hazard does not reach "
-                            f"{_HAZARD_TARGET} (not unbounded?)")
-        psi_hi = float(psi(hi))
+    # psi at 1, 2, 4, ... (up to 2^64) until it reaches _TAIL_TARGET; hi is
+    # the first power where it reaches _HAZARD_TARGET, or is nan, which the
+    # sample's check then names
+    powers, levels = [1.0], [float(psi(1.0))]
+    while levels[-1] < _TAIL_TARGET and powers[-1] < 2.0 ** 64:
+        powers.append(2.0 * powers[-1])
+        levels.append(float(psi(powers[-1])))
+    j = next((j for j, v in enumerate(levels) if not v < _HAZARD_TARGET), None)
+    if j is None:
+        raise SpecError(f"{label}: hazard does not reach "
+                        f"{_HAZARD_TARGET} (not unbounded?)")
+    hi = powers[j]
     steps = 512
     xs = hi * np.concatenate((2.0 ** -np.arange(70.0, 9.0, -1.0),
                               np.arange(1, steps + 1) / steps))
@@ -190,29 +195,28 @@ def _build_hazard(expr_text: str) -> Distribution:
     i = first(vals < np.r_[v0, vals[:-1]] - 1e-9)
     if i is not None:
         raise SpecError(f"{label}: hazard decreasing near x={float(xs[i])!r}")
-    xs, vals = np.r_[0.0, xs], np.r_[v0, vals]
+    # the table past hi: the finite levels at the later powers
+    tail = np.isfinite(levels[j + 1:])
+    xs = np.r_[0.0, xs, np.array(powers[j + 1:])[tail]]
+    vals = np.r_[v0, vals, np.array(levels[j + 1:])[tail]]
 
-    def quantile(p: np.ndarray) -> np.ndarray:
-        # psi(x) = -ln(1 - p): from the table's cell up to psi(hi), from
-        # [0, h] past it, h doubled from hi
-        target = _cumulative_hazard(p)
-        # a nan level has no quantile: it is not the atom at 0; level 1
+    def inverse(target: np.ndarray) -> np.ndarray:
+        # a nan target has no quantile: it is not the atom at 0; level 1
         # has the limit inf
         out = np.where(target < np.inf, 0.0, target)
         live = np.flatnonzero((target > v0) & (target < np.inf))
-        target = target[live]
-        lo, h = np.zeros(target.shape), np.full(target.shape, hi)
-        flo, fhi = np.full(target.shape, v0), np.full(target.shape, psi_hi)
-        inner = np.flatnonzero(target <= psi_hi)
-        lo[inner], h[inner], (flo[inner], fhi[inner]) = sample_cells(
-            xs, vals, target[inner])
-        short = np.flatnonzero(target > psi_hi)
-        while short.size:
-            h[short] = _double(h[short])
-            fhi[short] = psi(h[short])
-            short = short[fhi[short] < target[short]]
-        out[live] = monotone_inverse(psi, target, lo, h, values=(flo, fhi))
+        lo, h, values = sample_cells(xs, vals, target[live])
+        out[live] = monotone_inverse(psi, target[live], lo, h, values=values)
         return out
+
+    return _survival(psi, inverse, label)
+
+
+def _survival(psi: Callable, inverse: Callable, label: str) -> Distribution:
+    """The distribution with cumulative hazard psi, elementwise and
+    non-decreasing from psi(0) >= 0: F(x) = 1 - e^(-psi(max(x, 0))), 0 at
+    x <= 0, and q(p) = inverse(-ln(1 - p)), inverse mapping an array of
+    targets to the left end of each one's level set of psi."""
 
     @elementwise
     def cdf_fn(x):
@@ -221,8 +225,9 @@ def _build_hazard(expr_text: str) -> Distribution:
         return np.where(x <= 0.0, 0.0,
                         1.0 - each(math.exp, -np.where(v > 0.0, v, 0.0)))
 
-    return from_quantile(elementwise(lambda p: on_arrays(quantile, p)),
-                         label=label, cdf_fn=cdf_fn, validate=False)
+    return from_quantile(
+        elementwise(lambda p: on_arrays(lambda p: inverse(_cumulative_hazard(p)), p)),
+        label=label, cdf_fn=cdf_fn, validate=False)
 
 
 def _cumulative_hazard(p: np.ndarray) -> np.ndarray:
@@ -234,13 +239,6 @@ def _cumulative_hazard(p: np.ndarray) -> np.ndarray:
     except ValueError:  # math.log(0) at level 1
         top = c == 0.0
         return np.where(top, np.inf, -each(math.log, np.where(top, 1.0, c)))
-
-
-def _double(h):
-    h = h * 2.0
-    if np.any(h > 2.0 ** 64):
-        raise BracketError("hazard bracket growth exhausted")
-    return h
 
 
 def cdf(X: Distribution, x):
@@ -255,7 +253,8 @@ def _cdf(X: Distribution, x: np.ndarray) -> np.ndarray:
     lo, hi = EPS_Q, 1.0 - EPS_Q
     q = X.quantile
     q_lo, q_hi = q(np.array([lo, hi])).tolist()
-    return inside(x, lambda v: monotone_inverse(q, v, lo, hi), q_lo, q_hi)
+    return inside(x, lambda v: monotone_inverse(q, v, lo, hi, values=(q_lo, q_hi)),
+                  q_lo, q_hi)
 
 
 def quantile_slopes(X: Distribution, p: np.ndarray) -> np.ndarray:

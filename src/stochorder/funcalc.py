@@ -312,7 +312,6 @@ class _Parser:
         head = self.next()  # 'piece'
         self.expect("op", "(")
         branches = []
-        piece_var: Optional[str] = None
         while True:
             tok = self.peek()
             if tok.kind == "name" and tok.text == "else":
@@ -320,11 +319,7 @@ class _Parser:
                 self.expect("op", ":")
                 otherwise = self.parse_expr()
                 break
-            var_node = self.parse_variable()
-            if piece_var is None:
-                piece_var = var_node.name
-            elif piece_var != var_node.name:
-                raise ExprSyntaxError("piece guards must test the same variable", var_node.span)
+            self.parse_variable()
             self.expect("le")
             bound_expr = self.parse_expr()
             if free_variable(bound_expr) is not None:
@@ -346,8 +341,8 @@ class _Parser:
                     b.bound_expr.span,
                 )
         span = self.merge(self.span_of(head), self.span_of(close))
-        assert piece_var is not None
-        return self.built(Piecewise(span, piece_var, tuple(branches), otherwise),
+        # every guard tests the one variable parse_variable saw
+        return self.built(Piecewise(span, self.seen_var, tuple(branches), otherwise),
                           otherwise, *(b.body for b in branches))
 
 

@@ -91,12 +91,18 @@ class SweepConfig:
     suites: Tuple[str, ...] = SUITE_NAMES
 
     def __post_init__(self):
-        """Refuse a seed or count that is no integer (a bool is none), trials
-        < 0, an unknown or repeated suite name and a grid uniform_grid refuses."""
-        for name in ("seed", "trials", "grid_count"):
+        """Refuse a seed or count that is no integer and an edge margin that
+        is no number (a bool is neither), a tolerance that is no Tolerance,
+        trials < 0, an unknown or repeated suite name and a grid
+        uniform_grid refuses."""
+        for name, kinds in (("seed", int), ("trials", int), ("grid_count", int),
+                            ("edge_margin", (int, float))):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer; got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if kinds is int else "a number"
+                raise ValueError(f"{name} must be {what}; got {value!r}")
+        if not isinstance(self.tolerance, Tolerance):
+            raise ValueError(f"tolerance must be a Tolerance; got {self.tolerance!r}")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
         object.__setattr__(self, "suites", tuple(self.suites))

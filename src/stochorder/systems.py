@@ -339,8 +339,6 @@ def durante_shape_condition(sig: MinimalSignature,
 
 def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        return None
     num = math.isqrt(x.numerator)
     den = math.isqrt(x.denominator)
     if num * num == x.numerator and den * den == x.denominator:

@@ -557,7 +557,8 @@ def _float_cell(xs, vals, y):
 def _float_hazard_quantile(text):
     """The float branch of the quantile of hazard:<text>: a root solve from
     the cell of psi's table that brackets the target, its ends evaluated
-    again, or from [0, h], h doubled from hi, past psi(hi)."""
+    again; past hi the table holds psi at 2hi, 4hi, ... until it reaches
+    the target of the largest level below 1."""
     node = funcalc.parse(text)
 
     def psi(x):
@@ -569,18 +570,15 @@ def _float_hazard_quantile(text):
         hi *= 2.0
     xs = ([0.0] + [hi * 2.0 ** -k for k in range(70, 9, -1)]
           + [hi * i / 512 for i in range(1, 513)])
+    while psi(xs[-1]) < -math.log(2.0 ** -53):
+        xs.append(2.0 * xs[-1])
     vals = [psi(x) for x in xs]
 
     def quantile(p):
         target = -math.log(1.0 - p)
         if target <= v0:
             return 0.0
-        if target <= vals[-1]:
-            return _chandrupatla(psi, target, *_float_cell(xs, vals, target))[0]
-        h = hi
-        while psi(h) < target:
-            h *= 2.0
-        return _chandrupatla(psi, target, 0.0, h)[0]
+        return _chandrupatla(psi, target, *_float_cell(xs, vals, target))[0]
 
     return quantile
 
@@ -757,6 +755,14 @@ class TestVectorBisection:
         p = np.array(uniform_grid(64).points)
         assert X.quantile(p).tolist() == [reference(x) for x in p.tolist()]
         assert _is_float_of(X.quantile(0.3), X.quantile(np.array([0.3])))
+
+    @pytest.mark.parametrize("text", ["x^0.5", "0.001*x", "x^2"])
+    def test_far_tail_hazard_quantiles(self, text):
+        # the levels past psi(hi) solve from the table's cells beyond hi
+        X = distributions.build(f"hazard: {text}")
+        reference = _float_hazard_quantile(text)
+        p = 1.0 - np.array([1e-13, 1e-14, 1e-15, 2.0 ** -53])
+        assert X.quantile(p).tolist() == [reference(x) for x in p.tolist()]
 
     @pytest.mark.parametrize("name", ["sys_two_parallel_pairs",
                                       "sys_series_with_parallel_pair",

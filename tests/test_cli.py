@@ -245,6 +245,18 @@ class TestCheckOrder:
         assert cli.main(["check-order", "--config", str(config)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("key", ["lo", "hi", "edge_margin"])
+    def test_integer_too_large_for_a_float_is_refused_by_name(self, key, tmp_path,
+                                                              capsys):
+        # an input error naming the key, not an OverflowError (exit 6)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"x": "exp:1", "y": "exp:0.5", "orders": ["ttt"],
+                                      "grid": {key: 10 ** 400}}))
+        assert cli.main(["check-order", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config 'grid.{key}' must be a number; got an integer too "
+            "large for a float\n")
+
     @pytest.mark.parametrize("argv, config, message", [
         (["--grid-margin", "inf"], None, "grid edge_margin must be finite, got inf"),
         (["--grid-margin", "nan"], None, "grid edge_margin must be finite, got nan"),
@@ -476,6 +488,26 @@ class TestNumericFailure:
                          "--order", "ttt"]) == 5
         assert capsys.readouterr().err.startswith("numeric failure: bracket")
 
+    def test_bounded_hazard_fails_only_past_its_reach(self, tmp_path, capsys):
+        # 33 (1 - e^-x) builds and checks on the default grid; a level whose
+        # target -ln(1 - p) ~ 34.5 it never reaches is a numeric failure
+        bounded = "hazard: 33*(1 - exp(-x))"
+        assert cli.main(["check-order", "--x", bounded, "--y", "exp:1",
+                         "--order", "ttt", "--out-json", str(tmp_path / "v.json")]) == 0
+        assert cli.main(["distort", "--x", bounded, "--h", "identity",
+                         "--grid-count", "16", "--grid-margin", "1e-15",
+                         "--out-csv", str(tmp_path / "t.csv")]) == 5
+        assert capsys.readouterr().err == (
+            "numeric failure: target 34.53957599234088 outside [0.0, 33.0]\n")
+
+    def test_far_hazard_tail_row(self, tmp_path):
+        # p = 1 - 1e-15 lies past psi(hi = 32768) = 32.768
+        out = tmp_path / "t.csv"
+        assert cli.main(["distort", "--x", "hazard: 0.001*x", "--h", "identity",
+                         "--grid-count", "16", "--grid-margin", "1e-15",
+                         "--out-csv", str(out)]) == 0
+        assert read_lines(str(out))[-1] == "0.999999999999999,34539.575992340877"
+
     def test_spec_errors_keep_exit_two(self, capsys):
         assert cli.main(["check-order", "--x", "hazard: -x", "--y", "exp:1",
                          "--order", "ttt"]) == 2
@@ -524,6 +556,17 @@ class TestClassify:
         assert doc["closed_form"] == "p*f(p) + p*f(p)^2 - p*f(p)^3"
         assert doc["corollary"]["verdict"] == "starshaped_any_f"
 
+    def test_generator_form_threshold(self, tmp_path):
+        # n = 3: S(f) = 3 - 4 f, so h_T is antistarshaped when f(0) >= 3/4
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", "--signature", "0,3,-2",
+                         "--copula", "durante:f=p^0.5,n=3",
+                         "--out-json", str(out)]) == 0
+        assert read_json(str(out))["corollary"] == {
+            "description": "antistarshaped if f(0) >= 3/4",
+            "parameters": {"omega": "3/4"}, "threshold": "3/4",
+            "verdict": "antistarshaped_if"}
+
     def test_diagonal_form_system(self, tmp_path):
         out = tmp_path / "report.json"
         code = cli.main(["classify", "--signature", "0,0,2,-1",
@@ -556,6 +599,75 @@ class TestClassify:
         assert capsys.readouterr().err == (
             "error: give either --h or --signature/--copula, not both\n")
         assert not out.exists()
+
+
+class TestInputMessages:
+    """The one stderr line of an input error (exit 2), per fault."""
+
+    @pytest.mark.parametrize("argv, message", [
+        # expression syntax
+        (["check-order", "--x", "q: p $ 2", "--y", "exp:1", "--order", "ttt"],
+         "bad quantile expression: unexpected character (at 2..3 '$')"),
+        (["check-order", "--x", "q: p p", "--y", "exp:1", "--order", "ttt"],
+         "bad quantile expression: trailing input (at 2..3 'p')"),
+        (["check-order", "--x", "q: else", "--y", "exp:1", "--order", "ttt"],
+         "bad quantile expression: 'else' outside piece(...) (at 0..4 'else')"),
+        (["check-order", "--x", "q: piece(p <= 0.5 : p ; x <= 0.7 : p ; else : p)",
+          "--y", "exp:1", "--order", "ttt"],
+         "bad quantile expression: expression must use a single variable, "
+         "saw 'p' and 'x' (at 21..22 'x')"),
+        (["check-order", "--x", "q: exp(p, 2)", "--y", "exp:1", "--order", "ttt"],
+         "bad quantile expression: exp takes one argument (at 0..9 'exp(p, 2)')"),
+        (["check-order", "--x", "q: piece(p <= p : 1 ; else : 2)", "--y", "exp:1",
+          "--order", "ttt"],
+         "bad quantile expression: piece guard bound must be constant "
+         "(at 11..12 'p')"),
+        (["check-order", "--x", "q: piece(else : p)", "--y", "exp:1",
+          "--order", "ttt"],
+         "bad quantile expression: piece(...) needs at least one guarded branch "
+         "(at 0..5 'piece')"),
+        (["check-order", "--x", "q: piece(p <= 0.5 : p ; p <= 0.2 : p ; else : p)",
+          "--y", "exp:1", "--order", "ttt"],
+         "bad quantile expression: piece guard bounds must be strictly increasing, "
+         "got 0.5 then 0.2 (at 26..29 '0.2')"),
+        # copula specs
+        (["classify", "--signature", "0,1", "--copula", "frechet:0.5"],
+         "expected frechet:gamma=<v>, got 'frechet:0.5'"),
+        (["classify", "--signature", "0,1", "--copula", "durante:f=p,g=2"],
+         "unexpected field 'g=2' in 'durante:f=p,g=2'"),
+        (["classify", "--signature", "0,1", "--copula", "durante:f=p,n=x"],
+         "bad copula spec 'durante:f=p,n=x': invalid literal for int() with "
+         "base 10: 'x'"),
+        (["classify", "--signature", "0,1", "--copula", "durante:f=p,n=1"],
+         "dimension must be an integer >= 2, got 1"),
+        (["classify", "--signature", "0,1", "--copula", "product:13"],
+         "dimension must be an integer in [2, 12], got 13"),
+        # signatures
+        (["classify", "--signature", "1", "--copula", "product:2"],
+         "need at least 2 entries, got 1"),
+        (["classify", "--signature", "a,b", "--copula", "product:2"],
+         "bad signature 'a,b': Invalid literal for Fraction: 'a'"),
+        (["classify", "--signature", "1/0,1", "--copula", "product:2"],
+         "bad signature '1/0,1': Fraction(1, 0)"),
+        # argument combinations
+        (["check-order", "--y", "exp:1", "--order", "ttt"],
+         "check-order needs --x and --y distribution specs"),
+        (["check-order", "--x", "exp:1", "--y", "exp:1"],
+         "check-order needs at least one --order"),
+        (["classify"], "classify needs --h or --signature/--copula"),
+        (["classify", "--h", "power:2", "--signature", "0,1", "--copula", "product:2"],
+         "give either --h or --signature/--copula, not both"),
+        (["classify", "--signature", "0,1"], "--signature needs --copula"),
+    ], ids=["unexpected-character", "trailing-input", "else-outside-piece",
+            "second-variable", "exp-arity", "guard-not-constant", "piece-no-branch",
+            "guards-not-increasing", "frechet-positional", "unknown-field",
+            "dimension-not-integer", "dimension-one", "dimension-above-12",
+            "signature-one-entry", "signature-not-a-number", "signature-zero-division",
+            "no-x", "no-order", "classify-no-input", "classify-both-inputs",
+            "signature-no-copula"])
+    def test_input_error(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestDistortAndSystem:
@@ -733,6 +845,18 @@ class TestSweepCommand:
                          "--out", str(tmp_path / "s.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config '{key}' must be ")
+
+    @pytest.mark.parametrize("key", ["edge_margin", "abs_tol", "rel_tol"])
+    def test_integer_too_large_for_a_float_is_refused_by_name(self, key, tmp_path,
+                                                              capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"trials": 1, "suites": [], key: 10 ** 400}))
+        assert cli.main(["sweep", "--config", str(config),
+                         "--out", str(tmp_path / "s.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config '{key}' must be a number; got an integer too large "
+            "for a float\n")
+        assert not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize("value, message", [
         # a repeated suite would run twice and be listed twice

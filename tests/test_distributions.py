@@ -27,6 +27,8 @@ from stochorder.distributions import (
     mean,
 )
 
+from stochorder.numerics import BracketError, elementwise
+
 from helpers import GRID63, density_at_quantile
 
 
@@ -251,6 +253,89 @@ class TestBuild:
         assert calls
         assert not any(v.size and np.all(v == hi) for v in calls)
 
+    def test_far_tail_quantile_solves_from_the_table_past_hi(self, monkeypatch):
+        # psi(1024) = 32 < -ln(1e-15) ~ 34.5 <= psi(2048): the cell past hi,
+        # where a solve on [0, 2048] ran before the table reached that far
+        seen = []
+        solve = distributions_mod.monotone_inverse
+
+        def recording(fn, y, lo, hi, values=None):
+            seen.append((np.array(lo).tolist(), np.array(hi).tolist()))
+            return solve(fn, y, lo, hi, values=values)
+
+        monkeypatch.setattr(distributions_mod, "monotone_inverse", recording)
+        build("hazard: x^0.5").quantile(1.0 - 1e-15)
+        assert seen == [([1024.0], [2048.0])]
+
+    @pytest.mark.parametrize("text, want", [
+        ("hazard: x^2", (5.471132909377067, 5.677762842823469,
+                         5.8770380288322865, 6.061089058055252)),
+        ("hazard: (x/1.40711)^1.93355", (8.161513373176023, 8.480549340625599,
+                                         8.788608044131212, 9.073451181371627)),
+        ("hazard: x^0.5", (896.0021682395179, 1039.2235822445707,
+                           1192.9823097306903, 1349.5925160962277)),
+        ("hazard: 0.001*x", (29933.295312068763, 32236.990899346834,
+                             34539.57599234088, 36736.8005696771)),
+    ])
+    def test_far_tail_quantiles(self, text, want):
+        # the values a solve on [0, h], h doubled from hi, gave; a solve
+        # from the table's cell stops within a few ulp of them
+        got = build(text).quantile(np.array([1 - 1e-13, 1 - 1e-14, 1 - 1e-15,
+                                             1 - 2.0 ** -53]))
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.array(want)))
+
+    def test_bounded_hazard_refuses_targets_past_its_reach(self):
+        # 33 (1 - e^-x) reaches 30 at hi = 4 and never reaches 34.5: the
+        # table runs to 2^64, and the solve's own screening refuses
+        X = build("hazard: 33*(1 - exp(-x))")
+        assert X.quantile(0.5) == pytest.approx(-math.log1p(math.log(0.5) / 33))
+        with pytest.raises(BracketError, match=r"^target 34\.53957599234088 "
+                                               r"outside \[0\.0, 33\.0\]$"):
+            X.quantile(1.0 - 1e-15)
+
+    def test_hazard_that_breaks_a_rule_past_hi_is_refused_at_build(self):
+        # psi(1) = 31 + ln(1/2) reaches 30, and psi(2), which the table
+        # needs on its way to -ln(2^-53), takes ln of -1/2
+        with pytest.raises(distributions_mod.funcalc.ExprDomainError,
+                           match=r"^ln of a non-positive number \(at 7\.\.18 "):
+            build("hazard: 31*x + ln(1.5 - x)")
+
+    def test_hazard_table_reaches_the_largest_finite_target(self, monkeypatch):
+        # psi(hi = 32) = 32; one float call at 64 brings the table past
+        # -ln(2^-53), after the 573-point sample the check reads
+        calls = []
+        compile_fn = distributions_mod.funcalc.compile_fn
+
+        def recording(expr):
+            fn = compile_fn(expr)
+
+            @functools.wraps(fn)
+            def psi(x):
+                calls.append(np.array(x, dtype=float).ravel().tolist())
+                return fn(x)
+            return psi
+
+        monkeypatch.setattr(distributions_mod.funcalc, "compile_fn", recording)
+        X = build("hazard: x")
+        assert [v for v in calls if len(v) == 1] == \
+            [[0.0], [1.0], [2.0], [4.0], [8.0], [16.0], [32.0], [64.0]]
+        assert [len(v) for v in calls if len(v) > 1] == [573]
+        assert X.quantile(1.0 - 2.0 ** -53) == pytest.approx(53 * math.log(2.0))
+
+    @pytest.mark.parametrize("rate", [1.0, 2.5])
+    def test_exponential_is_the_linear_cumulative_hazard(self, rate):
+        # cdf 1 - e^(-rate x) and quantile -ln(1 - p)/rate, bit for bit,
+        # at the signed zeros, infinities and nan too
+        X = build(f"exp:{rate}")
+        x = np.array([math.nan, -math.inf, -1.0, -0.0, 0.0, 1e-300, 0.7, 40.0,
+                      1e300, math.inf])
+        want = [1.0 - math.exp(-rate * v) if v > 0.0 else 0.0 for v in x.tolist()]
+        assert cdf(X, x).tobytes() == np.array(want).tobytes()
+        p = np.array([math.nan, -0.0, 0.0, 0.3, 1.0 - 1e-15, 1.0])
+        want = [math.inf if v == 1.0 else -math.log(1.0 - v) / rate
+                for v in p.tolist()]
+        assert X.quantile(p).tobytes() == np.array(want).tobytes()
+
     def test_unvalidated_build_evaluates_nothing(self):
         calls = []
         from_quantile(lambda p: calls.append(p) or p, "counted", validate=False)
@@ -297,6 +382,18 @@ class TestCdfAndDensity:
         for p in (0.1, 0.5, 0.9):
             assert density_at_quantile(X, p) == pytest.approx(
                 1.0 / (17.0 / 8.0 - p), abs=1e-6)
+
+    def test_cdf_by_inversion_reads_the_quantile_ends_once(self):
+        # q at [EPS_Q, 1 - EPS_Q] is read once and handed to the solve,
+        # which would evaluate both ends again for every entry
+        X = build("q: p^2")
+        points = []
+        q = X.quantile
+        X.quantile = elementwise(lambda p: points.append(np.size(p)) or q(p))
+        x = np.linspace(0.01, 0.9, 100)
+        got = cdf(X, x)
+        assert points[:2] == [2, 100] and sum(points) == 788
+        assert np.all(np.abs(got - np.sqrt(x)) <= 1e-12)
 
     def test_flat_quantile_has_no_density(self):
         X = from_quantile(lambda p: min(p, 0.5), "flat-top", validate=False)

@@ -50,8 +50,12 @@ class TestConfig:
         ({"suites": ("bogus",)}, "unknown suite 'bogus'; choose from "),
         ({"edge_margin": 5, "suites": ()},
          "grid lo + edge_margin (5.0) must be below hi - edge_margin (-4.0)"),
+        ({"edge_margin": "0.01"}, "edge_margin must be a number; got '0.01'"),
+        ({"edge_margin": True}, "edge_margin must be a number; got True"),
+        ({"tolerance": 0.1}, "tolerance must be a Tolerance; got 0.1"),
     ], ids=["negative-trials", "bool-trials", "float-seed", "string-count",
-            "repeated-suite", "unknown-suite", "bad-grid"])
+            "repeated-suite", "unknown-suite", "bad-grid", "string-margin",
+            "bool-margin", "float-tolerance"])
     def test_values_no_sweep_runs_are_refused(self, fields, message):
         # by the config itself, so a library caller gets no summary the
         # command line would refuse

@@ -106,6 +106,20 @@ class TestThreeComponentRule:
         with pytest.raises(SignatureError):
             classify_3component(parse_signature("1, 0"))
 
+    @pytest.mark.parametrize("text, doc", [
+        ("0,1,0", {"verdict": "starshaped_any_f", "description": "starshaped_any_f",
+                   "parameters": {"a2": "1"},
+                   "notes": "a3=0: condition reduces to a2 >= 0"}),
+        ("2,-1,0", {"verdict": "antistarshaped_any_f",
+                    "description": "antistarshaped_any_f", "parameters": {"a2": "-1"},
+                    "notes": "a3=0: condition reduces to a2 <= 0"}),
+        # omega = 1 sits at the top of f's range: S >= 0 for every generator
+        ("0,2,-1", {"verdict": "starshaped_any_f", "description": "starshaped_any_f",
+                    "parameters": {"omega": "1"}}),
+    ])
+    def test_corollary_documents(self, text, doc):
+        assert classify_3component(parse_signature(text)).to_json() == doc
+
 
 class TestFourComponentRule:
     def test_perfect_square_discriminant_keeps_roots_exact(self):
@@ -145,6 +159,23 @@ class TestFourComponentRule:
         doc = classify_4component(parse_signature("2, 0, -2, 1")).to_json()
         assert doc["verdict"] == "antistarshaped_any_f"
         assert doc["parameters"]["x2"] == "4/3"
+
+    @pytest.mark.parametrize("text, doc", [
+        # irrational roots (1 -+ sqrt 7)/6, the larger one inside (0, 1)
+        ("1,-1,-1,2", {"verdict": "starshaped_if",
+                       "description": "starshaped if f(0) >= 0.60762521851076512",
+                       "threshold": "0.60762521851076512",
+                       "parameters": {"delta": "7", "x1": "-0.2742918851774318",
+                                      "x2": "0.60762521851076512"}}),
+        # both roots <= 0, and both >= 1: S keeps one sign on [f(0), 1]
+        ("-3,1,2,1", {"verdict": "starshaped_any_f", "description": "starshaped_any_f",
+                      "parameters": {"delta": "1", "x1": "-1", "x2": "-1/3"}}),
+        ("-4,12,-9,2", {"verdict": "starshaped_any_f",
+                        "description": "starshaped_any_f",
+                        "parameters": {"delta": "9", "x1": "1", "x2": "2"}}),
+    ])
+    def test_root_positions(self, text, doc):
+        assert classify_4component(parse_signature(text)).to_json() == doc
 
 
 class TestDiagonalParameters:
