@@ -1,5 +1,5 @@
-"""Documented reference inputs: named distributions, distortions, signatures
-and diagonals, plus seeded samplers of order-related pairs.
+"""Documented reference inputs: named distributions, distortions and worked
+systems, plus seeded samplers of order-related pairs.
 
 Everything the reproduce targets, sweeps and tests consume is constructed
 here by name, and a sampled input's label spells out the numbers it was
@@ -104,44 +104,25 @@ def concave_mix(w: float) -> Distortion:
     return _quadratic_mix(w, 2.0 - w, -(1.0 - w), "(2*p - p^2)")
 
 
-@lru_cache(maxsize=1)
-def signatures() -> Dict[str, sys_mod.MinimalSignature]:
-    parse = sys_mod.parse_signature
-    return {
-        "two_parallel_pairs": parse("2,0,-2,1"),      # max of 2, each backed up
-        "one_of_two_pairs": parse("0,1,1,-1"),        # min with duplicated slot
-        "five_comp_bridge": parse("0,0,0,3,-2"),
-        "three_of_four": parse("0,6,-8,3"),
-        "series_with_parallel_pair": parse("0,0,2,-1"),
-    }
-
-
-@lru_cache(maxsize=1)
-def diagonals() -> Dict[str, Tuple[str, int]]:
-    """Diagonal expressions with their catalog dimension."""
-    return {
-        "cubic_bend_2": (FN_DIAG_TEXT, 2),
-        "cubic_bend_5": (FN_DIAG_TEXT, 5),
-        "mixed_bend_4": (MIX_DIAG_TEXT, 4),
-        "reflected_cubic_4": (QMIT_DIAG_TEXT, 4),
-        "square_2": ("p^2", 2),
-    }
+# the worked systems, each as the signature and copula spec text that
+# `stochorder system` takes
+SYSTEMS: Dict[str, Tuple[str, str]] = {
+    # max of 2, each backed up
+    "two_parallel_pairs": ("2,0,-2,1", f"durante:f={DEFAULT_GENERATOR_TEXT},n=4"),
+    # min with duplicated slot
+    "one_of_two_pairs": ("0,1,1,-1", f"durante:f={DEFAULT_GENERATOR_TEXT},n=4"),
+    "five_comp_bridge": ("0,0,0,3,-2", f"diagonal:d={FN_DIAG_TEXT},n=5"),
+    "three_of_four": ("0,6,-8,3", f"diagonal:d={MIX_DIAG_TEXT},n=4"),
+    "series_with_parallel_pair": ("0,0,2,-1", f"diagonal:d={QMIT_DIAG_TEXT},n=4"),
+}
 
 
 @lru_cache(maxsize=1)
 def system_distortions() -> Dict[str, Distortion]:
-    """The five worked system distortions, built from their signatures."""
-    sigs = signatures()
-    gen4 = cop_mod.durante(DEFAULT_GENERATOR_TEXT, 4)
-    copulas = {
-        "two_parallel_pairs": gen4,
-        "one_of_two_pairs": gen4,
-        "five_comp_bridge": cop_mod.jaworski(FN_DIAG_TEXT, 5),
-        "three_of_four": cop_mod.jaworski(MIX_DIAG_TEXT, 4),
-        "series_with_parallel_pair": cop_mod.jaworski(QMIT_DIAG_TEXT, 4),
-    }
-    return {f"sys_{name}": sys_mod.system_distortion(sigs[name], copula).h
-            for name, copula in copulas.items()}
+    """The five worked system distortions, each built from its SYSTEMS row
+    as the system command builds it."""
+    return {f"sys_{name}": sys_mod.build_system(*texts)[1].h
+            for name, texts in SYSTEMS.items()}
 
 
 @lru_cache(maxsize=1)

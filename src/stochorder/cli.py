@@ -365,12 +365,6 @@ def _system_doc(built: sys_mod.SystemDistortion,
     return doc
 
 
-def _build_system(signature_text: str, copula_text: str):
-    sig = sys_mod.parse_signature(signature_text)
-    handle = cop_mod.parse_copula_spec(copula_text)
-    return handle, sys_mod.system_distortion(sig, handle)
-
-
 def cmd_classify(args) -> int:
     if args.h and (args.signature or args.copula):
         raise ValueError("give either --h or --signature/--copula, not both")
@@ -380,7 +374,7 @@ def cmd_classify(args) -> int:
     elif args.signature:
         if not args.copula:
             raise ValueError("--signature needs --copula")
-        handle, built = _build_system(args.signature, args.copula)
+        handle, built = sys_mod.build_system(args.signature, args.copula)
         doc = _system_doc(built, handle)
     else:
         raise ValueError("classify needs --h or --signature/--copula")
@@ -406,7 +400,7 @@ def cmd_system(args) -> int:
     if count > MAX_GRID_COUNT:
         raise ValueError(f"--grid-count must be at most {MAX_GRID_COUNT}, got {count}")
     _csv_out(args.out_csv)
-    handle, built = _build_system(args.signature, args.copula)
+    handle, built = sys_mod.build_system(args.signature, args.copula)
     doc = _system_doc(built, handle)
     if args.out_csv:
         _write_csv(args.out_csv, ("p", "value"),
@@ -421,6 +415,20 @@ def cmd_system(args) -> int:
 # reproduce targets
 
 
+def _ce02_curves(x: distrib_mod.Distribution, y: distrib_mod.Distribution,
+                 grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """The density ratio s = f_X/f_Y at matched quantiles and the dmrl gap
+    ew_Y - s*ew_X on grid, read from the convex_transform and dmrl verdicts'
+    curves; a point either verdict excludes is refused, not left out."""
+    dmrl, convex = orders_mod.check_orders(
+        x, y, (OrderKind.DMRL, OrderKind.CONVEX_TRANSFORM), grid)
+    for verdict in (convex, dmrl):
+        if verdict.curve["p"].size < grid.points.size:
+            raise ValueError(f"{verdict.kind.value}: {verdict.notes[0]}")
+    s = convex.curve["functional"]
+    return s, dmrl.curve["value_y"] - s * dmrl.curve["value_x"]
+
+
 def _repro_ce02(out_dir: str) -> List[str]:
     """Density-ratio turning point, baseline dmrl gap, and the distorted gap
     that dips negative for small p (order not preserved by a convex h)."""
@@ -430,25 +438,22 @@ def _repro_ce02(out_dir: str) -> List[str]:
     files = []
 
     grid = uniform_grid(512, edge_margin=0.01)
-    s = orders_mod.density_ratios(x, y, grid.points)
+    s, gap = _ce02_curves(x, y, grid)
     path = os.path.join(out_dir, "s_curve.csv")
     _write_csv(path, ("p", "value"), (grid.points, s),
                comment="density ratio s(p) for the baseline pair; "
                        "decreasing then increasing with turning point 1/8")
     files.append(path)
 
-    gap = orders_mod.dmrl_integral_curve(x, y, grid)
     path = os.path.join(out_dir, "dmrl_gap.csv")
-    _write_csv(path, ("p", "value"), (gap["p"], gap["value"]),
+    _write_csv(path, ("p", "value"), (grid.points, gap),
                comment="baseline dmrl gap I(p) (nonnegative: the order holds)")
     files.append(path)
 
-    xh = distrib_mod.distort(x, h)
-    yh = distrib_mod.distort(y, h)
-    gap_h = orders_mod.dmrl_integral_curve(
-        xh, yh, uniform_grid(199, lo=0.002, hi=0.2, edge_margin=0.0))
+    grid_h = uniform_grid(199, lo=0.002, hi=0.2, edge_margin=0.0)
+    _, gap_h = _ce02_curves(distrib_mod.distort(x, h), distrib_mod.distort(y, h), grid_h)
     path = os.path.join(out_dir, "dmrl_gap_distorted.csv")
-    _write_csv(path, ("p", "value"), (gap_h["p"], gap_h["value"]),
+    _write_csv(path, ("p", "value"), (grid_h.points, gap_h),
                comment="dmrl gap I_h(p) after distorting both sides by p^5; "
                        "negative for small p, sign change near 0.0263")
     files.append(path)
@@ -472,11 +477,9 @@ def _repro_ce01(out_dir: str) -> List[str]:
     return [path]
 
 
-def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
-    sig = catalog.signatures()[sig_name]
-    handle = cop_mod.durante(catalog.DEFAULT_GENERATOR_TEXT, sig.n)
-    gen = handle.generator
-    built = sys_mod.system_distortion(sig, handle)
+def _repro_durante(name: str, out_dir: str) -> List[str]:
+    handle, built = sys_mod.build_system(*catalog.SYSTEMS[name])
+    sig, gen = built.sig, handle.generator
     files = []
     pts = validation_points(257)
     path = os.path.join(out_dir, "distortion.csv")
@@ -490,43 +493,49 @@ def _repro_durante(sig_name: str, out_dir: str) -> List[str]:
                comment="shape condition S(p); >= 0 everywhere means "
                        "starshaped, <= 0 antistarshaped")
     files.append(path)
-    doc = _system_doc(built, handle)
     path = os.path.join(out_dir, "classification.json")
-    _write_json(path, doc)
+    _write_json(path, _system_doc(built, handle))
     files.append(path)
     return files
 
 
-def _repro_diag(sig_name: str, diag_name: str, out_dir: str,
-                extra_qmit: bool = False) -> List[str]:
-    sig = catalog.signatures()[sig_name]
-    handle = cop_mod.jaworski(*catalog.diagonals()[diag_name])
-    d = handle.diagonal
-    built = sys_mod.system_distortion(sig, handle)
+def _repro_diag(name: str, out_dir: str) -> List[str]:
+    return _diag_bundle(out_dir, *sys_mod.build_system(*catalog.SYSTEMS[name]))
+
+
+def _diag_bundle(out_dir: str, handle: cop_mod.CopulaHandle,
+                 built: sys_mod.SystemDistortion) -> List[str]:
     files = []
     pts = validation_points(257)
     path = os.path.join(out_dir, "distortion.csv")
     _write_csv(path, ("p", "value"), (pts, dist_mod.values_at(built.h, 257)),
                comment=f"system distortion h_T = {built.closed_form}, "
-                       f"a=({sig.label()}), d(p)={d.label}")
+                       f"a=({built.sig.label()}), d(p)={handle.diagonal.label}")
     files.append(path)
-    doc = _system_doc(built, handle)
     path = os.path.join(out_dir, "classification.json")
-    _write_json(path, doc)
+    _write_json(path, _system_doc(built, handle))
     files.append(path)
-    if extra_qmit:
-        dual = dist_mod.dual(built.h)
-        ratio_pts = validation_points(513)[1:]
-        path = os.path.join(out_dir, "dual_ratio.csv")
-        ratio = dual.fn(np.array(ratio_pts)) / np.array(ratio_pts)
-        _write_csv(path, ("p", "value"), (ratio_pts, ratio),
-                   comment="dual distortion ratio h*(p)/p; decreasing means "
-                           "the dual is antistarshaped")
-        files.append(path)
-        path = os.path.join(out_dir, "diagonal.csv")
-        _write_csv(path, ("p", "value"), (pts, d.fn(np.array(pts))),
-                   comment=f"diagonal d(p)={d.label} against the identity")
-        files.append(path)
+    return files
+
+
+def _repro_qmit(out_dir: str) -> List[str]:
+    """The diagonal system bundle, then the dual's ratio h*(p)/p and the
+    diagonal itself."""
+    handle, built = sys_mod.build_system(*catalog.SYSTEMS["series_with_parallel_pair"])
+    files = _diag_bundle(out_dir, handle, built)
+    d = handle.diagonal
+    ratio_pts = np.array(validation_points(513)[1:])
+    path = os.path.join(out_dir, "dual_ratio.csv")
+    _write_csv(path, ("p", "value"),
+               (ratio_pts, dist_mod.dual(built.h).fn(ratio_pts) / ratio_pts),
+               comment="dual distortion ratio h*(p)/p; decreasing means "
+                       "the dual is antistarshaped")
+    files.append(path)
+    pts = validation_points(257)
+    path = os.path.join(out_dir, "diagonal.csv")
+    _write_csv(path, ("p", "value"), (pts, d.fn(np.array(pts))),
+               comment=f"diagonal d(p)={d.label} against the identity")
+    files.append(path)
     return files
 
 
@@ -535,10 +544,9 @@ REPRO_BUILDERS = {
     "ce01": _repro_ce01,
     "ex_durante_1": lambda out: _repro_durante("two_parallel_pairs", out),
     "ex_durante_2": lambda out: _repro_durante("one_of_two_pairs", out),
-    "ex_diag_5comp": lambda out: _repro_diag("five_comp_bridge", "cubic_bend_5", out),
-    "ex_3of4": lambda out: _repro_diag("three_of_four", "mixed_bend_4", out),
-    "ex_qmit": lambda out: _repro_diag("series_with_parallel_pair", "reflected_cubic_4",
-                                       out, extra_qmit=True),
+    "ex_diag_5comp": lambda out: _repro_diag("five_comp_bridge", out),
+    "ex_3of4": lambda out: _repro_diag("three_of_four", out),
+    "ex_qmit": _repro_qmit,
 }
 REPRO_TARGETS = tuple(REPRO_BUILDERS)
 

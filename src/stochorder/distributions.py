@@ -48,10 +48,6 @@ class InfiniteMeanError(ValueError):
     """Mean requested for a distribution whose tail integral diverges."""
 
 
-class DegenerateDensityError(ValueError):
-    """Quantile derivative vanished or blew up where a density was needed."""
-
-
 class SpecError(ValueError):
     """Malformed distribution spec text or invalid parameters."""
 
@@ -232,13 +228,11 @@ def _survival(psi: Callable, inverse: Callable, label: str) -> Distribution:
 
 def _cumulative_hazard(p: np.ndarray) -> np.ndarray:
     """-ln(1 - p) at each level p: the exponential's quantile times its
-    rate, inf at level 1, its limit there."""
-    c = 1.0 - p
-    try:
-        return -each(math.log, c)
-    except ValueError:  # math.log(0) at level 1
-        top = c == 0.0
-        return np.where(top, np.inf, -each(math.log, np.where(top, 1.0, c)))
+    rate, inf at level 1, its limit there.  A level outside [0, 1] has no
+    quantile and reads as nan, as a nan level does."""
+    c = np.where((p < 0.0) | (p > 1.0), np.nan, 1.0 - p)
+    top = c == 0.0
+    return np.where(top, np.inf, -each(math.log, np.where(top, 1.0, c)))
 
 
 def cdf(X: Distribution, x):

@@ -58,6 +58,14 @@ class BracketError(NumericsError):
     the function is not finite inside it, or the solve did not close."""
 
 
+def _as_float(value) -> float:
+    """float(value), an integer too large for a float read as inf of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute/relative tolerance pair; both strictly positive and finite."""
@@ -68,7 +76,7 @@ class Tolerance:
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, (int, float)) and math.isfinite(_as_float(v)) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
@@ -127,8 +135,9 @@ def uniform_grid(count: int = DEFAULT_GRID_COUNT,
     if count > MAX_GRID_COUNT:
         raise ValueError(f"grid needs at most {MAX_GRID_COUNT} points, got {count}")
     # Python floats: an overflow here gives inf, where numpy would warn
-    first, last = float(lo) + float(edge_margin), float(hi) - float(edge_margin)
-    for name, value in (("lo", lo), ("hi", hi), ("edge_margin", edge_margin),
+    lo_f, hi_f, margin = _as_float(lo), _as_float(hi), _as_float(edge_margin)
+    first, last = lo_f + margin, hi_f - margin
+    for name, value in (("lo", lo_f), ("hi", hi_f), ("edge_margin", margin),
                         ("lo + edge_margin", first), ("hi - edge_margin", last),
                         ("span hi - lo - 2*edge_margin", last - first)):
         if not math.isfinite(value):

@@ -33,7 +33,6 @@ import numpy as np
 
 from .distributions import (
     EPS_Q,
-    DegenerateDensityError,
     Distribution,
     cdf,
     check_tail_decay,
@@ -295,16 +294,6 @@ def _densities(X: Distribution, Y: Distribution, p: np.ndarray):
     return fx, fy, faults
 
 
-def density_ratios(X: Distribution, Y: Distribution,
-                   points: Sequence[float]) -> np.ndarray:
-    """s(p) = density_X(q_X(p)) / density_Y(q_Y(p)) at each point; raises
-    DegenerateDensityError at the first point where either has none."""
-    fx, fy, faults = _densities(X, Y, np.asarray(points, dtype=float))
-    if faults:
-        raise DegenerateDensityError(next(iter(faults.values())))
-    return fx / fy
-
-
 # key -> (curve of X, curve of Y) from the transform passes of one request
 _Curves = Callable[[str], Tuple[np.ndarray, np.ndarray]]
 
@@ -392,17 +381,6 @@ def check_order(X: Distribution, Y: Distribution, kind: OrderKind,
                 tol: Tolerance = DEFAULT_CHECK_TOL) -> OrderVerdict:
     """Grid-certified verdict for one order between X and Y (see check_orders)."""
     return check_orders(X, Y, (kind,), grid, tol)[0]
-
-
-def dmrl_integral_curve(X: Distribution, Y: Distribution,
-                        grid: Grid = DEFAULT_GRID) -> Dict[str, np.ndarray]:
-    """I(p) = ew_Y(p) - s(p) ew_X(p) on a grid, s the density ratio
-    density_X(q_X(p))/density_Y(q_Y(p)): the integral form of the dmrl
-    comparison, which holds iff I >= 0 on (0,1); p (grid.points) and value
-    are read-only float64 arrays."""
-    ew_x, ew_y = (c["ew"] for c in transform_curves((X, Y), grid, ("ew",)))
-    s = density_ratios(X, Y, grid.points)
-    return _read_only({"p": grid.points, "value": ew_y - s * ew_x})
 
 
 _XSPACE_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-8)

@@ -209,6 +209,15 @@ def system_distortion(sig: MinimalSignature,
     return SystemDistortion(h=h, sig=sig)
 
 
+def build_system(signature_text: str, copula_text: str
+                 ) -> Tuple[cop_mod.CopulaHandle, SystemDistortion]:
+    """The copula and the system distortion that signature and copula spec
+    text describe, the signature parsed first."""
+    sig = parse_signature(signature_text)
+    handle = cop_mod.parse_copula_spec(copula_text)
+    return handle, system_distortion(sig, handle)
+
+
 def _crosscheck(h: Distortion, generic_fn, what: str) -> None:
     """The validated closed form h against the generic form on the 65
     points i/64, where h is read from its validation sample."""

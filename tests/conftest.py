@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from stochorder import catalog
+from stochorder.systems import parse_signature
 
 settings.register_profile(
     "repo",
@@ -41,7 +42,8 @@ def fresh_distortions(named_distortions):
 
 @pytest.fixture(scope="session")
 def named_signatures():
-    return catalog.signatures()
+    """The worked systems' signatures, parsed from their catalog rows."""
+    return {name: parse_signature(sig) for name, (sig, _) in catalog.SYSTEMS.items()}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,12 +8,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from stochorder.copulas import CopulaHandle, Diagonal
-from stochorder.distributions import (
-    DegenerateDensityError,
-    Distribution,
-    quantile_slopes,
-    slope_fault,
-)
+from stochorder.distributions import Distribution, quantile_slopes, slope_fault
 from stochorder.orders import excess_wealth
 
 
@@ -54,9 +49,9 @@ def reference_csv_text(header: Sequence[str], rows: Iterable[Sequence],
 
 
 # ---------------------------------------------------------------------------
-# pointwise references: the library computes these quantities on grids
-# (density_ratios, dmrl_integral_curve, cop_eval); the tests check it against
-# these one-point forms
+# pointwise references: the library computes these quantities on grids (the
+# convex_transform and dmrl verdict curves, cop_eval); the tests check it
+# against these one-point forms
 
 # Durante generator expressions valid at any dimension
 GENERATORS = {
@@ -65,6 +60,10 @@ GENERATORS = {
     "frechet_mix": "0.6*p + 0.4",
     "quarter_power": "p^0.25",
 }
+
+
+class DegenerateDensityError(ValueError):
+    """Quantile derivative vanished or blew up where a density was needed."""
 
 
 def density_at_quantile(X: Distribution, p: float) -> float:
@@ -81,7 +80,7 @@ def density_at_quantile(X: Distribution, p: float) -> float:
 
 def dmrl_integral(X: Distribution, Y: Distribution, p: float) -> float:
     """I(p) = ew_Y(p) - s(p) ew_X(p), s the density ratio at p: one point of
-    orders.dmrl_integral_curve."""
+    the dmrl gap that reproduce ce02 writes."""
     s = density_at_quantile(X, p) / density_at_quantile(Y, p)
     return excess_wealth(Y, p) - s * excess_wealth(X, p)
 

@@ -55,8 +55,9 @@ def test_a1_mean_residual_counterexample():
     report("a1.turning-point", abs(argmin_p - 0.125) <= 0.002,
            f"s(p) minimized at p={argmin_p:.6f}")
 
-    gap = orders_mod.dmrl_integral_curve(x, y, grid)
-    baseline_min = min(gap["value"])
+    # I = ew_y - s*ew_x from the dmrl and convex_transform verdict curves
+    _, gap = cli._ce02_curves(x, y, grid)
+    baseline_min = min(gap)
     report("a1.baseline-gap", baseline_min >= -1e-8,
            f"min I(p) = {baseline_min:.3e}")
 
@@ -68,10 +69,8 @@ def test_a1_mean_residual_counterexample():
            "I_h at small p: " + ", ".join(f"{v:.3e}" for v in probes.values()))
 
     pts = tuple(interior_points(0.002, 0.2, 199))
-    curve = orders_mod.dmrl_integral_curve(
-        xh, yh, Grid(points=pts))
+    _, vals = cli._ce02_curves(xh, yh, Grid(points=pts))
     crossing = None
-    vals = curve["value"]
     for i in range(len(pts) - 1):
         if vals[i] < 0.0 <= vals[i + 1]:
             crossing = (pts[i], pts[i + 1])
@@ -165,7 +164,10 @@ def test_a4_cross_form_equivalences():
                 worst = max(worst,
                             abs(closed - cop.cop_eval(handle, (p,) * n)))
 
-    for text, n in catalog.diagonals().values():
+    # the worked systems' diagonals, and two of dimension 2
+    for text, n in ((catalog.FN_DIAG_TEXT, 2), (catalog.FN_DIAG_TEXT, 5),
+                    (catalog.MIX_DIAG_TEXT, 4), (catalog.QMIT_DIAG_TEXT, 4),
+                    ("p^2", 2)):
         handle = cop.jaworski(text, n)
         d = handle.diagonal.fn
         for p in GRID65:

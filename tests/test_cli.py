@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stochorder import cli
+from stochorder import catalog, cli
 from stochorder import copulas as cop_mod
 from stochorder import orders as orders_mod
 from stochorder.funcalc import MAX_DEPTH
@@ -61,6 +61,23 @@ class TestCheckOrder:
                          "--y", "q: 2*((1-p)^(-30) - 1)", "--order", order]) == code
         if code == 2:
             assert "overflow in power" in capsys.readouterr().err
+
+    def test_weibull_pair_with_a_root_cusp_exits_one(self):
+        # q_X > q_Y near p = 0, so ttt fails: exit 1, not a numeric failure (5)
+        assert cli.main(["check-order", "--x", "hazard: x^5", "--y", "hazard: x^2",
+                         "--order", "ttt"]) == 1
+
+    def test_reversed_pair_is_witnessed_at_every_point(self, tmp_path):
+        # exp:1 lies above exp:2 in ttt and ew at each of the 512 default
+        # points: 512 witnesses per order, a header and 512 rows per CSV
+        json_out = tmp_path / "v.json"
+        assert cli.main(["check-order", "--x", "exp:1", "--y", "exp:2",
+                         "--order", "ttt", "--order", "ew", "--out-json", str(json_out),
+                         "--out-csv", str(tmp_path / "c.csv")]) == 1
+        doc = read_json(str(json_out))
+        assert [len(rec["witnesses"]) for rec in doc["results"]] == [512, 512]
+        for order in ("ttt", "ew"):
+            assert len(read_lines(str(tmp_path / f"c_{order}.csv"))) == 513
 
     def test_unwritable_csv_exits_four(self, tmp_path):
         missing = tmp_path / "no_such_dir" / "out.csv"
@@ -658,13 +675,30 @@ class TestInputMessages:
         (["classify", "--h", "power:2", "--signature", "0,1", "--copula", "product:2"],
          "give either --h or --signature/--copula, not both"),
         (["classify", "--signature", "0,1"], "--signature needs --copula"),
+        # domain rules of a quantile expression, each named with its span:
+        # where it is broken, where the root value hides it, and three
+        # quarters into the validation sample
+        (["check-order", "--x", "q: ln(p - 1/2)", "--y", "exp:1", "--order", "ttt"],
+         "ln of a non-positive number (at 0..11 'ln(p - 1/2)')"),
+        (["check-order", "--x", "q: p + 1/(1 + exp(800*p))", "--y", "exp:1",
+          "--order", "ttt"],
+         "overflow in exp (at 11..21 'exp(800*p)')"),
+        (["check-order", "--x", "q: p + ln(0.75 - p)", "--y", "exp:1", "--order", "ttt"],
+         "ln of a non-positive number (at 4..16 'ln(0.75 - p)')"),
+        # spec text that would be misread: an empty entry would change n, a
+        # repeated field would let the last one win
+        (["classify", "--signature", "0,,0,1", "--copula", "product:3"],
+         "bad signature '0,,0,1': entry 2 is empty"),
+        (["classify", "--signature", "0,1", "--copula", "durante:f=p^0.5,n=2,f=p"],
+         "field 'f' given more than once in 'durante:f=p^0.5,n=2,f=p'"),
     ], ids=["unexpected-character", "trailing-input", "else-outside-piece",
             "second-variable", "exp-arity", "guard-not-constant", "piece-no-branch",
             "guards-not-increasing", "frechet-positional", "unknown-field",
             "dimension-not-integer", "dimension-one", "dimension-above-12",
             "signature-one-entry", "signature-not-a-number", "signature-zero-division",
             "no-x", "no-order", "classify-no-input", "classify-both-inputs",
-            "signature-no-copula"])
+            "signature-no-copula", "ln-domain", "domain-under-finite-root",
+            "domain-deep-in-sample", "signature-empty-entry", "copula-field-twice"])
     def test_input_error(self, argv, message, capsys):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -749,6 +783,14 @@ class TestDistortAndSystem:
         assert np.array_equal(p, np.arange(count) / (count - 1))
         assert np.max(np.abs(value - (2 * p ** 3 - p ** 4))) <= 1e-12
 
+    def test_copula_label_keeps_every_digit(self, tmp_path):
+        # the label written is the spec that builds the copula again: a theta
+        # rounded to six digits would name another copula
+        out = tmp_path / "j.json"
+        assert cli.main(["system", "--signature", "0,1", "--copula",
+                         "cuadras-auge:theta=0.123456789", "--out-json", str(out)]) == 0
+        assert read_json(str(out))["copula"] == "cuadras-auge:theta=0.123456789"
+
     def test_system_rejects_invalid_generator(self):
         assert cli.main(["system", "--signature", "0,1,1,-1",
                          "--copula", "durante: f=p^2, n=4"]) == 2
@@ -771,6 +813,21 @@ class TestReproduce:
         match, mismatch, errors = filecmp.cmpfiles(
             str(first), str(second), names, shallow=False)
         assert match == names and not mismatch and not errors
+
+    @pytest.mark.parametrize("target, system", [
+        ("ex_durante_1", "two_parallel_pairs"), ("ex_durante_2", "one_of_two_pairs"),
+        ("ex_diag_5comp", "five_comp_bridge"), ("ex_3of4", "three_of_four"),
+        ("ex_qmit", "series_with_parallel_pair"),
+    ])
+    def test_system_target_classifies_as_the_system_command(self, target, system,
+                                                           tmp_path):
+        # each worked system is its catalog row, run as `stochorder system` runs it
+        signature, copula = catalog.SYSTEMS[system]
+        bundle, out = tmp_path / "bundle", tmp_path / "system.json"
+        assert cli.main(["reproduce", target, "--out-dir", str(bundle)]) == 0
+        assert cli.main(["system", "--signature", signature, "--copula", copula,
+                         "--out-json", str(out)]) == 0
+        assert (bundle / "classification.json").read_bytes() == out.read_bytes()
 
     def test_file_list_is_printed(self, tmp_path, capsys):
         cli.main(["reproduce", "ex_durante_1", "--out-dir",
@@ -808,6 +865,13 @@ class TestSweepCommand:
         config.write_text(json.dumps({"trails": 5}))
         assert cli.main(["sweep", "--config", str(config)]) == 2
         assert "unknown key(s) trails" in capsys.readouterr().err
+
+    def test_bool_tolerance_is_not_a_number(self, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"rel_tol": True}))
+        assert cli.main(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config 'rel_tol' must be a number; got True\n")
 
     def test_unknown_suite_exits_two(self, tmp_path):
         config = tmp_path / "sweep.json"

@@ -17,7 +17,6 @@ from stochorder import catalog
 from stochorder import distortions as dist_mod
 from stochorder import distributions as distributions_mod
 from stochorder.distributions import (
-    DegenerateDensityError,
     InfiniteMeanError,
     SpecError,
     build,
@@ -29,7 +28,7 @@ from stochorder.distributions import (
 
 from stochorder.numerics import BracketError, elementwise
 
-from helpers import GRID63, density_at_quantile
+from helpers import GRID63, DegenerateDensityError, density_at_quantile
 
 
 class TestSpecParsing:
@@ -194,6 +193,16 @@ class TestBuild:
         got = X.quantile(np.array([0.5, 1.0, math.nan, 0.0]))
         assert got[1] == math.inf and math.isnan(got[2])
         assert [got[0], got[3]] == [X.quantile(0.5), X.quantile(0.0)]
+
+    @pytest.mark.parametrize("spec", ["exp:1", "hazard: x"])
+    def test_level_outside_the_unit_interval_has_no_quantile(self, spec):
+        # -1 and 2 read as nan, as a nan level does, in both survival forms:
+        # not a bare math domain error, nor -ln 2 for exp:1 and 0 for hazard
+        X = build(spec)
+        levels = [-1.0, 0.0, 1.0, 2.0, math.nan]
+        for got in ([X.quantile(p) for p in levels], X.quantile(np.array(levels))):
+            assert math.isnan(got[0]) and math.isnan(got[3]) and math.isnan(got[4])
+            assert got[1] == 0.0 and got[2] == math.inf
 
     def test_distorted_exponential_is_rate_scaled(self):
         # h(p) = p^2 acting on the survival doubles the hazard rate

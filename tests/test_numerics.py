@@ -242,3 +242,22 @@ class TestGrids:
         with pytest.raises(ValueError, match=f"^grid needs at most {count - 1} points, got {count}$"):
             uniform_grid(count)
 
+
+    @pytest.mark.parametrize("name, value, shown", [
+        ("lo", 10 ** 400, "inf"), ("hi", -10 ** 400, "-inf"),
+        ("edge_margin", 10 ** 400, "inf"),
+    ], ids=["lo", "hi", "edge_margin"])
+    def test_integer_too_large_for_a_float_is_refused_by_name(self, name, value, shown):
+        # an input error naming the parameter, not an OverflowError
+        with pytest.raises(ValueError, match=f"^grid {name} must be finite, got {shown}$"):
+            uniform_grid(32, **{name: value})
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, math.inf, 0.0, "1e-8"],
+                             ids=["huge", "huge-negative", "inf", "zero", "string"])
+    def test_value_that_is_no_positive_finite_float_is_refused_by_name(self, name, value):
+        # an integer too large for a float too: a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+            numerics.Tolerance(**{name: value})

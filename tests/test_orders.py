@@ -27,7 +27,6 @@ from stochorder.orders import (
     OrderKind,
     check_order,
     check_orders,
-    dmrl_integral_curve,
     excess_wealth,
     mit_transform,
     qmit_xspace_integral,
@@ -235,7 +234,8 @@ class TestReadOnlyCurves:
 
     def test_transform_and_dmrl_integral_curves(self, named_distributions):
         X, Y = named_distributions["ce02_x"], named_distributions["ce02_y"]
-        for curves in transform_curves([X, Y], COARSE) + [dmrl_integral_curve(X, Y, COARSE)]:
+        dmrl = check_order(X, Y, OrderKind.DMRL, COARSE)
+        for curves in transform_curves([X, Y], COARSE) + [dmrl.curve]:
             assert curves["p"] is COARSE.points
             self._assert_read_only(curves)
 
@@ -485,19 +485,25 @@ class TestDensityExclusions:
                                            for x, f in faults)
         assert np.array_equal(verdict.curve["p"], [x for x in self.GRID.points
                                                    if x not in dict(faults)])
-        with pytest.raises(db.DegenerateDensityError) as info:
-            orders_mod.density_ratios(X, Y, self.GRID.points)
-        assert str(info.value) == faults[0][1]
+        # the ce02 curves refuse the pair at its first fault, not fewer rows
+        with pytest.raises(ValueError) as info:
+            cli._ce02_curves(X, Y, self.GRID)
+        assert str(info.value) == (f"convex_transform: excluded "
+                                   f"p={faults[0][0]:.6g}: {faults[0][1]}")
 
 
 class TestDmrlRoutes:
+    """The monotone ew ratio of the dmrl verdict against the integral form
+    I = ew_y - s*ew_x, read from the dmrl and convex_transform verdict curves
+    as reproduce ce02 reads them."""
+
     def test_monotone_ratio_and_integral_routes_agree(self,
                                                       named_distributions):
         X = named_distributions["ce02_x"]
         Y = named_distributions["ce02_y"]
         assert check_order(X, Y, OrderKind.DMRL, COARSE).holds
-        gap = dmrl_integral_curve(X, Y, COARSE)
-        assert min(gap["value"]) >= -1e-8
+        _, gap = cli._ce02_curves(X, Y, COARSE)
+        assert min(gap) >= -1e-8
 
     def test_both_routes_flag_the_distorted_pair(self, named_distributions):
         h = dist_mod.power(5.0)
@@ -506,16 +512,16 @@ class TestDmrlRoutes:
         pts = tuple(interior_points(0.002, 0.2, 99))
         grid = Grid(points=pts)
         assert not check_order(Xh, Yh, OrderKind.DMRL, grid).holds
-        gap = dmrl_integral_curve(Xh, Yh, grid)
-        assert min(gap["value"]) < -1e-10
+        _, gap = cli._ce02_curves(Xh, Yh, grid)
+        assert min(gap) < -1e-10
 
     def test_single_point_matches_curve(self, named_distributions):
         X = named_distributions["ce02_x"]
         Y = named_distributions["ce02_y"]
-        gap = dmrl_integral_curve(X, Y, COARSE)
+        _, gap = cli._ce02_curves(X, Y, COARSE)
         i = 17
         assert dmrl_integral(X, Y, COARSE.points[i]) == pytest.approx(
-            gap["value"][i], abs=1e-12)
+            gap[i], abs=1e-12)
 
     def test_infinite_excess_wealth_is_refused(self):
         X = db.build("q: 1/(1-p) - 1")
@@ -525,7 +531,7 @@ class TestDmrlRoutes:
         with pytest.raises(db.InfiniteMeanError):
             dmrl_integral(X, Y, 0.5)
         with pytest.raises(db.InfiniteMeanError):
-            dmrl_integral_curve(X, Y, COARSE)
+            cli._ce02_curves(X, Y, COARSE)
 
 
 class TestQmitXspace:

@@ -53,9 +53,12 @@ class TestConfig:
         ({"edge_margin": "0.01"}, "edge_margin must be a number; got '0.01'"),
         ({"edge_margin": True}, "edge_margin must be a number; got True"),
         ({"tolerance": 0.1}, "tolerance must be a Tolerance; got 0.1"),
+        # an integer too large for a float: no OverflowError
+        ({"edge_margin": 10 ** 400}, "grid edge_margin must be finite, got inf"),
+        ({"edge_margin": -10 ** 400}, "grid edge_margin must be finite, got -inf"),
     ], ids=["negative-trials", "bool-trials", "float-seed", "string-count",
             "repeated-suite", "unknown-suite", "bad-grid", "string-margin",
-            "bool-margin", "float-tolerance"])
+            "bool-margin", "float-tolerance", "huge-margin", "huge-negative-margin"])
     def test_values_no_sweep_runs_are_refused(self, fields, message):
         # by the config itself, so a library caller gets no summary the
         # command line would refuse
