@@ -41,8 +41,8 @@ from . import orders as orders_mod
 from . import systems as sys_mod
 from . import sweeps as sweeps_mod
 from .numerics import (DEFAULT_EDGE_MARGIN, DEFAULT_GRID_COUNT, MAX_GRID_COUNT,
-                       Grid, NumericsError, Tolerance, uniform_grid,
-                       validation_points)
+                       Grid, InputError, NumericsError, Tolerance,
+                       uniform_grid, validation_points)
 from .orders import OrderKind
 
 EXIT_OK = 0
@@ -53,7 +53,7 @@ EXIT_IO = 4
 EXIT_NUMERIC = 5
 EXIT_INTERNAL = 6
 
-_INPUT_ERRORS = (ValueError, funcalc.ExprError)
+_INPUT_ERRORS = (InputError, funcalc.ExprError)
 
 # float64 bytes of a column -> its values as "%.17g" lines
 _ColumnTexts = Dict[bytes, Tuple[str, ...]]
@@ -184,7 +184,7 @@ def _once(names: List[str], source: str) -> None:
     """Refuse names that name one thing twice; source is where they came from."""
     repeated = [n for i, n in enumerate(names) if n in names[:i]]
     if repeated:
-        raise ValueError(f"{source} names {repeated[0]!r} more than once")
+        raise InputError(f"{source} names {repeated[0]!r} more than once")
 
 
 def _read_config(doc: dict, defaults: dict, where: str, prefix: str = "") -> dict:
@@ -197,7 +197,7 @@ def _read_config(doc: dict, defaults: dict, where: str, prefix: str = "") -> dic
     bool is neither."""
     unknown = sorted(set(doc) - set(defaults))
     if unknown:
-        raise ValueError(f"config {where!r} has unknown key(s) {', '.join(unknown)}; "
+        raise InputError(f"config {where!r} has unknown key(s) {', '.join(unknown)}; "
                          f"expected {', '.join(defaults)}")
     values = {}
     for key, default in defaults.items():
@@ -205,29 +205,29 @@ def _read_config(doc: dict, defaults: dict, where: str, prefix: str = "") -> dic
         value = doc.get(key, default)
         if isinstance(default, dict):
             if not isinstance(value, dict):
-                raise ValueError(f"config {name!r} must be an object with keys "
+                raise InputError(f"config {name!r} must be an object with keys "
                                  f"{', '.join(default)}; got {value!r}")
             value = _read_config(value, default, name, name + ".")
         elif isinstance(default, list):
             valid = _CONFIG_NAMES[key]
             if not isinstance(value, list) or not all(n in valid for n in value):
-                raise ValueError(f"config {name!r} must be a list of names from "
+                raise InputError(f"config {name!r} must be a list of names from "
                                  f"{', '.join(valid)}; got {value!r}")
             _once(value, f"config {name!r}")
         elif default is None or isinstance(default, str):
             if value is None:
                 value = default
             elif not isinstance(value, str):
-                raise ValueError(f"config {name!r} must be a string; got {value!r}")
+                raise InputError(f"config {name!r} must be a string; got {value!r}")
         else:
             kind = type(default)
             if isinstance(value, bool) or not isinstance(value, (int, kind)):
                 what = "an integer" if kind is int else "a number"
-                raise ValueError(f"config {name!r} must be {what}; got {value!r}")
+                raise InputError(f"config {name!r} must be {what}; got {value!r}")
             try:
                 value = kind(value)
             except OverflowError:
-                raise ValueError(f"config {name!r} must be a number; got an "
+                raise InputError(f"config {name!r} must be a number; got an "
                                  "integer too large for a float") from None
         values[key] = value
     return values
@@ -241,9 +241,11 @@ def _load_config(path: Optional[str], defaults: dict) -> dict:
             with open(path, "r", encoding="utf-8") as fp:
                 doc = json.load(fp)
         except OSError as ex:
-            raise ValueError(f"cannot read config {path!r}: {ex.strerror or ex}") from None
+            raise InputError(f"cannot read config {path!r}: {ex.strerror or ex}") from None
+        except ValueError as ex:  # malformed JSON or text that is not UTF-8
+            raise InputError(f"config {path!r} is not UTF-8 JSON: {ex}") from None
         if not isinstance(doc, dict):
-            raise ValueError(f"config {path!r} must hold a JSON object")
+            raise InputError(f"config {path!r} must hold a JSON object")
     return _read_config(doc, defaults, path)
 
 
@@ -261,7 +263,7 @@ def _grid_from(grid: dict, args) -> Grid:
 def _csv_out(path: Optional[str], source: str = "--out-csv") -> Optional[str]:
     """path, refused when it is "-" (CSV goes to files only), naming source."""
     if path == "-":
-        raise ValueError(f"{source} needs a file path; '-' (stdout) is "
+        raise InputError(f"{source} needs a file path; '-' (stdout) is "
                          "only for --out-json")
     return path
 
@@ -277,11 +279,11 @@ def cmd_check_order(args) -> int:
     config = _with_flags(_load_config(args.config, _CHECK_ORDER_DEFAULTS), {
         "x": args.x, "y": args.y, "distortion": args.distort, "name": args.scenario})
     if not config["x"] or not config["y"]:
-        raise ValueError("check-order needs --x and --y distribution specs")
+        raise InputError("check-order needs --x and --y distribution specs")
     _once(args.order or [], "--order")
     kinds = args.order or config["orders"]
     if not kinds:
-        raise ValueError("check-order needs at least one --order")
+        raise InputError("check-order needs at least one --order")
     grid = _grid_from(config["grid"], args)
     outputs = _with_flags(config["outputs"], {"verdict_json": args.out_json,
                                               "curve_csv": args.out_csv})
@@ -365,20 +367,34 @@ def _system_doc(built: sys_mod.SystemDistortion,
     return doc
 
 
+def _write_system(csv_path: Optional[str], json_path: Optional[str],
+                  built: sys_mod.SystemDistortion, handle: cop_mod.CopulaHandle,
+                  count: int = 257) -> None:
+    """What `stochorder system` writes: the h_T table at validation_points(count)
+    to csv_path (none without one), then the classification document to
+    json_path (stdout without one), built before either file is opened."""
+    doc = _system_doc(built, handle)
+    if csv_path:
+        _write_csv(csv_path, ("p", "value"),
+                   (validation_points(count), dist_mod.values_at(built.h, count)),
+                   comment=f"system distortion h_T for a=({built.sig.label()}) "
+                           f"with {handle.label}")
+    _write_json(json_path, doc)
+
+
 def cmd_classify(args) -> int:
     if args.h and (args.signature or args.copula):
-        raise ValueError("give either --h or --signature/--copula, not both")
+        raise InputError("give either --h or --signature/--copula, not both")
     if args.h:
         h = dist_mod.parse_distortion_spec(args.h)
-        doc = _classification_doc(h, dist_mod.classify(h))
+        _write_json(args.out_json, _classification_doc(h, dist_mod.classify(h)))
     elif args.signature:
         if not args.copula:
-            raise ValueError("--signature needs --copula")
+            raise InputError("--signature needs --copula")
         handle, built = sys_mod.build_system(args.signature, args.copula)
-        doc = _system_doc(built, handle)
+        _write_system(None, args.out_json, built, handle)
     else:
-        raise ValueError("classify needs --h or --signature/--copula")
-    _write_json(args.out_json, doc)
+        raise InputError("classify needs --h or --signature/--copula")
     return EXIT_OK
 
 
@@ -394,20 +410,13 @@ def cmd_distort(args) -> int:
 
 
 def cmd_system(args) -> int:
-    count = args.grid_count if args.grid_count is not None else 257
-    if count < 2:
-        raise ValueError(f"--grid-count must be at least 2, got {count}")
-    if count > MAX_GRID_COUNT:
-        raise ValueError(f"--grid-count must be at most {MAX_GRID_COUNT}, got {count}")
+    if args.grid_count < 2:
+        raise InputError(f"--grid-count must be at least 2, got {args.grid_count}")
+    if args.grid_count > MAX_GRID_COUNT:
+        raise InputError(f"--grid-count must be at most {MAX_GRID_COUNT}, got {args.grid_count}")
     _csv_out(args.out_csv)
     handle, built = sys_mod.build_system(args.signature, args.copula)
-    doc = _system_doc(built, handle)
-    if args.out_csv:
-        _write_csv(args.out_csv, ("p", "value"),
-                   (validation_points(count), dist_mod.values_at(built.h, count)),
-                   comment=f"system distortion h_T for a=({built.sig.label()}) "
-                           f"with {handle.label}")
-    _write_json(args.out_json, doc)
+    _write_system(args.out_csv, args.out_json, built, handle, args.grid_count)
     return EXIT_OK
 
 
@@ -477,76 +486,45 @@ def _repro_ce01(out_dir: str) -> List[str]:
     return [path]
 
 
-def _repro_durante(name: str, out_dir: str) -> List[str]:
+def _repro_system(name: str, out_dir: str) -> List[str]:
+    """The `system` command's files for catalog.SYSTEMS[name], plus the
+    shape condition S(p) of a generator-form copula, and for the quantile-mit
+    example the dual's ratio h*(p)/p and the diagonal itself."""
     handle, built = sys_mod.build_system(*catalog.SYSTEMS[name])
-    sig, gen = built.sig, handle.generator
-    files = []
+    files = [os.path.join(out_dir, "distortion.csv"),
+             os.path.join(out_dir, "classification.json")]
+    _write_system(*files, built, handle)
+
+    def table(file: str, p, value, comment: str) -> str:
+        path = os.path.join(out_dir, file)
+        _write_csv(path, ("p", "value"), (p, value), comment=comment)
+        return path
+
     pts = validation_points(257)
-    path = os.path.join(out_dir, "distortion.csv")
-    _write_csv(path, ("p", "value"), (pts, dist_mod.values_at(built.h, 257)),
-               comment=f"system distortion h_T, a=({sig.label()}), "
-                       f"f(p)={gen.label}")
-    files.append(path)
-    cond = sys_mod.durante_condition_values(sig, gen, pts)
-    path = os.path.join(out_dir, "shape_condition.csv")
-    _write_csv(path, ("p", "value"), (pts, cond),
-               comment="shape condition S(p); >= 0 everywhere means "
-                       "starshaped, <= 0 antistarshaped")
-    files.append(path)
-    path = os.path.join(out_dir, "classification.json")
-    _write_json(path, _system_doc(built, handle))
-    files.append(path)
-    return files
-
-
-def _repro_diag(name: str, out_dir: str) -> List[str]:
-    return _diag_bundle(out_dir, *sys_mod.build_system(*catalog.SYSTEMS[name]))
-
-
-def _diag_bundle(out_dir: str, handle: cop_mod.CopulaHandle,
-                 built: sys_mod.SystemDistortion) -> List[str]:
-    files = []
-    pts = validation_points(257)
-    path = os.path.join(out_dir, "distortion.csv")
-    _write_csv(path, ("p", "value"), (pts, dist_mod.values_at(built.h, 257)),
-               comment=f"system distortion h_T = {built.closed_form}, "
-                       f"a=({built.sig.label()}), d(p)={handle.diagonal.label}")
-    files.append(path)
-    path = os.path.join(out_dir, "classification.json")
-    _write_json(path, _system_doc(built, handle))
-    files.append(path)
-    return files
-
-
-def _repro_qmit(out_dir: str) -> List[str]:
-    """The diagonal system bundle, then the dual's ratio h*(p)/p and the
-    diagonal itself."""
-    handle, built = sys_mod.build_system(*catalog.SYSTEMS["series_with_parallel_pair"])
-    files = _diag_bundle(out_dir, handle, built)
-    d = handle.diagonal
-    ratio_pts = np.array(validation_points(513)[1:])
-    path = os.path.join(out_dir, "dual_ratio.csv")
-    _write_csv(path, ("p", "value"),
-               (ratio_pts, dist_mod.dual(built.h).fn(ratio_pts) / ratio_pts),
-               comment="dual distortion ratio h*(p)/p; decreasing means "
-                       "the dual is antistarshaped")
-    files.append(path)
-    pts = validation_points(257)
-    path = os.path.join(out_dir, "diagonal.csv")
-    _write_csv(path, ("p", "value"), (pts, d.fn(np.array(pts))),
-               comment=f"diagonal d(p)={d.label} against the identity")
-    files.append(path)
+    if handle.kind == "durante":
+        files.insert(1, table(
+            "shape_condition.csv", pts,
+            sys_mod.durante_condition_values(built.sig, handle.generator, pts),
+            "shape condition S(p); >= 0 everywhere means starshaped, <= 0 antistarshaped"))
+    if name == "series_with_parallel_pair":
+        ratio_pts, d = np.array(validation_points(513)[1:]), handle.diagonal
+        files += [table("dual_ratio.csv", ratio_pts,
+                        dist_mod.dual(built.h).fn(ratio_pts) / ratio_pts,
+                        "dual distortion ratio h*(p)/p; decreasing means the dual "
+                        "is antistarshaped"),
+                  table("diagonal.csv", pts, d.fn(np.array(pts)),
+                        f"diagonal d(p)={d.label} against the identity")]
     return files
 
 
 REPRO_BUILDERS = {
     "ce02": _repro_ce02,
     "ce01": _repro_ce01,
-    "ex_durante_1": lambda out: _repro_durante("two_parallel_pairs", out),
-    "ex_durante_2": lambda out: _repro_durante("one_of_two_pairs", out),
-    "ex_diag_5comp": lambda out: _repro_diag("five_comp_bridge", out),
-    "ex_3of4": lambda out: _repro_diag("three_of_four", out),
-    "ex_qmit": _repro_qmit,
+    "ex_durante_1": functools.partial(_repro_system, "two_parallel_pairs"),
+    "ex_durante_2": functools.partial(_repro_system, "one_of_two_pairs"),
+    "ex_diag_5comp": functools.partial(_repro_system, "five_comp_bridge"),
+    "ex_3of4": functools.partial(_repro_system, "three_of_four"),
+    "ex_qmit": functools.partial(_repro_system, "series_with_parallel_pair"),
 }
 REPRO_TARGETS = tuple(REPRO_BUILDERS)
 
@@ -621,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copula", required=True)
     p.add_argument("--out-csv", help="h_T table CSV path")
     p.add_argument("--out-json", help="classification path (default stdout)")
-    p.add_argument("--grid-count", type=int, default=None,
+    p.add_argument("--grid-count", type=int, default=257,
                    help="points in the h_T table (default 257)")
     p.set_defaults(fn=cmd_system)
 

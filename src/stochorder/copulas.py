@@ -29,13 +29,13 @@ import numpy as np
 
 from . import funcalc
 from .funcalc import FunctionLike
-from .numerics import each, first, on_arrays, sample, validation_points
+from .numerics import InputError, each, first, on_arrays, sample, validation_points
 
 _POINT_TOL = 1e-9
 MAX_DIAGONAL_DIMENSION = 12  # config sanity cap for the cyclic-average form
 
 
-class CopulaValidationError(ValueError):
+class CopulaValidationError(InputError):
     """Generator/diagonal/handle parameters violate a construction condition."""
 
 

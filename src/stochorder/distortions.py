@@ -19,6 +19,7 @@ from . import funcalc
 from .numerics import (
     SCAN_TIE_TOL,
     VALIDATION_COUNT,
+    InputError,
     clamp,
     each,
     elementwise,
@@ -40,7 +41,7 @@ SOLVED_LIMIT = 1 << 15
 _SAMPLE_POINTS = np.array(validation_points())
 
 
-class DistortionValidationError(ValueError):
+class DistortionValidationError(InputError):
     """Candidate function fails a distortion axiom; message carries a witness."""
 
 
@@ -338,14 +339,20 @@ def dualpower(k: float) -> Distortion:
 
 def parse_distortion_spec(text: str) -> Distortion:
     """CLI/config distortion forms: `identity`, `power:k`, `dualpower:k`,
-    `h:<expr in p>`, or a bare expression."""
+    `h:<expr in p>`, or a bare expression; other text whose part before its
+    first ':' is a bare name is refused as a mistyped form."""
     text = text.strip()
     if text == "identity":
         return identity()
-    if text.startswith("power:"):
-        return power(funcalc.parse_constant(text[len("power:"):]))
-    if text.startswith("dualpower:"):
-        return dualpower(funcalc.parse_constant(text[len("dualpower:"):]))
-    if text.startswith("h:"):
-        return validate(text[len("h:"):].strip())
+    name, colon, rest = text.partition(":")
+    if colon and name in ("power", "dualpower"):
+        try:
+            k = funcalc.parse_constant(rest)
+        except funcalc.ExprError as ex:
+            raise DistortionValidationError(f"bad {name} exponent in {text!r}: {ex}") from None
+        return power(k) if name == "power" else dualpower(k)
+    if colon and name == "h":
+        return validate(rest.strip())
+    if colon and name.strip().isidentifier():
+        raise DistortionValidationError(f"unrecognized distortion spec {text!r}")
     return validate(text)

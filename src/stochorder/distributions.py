@@ -22,6 +22,7 @@ from . import distortions as dist_mod
 from . import funcalc
 from .numerics import (
     VALIDATION_COUNT,
+    InputError,
     Tolerance,
     clamp,
     derivative,
@@ -44,11 +45,11 @@ _HAZARD_TARGET = 30.0  # -ln(1 - p) at p = 1 - 1e-13; hazards must reach it
 _TAIL_TARGET = -math.log(2.0 ** -53)  # -ln(1 - p) at the largest float p < 1
 
 
-class InfiniteMeanError(ValueError):
+class InfiniteMeanError(InputError):
     """Mean requested for a distribution whose tail integral diverges."""
 
 
-class SpecError(ValueError):
+class SpecError(InputError):
     """Malformed distribution spec text or invalid parameters."""
 
 

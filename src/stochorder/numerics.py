@@ -37,6 +37,11 @@ LADDER_RUNGS = 44
 SCAN_TIE_TOL = 1e-9
 
 
+class InputError(ValueError):
+    """Refused input from outside (spec text, an argument, a config value);
+    the command line reports it as bad input, any other ValueError as a fault."""
+
+
 class NumericsError(Exception):
     """Base class for numeric-kernel failures."""
 
@@ -76,8 +81,10 @@ class Tolerance:
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(_as_float(v)) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            number = isinstance(v, (int, float))
+            if not (number and math.isfinite(_as_float(v)) and v > 0):
+                raise InputError(f"{name} must be positive and finite, "
+                                 f"got {_as_float(v) if number else v!r}")
 
 
 DEFAULT_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10)
@@ -100,12 +107,12 @@ class Grid:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if len(pts) < 16:
-            raise ValueError(f"grid needs at least 16 points, got {len(pts)}")
+            raise InputError(f"grid needs at least 16 points, got {len(pts)}")
         bad = np.flatnonzero(~(pts[:-1] < pts[1:]))
         if bad.size:
-            raise ValueError(f"grid points not strictly increasing at {float(pts[bad[0]])}")
+            raise InputError(f"grid points not strictly increasing at {float(pts[bad[0]])}")
         if not (0.0 < pts[0] and pts[-1] < 1.0):
-            raise ValueError(f"grid points must lie in (0, 1), got "
+            raise InputError(f"grid points must lie in (0, 1), got "
                              f"[{float(pts[0])!r}, {float(pts[-1])!r}]")
 
     @property
@@ -129,11 +136,11 @@ def uniform_grid(count: int = DEFAULT_GRID_COUNT,
     """Equally spaced grid on [lo+edge_margin, hi-edge_margin], one Grid per
     argument tuple per process, shared; bad arguments are refused by name."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ValueError(f"grid point count must be an integer, got {count!r}")
+        raise InputError(f"grid point count must be an integer, got {count!r}")
     if count < 16:
-        raise ValueError(f"grid needs at least 16 points, got {count}")
+        raise InputError(f"grid needs at least 16 points, got {count}")
     if count > MAX_GRID_COUNT:
-        raise ValueError(f"grid needs at most {MAX_GRID_COUNT} points, got {count}")
+        raise InputError(f"grid needs at most {MAX_GRID_COUNT} points, got {count}")
     # Python floats: an overflow here gives inf, where numpy would warn
     lo_f, hi_f, margin = _as_float(lo), _as_float(hi), _as_float(edge_margin)
     first, last = lo_f + margin, hi_f - margin
@@ -141,9 +148,9 @@ def uniform_grid(count: int = DEFAULT_GRID_COUNT,
                         ("lo + edge_margin", first), ("hi - edge_margin", last),
                         ("span hi - lo - 2*edge_margin", last - first)):
         if not math.isfinite(value):
-            raise ValueError(f"grid {name} must be finite, got {value!r}")
+            raise InputError(f"grid {name} must be finite, got {value!r}")
     if not first < last:
-        raise ValueError(f"grid lo + edge_margin ({first!r}) must be below "
+        raise InputError(f"grid lo + edge_margin ({first!r}) must be below "
                          f"hi - edge_margin ({last!r})")
     return _uniform_grid(count, lo, hi, edge_margin)
 

@@ -42,6 +42,7 @@ from .distributions import (
 from .numerics import (
     DEFAULT_GRID,
     Grid,
+    InputError,
     Tolerance,
     clamp,
     derivative,
@@ -361,7 +362,7 @@ def _verdict(X: Distribution, Y: Distribution, kind: OrderKind, grid: Grid,
         notes.append(f"functional is the {row.name}")
     else:
         if p.size < 2:
-            raise ValueError(f"{kind.value}: fewer than two usable grid points")
+            raise InputError(f"{kind.value}: fewer than two usable grid points")
         functional = vy / vx if row.ratio == "y/x" else vx / vy
         at, lower, upper = p[:-1], functional[:-1], functional[1:]
         if row.decreasing:

@@ -30,7 +30,7 @@ from . import catalog
 from . import distortions as dist_mod
 from . import distributions as distrib_mod
 from .distortions import Distortion, ShapeReport
-from .numerics import Grid, Tolerance, uniform_grid
+from .numerics import Grid, InputError, Tolerance, uniform_grid
 from .orders import DEFAULT_CHECK_TOL, OrderKind, check_order
 from .systems import preservation_advice
 
@@ -100,17 +100,17 @@ class SweepConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 what = "an integer" if kinds is int else "a number"
-                raise ValueError(f"{name} must be {what}; got {value!r}")
+                raise InputError(f"{name} must be {what}; got {value!r}")
         if not isinstance(self.tolerance, Tolerance):
-            raise ValueError(f"tolerance must be a Tolerance; got {self.tolerance!r}")
+            raise InputError(f"tolerance must be a Tolerance; got {self.tolerance!r}")
         if self.trials < 0:
-            raise ValueError("trials must be >= 0")
+            raise InputError("trials must be >= 0")
         object.__setattr__(self, "suites", tuple(self.suites))
         for i, name in enumerate(self.suites):
             if name not in _SUITES:
-                raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+                raise InputError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
             if name in self.suites[:i]:
-                raise ValueError(f"suites names {name!r} more than once")
+                raise InputError(f"suites names {name!r} more than once")
         self.grid()
 
     def grid(self) -> Grid:
@@ -171,7 +171,7 @@ def run_suite(name: str, config: Optional[SweepConfig] = None) -> SuiteResult:
     if config is None:
         config = SweepConfig()
     if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        raise InputError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     suite = _SUITES[name]
     rng = _suite_rng(config, name)
     grid, tol = config.grid(), config.tolerance

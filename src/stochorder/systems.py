@@ -11,9 +11,9 @@ the system construction.  Every h_T built here is elementwise: the generic
 boundary sum and the series and parallel distortions sample a grid in one
 ``copulas.cop_eval`` call per non-zero signature term.
 
-Signature entries are kept as exact rationals whenever the inputs allow, so
-the closed-form classification constants (omega, Delta, roots, alpha, beta)
-come out exact.
+Signature entries are exact rationals (a float is refused), so they sum to
+1 exactly and the closed-form classification constants (omega, Delta,
+roots, alpha, beta) come out exact.
 
 A parallel distortion is the dual of the series one, the diagonal section
 of the copula.  Caution: where that section is flat at 0 (e.g. product,
@@ -35,18 +35,14 @@ import numpy as np
 from . import copulas as cop_mod
 from . import distortions as dist_mod
 from .distortions import Distortion, ShapeReport
-from .numerics import (DEFAULT_GRID, SCAN_TIE_TOL, each, elementwise, first,
-                       sample, validation_points)
+from .numerics import (DEFAULT_GRID, SCAN_TIE_TOL, InputError, each, elementwise,
+                       first, sample, validation_points)
 from .orders import ORDERS, OrderKind
 
 _CROSSCHECK_TOL = 1e-12
 _CROSSCHECK_COUNT = 65
-_INEXACT_SUM_TOL = 1e-9
 
-EntryLike = Union[int, str, Fraction, float]
-
-
-class SignatureError(ValueError):
+class SignatureError(InputError):
     """Minimal-signature entries violate an invariant."""
 
 
@@ -67,7 +63,6 @@ class MinimalSignature:
     F_T-bar = sum a_i F-bar_{1:i}; they must sum to 1 so that h_T(1)=1."""
 
     a: Tuple[Fraction, ...]
-    exact: bool = True
 
     @property
     def n(self) -> int:
@@ -80,32 +75,22 @@ class MinimalSignature:
         return tuple(float(x) for x in self.a)
 
 
-def signature(entries: Sequence[EntryLike]) -> MinimalSignature:
-    """Build a validated signature; ints/Fractions/strings stay exact."""
+def signature(entries: Sequence[Union[int, str, Fraction]]) -> MinimalSignature:
+    """Build a validated signature from ints, Fractions and rational text,
+    which must sum to 1 exactly; a float (or a bool) is refused."""
     if len(entries) < 2:
         raise SignatureError(f"need at least 2 entries, got {len(entries)}")
     coerced = []
-    exact = True
     for e in entries:
-        if isinstance(e, bool):
-            raise SignatureError(f"entry {e!r} is not a number")
-        if isinstance(e, (int, Fraction)):
-            coerced.append(Fraction(e))
-        elif isinstance(e, str):
-            coerced.append(Fraction(e.strip()))
-        elif isinstance(e, float):
-            coerced.append(Fraction(e))  # exact binary value
-            exact = False
+        if isinstance(e, (int, Fraction, str)) and not isinstance(e, bool):
+            coerced.append(Fraction(e))  # text may carry surrounding spaces
         else:
-            raise SignatureError(f"entry {e!r} is not a number")
-    total = sum(coerced)
-    if exact:
-        if total != 1:
             raise SignatureError(
-                f"entries must sum to 1, got {rational_str(total)}")
-    elif abs(float(total) - 1.0) > _INEXACT_SUM_TOL:
-        raise SignatureError(f"entries must sum to 1, got {float(total)!r}")
-    return MinimalSignature(a=tuple(coerced), exact=exact)
+                f"entry {e!r} is not an int, a Fraction or rational text")
+    total = sum(coerced)
+    if total != 1:
+        raise SignatureError(f"entries must sum to 1, got {rational_str(total)}")
+    return MinimalSignature(a=tuple(coerced))
 
 
 def parse_signature(text: str) -> MinimalSignature:
@@ -218,17 +203,23 @@ def build_system(signature_text: str, copula_text: str
     return handle, system_distortion(sig, handle)
 
 
-def _crosscheck(h: Distortion, generic_fn, what: str) -> None:
-    """The validated closed form h against the generic form on the 65
-    points i/64, where h is read from its validation sample."""
+def _closed_form(sig: MinimalSignature, copula: cop_mod.CopulaHandle,
+                 form: str, part: str, h_fn, closed_text: str) -> SystemDistortion:
+    """The system distortion h_fn of a {form}-form copula (part names its
+    generator or diagonal), validated, then cross-checked against its boundary
+    sum on the 65 points i/64, where h is read from its validation sample."""
+    _require_dimension(sig, copula.n, form)
+    h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; {part})")
     pts = validation_points(_CROSSCHECK_COUNT)
     a = dist_mod.values_at(h, _CROSSCHECK_COUNT)
-    b = sample(generic_fn, pts, SignatureError,
+    what = f"{form}-form system"
+    b = sample(_boundary_sum(sig, copula), pts, SignatureError,
                lambda p, v: f"{what}: generic form is {v!r} at p={p}")
     i = first(np.abs(a - b) > _CROSSCHECK_TOL)
     if i is not None:
         raise SignatureError(
             f"{what}: closed form {float(a[i])!r} != generic {float(b[i])!r} at p={pts[i]}")
+    return SystemDistortion(h=h, sig=sig, closed_form=closed_text)
 
 
 def _signed_terms(terms) -> str:
@@ -247,10 +238,9 @@ def _signed_terms(terms) -> str:
 
 def durante_system_distortion(sig: MinimalSignature,
                               copula: cop_mod.CopulaHandle) -> SystemDistortion:
-    """Closed form sum_k a_k * p * f(p)^(k-1) for a generator-form copula,
-    validated, then cross-checked against its boundary sum on 65 points."""
+    """Closed form sum_k a_k * p * f(p)^(k-1) for a generator-form copula
+    (see _closed_form)."""
     gen = copula.generator
-    _require_dimension(sig, gen.n, "generator")
     weights = sig.floats()
     fn = gen.fn
 
@@ -265,33 +255,24 @@ def durante_system_distortion(sig: MinimalSignature,
         return total
 
     bodies = ["p", "p*f(p)"] + [f"p*f(p)^{k}" for k in range(2, sig.n)]
-    closed_text = _signed_terms(zip(sig.a, bodies))
-
-    h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; f={gen.label})")
-    _crosscheck(h, _boundary_sum(sig, copula), "generator-form system")
-    return SystemDistortion(h=h, sig=sig, closed_form=closed_text)
+    return _closed_form(sig, copula, "generator", f"f={gen.label}", h_fn,
+                        _signed_terms(zip(sig.a, bodies)))
 
 
 def diag_system_params(sig: MinimalSignature) -> DiagParams:
-    """alpha = sum a_i (n-i)/(n-1), beta = sum a_i (i-1)/(n-1); alpha+beta=1."""
+    """alpha = sum a_i (n-i)/(n-1), and beta = sum a_i (i-1)/(n-1), which is
+    1 - alpha exactly since the a_i sum to 1."""
     n = sig.n
     alpha = sum((a * (n - i) for i, a in enumerate(sig.a, start=1)),
                 Fraction(0)) / (n - 1)
-    beta = sum((a * (i - 1) for i, a in enumerate(sig.a, start=1)),
-               Fraction(0)) / (n - 1)
-    if sig.exact and alpha + beta != 1:
-        raise SignatureError(
-            f"alpha+beta = {rational_str(alpha + beta)} != 1 (internal error)")
-    return DiagParams(alpha=alpha, beta=beta)
+    return DiagParams(alpha=alpha, beta=1 - alpha)
 
 
 def diag_system_distortion(sig: MinimalSignature,
                            copula: cop_mod.CopulaHandle) -> SystemDistortion:
-    """Closed form alpha*p + beta*d(p) for a diagonal-form copula,
-    validated, then cross-checked against its cyclic-average boundary sum
-    on 65 points."""
+    """Closed form alpha*p + beta*d(p) for a diagonal-form copula, whose
+    boundary sum is the cyclic average (see _closed_form)."""
     d = copula.diagonal
-    _require_dimension(sig, d.n, "diagonal")
     params = diag_system_params(sig)
     alpha = float(params.alpha)
     beta = float(params.beta)
@@ -301,10 +282,8 @@ def diag_system_distortion(sig: MinimalSignature,
     def h_fn(p):
         return alpha * p + beta * dfn(p)
 
-    h = dist_mod.validate(h_fn, label=f"system(a={sig.label()}; d={d.label})")
-    _crosscheck(h, _boundary_sum(sig, copula), "diagonal-form system")
-    closed_text = _signed_terms([(params.alpha, "p"), (params.beta, "d(p)")])
-    return SystemDistortion(h=h, sig=sig, closed_form=closed_text)
+    return _closed_form(sig, copula, "diagonal", f"d={d.label}", h_fn,
+                        _signed_terms([(params.alpha, "p"), (params.beta, "d(p)")]))
 
 
 def durante_condition_values(sig: MinimalSignature,
@@ -408,7 +387,7 @@ def classify_4component(sig: MinimalSignature) -> ShapeClassification:
         raise SignatureError(f"classify_4component needs n=4, got n={sig.n}")
     a2, a3, a4 = sig.a[1], sig.a[2], sig.a[3]
     if a4 == 0:
-        reduced = MinimalSignature(a=(sig.a[0], a2, a3), exact=sig.exact)
+        reduced = MinimalSignature(a=(sig.a[0], a2, a3))
         result = classify_3component(reduced)
         notes = "a4=0: reduced to the 3-component scheme"
         if result.notes:

@@ -167,10 +167,12 @@ class TestCheckOrder:
         assert "(0, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("x, distort, message", [
-        ("exp:1", "power:1e400", "number out of range (at 0..5 '1e400')"),
+        ("exp:1", "power:1e400",
+         "bad power exponent in 'power:1e400': number out of range (at 0..5 '1e400')"),
         ("q: p + (0-2)^1e400", "identity",
          "bad quantile expression: number out of range (at 10..15 '1e400')"),
-        ("exp:1", "dualpower:1e309", "number out of range (at 0..5 '1e309')"),
+        ("exp:1", "dualpower:1e309", "bad dualpower exponent in 'dualpower:1e309': "
+         "number out of range (at 0..5 '1e309')"),
         ("exp:1", "h: p^1e400", "number out of range (at 2..7 '1e400')"),
     ], ids=["power", "quantile", "dualpower", "expression"])
     def test_literal_that_overflows_exits_two(self, x, distort, message, capsys):
@@ -189,11 +191,19 @@ class TestCheckOrder:
         assert doc["distortion"] == "p^2"
         assert doc["x"] == "distort(exp:1, h=p^2)"
 
-    def test_malformed_config_exits_two(self, tmp_path):
+    @pytest.mark.parametrize("data, reason", [
+        (b"{not json", "Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+    ], ids=["malformed", "not-utf-8"])
+    def test_malformed_config_exits_two(self, data, reason, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text("{not json")
+        config.write_bytes(data)
         assert cli.main(["check-order", "--config", str(config),
                          "--order", "ttt"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config {str(config)!r} is not UTF-8 JSON: {reason}\n")
 
     def test_missing_config_is_an_input_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -313,14 +323,17 @@ class TestCheckOrder:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"expression nested deeper than {MAX_DEPTH} levels" in err
 
-    def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError])
+    def test_unexpected_exception_is_an_internal_error(self, error, monkeypatch, capsys):
+        # only an InputError is bad input: a stray ValueError is a fault
         def broken(*args, **kwargs):
-            raise RuntimeError("planted fault")
+            raise error("planted fault")
 
         monkeypatch.setattr(orders_mod, "check_orders", broken)
         assert cli.main(["check-order", "--x", "exp:1", "--y", "exp:2",
                          "--order", "ttt"]) == cli.EXIT_INTERNAL == 6
-        assert capsys.readouterr().err == "internal error: RuntimeError: planted fault\n"
+        assert capsys.readouterr().err == (
+            f"internal error: {error.__name__}: planted fault\n")
 
     def test_integer_grid_bounds_are_numbers(self, tmp_path):
         config = tmp_path / "config.json"
@@ -691,6 +704,15 @@ class TestInputMessages:
          "bad signature '0,,0,1': entry 2 is empty"),
         (["classify", "--signature", "0,1", "--copula", "durante:f=p^0.5,n=2,f=p"],
          "field 'f' given more than once in 'durante:f=p^0.5,n=2,f=p'"),
+        # distortion specs name the spec: a bad constant, and a mistyped form
+        # that the bare-expression fallback would read as an identifier
+        (["check-order", "--x", "exp:1", "--y", "exp:2", "--order", "ttt",
+          "--distort", "power:x"],
+         "bad power exponent in 'power:x': unknown identifier 'x' (at 0..1 'x')"),
+        (["check-order", "--x", "exp:1", "--y", "exp:2", "--order", "ttt",
+          "--distort", "dualpower:2*"],
+         "bad dualpower exponent in 'dualpower:2*': expected a value (at 2..2 '')"),
+        (["classify", "--h", "pow:2"], "unrecognized distortion spec 'pow:2'"),
     ], ids=["unexpected-character", "trailing-input", "else-outside-piece",
             "second-variable", "exp-arity", "guard-not-constant", "piece-no-branch",
             "guards-not-increasing", "frechet-positional", "unknown-field",
@@ -698,7 +720,8 @@ class TestInputMessages:
             "signature-one-entry", "signature-not-a-number", "signature-zero-division",
             "no-x", "no-order", "classify-no-input", "classify-both-inputs",
             "signature-no-copula", "ln-domain", "domain-under-finite-root",
-            "domain-deep-in-sample", "signature-empty-entry", "copula-field-twice"])
+            "domain-deep-in-sample", "signature-empty-entry", "copula-field-twice",
+            "power-constant", "dualpower-constant", "distortion-unknown-form"])
     def test_input_error(self, argv, message, capsys):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -823,11 +846,13 @@ class TestReproduce:
                                                            tmp_path):
         # each worked system is its catalog row, run as `stochorder system` runs it
         signature, copula = catalog.SYSTEMS[system]
-        bundle, out = tmp_path / "bundle", tmp_path / "system.json"
+        bundle, out, table = (tmp_path / "bundle", tmp_path / "system.json",
+                              tmp_path / "system.csv")
         assert cli.main(["reproduce", target, "--out-dir", str(bundle)]) == 0
         assert cli.main(["system", "--signature", signature, "--copula", copula,
-                         "--out-json", str(out)]) == 0
+                         "--out-csv", str(table), "--out-json", str(out)]) == 0
         assert (bundle / "classification.json").read_bytes() == out.read_bytes()
+        assert (bundle / "distortion.csv").read_bytes() == table.read_bytes()
 
     def test_file_list_is_printed(self, tmp_path, capsys):
         cli.main(["reproduce", "ex_durante_1", "--out-dir",

@@ -2,8 +2,9 @@
 
 The reference files were written by `stochorder reproduce <target>`.  CSV
 values must agree to 1e-12 (absolute or relative), comment and header lines
-exactly; JSON documents must be equal.  Regenerate a bundle only when a
-numeric change is intended:
+exactly; JSON documents must be equal.  A comment line changes only when
+its writer's format does, and the data lines then stay byte-identical.
+Regenerate a bundle only when a numeric change is intended:
 
     stochorder reproduce <target> --out-dir tests/golden/<target>
 """

@@ -261,3 +261,12 @@ class TestTolerance:
         # an integer too large for a float too: a ValueError, not an OverflowError
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
             numerics.Tolerance(**{name: value})
+
+    @pytest.mark.parametrize("value, shown", [
+        (10 ** 400, "inf"), (-10 ** 400, "-inf"), (0, "0.0"), ("1e-8", "'1e-8'"),
+    ], ids=["huge", "huge-negative", "zero", "string"])
+    def test_refused_value_is_shown_as_uniform_grid_shows_it(self, value, shown):
+        # a number as the float it reads as, not the whole 401-digit integer
+        with pytest.raises(numerics.InputError) as exc:
+            numerics.Tolerance(abs_tol=value)
+        assert str(exc.value) == f"abs_tol must be positive and finite, got {shown}"

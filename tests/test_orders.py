@@ -558,18 +558,21 @@ class TestQmitXspace:
 
 
 class TestImplications:
-    """convex_transform => dmrl, convex_transform => qmit and qmit => star:
-    a verdict that breaks a chain is a numerical fault, not mathematics."""
+    """convex_transform => dmrl and convex_transform => qmit for every pair,
+    and qmit => star for a pair whose quantiles both start at 0
+    (q_X(0) = q_Y(0) = 0).  Where its hypothesis holds, a verdict that
+    breaks a chain is a numerical fault, not mathematics."""
 
-    CHAINS = (("convex_transform", "dmrl"), ("convex_transform", "qmit"),
-              ("qmit", "star"))
+    CHAINS = (("convex_transform", "dmrl"), ("convex_transform", "qmit"))
+    FROM_ZERO_CHAINS = (("qmit", "star"),)
 
     def verdicts(self, X, Y):
         return {v.kind.value: v.holds
                 for v in check_orders(X, Y, tuple(OrderKind), COARSE)}
 
-    def broken_chains(self, holds):
-        return [(a, b) for a, b in self.CHAINS if holds[a] and not holds[b]]
+    def broken_chains(self, holds, from_zero=True):
+        chains = self.CHAINS + (self.FROM_ZERO_CHAINS if from_zero else ())
+        return [(a, b) for a, b in chains if holds[a] and not holds[b]]
 
     def test_chains_are_consistent_for_ordered_pair(self,
                                                     named_distributions):
@@ -586,6 +589,22 @@ class TestImplications:
                               named_distributions["exp_half"])
         assert set(holds) == {kind.value for kind in OrderKind}
         assert self.broken_chains(holds) == []
+
+    def test_shifted_pair_holds_every_order_but_star(self):
+        # q_Y(0) = 1: Y/X = (p + 1)/p decreases, so star fails while the
+        # other orders, qmit among them, hold
+        holds = self.verdicts(db.build("q: p"), db.build("q: p + 1"))
+        assert [kind for kind, ok in holds.items() if not ok] == ["star"]
+        assert self.broken_chains(holds, from_zero=False) == []
+
+    def test_distorted_ce02_pair_holds_qmit_but_not_star(self, named_distributions,
+                                                         named_distortions):
+        # q_Y(0) = ln(15/8) > 0, kept by the distortion
+        h = named_distortions["dualpower_5"]
+        holds = self.verdicts(db.distort(named_distributions["ce02_x"], h),
+                              db.distort(named_distributions["ce02_y"], h))
+        assert holds["qmit"] and not holds["star"]
+        assert self.broken_chains(holds, from_zero=False) == []
 
 
 class TestCurveCsv:

@@ -43,26 +43,33 @@ from helpers import GENERATORS, GRID63, interior_points, max_abs_diff
 class TestSignature:
     def test_integer_entries_stay_exact(self):
         sig = signature([2, 0, -2, 1])
-        assert sig.exact and sig.n == 4
+        assert sig.n == 4
         assert sig.a == (Fraction(2), Fraction(0), Fraction(-2), Fraction(1))
 
     def test_fraction_strings(self):
         sig = parse_signature("1/3, 1/3, 1/3")
-        assert sig.exact
+        assert sig.a == (Fraction(1, 3),) * 3
         assert sum(sig.a) == 1
 
-    def test_float_entries_lose_exactness(self):
-        sig = signature([0.3, 0.7])
-        assert not sig.exact
+    @pytest.mark.parametrize("entries", [[0.3, 0.7], [0.5, 0.5], [Fraction(1, 2), 0.5],
+                                         [True, 0]])
+    def test_float_entries_are_refused(self, entries):
+        # a float's sum to 1 holds only up to rounding, so no float enters
+        with pytest.raises(SignatureError) as exc:
+            signature(entries)
+        bad = next(e for e in entries if isinstance(e, (float, bool)))
+        assert str(exc.value) == (f"entry {bad!r} is not an int, a Fraction "
+                                  "or rational text")
 
     def test_exact_sum_must_be_one(self):
         with pytest.raises(SignatureError):
             signature([1, 1])
 
-    def test_float_sum_tolerance(self):
-        assert signature([0.3, 0.7 + 1e-12]).n == 2
-        with pytest.raises(SignatureError):
-            signature([0.3, 0.8])
+    def test_decimal_text_sums_exactly(self):
+        assert parse_signature("0.3, 0.7").a == (Fraction(3, 10), Fraction(7, 10))
+        with pytest.raises(SignatureError) as exc:
+            parse_signature("0.3, 0.8")
+        assert str(exc.value) == "entries must sum to 1, got 11/10"
 
     @pytest.mark.parametrize("text, position", [
         ("0,,0,1", 2), ("2,0,,-2,1", 3), ("0,0,1,", 4), (",0,1", 1),
@@ -274,11 +281,12 @@ class TestClosedForms:
         assert built.h.label == "system(a=0,1; product:2)"
         assert built.closed_form is None
 
-    def test_inexact_signature_rejected_by_closed_forms(self):
-        copula = cop.durante("p", 3)
-        sig = signature([0.2, 0.5, 0.3])
-        built = durante_system_distortion(sig, copula)
-        assert built.h(0.5) > 0.0  # float route still builds and validates
+    def test_closed_forms_take_rational_text(self):
+        # h_T = 1/5 p + 1/2 p^2 + 3/10 p^3 under f(p) = p
+        sig = signature(["1/5", "1/2", "3/10"])
+        built = durante_system_distortion(sig, cop.durante("p", 3))
+        assert built.closed_form == "1/5*p + 1/2*p*f(p) + 3/10*p*f(p)^2"
+        assert built.h(0.5) == pytest.approx(0.2625, abs=1e-15)
 
 
 class TestShapeCondition:

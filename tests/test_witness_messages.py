@@ -17,13 +17,11 @@ def spike(p):
     return math.inf if p > 0.5 else p
 
 
-def _series_crosscheck():
-    generic = systems._boundary_sum(systems.parse_signature("0,1"),
-                                    copulas.product(2))
+def _closed_form_crosscheck():
     # p^2 + 1e-10 passes validation (h(0) and h(1) within 1e-9), so the
-    # crosscheck finds the 1e-10 gap to p^2 at p = 0
-    closed = distortions.validate(lambda p: p * p + 1e-10)
-    systems._crosscheck(closed, generic, "series")
+    # crosscheck finds the 1e-10 gap to the boundary sum p^2 at p = 0
+    systems._closed_form(systems.parse_signature("0,1"), copulas.durante("p", 2),
+                         "generator", "f=p", lambda p: p * p + 1e-10, "p*f(p)")
 
 
 def _system(sig, copula):
@@ -101,8 +99,8 @@ CASES = [
      distributions.SpecError,
      "hazard:piece(x <= 1 : x ; x <= 2 : 1 - (x-1)/4 ; else : x^2): "
      "hazard decreasing near x=1.015625"),
-    ("system-crosscheck", _series_crosscheck, systems.SignatureError,
-     "series: closed form 1e-10 != generic 0.0 at p=0.0"),
+    ("system-crosscheck", _closed_form_crosscheck, systems.SignatureError,
+     "generator-form system: closed form 1e-10 != generic 0.0 at p=0.0"),
     # the closed form is what gets validated, so the label names f or d
     ("system-generator-decreasing", _system("3,-2", "durante:f=p,n=2"),
      distortions.DistortionValidationError,
