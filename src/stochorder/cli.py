@@ -438,34 +438,36 @@ def _ce02_curves(x: distrib_mod.Distribution, y: distrib_mod.Distribution,
     return s, dmrl.curve["value_y"] - s * dmrl.curve["value_x"]
 
 
+def _repro_table(out_dir: str, file: str, x, value, comment: str,
+                 x_name: str = "p") -> str:
+    """Write the (x_name, value) table out_dir/file and return its path."""
+    path = os.path.join(out_dir, file)
+    _write_csv(path, (x_name, "value"), (x, value), comment=comment)
+    return path
+
+
 def _repro_ce02(out_dir: str) -> List[str]:
     """Density-ratio turning point, baseline dmrl gap, and the distorted gap
     that dips negative for small p (order not preserved by a convex h)."""
     dd = catalog.distributions()
     x, y = dd["ce02_x"], dd["ce02_y"]
     h = dist_mod.power(5.0)
-    files = []
 
     grid = uniform_grid(512, edge_margin=0.01)
     s, gap = _ce02_curves(x, y, grid)
-    path = os.path.join(out_dir, "s_curve.csv")
-    _write_csv(path, ("p", "value"), (grid.points, s),
-               comment="density ratio s(p) for the baseline pair; "
-                       "decreasing then increasing with turning point 1/8")
-    files.append(path)
-
-    path = os.path.join(out_dir, "dmrl_gap.csv")
-    _write_csv(path, ("p", "value"), (grid.points, gap),
-               comment="baseline dmrl gap I(p) (nonnegative: the order holds)")
-    files.append(path)
+    files = [
+        _repro_table(out_dir, "s_curve.csv", grid.points, s,
+                     "density ratio s(p) for the baseline pair; "
+                     "decreasing then increasing with turning point 1/8"),
+        _repro_table(out_dir, "dmrl_gap.csv", grid.points, gap,
+                     "baseline dmrl gap I(p) (nonnegative: the order holds)"),
+    ]
 
     grid_h = uniform_grid(199, lo=0.002, hi=0.2, edge_margin=0.0)
     _, gap_h = _ce02_curves(distrib_mod.distort(x, h), distrib_mod.distort(y, h), grid_h)
-    path = os.path.join(out_dir, "dmrl_gap_distorted.csv")
-    _write_csv(path, ("p", "value"), (grid_h.points, gap_h),
-               comment="dmrl gap I_h(p) after distorting both sides by p^5; "
-                       "negative for small p, sign change near 0.0263")
-    files.append(path)
+    files.append(_repro_table(out_dir, "dmrl_gap_distorted.csv", grid_h.points, gap_h,
+                              "dmrl gap I_h(p) after distorting both sides by p^5; "
+                              "negative for small p, sign change near 0.0263"))
     return files
 
 
@@ -479,11 +481,9 @@ def _repro_ce01(out_dir: str) -> List[str]:
     yh = distrib_mod.distort(y, h)
     ts = [i / 100.0 for i in range(1, 201)]
     gap = [orders_mod.qmit_xspace_integral(xh, yh, t) for t in ts]
-    path = os.path.join(out_dir, "qmit_gap_xspace.csv")
-    _write_csv(path, ("t", "value"), (ts, gap),
-               comment="distorted quantile-mit gap in x-space; sign dips "
-                       "negative near t=1.3")
-    return [path]
+    return [_repro_table(out_dir, "qmit_gap_xspace.csv", ts, gap,
+                         "distorted quantile-mit gap in x-space; sign dips "
+                         "negative near t=1.3", x_name="t")]
 
 
 def _repro_system(name: str, out_dir: str) -> List[str]:
@@ -494,26 +494,20 @@ def _repro_system(name: str, out_dir: str) -> List[str]:
     files = [os.path.join(out_dir, "distortion.csv"),
              os.path.join(out_dir, "classification.json")]
     _write_system(*files, built, handle)
-
-    def table(file: str, p, value, comment: str) -> str:
-        path = os.path.join(out_dir, file)
-        _write_csv(path, ("p", "value"), (p, value), comment=comment)
-        return path
-
     pts = validation_points(257)
     if handle.kind == "durante":
-        files.insert(1, table(
-            "shape_condition.csv", pts,
+        files.insert(1, _repro_table(
+            out_dir, "shape_condition.csv", pts,
             sys_mod.durante_condition_values(built.sig, handle.generator, pts),
             "shape condition S(p); >= 0 everywhere means starshaped, <= 0 antistarshaped"))
     if name == "series_with_parallel_pair":
         ratio_pts, d = np.array(validation_points(513)[1:]), handle.diagonal
-        files += [table("dual_ratio.csv", ratio_pts,
-                        dist_mod.dual(built.h).fn(ratio_pts) / ratio_pts,
-                        "dual distortion ratio h*(p)/p; decreasing means the dual "
-                        "is antistarshaped"),
-                  table("diagonal.csv", pts, d.fn(np.array(pts)),
-                        f"diagonal d(p)={d.label} against the identity")]
+        files += [_repro_table(out_dir, "dual_ratio.csv", ratio_pts,
+                               dist_mod.dual(built.h).fn(ratio_pts) / ratio_pts,
+                               "dual distortion ratio h*(p)/p; decreasing means the dual "
+                               "is antistarshaped"),
+                  _repro_table(out_dir, "diagonal.csv", pts, d.fn(np.array(pts)),
+                               f"diagonal d(p)={d.label} against the identity")]
     return files
 
 

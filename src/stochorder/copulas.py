@@ -29,9 +29,9 @@ import numpy as np
 
 from . import funcalc
 from .funcalc import FunctionLike
-from .numerics import InputError, each, first, on_arrays, sample, validation_points
+from .numerics import (SCAN_TIE_TOL, InputError, each, first, on_arrays, sample,
+                       validation_points)
 
-_POINT_TOL = 1e-9
 MAX_DIAGONAL_DIMENSION = 12  # config sanity cap for the cyclic-average form
 
 
@@ -74,34 +74,23 @@ class CopulaHandle:
     gamma: Optional[float] = None
 
 
-def _sample(fn: Callable[[float], float], label: str):
-    """(validation points, finite values of fn on them); both endpoints are
-    included because the conditions constrain f(1), d(0) and d(1)."""
-    pts = validation_points()
-    return pts, sample(fn, pts, CopulaValidationError,
-                       lambda p, v: f"{label}: non-finite value {v!r} at p={p}")
-
-
 def validate_generator(f: FunctionLike, n: int) -> DuranteGenerator:
     """Accept f iff f(1)=1, f increasing, and f(p)/p decreasing on a dense grid.
 
-    The three conditions are exactly what makes the product form a copula;
-    each failure is reported with its witness point.
+    The three conditions are exactly what makes the product form a copula.
+    f is sampled at the 513 points i/512 (both ends, since f(1) is
+    constrained) and certified by numerics.sample: finite, f(1) = 1 and no
+    step down, each within SCAN_TIE_TOL; then f(p)/p must not step up by
+    more than SCAN_TIE_TOL.  The first fault is reported with its witness.
     """
     if not (isinstance(n, int) and n >= 2):
         raise CopulaValidationError(f"dimension must be an integer >= 2, got {n!r}")
     fn, label = funcalc.coerce_fn(f, "generator")
-    pts, vals = _sample(fn, label)
-    if abs(vals[-1] - 1.0) > _POINT_TOL:
-        raise CopulaValidationError(f"{label}: f(1) = {float(vals[-1])!r}, expected 1")
-    i = first(vals[1:] < vals[:-1] - _POINT_TOL)
-    if i is not None:
-        raise CopulaValidationError(
-            f"{label}: decreasing on [{pts[i]}, {pts[i + 1]}] "
-            f"(f drops {float(vals[i])!r} -> {float(vals[i + 1])!r})")
+    pts = validation_points()
+    vals = sample(fn, pts, CopulaValidationError, label, "f", ends=((-1, 1.0),))
     # f(p)/p on the points above 0
     ratios = vals[1:] / np.asarray(pts[1:])
-    i = first(ratios[1:] > ratios[:-1] + _POINT_TOL)
+    i = first(ratios[1:] > ratios[:-1] + SCAN_TIE_TOL)
     if i is not None:
         raise CopulaValidationError(
             f"{label}: f(p)/p increases on [{pts[i + 1]}, {pts[i + 2]}] "
@@ -111,31 +100,31 @@ def validate_generator(f: FunctionLike, n: int) -> DuranteGenerator:
 
 def validate_diagonal(d: FunctionLike, n: int) -> Diagonal:
     """Accept d iff d(0)=0, d(1)=1, d(p) <= p, and adjacent increments lie
-    in [0, n*(p2-p1)] on a dense grid (discrete slack 1e-9*n)."""
+    in [0, n*(p2-p1)] on a dense grid.
+
+    d is sampled at the 513 points i/512 and certified by numerics.sample:
+    finite, d(0) = 0 and d(1) = 1 within SCAN_TIE_TOL, and no step down by
+    more than SCAN_TIE_TOL*n; then d(p) <= p within SCAN_TIE_TOL, and no
+    step up by more than n*(p2-p1) + SCAN_TIE_TOL*n.  The first fault is
+    reported with its witness.
+    """
     if not (isinstance(n, int) and n >= 2):
         raise CopulaValidationError(f"dimension must be an integer >= 2, got {n!r}")
     if n > MAX_DIAGONAL_DIMENSION:
         raise CopulaValidationError(
             f"dimension {n} exceeds cap {MAX_DIAGONAL_DIMENSION}")
     fn, label = funcalc.coerce_fn(d, "diagonal")
-    pts, vals = _sample(fn, label)
-    if abs(vals[0]) > _POINT_TOL:
-        raise CopulaValidationError(f"{label}: d(0) = {float(vals[0])!r}, expected 0")
-    if abs(vals[-1] - 1.0) > _POINT_TOL:
-        raise CopulaValidationError(f"{label}: d(1) = {float(vals[-1])!r}, expected 1")
+    pts = validation_points()
+    slack = SCAN_TIE_TOL * n
+    vals = sample(fn, pts, CopulaValidationError, label, "d",
+                  ends=((0, 0.0), (-1, 1.0)), step_slack=slack)
     x = np.asarray(pts)
-    i = first(vals > x + _POINT_TOL)
+    i = first(vals > x + SCAN_TIE_TOL)
     if i is not None:
         raise CopulaValidationError(
             f"{label}: d({pts[i]}) = {float(vals[i])!r} exceeds p")
-    slack = 1e-9 * n
     inc = np.diff(vals)
-    drops = inc < -slack
-    i = first(drops | (inc > n * np.diff(x) + slack))
-    if i is not None and drops[i]:
-        raise CopulaValidationError(
-            f"{label}: decreasing on [{pts[i]}, {pts[i + 1]}] "
-            f"({float(vals[i])!r} -> {float(vals[i + 1])!r})")
+    i = first(inc > n * np.diff(x) + slack)
     if i is not None:
         raise CopulaValidationError(
             f"{label}: increment {float(inc[i])!r} on [{pts[i]}, {pts[i + 1]}] exceeds "

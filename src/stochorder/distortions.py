@@ -33,7 +33,6 @@ from .numerics import (
     validation_points,
 )
 
-_ENDPOINT_TOL = 1e-9
 # root-solved points a distortion remembers: two float64 arrays of at most
 # this many entries (512 KB); past it the memo starts again from the newest
 SOLVED_LIMIT = 1 << 15
@@ -131,25 +130,16 @@ def validate(fn: funcalc.FunctionLike,
              co_inverse_fn: Optional[Callable[[float], float]] = None) -> Distortion:
     """Check distortion axioms on a dense [0,1] sample and wrap the function.
 
-    Accepts a callable or expression text.  Rejects endpoint violations
-    (h(0) != 0, h(1) != 1) and any decreasing adjacent pair, each with the
-    witness point in the message.  Strictness is set by grid behavior: no
-    adjacent tie larger than the tolerance allows.
+    Accepts a callable or expression text.  h is sampled at the 513 points
+    i/512 and certified by numerics.sample: finite, h(0) = 0 and h(1) = 1,
+    and no step down, each within SCAN_TIE_TOL; the first fault is refused
+    with its witness in the message.  Strictness is set by grid behavior:
+    no adjacent step of at most SCAN_TIE_TOL.
     """
     fn, own_label = funcalc.coerce_fn(fn, "distortion")
     label = own_label if label is None else label
-    pts = validation_points()
-    vals = sample(fn, pts, DistortionValidationError,
-                  lambda p, v: f"{label}: non-finite value {v!r} at p={p}")
-    if abs(vals[0]) > _ENDPOINT_TOL:
-        raise DistortionValidationError(f"{label}: h(0) = {float(vals[0])!r}, expected 0")
-    if abs(vals[-1] - 1.0) > _ENDPOINT_TOL:
-        raise DistortionValidationError(f"{label}: h(1) = {float(vals[-1])!r}, expected 1")
-    i = first(vals[1:] < vals[:-1] - _ENDPOINT_TOL)
-    if i is not None:
-        raise DistortionValidationError(
-            f"{label}: decreasing on [{pts[i]}, {pts[i + 1]}] "
-            f"(h drops from {float(vals[i])!r} to {float(vals[i + 1])!r})")
+    vals = sample(fn, validation_points(), DistortionValidationError, label, "h",
+                  ends=((0, 0.0), (-1, 1.0)))
     strictly = not np.any(np.diff(vals) <= SCAN_TIE_TOL)
     h = Distortion(fn=fn, label=label, strictly_increasing=strictly,
                    inverse_fn=inverse_fn, co_inverse_fn=co_inverse_fn)

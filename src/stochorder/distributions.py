@@ -21,6 +21,7 @@ import numpy as np
 from . import distortions as dist_mod
 from . import funcalc
 from .numerics import (
+    SCAN_TIE_TOL,
     VALIDATION_COUNT,
     InputError,
     Tolerance,
@@ -29,7 +30,6 @@ from .numerics import (
     each,
     edge_ladder_integral,
     elementwise,
-    first,
     inside,
     lift,
     monotone_inverse,
@@ -84,15 +84,10 @@ _QUANTILE_CHECK_POINTS.setflags(write=False)
 
 
 def _validate_quantile(fn: Callable[[float], float], label: str) -> None:
-    # open-interval sample; q must be finite, non-decreasing, and >= 0
-    pts = _QUANTILE_CHECK_POINTS
-    vals = sample(fn, pts, SpecError,
-                  lambda p, v: f"{label}: quantile not finite at p={p!r}")
-    i = first(vals[1:] < vals[:-1] - 1e-9)
-    if i is not None:
-        raise SpecError(f"{label}: quantile decreasing near p={float(pts[i + 1])!r} "
-                        f"({float(vals[i])!r} -> {float(vals[i + 1])!r})")
-    if vals[0] < -1e-9:
+    # open-interval sample, certified by numerics.sample (finite, no step
+    # down); then q must be >= 0, each within SCAN_TIE_TOL
+    vals = sample(fn, _QUANTILE_CHECK_POINTS, SpecError, label, "q")
+    if vals[0] < -SCAN_TIE_TOL:
         raise SpecError(f"{label}: negative support (q near 0 is {float(vals[0])!r})")
 
 
@@ -153,8 +148,9 @@ def _build_hazard(expr_text: str) -> Distribution:
 
     hi is the first power of 2 (from 1) where psi reaches _HAZARD_TARGET.
     psi is tabled at 0, at the geometric head hi 2^-k (k = 70..10) and at
-    hi i/512 (i = 1..512), in one call past psi(0); the table must be
-    finite and must not drop by more than 1e-9 from one point to the next.
+    hi i/512 (i = 1..512), in one call past psi(0), and certified by
+    numerics.sample: finite, and no step down by more than SCAN_TIE_TOL
+    from psi(0) on.
     Past hi it holds psi at 2hi, 4hi, ... (up to 2^64, while finite) until
     psi reaches _TAIL_TARGET, -ln(1 - p) at the largest level p below 1.
     A quantile is one root solve from the table's cell that brackets its
@@ -169,7 +165,7 @@ def _build_hazard(expr_text: str) -> Distribution:
     label = f"hazard:{expr_text}"
     psi = funcalc.compile_fn(expr)
     v0 = float(psi(0.0))
-    if v0 < -1e-9:
+    if v0 < -SCAN_TIE_TOL:
         raise SpecError(f"{label}: hazard negative at 0 ({v0!r})")
     # psi at 1, 2, 4, ... (up to 2^64) until it reaches _TAIL_TARGET; hi is
     # the first power where it reaches _HAZARD_TARGET, or is nan, which the
@@ -186,12 +182,8 @@ def _build_hazard(expr_text: str) -> Distribution:
     steps = 512
     xs = hi * np.concatenate((2.0 ** -np.arange(70.0, 9.0, -1.0),
                               np.arange(1, steps + 1) / steps))
-    vals = sample(psi, xs, SpecError,
-                  lambda x, v: f"{label}: hazard not finite at x={x!r}")
-    # monotonicity on [0, hi]
-    i = first(vals < np.r_[v0, vals[:-1]] - 1e-9)
-    if i is not None:
-        raise SpecError(f"{label}: hazard decreasing near x={float(xs[i])!r}")
+    # the steps on [0, hi] start from psi(0) = v0, held
+    vals = sample(psi, xs, SpecError, label, "psi", (0.0, v0))
     # the table past hi: the finite levels at the later powers
     tail = np.isfinite(levels[j + 1:])
     xs = np.r_[0.0, xs, np.array(powers[j + 1:])[tail]]

@@ -73,7 +73,8 @@ def _as_float(value) -> float:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair; both strictly positive and finite."""
+    """Absolute/relative tolerance pair; both strictly positive and finite
+    numbers (a bool is refused)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -81,7 +82,7 @@ class Tolerance:
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol"):
             v = getattr(self, name)
-            number = isinstance(v, (int, float))
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
             if not (number and math.isfinite(_as_float(v)) and v > 0):
                 raise InputError(f"{name} must be positive and finite, "
                                  f"got {_as_float(v) if number else v!r}")
@@ -274,16 +275,41 @@ def inside(x: np.ndarray, inner: Callable, lo: float = 0.0,
 def sample(fn: Callable[[float], float],
            points: Sequence[float],
            error: type,
-           message: Callable[[float, float], str]) -> np.ndarray:
-    """fn at points, in one elementwise call, as a float array.
+           label: str,
+           name: str,
+           before: Optional[Tuple[float, float]] = None,
+           ends: Sequence[Tuple[int, float]] = (),
+           step_slack: float = SCAN_TIE_TOL) -> np.ndarray:
+    """fn at the increasing points, in one elementwise call, as a float
+    array, certified by the one rule every validator shares.
 
-    Raises ``error(message(x, v))`` at the first point x whose value v is
-    not finite.
+    Checks in this order, each raising ``error`` at its first fault:
+    1. every value is finite:
+       ``<label>: <name>(<x>) = <v>, not finite``;
+    2. the value at each index of ends, (index, target) pairs, is within
+       SCAN_TIE_TOL of its target:
+       ``<label>: <name>(<x>) = <v>, expected <t>``;
+    3. no step from one point to the next drops by more than step_slack:
+       ``<label>: <name> decreasing on [<a>, <b>] (<va> -> <vb>)``.
+    before, a point (x, fn(x)) the caller holds left of the points, takes
+    part in the steps only: it is neither evaluated nor checked finite.
     """
-    vals = np.asarray(lift(fn)(np.asarray(points, dtype=float)), dtype=float)
+    xs = np.asarray(points, dtype=float)
+    vals = np.asarray(lift(fn)(xs), dtype=float)
     i = first(~np.isfinite(vals))
     if i is not None:
-        raise error(message(float(points[i]), float(vals[i])))
+        raise error(f"{label}: {name}({float(xs[i])!r}) = {float(vals[i])!r}, not finite")
+    for i, target in ends:
+        if abs(vals[i] - target) > SCAN_TIE_TOL:
+            raise error(f"{label}: {name}({float(xs[i])!r}) = {float(vals[i])!r}, "
+                        f"expected {target!r}")
+    at, steps = xs, vals
+    if before is not None:
+        at, steps = np.r_[before[0], xs], np.r_[before[1], vals]
+    i = first(steps[1:] < steps[:-1] - step_slack)
+    if i is not None:
+        raise error(f"{label}: {name} decreasing on [{float(at[i])!r}, {float(at[i + 1])!r}] "
+                    f"({float(steps[i])!r} -> {float(steps[i + 1])!r})")
     return vals
 
 

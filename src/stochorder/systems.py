@@ -213,8 +213,9 @@ def _closed_form(sig: MinimalSignature, copula: cop_mod.CopulaHandle,
     pts = validation_points(_CROSSCHECK_COUNT)
     a = dist_mod.values_at(h, _CROSSCHECK_COUNT)
     what = f"{form}-form system"
-    b = sample(_boundary_sum(sig, copula), pts, SignatureError,
-               lambda p, v: f"{what}: generic form is {v!r} at p={p}")
+    # the generic form is compared with h, not certified: it need only be finite
+    b = sample(_boundary_sum(sig, copula), pts, SignatureError, f"{what}, generic form",
+               "h", step_slack=math.inf)
     i = first(np.abs(a - b) > _CROSSCHECK_TOL)
     if i is not None:
         raise SignatureError(
@@ -513,10 +514,6 @@ class PreservationAdvice:
     order: OrderKind
     verdict: str  # preserved | not_guaranteed
     reason: str
-
-    def to_json(self) -> dict:
-        return {"order": self.order.value, "verdict": self.verdict,
-                "reason": self.reason}
 
 
 def preservation_advice(order: OrderKind, shape: ShapeReport) -> PreservationAdvice:

@@ -270,3 +270,59 @@ class TestTolerance:
         with pytest.raises(numerics.InputError) as exc:
             numerics.Tolerance(abs_tol=value)
         assert str(exc.value) == f"abs_tol must be positive and finite, got {shown}"
+
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_refused_by_name(self, name, value):
+        # True is an int to isinstance, but no tolerance
+        with pytest.raises(numerics.InputError) as exc:
+            numerics.Tolerance(**{name: value})
+        assert str(exc.value) == f"{name} must be positive and finite, got {value!r}"
+
+
+class TestSample:
+    """numerics.sample: one call, then finite, end-value and step checks in
+    that order, each fault in its one message form."""
+
+    PTS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    @staticmethod
+    def _refusal(values, **kwargs):
+        table = dict(zip(TestSample.PTS, values))
+        with pytest.raises(numerics.InputError) as exc:
+            numerics.sample(lambda p: table[p], TestSample.PTS, numerics.InputError,
+                            "lbl", "g", **kwargs)
+        return str(exc.value)
+
+    def test_finite_is_checked_before_ends_and_steps(self):
+        assert self._refusal([0.5, 0.2, math.nan, 0.1, 1.0],
+                             ends=((0, 0.0),)) == "lbl: g(0.5) = nan, not finite"
+
+    def test_ends_are_checked_before_steps_in_their_order(self):
+        assert self._refusal([0.5, 0.2, 0.3, 0.1, 0.5], ends=((-1, 1.0), (0, 0.0))) \
+            == "lbl: g(1.0) = 0.5, expected 1.0"
+
+    def test_first_drop_past_the_slack_is_named(self):
+        # a drop of 1e-9 is within the default slack, SCAN_TIE_TOL
+        dip = 0.3 - 1e-9
+        values = [0.0, 0.3, dip, 0.1, 1.0]
+        assert self._refusal(values) == f"lbl: g decreasing on [0.5, 0.75] ({dip!r} -> 0.1)"
+        assert self._refusal(values, step_slack=1e-10) == \
+            f"lbl: g decreasing on [0.25, 0.5] (0.3 -> {dip!r})"
+
+    def test_held_point_takes_part_in_the_steps_only(self):
+        calls = []
+
+        def fn(x):
+            calls.append(np.array(x, dtype=float))
+            return x
+        numerics.sample(numerics.elementwise(fn), self.PTS[1:], ValueError, "lbl", "g",
+                        before=(0.0, math.nan))
+        assert [c.tolist() for c in calls] == [list(self.PTS[1:])]
+        with pytest.raises(ValueError, match=r"^lbl: g decreasing on \[0\.0, 0\.25\] "
+                                             r"\(1\.0 -> 0\.25\)$"):
+            numerics.sample(fn, self.PTS[1:], ValueError, "lbl", "g", before=(0.0, 1.0))
+
+    def test_values_come_back_from_one_call(self):
+        out = numerics.sample(np.sqrt, self.PTS, ValueError, "lbl", "g")
+        assert out.tolist() == [math.sqrt(p) for p in self.PTS]

@@ -573,8 +573,3 @@ class TestPreservationAdvice:
         else:
             assert (advice.verdict, advice.reason) == ("not_guaranteed", requires)
         assert advice.order is kind
-
-    def test_advice_json(self):
-        report = classify(dist_mod.identity())
-        doc = preservation_advice(OrderKind.TTT, report).to_json()
-        assert set(doc) == {"order", "verdict", "reason"}
