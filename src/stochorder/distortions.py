@@ -148,25 +148,26 @@ def validate(fn: funcalc.FunctionLike,
     return h
 
 
-def _evaluated(h: Distortion, count: int) -> np.ndarray:
-    vals = np.asarray(h.fn(np.array(validation_points(count))), dtype=float)
+def _evaluated(h: Distortion, points: tuple) -> np.ndarray:
+    vals = np.asarray(h.fn(np.array(points)), dtype=float)
     vals.setflags(write=False)
     return vals
 
 
 def values_at(h: Distortion, count: int = VALIDATION_COUNT) -> np.ndarray:
-    """h at validation_points(count), read-only.
+    """h at validation_points(count), count >= 2, read-only.
 
     When count - 1 divides 512 these points are every (512/(count - 1))-th
     point i/512 of h's sample, the same floats, so they are read from
     ``h.sampled`` (taken here on first use if validate did not keep one);
     any other count is evaluated.
     """
+    points = validation_points(count)
     step, rest = divmod(VALIDATION_COUNT - 1, count - 1)
     if rest:
-        return _evaluated(h, count)
+        return _evaluated(h, points)
     if h.sampled is None:
-        h.sampled = _evaluated(h, VALIDATION_COUNT)
+        h.sampled = _evaluated(h, validation_points())
     return h.sampled[::step]
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Callable, Literal, Optional, Sequence, Tuple
 
 import numpy as np
@@ -134,8 +134,9 @@ def uniform_grid(count: int = DEFAULT_GRID_COUNT,
                  lo: float = 0.0,
                  hi: float = 1.0,
                  edge_margin: float = DEFAULT_EDGE_MARGIN) -> Grid:
-    """Equally spaced grid on [lo+edge_margin, hi-edge_margin], one Grid per
-    argument tuple per process, shared; bad arguments are refused by name."""
+    """count equally spaced points from lo + edge_margin to hi - edge_margin,
+    summed as Python floats; bad arguments are refused by name.  Shared:
+    DEFAULT_GRID, and one Grid per span of the last four others asked for."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise InputError(f"grid point count must be an integer, got {count!r}")
     if count < 16:
@@ -153,25 +154,33 @@ def uniform_grid(count: int = DEFAULT_GRID_COUNT,
     if not first < last:
         raise InputError(f"grid lo + edge_margin ({first!r}) must be below "
                          f"hi - edge_margin ({last!r})")
-    return _uniform_grid(count, lo, hi, edge_margin)
+    span = (count, first, last)
+    return DEFAULT_GRID if span == _DEFAULT_SPAN else _uniform_grid(*span)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
-def _uniform_grid(count: int, lo: float, hi: float, edge_margin: float) -> Grid:
-    return Grid(points=np.linspace(lo + edge_margin, hi - edge_margin, count))
+@functools.lru_cache(maxsize=4)
+def _uniform_grid(count: int, first: float, last: float) -> Grid:
+    return Grid(points=np.linspace(first, last, count))
 
 
-DEFAULT_GRID = uniform_grid()
+_DEFAULT_SPAN = (DEFAULT_GRID_COUNT, DEFAULT_EDGE_MARGIN, 1.0 - DEFAULT_EDGE_MARGIN)
+DEFAULT_GRID = _uniform_grid.__wrapped__(*_DEFAULT_SPAN)
 
 
 # validators sample [0,1] endpoints included; independent of scan grids
 VALIDATION_COUNT = 513
 
 
-@functools.cache
 def validation_points(count: int = VALIDATION_COUNT) -> tuple:
-    """count equally spaced points on [0, 1], both endpoints included; built
-    once per count."""
+    """count >= 2 equally spaced points on [0, 1], both endpoints included;
+    the last few counts up to VALIDATION_COUNT (the library's own) kept."""
+    if count < 2:
+        raise InputError(f"validation points need a count of at least 2, got {count}")
+    return (_unit_points if count <= VALIDATION_COUNT else _unit_points.__wrapped__)(count)
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_points(count: int) -> tuple:
     return tuple(i / (count - 1) for i in range(count))
 
 
@@ -336,13 +345,6 @@ def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(index: np.ndarray, ends: list) -> list:
-    """(start, stop) of each block's run in a sorted index, for blocks of
-    positions that end at ends."""
-    stops = [index.size] if len(ends) == 1 else np.searchsorted(index, ends).tolist()
-    return list(zip([0] + stops[:-1], stops))
-
-
 # live panels per level beyond which a refinement is declared failed: an
 # integrand that is rough everywhere would otherwise double them up to the
 # depth cap
@@ -360,15 +362,16 @@ def integrate_many(fns: Sequence[Callable],
 
     cuts is non-decreasing (a repeated cut makes an empty piece, worth 0),
     abs_tol a float or one per piece.  The panels of all integrands are
-    refined in one loop.  The first call of each integrand covers two
-    levels, which every live piece needs: the cuts, the pieces' midpoints
-    and the midpoints of their halves.  Each later level calls every
-    integrand that still has open panels once, at the midpoints of the
-    halves of its own open panels, so no point is evaluated twice.  Panel
-    by panel this is the recursive method: the tolerance
+    refined in one loop over one table of open panels, each tagged with its
+    owner, its integrand's index, which its two children inherit.  The first
+    call of each integrand covers two levels, which every live piece needs:
+    the cuts, the pieces' midpoints and the midpoints of their halves.  Each
+    later level calls every integrand that still owns open panels once, at
+    the midpoints of the halves of those panels, so no point is evaluated
+    twice.  Panel by panel this is the recursive method: the tolerance
     max(abs_tol_i, rel_tol * |first estimate|) of its piece, halved per
-    split; acceptance when the two-halves estimate moves by at most 15x
-    that or by rounding noise; the Richardson step on acceptance.  Accepted
+    split; acceptance when the two-halves estimate moves by at most 15x that
+    or by rounding noise; the Richardson step on acceptance.  Accepted
     panels are summed back up the tree as left + right, so each piece's
     value is the recursive one, bit for bit, whatever the other integrands
     are.
@@ -412,10 +415,10 @@ def integrate_many(fns: Sequence[Callable],
         f_halves.append(f_x)
     if not owners:
         return outcomes
-    # the loop's panels are those of owners[0], then those of owners[1], ...:
-    # counts[j] of them for owners[j], each block in panel order
+    # the panel table a, b, fa, fm, fb, whole, eps and owner (an index into
+    # owners): owners[0]'s panels first, in panel order, then owners[1]'s, ...
     n = len(owners)
-    counts = [live.size] * n
+    owner = np.repeat(np.arange(n), live.size)
     fa, fm, fb = np.concatenate(fa), np.concatenate(fm), np.concatenate(fb)
     a, b = np.concatenate([a] * n), np.concatenate([b] * n)
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
@@ -432,21 +435,17 @@ def integrate_many(fns: Sequence[Callable],
         x = 0.5 * (lo + hi)
         fx = np.where(x == lo, flo, fhi)
         inner = np.flatnonzero((lo < x) & (x < hi))
-        ends = list(accumulate(counts))
         failed = []
-        if f_halves:
-            # the first pass: each integrand took these points in its first call
-            fx[inner] = np.concatenate(f_halves)
-            f_halves = []
-        else:
-            for j, (start, stop) in enumerate(_blocks(inner, [2 * e for e in ends])):
-                if counts[j]:
-                    part = inner[start:stop]
-                    try:
-                        fx[part] = _eval_checked(fns[owners[j]], x[part])
-                    except Exception as error:
-                        outcomes[owners[j]] = error
-                        failed.append(j)
+        inner_owner = owner[inner >> 1]  # a half's owner is its panel's
+        for j in np.flatnonzero(np.bincount(owner)).tolist():
+            part = inner[inner_owner == j]
+            try:
+                # the first pass: each integrand took these points in its first call
+                fx[part] = f_halves[j] if f_halves else _eval_checked(fns[owners[j]], x[part])
+            except Exception as error:
+                outcomes[owners[j]] = error
+                failed.append(j)
+        f_halves = []
         halves = (hi - lo) * (flo + 4.0 * fx + fhi) / 6.0
         s_left, s_right = halves[0::2], halves[1::2]
         s2 = s_left + s_right
@@ -457,28 +456,25 @@ def integrate_many(fns: Sequence[Callable],
         value = s2 + delta / 15.0
         moved = np.abs(delta)
         split = np.flatnonzero((moved > 15.0 * eps) & (moved > noise))
-        blocks = _blocks(split, ends)
-        for j, (start, stop) in enumerate(blocks):
-            if (start < stop and j not in failed
-                    and (depth <= 0 or 2 * (stop - start) > MAX_LIVE_PANELS)):
-                i = split[start]
-                outcomes[owners[j]] = QuadratureFailure(
-                    f"adaptive Simpson did not converge on "
-                    f"[{float(a[i])!r}, {float(b[i])!r}]",
-                    last_estimate=float(value[i]))
-                failed.append(j)
+        # no integrand can fail here unless the level's panels together do
+        if depth <= 0 or 2 * split.size > MAX_LIVE_PANELS:
+            split_owner = owner[split]
+            for j in np.unique(split_owner).tolist():
+                mine = split[split_owner == j]
+                if j not in failed and (depth <= 0 or 2 * mine.size > MAX_LIVE_PANELS):
+                    i = mine[0]
+                    outcomes[owners[j]] = QuadratureFailure(
+                        f"adaptive Simpson did not converge on "
+                        f"[{float(a[i])!r}, {float(b[i])!r}]",
+                        last_estimate=float(value[i]))
+                    failed.append(j)
         if failed:
             # a failed integrand's panels close here; its sums are not read
-            keep = np.ones(split.size, dtype=bool)
-            for j in failed:
-                keep[slice(*blocks[j])] = False
-                blocks[j] = (0, 0)
-            split = split[keep]
-        counts = [2 * (stop - start) for start, stop in blocks]
+            split = split[~np.isin(owner[split], failed)]
         levels.append((value, split))
         kids = (2 * split[:, None] + [0, 1]).ravel()
         a, b, fa, fm, fb = lo[kids], hi[kids], flo[kids], fx[kids], fhi[kids]
-        whole = halves[kids]
+        whole, owner = halves[kids], owner[kids >> 1]
         eps = np.repeat(0.5 * eps[split], 2)
         depth -= 1
     below = np.zeros(0)

@@ -1191,6 +1191,13 @@ def _checked(fn, x):
     return v
 
 
+def _blocks(index, ends):
+    """(start, stop) of each block's run in a sorted index, for blocks of
+    positions that end at ends."""
+    stops = [index.size] if len(ends) == 1 else np.searchsorted(index, ends).tolist()
+    return list(zip([0] + stops[:-1], stops))
+
+
 def _two_call_integrate_many(fns, cuts, abs_tol, rel_tol):
     """integrate_many as it was when its first two levels took one call
     each: the cuts and the pieces' midpoints, then the midpoints of their
@@ -1232,7 +1239,7 @@ def _two_call_integrate_many(fns, cuts, abs_tol, rel_tol):
         inner = np.flatnonzero((lo < x) & (x < hi))
         ends = list(itertools.accumulate(counts))
         failed = []
-        for j, (start, stop) in enumerate(numerics._blocks(inner, [2 * e for e in ends])):
+        for j, (start, stop) in enumerate(_blocks(inner, [2 * e for e in ends])):
             if counts[j]:
                 part = inner[start:stop]
                 try:
@@ -1247,7 +1254,7 @@ def _two_call_integrate_many(fns, cuts, abs_tol, rel_tol):
         value = s_left + s_right + delta / 15.0
         moved = np.abs(delta)
         split = np.flatnonzero((moved > 15.0 * eps) & (moved > noise))
-        blocks = numerics._blocks(split, ends)
+        blocks = _blocks(split, ends)
         for j, (start, stop) in enumerate(blocks):
             if (start < stop and j not in failed
                     and (depth <= 0 or 2 * (stop - start) > MAX_LIVE_PANELS)):
@@ -1448,6 +1455,37 @@ class TestBatchedQuadrature:
             _assert_same_outcome(g, w)
             fewer = 1 if counts["want", k] > 1 else 0
             assert counts["got", k] == counts["want", k] - fewer
+
+    @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+           repeats=st.integers(0, 3), ulps=st.integers(0, 3),
+           order=st.permutations(range(5)))
+    def test_permuted_integrands_permute_the_outcomes(self, xs, repeats, ulps, order):
+        # each panel carries its integrand's index, so where an integrand
+        # stands among the others changes nothing of its own: its piece
+        # values, its values at the cuts, its error and its call count
+        cuts = _partition(xs, repeats, ulps)
+        fns = [_compiled("x", "exp(x) * sqrt(x*x + 1)"),
+               _compiled("x", "piece(x <= 0.5 : x ; else : x + 1)"),
+               _compiled("x", "ln(x + 2.5)"),
+               elementwise(lambda x: np.where(np.abs(x - 1.1) < 1e-3, np.nan, x)),
+               _compiled("x", "1 / (1 + 25*x*x)")]
+        counts = {}
+
+        def counted(key, fn):
+            counts[key] = 0
+
+            def wrapper(x):
+                counts[key] += 1
+                return fn(x)
+            return elementwise(wrapper)
+
+        given_order = integrate_many([counted(("given", k), fn) for k, fn in enumerate(fns)],
+                                     cuts, 1e-11, 1e-11)
+        permuted = integrate_many([counted(("permuted", k), fns[k]) for k in order],
+                                  cuts, 1e-11, 1e-11)
+        for got, k in zip(permuted, order):
+            _assert_same_outcome(got, given_order[k])
+            assert counts["permuted", k] == counts["given", k]
 
     @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=12),
            repeats=st.integers(0, 3))

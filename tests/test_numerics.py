@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import re
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -151,6 +154,34 @@ class TestGrids:
         assert isinstance(pts, tuple) and len(pts) == 513
         assert pts[0] == 0.0 and pts[256] == 0.5 and pts[-1] == 1.0
         assert validation_points(17) is validation_points(17) != pts
+
+    def test_validation_points_of_a_large_count_are_not_held(self):
+        # a table asked for from outside is built per call; kept, every
+        # count a process asked for would stay held until it exits
+        count = 100_003
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(validation_points(count)) == count
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000  # the tuple and its floats take ~3.2 MB
+        # the library's own counts stay built once
+        assert all(validation_points(c) is validation_points(c) for c in (513, 257, 65))
+
+    def test_grids_beyond_the_cache_are_let_go(self):
+        grid = uniform_grid(4099, edge_margin=0.0123)
+        gone = weakref.ref(grid)
+        del grid
+        for count in range(20, 84):
+            uniform_grid(count, edge_margin=0.0123)
+        gc.collect()
+        assert gone() is None
+        # the default grid is kept whatever else was asked for, and the
+        # grid asked for last is shared
+        assert uniform_grid() is uniform_grid(count=512, lo=0.0) is DEFAULT_GRID
+        assert uniform_grid(83, edge_margin=0.0123) is uniform_grid(83, edge_margin=0.0123)
 
     def test_default_grid_shape(self):
         assert len(DEFAULT_GRID.points) == 512

@@ -16,7 +16,10 @@ Checks over ``src/stochorder`` with the standard-library ``ast`` only:
   path starts with, occurs only in the definitions of ``ARRAY_TESTS``: a
   function of one point has one implementation, on arrays, and floats
   reach it through ``numerics.on_arrays``.  Compiled expressions are such
-  functions: one evaluator, no float closures beside it.
+  functions: one evaluator, no float closures beside it;
+* no function that takes arguments sits under an unbounded cache
+  (``functools.cache``, ``lru_cache(maxsize=None)``), as a decorator or
+  wrapped by a call: zero-argument builders may.
 """
 
 from __future__ import annotations
@@ -175,3 +178,63 @@ def test_float_branches_only_where_allowed():
     found = set().union(*(_array_tests(path) for path in MODULES))
     # a definition that no longer tests must leave the list too
     assert found == set(ARRAY_TESTS)
+
+
+def _unbounded(decorator: ast.expr) -> bool:
+    """decorator is functools.cache or lru_cache(maxsize=None), however
+    imported."""
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    if name(decorator) == "cache":
+        return True
+    if not (isinstance(decorator, ast.Call) and name(decorator.func) == "lru_cache"):
+        return False
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+def _takes_arguments(fn: ast.FunctionDef) -> bool:
+    args = fn.args
+    return bool(args.posonlyargs or args.args or args.vararg
+                or args.kwonlyargs or args.kwarg)
+
+
+def _unbounded_caches(path: Path) -> list:
+    """Functions of path that take arguments under an unbounded cache, as a
+    decorator or wrapped by a call cache(fn) / lru_cache(maxsize=None)(fn)."""
+    tree = _tree(path)
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    cached = [fn for fn in functions.values() if any(map(_unbounded, fn.decorator_list))]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and _unbounded(node.func) and node.args
+                and isinstance(node.args[0], ast.Name) and node.args[0].id in functions):
+            cached.append(functions[node.args[0].id])
+    return [f"{path.stem}.{fn.name}" for fn in cached if _takes_arguments(fn)]
+
+
+def test_no_unbounded_cache_on_a_function_of_arguments():
+    # a cache keyed by its arguments grows with every distinct call: a
+    # process asking for many large grids or tables would hold them all.
+    # Zero-argument builders (one value per process) may keep it unbounded
+    found = [name for path in MODULES for name in _unbounded_caches(path)]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import functools\n@functools.cache\ndef f(n): pass", ["m.f"]),
+    ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(*a): pass", ["m.f"]),
+    ("import functools\n@functools.lru_cache(None)\ndef f(*, k): pass", ["m.f"]),
+    ("import functools\ndef f(n): pass\ng = functools.lru_cache(maxsize=None)(f)", ["m.f"]),
+    ("import functools\ndef f(n): pass\ng = functools.cache(f)", ["m.f"]),
+    ("import functools\n@functools.cache\ndef f(): pass", []),
+    ("import functools\ndef f(): pass\ng = functools.lru_cache(maxsize=None)(f)", []),
+    ("import functools\n@functools.lru_cache(maxsize=8)\ndef f(n): pass", []),
+    ("import functools\n@functools.lru_cache\ndef f(n): pass", []),
+], ids=["cache", "lru-none-keyword", "lru-none-positional", "wrapped-lru",
+        "wrapped-cache", "zero-args", "wrapped-zero-args", "bounded", "bare-lru"])
+def test_unbounded_cache_check_sees(tmp_path, source, found):
+    path = tmp_path / "m.py"
+    path.write_text(source, encoding="utf-8")
+    assert _unbounded_caches(path) == found

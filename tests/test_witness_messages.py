@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from stochorder import copulas, distortions, distributions, systems
+from stochorder import copulas, distortions, distributions, numerics, systems
 
 
 def spike(p):
@@ -129,6 +129,15 @@ CASES = [
      distributions.SpecError,
      "hazard:piece(x <= 0 : 1 ; else : x): psi decreasing on "
      "[0.0, 2.710505431213761e-20] (1.0 -> 2.710505431213761e-20)"),
+    # a point count below 2 has no step between its ends
+    ("validation-points-one", lambda: numerics.validation_points(1),
+     numerics.InputError, "validation points need a count of at least 2, got 1"),
+    ("values-at-one", lambda: distortions.values_at(distortions.power(2), 1),
+     numerics.InputError, "validation points need a count of at least 2, got 1"),
+    ("values-at-zero", lambda: distortions.values_at(distortions.power(2), 0),
+     numerics.InputError, "validation points need a count of at least 2, got 0"),
+    ("values-at-negative", lambda: distortions.values_at(distortions.power(2), -1),
+     numerics.InputError, "validation points need a count of at least 2, got -1"),
     ("system-crosscheck", _closed_form_crosscheck, systems.SignatureError,
      "generator-form system: closed form 1e-10 != generic 0.0 at p=0.0"),
     # the closed form is what gets validated, so the label names f or d
