@@ -13,8 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import statistics
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,11 +63,19 @@ class Distribution:
     cdf() falls back to inverting the quantile.  Whether the mean is finite
     is judged from the tail of q wherever a mean-dependent quantity is
     integrated.
+
+    ``distorted`` is (base, h) when this is distort(base, h), so that its
+    quantile is base.quantile(co_inverse(h, p)); orders.transform_curves
+    reads it to invert a pair's common h once.  It is neither an init
+    argument nor compared: ``dataclasses.replace``, which may give another
+    quantile, leaves it None.
     """
 
     quantile: Callable[[float], float]
     label: str
     cdf_fn: Optional[Callable[[float], float]] = None
+    distorted: Optional[Tuple["Distribution", dist_mod.Distortion]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.quantile = lift(self.quantile)
@@ -223,6 +231,8 @@ def _cumulative_hazard(p: np.ndarray) -> np.ndarray:
     """-ln(1 - p) at each level p: the exponential's quantile times its
     rate, inf at level 1, its limit there.  A level outside [0, 1] has no
     quantile and reads as nan, as a nan level does."""
+    if p.size and 0.0 <= p.min() and p.max() < 1.0:  # nan fails both
+        return -each(math.log, 1.0 - p)
     c = np.where((p < 0.0) | (p > 1.0), np.nan, 1.0 - p)
     top = c == 0.0
     return np.where(top, np.inf, -each(math.log, np.where(top, 1.0, c)))
@@ -316,6 +326,7 @@ def distort(X: Distribution, h: dist_mod.Distortion) -> Distribution:
     by the same h shares them.  Float calls (mean's endpoint terms, the
     pointwise transforms) also go through a memo of quantile values here,
     which exposes cache_info() to profilers; grid passes do not use it.
+    The result records (X, h) as its ``distorted`` field.
     """
     q = X.quantile
 
@@ -337,5 +348,7 @@ def distort(X: Distribution, h: dist_mod.Distortion) -> Distribution:
         hfn = h.fn
         # F_h = 1 - h(F̄) = h*(F)
         cdf_h = elementwise(lambda x: 1.0 - hfn(1.0 - clamp(base_cdf(x))))
-    return from_quantile(q_h, label=f"distort({X.label}, h={h.label})",
-                         cdf_fn=cdf_h, validate=False)
+    Xh = Distribution(quantile=q_h, label=f"distort({X.label}, h={h.label})",
+                      cdf_fn=cdf_h)
+    Xh.distorted = (X, h)
+    return Xh

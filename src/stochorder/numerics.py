@@ -173,9 +173,13 @@ VALIDATION_COUNT = 513
 
 def validation_points(count: int = VALIDATION_COUNT) -> tuple:
     """count >= 2 equally spaced points on [0, 1], both endpoints included;
-    the last few counts up to VALIDATION_COUNT (the library's own) kept."""
+    the last few counts up to VALIDATION_COUNT (the library's own) kept.
+    A count that is not an integer (a bool included) is refused by name."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise InputError(f"validation point count must be an integer, got {count!r}")
     if count < 2:
         raise InputError(f"validation points need a count of at least 2, got {count}")
+    count = int(count)
     return (_unit_points if count <= VALIDATION_COUNT else _unit_points.__wrapped__)(count)
 
 
@@ -253,6 +257,8 @@ def on_arrays(core: Callable, *args):
     went in: the one way a point reaches the array implementation of a
     public function, so all meet the same code and the same errors.
     """
+    if len(args) == 1 and isinstance(args[0], np.ndarray) and args[0].ndim:
+        return core(args[0])  # the common case, screened first
     arrays = [a for a in args if isinstance(a, np.ndarray)]
     if any(a.ndim for a in arrays):
         return core(*args)
@@ -269,11 +275,13 @@ def clamp(v: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
 def inside(x: np.ndarray, inner: Callable, lo: float = 0.0,
            hi: float = 1.0) -> np.ndarray:
     """inner at the entries of x strictly between lo and hi, called once on
-    them; 0 at or below lo and 1 at or above hi.  A new array, never x."""
-    if ((lo < x) & (x < hi)).all():
-        out = np.empty(x.shape)
-        out[...] = inner(x)
-        return out
+    them; 0 at or below lo and 1 at or above hi.  inner maps a float array
+    to the float array of its values.  A new array, never x: when every
+    entry is inside, inner's own array, copied only if it shares x's
+    memory."""
+    if not x.size or (lo < x.min() and x.max() < hi):  # nan fails both
+        out = np.asarray(inner(x), dtype=float)
+        return out.copy() if np.may_share_memory(out, x) else out
     out = np.where(x <= lo, 0.0, 1.0)
     mid = ~((x <= lo) | (x >= hi))
     if mid.any():
@@ -328,13 +336,47 @@ def first(mask: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _eval_checked(fn: Callable, x: np.ndarray) -> np.ndarray:
-    v = fn(x)
+def _eval_checked(fn: Callable, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """fn at u, the points x mapped through an integrate_many inner (x
+    itself without one), raising at x's first point whose value is not
+    finite."""
+    v = fn(u)
     if np.isfinite(v).all():
         return v
     i = first(~np.isfinite(v))
     raise NumericsError(f"integrand evaluated to {float(v[i])!r} "
                         f"at x={float(x[i])!r}")
+
+
+def _calls(fns: Sequence[Callable], x: np.ndarray, parts: list,
+           inner: Optional[Callable]) -> list:
+    """fns[j] at x[parts[j]], through inner when given, checked by
+    _eval_checked: one outcome per integrand, its values or the error its
+    call raised.
+
+    inner is called once, on all of x, and each integrand reads its part of
+    that; if the joint call raises, each integrand calls inner on its own
+    points instead, so it meets the error a call of its own would."""
+    joint = None
+    if inner is not None:
+        try:
+            joint = inner(x)
+        except Exception:
+            pass  # each integrand's own inner call below raises its error
+    outcomes = []
+    for fn, part in zip(fns, parts):
+        xs = x[part]
+        try:
+            if inner is None:
+                u = xs
+            elif joint is None:
+                u = inner(xs)
+            else:
+                u = joint[part]
+            outcomes.append(_eval_checked(fn, xs, u))
+        except Exception as error:
+            outcomes.append(error)
+    return outcomes
 
 
 def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -354,7 +396,8 @@ MAX_LIVE_PANELS = 1 << 18
 def integrate_many(fns: Sequence[Callable],
                    cuts: np.ndarray,
                    abs_tol,
-                   rel_tol: float) -> list:
+                   rel_tol: float,
+                   inner: Optional[Callable] = None) -> list:
     """Adaptive Simpson quadrature of several elementwise integrands over
     each piece [cuts[i], cuts[i+1]] of one partition.  Returns one outcome
     per integrand, in order: its piece integrals and its values at the
@@ -368,7 +411,13 @@ def integrate_many(fns: Sequence[Callable],
     the cuts, the pieces' midpoints and the midpoints of their halves.  Each
     later level calls every integrand that still owns open panels once, at
     the midpoints of the halves of those panels, so no point is evaluated
-    twice.  Panel by panel this is the recursive method: the tolerance
+    twice.  With inner, an elementwise map, each integrand fns[j] is
+    fns[j](inner(x)), and inner is called once per call above, on the points
+    of every integrand still open, in owner order (once on the shared points
+    of the first call), each integrand taking its slice; if that joint call
+    raises, the level calls fns[j](inner(x_j)) for each integrand alone, so
+    every outcome is the one the composed integrands give.  Panel by panel
+    this is the recursive method: the tolerance
     max(abs_tol_i, rel_tol * |first estimate|) of its piece, halved per
     split; acceptance when the two-halves estimate moves by at most 15x that
     or by rounding noise; the Richardson step on acceptance.  Accepted
@@ -391,19 +440,18 @@ def integrate_many(fns: Sequence[Callable],
     live = np.flatnonzero(cuts[:-1] < cuts[1:])
     a, b = cuts[live], cuts[live + 1]
     m = 0.5 * (a + b)
-    inner = np.flatnonzero((a < m) & (m < b))  # as at the midpoints below
+    mid_in = np.flatnonzero((a < m) & (m < b))  # as at the midpoints below
     # and the midpoints of the halves, as the loop's first pass takes them
     lo, hi = _pairs(a, m), _pairs(m, b)
     x = 0.5 * (lo + hi)
-    inner_x = np.flatnonzero((lo < x) & (x < hi))
-    split_at = [cuts.size, cuts.size + inner.size]
-    first_levels = np.concatenate((cuts, m[inner], x[inner_x]))
+    x_in = np.flatnonzero((lo < x) & (x < hi))
+    split_at = [cuts.size, cuts.size + mid_in.size]
+    first_levels = np.concatenate((cuts, m[mid_in], x[x_in]))
     owners, at_cuts, fa, fm, fb, f_halves = [], [], [], [], [], []
-    for k, fn in enumerate(fns):
-        try:
-            f = _eval_checked(fn, first_levels)
-        except Exception as error:
-            outcomes[k] = error
+    every = [slice(None)] * len(fns)
+    for k, f in enumerate(_calls(fns, first_levels, every, inner)):
+        if isinstance(f, Exception):
+            outcomes[k] = f
             continue
         f, f_mid, f_x = np.split(f, split_at)
         owners.append(k)
@@ -411,7 +459,7 @@ def integrate_many(fns: Sequence[Callable],
         fa.append(f[live])
         fb.append(f[live + 1])
         fm.append(np.where(m == a, fa[-1], fb[-1]))
-        fm[-1][inner] = f_mid
+        fm[-1][mid_in] = f_mid
         f_halves.append(f_x)
     if not owners:
         return outcomes
@@ -434,17 +482,20 @@ def integrate_many(fns: Sequence[Callable],
         # inside; that of a half with no float inside is an end's value
         x = 0.5 * (lo + hi)
         fx = np.where(x == lo, flo, fhi)
-        inner = np.flatnonzero((lo < x) & (x < hi))
+        x_in = np.flatnonzero((lo < x) & (x < hi))
+        in_owner = owner[x_in >> 1]  # a half's owner is its panel's
+        active = np.flatnonzero(np.bincount(owner)).tolist()
+        parts = [in_owner == j for j in active]
+        # the first pass: each integrand took these points in its first call
+        values = f_halves or _calls([fns[owners[j]] for j in active], x[x_in],
+                                    parts, inner)
         failed = []
-        inner_owner = owner[inner >> 1]  # a half's owner is its panel's
-        for j in np.flatnonzero(np.bincount(owner)).tolist():
-            part = inner[inner_owner == j]
-            try:
-                # the first pass: each integrand took these points in its first call
-                fx[part] = f_halves[j] if f_halves else _eval_checked(fns[owners[j]], x[part])
-            except Exception as error:
-                outcomes[owners[j]] = error
+        for j, part, v in zip(active, parts, values):
+            if isinstance(v, Exception):
+                outcomes[owners[j]] = v
                 failed.append(j)
+            else:
+                fx[x_in[part]] = v
         f_halves = []
         halves = (hi - lo) * (flo + 4.0 * fx + fhi) / 6.0
         s_left, s_right = halves[0::2], halves[1::2]

@@ -31,6 +31,7 @@ from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Seque
 
 import numpy as np
 
+from . import distortions
 from .distributions import (
     EPS_Q,
     Distribution,
@@ -227,6 +228,12 @@ def transform_curves(sides: Sequence[Distribution], grid: Grid = DEFAULT_GRID,
     is read.  The ew curve is infinite when the mean is: reading ew raises
     InfiniteMeanError when the tail rungs refuse to decay.
 
+    When every side is distort(base, h) of one h object (its ``distorted``
+    record), the pass integrates the bases with integrate_many's inner
+    co_inverse(h, .), so h is inverted once per quadrature level for all
+    sides; the integrands are the distorted quantiles' own composition, so
+    nothing read changes.
+
     A side's curves are the ones a pass of that side alone gives, bit for
     bit, and so is the error raised: the sides are read in order, each
     raising its quadrature failure, then its InfiniteMeanError.
@@ -243,8 +250,13 @@ def transform_curves(sides: Sequence[Distribution], grid: Grid = DEFAULT_GRID,
     abs_tol = np.full(cuts.size - 1, _SEGMENT_TOL.abs_tol)
     abs_tol[:n_head] = rung_tolerance(head_cuts, _SEGMENT_TOL).abs_tol
     abs_tol[n_body:] = rung_tolerance(tail_cuts, _SEGMENT_TOL).abs_tol
-    outcomes = integrate_many([X.quantile for X in sides], cuts, abs_tol,
-                              _SEGMENT_TOL.rel_tol)
+    fns, inner = [X.quantile for X in sides], None
+    records = [X.distorted for X in sides]
+    if records and all(records) and all(h is records[0][1] for _, h in records):
+        h = records[0][1]
+        fns = [base.quantile for base, _ in records]
+        inner = lambda v: distortions.co_inverse(h, v)
+    outcomes = integrate_many(fns, cuts, abs_tol, _SEGMENT_TOL.rel_tol, inner)
     passes = []
     for X, outcome in zip(sides, outcomes):
         values, at_cuts = settled(outcome)

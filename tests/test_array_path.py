@@ -1487,6 +1487,49 @@ class TestBatchedQuadrature:
             _assert_same_outcome(got, given_order[k])
             assert counts["permuted", k] == counts["given", k]
 
+    @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+           repeats=st.integers(0, 3), ulps=st.integers(0, 3),
+           hole=st.sampled_from([None, 0.3, 1.05]))
+    def test_inner_gives_the_composed_outcomes(self, xs, repeats, ulps, hole):
+        # fns[j](inner(x)) integrated with inner shared: the composed
+        # integrands' outcomes and call counts, errors of inner included,
+        # and inner once per call of any integrand while none meets a hole
+        cuts = _partition(xs, repeats, ulps)
+        fns = [_compiled("x", "exp(x) * sqrt(x*x + 1)"),
+               _compiled("x", "piece(x <= 0.5 : x ; else : x + 1)"),
+               _compiled("x", "ln(x + 2.5)"),
+               elementwise(lambda x: np.where(np.abs(x - 1.1) < 1e-3, np.nan, x))]
+        counts = {"inner": 0, "holes": 0}
+
+        @elementwise
+        def inner(x):
+            counts["inner"] += 1
+            bad = np.flatnonzero(np.abs(x - hole) < 1e-3) if hole is not None else []
+            if len(bad):
+                counts["holes"] += 1
+                raise ValueError(f"hole at {float(x[bad[0]])!r}")
+            return 0.5 * x + 0.25
+
+        def counted(key, fn):
+            counts[key] = 0
+
+            def wrapper(x):
+                counts[key] += 1
+                return fn(x)
+            return elementwise(wrapper)
+
+        shared = integrate_many([counted(("shared", k), fn) for k, fn in enumerate(fns)],
+                                cuts, 1e-11, 1e-11, inner)
+        calls_shared = counts["inner"]
+        composed = integrate_many(
+            [elementwise(lambda x, fn=counted(("composed", k), fn): fn(inner(x)))
+             for k, fn in enumerate(fns)], cuts, 1e-11, 1e-11)
+        for k, (got, want) in enumerate(zip(shared, composed)):
+            _assert_same_outcome(got, want)
+            assert counts["shared", k] == counts["composed", k]
+        if not counts["holes"]:
+            assert calls_shared == max(counts["shared", k] for k in range(len(fns)))
+
     @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=12),
            repeats=st.integers(0, 3))
     def test_values_at_the_cuts_are_fn_at_the_cuts(self, xs, repeats):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import random
@@ -482,6 +483,17 @@ class TestDistort:
         Xh = distort(named_distributions["exp_1"], dist_mod.power(2.0))
         for p in (0.2, 0.6, 0.9):
             assert cdf(Xh, Xh.quantile(p)) == pytest.approx(p, abs=1e-8)
+
+    def test_records_its_base_and_h(self, named_distributions):
+        # a quantile set on the handle keeps the record; replace, which may
+        # give another quantile, and an undistorted build have none
+        X, h = named_distributions["exp_1"], dist_mod.power(2.0)
+        Xh = distort(X, h)
+        assert Xh.distorted[0] is X and Xh.distorted[1] is h
+        Xh.quantile = elementwise(Xh.quantile)
+        assert Xh.distorted[0] is X
+        assert dataclasses.replace(Xh, quantile=X.quantile).distorted is None
+        assert X.distorted is None
 
 
 class TestCatalog:

@@ -310,6 +310,130 @@ class TestJointTransformPass:
             check_orders(X, _INFINITE_INSIDE, [OrderKind.TTT], COARSE)
 
 
+def _composed(S):
+    """S without its distorted record: its quantile, the composition
+    distort built, is integrated as one integrand, as before the pass
+    shared a common h's co-inverse."""
+    return db.from_quantile(S.quantile, S.label, validate=False)
+
+
+def _outcomes(sides, monkeypatch):
+    """The integrate_many outcomes of one transform pass of sides: each
+    side's piece integrals and values at the cuts as bytes, or the class
+    and message of its error."""
+    seen = []
+    original = orders_mod.integrate_many
+
+    def captured(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(orders_mod, "integrate_many", captured)
+        try:
+            transform_curves(sides, COARSE)
+        except Exception:
+            pass  # the outcomes say which side failed, and how
+    [outcomes] = seen
+    return [(type(o), str(o)) if isinstance(o, Exception)
+            else tuple(v.tobytes() for v in o) for o in outcomes]
+
+
+# hole_x and hole_y are kinks of _KINKED's bases, where their refinement
+# goes deep; no point of COARSE's first quadrature call lies in either hole
+_HOLES = (0.4123, 0.6234)
+
+
+@elementwise
+def _holed_co_inverse(p):
+    bad = np.flatnonzero((np.abs(p - _HOLES[0]) < 1e-4) | (np.abs(p - _HOLES[1]) < 1e-4))
+    if bad.size:
+        raise ValueError(f"no co-inverse at {float(p[bad[0]])!r}")
+    return p
+
+
+class TestSharedCoInverse:
+    """A pair distorted by one h is integrated in its bases, with h's
+    co-inverse taken once per quadrature level for both; every outcome is
+    that of the distorted quantiles integrated as they are."""
+
+    PAIRS = [("ce02_x", "ce02_y"), ("exp_half", "rayleigh"), ("uniform", "ce01_x")]
+    # closed inverses, then root-solved ones
+    H_NAMES = ["power:2.5", "dualpower_3", "mix_cubic", "sys_three_of_four"]
+
+    @staticmethod
+    def _h(name, fresh_distortions):
+        return dist_mod.power(2.5) if name == "power:2.5" else fresh_distortions[name]
+
+    @pytest.mark.parametrize("h_name", H_NAMES)
+    @pytest.mark.parametrize("x_name, y_name", PAIRS)
+    def test_pair_equals_single_sides_and_composed_integrands(
+            self, x_name, y_name, h_name, named_distributions, fresh_distortions,
+            monkeypatch):
+        h = self._h(h_name, fresh_distortions)
+        sides = [db.distort(named_distributions[name], h) for name in (x_name, y_name)]
+        joint = _joint_pass(sides, COARSE)
+        assert isinstance(joint, list)
+        assert joint == _single_passes(sides, COARSE)
+        assert joint == _joint_pass([_composed(S) for S in sides], COARSE)
+        assert (_outcomes(sides, monkeypatch)
+                == _outcomes([_composed(S) for S in sides], monkeypatch))
+
+    @pytest.mark.parametrize("h_name", H_NAMES)
+    @pytest.mark.parametrize("x_name, y_name", PAIRS)
+    def test_one_co_inverse_call_per_level(self, x_name, y_name, h_name,
+                                           named_distributions, fresh_distortions,
+                                           monkeypatch):
+        # each base is called once per level it is open in, the first call
+        # covering two; the co-inverse once per level either is open in
+        h = self._h(h_name, fresh_distortions)
+        calls = {"x": 0, "y": 0, "co_inverse": 0}
+
+        def counted(key, fn):
+            @elementwise
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        X, Y = (named_distributions[name] for name in (x_name, y_name))
+        X = replace(X, quantile=counted("x", X.quantile))
+        Y = replace(Y, quantile=counted("y", Y.quantile))
+        monkeypatch.setattr(dist_mod, "co_inverse", counted("co_inverse", dist_mod.co_inverse))
+        transform_curves([db.distort(X, h), db.distort(Y, h)], COARSE)
+        # a co-inverse per side would make calls["x"] + calls["y"]
+        assert calls["co_inverse"] == max(calls["x"], calls["y"]) > 1
+
+    @pytest.mark.parametrize("h_name", ["power:2.5", "mix_cubic"])
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_a_base_that_turns_infinite_fails_alone(self, h_name, bad_first,
+                                                    named_distributions,
+                                                    fresh_distortions, monkeypatch):
+        h = self._h(h_name, fresh_distortions)
+        bad = db.distort(db.from_quantile(lambda p: math.inf if p > 0.6 else p,
+                                          "inf_above_0.6", validate=False), h)
+        good = db.distort(named_distributions["ce02_y"], h)
+        sides = [bad, good] if bad_first else [good, bad]
+        got = _outcomes(sides, monkeypatch)
+        assert got == _outcomes([_composed(S) for S in sides], monkeypatch)
+        error = got[0 if bad_first else 1]
+        assert error[0] is NumericsError and error[1].startswith("integrand evaluated to inf")
+        # the good side's curves are its own; the pass raises the bad side's error
+        assert got[1 if bad_first else 0] == _outcomes([good], monkeypatch)[0]
+        assert _joint_pass(sides, COARSE) == _single_passes([bad], COARSE)
+
+    def test_a_co_inverse_that_raises_names_each_sides_own_point(self, monkeypatch):
+        h = dist_mod.Distortion(fn=elementwise(lambda p: p), label="holed",
+                                strictly_increasing=True, co_inverse_fn=_holed_co_inverse)
+        X, Y = (db.distort(db.build(f"q: p + max(p - {k}, 0)"), h) for k in _HOLES)
+        got = _outcomes([X, Y], monkeypatch)
+        assert got == _outcomes([_composed(X), _composed(Y)], monkeypatch)
+        # a later level's joint call meets X's hole; Y still names its own
+        assert got == [(ValueError, "no co-inverse at 0.41225694444444444"),
+                       (ValueError, "no co-inverse at 0.6234722222222222")]
+        assert _joint_pass([Y, X], COARSE) == (ValueError, got[1][1])
+
+
 def _recording(X):
     """X with its quantile wrapped to record the points of each call, and
     the record."""

@@ -138,6 +138,13 @@ CASES = [
      numerics.InputError, "validation points need a count of at least 2, got 0"),
     ("values-at-negative", lambda: distortions.values_at(distortions.power(2), -1),
      numerics.InputError, "validation points need a count of at least 2, got -1"),
+    # a count that is not an integer is refused by name, as uniform_grid does
+    ("validation-points-float", lambda: numerics.validation_points(2.5),
+     numerics.InputError, "validation point count must be an integer, got 2.5"),
+    ("validation-points-bool", lambda: numerics.validation_points(True),
+     numerics.InputError, "validation point count must be an integer, got True"),
+    ("values-at-float", lambda: distortions.values_at(distortions.power(2), 3.0),
+     numerics.InputError, "validation point count must be an integer, got 3.0"),
     ("system-crosscheck", _closed_form_crosscheck, systems.SignatureError,
      "generator-form system: closed form 1e-10 != generic 0.0 at p=0.0"),
     # the closed form is what gets validated, so the label names f or d
