@@ -291,6 +291,12 @@ def cmd_check_order(args) -> int:
     csv_path = _csv_out(outputs["curve_csv"], "--out-csv" if args.out_csv is not None
                         else "config 'outputs.curve_csv'")
     scenario = config["name"]
+    csv_paths = [_csv_path_for_order(csv_path, OrderKind(kind), len(kinds) > 1)
+                 for kind in kinds] if csv_path else []
+    if json_path and json_path != "-" and os.path.realpath(json_path) in {
+            os.path.realpath(path) for path in csv_paths}:
+        raise InputError(f"verdict JSON path {json_path!r} is also a curve CSV "
+                         "path; give each output its own file")
 
     x = distrib_mod.build(config["x"])
     y = distrib_mod.build(config["y"])
@@ -312,14 +318,12 @@ def cmd_check_order(args) -> int:
     }
     if json_path or not csv_path:
         _write_text(json_path, _verdicts_text(doc))
-    if csv_path:
-        multiple = len(verdicts) > 1
+    if csv_paths:
         header = ("p", "value_x", "value_y", "functional")
         # the files share columns: p, and dmrl's values are ew's
         texts = dict(_grid_text(grid))
-        for v in verdicts:
-            _write_csv(_csv_path_for_order(csv_path, v.kind, multiple), header,
-                       [v.curve[key] for key in header], texts=texts)
+        for path, v in zip(csv_paths, verdicts):
+            _write_csv(path, header, [v.curve[key] for key in header], texts=texts)
     return EXIT_OK if doc["holds"] else EXIT_VIOLATED
 
 

@@ -275,15 +275,15 @@ def clamp(v: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
 def inside(x: np.ndarray, inner: Callable, lo: float = 0.0,
            hi: float = 1.0) -> np.ndarray:
     """inner at the entries of x strictly between lo and hi, called once on
-    them; 0 at or below lo and 1 at or above hi.  inner maps a float array
-    to the float array of its values.  A new array, never x: when every
-    entry is inside, inner's own array, copied only if it shares x's
-    memory."""
+    them; 0 at or below lo, 1 at or above hi, and nan at nan, which inner
+    never sees.  inner maps a float array to the float array of its values.
+    A new array, never x: when every entry is inside, inner's own array,
+    copied only if it shares x's memory."""
     if not x.size or (lo < x.min() and x.max() < hi):  # nan fails both
         out = np.asarray(inner(x), dtype=float)
         return out.copy() if np.may_share_memory(out, x) else out
-    out = np.where(x <= lo, 0.0, 1.0)
-    mid = ~((x <= lo) | (x >= hi))
+    out = np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, np.nan))
+    mid = (lo < x) & (x < hi)
     if mid.any():
         out[mid] = inner(x[mid])
     return out

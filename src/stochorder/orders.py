@@ -9,7 +9,8 @@ is integrated:
     mit(p) = p q(p) - integral_0^p q(t) dt            (area under cdf)
 
 with the open interval truncated at EPS_Q and rectangle corrections at both
-ends; this keeps ttt + ew = mean at ~1e-12 rather than ~1e-6.  Each
+ends; with mean() corrected the same way, ttt + ew = mean holds to ~3e-15
+across the catalog (test_acceptance's a5 check).  Each
 transform reads one end of (0, 1): ttt and mit the head, ew the upper tail,
 and a check integrates only the ends its transforms read.  Each end is
 laddered (numerics.ladder): rungs halving toward EPS_Q resolve a root cusp

@@ -8,7 +8,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, settings
 
-from stochorder import catalog
+from stochorder import catalog, cli
+from stochorder.orders import transform_curves
 from stochorder.systems import parse_signature
 
 settings.register_profile(
@@ -38,6 +39,38 @@ def named_distortions():
 def fresh_distortions(named_distortions):
     """Copies of the catalog distortions with empty solve memos."""
     return {name: replace(h) for name, h in named_distortions.items()}
+
+
+@pytest.fixture(scope="session")
+def catalog_curves(named_distributions):
+    """curves(name, grid): transform_curves of the catalog distribution name
+    alone on grid, computed once per session; the curves are read-only."""
+    passes = {}
+
+    def curves(name, grid):
+        key = (name, grid)  # grids hash by identity; uniform_grid caches them
+        if key not in passes:
+            passes[key] = transform_curves([named_distributions[name]], grid)[0]
+        return passes[key]
+
+    return curves
+
+
+@pytest.fixture(scope="session")
+def reproduced(tmp_path_factory):
+    """bundle(target): the directory ``stochorder reproduce target`` wrote,
+    run once per session."""
+    root = tmp_path_factory.mktemp("reproduce")
+    bundles = {}
+
+    def bundle(target):
+        if target not in bundles:
+            out = root / target
+            assert cli.main(["reproduce", target, "--out-dir", str(out)]) == 0, target
+            bundles[target] = out
+        return bundles[target]
+
+    return bundle
 
 
 @pytest.fixture(scope="session")

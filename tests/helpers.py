@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -10,6 +11,46 @@ import numpy as np
 from stochorder.copulas import CopulaHandle, Diagonal
 from stochorder.distributions import Distribution, quantile_slopes, slope_fault
 from stochorder.orders import excess_wealth
+
+
+# the accuracy a transform curve is held to: the pass refines each piece to
+# 1e-13 absolute or 1e-12 relative (orders._SEGMENT_TOL), and a curve point
+# sums up to hundreds of pieces, so 1e-12 relative to its terms plus 1e-12
+CURVE_REL_TOL = 1e-12
+CURVE_ABS_TOL = 1e-12
+
+
+# ce01_x's cumulative hazard psi (catalog.PSI_TEXT) piece by piece, its
+# slope and its inverse: e^x - 1 up to x = 1, 2e sqrt(x) - e - 1 up to 13/10,
+# then C exp(x^2 - 69/100) + D; psi and psi' are continuous at both knots
+PSI_KNOTS = (1.0, 1.3)
+_E = math.e
+_PSI_C = 5.0 / 13.0 * math.sqrt(10.0 / 13.0)
+_PSI_D = 2.0 * (math.sqrt(1.3) - 1.0) * _E - _PSI_C * _E + _E - 1.0
+
+
+def psi(x: float) -> float:
+    if x <= 1.0:
+        return math.expm1(x)
+    if x <= 1.3:
+        return 2.0 * _E * math.sqrt(x) - _E - 1.0
+    return _PSI_C * math.exp(x * x - 0.69) + _PSI_D
+
+
+def psi_slope(x: float) -> float:
+    if x <= 1.0:
+        return math.exp(x)
+    if x <= 1.3:
+        return _E / math.sqrt(x)
+    return 2.0 * x * _PSI_C * math.exp(x * x - 0.69)
+
+
+def psi_inverse(t: float) -> float:
+    if t <= psi(1.0):
+        return math.log1p(t)
+    if t <= psi(1.3):
+        return ((t + _E + 1.0) / (2.0 * _E)) ** 2
+    return math.sqrt(0.69 + math.log((t - _PSI_D) / _PSI_C))
 
 
 def interior_points(lo: float, hi: float, count: int) -> list:

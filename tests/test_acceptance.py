@@ -21,7 +21,7 @@ from stochorder import orders as orders_mod
 from stochorder import sweeps
 from stochorder import systems as sys_mod
 from stochorder.funcalc import Piecewise, eval_expr, parse, parse_constant
-from stochorder.numerics import Grid, uniform_grid
+from stochorder.numerics import DEFAULT_GRID, Grid, uniform_grid
 
 from helpers import (
     GENERATORS,
@@ -199,10 +199,9 @@ def test_a4_cross_form_equivalences():
            f"max deviation {worst:.3e}")
 
 
-def test_a5_transform_identities():
+def test_a5_transform_identities(catalog_curves):
     """Unit-exponential transforms and the scaled-spacings/excess-wealth sum."""
-    exp1 = catalog.distributions()["exp_1"]
-    curves = orders_mod.transform_curves([exp1])[0]
+    curves = catalog_curves("exp_1", DEFAULT_GRID)
     worst_exp = max(max(abs(t - p) for p, t in zip(curves["p"],
                                                    curves["ttt"])),
                     max(abs(w - (1.0 - p)) for p, w in zip(curves["p"],
@@ -214,7 +213,7 @@ def test_a5_transform_identities():
     worst = 0.0
     for name, X in catalog.distributions().items():
         m = db.mean(X)
-        curves = orders_mod.transform_curves([X], grid)[0]
+        curves = catalog_curves(name, grid)
         for t, w in zip(curves["ttt"], curves["ew"]):
             worst = max(worst, abs(t + w - m))
     report("a5.mean-identity", worst <= 2e-8,
@@ -249,15 +248,14 @@ def test_a7_expression_fixtures():
     report("a7.precedence", ok, "2+3*4 = 14, 2^3^2 = 512 exactly")
 
 
-def test_a8_cli_reproducibility(tmp_path):
+def test_a8_cli_reproducibility(tmp_path, reproduced):
     """Every reproduce target byte-identical twice; classify verdicts."""
     mismatched = []
     for target in cli.REPRO_TARGETS:
-        first = tmp_path / f"{target}_1"
-        second = tmp_path / f"{target}_2"
-        for out in (first, second):
-            code = cli.main(["reproduce", target, "--out-dir", str(out)])
-            assert code == 0, target
+        first = reproduced(target)  # the session's run, which test_golden reads
+        second = tmp_path / target
+        code = cli.main(["reproduce", target, "--out-dir", str(second)])
+        assert code == 0, target
         names = sorted(os.listdir(first))
         match, mismatch, errors = filecmp.cmpfiles(
             str(first), str(second), names, shallow=False)

@@ -102,6 +102,26 @@ class TestCheckOrder:
         assert captured.out == ""
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("orders, json_name", [
+        (["ttt"], "o.csv"),
+        (["ttt", "ew"], "o_ew.csv"),
+        (["ttt", "ew"], os.path.join("sub", "..", "o_ttt.csv")),
+    ], ids=["one-order", "several-orders", "same-file-other-spelling"])
+    def test_json_path_that_is_a_csv_path_exits_two_and_writes_nothing(
+            self, orders, json_name, tmp_path, monkeypatch, capsys):
+        # the curve CSV would otherwise overwrite the verdict JSON
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        argv = ["check-order", "--x", "exp:1", "--y", "exp:0.5", "--grid-count", "32",
+                "--out-csv", "o.csv", "--out-json", json_name]
+        for order in orders:
+            argv += ["--order", order]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: verdict JSON path {json_name!r} is also a "
+                                "curve CSV path; give each output its own file\n")
+        assert os.listdir(tmp_path) == ["sub"]
+
     def test_json_verdict_document(self, tmp_path):
         out = tmp_path / "verdict.json"
         code = cli.main(["check-order", "--x", "exp:1", "--y", "exp:0.5",

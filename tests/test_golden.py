@@ -52,12 +52,12 @@ def test_golden_targets_match_cli():
 
 
 @pytest.mark.parametrize("target", sorted(os.listdir(GOLDEN)))
-def test_reproduce_matches_golden(target, tmp_path, capsys):
-    assert cli.main(["reproduce", target, "--out-dir", str(tmp_path)]) == 0
+def test_reproduce_matches_golden(target, reproduced):
+    out = reproduced(target)
     want_dir = os.path.join(GOLDEN, target)
-    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(want_dir))
+    assert sorted(os.listdir(out)) == sorted(os.listdir(want_dir))
     for name in sorted(os.listdir(want_dir)):
-        fresh = _read(os.path.join(tmp_path, name))
+        fresh = _read(os.path.join(out, name))
         golden = _read(os.path.join(want_dir, name))
         if name.endswith(".json"):
             assert json.loads(fresh) == json.loads(golden), name
